@@ -3,7 +3,7 @@ package coalesce
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -18,17 +18,14 @@ import (
 // are mergeable when their kernels are structurally identical and their
 // block shapes and scalar parameters agree.
 func Key(l *hostgpu.Launch) uint64 {
+	var arr [128]byte
+	b := strconv.AppendUint(arr[:0], l.Kernel.Signature(), 16)
+	for _, n := range [...]int{l.Block, l.SharedMemPerBlock, l.RegsPerThread} {
+		b = strconv.AppendInt(append(b, '/'), int64(n), 10)
+	}
+	b = hostgpu.AppendParams(b, l.Params)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%x/%d/%d/%d", l.Kernel.Signature(), l.Block, l.SharedMemPerBlock, l.RegsPerThread)
-	names := make([]string, 0, len(l.Params))
-	for name := range l.Params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := l.Params[name]
-		fmt.Fprintf(h, "%s=%d:%g:%d;", name, v.T, v.F, v.I)
-	}
+	h.Write(b)
 	return h.Sum64()
 }
 
@@ -294,8 +291,9 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 				if env.Params == nil {
 					env.Params = map[string]kpl.Value{}
 				}
-				for _, decl := range kernel.Bufs {
-					buf, err := mem.BindBufferRange(mergedPtr[decl.Name], p.offsets[decl.Name], p.sizes[decl.Name], decl.Elem)
+				for i := range kernel.Bufs {
+					decl := &kernel.Bufs[i]
+					buf, err := mem.BindParamRange(mergedPtr[decl.Name], p.offsets[decl.Name], p.sizes[decl.Name], decl)
 					if err != nil {
 						return err
 					}

@@ -161,6 +161,16 @@ func TestKeyMatching(t *testing.T) {
 	}
 }
 
+// TestKeyAllocs: Key runs for every kernel job of every batch.
+func TestKeyAllocs(t *testing.T) {
+	g := hostgpu.New(arch.Quadro4000(), 1<<28)
+	j, _ := vecAddJob(t, g, 1, 512)
+	j.Launch.Params["alpha"] = kpl.F32Val(0.5)
+	if n := testing.AllocsPerRun(100, func() { _ = Key(j.Launch) }); n > 1 {
+		t.Errorf("Key allocates %v times, want at most 1", n)
+	}
+}
+
 func TestApplyGroupsAndWiresDeps(t *testing.T) {
 	g := hostgpu.New(arch.Quadro4000(), 1<<28)
 	const n = 512

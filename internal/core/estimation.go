@@ -39,33 +39,25 @@ func NewEstimation(target arch.GPU) *Estimation {
 	return &Estimation{Target: target}
 }
 
-// observe derives the estimate for one completed kernel job. Jobs without a
-// launch or profile (copies, failed launches) are ignored; kernels whose λ
-// is data-dependent and unsampled are skipped rather than guessed.
+// observe derives the estimate for one completed submitted kernel job. A
+// member of a coalesced launch is observed like any other kernel: through its
+// own launch and the thread-proportional share of the merged profile the
+// coalescer gave it. Jobs without a launch or profile (copies, failed
+// launches) are ignored; kernels whose λ is data-dependent and unsampled are
+// skipped rather than guessed.
 func (e *Estimation) observe(s *Service, j *sched.Job) {
 	if j.Launch == nil || j.Profile == nil || j.Err != nil {
 		return
 	}
 	l := j.Launch
-	if l.Prog == nil || (l.Prog.NeedsDynamicProfile() && l.Dyn == nil && l.SigmaOverride == nil) {
+	if l.Prog == nil || (l.Prog.NeedsDynamicProfile() && l.Dyn == nil) {
 		return
 	}
 	host := s.GPU.Arch
 	kl := kir.Launch{NThreads: l.Threads(), Params: l.Params}
-	var sigmaT arch.ClassVec
-	if l.SigmaOverride != nil {
-		// Coalesced launches: rescale the merged host σ by the target's
-		// expansion factors relative to the host's.
-		sigmaT = *l.SigmaOverride
-		for c := range sigmaT {
-			sigmaT[c] = sigmaT[c] / host.Expand[c] * e.Target.Expand[c]
-		}
-	} else {
-		var err error
-		sigmaT, err = l.Prog.Sigma(&e.Target, kl, l.Dyn)
-		if err != nil {
-			return
-		}
+	sigmaT, err := l.Prog.Sigma(&e.Target, kl, l.Dyn)
+	if err != nil {
+		return
 	}
 	_, accesses, err := s.GPU.ResolveSigma(l)
 	if err != nil {

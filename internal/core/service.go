@@ -504,6 +504,7 @@ func (s *Service) DispatchRaw(batch []*sched.Job) {
 
 // runRaw is the raw batch body: plan and run, no lifecycle events.
 func (s *Service) runRaw(batch []*sched.Job) {
+	orig := batch
 	if s.opts.Coalesce {
 		batch = coalesce.Apply(s.GPU, batch)
 	}
@@ -511,6 +512,11 @@ func (s *Service) runRaw(batch []*sched.Job) {
 		err := j.Run(s.GPU)
 		if !j.Done() {
 			j.Finish(err)
+		}
+	}
+	if s.Estimator != nil {
+		for _, j := range orig {
+			s.Estimator.observe(s, j)
 		}
 	}
 }
@@ -539,9 +545,6 @@ func (s *Service) dispatch(batch []*sched.Job) {
 			Kind: metrics.EventDispatched, VP: j.VP, Stream: j.Stream,
 			Engine: j.Engine, Label: j.Label, Time: j.Interval.Start,
 		})
-		if s.Estimator != nil {
-			s.Estimator.observe(s, j)
-		}
 	}
 	// Completion accounting covers the *submitted* jobs: coalesced members
 	// never appear in the planned order, but the merged job's run fills their
@@ -549,6 +552,9 @@ func (s *Service) dispatch(batch []*sched.Job) {
 	lat := s.metrics.Histogram("core.dispatch_latency_s", metrics.LatencyBuckets)
 	for _, j := range orig {
 		s.releaseJob(j)
+		if s.Estimator != nil {
+			s.Estimator.observe(s, j)
+		}
 		errMsg := ""
 		if j.Err != nil {
 			errMsg = j.Err.Error()

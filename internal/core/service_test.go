@@ -260,6 +260,57 @@ func TestEstimationModuleInService(t *testing.T) {
 	}
 }
 
+// TestEstimationObservesCoalescedMembers: two VPs' launches submitted in one
+// batch are merged by the coalescer, and the estimator still yields one
+// prediction per VP, from each member's own launch and profile share.
+func TestEstimationObservesCoalescedMembers(t *testing.T) {
+	opts := DefaultOptions()
+	tegra := arch.TegraK1()
+	opts.EstimateTarget = &tegra
+	s := NewService(opts)
+	defer s.Close()
+	bench, err := kernels.Get("vectorAdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []*sched.Job
+	for vpID := 0; vpID < 2; vpID++ {
+		bind := map[string]devmem.Ptr{}
+		for _, name := range []string{"a", "b", "out"} {
+			ptr, err := s.GPU.Mem.Alloc(4 * 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bind[name] = ptr
+		}
+		j := sched.NewKernel(vpID, vpID, &hostgpu.Launch{
+			Kernel: bench.Kernel, Prog: bench.Prog, Grid: 1, Block: 64,
+			Params:   map[string]kpl.Value{"n": kpl.IntVal(64)},
+			Bindings: bind,
+			Native:   bench.Native,
+		})
+		j.Coalescable = true
+		batch = append(batch, j)
+	}
+	s.DispatchRaw(batch)
+	s.Drain()
+	if got := s.Metrics().Snapshot().CounterValue("coalesce.jobs_merged"); got != 2 {
+		t.Fatalf("coalesce.jobs_merged = %d, want 2: the launches were not merged", got)
+	}
+	res := s.Estimator.Results()
+	if len(res) != 2 {
+		t.Fatalf("%d estimates, want one per VP: %+v", len(res), res)
+	}
+	for i, r := range res {
+		if r.VP != i || r.Kernel != "vectorAdd" {
+			t.Errorf("estimate %d is for vp %d kernel %q", i, r.VP, r.Kernel)
+		}
+		if r.HostTimeSec <= 0 || r.TargetTimeSec <= r.HostTimeSec || r.TargetPowerW <= 0 {
+			t.Errorf("degenerate estimate %+v", r)
+		}
+	}
+}
+
 // TestMemsetThroughService: cudaMemset works over both the in-process and
 // the TCP IPC paths, and histogram-style apps can zero their bins between
 // iterations.

@@ -1,11 +1,13 @@
 package devmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/kpl"
 )
@@ -336,6 +338,30 @@ func (m *Mem) Read(p Ptr, off, n int) ([]byte, error) {
 	return out, nil
 }
 
+// Copy moves n bytes from src+srcOff to dst+dstOff inside device memory (a
+// D2D copy) with one in-place copy under the lock. The two ranges may lie in
+// the same allocation and overlap; the result is then that of memmove.
+func (m *Mem) Copy(dst Ptr, dstOff int, src Ptr, srcOff, n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	from, ok := m.allocs[src]
+	if !ok {
+		return fmt.Errorf("devmem: read from invalid pointer %#x", uint64(src))
+	}
+	if srcOff < 0 || n < 0 || srcOff+n > len(from) {
+		return fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", srcOff, srcOff+n, len(from))
+	}
+	to, ok := m.allocs[dst]
+	if !ok {
+		return fmt.Errorf("devmem: write to invalid pointer %#x", uint64(dst))
+	}
+	if dstOff < 0 || dstOff+n > len(to) {
+		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", dstOff, dstOff+n, len(to))
+	}
+	copy(to[dstOff:], from[srcOff:srcOff+n])
+	return nil
+}
+
 // bind returns the raw backing slice (no copy) for kernel binding. Internal:
 // kernel execution happens under the host service's serialization.
 func (m *Mem) bind(p Ptr) ([]byte, error) {
@@ -348,7 +374,8 @@ func (m *Mem) bind(p Ptr) ([]byte, error) {
 	return b, nil
 }
 
-// BindBuffer decodes the allocation at p as a typed kernel buffer.
+// BindBuffer decodes the allocation at p as a typed kernel buffer. The buffer
+// is a private copy.
 func (m *Mem) BindBuffer(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 	raw, err := m.bind(p)
 	if err != nil {
@@ -357,9 +384,26 @@ func (m *Mem) BindBuffer(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 	return BufferFromBytes(t, raw), nil
 }
 
-// BindBufferRange decodes n bytes at offset off of the allocation at p as a
-// typed kernel buffer (a sub-range view used by coalesced launches).
-func (m *Mem) BindBufferRange(p Ptr, off, n int, t kpl.Type) (*kpl.Buffer, error) {
+// BindParam binds the allocation at p to the kernel buffer parameter decl for
+// one launch. A ReadOnly parameter gets a typed view that aliases the
+// allocation's bytes: nothing is copied, and the caller must neither write
+// through it nor let device memory change while it is in use (the per-device
+// executor owns the memory for the duration of a launch). A writable
+// parameter gets a private copy, to be stored with WriteBuffer once the
+// kernel has succeeded, so a failed launch leaves device memory untouched.
+// Where a view is impossible (big-endian host, or bytes not aligned for the
+// element type) the read-only parameter gets a private copy as well.
+func (m *Mem) BindParam(p Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
+	raw, err := m.bind(p)
+	if err != nil {
+		return nil, err
+	}
+	return bindParam(decl, raw), nil
+}
+
+// BindParamRange is BindParam over n bytes at offset off of the allocation at
+// p (one VP's slice of a coalesced launch's merged buffer).
+func (m *Mem) BindParamRange(p Ptr, off, n int, decl *kpl.BufDecl) (*kpl.Buffer, error) {
 	raw, err := m.bind(p)
 	if err != nil {
 		return nil, err
@@ -367,7 +411,16 @@ func (m *Mem) BindBufferRange(p Ptr, off, n int, t kpl.Type) (*kpl.Buffer, error
 	if off < 0 || n < 0 || off+n > len(raw) {
 		return nil, fmt.Errorf("devmem: range [%d,%d) outside allocation of %d bytes", off, off+n, len(raw))
 	}
-	return BufferFromBytes(t, raw[off:off+n]), nil
+	return bindParam(decl, raw[off:off+n]), nil
+}
+
+func bindParam(decl *kpl.BufDecl, raw []byte) *kpl.Buffer {
+	if decl.ReadOnly {
+		if v := viewBuffer(decl.Elem, raw); v != nil {
+			return v
+		}
+	}
+	return BufferFromBytes(decl.Elem, raw)
 }
 
 // WriteBufferRange encodes buf into the allocation at p starting at off.
@@ -386,36 +439,56 @@ func (m *Mem) WriteBufferRange(p Ptr, off int, buf *kpl.Buffer) error {
 
 // WriteBuffer encodes buf back into the allocation at p.
 func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
-	raw, err := m.bind(p)
-	if err != nil {
-		return err
-	}
-	need := buf.Bytes()
-	if need > len(raw) {
-		return fmt.Errorf("devmem: buffer of %d bytes exceeds allocation of %d", need, len(raw))
-	}
-	BufferToBytes(buf, raw[:need])
-	return nil
+	return m.WriteBufferRange(p, 0, buf)
 }
 
-// BufferFromBytes decodes little-endian device bytes into a typed buffer.
-// Trailing bytes that do not fill an element are ignored.
-func BufferFromBytes(t kpl.Type, raw []byte) *kpl.Buffer {
+// hostLittleEndian reports whether the host lays multi-byte values out in
+// device byte order. Only then are a typed element slice and its device bytes
+// the same memory image, which is what views and single-copy moves rely on.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// viewBuffer returns a typed buffer whose element slice aliases raw, or nil
+// when the host is big-endian, raw is not aligned for the element type, or
+// raw holds no whole element. Trailing bytes that do not fill an element are
+// left out of the view.
+func viewBuffer(t kpl.Type, raw []byte) *kpl.Buffer {
 	n := len(raw) / t.Size()
-	buf := kpl.NewBuffer(t, n)
+	p := unsafe.Pointer(unsafe.SliceData(raw))
+	if !hostLittleEndian || n == 0 || uintptr(p)%uintptr(t.Size()) != 0 {
+		return nil
+	}
+	buf := &kpl.Buffer{Elem: t}
 	switch t {
 	case kpl.F32:
-		for i := 0; i < n; i++ {
-			buf.F32s[i] = math.Float32frombits(le32(raw[4*i:]))
-		}
+		buf.F32s = unsafe.Slice((*float32)(p), n)
 	case kpl.F64:
-		for i := 0; i < n; i++ {
-			buf.F64s[i] = math.Float64frombits(le64(raw[8*i:]))
-		}
+		buf.F64s = unsafe.Slice((*float64)(p), n)
 	default:
-		for i := 0; i < n; i++ {
-			buf.I32s[i] = int32(le32(raw[4*i:]))
-		}
+		buf.I32s = unsafe.Slice((*int32)(p), n)
+	}
+	return buf
+}
+
+// elemBytes returns the buffer's element slice as bytes in host byte order.
+func elemBytes(buf *kpl.Buffer) []byte {
+	switch buf.Elem {
+	case kpl.F32:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.F32s))), 4*len(buf.F32s))
+	case kpl.F64:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.F64s))), 8*len(buf.F64s))
+	default:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.I32s))), 4*len(buf.I32s))
+	}
+}
+
+// BufferFromBytes decodes little-endian device bytes into a typed buffer (a
+// private copy). Trailing bytes that do not fill an element are ignored.
+func BufferFromBytes(t kpl.Type, raw []byte) *kpl.Buffer {
+	buf := kpl.NewBuffer(t, len(raw)/t.Size())
+	if hostLittleEndian {
+		copy(elemBytes(buf), raw)
+	} else {
+		decodeElems(buf, raw)
 	}
 	return buf
 }
@@ -423,6 +496,35 @@ func BufferFromBytes(t kpl.Type, raw []byte) *kpl.Buffer {
 // BufferToBytes encodes a typed buffer into dst, which must hold at least
 // buf.Bytes() bytes.
 func BufferToBytes(buf *kpl.Buffer, dst []byte) {
+	if hostLittleEndian {
+		src := elemBytes(buf)
+		copy(dst[:len(src)], src)
+	} else {
+		encodeElems(buf, dst)
+	}
+}
+
+// decodeElems fills buf from little-endian bytes one element at a time: the
+// big-endian host's decode, and the oracle the view is tested against.
+func decodeElems(buf *kpl.Buffer, raw []byte) {
+	switch buf.Elem {
+	case kpl.F32:
+		for i := range buf.F32s {
+			buf.F32s[i] = math.Float32frombits(le32(raw[4*i:]))
+		}
+	case kpl.F64:
+		for i := range buf.F64s {
+			buf.F64s[i] = math.Float64frombits(le64(raw[8*i:]))
+		}
+	default:
+		for i := range buf.I32s {
+			buf.I32s[i] = int32(le32(raw[4*i:]))
+		}
+	}
+}
+
+// encodeElems is the inverse of decodeElems.
+func encodeElems(buf *kpl.Buffer, dst []byte) {
 	switch buf.Elem {
 	case kpl.F32:
 		for i, v := range buf.F32s {

@@ -1,8 +1,17 @@
 // Package devmem simulates GPU device memory: an allocator over a bounded
-// byte store, plus typed conversions between raw device bytes and the typed
-// buffers kernels operate on. Device pointers are opaque handles, as in the
-// CUDA runtime; the host service and the coalescer move raw bytes, so
-// Kernel Coalescing (paper Fig. 5) is literal byte-region merging.
+// byte store, plus the binding of raw device bytes to the typed buffers
+// kernels operate on. Device pointers are opaque handles, as in the CUDA
+// runtime; the host service and the coalescer move raw bytes, so Kernel
+// Coalescing (paper Fig. 5) is literal byte-region merging.
+//
+// Allocations hold little-endian bytes. For a launch, BindParam hands a
+// read-only kernel parameter a typed view that aliases those bytes and a
+// writable one a private copy that WriteBuffer stores once the kernel has
+// succeeded, so a failed launch leaves device memory untouched. Views exist
+// only on a little-endian host and over bytes aligned for the element type;
+// everywhere else the parameter gets a private copy. A view relies on the
+// per-device executor being the only writer of the memory while a launch is
+// in flight (DESIGN.md §16).
 //
 // The allocator is a first-fit free list with adjacent-region merge and
 // bump-pointer retraction, so long-lived alloc/free churn keeps the address

@@ -126,12 +126,13 @@ func (d *Device) Launch(l *hostgpu.Launch) (*profile.Profile, hostgpu.Interval, 
 	if env.Params == nil {
 		env.Params = map[string]kpl.Value{}
 	}
-	for _, decl := range l.Kernel.Bufs {
+	for i := range l.Kernel.Bufs {
+		decl := &l.Kernel.Bufs[i]
 		ptr, ok := l.Bindings[decl.Name]
 		if !ok {
 			return nil, hostgpu.Interval{}, fmt.Errorf("emul: %s: buffer %q not bound", l.Kernel.Name, decl.Name)
 		}
-		buf, err := d.Mem.BindBuffer(ptr, decl.Elem)
+		buf, err := d.Mem.BindParam(ptr, decl)
 		if err != nil {
 			return nil, hostgpu.Interval{}, err
 		}

@@ -24,7 +24,7 @@ import (
 // concurrent submitters is already "4× oversubscription": the drill is about
 // the admission gate's behaviour at its limits, not about volume.
 const (
-	overloadCapJobs  = 4       // per-VP MaxQueuedJobs
+	overloadCapJobs  = 4        // per-VP MaxQueuedJobs
 	overloadCapBytes = 64 << 10 // per-VP MaxQueuedBytes
 
 	// Aggressor payloads: the small one makes the job quota bind, the big one

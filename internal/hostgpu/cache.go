@@ -5,7 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -51,19 +51,18 @@ func (g *GPU) timingKey(l *Launch) (string, bool) {
 		// result depends on buffer contents the key cannot see.
 		return "", false
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%x|%d|%d|%d|%d", l.Kernel.Signature(), l.Grid, l.Block, l.SharedMemPerBlock, l.RegsPerThread)
-	names := make([]string, 0, len(l.Params))
-	for name := range l.Params {
-		names = append(names, name)
+	// Built with strconv appends into a stack buffer: the key is rebuilt on
+	// every launch and every win prediction, and the only allocation left is
+	// the returned string.
+	var arr [192]byte
+	b := strconv.AppendUint(arr[:0], l.Kernel.Signature(), 16)
+	for _, n := range [...]int{l.Grid, l.Block, l.SharedMemPerBlock, l.RegsPerThread} {
+		b = strconv.AppendInt(append(b, '|'), int64(n), 10)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := l.Params[name]
-		fmt.Fprintf(&b, "|%s=%d:%g:%d", name, v.T, v.F, v.I)
-	}
-	for _, decl := range l.Kernel.Bufs {
-		ptr, ok := l.Bindings[decl.Name]
+	b = AppendParams(b, l.Params)
+	for i := range l.Kernel.Bufs {
+		name := l.Kernel.Bufs[i].Name
+		ptr, ok := l.Bindings[name]
 		if !ok {
 			return "", false
 		}
@@ -71,12 +70,33 @@ func (g *GPU) timingKey(l *Launch) (string, bool) {
 		if err != nil {
 			return "", false
 		}
-		fmt.Fprintf(&b, "|%s#%d", decl.Name, size)
+		b = append(append(b, '|'), name...)
+		b = strconv.AppendInt(append(b, '#'), int64(size), 10)
 	}
 	if l.Dyn != nil {
-		fmt.Fprintf(&b, "|dyn:%x", dynFingerprint(l.Dyn))
+		b = strconv.AppendUint(append(b, "|dyn:"...), dynFingerprint(l.Dyn), 16)
 	}
-	return b.String(), true
+	return string(b), true
+}
+
+// AppendParams appends the launch's scalar parameters to a cache or match
+// key as "|name=type:float:int", sorted by name so that map order does not
+// reach the key.
+func AppendParams(b []byte, params map[string]kpl.Value) []byte {
+	var arr [8]string
+	names := arr[:0]
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		v := params[name]
+		b = append(append(append(b, '|'), name...), '=')
+		b = strconv.AppendInt(b, int64(v.T), 10)
+		b = strconv.AppendFloat(append(b, ':'), v.F, 'g', -1, 64)
+		b = strconv.AppendInt(append(b, ':'), v.I, 10)
+	}
+	return b
 }
 
 // dynFingerprint hashes the contents of pre-measured dynamic stats.

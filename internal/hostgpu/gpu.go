@@ -231,8 +231,8 @@ func (g *GPU) schedule(engine string, stream int, dur float64, label string) Int
 		g.Trace.Add(trace.Record{Engine: engine, Stream: stream, Label: label, Start: start, End: end})
 	}
 	if g.Metrics != nil {
-		g.Metrics.Counter("hostgpu.ops."+engine).Inc()
-		g.Metrics.Counter("hostgpu.engine_busy_ns."+engine).Add(int64(math.Round(dur * 1e9)))
+		g.Metrics.Counter("hostgpu.ops." + engine).Inc()
+		g.Metrics.Counter("hostgpu.engine_busy_ns." + engine).Add(int64(math.Round(dur * 1e9)))
 		if cke {
 			g.Metrics.Histogram("hostgpu.cke_occupancy", metrics.CountBuckets).Observe(occupancy)
 		}
@@ -395,18 +395,21 @@ func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error)
 	return sigma, accesses, nil
 }
 
-// bindEnv materializes the kernel's buffer views from device memory.
+// bindEnv binds the kernel's buffer parameters to device memory: read-only
+// parameters as views of the allocation, writable ones as private copies
+// that execute writes back on success (devmem.Mem.BindParam).
 func (g *GPU) bindEnv(l *Launch) (*kpl.Env, error) {
 	env := &kpl.Env{NThreads: l.Threads(), Params: l.Params, Bufs: map[string]*kpl.Buffer{}}
 	if env.Params == nil {
 		env.Params = map[string]kpl.Value{}
 	}
-	for _, decl := range l.Kernel.Bufs {
+	for i := range l.Kernel.Bufs {
+		decl := &l.Kernel.Bufs[i]
 		ptr, ok := l.Bindings[decl.Name]
 		if !ok {
 			return nil, fmt.Errorf("hostgpu: %s: buffer %q not bound", l.Kernel.Name, decl.Name)
 		}
-		buf, err := g.Mem.BindBuffer(ptr, decl.Elem)
+		buf, err := g.Mem.BindParam(ptr, decl)
 		if err != nil {
 			return nil, fmt.Errorf("hostgpu: %s: buffer %q: %w", l.Kernel.Name, decl.Name, err)
 		}
@@ -507,11 +510,7 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 // Fig. 5). In timing-only mode no bytes move.
 func (g *GPU) CopyD2D(stream int, dst devmem.Ptr, dstOff int, src devmem.Ptr, srcOff, n int) (Interval, error) {
 	if g.Mode != ExecTimingOnly {
-		data, err := g.Mem.Read(src, srcOff, n)
-		if err != nil {
-			return Interval{}, err
-		}
-		if err := g.Mem.Write(dst, dstOff, data); err != nil {
+		if err := g.Mem.Copy(dst, dstOff, src, srcOff, n); err != nil {
 			return Interval{}, err
 		}
 	}

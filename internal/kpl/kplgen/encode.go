@@ -74,8 +74,8 @@ func Encode(k *kpl.Kernel, nThreads int) []byte {
 		e.emit(4) // value: i32 4 / float 1.0
 	}
 	for i := 0; i < nb; i++ {
-		e.emit(0)            // bound
-		e.emit(16)           // length 16
+		e.emit(0)              // bound
+		e.emit(16)             // length 16
 		e.emit(byte(i*37 + 1)) // fill seed
 	}
 	return e.out

@@ -320,23 +320,30 @@ func (p *Program) run(fr *frame, tid, nThreads int) error {
 	}
 }
 
-// The shared program cache. Compiled programs are memoized by the same
-// kernel-signature key the hostgpu launch timing cache uses
-// (Kernel.Signature), so every backend — hostgpu, emul, the coalescer —
-// shares one compilation per distinct kernel structure, and a kernel whose
-// body is rebuilt after registration (kernels.reanalyze) re-compiles
-// automatically because its signature changes. Uncompilable kernels are
-// memoized too (nil entry) so the interpreter fallback stays O(1).
+// The shared program cache. Compiled programs are memoized by the kernel's
+// structural key (Kernel.Signature extended with loop labels), so every
+// backend — hostgpu, emul, the coalescer — shares one compilation per
+// distinct kernel structure, and a kernel whose body is rebuilt after
+// registration (kernels.reanalyze) re-compiles automatically because its key
+// changes. Uncompilable kernels are memoized too (nil entry) so the
+// interpreter fallback stays O(1).
 var progCache sync.Map // uint64 → *progEntry
 
 type progEntry struct{ p *Program }
 
-// progHash is an allocation-free FNV-1a structural hasher. resolveProgram
-// recomputes the kernel's key on every launch (so a kernel whose body is
-// rebuilt after registration re-compiles automatically, matching how the
-// timing cache keys launches by Kernel.Signature), which puts the hash on
-// the launch path — Signature itself hashes through fmt and allocates.
-type progHash struct{ h uint64 }
+// fnvOffset is the FNV-1a 64-bit offset basis.
+const fnvOffset = 14695981039346656037
+
+// progHash is an allocation-free FNV-1a structural hasher. Both kernel keys
+// are recomputed on every launch — resolveProgram's, so that a rebuilt body
+// re-compiles, and Signature, which the timing cache and the coalescer's
+// Kernel Match key launches by — so the walk must not allocate.
+type progHash struct {
+	h uint64
+	// labels includes loop labels in the hash (progKey); Signature leaves
+	// them out.
+	labels bool
+}
 
 func (w *progHash) b(p byte) { w.h = (w.h ^ uint64(p)) * 1099511628211 }
 
@@ -416,7 +423,9 @@ func (w *progHash) stmts(ss []Stmt) {
 			w.expr(x.Val)
 		case *ForStmt:
 			w.b(23)
-			w.str(x.Label) // labels are Stats fold keys baked into programs
+			if w.labels {
+				w.str(x.Label)
+			}
 			w.str(x.Var)
 			w.expr(x.Start)
 			w.expr(x.End)
@@ -438,28 +447,28 @@ func (w *progHash) stmts(ss []Stmt) {
 	w.b(0)
 }
 
-// progKey returns the structural cache key of the kernel: the same notion of
-// kernel identity as Signature (name, declarations, body), extended with
-// loop labels — Signature deliberately ignores labels (they do not affect
-// coalescing eligibility), but compiled programs bake label strings in as
-// Stats fold keys, so two kernels differing only in labels must not share a
-// cache entry.
-func (k *Kernel) progKey() uint64 {
-	w := &progHash{h: 1469598103934665603} // FNV-1a offset basis
+// structKey hashes the kernel's name, declarations and body. Buffer
+// declarations are hashed one by one and summed, so their order does not
+// matter; Stride and L2Fraction, which only the cache model reads, are left
+// out.
+func (k *Kernel) structKey(labels bool) uint64 {
+	w := &progHash{h: fnvOffset, labels: labels}
 	w.str(k.Name)
+	var bufs uint64
 	for i := range k.Bufs {
 		b := &k.Bufs[i]
-		w.str(b.Name)
-		w.b(byte(b.Elem))
-		w.b(byte(b.Access))
-		w.u64(uint64(b.Stride))
+		d := progHash{h: fnvOffset}
+		d.str(b.Name)
+		d.b(byte(b.Elem))
+		d.b(byte(b.Access))
 		if b.ReadOnly {
-			w.b(1)
+			d.b(1)
 		} else {
-			w.b(0)
+			d.b(0)
 		}
+		bufs += d.h
 	}
-	w.b(0)
+	w.u64(bufs)
 	for i := range k.Params {
 		w.str(k.Params[i].Name)
 		w.b(byte(k.Params[i].T))
@@ -468,6 +477,22 @@ func (k *Kernel) progKey() uint64 {
 	w.stmts(k.Body)
 	return w.h
 }
+
+// Signature returns a stable structural fingerprint of the kernel. The
+// Re-scheduler's Kernel Match stage (paper Fig. 2) uses it to decide whether
+// requests from different VPs invoke the *identical* kernel and are therefore
+// eligible for Kernel Coalescing, and the launch timing cache keys on it.
+// Loop labels and the order of buffer declarations do not affect it.
+//
+// The value is only ever compared within one process: it appears in no wire
+// frame, checkpoint image or metrics output, so its definition may change
+// between builds.
+func (k *Kernel) Signature() uint64 { return k.structKey(false) }
+
+// progKey returns the structural cache key of the kernel: Signature extended
+// with loop labels, which compiled programs bake in as Stats fold keys, so
+// two kernels differing only in labels must not share a cache entry.
+func (k *Kernel) progKey() uint64 { return k.structKey(true) }
 
 // resolveProgram returns the memoized compiled program for the kernel, or
 // nil when the kernel is not compilable and must be interpreted.

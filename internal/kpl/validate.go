@@ -1,11 +1,6 @@
 package kpl
 
-import (
-	"fmt"
-	"hash/fnv"
-	"io"
-	"sort"
-)
+import "fmt"
 
 // Validate checks the kernel for structural errors — references to
 // undeclared buffers or parameters, duplicate or missing loop labels, and
@@ -160,100 +155,5 @@ func (v *validator) expr(e Expr) error {
 		return fmt.Errorf("kpl: %s: nil expression", v.k.Name)
 	default:
 		return fmt.Errorf("kpl: %s: unknown expression %T", v.k.Name, e)
-	}
-}
-
-// Signature returns a stable structural fingerprint of the kernel. The
-// Re-scheduler's Kernel Match stage (paper Fig. 2) uses it to decide whether
-// requests from different VPs invoke the *identical* kernel and are therefore
-// eligible for Kernel Coalescing.
-func (k *Kernel) Signature() uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, k.Name)
-	names := make([]string, 0, len(k.Bufs))
-	for _, b := range k.Bufs {
-		names = append(names, fmt.Sprintf("%s:%s:%d:%t", b.Name, b.Elem, b.Access, b.ReadOnly))
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		io.WriteString(h, n)
-	}
-	for _, p := range k.Params {
-		fmt.Fprintf(h, "%s:%s", p.Name, p.T)
-	}
-	hashStmts(h, k.Body)
-	return h.Sum64()
-}
-
-func hashStmts(h io.Writer, ss []Stmt) {
-	for _, s := range ss {
-		switch x := s.(type) {
-		case *LetStmt:
-			fmt.Fprintf(h, "let %s=", x.Name)
-			hashExpr(h, x.E)
-		case *StoreStmt:
-			fmt.Fprintf(h, "st %s[", x.Buf)
-			hashExpr(h, x.Idx)
-			io.WriteString(h, "]=")
-			hashExpr(h, x.Val)
-		case *AtomicAddStmt:
-			fmt.Fprintf(h, "atom %s[", x.Buf)
-			hashExpr(h, x.Idx)
-			io.WriteString(h, "]+=")
-			hashExpr(h, x.Val)
-		case *ForStmt:
-			fmt.Fprintf(h, "for %s ", x.Var)
-			hashExpr(h, x.Start)
-			hashExpr(h, x.End)
-			hashStmts(h, x.Body)
-			io.WriteString(h, "rof")
-		case *IfStmt:
-			io.WriteString(h, "if ")
-			hashExpr(h, x.Cond)
-			hashStmts(h, x.Then)
-			io.WriteString(h, "else")
-			hashStmts(h, x.Else)
-		case *BreakStmt:
-			io.WriteString(h, "break")
-		}
-	}
-}
-
-func hashExpr(h io.Writer, e Expr) {
-	switch x := e.(type) {
-	case *Const:
-		fmt.Fprintf(h, "c%d:%g:%d", x.T, x.F, x.I)
-	case *TIDExpr:
-		io.WriteString(h, "tid")
-	case *NTExpr:
-		io.WriteString(h, "nt")
-	case *ParamExpr:
-		fmt.Fprintf(h, "p%s", x.Name)
-	case *VarExpr:
-		fmt.Fprintf(h, "v%s", x.Name)
-	case *BinExpr:
-		fmt.Fprintf(h, "b%d(", x.Op)
-		hashExpr(h, x.A)
-		io.WriteString(h, ",")
-		hashExpr(h, x.B)
-		io.WriteString(h, ")")
-	case *UnExpr:
-		fmt.Fprintf(h, "u%d(", x.Op)
-		hashExpr(h, x.A)
-		io.WriteString(h, ")")
-	case *LoadExpr:
-		fmt.Fprintf(h, "ld %s[", x.Buf)
-		hashExpr(h, x.Idx)
-		io.WriteString(h, "]")
-	case *CastExpr:
-		fmt.Fprintf(h, "cast%d(", x.T)
-		hashExpr(h, x.A)
-		io.WriteString(h, ")")
-	case *SelExpr:
-		io.WriteString(h, "sel(")
-		hashExpr(h, x.Cond)
-		hashExpr(h, x.A)
-		hashExpr(h, x.B)
-		io.WriteString(h, ")")
 	}
 }

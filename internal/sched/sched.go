@@ -344,7 +344,7 @@ type planChain struct {
 type planScratch struct {
 	planned  map[*Job]bool
 	inBatch  map[*Job]bool
-	prev     map[*Job]*Job   // previous job in the (VP, stream) chain
+	prev     map[*Job]*Job // previous job in the (VP, stream) chain
 	lastOf   map[chainKey]*Job
 	chainIdx map[chainKey]int
 	arrival  map[*Job]int
