@@ -25,8 +25,8 @@
 // barriers (including a victim moved onto a device at -oversub×
 // oversubscription), split across a checkpoint→restore into a fresh farm,
 // and required to produce byte-identical D2H outputs versus an untouched
-// run. "checkpoint" runs just the save→restore leg and sizes the encoded
-// image under both -ckpt-codec codecs. Both are excluded from "all".
+// run. "checkpoint" runs just the save→restore leg and reports the encoded
+// image size. Both are excluded from "all".
 //
 // -workers sizes the experiment-harness worker pool (0 = one worker per CPU,
 // 1 = serial). Results are identical for every value; only wall-clock changes.
@@ -46,9 +46,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/ipc"
 )
 
 func main() {
@@ -59,14 +57,12 @@ func main() {
 	workers := flag.Int("workers", 0, "experiment-harness worker pool size (0 = NumCPU, 1 = serial)")
 	faults := flag.String("faults", "seed=1,drop=0.05,delay=0.2,maxdelay=5ms,corrupt=0.02,disconnect=0.02",
 		"fault-injection spec for the faults drill (key=value pairs; see internal/ipc.ParseFaults)")
-	codecName := flag.String("codec", "binary", "wire codec for the faults drill: binary or gob")
 	oversub := flag.Int("oversub", 4, "oversubscription factor for the overload and migrate drills (multiple of the per-VP job quota)")
-	ckptCodecName := flag.String("ckpt-codec", "binary", "checkpoint codec for the migrate and checkpoint drills: gob or binary")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	metricsFile := flag.String("metrics", "", "write the harness metrics snapshot (JSON) to this file on exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sigmavp [-scale N] [-workers N] [-faults SPEC] [-codec binary|gob] [-metrics FILE] [-cpuprofile FILE] [-memprofile FILE] table1|fig3|fig9a|fig9b|fig10a|fig10b|fig11|fig12|fig13|sweep|scaling|multigpu|faults|overload|migrate|checkpoint|all\n")
+		fmt.Fprintf(os.Stderr, "usage: sigmavp [-scale N] [-workers N] [-faults SPEC] [-metrics FILE] [-cpuprofile FILE] [-memprofile FILE] table1|fig3|fig9a|fig9b|fig10a|fig10b|fig11|fig12|fig13|sweep|scaling|multigpu|faults|overload|migrate|checkpoint|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -92,28 +88,16 @@ func main() {
 			return experiments.MultiGPUScalingOpt(*vps, *scale, []int{1, 2, 4}, *pipeline)
 		},
 		"faults": func() (fmt.Stringer, error) {
-			codec, err := ipc.ParseCodec(*codecName)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.FaultDrillCodec(*faults, 4, 4, codec)
+			return experiments.FaultDrill(*faults, 4, 4)
 		},
 		"overload": func() (fmt.Stringer, error) {
 			return experiments.OverloadDrill(*oversub, 4)
 		},
 		"migrate": func() (fmt.Stringer, error) {
-			codec, err := core.ParseCheckpointCodec(*ckptCodecName)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.MigrationDrill(*vps, *scale, *oversub, codec)
+			return experiments.MigrationDrill(*vps, *scale, *oversub)
 		},
 		"checkpoint": func() (fmt.Stringer, error) {
-			codec, err := core.ParseCheckpointCodec(*ckptCodecName)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.CheckpointDrill(*vps, *scale, codec)
+			return experiments.CheckpointDrill(*vps, *scale)
 		},
 	}
 	// "faults", "overload", "migrate", and "checkpoint" are deliberately

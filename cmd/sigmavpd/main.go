@@ -24,7 +24,7 @@
 //	sigmavpd [-listen 127.0.0.1:7075] [-http ADDR] [-arch quadro|k520|tegra] [-gpus N|LIST] [-placement POLICY] [-baseline] [-pipeline=false]
 //	         [-max-queued N] [-max-queued-bytes N] [-farm-max-queued N] [-farm-max-queued-bytes N] [-rate R] [-burst N] [-fair N]
 //	         [-rebalance] [-rebalance-interval D] [-rebalance-threshold R]
-//	         [-restore FILE] [-checkpoint-out FILE] [-checkpoint-codec gob|binary]
+//	         [-restore FILE] [-checkpoint-out FILE]
 //
 // The admission flags bound what guests may keep in flight (0 = unlimited):
 // -max-queued/-max-queued-bytes cap each VP's admitted jobs and pinned host
@@ -89,14 +89,8 @@ func main() {
 	rebalanceThreshold := flag.Float64("rebalance-threshold", core.DefaultRebalanceThreshold, "hot/cold load-score ratio that triggers a migration")
 	restorePath := flag.String("restore", "", "restore device-side VP state from this checkpoint file at startup")
 	checkpointOut := flag.String("checkpoint-out", "", "write a checkpoint of device-side VP state to this file on shutdown")
-	checkpointCodec := flag.String("checkpoint-codec", "binary", "serialization for -checkpoint-out: gob or binary")
 	flag.Parse()
 
-	ckCodec, err := core.ParseCheckpointCodec(*checkpointCodec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sigmavpd: -checkpoint-codec: %v\n", err)
-		os.Exit(2)
-	}
 	if *rebalance && *gpusFlag == "" {
 		fmt.Fprintln(os.Stderr, "sigmavpd: -rebalance requires -gpus (a single device has nowhere to migrate)")
 		os.Exit(2)
@@ -220,7 +214,7 @@ func main() {
 	// cancelled instead of wedging the batching predicate.
 	srv := ipc.ServeEndpoint(l, ep)
 	// Transport counters live in their own registry (the simulated-work
-	// snapshot must not vary with codec or reconnect noise) and are merged
+	// snapshot must not vary with reconnect noise) and are merged
 	// into the served and final snapshots.
 	transport := metrics.New()
 	srv.SetMetrics(transport)
@@ -257,10 +251,10 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := core.SaveCheckpoint(*checkpointOut, ck, ckCodec); err != nil {
+			if err := core.SaveCheckpoint(*checkpointOut, ck); err != nil {
 				return err
 			}
-			fmt.Printf("sigmavpd: checkpointed %d VPs to %s (%s)\n", len(ck.VPs), *checkpointOut, ckCodec)
+			fmt.Printf("sigmavpd: checkpointed %d VPs to %s\n", len(ck.VPs), *checkpointOut)
 			return nil
 		}
 	}

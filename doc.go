@@ -21,8 +21,8 @@
 //     batching, admission control, multi-device farms with placement
 //     policies, and VP checkpoint/restore with live migration across
 //     devices (DESIGN.md §15).
-//   - internal/ipc — the IPC Manager: in-process and TCP transports, gob
-//     and binary wire codecs, request pipelining, typed overload and
+//   - internal/ipc — the IPC Manager: in-process and TCP transports, one
+//     binary wire protocol with request pipelining, typed overload and
 //     farm-admin (migrate/checkpoint) frames.
 //   - internal/cudart — the CUDA-like guest runtime a VP's applications
 //     program against, with in-process, emulation, and remote (IPC)

@@ -314,8 +314,8 @@ func TestExecDepthGaugeSingleOwner(t *testing.T) {
 }
 
 // TestOverloadSurfacesOnEveryTransport: the typed overload rejection decodes
-// back into *ipc.OverloadError on the in-process pipe and on TCP with both
-// codecs, so the cudart retry contract works regardless of transport.
+// back into *ipc.OverloadError on the in-process pipe and over the binary
+// TCP protocol, so the cudart retry contract works regardless of transport.
 func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
 	newSvc := func() *Service {
 		opts := DefaultOptions()
@@ -342,24 +342,21 @@ func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
 		_, err := c.Call(oversized)
 		assertOverload(t, err)
 	})
-	for _, codec := range []ipc.CodecKind{ipc.CodecBinary, ipc.CodecGob} {
-		codec := codec
-		t.Run(codec.String(), func(t *testing.T) {
-			s := newSvc()
-			defer s.Close()
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := ipc.Serve(l, s.Handle)
-			defer srv.Close()
-			c, err := ipc.DialWithOptions(l.Addr().String(), 0, ipc.DialOptions{Codec: codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			_, err = c.Call(oversized)
-			assertOverload(t, err)
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		s := newSvc()
+		defer s.Close()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := ipc.Serve(l, s.Handle)
+		defer srv.Close()
+		c, err := ipc.Dial(l.Addr().String(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, err = c.Call(oversized)
+		assertOverload(t, err)
+	})
 }

@@ -25,7 +25,7 @@ func (s *Service) WrapApp(app vp.App) vp.App {
 // giving the Re-scheduler whole per-VP bursts to interleave and coalesce.
 // The caller must RegisterVP/UnregisterVP around the VP's lifetime.
 func (s *Service) Backend(vp int) cudart.Backend {
-	return &serviceBackend{s: s, vp: vp}
+	return serviceBackend{s: s, vp: vp}
 }
 
 type serviceBackend struct {
@@ -43,10 +43,10 @@ func (t jobToken) Wait() error                { return t.s.WaitJob(t.vp, t.j) }
 func (t jobToken) Interval() hostgpu.Interval { return t.j.Interval }
 func (t jobToken) Bytes() []byte              { return t.j.Data }
 
-func (b *serviceBackend) Malloc(n int) (devmem.Ptr, error) { return b.s.AllocVP(b.vp, n) }
-func (b *serviceBackend) Free(p devmem.Ptr) error          { return b.s.FreeVP(b.vp, p) }
+func (b serviceBackend) Malloc(n int) (devmem.Ptr, error) { return b.s.AllocVP(b.vp, n) }
+func (b serviceBackend) Free(p devmem.Ptr) error          { return b.s.FreeVP(b.vp, p) }
 
-func (b *serviceBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (cudart.Token, error) {
+func (b serviceBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (cudart.Token, error) {
 	dev, err := streamOf(b.vp, stream)
 	if err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func (b *serviceBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (
 	return jobToken{s: b.s, vp: b.vp, j: j}, nil
 }
 
-func (b *serviceBackend) D2H(stream int, src devmem.Ptr, off, n int) (cudart.Token, error) {
+func (b serviceBackend) D2H(stream int, src devmem.Ptr, off, n int) (cudart.Token, error) {
 	dev, err := streamOf(b.vp, stream)
 	if err != nil {
 		return nil, err
@@ -66,7 +66,7 @@ func (b *serviceBackend) D2H(stream int, src devmem.Ptr, off, n int) (cudart.Tok
 	return jobToken{s: b.s, vp: b.vp, j: j}, nil
 }
 
-func (b *serviceBackend) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (cudart.Token, error) {
+func (b serviceBackend) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (cudart.Token, error) {
 	dev, err := streamOf(b.vp, stream)
 	if err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func (b *serviceBackend) Memset(stream int, dst devmem.Ptr, off, n int, value by
 	return jobToken{s: b.s, vp: b.vp, j: j}, nil
 }
 
-func (b *serviceBackend) Launch(stream int, l *hostgpu.Launch) (cudart.Token, error) {
+func (b serviceBackend) Launch(stream int, l *hostgpu.Launch) (cudart.Token, error) {
 	dev, err := streamOf(b.vp, stream)
 	if err != nil {
 		return nil, err
@@ -98,4 +98,4 @@ func (b *serviceBackend) Launch(stream int, l *hostgpu.Launch) (cudart.Token, er
 	return jobToken{s: b.s, vp: b.vp, j: j}, nil
 }
 
-func (b *serviceBackend) Close() error { return nil }
+func (b serviceBackend) Close() error { return nil }

@@ -13,7 +13,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -354,98 +353,39 @@ func (s *Service) RestoreAll(ck *Checkpoint) error {
 }
 
 // Checkpoint is a serialized image of a farm's device-side state: one
-// VPCheckpoint per VP, each remembering its device. Encode/Decode provide a
-// gob and a hand-rolled binary representation (sniffed apart on load, like
-// the IPC wire codecs), and SaveCheckpoint/LoadCheckpoint move images to
-// and from disk so a daemon restart can restore its fleet.
+// VPCheckpoint per VP, each remembering its device. Encode/DecodeCheckpoint
+// move it to and from its one binary representation, and
+// SaveCheckpoint/LoadCheckpoint move images to and from disk so a daemon
+// restart can restore its fleet.
 type Checkpoint struct {
 	Devices int
 	VPs     []VPCheckpoint
 }
 
-// CheckpointCodec selects a checkpoint serialization.
+// CheckpointCodec names the checkpoint serialization. There is one;
+// bench/ pins the Encode(CheckpointBinary) spelling.
 type CheckpointCodec uint8
 
-// Checkpoint codecs.
-const (
-	// CheckpointGob is the stdlib-gob encoding: self-describing and
-	// forward-friendly.
-	CheckpointGob CheckpointCodec = iota
-	// CheckpointBinary is the compact hand-rolled encoding, mirroring the
-	// IPC binary wire codec's varint style.
-	CheckpointBinary
-)
+// CheckpointBinary is the hand-rolled varint encoding (see encode).
+const CheckpointBinary CheckpointCodec = 1
 
-// String returns the codec's flag vocabulary name ("gob" or "binary").
-func (c CheckpointCodec) String() string {
-	if c == CheckpointBinary {
-		return "binary"
-	}
-	return "gob"
-}
-
-// ParseCheckpointCodec maps a flag value onto a CheckpointCodec; empty
-// selects binary.
-func ParseCheckpointCodec(s string) (CheckpointCodec, error) {
-	switch s {
-	case "", "binary", "bin":
-		return CheckpointBinary, nil
-	case "gob":
-		return CheckpointGob, nil
-	}
-	return CheckpointBinary, fmt.Errorf("core: unknown checkpoint codec %q (want gob or binary)", s)
-}
-
-// ckptMagic opens a binary-codec checkpoint. A gob stream can never start
-// with it (gob's first byte is a small length or a negated byte count, i.e.
-// in [0x00,0x7F] or [0xF8,0xFF]), so DecodeCheckpoint sniffs the codec from
-// the first byte, like the IPC server does for wire codecs.
+// ckptMagic opens a checkpoint image; its last byte is the format version.
 var ckptMagic = [4]byte{0xD6, 'C', 'K', 1}
 
-// Encode serializes the checkpoint with the chosen codec.
-func (ck *Checkpoint) Encode(codec CheckpointCodec) ([]byte, error) {
-	if codec == CheckpointBinary {
-		return ck.encodeBinary(), nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		return nil, fmt.Errorf("core: encode checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeCheckpoint deserializes a checkpoint, sniffing the codec from the
-// first byte.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) == 0 {
-		return nil, errors.New("core: decode checkpoint: empty input")
-	}
-	if data[0] == ckptMagic[0] {
-		return decodeBinaryCheckpoint(data)
-	}
-	ck := &Checkpoint{}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(ck); err != nil {
-		return nil, fmt.Errorf("core: decode gob checkpoint: %w", err)
-	}
-	return ck, nil
-}
+// Encode serializes the checkpoint. The error is always nil.
+func (ck *Checkpoint) Encode(CheckpointCodec) ([]byte, error) { return ck.encode(), nil }
 
 // SaveCheckpoint writes the encoded checkpoint to path atomically (tmp file
 // + rename), so a crash mid-write never leaves a torn image.
-func SaveCheckpoint(path string, ck *Checkpoint, codec CheckpointCodec) error {
-	data, err := ck.Encode(codec)
-	if err != nil {
-		return err
-	}
+func SaveCheckpoint(path string, ck *Checkpoint) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(tmp, ck.encode(), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
-// LoadCheckpoint reads and decodes a checkpoint image from disk, accepting
-// either codec.
+// LoadCheckpoint reads and decodes a checkpoint image from disk.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -454,7 +394,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// encodeBinary lays the checkpoint out as:
+// encode lays the checkpoint out as:
 //
 //	magic[4] | uvarint devices | uvarint nVPs | VPs...
 //
@@ -463,7 +403,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 //	varint vp | varint device | byte registered |
 //	uvarint nAllocs { uvarint ptr | uvarint len | raw bytes } |
 //	uvarint nStreams { varint stream | 8-byte LE float64 bits }
-func (ck *Checkpoint) encodeBinary() []byte {
+func (ck *Checkpoint) encode() []byte {
 	out := append([]byte(nil), ckptMagic[:]...)
 	out = binary.AppendUvarint(out, uint64(ck.Devices))
 	out = binary.AppendUvarint(out, uint64(len(ck.VPs)))
@@ -495,7 +435,7 @@ func (ck *Checkpoint) encodeBinary() []byte {
 // ErrBadCheckpoint reports a corrupt or truncated checkpoint image.
 var ErrBadCheckpoint = errors.New("core: bad checkpoint image")
 
-// ckptReader is a bounds-checked cursor over a binary checkpoint image.
+// ckptReader is a bounds-checked cursor over a checkpoint image.
 type ckptReader struct {
 	data []byte
 	pos  int
@@ -508,12 +448,18 @@ func (r *ckptReader) fail(what string) {
 	}
 }
 
+// padded reports whether the n-byte varint at the cursor ends in a zero
+// byte: a longer spelling of a value that fits in fewer bytes. The decoder
+// refuses those (and a registered flag other than 0 or 1), so an accepted
+// image is always the one Encode would write.
+func (r *ckptReader) padded(n int) bool { return n > 1 && r.data[r.pos+n-1] == 0 }
+
 func (r *ckptReader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
+	if n <= 0 || r.padded(n) {
 		r.fail(what)
 		return 0
 	}
@@ -526,7 +472,7 @@ func (r *ckptReader) varint(what string) int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
+	if n <= 0 || r.padded(n) {
 		r.fail(what)
 		return 0
 	}
@@ -562,8 +508,11 @@ func (r *ckptReader) count(what string) int {
 	return int(v)
 }
 
-func decodeBinaryCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < len(ckptMagic) || !bytes.Equal(data[:len(ckptMagic)], ckptMagic[:]) {
+// DecodeCheckpoint deserializes a checkpoint image. Anything that does not
+// open with ckptMagic, is truncated, or carries trailing bytes is rejected
+// with ErrBadCheckpoint.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	if !bytes.HasPrefix(data, ckptMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
 	r := &ckptReader{data: data, pos: len(ckptMagic)}
@@ -574,9 +523,11 @@ func decodeBinaryCheckpoint(data []byte) (*Checkpoint, error) {
 			VP:     int(r.varint("vp")),
 			Device: int(r.varint("device")),
 		}
-		reg := r.bytes(1, "registered")
-		if r.err == nil {
-			v.Registered = reg[0] != 0
+		if reg := r.bytes(1, "registered"); r.err == nil {
+			if reg[0] > 1 {
+				r.fail("registered flag")
+			}
+			v.Registered = reg[0] == 1
 		}
 		nAllocs := r.count("allocs")
 		for a := 0; a < nAllocs && r.err == nil; a++ {

@@ -31,9 +31,9 @@
 // moves a VP between devices through quiesce → transfer → replay → resume
 // (migrate.go), rebasing device pointers when the target's address space
 // collides (guest pointers stay stable; ResolvePtr translates). Whole-farm
-// images encode under a gob or hand-rolled binary codec and round-trip
-// through disk (SaveCheckpoint/LoadCheckpoint), so a daemon restart can
-// restore its fleet. An optional load-aware rebalancer (rebalance.go)
+// images have one hand-rolled binary encoding and round-trip through disk
+// (SaveCheckpoint/LoadCheckpoint), so a daemon restart can restore its
+// fleet. An optional load-aware rebalancer (rebalance.go)
 // migrates VPs off hot devices in the background. DESIGN.md §15 documents
 // the format, the state machine, and the determinism caveats.
 package core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -131,9 +132,49 @@ func TestMigrateMovesState(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripDisk saves a farm image to disk under both codecs
-// and restores each into a fresh farm: assignments, registration, and bytes
-// must all survive, and the two codecs must decode to the same state.
+// TestBackendFollowsMigration: the in-process back end handed out before a
+// migration must keep working after it. It used to capture the VP's device
+// at construction and went on submitting to the evicted source, where the
+// D2H below failed with "read from invalid pointer".
+func TestBackendFollowsMigration(t *testing.T) {
+	m := migTestFarm(t, 2)
+	b := m.Backend(0)
+	m.RegisterVP(0)
+	data := []byte{5, 4, 3, 2, 1}
+	p, err := b.Malloc(len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := b.H2D(0, p, 0, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tok.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Migrate(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	tok, err = b.D2H(0, p, 0, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tok.Wait(); err != nil {
+		t.Fatalf("D2H after migration: %v", err)
+	}
+	if !bytes.Equal(tok.Bytes(), data) {
+		t.Fatalf("D2H after migration read %v, want %v", tok.Bytes(), data)
+	}
+	if err := b.Free(p); err != nil {
+		t.Fatalf("Free after migration: %v", err)
+	}
+	if b.Service() != m.Device(1) {
+		t.Fatal("Service() still reports the source device after the migration")
+	}
+}
+
+// TestCheckpointRoundTripDisk saves a farm image to disk and restores it
+// into a fresh farm: assignments, registration, and bytes must all survive.
 func TestCheckpointRoundTripDisk(t *testing.T) {
 	// One VP per device: the conf-dac batch scheduler dispatches a device's
 	// queue only when every registered VP there is blocked, so sequential
@@ -158,63 +199,50 @@ func TestCheckpointRoundTripDisk(t *testing.T) {
 		t.Fatalf("checkpoint has %d VPs, want 4", len(ck.VPs))
 	}
 
-	dir := t.TempDir()
-	for _, codec := range []CheckpointCodec{CheckpointGob, CheckpointBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
-			path := filepath.Join(dir, "farm."+codec.String())
-			if err := SaveCheckpoint(path, ck, codec); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh := migTestFarm(t, 4)
-			if err := fresh.Restore(loaded); err != nil {
-				t.Fatal(err)
-			}
-			for vp, data := range payloads {
-				wantDev, _ := m.Assignment(vp)
-				if d, ok := fresh.Assignment(vp); !ok || d != wantDev {
-					t.Fatalf("vp %d restored on device %d (ok=%v), want %d", vp, d, ok, wantDev)
-				}
-				resp, ok := fresh.Handle(vp, ipc.D2HReq{Src: ptrs[vp].Ptr, N: len(data)}).(ipc.D2HResp)
-				if !ok || !bytes.Equal(resp.Data, data) {
-					t.Fatalf("vp %d bytes differ after %s restore", vp, codec)
-				}
-			}
-		})
-	}
-
-	// Codec invariants: binary opens with the magic, gob does not, both
-	// decode by sniffing, corruption is detected.
-	bin, err := ck.Encode(CheckpointBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ck.Encode(CheckpointGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bin[:4], ckptMagic[:]) {
-		t.Fatal("binary image missing magic")
-	}
-	if bytes.Equal(g[:1], ckptMagic[:1]) {
-		t.Fatal("gob image collides with the binary magic byte")
-	}
-	for _, img := range [][]byte{bin, g} {
-		if _, err := DecodeCheckpoint(img); err != nil {
-			t.Fatalf("decode: %v", err)
+	t.Run("binary", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "farm.ckpt")
+		if err := SaveCheckpoint(path, ck); err != nil {
+			t.Fatal(err)
 		}
+		loaded, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := migTestFarm(t, 4)
+		if err := fresh.Restore(loaded); err != nil {
+			t.Fatal(err)
+		}
+		for vp, data := range payloads {
+			wantDev, _ := m.Assignment(vp)
+			if d, ok := fresh.Assignment(vp); !ok || d != wantDev {
+				t.Fatalf("vp %d restored on device %d (ok=%v), want %d", vp, d, ok, wantDev)
+			}
+			resp, ok := fresh.Handle(vp, ipc.D2HReq{Src: ptrs[vp].Ptr, N: len(data)}).(ipc.D2HResp)
+			if !ok || !bytes.Equal(resp.Data, data) {
+				t.Fatalf("vp %d bytes differ after restore", vp)
+			}
+		}
+	})
+
+	// Format invariants: the image opens with the magic, and anything that
+	// is not exactly one whole image is refused.
+	img := ck.encode()
+	if !bytes.HasPrefix(img, ckptMagic[:]) {
+		t.Fatal("image missing magic")
 	}
-	if _, err := DecodeCheckpoint(nil); err == nil {
-		t.Fatal("decoding an empty image succeeded")
+	if _, err := DecodeCheckpoint(img); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	if _, err := DecodeCheckpoint(bin[:len(bin)-3]); err == nil {
-		t.Fatal("decoding a truncated binary image succeeded")
-	}
-	if _, err := DecodeCheckpoint(append(append([]byte{}, bin...), 0x00)); err == nil {
-		t.Fatal("decoding a binary image with trailing bytes succeeded")
+	wrongMagic := append([]byte{ckptMagic[0], 'X'}, img[2:]...)
+	for name, bad := range map[string][]byte{
+		"empty":          nil,
+		"truncated":      img[:len(img)-3],
+		"trailing bytes": append(append([]byte{}, img...), 0x00),
+		"wrong magic":    wrongMagic,
+	} {
+		if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("%s image: got %v, want ErrBadCheckpoint", name, err)
+		}
 	}
 }
 
@@ -264,21 +292,16 @@ func TestMigrateAdminIPC(t *testing.T) {
 		t.Fatal("MigrateReq to a bad device did not return an error")
 	}
 
-	for _, codec := range []string{"", "gob", "binary"} {
-		resp, ok := m.Handle(0, ipc.CheckpointReq{Codec: codec}).(ipc.CheckpointResp)
-		if !ok {
-			t.Fatalf("CheckpointReq(%q) did not return a checkpoint", codec)
-		}
-		ck, err := DecodeCheckpoint(resp.Data)
-		if err != nil {
-			t.Fatalf("CheckpointReq(%q): %v", codec, err)
-		}
-		if len(ck.VPs) != 1 || ck.VPs[0].Device != 1 {
-			t.Fatalf("CheckpointReq(%q): unexpected image %+v", codec, ck)
-		}
+	resp, ok := m.Handle(0, ipc.CheckpointReq{}).(ipc.CheckpointResp)
+	if !ok {
+		t.Fatal("CheckpointReq did not return a checkpoint")
 	}
-	if _, ok := m.Handle(0, ipc.CheckpointReq{Codec: "bogus"}).(ipc.ErrResp); !ok {
-		t.Fatal("CheckpointReq with a bad codec did not return an error")
+	ck, err := DecodeCheckpoint(resp.Data)
+	if err != nil {
+		t.Fatalf("CheckpointReq: %v", err)
+	}
+	if len(ck.VPs) != 1 || ck.VPs[0].Device != 1 {
+		t.Fatalf("CheckpointReq: unexpected image %+v", ck)
 	}
 
 	s := NewService(DefaultOptions())

@@ -308,19 +308,11 @@ func (m *MultiService) Handle(vp int, req any) any {
 		}
 		return ipc.OKResp{}
 	case ipc.CheckpointReq:
-		codec, err := ParseCheckpointCodec(r.Codec)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
 		ck, err := m.Checkpoint()
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
-		data, err := ck.Encode(codec)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.CheckpointResp{Data: data}
+		return ipc.CheckpointResp{Data: ck.encode()}
 	}
 	g := m.gate(vp)
 	g.RLock()
@@ -382,9 +374,11 @@ func (m *MultiService) admitFarm(vp int, req any) any {
 	return ipc.OverloadResp{Msg: oe.Error(), Backoff: oe.Backoff, Retryable: oe.Retryable}
 }
 
-// Backend returns the cudart back end bound to the VP's device.
+// Backend returns the in-process cudart back end of a VP, placing the VP on
+// a device if it has none yet.
 func (m *MultiService) Backend(vp int) *multiBackend {
-	return &multiBackend{s: m.serviceFor(vp), vp: vp}
+	m.serviceFor(vp)
+	return &multiBackend{m: m, vp: vp, gate: m.gate(vp)}
 }
 
 // Flush drains every device. All devices are fed first and only then
@@ -505,39 +499,60 @@ func (m *MultiService) MergedTrace() *trace.Log {
 	return trace.Merge(names, logs...)
 }
 
-// multiBackend is the per-VP backend; it simply delegates to the assigned
-// device's in-process backend. Defined as a named type so callers can
-// inspect the assignment in tests.
+// multiBackend is a VP's in-process backend on a farm. Every call resolves
+// the VP's device afresh, holding the VP's migration gate shared as Handle
+// does, so after a migration the VP's work follows it to the target device
+// and a migration never overlaps a submit. Tokens stay valid across a move:
+// Migrate drains the source before it evicts the VP.
 type multiBackend struct {
-	s  *Service
-	vp int
+	m    *MultiService
+	vp   int
+	gate *sync.RWMutex
 }
 
-func (b *multiBackend) Service() *Service { return b.s }
+// Service returns the device service the VP is on now.
+func (b *multiBackend) Service() *Service { return b.m.serviceFor(b.vp) }
 
-// The cudart.Backend methods delegate to the device service's backend.
-
-func (b *multiBackend) delegate() *serviceBackend {
-	return &serviceBackend{s: b.s, vp: b.vp}
+// dev returns the back end of the VP's current device; the caller holds
+// the gate.
+func (b *multiBackend) dev() serviceBackend {
+	return serviceBackend{s: b.m.serviceFor(b.vp), vp: b.vp}
 }
 
-func (b *multiBackend) Malloc(n int) (devmem.Ptr, error) { return b.delegate().Malloc(n) }
-func (b *multiBackend) Free(p devmem.Ptr) error          { return b.delegate().Free(p) }
+func (b *multiBackend) Malloc(n int) (devmem.Ptr, error) {
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.dev().Malloc(n)
+}
+
+func (b *multiBackend) Free(p devmem.Ptr) error {
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.dev().Free(p)
+}
 
 func (b *multiBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (cudart.Token, error) {
-	return b.delegate().H2D(stream, dst, off, data)
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.dev().H2D(stream, dst, off, data)
 }
 
 func (b *multiBackend) D2H(stream int, src devmem.Ptr, off, n int) (cudart.Token, error) {
-	return b.delegate().D2H(stream, src, off, n)
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.dev().D2H(stream, src, off, n)
 }
 
 func (b *multiBackend) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (cudart.Token, error) {
-	return b.delegate().Memset(stream, dst, off, n, value)
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.dev().Memset(stream, dst, off, n, value)
 }
 
 func (b *multiBackend) Launch(stream int, l *hostgpu.Launch) (cudart.Token, error) {
-	return b.delegate().Launch(stream, l)
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.dev().Launch(stream, l)
 }
 
 func (b *multiBackend) Close() error { return nil }

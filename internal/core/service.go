@@ -695,19 +695,11 @@ func (s *Service) Handle(vp int, req any) any {
 		s.Drain()
 		return ipc.OKResp{End: s.GPU.SyncStream(stream)}
 	case ipc.CheckpointReq:
-		codec, err := ParseCheckpointCodec(r.Codec)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
 		ck, err := s.CheckpointAll()
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
-		data, err := ck.Encode(codec)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.CheckpointResp{Data: data}
+		return ipc.CheckpointResp{Data: ck.encode()}
 	case ipc.MigrateReq:
 		return ipc.ErrResp{Msg: "core: migrate: single-device service has nowhere to move a VP"}
 	default:

@@ -25,7 +25,6 @@ import (
 // data, wedge the service, or take down other VPs.
 type FaultDrillResult struct {
 	Faults ipc.FaultConfig
-	Codec  ipc.CodecKind
 	VPs    int
 	Iters  int
 
@@ -55,7 +54,7 @@ func (r *FaultDrillResult) Completed() int {
 
 func (r *FaultDrillResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fault-injection drill: %d VPs × %d iters over TCP IPC (%s codec)\n", r.VPs, r.Iters, r.Codec)
+	fmt.Fprintf(&b, "Fault-injection drill: %d VPs × %d iters over TCP IPC\n", r.VPs, r.Iters)
 	fmt.Fprintf(&b, "  faults: seed=%d drop=%.2f delay=%.2f(max %v) corrupt=%.2f disconnect=%.2f\n",
 		r.Faults.Seed, r.Faults.Drop, r.Faults.Delay, r.Faults.MaxDelay, r.Faults.Corrupt, r.Faults.Disconnect)
 	for i, e := range r.Errors {
@@ -84,17 +83,10 @@ func (r *FaultDrillResult) String() string {
 // iterations of an H2D→launch→D2H cycle; H2D/D2H byte equality is checked
 // on every successful round trip. Individual VPs are allowed to fail — that
 // is the point of the drill — but data corruption, a wedged service, or an
-// unhealthy post-drill server fail it.
+// unhealthy post-drill server fail it. The seeded faults must surface as
+// typed errors (a corrupted frame header fails the length or type check; a
+// dropped frame times out) while delivered bytes stay intact.
 func FaultDrill(spec string, vps, iters int) (*FaultDrillResult, error) {
-	return FaultDrillCodec(spec, vps, iters, ipc.CodecBinary)
-}
-
-// FaultDrillCodec is FaultDrill with an explicit wire codec. The drill's
-// contract is codec-independent: the binary protocol must surface the same
-// seeded faults as typed errors (a corrupted frame header fails the length
-// check; a dropped frame times out) and keep delivered bytes intact, just
-// like the gob stream it replaces.
-func FaultDrillCodec(spec string, vps, iters int, codec ipc.CodecKind) (*FaultDrillResult, error) {
 	cfg, err := ipc.ParseFaults(spec)
 	if err != nil {
 		return nil, err
@@ -124,14 +116,13 @@ func FaultDrillCodec(spec string, vps, iters int, codec ipc.CodecKind) (*FaultDr
 		return nil, err
 	}
 
-	res := &FaultDrillResult{Faults: cfg, Codec: codec, VPs: vps, Iters: iters, Errors: make([]string, vps)}
+	res := &FaultDrillResult{Faults: cfg, VPs: vps, Iters: iters, Errors: make([]string, vps)}
 	corruptions := make([]int, vps)
 
 	dialVP := func(id int) (ipc.Client, error) {
 		faults := cfg
 		faults.Seed = cfg.Seed + int64(id)*7919 // distinct deterministic schedule per VP
 		return ipc.DialWithOptions(addr, id, ipc.DialOptions{
-			Codec:       codec,
 			CallTimeout: 500 * time.Millisecond,
 			BackoffBase: time.Millisecond,
 			BackoffCap:  20 * time.Millisecond,
@@ -249,7 +240,7 @@ func FaultDrillCodec(spec string, vps, iters int, codec ipc.CodecKind) (*FaultDr
 	}
 
 	// Post-drill health check with a clean client.
-	clean, err := ipc.DialWithOptions(addr, vps+1, ipc.DialOptions{Codec: codec, CallTimeout: 5 * time.Second})
+	clean, err := ipc.DialWithOptions(addr, vps+1, ipc.DialOptions{CallTimeout: 5 * time.Second})
 	if err == nil {
 		defer clean.Close()
 		if resp, err := clean.Call(ipc.MallocReq{Size: 64}); err == nil {

@@ -71,7 +71,6 @@ type MigrationResult struct {
 	Scale      int
 	Devices    int
 	Iterations int
-	Codec      string
 
 	// Migration-run observables, from the farm's migration registry.
 	Migrations     int64
@@ -80,7 +79,7 @@ type MigrationResult struct {
 	PtrsRebased    int64
 
 	// CheckpointBytes is the encoded size of the mid-run farm image the
-	// checkpoint leg moved through the chosen codec (and through disk).
+	// checkpoint leg moved through disk.
 	CheckpointBytes int
 
 	// Byte-identity of the final D2H buffers versus the reference run.
@@ -94,7 +93,7 @@ type MigrationResult struct {
 	OverloadIdenticalD2H bool
 
 	// Deterministic artifacts of the migration run, for the equivalence
-	// suite's cross-codec/cross-worker comparison. Excluded from JSON: the
+	// suite's cross-worker comparison. Excluded from JSON: the
 	// drill's printed result must not embed megabytes of snapshot.
 	MetricsJSON []byte `json:"-"`
 	TraceJSON   []byte `json:"-"`
@@ -105,8 +104,8 @@ type MigrationResult struct {
 
 func (r *MigrationResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Migration drill: %d VPs on %d devices, mixed workload ×%d iters, %s checkpoint codec\n",
-		r.VPs, r.Devices, r.Iterations, r.Codec)
+	fmt.Fprintf(&b, "Migration drill: %d VPs on %d devices, mixed workload ×%d iters\n",
+		r.VPs, r.Devices, r.Iterations)
 	fmt.Fprintf(&b, "  migrations: %d (%d bytes moved, %d allocs replayed, %d ptrs rebased)\n",
 		r.Migrations, r.BytesMoved, r.AllocsReplayed, r.PtrsRebased)
 	fmt.Fprintf(&b, "  checkpoint: %d bytes encoded, restored into a fresh farm mid-run\n", r.CheckpointBytes)
@@ -126,7 +125,7 @@ func (r *MigrationResult) JSON() ([]byte, error) {
 // farms and run through the harness pool; the comparisons happen after all
 // four finish. It returns an error when any identity or contract check
 // fails; the result carries the evidence either way.
-func MigrationDrill(nVPs, scale, oversub int, codec core.CheckpointCodec) (*MigrationResult, error) {
+func MigrationDrill(nVPs, scale, oversub int) (*MigrationResult, error) {
 	if nVPs < 2 {
 		nVPs = 2
 	}
@@ -153,7 +152,7 @@ func MigrationDrill(nVPs, scale, oversub int, codec core.CheckpointCodec) (*Migr
 	plan := migrationPlan(nVPs, maxIters)
 	res := &MigrationResult{
 		VPs: nVPs, Scale: scale, Devices: migrationDevices,
-		Iterations: maxIters, Codec: codec.String(),
+		Iterations: maxIters,
 	}
 
 	var (
@@ -164,11 +163,11 @@ func MigrationDrill(nVPs, scale, oversub int, codec core.CheckpointCodec) (*Migr
 		var err error
 		switch i {
 		case 0:
-			ref, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, nil, -1, codec)
+			ref, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, nil, -1)
 		case 1:
-			mig, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, plan, -1, codec)
+			mig, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, plan, -1)
 		case 2:
-			ckpt, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, plan, maxIters/2, codec)
+			ckpt, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, plan, maxIters/2)
 		case 3:
 			over, err = runOverloadMigration(oversub, 4)
 		}
@@ -212,21 +211,15 @@ func MigrationDrill(nVPs, scale, oversub int, codec core.CheckpointCodec) (*Migr
 }
 
 // CheckpointResult summarizes the checkpoint drill: the fleet run once
-// untouched and once split across a save→restore into a fresh farm, plus the
-// encoded image size under both codecs.
+// untouched and once split across a save→restore into a fresh farm.
 type CheckpointResult struct {
 	VPs        int
 	Scale      int
 	Devices    int
 	Iterations int
-	Codec      string
 
-	// CheckpointBytes is the encoded image size with the selected codec;
-	// GobBytes and BinaryBytes size the same image under both codecs, the
-	// drill's compactness comparison.
+	// CheckpointBytes is the encoded size of the mid-run farm image.
 	CheckpointBytes int
-	GobBytes        int
-	BinaryBytes     int
 
 	IdenticalD2H bool
 	D2HDigest    string
@@ -236,8 +229,7 @@ func (r *CheckpointResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Checkpoint drill: %d VPs on %d devices, mixed workload ×%d iters, save→restore at iter %d\n",
 		r.VPs, r.Devices, r.Iterations, r.Iterations/2)
-	fmt.Fprintf(&b, "  image: %d bytes (%s codec); gob %d bytes, binary %d bytes\n",
-		r.CheckpointBytes, r.Codec, r.GobBytes, r.BinaryBytes)
+	fmt.Fprintf(&b, "  image: %d bytes\n", r.CheckpointBytes)
 	fmt.Fprintf(&b, "  identical D2H vs uninterrupted run: %v\n", r.IdenticalD2H)
 	fmt.Fprintf(&b, "  d2h digest: %s\n", r.D2HDigest)
 	return b.String()
@@ -249,10 +241,10 @@ func (r *CheckpointResult) JSON() ([]byte, error) {
 }
 
 // CheckpointDrill runs the daemon-restart experiment in isolation: the fleet
-// runs to its midpoint, the whole farm is checkpointed to disk with the
-// chosen codec, a fresh farm restores the image and finishes the run, and
-// the final D2H buffers must match an uninterrupted run byte for byte.
-func CheckpointDrill(nVPs, scale int, codec core.CheckpointCodec) (*CheckpointResult, error) {
+// runs to its midpoint, the whole farm is checkpointed to disk, a fresh farm
+// restores the image and finishes the run, and the final D2H buffers must
+// match an uninterrupted run byte for byte.
+func CheckpointDrill(nVPs, scale int) (*CheckpointResult, error) {
 	if nVPs < 1 {
 		nVPs = 1
 	}
@@ -275,15 +267,15 @@ func CheckpointDrill(nVPs, scale int, codec core.CheckpointCodec) (*CheckpointRe
 	}
 	res := &CheckpointResult{
 		VPs: nVPs, Scale: scale, Devices: migrationDevices,
-		Iterations: maxIters, Codec: codec.String(),
+		Iterations: maxIters,
 	}
 	var ref, ckpt *fleetArtifacts
 	err := forEach(2, func(i int) error {
 		var err error
 		if i == 0 {
-			ref, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, nil, -1, codec)
+			ref, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, nil, -1)
 		} else {
-			ckpt, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, nil, maxIters/2, codec)
+			ckpt, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, nil, maxIters/2)
 		}
 		return err
 	})
@@ -296,47 +288,7 @@ func CheckpointDrill(nVPs, scale int, codec core.CheckpointCodec) (*CheckpointRe
 	if !res.IdenticalD2H {
 		return res, fmt.Errorf("checkpoint drill: D2H bytes diverged across the save→restore split")
 	}
-	// Size the same logical image under both codecs for the report. A fresh
-	// throwaway farm is checkpointed so the numbers describe the drill's own
-	// fleet, not whatever state the legs left behind.
-	if res.GobBytes, res.BinaryBytes, err = checkpointSizes(benches, scale, nVPs); err != nil {
-		return res, err
-	}
 	return res, nil
-}
-
-// checkpointSizes provisions the fleet without running it and encodes the
-// farm image under both codecs.
-func checkpointSizes(benches []*kernels.Benchmark, scale, nVPs int) (gobN, binN int, err error) {
-	ms, err := newMigrationFarm(migrationDevices)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer ms.Close()
-	for id := 0; id < nVPs; id++ {
-		ms.RegisterVP(id)
-		dev, _ := ms.Assignment(id)
-		bench := benches[id%len(benches)]
-		w := bench.MakeWorkload(scale)
-		for _, decl := range bench.Kernel.Bufs {
-			if _, err := ms.Device(dev).AllocVP(id, w.BufBytes[decl.Name]); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	ck, err := ms.Checkpoint()
-	if err != nil {
-		return 0, 0, err
-	}
-	g, err := ck.Encode(core.CheckpointGob)
-	if err != nil {
-		return 0, 0, err
-	}
-	b, err := ck.Encode(core.CheckpointBinary)
-	if err != nil {
-		return 0, 0, err
-	}
-	return len(g), len(b), nil
 }
 
 // migVP is one fleet member: its benchmark, workload, and *guest* pointers.
@@ -418,10 +370,10 @@ func newMigrationFarm(nDev int) (*core.MultiService, error) {
 
 // runMigrationFleet serves the fleet once in lock-step iterations, applying
 // the migration plan at iteration barriers. With checkpointAt >= 0, the whole
-// farm is checkpointed before that iteration, encoded with the codec, round-
-// tripped through a file on disk, and restored into a brand-new farm that
-// runs the remaining iterations — the daemon-restart scenario.
-func runMigrationFleet(benches []*kernels.Benchmark, scale, nVPs, nDev int, plan []migPlanStep, checkpointAt int, codec core.CheckpointCodec) (*fleetArtifacts, error) {
+// farm is checkpointed before that iteration, round-tripped through a file
+// on disk, and restored into a brand-new farm that runs the remaining
+// iterations — the daemon-restart scenario.
+func runMigrationFleet(benches []*kernels.Benchmark, scale, nVPs, nDev int, plan []migPlanStep, checkpointAt int) (*fleetArtifacts, error) {
 	ms, err := newMigrationFarm(nDev)
 	if err != nil {
 		return nil, err
@@ -486,7 +438,7 @@ func runMigrationFleet(benches []*kernels.Benchmark, scale, nVPs, nDev int, plan
 	ckptBytes := 0
 	for it := 0; it < maxIters; it++ {
 		if it == checkpointAt {
-			ms2, n, err := checkpointHandover(ms, nDev, codec)
+			ms2, n, err := checkpointHandover(ms, nDev)
 			if err != nil {
 				return nil, err
 			}
@@ -530,9 +482,9 @@ func runMigrationFleet(benches []*kernels.Benchmark, scale, nVPs, nDev int, plan
 	return a, nil
 }
 
-// checkpointHandover cuts a farm image, round-trips it through the codec and
-// a file on disk, and restores it into a fresh farm — the daemon-restart leg.
-func checkpointHandover(ms *core.MultiService, nDev int, codec core.CheckpointCodec) (*core.MultiService, int, error) {
+// checkpointHandover cuts a farm image, round-trips it through a file on
+// disk, and restores it into a fresh farm — the daemon-restart leg.
+func checkpointHandover(ms *core.MultiService, nDev int) (*core.MultiService, int, error) {
 	ck, err := ms.Checkpoint()
 	if err != nil {
 		return nil, 0, err
@@ -543,7 +495,7 @@ func checkpointHandover(ms *core.MultiService, nDev int, codec core.CheckpointCo
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "farm.ckpt")
-	if err := core.SaveCheckpoint(path, ck, codec); err != nil {
+	if err := core.SaveCheckpoint(path, ck); err != nil {
 		return nil, 0, err
 	}
 	data, err := os.ReadFile(path)
@@ -681,9 +633,7 @@ func overloadMigrationPass(contended bool, oversub, iters int) (d2h []byte, shed
 	addr := srv.Addr().String()
 
 	dial := func(vp int) (ipc.Client, error) {
-		c, err := ipc.DialWithOptions(addr, vp, ipc.DialOptions{
-			Codec: ipc.CodecBinary, CallTimeout: 10 * time.Second,
-		})
+		c, err := ipc.DialWithOptions(addr, vp, ipc.DialOptions{CallTimeout: 10 * time.Second})
 		if err != nil {
 			return nil, err
 		}

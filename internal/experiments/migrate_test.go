@@ -4,19 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // TestMigrationEquivalence is the drill's acceptance matrix: a 16-VP mixed
 // workload on a 4-device farm with forced mid-run migrations (including a
-// victim migrated onto a device at 4× oversubscription), run under every
-// checkpoint codec × worker-pool size. Within each cell the drill itself
-// asserts the final D2H buffers are byte-identical to an untouched reference
-// run, both for the migration leg and for the checkpoint→fresh-farm→restore
-// leg; across cells the migration run's metrics JSON, merged trace, and D2H
-// digest must be byte-identical — neither the checkpoint codec nor harness
-// concurrency may leak into the simulated artifacts.
+// victim migrated onto a device at 4× oversubscription), run serially and
+// on a four-worker pool. Within each cell the drill itself asserts the final
+// D2H buffers are byte-identical to an untouched reference run, both for the
+// migration leg and for the checkpoint→disk→fresh-farm→restore leg; across
+// cells the migration run's metrics JSON, merged trace, and D2H digest must
+// be byte-identical — harness concurrency may not leak into the simulated
+// artifacts.
 func TestMigrationEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration equivalence matrix is a long drill")
@@ -28,26 +26,24 @@ func TestMigrationEquivalence(t *testing.T) {
 		digest  string
 	}
 	var cells []cell
-	for _, codec := range []core.CheckpointCodec{core.CheckpointGob, core.CheckpointBinary} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/workers=%d", codec, workers)
-			SetWorkers(workers)
-			res, err := MigrationDrill(16, 2, 4, codec)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !res.IdenticalD2H || !res.IdenticalCkptD2H || !res.OverloadIdenticalD2H {
-				t.Fatalf("%s: identity flags d2h=%v ckpt=%v overload=%v",
-					name, res.IdenticalD2H, res.IdenticalCkptD2H, res.OverloadIdenticalD2H)
-			}
-			if res.Migrations == 0 || res.PtrsRebased == 0 || res.BytesMoved == 0 {
-				t.Fatalf("%s: migration counters unexercised: %+v", name, res)
-			}
-			if res.CheckpointBytes == 0 {
-				t.Fatalf("%s: checkpoint leg encoded zero bytes", name)
-			}
-			cells = append(cells, cell{name, res.MetricsJSON, res.TraceJSON, res.D2HDigest})
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		SetWorkers(workers)
+		res, err := MigrationDrill(16, 2, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if !res.IdenticalD2H || !res.IdenticalCkptD2H || !res.OverloadIdenticalD2H {
+			t.Fatalf("%s: identity flags d2h=%v ckpt=%v overload=%v",
+				name, res.IdenticalD2H, res.IdenticalCkptD2H, res.OverloadIdenticalD2H)
+		}
+		if res.Migrations == 0 || res.PtrsRebased == 0 || res.BytesMoved == 0 {
+			t.Fatalf("%s: migration counters unexercised: %+v", name, res)
+		}
+		if res.CheckpointBytes == 0 {
+			t.Fatalf("%s: checkpoint leg encoded zero bytes", name)
+		}
+		cells = append(cells, cell{name, res.MetricsJSON, res.TraceJSON, res.D2HDigest})
 	}
 	SetWorkers(0)
 	ref := cells[0]

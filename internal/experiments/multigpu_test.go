@@ -116,8 +116,8 @@ func TestMultiGPUScalingPipelineEquivalence(t *testing.T) {
 // VPs run one after another (each fully closed before the next dials) because
 // the property under test is the serving stack, not client scheduling: with a
 // fixed registration order the placement, and hence every downstream byte,
-// must not depend on codec or worker-pool size.
-func multiRemoteRun(t *testing.T, codecName string, workers int, pipeline bool) (assign string, d2h, metricsJSON, traceJSON []byte) {
+// must not depend on worker-pool size or execution mode.
+func multiRemoteRun(t *testing.T, workers int, pipeline bool) (assign string, d2h, metricsJSON, traceJSON []byte) {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Workers = workers
@@ -134,10 +134,6 @@ func multiRemoteRun(t *testing.T, codecName string, workers int, pipeline bool) 
 	}
 	srv := ipc.ServeEndpoint(l, ms)
 	defer srv.Close()
-	codec, err := ipc.ParseCodec(codecName)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	bench, err := kernels.Get("vectorAdd")
 	if err != nil {
@@ -148,7 +144,7 @@ func multiRemoteRun(t *testing.T, codecName string, workers int, pipeline bool) 
 	var devs []int
 	var out bytes.Buffer
 	for vpID := 1; vpID <= 4; vpID++ {
-		client, err := ipc.DialWithOptions(srv.Addr().String(), vpID, ipc.DialOptions{Codec: codec})
+		client, err := ipc.Dial(srv.Addr().String(), vpID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,32 +216,29 @@ func multiRemoteRun(t *testing.T, codecName string, workers int, pipeline bool) 
 // TestMultiDeviceRemoteDeterminism is the multi-GPU half of the determinism
 // contract: with a fixed VP registration order, the placement decisions, D2H
 // payloads, aggregated metrics snapshot, and merged trace are byte-identical
-// across wire codecs, worker-pool sizes, pipelined vs synchronous execution,
-// and GOMAXPROCS 1 vs 4 (a pipelined farm on a single-core host must still
+// across worker-pool sizes, pipelined vs synchronous execution, and
+// GOMAXPROCS 1 vs 4 (a pipelined farm on a single-core host must still
 // simulate the same bytes, just without the wall-clock overlap).
 func TestMultiDeviceRemoteDeterminism(t *testing.T) {
 	type run struct {
-		codec    string
 		workers  int
 		pipeline bool
 		maxprocs int // 0 = leave the test binary's setting alone
 	}
 	runs := []run{
-		{"gob", 1, true, 0},
-		{"binary", 1, true, 0},
-		{"binary", 4, true, 0},
-		{"gob", 4, true, 0},
-		{"gob", 1, false, 0},
-		{"binary", 4, false, 0},
-		{"binary", 4, true, 1},
-		{"binary", 4, false, 1},
-		{"binary", 4, true, 4},
+		{1, true, 0},
+		{4, true, 0},
+		{1, false, 0},
+		{4, false, 0},
+		{4, true, 1},
+		{4, false, 1},
+		{4, true, 4},
 	}
 	do := func(r run) (string, []byte, []byte, []byte) {
 		if r.maxprocs > 0 {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(r.maxprocs))
 		}
-		return multiRemoteRun(t, r.codec, r.workers, r.pipeline)
+		return multiRemoteRun(t, r.workers, r.pipeline)
 	}
 	refAssign, refD2H, refMetrics, refTrace := do(runs[0])
 	if refAssign != "[0 1 0 1]" {
@@ -258,7 +251,7 @@ func TestMultiDeviceRemoteDeterminism(t *testing.T) {
 		t.Fatal("reference run produced no trace records")
 	}
 	for _, r := range runs[1:] {
-		name := fmt.Sprintf("%s/workers=%d/pipeline=%v/maxprocs=%d", r.codec, r.workers, r.pipeline, r.maxprocs)
+		name := fmt.Sprintf("workers=%d/pipeline=%v/maxprocs=%d", r.workers, r.pipeline, r.maxprocs)
 		assign, d2h, metricsJSON, traceJSON := do(r)
 		if assign != refAssign {
 			t.Errorf("%s: placement %s differs from reference %s", name, assign, refAssign)

@@ -236,9 +236,7 @@ func runOverloadPass(contended bool, oversub, iters int) (*overloadPass, error) 
 	addr := srv.Addr().String()
 
 	dial := func(vp int) (ipc.Client, error) {
-		c, err := ipc.DialWithOptions(addr, vp, ipc.DialOptions{
-			Codec: ipc.CodecBinary, CallTimeout: 10 * time.Second,
-		})
+		c, err := ipc.DialWithOptions(addr, vp, ipc.DialOptions{CallTimeout: 10 * time.Second})
 		if err != nil {
 			return nil, err
 		}

@@ -19,15 +19,14 @@ import (
 // the named transport and returns the artifacts determinism is judged on:
 // the final D2H bytes, the service metrics snapshot, and the engine trace.
 // The service gets its own registry and the server/client transport counters
-// are kept out of it, so snapshots are comparable across codecs (transport
-// traffic differs by codec; simulated work must not).
+// are kept out of it, so snapshots are comparable across transports
+// (transport traffic differs; simulated work must not).
 func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, traceJSON []byte) {
 	t.Helper()
-	reg := metrics.New()
 	opts := core.DefaultOptions()
 	opts.Workers = workers
 	opts.Trace = true
-	opts.Metrics = reg
+	opts.Metrics = metrics.New()
 	svc := core.NewService(opts)
 
 	var client ipc.Client
@@ -36,18 +35,14 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 		svc.RegisterVP(1)
 		defer svc.UnregisterVP(1)
 		client = ipc.Pipe(1, svc.Handle)
-	case "gob", "binary":
+	case "tcp":
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
 		defer srv.Close()
-		codec, err := ipc.ParseCodec(transport)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, err = ipc.DialWithOptions(srv.Addr().String(), 1, ipc.DialOptions{Codec: codec})
+		client, err = ipc.Dial(srv.Addr().String(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +87,11 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	if err != nil {
 		t.Fatalf("d2h: %v", err)
 	}
-	if err := ctx.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	metricsJSON, err = reg.Snapshot().JSON()
+	// Snapshot while the VP is still registered on every transport: once
+	// the client closes, the TCP server's disconnect hook deregisters the VP
+	// on a goroutine of its own, and core.vps_active would read 1 or 0
+	// depending on who wins.
+	metricsJSON, err = svc.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +99,15 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ctx.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
 	return d2h, metricsJSON, traceJSON
 }
 
 // TestRemoteDeterminism is the ISSUE's acceptance property extended to
 // remote mode: simulated results, metrics, and trace must be byte-identical
-// across wire codecs (pipe vs gob vs binary), and across worker-pool sizes.
+// across transports (in-process pipe vs TCP) and across worker-pool sizes.
 func TestRemoteDeterminism(t *testing.T) {
 	type run struct {
 		transport string
@@ -117,10 +115,9 @@ func TestRemoteDeterminism(t *testing.T) {
 	}
 	runs := []run{
 		{"pipe", 1},
-		{"gob", 1},
-		{"binary", 1},
-		{"binary", 4},
-		{"gob", 4},
+		{"tcp", 1},
+		{"tcp", 4},
+		{"pipe", 4},
 	}
 	refD2H, refMetrics, refTrace := remoteRun(t, runs[0].transport, runs[0].workers)
 	if len(refD2H) == 0 {

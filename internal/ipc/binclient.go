@@ -13,13 +13,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// binClient is the binary-codec TCP client with request pipelining: any
-// number of goroutines may Call concurrently on one connection. Each call
-// writes its frame under writeMu and parks on a pooled pending-call slot;
-// a single reader goroutine demultiplexes responses by request ID. Per-call
-// deadlines, lazy redial with capped backoff, and typed transport errors
-// match the gob client's semantics, with one improvement the self-
-// delimiting framing allows: a call that times out abandons only its own
+// binClient is the TCP client, with request pipelining: any number of
+// goroutines may Call concurrently on one connection. Each call writes its
+// frame under writeMu and parks on a pooled pending-call slot; a single
+// reader goroutine demultiplexes responses by request ID. Every call has a
+// deadline, a broken connection is redialed lazily with capped backoff, and
+// failures surface as the typed transport errors of errors.go. Because
+// frames are self-delimiting, a call that times out abandons only its own
 // pending slot — the connection (and every other in-flight call) survives,
 // and the late response is discarded as stale when it finally arrives.
 type binClient struct {
@@ -94,16 +94,6 @@ func putPending(p *pendingCall) {
 	pendingPool.Put(p)
 }
 
-// dialBinary connects with the binary codec and sends the hello.
-func dialBinary(addr string, vp int, opts DialOptions) (Client, error) {
-	c := &binClient{addr: addr, vp: vp, opts: opts, pending: map[uint64]*pendingCall{}}
-	c.backoff = opts.BackoffBase
-	if err := c.connect(time.Now().Add(opts.CallTimeout)); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // connect establishes one connection, writes the binary hello, and starts
 // the reader. The caller must not hold mu.
 func (c *binClient) connect(deadline time.Time) error {
@@ -143,7 +133,6 @@ func (c *binClient) connect(deadline time.Time) error {
 	c.conn = conn
 	c.gen++
 	c.backoff = c.opts.BackoffBase
-	c.opts.Metrics.Counter("ipc.client.conns_binary").Inc()
 	go c.readLoop(conn, c.gen)
 	return nil
 }
@@ -221,7 +210,7 @@ func (c *binClient) readLoop(conn net.Conn, gen int) {
 		c.mu.Unlock()
 		if p == nil {
 			// Response to an abandoned (timed-out) request: the framing is
-			// intact, so unlike the gob stream we can safely skip it.
+			// intact, so it can safely be skipped.
 			c.opts.Metrics.Counter("ipc.client.stale_responses").Inc()
 			continue
 		}
@@ -363,7 +352,8 @@ func (c *binClient) await(id uint64, p *pendingCall, gen int, deadline time.Time
 	}
 }
 
-// countErr mirrors the gob client's error accounting.
+// countErr records a failed call: every error but a local Close counts, and
+// timeouts are counted separately as well.
 func (c *binClient) countErr(err error) {
 	if err != nil && err != ErrClientClosed {
 		c.opts.Metrics.Counter("ipc.client.errors").Inc()

@@ -17,14 +17,12 @@
 // connections, and admission-control sheds (OverloadResp → OverloadError,
 // retryable with a server-suggested backoff).
 //
-// # Wire codecs
+// # Wire format
 //
-// Two codecs share the TCP transport: a gob stream (the negotiated
-// fallback, also used by the fault-injector's corruption tests) and a
-// hand-rolled length-prefixed binary codec (wire.go) with pooled buffers
-// and zero steady-state allocations on the fast path. Codec negotiation
-// rides on the first byte of the client's hello; the server speaks
-// whichever codec the client chose. Clients may pipeline: several calls of
-// one VP can be in flight at once, each matched to its response by frame
-// id.
+// The TCP transport speaks one protocol: a versioned hello followed by
+// hand-rolled length-prefixed binary frames (wire.go) over pooled buffers,
+// with zero steady-state allocations on the fast path. A peer whose hello
+// names another version is closed without a reply. Clients may pipeline:
+// several calls of one VP can be in flight at once, each matched to its
+// response by frame id (binclient.go).
 package ipc

@@ -27,8 +27,8 @@ func (e *TimeoutError) Error() string {
 // Timeout marks the error as a deadline expiry (net.Error convention).
 func (e *TimeoutError) Timeout() bool { return true }
 
-// DisconnectError reports a broken connection: the peer went away or the gob
-// stream desynchronized mid-call. The connection is dropped; the next Call
+// DisconnectError reports a broken connection: the peer went away or sent a
+// frame that does not decode. The connection is dropped; the next Call
 // redials with capped exponential backoff.
 type DisconnectError struct {
 	Op    string

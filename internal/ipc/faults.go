@@ -24,9 +24,11 @@ import (
 //     it, and the caller's per-call deadline fires.
 //   - Delay: the write (or read) is stalled by a random duration up to
 //     MaxDelay before proceeding.
-//   - Corrupt: a byte in the frame's header region is flipped, which
-//     desynchronizes the peer's gob stream; the peer must close the
-//     connection rather than answer on it.
+//   - Corrupt: a byte in the frame's header region (length prefix, type
+//     byte, request id) is flipped. The peer either rejects the frame and
+//     closes the connection rather than answer on it, or answers under an
+//     id no call is waiting for; either way the caller sees a typed,
+//     retryable transport error, never another call's reply.
 //   - Disconnect: the connection is severed instead of writing.
 //
 // Payload checksums are deliberately out of scope: frames carry request IDs,
@@ -145,7 +147,7 @@ func (f *faultConn) roll() (drop, corrupt, disconnect bool, delay time.Duration)
 }
 
 // corruptIndex picks the header byte to flip (always within the first 8
-// bytes, where gob keeps its message length and type id).
+// bytes: the 4-byte length prefix, the type byte, and the request id).
 func (f *faultConn) corruptIndex(n int) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -1,15 +1,18 @@
 package ipc
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // baseSeed lets CI run the fault matrix under several seeds
@@ -52,9 +55,7 @@ func TestParseFaults(t *testing.T) {
 }
 
 // TestCallDeadline: a server that never answers must not hang the client —
-// Call returns a typed *TimeoutError within its deadline. This is the
-// regression for the old tcpClient.Call blocking forever when the server
-// died between encode and decode.
+// Call returns a typed *TimeoutError within its deadline.
 func TestCallDeadline(t *testing.T) {
 	silent := func(vp int, req any) any {
 		time.Sleep(2 * time.Second)
@@ -91,10 +92,9 @@ func TestCallDeadline(t *testing.T) {
 	}
 }
 
-// TestCorruptFrameClosesConn: a mid-frame decode error on the server must
-// close the connection, never encode an ErrResp onto the desynchronized gob
-// stream (the old behaviour fed the client garbage that could be misread as
-// the reply to a different call).
+// TestCorruptFrameClosesConn: a frame the server cannot decode must close
+// the connection. It never answers with an ErrResp: the framing is lost, so
+// whatever it wrote could be misread as the reply to a different call.
 func TestCorruptFrameClosesConn(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -108,12 +108,11 @@ func TestCorruptFrameClosesConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(hello{VP: 3}); err != nil {
+	if _, err := conn.Write(appendHello(nil, 3)); err != nil {
 		t.Fatal(err)
 	}
-	// Garbage that can never be a valid gob frame, then half-close so the
-	// server sees the truncated frame (a mid-frame decode error, not EOF
-	// between frames).
+	// A length prefix far past maxFrame, then half-close so the server sees
+	// a corrupt frame rather than EOF between frames.
 	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +127,58 @@ func TestCorruptFrameClosesConn(t *testing.T) {
 	}
 }
 
+// TestLegacyHelloRejected: a peer that does not open with this protocol's
+// magic and version — the retired gob stream's hello, or a binary hello of
+// another version — is closed without a reply and counted as a decode
+// error, never registered as a VP.
+func TestLegacyHelloRejected(t *testing.T) {
+	// What gob.NewEncoder(conn).Encode(struct{ VP int }{3}) used to put on
+	// the wire for the type named "hello".
+	gobHello := []byte{
+		0x19, 0x7f, 0x03, 0x01, 0x01, 0x05, 0x68, 0x65, 0x6c, 0x6c, 0x6f, 0x01, 0xff, 0x80, 0x00, 0x01,
+		0x01, 0x01, 0x02, 0x56, 0x50, 0x01, 0x04, 0x00, 0x00, 0x00, 0x05, 0xff, 0x80, 0x01, 0x06, 0x00,
+	}
+	oldVersion := appendHello(nil, 3)
+	oldVersion[1] = wireVersion - 1
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vps atomic.Int32
+	srv := ServeWithHooks(l, echoHandler, func(int) { vps.Add(1) }, nil)
+	reg := metrics.New()
+	srv.SetMetrics(reg)
+	defer srv.Close()
+
+	for i, hello := range [][]byte{gobHello, oldVersion} {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := conn.Read(make([]byte, 64))
+		conn.Close()
+		if n != 0 || err != io.EOF {
+			t.Fatalf("hello %d: want bare EOF, got n=%d err=%v", i, n, err)
+		}
+		if got := reg.Counter("ipc.server.decode_errors").Value(); got != int64(i+1) {
+			t.Fatalf("hello %d: decode_errors = %d, want %d", i, got, i+1)
+		}
+	}
+	srv.Close()
+	if got := reg.Counter("ipc.server.connections").Value(); got != 0 || vps.Load() != 0 {
+		t.Fatalf("rejected peers were admitted: connections=%d, VPs registered=%d", got, vps.Load())
+	}
+}
+
 // TestRequestIDDiscardsStaleResponse: a response frame whose ID does not
-// match the in-flight request must be discarded, not delivered. The raw
-// server speaks the wire protocol directly and answers with a stray ErrResp
-// under a bogus ID before the real reply.
+// match an in-flight request must be discarded, not delivered. The raw
+// server answers every request with a stray ErrResp under a bogus ID before
+// the real reply.
 func TestRequestIDDiscardsStaleResponse(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -144,34 +191,41 @@ func TestRequestIDDiscardsStaleResponse(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		var hi hello
-		if dec.Decode(&hi) != nil {
+		br := bufio.NewReader(conn)
+		if _, err := readHello(br); err != nil {
 			return
 		}
+		var hdr [4]byte
+		var buf, out []byte
 		for {
-			var fr reqFrame
-			if dec.Decode(&fr) != nil {
+			if buf, err = readFrame(br, &hdr, buf); err != nil {
+				return
+			}
+			id, _, err := decodeMsg(buf)
+			if err != nil {
+				t.Errorf("raw server: %v", err)
 				return
 			}
 			// A stray error response from some earlier, abandoned exchange.
-			if enc.Encode(respFrame{ID: fr.ID + 1000, Body: any(ErrResp{Msg: "stray"})}) != nil {
+			out, _ = appendMsg(out, id+1000, ErrResp{Msg: "stray"})
+			if _, err := conn.Write(out); err != nil {
 				return
 			}
-			if enc.Encode(respFrame{ID: fr.ID, Body: any(OKResp{End: 42})}) != nil {
+			out, _ = appendMsg(out, id, OKResp{End: 42})
+			if _, err := conn.Write(out); err != nil {
 				return
 			}
 		}
 	}()
 
-	// The handshake above is raw gob, so pin the gob codec explicitly.
-	c, err := DialWithOptions(l.Addr().String(), 1, DialOptions{Codec: CodecGob, CallTimeout: 2 * time.Second})
+	reg := metrics.New()
+	c, err := DialWithOptions(l.Addr().String(), 1, DialOptions{CallTimeout: 2 * time.Second, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 3; i++ {
+	const calls = 3
+	for i := 0; i < calls; i++ {
 		resp, err := c.Call(SyncReq{})
 		if err != nil {
 			t.Fatalf("call %d: stray ErrResp delivered as reply: %v", i, err)
@@ -179,6 +233,9 @@ func TestRequestIDDiscardsStaleResponse(t *testing.T) {
 		if resp.(OKResp).End != 42 {
 			t.Fatalf("call %d: wrong response %v", i, resp)
 		}
+	}
+	if got := reg.Counter("ipc.client.stale_responses").Value(); got != calls {
+		t.Fatalf("stale_responses = %d, want %d", got, calls)
 	}
 }
 

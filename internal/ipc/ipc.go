@@ -1,15 +1,15 @@
 // Core transports and request vocabulary of the IPC Manager (paper
-// Fig. 2): the in-process pipe transport, the TCP socket transport with its
-// gob codec, and the typed request/response pairs both codecs carry. See
-// doc.go for the package overview and wire.go for the binary codec.
+// Fig. 2): the in-process pipe transport, the TCP server, and the typed
+// request/response pairs they carry. See doc.go for the package overview,
+// wire.go for the frame format and binclient.go for the TCP client.
 
 package ipc
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -104,50 +104,11 @@ type MigrateReq struct {
 }
 
 // CheckpointReq asks the service for a serialized image of its device-side
-// state (core.Checkpoint). Codec selects the checkpoint serialization
-// ("gob" or "binary"; empty means binary) — independent of the wire codec
-// the request itself travels on.
-type CheckpointReq struct{ Codec string }
+// state (core.Checkpoint).
+type CheckpointReq struct{}
 
 // CheckpointResp carries the encoded checkpoint image.
 type CheckpointResp struct{ Data []byte }
-
-// hello is the first frame of a TCP session, identifying the VP.
-type hello struct{ VP int }
-
-// reqFrame is one request on the wire. Every request carries a
-// connection-unique ID; the matching response echoes it, so a response can
-// never be attributed to the wrong call even after faults.
-type reqFrame struct {
-	ID   uint64
-	Body any
-}
-
-// respFrame is one response on the wire, tagged with the ID of the request
-// it answers.
-type respFrame struct {
-	ID   uint64
-	Body any
-}
-
-func init() {
-	gob.Register(MallocReq{})
-	gob.Register(MallocResp{})
-	gob.Register(FreeReq{})
-	gob.Register(H2DReq{})
-	gob.Register(D2HReq{})
-	gob.Register(D2HResp{})
-	gob.Register(MemsetReq{})
-	gob.Register(LaunchReq{})
-	gob.Register(SyncReq{})
-	gob.Register(OKResp{})
-	gob.Register(ErrResp{})
-	gob.Register(OverloadResp{})
-	gob.Register(MigrateReq{})
-	gob.Register(CheckpointReq{})
-	gob.Register(CheckpointResp{})
-	gob.Register(kpl.Value{})
-}
 
 // Handler processes one request from one VP and returns the response body.
 type Handler func(vp int, req any) any
@@ -158,7 +119,7 @@ type Client interface {
 	Close() error
 }
 
-// TypedCaller is the optional fast-path interface of the binary codec:
+// TypedCaller is the optional fast-path interface of the TCP client:
 // per-message-type calls that skip the `any` boxing of Client.Call on both
 // the request and the response. The cudart remote back end type-asserts for
 // it and falls back to Call when the transport doesn't provide it.
@@ -319,74 +280,8 @@ func (s *Server) vpClosed(vp int) {
 // block after its connection's decode loop has exited.
 const writeGrace = 2 * time.Second
 
-// serveConn sniffs the codec from the first byte of the client's hello and
-// dispatches: a binary hello opens with wireMagic (≥ 0x80), while a gob
-// stream always opens with a small uvarint length. Old gob peers therefore
-// keep working without any configuration.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.serving.Done()
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 1<<16)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == wireMagic {
-		s.serveBinary(conn, br)
-		return
-	}
-	s.serveGob(conn, br)
-}
-
-// serveGob is the fallback codec path: reflection-based gob frames, one
-// handler goroutine per request (a desynchronized stream closes the
-// connection, exactly as before).
-func (s *Server) serveGob(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	var hi hello
-	if err := dec.Decode(&hi); err != nil {
-		return
-	}
-	s.metrics.Counter("ipc.server.connections").Inc()
-	s.metrics.Counter("ipc.server.conns_gob").Inc()
-
-	// In-flight handlers for this connection. The teardown order matters:
-	// vpClosed runs first (deferred last) so the disconnect hook can cancel
-	// jobs that in-flight handlers are blocked on, then lingering response
-	// writes are bounded by writeGrace, then we wait them out and close.
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	defer func() { conn.SetDeadline(time.Now().Add(writeGrace)) }()
-	s.vpOpened(hi.VP)
-	defer s.vpClosed(hi.VP)
-
-	var wmu sync.Mutex // serializes response frames from concurrent handlers
-	for {
-		var fr reqFrame
-		if err := dec.Decode(&fr); err != nil {
-			// EOF or a mid-frame decode error. Either way the gob stream is
-			// unusable — encoding an ErrResp onto a desynchronized stream
-			// would feed the peer garbage (or be misread as the reply to an
-			// unrelated call), so close the connection instead. The client
-			// treats it as a disconnect and redials.
-			s.metrics.Counter("ipc.server.decode_errors").Inc()
-			return
-		}
-		s.metrics.Counter("ipc.server.requests").Inc()
-		handlers.Add(1)
-		go func(fr reqFrame) {
-			defer handlers.Done()
-			resp := s.h(hi.VP, fr.Body)
-			wmu.Lock()
-			defer wmu.Unlock()
-			_ = enc.Encode(respFrame{ID: fr.ID, Body: resp})
-		}(fr)
-	}
-}
-
-// serverWorkersPerConn bounds how many handler workers one binary-codec
-// connection may run concurrently. Work is fanned out per stream key, so
+// serverWorkersPerConn bounds how many handler workers one connection may
+// run concurrently. Work is fanned out per stream key, so
 // independent streams execute in parallel while requests on one stream keep
 // their wire order — the pipelining ordering guarantee.
 const serverWorkersPerConn = 8
@@ -396,33 +291,44 @@ type frameBuf struct{ b []byte }
 
 var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} }}
 
-// serveBinary is the fast-path server loop: length-prefixed binary frames,
+// readHello consumes a connection's hello — wireMagic, wireVersion, varint
+// VP id — and returns the VP it names.
+func readHello(br *bufio.Reader) (int, error) {
+	var head [2]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return 0, err
+	}
+	if head[0] != wireMagic || head[1] != wireVersion {
+		return 0, wireError("hello opens with % x, want % x", head[:], []byte{wireMagic, wireVersion})
+	}
+	vp, err := binary.ReadVarint(br)
+	return int(vp), err
+}
+
+// serveConn is one connection's server loop: length-prefixed binary frames,
 // decoded in the read loop and handled by a bounded per-connection worker
 // pool with per-stream FIFO ordering. The read loop never blocks on
 // handlers, so a dying connection is noticed immediately (the PR-2
 // disconnect-cancellation property) even while every worker is parked at a
-// synchronous point.
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
-	if magic, err := br.ReadByte(); err != nil || magic != wireMagic {
-		return
-	}
-	if ver, err := br.ReadByte(); err != nil || ver != wireVersion {
-		return
-	}
-	vp64, err := binary.ReadVarint(br)
+// synchronous point. A peer whose hello is not this protocol version is
+// closed without a reply: nothing it sends afterwards could be framed.
+func (s *Server) serveConn(conn net.Conn) {
+	defer s.serving.Done()
+	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 1<<16)
+	vp, err := readHello(br)
 	if err != nil {
+		s.metrics.Counter("ipc.server.decode_errors").Inc()
 		return
 	}
-	vp := int(vp64)
 	s.metrics.Counter("ipc.server.connections").Inc()
-	s.metrics.Counter("ipc.server.conns_binary").Inc()
 
 	cs := &connServer{
 		s: s, conn: conn, vp: vp,
 		queues: map[int][]binRequest{},
 		slots:  make(chan struct{}, serverWorkersPerConn),
 	}
-	// Teardown order mirrors the gob path: vpClosed runs first so the
+	// The teardown order matters: vpClosed runs first (deferred last) so the
 	// disconnect hook can cancel the jobs in-flight workers are blocked on,
 	// then response writes are bounded by writeGrace, then the workers are
 	// waited out before the connection closes.
@@ -482,7 +388,7 @@ type binRequest struct {
 	fb   *frameBuf
 }
 
-// connServer runs one binary connection's handler side: per-stream FIFO
+// connServer runs one connection's handler side: per-stream FIFO
 // queues drained by at most serverWorkersPerConn workers, responses
 // serialized onto the connection through a reusable encode buffer.
 type connServer struct {
@@ -605,42 +511,8 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	return err
 }
 
-// CodecKind selects the wire codec a client speaks. The server needs no
-// configuration: it sniffs the codec from the hello's first byte.
-type CodecKind uint8
-
-const (
-	// CodecBinary is the default: the hand-rolled length-prefixed binary
-	// protocol with request pipelining (wire.go).
-	CodecBinary CodecKind = iota
-	// CodecGob is the reflection-based fallback codec, kept for old peers
-	// and for the fault-injector's gob-desynchronization tests.
-	CodecGob
-)
-
-// String returns the codec's flag vocabulary name ("binary" or "gob").
-func (k CodecKind) String() string {
-	if k == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// ParseCodec maps a flag value onto a CodecKind.
-func ParseCodec(s string) (CodecKind, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return CodecBinary, fmt.Errorf("ipc: unknown codec %q (want binary or gob)", s)
-}
-
 // DialOptions tune the TCP client's fault tolerance.
 type DialOptions struct {
-	// Codec selects the wire protocol; the zero value is CodecBinary.
-	Codec CodecKind
 	// CallTimeout bounds each Call end to end, including any redial.
 	// 0 means DefaultCallTimeout.
 	CallTimeout time.Duration
@@ -676,24 +548,6 @@ func (o DialOptions) withDefaults() DialOptions {
 	return o
 }
 
-type tcpClient struct {
-	addr string
-	vp   int
-	opts DialOptions
-
-	callMu sync.Mutex // one Call at a time
-
-	connMu  sync.Mutex // guards the fields below (Close races a blocked Call)
-	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	closed  bool
-	backoff time.Duration // next redial backoff (capped exponential)
-	connSeq int64         // connections established (salts the fault seed)
-
-	nextID uint64
-}
-
 // Dial connects a VP to a service over TCP with default options.
 func Dial(addr string, vp int) (Client, error) {
 	return DialWithOptions(addr, vp, DialOptions{})
@@ -702,164 +556,14 @@ func Dial(addr string, vp int) (Client, error) {
 // DialWithOptions connects a VP to a service over TCP. The initial dial is a
 // single attempt (an unreachable service fails fast); once connected, a
 // broken connection is redialed lazily by the next Call with capped
-// exponential backoff, bounded by that Call's deadline. The default codec is
-// the pipelined binary protocol; CodecGob selects the fallback.
+// exponential backoff, bounded by that Call's deadline.
 func DialWithOptions(addr string, vp int, opts DialOptions) (Client, error) {
 	opts = opts.withDefaults()
-	if opts.Codec == CodecBinary {
-		return dialBinary(addr, vp, opts)
-	}
-	c := &tcpClient{addr: addr, vp: vp, opts: opts}
-	c.backoff = c.opts.BackoffBase
-	if err := c.connect(time.Now().Add(c.opts.CallTimeout)); err != nil {
+	c := &binClient{addr: addr, vp: vp, opts: opts, backoff: opts.BackoffBase, pending: map[uint64]*pendingCall{}}
+	if err := c.connect(time.Now().Add(opts.CallTimeout)); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// connect establishes one connection and sends the hello frame. The caller
-// must not hold connMu.
-func (c *tcpClient) connect(deadline time.Time) error {
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		return &TimeoutError{Op: "connect", After: c.opts.CallTimeout}
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, remaining)
-	if err != nil {
-		return transportErr("connect", err, c.opts.CallTimeout)
-	}
-	if c.opts.Faults != nil {
-		// Salt the seed with the connection ordinal: a replacement
-		// connection draws a fresh (but still deterministic) fault schedule
-		// instead of replaying the one that just killed its predecessor.
-		fc := *c.opts.Faults
-		c.connMu.Lock()
-		fc.Seed += c.connSeq
-		c.connSeq++
-		c.connMu.Unlock()
-		conn = WrapFaultyMetrics(conn, fc, c.opts.Metrics)
-	}
-	conn.SetDeadline(deadline)
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(hello{VP: c.vp}); err != nil {
-		conn.Close()
-		return transportErr("connect", err, c.opts.CallTimeout)
-	}
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.closed {
-		conn.Close()
-		return ErrClientClosed
-	}
-	c.conn, c.enc, c.dec = conn, enc, dec
-	c.backoff = c.opts.BackoffBase
-	return nil
-}
-
-// reconnect redials with capped exponential backoff until the deadline.
-func (c *tcpClient) reconnect(deadline time.Time) error {
-	c.opts.Metrics.Counter("ipc.client.reconnects").Inc()
-	for {
-		err := c.connect(deadline)
-		if err == nil || err == ErrClientClosed {
-			return err
-		}
-		c.connMu.Lock()
-		sleep := c.backoff
-		c.backoff *= 2
-		if c.backoff > c.opts.BackoffCap {
-			c.backoff = c.opts.BackoffCap
-		}
-		c.connMu.Unlock()
-		if time.Now().Add(sleep).After(deadline) {
-			return err
-		}
-		time.Sleep(sleep)
-	}
-}
-
-// dropConn discards the current connection after a transport error; the
-// next Call redials. The gob stream may be mid-frame, so it cannot be
-// reused.
-func (c *tcpClient) dropConn() {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.enc, c.dec = nil, nil, nil
-	}
-}
-
-// Call sends one request and returns the matching response. The whole
-// exchange — redial if the connection is down, write, and read — is bounded
-// by the per-call deadline; on expiry it returns a *TimeoutError and drops
-// the connection (the stream may be desynchronized). Responses are matched
-// to requests by ID: a stray frame left over from an earlier, abandoned
-// request is discarded, never delivered as this call's reply.
-func (c *tcpClient) Call(req any) (resp any, err error) {
-	c.callMu.Lock()
-	defer c.callMu.Unlock()
-
-	c.opts.Metrics.Counter("ipc.client.calls").Inc()
-	defer func() {
-		if err != nil && err != ErrClientClosed {
-			c.opts.Metrics.Counter("ipc.client.errors").Inc()
-			if _, ok := err.(*TimeoutError); ok {
-				c.opts.Metrics.Counter("ipc.client.timeouts").Inc()
-			}
-		}
-	}()
-
-	deadline := time.Now().Add(c.opts.CallTimeout)
-
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		return nil, ErrClientClosed
-	}
-	conn, enc, dec := c.conn, c.enc, c.dec
-	c.nextID++
-	id := c.nextID
-	c.connMu.Unlock()
-
-	if conn == nil {
-		if err := c.reconnect(deadline); err != nil {
-			return nil, err
-		}
-		c.connMu.Lock()
-		conn, enc, dec = c.conn, c.enc, c.dec
-		c.connMu.Unlock()
-	}
-
-	conn.SetDeadline(deadline)
-	if err := enc.Encode(reqFrame{ID: id, Body: req}); err != nil {
-		c.dropConn()
-		return nil, transportErr("write", err, c.opts.CallTimeout)
-	}
-	for {
-		var fr respFrame
-		if err := dec.Decode(&fr); err != nil {
-			c.dropConn()
-			return nil, transportErr("read", err, c.opts.CallTimeout)
-		}
-		if fr.ID != id {
-			continue // stale response to an abandoned request: discard
-		}
-		return Err(fr.Body)
-	}
-}
-
-func (c *tcpClient) Close() error {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	c.closed = true
-	if c.conn != nil {
-		err := c.conn.Close()
-		c.conn, c.enc, c.dec = nil, nil, nil
-		return err
-	}
-	return nil
 }
 
 // --- VP Control ---

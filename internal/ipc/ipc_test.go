@@ -110,18 +110,21 @@ func TestTCPServerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(l, echoHandler)
-	c, err := Dial(srv.Addr().String(), 1)
+	// A short deadline: if the client notices the close before the second
+	// Call, that Call redials the closed port until its deadline.
+	c, err := DialWithOptions(srv.Addr().String(), 1, DialOptions{CallTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if _, err := c.Call(SyncReq{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call(SyncReq{}); err == nil {
-		t.Fatal("call after server close should fail")
+	if _, err := c.Call(SyncReq{}); !IsRetryable(err) {
+		t.Fatalf("call after server close: want a retryable transport error, got %v", err)
 	}
 }
 
@@ -163,8 +166,8 @@ func TestErrHelper(t *testing.T) {
 	}
 }
 
-// TestWireRoundTripProperty: every request/response type survives the gob
-// wire intact over the TCP transport.
+// TestWireRoundTripProperty: request and response payloads survive the wire
+// intact over the TCP transport.
 func TestWireRoundTripProperty(t *testing.T) {
 	echo := func(vp int, req any) any {
 		switch r := req.(type) {

@@ -63,12 +63,10 @@ func TestFaultInjectionMetrics(t *testing.T) {
 	defer srv.Close()
 
 	reg := metrics.New()
-	// Pinned to gob: this test asserts the gob client's timeout semantics
-	// (a timed-out call drops the mid-frame stream and the next call
-	// reconnects). The binary codec intentionally keeps the connection on
-	// timeout; its fault accounting is covered by the binary-codec tests.
+	// The calls are serial, so a dropped request is a wait during which no
+	// frame arrives: the call times out, the client fails the connection
+	// (await's liveness rule), and the next call reconnects.
 	c, err := DialWithOptions(srv.Addr().String(), 2, DialOptions{
-		Codec:       CodecGob,
 		CallTimeout: 100 * time.Millisecond,
 		Faults:      &FaultConfig{Seed: 7, Drop: 0.5},
 		Metrics:     reg,
@@ -92,6 +90,6 @@ func TestFaultInjectionMetrics(t *testing.T) {
 		t.Fatalf("dropped frames should surface as timeouts (errs=%d, drops=%d)", errs, drops)
 	}
 	if got := reg.Counter("ipc.client.reconnects").Value(); got == 0 {
-		t.Fatal("timed-out calls drop the connection; next call should reconnect")
+		t.Fatal("a silent connection is dropped on timeout; the next call should reconnect")
 	}
 }

@@ -2,7 +2,6 @@ package ipc
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -11,7 +10,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// starvedResponder is a raw binary-codec server that answers every request
+// starvedResponder is a raw server that answers every request
 // except the one whose ID is `starve`. It is the adversarial liveness case
 // for binClient.await: the connection keeps delivering frames (recvSeq keeps
 // advancing), so any heuristic that extends a call's wait while the
@@ -24,11 +23,7 @@ func starvedResponder(t *testing.T, l net.Listener, starve uint64, saw chan<- st
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	// Consume the hello: magic, version, varint VP.
-	if _, err := br.Discard(2); err != nil {
-		return
-	}
-	if _, err := binary.ReadVarint(br); err != nil {
+	if _, err := readHello(br); err != nil {
 		return
 	}
 	var hdr [4]byte
@@ -82,7 +77,7 @@ func TestBinClientStarvedCallHardDeadline(t *testing.T) {
 	reg := metrics.New()
 	const callTimeout = 300 * time.Millisecond
 	c, err := DialWithOptions(l.Addr().String(), 0, DialOptions{
-		Codec: CodecBinary, CallTimeout: callTimeout, Metrics: reg,
+		CallTimeout: callTimeout, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,7 @@
-// Binary wire codec — the fast path of the IPC Manager. The gob codec
-// (retained as the negotiated fallback and for the fault-injector corruption
-// tests) pays reflection and type-descriptor costs on every frame; this
-// codec hand-rolls a length-prefixed binary encoding per message type over
-// pooled buffers: varint integers, raw byte payloads, zero steady-state
-// allocations for H2D/D2H/Launch frames on the encode side.
+// The wire format of the IPC Manager's TCP transport: a hand-rolled
+// length-prefixed binary encoding per message type over pooled buffers —
+// varint integers, raw byte payloads, zero steady-state allocations for
+// H2D/D2H/Launch frames on the encode side.
 //
 // Frame layout (everything after the hello):
 //
@@ -17,11 +15,10 @@
 // the body (typed decode error). Decoding never reads past the frame and
 // never panics — FuzzWireCodec holds it to that.
 //
-// Codec negotiation rides on the first byte of the client's hello: a gob
-// stream opens with a uvarint message length, which for the small hello
-// frame is always < 0x80, while the binary hello opens with wireMagic
-// (0xD5). The server sniffs that byte and speaks whichever codec the client
-// chose, so old gob peers keep working against a new server.
+// A connection opens with the client's hello — wireMagic, wireVersion,
+// varint VP id — and the server closes, without a reply, any connection
+// whose hello does not start with exactly those two bytes: a peer built
+// against another frame layout is refused before it can send a request.
 
 package ipc
 
@@ -37,12 +34,13 @@ import (
 	"repro/internal/kpl"
 )
 
-// wireMagic is the first byte of a binary-codec hello. It is ≥ 0x80 so it
-// can never be confused with the opening uvarint of a gob stream.
+// wireMagic is the first byte of a hello.
 const wireMagic = 0xD5
 
-// wireVersion is the binary protocol version carried in the hello frame.
-const wireVersion = 1
+// wireVersion is the protocol version carried in the hello. It changes
+// whenever any frame's layout does, so a mismatched peer is refused at the
+// hello instead of misreading a frame later.
+const wireVersion = 2
 
 // maxFrame bounds a single frame's payload (type+id+body). Larger lengths
 // are treated as corruption and close the connection.
@@ -69,7 +67,7 @@ const (
 	msgCheckpointResp
 )
 
-// ErrMalformedFrame is the sentinel for every binary-codec decode failure:
+// ErrMalformedFrame is the sentinel for every frame decode failure:
 // truncated frames, over-long lengths, unknown message types, trailing
 // garbage. Callers match it with errors.Is.
 var ErrMalformedFrame = errors.New("ipc: malformed binary frame")
@@ -172,12 +170,11 @@ func appendMsg(buf []byte, id uint64, body any) ([]byte, error) {
 		buf = appendInt(buf, m.Target)
 	case CheckpointReq:
 		buf = beginFrame(buf, msgCheckpointReq, id)
-		buf = appendString(buf, m.Codec)
 	case CheckpointResp:
 		buf = beginFrame(buf, msgCheckpointResp, id)
 		buf = appendBytes(buf, m.Data)
 	default:
-		return buf, fmt.Errorf("ipc: binary codec cannot encode %T", body)
+		return buf, fmt.Errorf("ipc: cannot encode %T", body)
 	}
 	return finishFrame(buf), nil
 }
@@ -231,7 +228,7 @@ func appendLaunchReq(buf []byte, id uint64, m LaunchReq) []byte {
 	return finishFrame(buf)
 }
 
-// appendHello encodes the binary hello: magic, version, VP id.
+// appendHello encodes the hello: magic, version, VP id.
 func appendHello(buf []byte, vp int) []byte {
 	buf = append(buf[:0], wireMagic, wireVersion)
 	return binary.AppendVarint(buf, int64(vp))
@@ -402,8 +399,7 @@ func decodeMsg(b []byte) (id uint64, body any, err error) {
 		m := MigrateReq{VP: rd.int(), Target: rd.int()}
 		return id, m, rd.done()
 	case msgCheckpointReq:
-		m := CheckpointReq{Codec: rd.string()}
-		return id, m, rd.done()
+		return id, CheckpointReq{}, rd.done()
 	case msgCheckpointResp:
 		m := CheckpointResp{Data: rd.bytesView()}
 		return id, m, rd.done()

@@ -16,7 +16,7 @@ import (
 	"repro/internal/kpl"
 )
 
-// wireMessages is one example of every body the binary codec can carry.
+// wireMessages is one example of every body the wire can carry.
 func wireMessages() []any {
 	return []any{
 		MallocReq{Size: 4096},
@@ -45,6 +45,10 @@ func wireMessages() []any {
 		OKResp{End: math.Inf(1)},
 		OverloadResp{},
 		OverloadResp{Msg: "payload too large", Backoff: -1, Retryable: false},
+		// Farm-admin frames.
+		MigrateReq{VP: 5, Target: 2},
+		CheckpointReq{},
+		CheckpointResp{Data: []byte{0xD6, 'C', 'K', 1, 1, 0}},
 	}
 }
 
@@ -235,7 +239,7 @@ func FuzzWireCodec(f *testing.F) {
 	})
 }
 
-// rawResponder is a minimal in-process binary-codec server used by the alloc
+// rawResponder is a minimal in-process server used by the alloc
 // pins: it answers every request from pre-encoded state without allocating,
 // so client-side AllocsPerRun measurements are not polluted by server-side
 // handler allocations.
@@ -289,7 +293,7 @@ func rawResponder(t *testing.T, l net.Listener) {
 	}()
 }
 
-// dialRaw connects a binary client to a rawResponder listener.
+// dialRaw connects a client to a rawResponder listener.
 func dialRaw(t *testing.T) (Client, func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"fmt"
 	"net"
 	"testing"
 
@@ -29,10 +28,9 @@ func benchEcho(vpID int, req any) any {
 }
 
 // BenchmarkIPCRoundtrip measures one guest H2D→launch→D2H cycle over
-// loopback TCP for each wire codec, serially (one call in flight) and
-// pipelined (many goroutines sharing one connection). The binary codec's
-// allocs/op is the zero-allocation contract; the gob/serial row is the
-// pre-optimization baseline.
+// loopback TCP, serially (one call in flight) and pipelined (many goroutines
+// sharing one connection). allocs/op is the zero-allocation contract.
+// BENCH_6.json keeps the figures of the retired gob stream it replaced.
 func BenchmarkIPCRoundtrip(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,38 +55,36 @@ func BenchmarkIPCRoundtrip(b *testing.B) {
 		return err
 	}
 
-	for _, codec := range []ipc.CodecKind{ipc.CodecGob, ipc.CodecBinary} {
-		c, err := ipc.DialWithOptions(srv.Addr().String(), 1, ipc.DialOptions{Codec: codec})
-		if err != nil {
-			b.Fatal(err)
+	c, err := ipc.Dial(srv.Addr().String(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := cycle(c); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.Run(fmt.Sprintf("%s/serial", codec), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+	})
+	b.Run("pipelined", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetParallelism(32)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
 				if err := cycle(c); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("%s/pipelined", codec), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetParallelism(32)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := cycle(c); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-		c.Close()
-	}
+	})
 }
 
 // BenchmarkRemoteFig11 is the remote-mode cousin of BenchmarkFig11: a fleet
 // of VPs drives real guest traffic (H2D → launch → D2H per iteration)
-// through the full TCP IPC stack into a live service, once per codec. It is
-// the end-to-end number the wire-protocol optimization is judged on.
+// through the full TCP IPC stack into a live service. It is the end-to-end
+// number a wire-protocol optimization is judged on.
 func BenchmarkRemoteFig11(b *testing.B) {
 	const vps = 4
 	const iters = 4
@@ -96,66 +92,62 @@ func BenchmarkRemoteFig11(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, codec := range []ipc.CodecKind{ipc.CodecGob, ipc.CodecBinary} {
-		b.Run(codec.String(), func(b *testing.B) {
-			svc := core.NewService(core.DefaultOptions())
-			l, err := net.Listen("tcp", "127.0.0.1:0")
+	svc := core.NewService(core.DefaultOptions())
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
+	defer srv.Close()
+
+	app := func(v *vp.VP) error {
+		defer v.Ctx.Close()
+		w := bench.MakeWorkload(1)
+		launch := bench.NewLaunch(w)
+		launch.Bindings = map[string]devmem.Ptr{}
+		for _, decl := range bench.Kernel.Bufs {
+			ptr, err := v.Ctx.Malloc(w.BufBytes[decl.Name])
+			if err != nil {
+				return err
+			}
+			launch.Bindings[decl.Name] = ptr
+		}
+		out := bench.Kernel.Bufs[len(bench.Kernel.Bufs)-1].Name
+		for it := 0; it < iters; it++ {
+			for name, data := range w.Inputs {
+				if err := v.Ctx.MemcpyH2D(launch.Bindings[name], data); err != nil {
+					return err
+				}
+			}
+			if err := v.Ctx.LaunchKernel(launch); err != nil {
+				return err
+			}
+			if _, err := v.Ctx.MemcpyD2H(launch.Bindings[out], int(w.BufBytes[out])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fleet := &vp.Fleet{}
+		clients := make([]ipc.Client, vps)
+		for id := 0; id < vps; id++ {
+			c, err := ipc.Dial(srv.Addr().String(), id)
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
-			defer srv.Close()
-
-			app := func(v *vp.VP) error {
-				defer v.Ctx.Close()
-				w := bench.MakeWorkload(1)
-				launch := bench.NewLaunch(w)
-				launch.Bindings = map[string]devmem.Ptr{}
-				for _, decl := range bench.Kernel.Bufs {
-					ptr, err := v.Ctx.Malloc(w.BufBytes[decl.Name])
-					if err != nil {
-						return err
-					}
-					launch.Bindings[decl.Name] = ptr
-				}
-				out := bench.Kernel.Bufs[len(bench.Kernel.Bufs)-1].Name
-				for it := 0; it < iters; it++ {
-					for name, data := range w.Inputs {
-						if err := v.Ctx.MemcpyH2D(launch.Bindings[name], data); err != nil {
-							return err
-						}
-					}
-					if err := v.Ctx.LaunchKernel(launch); err != nil {
-						return err
-					}
-					if _, err := v.Ctx.MemcpyD2H(launch.Bindings[out], int(w.BufBytes[out])); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fleet := &vp.Fleet{}
-				clients := make([]ipc.Client, vps)
-				for id := 0; id < vps; id++ {
-					c, err := ipc.DialWithOptions(srv.Addr().String(), id, ipc.DialOptions{Codec: codec})
-					if err != nil {
-						b.Fatal(err)
-					}
-					clients[id] = c
-					fleet.VPs = append(fleet.VPs,
-						vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, cudart.NewRemoteBackend(c))))
-				}
-				if err := fleet.Run(app); err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range clients {
-					c.Close()
-				}
-			}
-		})
+			clients[id] = c
+			fleet.VPs = append(fleet.VPs,
+				vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, cudart.NewRemoteBackend(c))))
+		}
+		if err := fleet.Run(app); err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range clients {
+			c.Close()
+		}
 	}
 	// Keep the harness pool warm-path in scope for -workers parity with the
 	// in-process Fig11 benchmark.
