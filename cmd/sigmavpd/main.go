@@ -3,21 +3,21 @@
 // manager) and multiplex this process's simulated host GPUs. Pair it with
 // `vpsim -connect <addr>`.
 //
-// With -gpus, the daemon serves a whole GPU farm through one listener: each
-// VP is assigned to a device by the -placement policy at its first request
-// (hello), invisibly to the client. -gpus takes either an integer count of
-// -arch devices ("-gpus 4") or a comma-separated preset list
-// ("-gpus quadro,k520").
+// The daemon has one shape: it always serves a GPU farm (core.MultiService)
+// through one listener, and each VP is assigned to a device by the -placement
+// policy at its first request (hello), invisibly to the client. -gpus sizes
+// the farm — an integer count of -arch devices ("-gpus 4") or a
+// comma-separated preset list ("-gpus quadro,k520"); unset, the farm has one
+// -arch device, exactly what "-gpus 1" serves.
 //
 // With -http, the daemon also serves an observability endpoint:
 //
-//	GET /metrics  — the service registry snapshot (counters, gauges,
-//	                histograms, per-job events) as deterministic JSON;
-//	                in multi-GPU mode, per-device families are namespaced
-//	                "gpu<i>." with unprefixed aggregates alongside
-//	GET /trace    — the engine timeline (records, span, per-engine
-//	                utilization) as JSON; in multi-GPU mode the merged view,
-//	                engines labeled "gpu<i>/<engine>"
+//	GET /metrics  — the farm snapshot (counters, gauges, histograms, per-job
+//	                events) as deterministic JSON: per-device families
+//	                namespaced "gpu<i>." with unprefixed aggregates alongside
+//	                (a one-device farm carries both, with equal values)
+//	GET /trace    — the merged engine timeline (records, span, per-engine
+//	                utilization) as JSON, engines labeled "gpu<i>/<engine>"
 //
 // Usage:
 //
@@ -37,13 +37,15 @@
 // Checkpoint/restore and live migration (DESIGN.md §15): -checkpoint-out
 // serializes every VP's device-side state (allocations, buffer bytes, stream
 // clocks) to a file during shutdown, and -restore replays such a file at
-// startup, so a daemon restart resumes its fleet where it left off. With
-// -gpus, -rebalance turns on the online rebalancer: a background loop that
-// live-migrates VPs from the hottest device to the coldest whenever the load
-// skew exceeds -rebalance-threshold, using the same load signals as the
-// least-loaded placement policy. Clients never observe a migration beyond
-// latency: guest pointers stay valid (rebased transparently if the target
-// arena cannot honour the original address) and in-flight jobs drain first.
+// startup, so a daemon restart resumes its fleet where it left off. On a farm
+// of two or more devices, -rebalance turns on the online rebalancer: a
+// background loop that live-migrates VPs from the hottest device to the
+// coldest whenever the load skew exceeds -rebalance-threshold, using the same
+// load signals as the least-loaded placement policy (a one-device farm has
+// nowhere to migrate, so -rebalance is refused there). Clients never observe
+// a migration beyond latency: guest pointers stay valid (rebased
+// transparently if the target arena cannot honour the original address) and
+// in-flight jobs drain first.
 package main
 
 import (
@@ -64,14 +66,13 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7075", "TCP listen address")
 	httpAddr := flag.String("http", "", "serve /metrics and /trace on this address (empty = disabled)")
 	archName := flag.String("arch", "quadro", "host GPU preset: quadro, k520, or tegra")
-	gpusFlag := flag.String("gpus", "", "serve multiple host GPUs: a device count (of -arch) or a comma-separated preset list; empty = single device")
+	gpusFlag := flag.String("gpus", "1", "host GPUs to serve: a device count (of -arch) or a comma-separated preset list (empty = 1)")
 	placementName := flag.String("placement", "round-robin", "multi-GPU placement policy: round-robin, least-loaded, or mem-aware")
 	baseline := flag.Bool("baseline", false, "disable the optimizations (serialized dispatch)")
 	pipeline := flag.Bool("pipeline", true, "per-device execution pipelines: devices simulate concurrently in wall clock (off = synchronous dispatch, for bisection)")
@@ -84,17 +85,12 @@ func main() {
 	rate := flag.Float64("rate", 0, "per-VP sustained submission rate limit in jobs/second (0 = unlimited)")
 	burst := flag.Int("burst", 0, "token-bucket burst for -rate (0 = derived from the rate)")
 	fair := flag.Int("fair", 0, "fair-dequeue share: max jobs one VP contributes per dispatched batch (0 = unlimited)")
-	rebalance := flag.Bool("rebalance", false, "multi-GPU only: run the online rebalancer, live-migrating VPs between devices when load skew exceeds the threshold")
+	rebalance := flag.Bool("rebalance", false, "two or more GPUs only: run the online rebalancer, live-migrating VPs between devices when load skew exceeds the threshold")
 	rebalanceInterval := flag.Duration("rebalance-interval", core.DefaultRebalanceInterval, "period of the online rebalancer loop")
 	rebalanceThreshold := flag.Float64("rebalance-threshold", core.DefaultRebalanceThreshold, "hot/cold load-score ratio that triggers a migration")
 	restorePath := flag.String("restore", "", "restore device-side VP state from this checkpoint file at startup")
 	checkpointOut := flag.String("checkpoint-out", "", "write a checkpoint of device-side VP state to this file on shutdown")
 	flag.Parse()
-
-	if *rebalance && *gpusFlag == "" {
-		fmt.Fprintln(os.Stderr, "sigmavpd: -rebalance requires -gpus (a single device has nowhere to migrate)")
-		os.Exit(2)
-	}
 
 	opts := core.DefaultOptions()
 	hostArch, err := arch.Preset(*archName)
@@ -122,73 +118,37 @@ func main() {
 	}
 	opts.FairShare = *fair
 
-	// Both serving shapes collapse onto one ipc.Endpoint plus snapshot and
-	// trace accessors; everything below this block is shape-agnostic.
-	var (
-		ep        ipc.Endpoint
-		snap      func() metrics.Snapshot
-		execSnap  func() metrics.Snapshot
-		admSnap   func() metrics.Snapshot
-		migSnap   func() metrics.Snapshot
-		traceOf   func() *trace.Log
-		syncOf    func() float64
-		closer    func()
-		banner    string
-		ckptOf    func() (*core.Checkpoint, error)
-		restoreFn func(*core.Checkpoint) error
-		stopReb   = func() {}
-	)
-	if *gpusFlag == "" {
-		svc := core.NewService(opts)
-		ep = svc
-		snap = svc.Snapshot
-		execSnap = func() metrics.Snapshot { return svc.ExecMetrics().Snapshot() }
-		admSnap = func() metrics.Snapshot { return svc.AdmissionMetrics().Snapshot() }
-		migSnap = func() metrics.Snapshot { return metrics.Snapshot{} }
-		traceOf = svc.Trace
-		syncOf = svc.Sync
-		closer = svc.Close
-		banner = opts.Arch.Name
-		ckptOf = svc.CheckpointAll
-		restoreFn = svc.RestoreAll
-	} else {
-		gpus, err := parseGPUs(*gpusFlag, hostArch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigmavpd: -gpus: %v\n", err)
-			os.Exit(2)
-		}
-		placement, err := core.ParsePlacement(*placementName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigmavpd: -placement: %v\n", err)
-			os.Exit(2)
-		}
-		ms, err := core.NewMultiServicePlaced(opts, gpus, placement)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigmavpd: %v\n", err)
-			os.Exit(2)
-		}
-		ep = ms
-		snap = ms.Snapshot
-		execSnap = ms.ExecSnapshot
-		admSnap = ms.AdmissionSnapshot
-		migSnap = ms.MigrationSnapshot
-		traceOf = ms.MergedTrace
-		syncOf = ms.Sync
-		closer = ms.Close
-		names := make([]string, len(gpus))
-		for i, g := range gpus {
-			names[i] = g.Name
-		}
-		banner = fmt.Sprintf("%d GPUs [%s], %s placement", len(gpus), strings.Join(names, ", "), placement)
-		ckptOf = ms.Checkpoint
-		restoreFn = ms.Restore
-		if *rebalance {
-			stopReb = ms.StartRebalancer(core.RebalanceOptions{
-				Threshold: *rebalanceThreshold,
-				Interval:  *rebalanceInterval,
-			})
-			banner += fmt.Sprintf(", rebalance every %v (threshold %.2g)", *rebalanceInterval, *rebalanceThreshold)
-		}
+	gpus, err := parseGPUs(*gpusFlag, hostArch)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sigmavpd: -gpus: %v\n", err)
+		os.Exit(2)
+	}
+	if *rebalance && len(gpus) < 2 {
+		fmt.Fprintln(os.Stderr, "sigmavpd: -rebalance requires two or more GPUs (a single device has nowhere to migrate)")
+		os.Exit(2)
+	}
+	placement, err := core.ParsePlacement(*placementName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sigmavpd: -placement: %v\n", err)
+		os.Exit(2)
+	}
+	ms, err := core.NewMultiServicePlaced(opts, gpus, placement)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sigmavpd: %v\n", err)
+		os.Exit(2)
+	}
+	names := make([]string, len(gpus))
+	for i, g := range gpus {
+		names[i] = g.Name
+	}
+	banner := fmt.Sprintf("%d GPUs [%s], %s placement", len(gpus), strings.Join(names, ", "), placement)
+	stopReb := func() {}
+	if *rebalance {
+		stopReb = ms.StartRebalancer(core.RebalanceOptions{
+			Threshold: *rebalanceThreshold,
+			Interval:  *rebalanceInterval,
+		})
+		banner += fmt.Sprintf(", rebalance every %v (threshold %.2g)", *rebalanceInterval, *rebalanceThreshold)
 	}
 
 	if *restorePath != "" {
@@ -197,7 +157,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sigmavpd: -restore: %v\n", err)
 			os.Exit(1)
 		}
-		if err := restoreFn(ck); err != nil {
+		if err := ms.Restore(ck); err != nil {
 			fmt.Fprintf(os.Stderr, "sigmavpd: -restore: %v\n", err)
 			os.Exit(1)
 		}
@@ -212,20 +172,12 @@ func main() {
 	// ServeEndpoint wires DisconnectVP (not UnregisterVP) as the disconnect
 	// hook: a VP whose connection dies mid-batch has its orphaned jobs
 	// cancelled instead of wedging the batching predicate.
-	srv := ipc.ServeEndpoint(l, ep)
+	srv := ipc.ServeEndpoint(l, ms)
 	// Transport counters live in their own registry (the simulated-work
 	// snapshot must not vary with reconnect noise) and are merged
 	// into the served and final snapshots.
 	transport := metrics.New()
 	srv.SetMetrics(transport)
-	// The served snapshot also carries the executor-health counters
-	// (core.exec.* queue depth, batches, enqueue stalls) and the admission
-	// counters (core.admission.* admitted/shed/throttled, reservation
-	// gauges), so farm saturation and shedding are observable remotely; like
-	// the transport counters they live outside the simulated-work registry.
-	fullSnap := func() metrics.Snapshot {
-		return metrics.MergeSnapshots(snap(), execSnap(), admSnap(), migSnap(), transport.Snapshot())
-	}
 	fmt.Printf("sigmavpd: serving %s on %s (optimizations %v)\n", banner, srv.Addr(), !*baseline)
 
 	var obs *http.Server
@@ -235,7 +187,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sigmavpd: -http:", err)
 			os.Exit(1)
 		}
-		obs = &http.Server{Handler: buildMux(fullSnap, traceOf)}
+		obs = &http.Server{Handler: buildMux(ms, transport)}
 		go obs.Serve(hl)
 		fmt.Printf("sigmavpd: observability on http://%s (/metrics, /trace)\n", hl.Addr())
 	}
@@ -244,30 +196,32 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Printf("sigmavpd: %v: draining (grace %v)\n", s, *grace)
-	var saveCkpt func() error
-	if *checkpointOut != "" {
-		saveCkpt = func() error {
-			ck, err := ckptOf()
-			if err != nil {
-				return err
-			}
-			if err := core.SaveCheckpoint(*checkpointOut, ck); err != nil {
-				return err
-			}
-			fmt.Printf("sigmavpd: checkpointed %d VPs to %s\n", len(ck.VPs), *checkpointOut)
-			return nil
-		}
-	}
-	if err := shutdown(srv, obs, stopReb, saveCkpt, closer, fullSnap, *grace, *metricsOut); err != nil {
+	if err := shutdown(srv, obs, ms, transport, stopReb, *grace, *checkpointOut, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "sigmavpd: shutdown:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("sigmavpd: shut down; simulated device time %.3f ms\n", syncOf()*1e3)
+	fmt.Printf("sigmavpd: shut down; simulated device time %.3f ms\n", ms.Sync()*1e3)
+}
+
+// fullSnapshot is the snapshot /metrics serves and -metrics-out writes: the
+// simulated-work view plus the wall-clock registries kept outside it — the
+// executor-health counters (core.exec.* queue depth, batches, enqueue
+// stalls), the admission counters (core.admission.* admitted/shed/throttled,
+// reservation gauges), the migration counters and the transport counters —
+// so farm saturation and shedding are observable remotely.
+func fullSnapshot(ms *core.MultiService, transport *metrics.Registry) metrics.Snapshot {
+	return metrics.MergeSnapshots(ms.Snapshot(), ms.ExecSnapshot(), ms.AdmissionSnapshot(),
+		ms.MigrationSnapshot(), transport.Snapshot())
 }
 
 // parseGPUs decodes the -gpus flag: an integer replicates the -arch device,
-// a comma-separated list names presets per device.
+// a comma-separated list names presets per device. An empty spec reads as
+// "1": `-gpus ""` was the single-device spelling while the flag's default was
+// empty, and wrapper scripts pass `-gpus "$GPUS"`.
 func parseGPUs(spec string, def arch.GPU) ([]arch.GPU, error) {
+	if spec == "" {
+		spec = "1"
+	}
 	if n, err := strconv.Atoi(spec); err == nil {
 		if n < 1 {
 			return nil, fmt.Errorf("device count %d < 1", n)
@@ -295,7 +249,7 @@ func parseGPUs(spec string, def arch.GPU) ([]arch.GPU, error) {
 // snapshot flushed. Before this sequence existed the daemon died mid-frame
 // on SIGINT, which clients observed as a decode error instead of a clean
 // disconnect.
-func shutdown(srv *ipc.Server, obs *http.Server, stopReb func(), saveCkpt func() error, closer func(), snap func() metrics.Snapshot, grace time.Duration, metricsOut string) error {
+func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, transport *metrics.Registry, stopReb func(), grace time.Duration, checkpointOut, metricsOut string) error {
 	if obs != nil {
 		obs.Close()
 	}
@@ -308,18 +262,23 @@ func shutdown(srv *ipc.Server, obs *http.Server, stopReb func(), saveCkpt func()
 	// Checkpoint after the last request drains (the device-side state is
 	// final) but before the pipelines stop, since the checkpoint itself
 	// flushes through them.
-	if saveCkpt != nil {
-		if err := saveCkpt(); err != nil {
+	if checkpointOut != "" {
+		ck, err := ms.Checkpoint()
+		if err != nil {
 			return err
 		}
+		if err := core.SaveCheckpoint(checkpointOut, ck); err != nil {
+			return err
+		}
+		fmt.Printf("sigmavpd: checkpointed %d VPs to %s\n", len(ck.VPs), checkpointOut)
 	}
 	// Stop the execution pipelines after the last request drains, before the
 	// final snapshot, so every batch's accounting is in it.
-	closer()
+	ms.Close()
 	if metricsOut == "" {
 		return nil
 	}
-	data, err := snap().JSON()
+	data, err := fullSnapshot(ms, transport).JSON()
 	if err != nil {
 		return err
 	}
@@ -342,12 +301,12 @@ type traceRecord struct {
 	End    float64 `json:"end"`
 }
 
-// buildMux wires the observability endpoints over snapshot and trace
-// accessors, so single- and multi-device daemons serve the same API.
-func buildMux(snap func() metrics.Snapshot, traceOf func() *trace.Log) *http.ServeMux {
+// buildMux wires the observability endpoints over the farm and the
+// transport registry.
+func buildMux(ms *core.MultiService, transport *metrics.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		data, err := snap().JSON()
+		data, err := fullSnapshot(ms, transport).JSON()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -356,7 +315,7 @@ func buildMux(snap func() metrics.Snapshot, traceOf func() *trace.Log) *http.Ser
 		w.Write(append(data, '\n'))
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		tl := traceOf()
+		tl := ms.MergedTrace()
 		if tl == nil {
 			http.Error(w, "trace disabled", http.StatusNotFound)
 			return

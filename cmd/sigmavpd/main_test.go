@@ -16,17 +16,39 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestGracefulShutdown drives a real TCP round-trip, then shuts the daemon
-// down and checks the final metrics snapshot lands on disk and reflects the
-// drained traffic.
-func TestGracefulShutdown(t *testing.T) {
-	svc := core.NewService(core.DefaultOptions())
+// testDaemon builds what main builds for `-gpus spec`: the farm, and — when
+// serve is set — its listener on loopback with the transport registry
+// attached.
+func testDaemon(t *testing.T, opts core.Options, spec string, serve bool) (*core.MultiService, *ipc.Server, *metrics.Registry) {
+	t.Helper()
+	gpus, err := parseGPUs(spec, arch.Quadro4000())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := core.NewMultiServicePlaced(opts, gpus, core.PlaceRoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ms.Close)
+	transport := metrics.New()
+	if !serve {
+		return ms, nil, transport
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
-	srv.SetMetrics(svc.Metrics())
+	srv := ipc.ServeEndpoint(l, ms)
+	srv.SetMetrics(transport)
+	t.Cleanup(func() { srv.Close() })
+	return ms, srv, transport
+}
+
+// TestGracefulShutdown drives a real TCP round-trip through the default
+// daemon shape (a one-device farm), then shuts the daemon down and checks the
+// final metrics snapshot lands on disk and reflects the drained traffic.
+func TestGracefulShutdown(t *testing.T) {
+	ms, srv, transport := testDaemon(t, core.DefaultOptions(), "1", true)
 
 	c, err := ipc.Dial(srv.Addr().String(), 1)
 	if err != nil {
@@ -43,8 +65,7 @@ func TestGracefulShutdown(t *testing.T) {
 	c.Close()
 
 	out := filepath.Join(t.TempDir(), "metrics.json")
-	snapFn := func() metrics.Snapshot { return svc.Metrics().Snapshot() }
-	if err := shutdown(srv, nil, func() {}, nil, svc.Close, snapFn, 2*time.Second, out); err != nil {
+	if err := shutdown(srv, nil, ms, transport, func() {}, 2*time.Second, "", out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,21 +85,25 @@ func TestGracefulShutdown(t *testing.T) {
 	if snap.CounterValue("core.jobs_submitted") == 0 {
 		t.Fatal("final snapshot shows no submitted jobs")
 	}
+	if agg, g0 := snap.CounterValue("core.jobs_submitted"), snap.CounterValue("gpu0.core.jobs_submitted"); agg != g0 {
+		t.Fatalf("one-device farm: aggregate %d != gpu0 %d", agg, g0)
+	}
 	if snap.CounterValue("ipc.server.requests") == 0 {
 		t.Fatal("final snapshot shows no served requests")
 	}
 }
 
-// TestObservabilityEndpoints drives a service through the pipe transport and
-// checks /metrics and /trace return well-formed JSON reflecting the traffic.
+// TestObservabilityEndpoints drives the default one-device farm through the
+// pipe transport and checks /metrics and /trace return well-formed JSON
+// reflecting the traffic, in the farm's namespacing.
 func TestObservabilityEndpoints(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Trace = true
-	svc := core.NewService(opts)
-	mux := buildMux(func() metrics.Snapshot { return svc.Metrics().Snapshot() }, svc.Trace)
+	ms, _, transport := testDaemon(t, opts, "1", false)
+	mux := buildMux(ms, transport)
 
-	svc.RegisterVP(1)
-	c := ipc.Pipe(1, svc.Handle)
+	ms.RegisterVP(1)
+	c := ipc.Pipe(1, ms.Handle)
 	resp, err := c.Call(ipc.MallocReq{Size: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +115,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if _, err := c.Call(ipc.SyncReq{}); err != nil {
 		t.Fatal(err)
 	}
-	svc.UnregisterVP(1)
+	ms.UnregisterVP(1)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -120,6 +145,11 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if len(view.Records) == 0 {
 		t.Fatal("/trace shows no records after an H2D copy")
 	}
+	for _, r := range view.Records {
+		if !strings.HasPrefix(r.Engine, "gpu0/") {
+			t.Fatalf("trace record engine %q not labeled gpu0/", r.Engine)
+		}
+	}
 	for eng, u := range view.Utilization {
 		if u < 0 || u > 1+1e-12 {
 			t.Fatalf("utilization[%s] = %v out of range", eng, u)
@@ -133,6 +163,10 @@ func TestParseGPUs(t *testing.T) {
 	gpus, err := parseGPUs("3", def)
 	if err != nil || len(gpus) != 3 || gpus[2].Name != def.Name {
 		t.Fatalf("parseGPUs(3) = %v, %v", gpus, err)
+	}
+	gpus, err = parseGPUs("", def)
+	if err != nil || len(gpus) != 1 || gpus[0].Name != def.Name {
+		t.Fatalf("parseGPUs(\"\") = %v, %v, want the one -arch device", gpus, err)
 	}
 	gpus, err = parseGPUs("quadro, k520", def)
 	if err != nil || len(gpus) != 2 || gpus[0].Name == gpus[1].Name {
@@ -153,25 +187,8 @@ func TestParseGPUs(t *testing.T) {
 func TestMultiGPUDaemon(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Trace = true
-	gpus, err := parseGPUs("2", arch.Quadro4000())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := core.NewMultiServicePlaced(opts, gpus, core.PlaceRoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ipc.ServeEndpoint(l, ms)
-	transport := metrics.New()
-	srv.SetMetrics(transport)
-	fullSnap := func() metrics.Snapshot {
-		return metrics.MergeSnapshots(ms.Snapshot(), ms.ExecSnapshot(), transport.Snapshot())
-	}
-	mux := buildMux(fullSnap, ms.MergedTrace)
+	ms, srv, transport := testDaemon(t, opts, "2", true)
+	mux := buildMux(ms, transport)
 
 	for vp := 1; vp <= 2; vp++ {
 		c, err := ipc.Dial(srv.Addr().String(), vp)
@@ -238,7 +255,7 @@ func TestMultiGPUDaemon(t *testing.T) {
 	}
 
 	out := filepath.Join(t.TempDir(), "metrics.json")
-	if err := shutdown(srv, nil, func() {}, nil, ms.Close, fullSnap, 2*time.Second, out); err != nil {
+	if err := shutdown(srv, nil, ms, transport, func() {}, 2*time.Second, "", out); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
@@ -256,26 +273,13 @@ func TestDaemonAdmissionFlags(t *testing.T) {
 	// What `sigmavpd -max-queued 4 -max-queued-bytes 16 -fair 2` would set.
 	opts.Admission = core.AdmissionOptions{MaxQueuedJobs: 4, MaxQueuedBytes: 16}
 	opts.FairShare = 2
-	svc := core.NewService(opts)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
-	transport := metrics.New()
-	srv.SetMetrics(transport)
-	fullSnap := func() metrics.Snapshot {
-		return metrics.MergeSnapshots(svc.Snapshot(),
-			svc.ExecMetrics().Snapshot(), svc.AdmissionMetrics().Snapshot(),
-			transport.Snapshot())
-	}
-	mux := buildMux(fullSnap, svc.Trace)
+	ms, srv, transport := testDaemon(t, opts, "1", true)
+	mux := buildMux(ms, transport)
 
 	c, err := ipc.Dial(srv.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	resp, err := c.Call(ipc.MallocReq{Size: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -316,15 +320,17 @@ func TestDaemonAdmissionFlags(t *testing.T) {
 		t.Fatal("merged snapshot missing admission admitted counter")
 	}
 
-	if err := shutdown(srv, nil, func() {}, nil, svc.Close, fullSnap, 2*time.Second, ""); err != nil {
+	// Hang up first: an open connection would hold shutdown for the grace.
+	c.Close()
+	if err := shutdown(srv, nil, ms, transport, func() {}, 2*time.Second, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestTraceDisabled checks /trace 404s when the recorder is off.
 func TestTraceDisabled(t *testing.T) {
-	svc := core.NewService(core.DefaultOptions())
-	mux := buildMux(func() metrics.Snapshot { return svc.Metrics().Snapshot() }, svc.Trace)
+	ms, _, transport := testDaemon(t, core.DefaultOptions(), "1", false)
+	mux := buildMux(ms, transport)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
 	if rec.Code != 404 {

@@ -322,36 +322,6 @@ func (s *Service) evictVP(vp int) {
 	}
 }
 
-// CheckpointAll captures every tracked VP of a single-device service as a
-// one-device Checkpoint (the daemon's single-GPU shape). It flushes and
-// drains first; for a globally consistent image, quiesce guests before
-// calling (the daemon checkpoints during shutdown, after serving stopped).
-func (s *Service) CheckpointAll() (*Checkpoint, error) {
-	s.Flush()
-	ck := &Checkpoint{Devices: 1}
-	for _, vp := range s.TrackedVPs() {
-		v, err := s.CheckpointVP(vp, 0)
-		if err != nil {
-			return nil, err
-		}
-		ck.VPs = append(ck.VPs, v)
-	}
-	return ck, nil
-}
-
-// RestoreAll replays a one-device Checkpoint into a single-device service.
-func (s *Service) RestoreAll(ck *Checkpoint) error {
-	if ck.Devices != 1 {
-		return fmt.Errorf("core: restore: checkpoint is for %d devices, service has 1", ck.Devices)
-	}
-	for _, v := range ck.VPs {
-		if _, err := s.RestoreVP(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Checkpoint is a serialized image of a farm's device-side state: one
 // VPCheckpoint per VP, each remembering its device. Encode/DecodeCheckpoint
 // move it to and from its one binary representation, and

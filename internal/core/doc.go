@@ -4,22 +4,30 @@
 // and the VP Control logic that batches requests while VPs are stopped at
 // synchronous invocations.
 //
-// # Single device
+// # The device layer
 //
 // Service multiplexes one simulated host GPU among its registered VPs.
 // Requests arrive through Handle (the ipc.Handler contract); submissions
 // queue until every registered VP is parked at a synchronous point — the VP
 // Control mechanism of paper Fig. 4b — then the accumulated batch is
-// re-scheduled and dispatched. Admission gates (admission.go) bound the
-// queue per VP, per device, and per farm, shedding excess with typed,
-// retryable overload responses instead of queueing without limit.
+// re-scheduled and dispatched. Every batch, served or raw, takes one route:
+// runBatch → executor.submit → dispatch. The executor runs the batch on its
+// own goroutine (Options.Pipeline, overlapping guest submission with device
+// simulation) or inline on the submitter (Pipeline off, or after Close) —
+// two states of one path with byte-identical simulated results. Admission
+// gates (admission.go) bound the queue per VP, per device, and per farm,
+// shedding excess with typed, retryable overload responses instead of
+// queueing without limit.
 //
-// # Multi-device farms
+// # The farm: the one served shape
 //
-// MultiService serves a fleet of VPs across several devices behind one
-// Handle surface. Placement policies (round-robin, least-loaded, mem-aware)
-// assign a VP to a device at registration; per-device executors overlap
-// guest submission with device simulation.
+// MultiService serves a fleet of VPs across one or more devices behind one
+// Handle surface, and is what every daemon serves: a single device is a
+// farm of one (sigmavpd without -gpus). Placement policies (round-robin,
+// least-loaded, mem-aware) assign a VP to a device at registration. The
+// farm-admin requests (CheckpointReq, MigrateReq) are answered here, before
+// routing; Service.Handle knows only device work. In-process harnesses,
+// vpsim and the benchmark module still build a bare Service directly.
 //
 // # Checkpoint, restore, and live migration
 //

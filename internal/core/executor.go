@@ -19,34 +19,40 @@ const ExecQueueDepth = 4
 // execBatch is one unit of work handed to a Service's execution pipeline.
 type execBatch struct {
 	jobs []*sched.Job
-	// raw selects the experiments' externally-assembled path (plan + run,
-	// no service accounting) instead of the full dispatch.
-	raw bool
+	// rec receives the batch's lifecycle accounting: the service registry for
+	// served batches, nil for the experiments' externally-assembled ones
+	// (plan + run only).
+	rec *metrics.Registry
 	// done is closed once the batch has fully retired: every job ran and all
 	// dispatch accounting landed in the registry.
 	done chan struct{}
 }
 
-// executor is a Service's execution pipeline: one goroutine that consumes
-// drained batches from a bounded queue and runs them against the device
-// model. It is what lets guest submission overlap device simulation, and
-// what lets an N-device MultiService simulate N devices concurrently in wall
-// clock — each device's simulated clock, metrics registry, and trace log are
-// private to its executor goroutine, so no cross-device synchronization is
-// needed until a merge point (Sync/Snapshot/Traces) drains the pipelines.
+// executor is a Service's execution pipeline. Pipelined, it is one goroutine
+// that consumes drained batches from a bounded queue and runs them against
+// the device model; inline (Options.Pipeline off, or after close) it has no
+// goroutine and submit runs the batch on the caller — the synchronous mode is
+// a state of the one path, not a second path. The goroutine is what lets
+// guest submission overlap device simulation, and what lets an N-device
+// MultiService simulate N devices concurrently in wall clock — each device's
+// simulated clock, metrics registry, and trace log are private to its
+// executor goroutine, so no cross-device synchronization is needed until a
+// merge point (Sync/Snapshot/Traces) drains the pipelines.
 //
 // Health counters (queue depth, batches, enqueue stalls) go to their own
 // registry, NOT the service's simulated-work registry: executor load is a
 // wall-clock property of the host, and keeping it separate is what keeps
 // pipeline-on and pipeline-off snapshots byte-identical.
 type executor struct {
-	ch chan execBatch
+	s       *Service
+	ch      chan execBatch
+	stopped chan struct{} // closed when the goroutine has exited
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	inflight  int // batches enqueued (or pending enqueue) but not yet retired
-	highWater int // max inflight ever seen
-	closed    bool
+	inflight  int  // batches enqueued (or pending enqueue) but not yet retired
+	highWater int  // max inflight ever seen
+	inline    bool // no goroutine: submit runs batches on the caller
 
 	reg *metrics.Registry
 }
@@ -63,25 +69,26 @@ func (e *executor) setDepth() {
 	}
 }
 
-// newExecutor starts a service's pipeline goroutine.
-func newExecutor(s *Service, reg *metrics.Registry) *executor {
-	e := &executor{ch: make(chan execBatch, ExecQueueDepth), reg: reg}
+// newExecutor builds a service's execution pipeline, starting its goroutine
+// only when pipelined.
+func newExecutor(s *Service, reg *metrics.Registry, pipelined bool) *executor {
+	e := &executor{s: s, reg: reg, inline: !pipelined}
 	e.cond = sync.NewCond(&e.mu)
-	go e.run(s)
+	if pipelined {
+		e.ch = make(chan execBatch, ExecQueueDepth)
+		e.stopped = make(chan struct{})
+		go e.run()
+	}
 	return e
 }
 
 // run is the executor goroutine: it owns every touch of the service's device
-// model, so batches execute exactly as the synchronous path would — same
-// order, same coalescing, same planner state — just off the submitter's
-// goroutine.
-func (e *executor) run(s *Service) {
+// model, so batches execute exactly as they do inline — same order, same
+// coalescing, same planner state — just off the submitter's goroutine.
+func (e *executor) run() {
+	defer close(e.stopped)
 	for b := range e.ch {
-		if b.raw {
-			s.runRaw(b.jobs)
-		} else {
-			s.dispatch(b.jobs)
-		}
+		e.s.dispatch(b.jobs, b.rec)
 		e.mu.Lock()
 		e.inflight--
 		e.setDepth()
@@ -93,16 +100,18 @@ func (e *executor) run(s *Service) {
 	}
 }
 
-// enqueue hands a batch to the pipeline, blocking for backpressure when the
-// bounded queue is full. It returns false — without having enqueued — when
-// the executor is closed; the caller must then dispatch synchronously.
-// Callers serialize through Service.dispatchMu, which preserves the
-// drain-order = execution-order invariant.
-func (e *executor) enqueue(b execBatch) bool {
+// submit runs a batch: inline on the caller's goroutine, or handed to the
+// pipeline goroutine, blocking for backpressure when the bounded queue is
+// full. Inline batches touch no health counter — there is no queue to be
+// healthy. Callers serialize through Service.dispatchMu, which preserves the
+// drain-order = execution-order invariant in both states.
+func (e *executor) submit(b execBatch) {
 	e.mu.Lock()
-	if e.closed {
+	if e.inline {
 		e.mu.Unlock()
-		return false
+		e.s.dispatch(b.jobs, b.rec)
+		close(b.done)
+		return
 	}
 	// Count the batch before the channel send: a drain must not slip past a
 	// batch that is accepted but still waiting for a queue slot. The depth
@@ -123,7 +132,6 @@ func (e *executor) enqueue(b execBatch) bool {
 		e.ch <- b
 		e.reg.Counter("core.exec.stall_wait_ns").Add(time.Since(start).Nanoseconds())
 	}
-	return true
 }
 
 // drain blocks until every batch enqueued so far has fully retired — the
@@ -136,16 +144,20 @@ func (e *executor) drain() {
 	e.mu.Unlock()
 }
 
-// close drains the pipeline and stops the goroutine. Further enqueues are
-// refused (the service falls back to synchronous dispatch). Idempotent.
+// close drains the pipeline, stops the goroutine and waits for it to exit;
+// the executor is inline from then on. Idempotent, and a no-op on an
+// executor that was never pipelined.
 func (e *executor) close() {
 	e.mu.Lock()
 	for e.inflight > 0 {
 		e.cond.Wait()
 	}
-	if !e.closed {
-		e.closed = true
-		close(e.ch)
+	if e.inline {
+		e.mu.Unlock()
+		return
 	}
+	e.inline = true
+	close(e.ch)
 	e.mu.Unlock()
+	<-e.stopped
 }

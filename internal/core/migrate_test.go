@@ -270,8 +270,8 @@ func TestRestoreCollision(t *testing.T) {
 }
 
 // TestMigrateAdminIPC drives the farm-admin requests end to end through
-// Handle: MigrateReq moves the VP, CheckpointReq returns a decodable image,
-// and a single-device Service refuses MigrateReq with a typed error.
+// Handle: MigrateReq moves the VP and CheckpointReq returns a decodable image.
+// (A one-device farm's answers are pinned by TestOneDeviceFarmAdmin.)
 func TestMigrateAdminIPC(t *testing.T) {
 	m := migTestFarm(t, 2)
 	m.RegisterVP(0)
@@ -302,15 +302,6 @@ func TestMigrateAdminIPC(t *testing.T) {
 	}
 	if len(ck.VPs) != 1 || ck.VPs[0].Device != 1 {
 		t.Fatalf("CheckpointReq: unexpected image %+v", ck)
-	}
-
-	s := NewService(DefaultOptions())
-	defer s.Close()
-	if _, ok := s.Handle(0, ipc.MigrateReq{VP: 0, Target: 1}).(ipc.ErrResp); !ok {
-		t.Fatal("single-device MigrateReq did not return an error")
-	}
-	if _, ok := s.Handle(0, ipc.CheckpointReq{}).(ipc.CheckpointResp); !ok {
-		t.Fatal("single-device CheckpointReq did not return a checkpoint")
 	}
 }
 

@@ -50,13 +50,13 @@ type Options struct {
 	// a fresh registry, available via Service.Metrics().
 	Metrics *metrics.Registry
 
-	// Pipeline gives the service its own execution pipeline: drained batches
-	// are enqueued to a per-device executor goroutine instead of running on
-	// the submitter's goroutine, so guest submission overlaps device
-	// simulation and an N-device farm simulates N devices concurrently in
-	// wall clock. Simulated results (makespans, metrics, traces, D2H bytes)
-	// are identical either way; off restores the synchronous path for
-	// bisection.
+	// Pipeline starts the service's executor goroutine: drained batches are
+	// enqueued to it instead of running on the submitter's goroutine, so
+	// guest submission overlaps device simulation and an N-device farm
+	// simulates N devices concurrently in wall clock. Off, the same executor
+	// runs each batch inline on the submitter — the synchronous reference for
+	// bisection. Simulated results (makespans, metrics, traces, D2H bytes)
+	// are identical either way.
 	Pipeline bool
 
 	// Admission bounds what guests may keep in flight (per-VP/device/farm
@@ -108,13 +108,13 @@ type Service struct {
 	vps   map[int]*vpState // every VP seen; shards survive reconnects
 	order []int            // sorted ids of registered VPs (snapshot order)
 
-	// dispatchMu serializes batch drain + enqueue (or drain + dispatch with
-	// the pipeline off). Without it, two goroutines can both observe the
-	// all-stopped predicate, drain separate batches, and interleave their
-	// jobs' Run calls, breaking per-(VP,stream) ordering on the device.
+	// dispatchMu serializes batch drain + submit to the executor. Without it,
+	// two goroutines can both observe the all-stopped predicate, drain
+	// separate batches, and interleave their jobs' Run calls, breaking
+	// per-(VP,stream) ordering on the device.
 	dispatchMu sync.Mutex
 
-	// exec is the device's execution pipeline (nil with Options.Pipeline
+	// exec is the device's execution pipeline (inline with Options.Pipeline
 	// off); execReg holds its wall-clock health counters, deliberately
 	// separate from the simulated-work registry so pipelined and synchronous
 	// runs snapshot byte-identically.
@@ -208,9 +208,7 @@ func NewService(opts Options) *Service {
 	if opts.EstimateTarget != nil {
 		s.Estimator = NewEstimation(*opts.EstimateTarget)
 	}
-	if opts.Pipeline {
-		s.exec = newExecutor(s, s.execReg)
-	}
+	s.exec = newExecutor(s, s.execReg, opts.Pipeline)
 	return s
 }
 
@@ -346,60 +344,45 @@ func (s *Service) allStopped() bool {
 	return true
 }
 
-// maybeDispatch drains the queue into the execution pipeline when every
-// active VP is stopped (or none are registered) and work is pending. The
-// whole drain-and-enqueue sequence holds dispatchMu so concurrent callers
-// cannot interleave two batches (drain order is execution order).
-func (s *Service) maybeDispatch() {
+// feed drains the queue into the execution pipeline, batch by batch, while
+// work is pending and — unless force is set — every active VP is stopped (or
+// none are registered). The whole drain-and-submit sequence holds dispatchMu
+// so concurrent callers cannot interleave two batches (drain order is
+// execution order).
+func (s *Service) feed(force bool) {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
-	for {
-		if !s.allStopped() || s.queue.Len() == 0 {
-			return
-		}
-		s.runBatch(s.queue.DrainBatch(), false)
+	for s.queue.Len() > 0 && (force || s.allStopped()) {
+		s.runBatch(s.queue.DrainBatch(), s.metrics)
 	}
 }
+
+// maybeDispatch feeds the pipeline if VP Control allows it: every active VP
+// is parked at a synchronous point.
+func (s *Service) maybeDispatch() { s.feed(false) }
 
 // FlushAsync feeds everything pending into the execution pipeline regardless
 // of VP states, without waiting for it to retire. MultiService uses it to
 // start all devices before draining any, so a farm flush overlaps the
 // devices' simulations in wall clock.
-func (s *Service) FlushAsync() {
-	s.dispatchMu.Lock()
-	defer s.dispatchMu.Unlock()
-	for {
-		batch := s.queue.DrainBatch()
-		if len(batch) == 0 {
-			return
-		}
-		s.runBatch(batch, false)
-	}
-}
+func (s *Service) FlushAsync() { s.feed(true) }
 
 // Flush dispatches everything pending regardless of VP states and waits for
-// it to retire, like the synchronous path always did.
+// it to retire.
 func (s *Service) Flush() {
 	s.FlushAsync()
 	s.Drain()
 }
 
 // Drain blocks until every batch handed to the execution pipeline has fully
-// retired. It is the barrier behind every read of device state — with the
-// pipeline off it is a no-op, because dispatch already ran synchronously.
-func (s *Service) Drain() {
-	if s.exec != nil {
-		s.exec.drain()
-	}
-}
+// retired. It is the barrier behind every read of device state; an inline
+// executor never has a batch in flight, so it returns at once.
+func (s *Service) Drain() { s.exec.drain() }
 
 // Close drains the execution pipeline and stops its goroutine. The service
-// stays usable: later batches simply dispatch synchronously. Idempotent.
-func (s *Service) Close() {
-	if s.exec != nil {
-		s.exec.close()
-	}
-}
+// stays usable: later batches run inline on the submitter, exactly as with
+// Options.Pipeline off. Idempotent.
+func (s *Service) Close() { s.exec.close() }
 
 // ExecMetrics returns the executor-health registry (queue depth, batches,
 // enqueue stalls). It is separate from Metrics() by design: executor load is
@@ -469,11 +452,11 @@ func (s *Service) Snapshot() metrics.Snapshot {
 	return s.metrics.Snapshot()
 }
 
-// runBatch hands one drained batch to the execution pipeline, falling back
-// to synchronous dispatch when the pipeline is off or closed. Caller holds
-// dispatchMu. Every job is bound to its batch's retirement signal first, in
-// both modes, so WaitJob wakes VPs at the same points either way.
-func (s *Service) runBatch(batch []*sched.Job, raw bool) {
+// runBatch hands one drained batch to the executor, which runs it on its
+// goroutine or inline. Caller holds dispatchMu. Every job is bound to its
+// batch's retirement signal first, so WaitJob wakes VPs at the same points in
+// either executor state.
+func (s *Service) runBatch(batch []*sched.Job, rec *metrics.Registry) {
 	if len(batch) == 0 {
 		return
 	}
@@ -481,15 +464,7 @@ func (s *Service) runBatch(batch []*sched.Job, raw bool) {
 	for _, j := range batch {
 		j.BindBatch(done)
 	}
-	if s.exec != nil && s.exec.enqueue(execBatch{jobs: batch, raw: raw, done: done}) {
-		return
-	}
-	if raw {
-		s.runRaw(batch)
-	} else {
-		s.dispatch(batch)
-	}
-	close(done)
+	s.exec.submit(execBatch{jobs: batch, rec: rec, done: done})
 }
 
 // DispatchRaw runs one externally-assembled batch through the Re-scheduler
@@ -499,19 +474,38 @@ func (s *Service) runBatch(batch []*sched.Job, raw bool) {
 func (s *Service) DispatchRaw(batch []*sched.Job) {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
-	s.runBatch(batch, true)
+	s.runBatch(batch, nil)
 }
 
-// runRaw is the raw batch body: plan and run, no lifecycle events.
-func (s *Service) runRaw(batch []*sched.Job) {
-	orig := batch
+// dispatch runs one batch through the Re-scheduler and the device. Served
+// batches pass the service registry as rec and get each job's lifecycle
+// recorded into it; raw batches (DispatchRaw) pass nil — plan and run only,
+// the accounting loops are skipped rather than fed a no-op sink.
+func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
+	orig := batch // the submitted jobs, before coalescing swallows members
 	if s.opts.Coalesce {
 		batch = coalesce.Apply(s.GPU, batch)
 	}
-	for _, j := range sched.Plan(batch, s.opts.Policy) {
+	order := sched.PlanRecorded(batch, s.opts.Policy, rec)
+	if rec != nil {
+		planTime := s.GPU.Sync()
+		for _, j := range order {
+			rec.Event(metrics.Event{
+				Kind: metrics.EventScheduled, VP: j.VP, Stream: j.Stream,
+				Engine: j.Engine, Label: j.Label, Time: planTime,
+			})
+		}
+	}
+	for _, j := range order {
 		err := j.Run(s.GPU)
 		if !j.Done() {
 			j.Finish(err)
+		}
+		if rec != nil {
+			rec.Event(metrics.Event{
+				Kind: metrics.EventDispatched, VP: j.VP, Stream: j.Stream,
+				Engine: j.Engine, Label: j.Label, Time: j.Interval.Start,
+			})
 		}
 	}
 	if s.Estimator != nil {
@@ -519,50 +513,23 @@ func (s *Service) runRaw(batch []*sched.Job) {
 			s.Estimator.observe(s, j)
 		}
 	}
-}
-
-// dispatch runs one batch through the Re-scheduler and the device, recording
-// each job's lifecycle into the service registry.
-func (s *Service) dispatch(batch []*sched.Job) {
-	orig := batch // the submitted jobs, before coalescing swallows members
-	if s.opts.Coalesce {
-		batch = coalesce.Apply(s.GPU, batch)
-	}
-	order := sched.PlanRecorded(batch, s.opts.Policy, s.metrics)
-	planTime := s.GPU.Sync()
-	for _, j := range order {
-		s.metrics.Event(metrics.Event{
-			Kind: metrics.EventScheduled, VP: j.VP, Stream: j.Stream,
-			Engine: j.Engine, Label: j.Label, Time: planTime,
-		})
-	}
-	for _, j := range order {
-		err := j.Run(s.GPU)
-		if !j.Done() {
-			j.Finish(err)
-		}
-		s.metrics.Event(metrics.Event{
-			Kind: metrics.EventDispatched, VP: j.VP, Stream: j.Stream,
-			Engine: j.Engine, Label: j.Label, Time: j.Interval.Start,
-		})
+	if rec == nil {
+		return
 	}
 	// Completion accounting covers the *submitted* jobs: coalesced members
 	// never appear in the planned order, but the merged job's run fills their
 	// intervals and finishes them.
-	lat := s.metrics.Histogram("core.dispatch_latency_s", metrics.LatencyBuckets)
+	lat := rec.Histogram("core.dispatch_latency_s", metrics.LatencyBuckets)
 	for _, j := range orig {
 		s.releaseJob(j)
-		if s.Estimator != nil {
-			s.Estimator.observe(s, j)
-		}
 		errMsg := ""
 		if j.Err != nil {
 			errMsg = j.Err.Error()
-			s.metrics.Counter("core.jobs_failed").Inc()
+			rec.Counter("core.jobs_failed").Inc()
 		}
-		s.metrics.Counter("core.jobs_completed").Inc()
-		s.metrics.Gauge("core.jobs_in_flight").Sub(1)
-		s.metrics.Event(metrics.Event{
+		rec.Counter("core.jobs_completed").Inc()
+		rec.Gauge("core.jobs_in_flight").Sub(1)
+		rec.Event(metrics.Event{
 			Kind: metrics.EventCompleted, VP: j.VP, Stream: j.Stream,
 			Engine: j.Engine, Label: j.Label, Time: j.Interval.End,
 			Start: j.Interval.Start, End: j.Interval.End, Err: errMsg,
@@ -616,9 +583,11 @@ func (s *Service) Trace() *trace.Log {
 
 // --- IPC endpoint ---
 
-// Handle implements ipc.Handler: it translates wire requests into jobs.
-// Kernel launches arrive by registry name — the service owns the kernel
-// binaries, giving guest applications binary compatibility across back ends.
+// Handle implements ipc.Handler for one device: it translates wire requests
+// into jobs. Kernel launches arrive by registry name — the service owns the
+// kernel binaries, giving guest applications binary compatibility across back
+// ends. The farm-admin requests (CheckpointReq, MigrateReq) are not device
+// work: MultiService.Handle answers them before routing here.
 func (s *Service) Handle(vp int, req any) any {
 	switch r := req.(type) {
 	case ipc.MallocReq:
@@ -694,14 +663,6 @@ func (s *Service) Handle(vp int, req any) any {
 		}
 		s.Drain()
 		return ipc.OKResp{End: s.GPU.SyncStream(stream)}
-	case ipc.CheckpointReq:
-		ck, err := s.CheckpointAll()
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.CheckpointResp{Data: ck.encode()}
-	case ipc.MigrateReq:
-		return ipc.ErrResp{Msg: "core: migrate: single-device service has nowhere to move a VP"}
 	default:
 		return ipc.ErrResp{Msg: fmt.Sprintf("core: unknown request %T", req)}
 	}

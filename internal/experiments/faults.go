@@ -3,16 +3,14 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/cudart"
-	"repro/internal/devmem"
 	"repro/internal/ipc"
-	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/vp"
 )
@@ -77,15 +75,16 @@ func (r *FaultDrillResult) String() string {
 	return b.String()
 }
 
-// FaultDrill runs vps virtual platforms against an in-process ΣVP service
-// over the real TCP transport, with the fault injector configured by spec
-// (see ipc.ParseFaults) on every VP's connection. Each VP performs iters
-// iterations of an H2D→launch→D2H cycle; H2D/D2H byte equality is checked
-// on every successful round trip. Individual VPs are allowed to fail — that
-// is the point of the drill — but data corruption, a wedged service, or an
-// unhealthy post-drill server fail it. The seeded faults must surface as
-// typed errors (a corrupted frame header fails the length or type check; a
-// dropped frame times out) while delivered bytes stay intact.
+// FaultDrill runs vps virtual platforms against an in-process one-device farm
+// — the daemon's default shape — over the real TCP transport, with the fault
+// injector configured by spec (see ipc.ParseFaults) on every VP's connection.
+// Each VP performs iters iterations of an H2D→launch→D2H cycle; H2D/D2H byte
+// equality is checked on every successful round trip. Individual VPs are
+// allowed to fail — that is the point of the drill — but data corruption, a
+// wedged service, or an unhealthy post-drill server fail it. The seeded
+// faults must surface as typed errors (a corrupted frame header fails the
+// length or type check; a dropped frame times out) while delivered bytes stay
+// intact.
 func FaultDrill(spec string, vps, iters int) (*FaultDrillResult, error) {
 	cfg, err := ipc.ParseFaults(spec)
 	if err != nil {
@@ -98,163 +97,91 @@ func FaultDrill(spec string, vps, iters int) (*FaultDrillResult, error) {
 		iters = 4
 	}
 
+	// One registry collects the transport, fault-injector and retry counters
+	// of the server and every client; the farm's own registries are merged in
+	// at the end.
 	reg := metrics.New()
-	opts := core.DefaultOptions()
-	opts.Metrics = reg
-	svc := core.NewService(opts)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	farm, err := serveFarm(core.DefaultOptions(), 1)
 	if err != nil {
 		return nil, err
 	}
-	srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
-	srv.SetMetrics(reg)
-	defer srv.Close()
-	addr := srv.Addr().String()
-
-	bench, err := kernels.Get("vectorAdd")
-	if err != nil {
-		return nil, err
-	}
+	defer farm.close()
+	farm.srv.SetMetrics(reg)
 
 	res := &FaultDrillResult{Faults: cfg, VPs: vps, Iters: iters, Errors: make([]string, vps)}
-	corruptions := make([]int, vps)
+	var corruptions atomic.Int64
 
-	dialVP := func(id int) (ipc.Client, error) {
+	// Each VP runs the guest over its own faulty connection; a VP whose hello
+	// was eaten by a fault is recorded and sits the drill out.
+	type outcome struct {
+		id  int
+		err error
+	}
+	outcomes := make(chan outcome, vps)
+	running := 0
+	for id := 0; id < vps; id++ {
 		faults := cfg
 		faults.Seed = cfg.Seed + int64(id)*7919 // distinct deterministic schedule per VP
-		return ipc.DialWithOptions(addr, id, ipc.DialOptions{
+		c, err := ipc.DialWithOptions(farm.addr(), id, ipc.DialOptions{
 			CallTimeout: 500 * time.Millisecond,
 			BackoffBase: time.Millisecond,
 			BackoffCap:  20 * time.Millisecond,
 			Faults:      &faults,
 			Metrics:     reg,
 		})
-	}
-
-	fleet := &vp.Fleet{}
-	clients := make([]ipc.Client, vps)
-	for id := 0; id < vps; id++ {
-		c, err := dialVP(id)
 		if err != nil {
-			// The hello itself was eaten by a fault; record and park a VP
-			// with no context so indices stay aligned.
 			res.Errors[id] = fmt.Sprintf("dial: %v", err)
-			fleet.VPs = append(fleet.VPs, vp.New(id, arch.ARMVersatile(), nil))
 			continue
 		}
-		clients[id] = c
-		fleet.VPs = append(fleet.VPs,
-			vp.New(id, arch.ARMVersatile(),
-				cudart.NewContext(id, cudart.NewRemoteBackendMetrics(c, cudart.DefaultRetries, reg))))
-	}
-	defer func() {
-		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-
-	app := func(v *vp.VP) error {
-		if clients[v.ID] == nil {
-			return nil // dial already failed; outcome recorded
-		}
-		defer v.Ctx.Close()
-		w := bench.MakeWorkload(1)
-		launch := bench.NewLaunch(w)
-		launch.Bindings = map[string]devmem.Ptr{}
-		for _, decl := range bench.Kernel.Bufs {
-			ptr, err := v.Ctx.Malloc(w.BufBytes[decl.Name])
-			if err != nil {
-				return fmt.Errorf("malloc %s: %w", decl.Name, err)
-			}
-			launch.Bindings[decl.Name] = ptr
-		}
-		probe := launch.Bindings[bench.Kernel.Bufs[0].Name]
-		for it := 0; it < iters; it++ {
-			for name, data := range w.Inputs {
-				if err := v.Ctx.MemcpyH2D(launch.Bindings[name], data); err != nil {
-					return fmt.Errorf("iter %d h2d %s: %w", it, name, err)
+		defer c.Close()
+		v := vp.New(id, arch.ARMVersatile(),
+			cudart.NewContext(id, cudart.NewRemoteBackendMetrics(c, cudart.DefaultRetries, reg)))
+		running++
+		go func() {
+			outcomes <- outcome{v.ID, v.Run(func(v *vp.VP) error {
+				// Hang up when done, so a finished VP stops counting as
+				// running-but-never-stopped for the VPs still at work.
+				defer v.Ctx.Close()
+				g, err := newVectorAddGuest(v.Ctx)
+				if err != nil {
+					return err
 				}
-			}
-			if err := v.Ctx.LaunchKernel(launch); err != nil {
-				return fmt.Errorf("iter %d launch: %w", it, err)
-			}
-			// Round-trip integrity probe: what we wrote must read back
-			// byte-identical despite the fault schedule.
-			in := w.Inputs[bench.Kernel.Bufs[0].Name]
-			back, err := v.Ctx.MemcpyD2H(probe, len(in))
-			if err != nil {
-				return fmt.Errorf("iter %d d2h: %w", it, err)
-			}
-			if !bytes.Equal(back, in) {
-				corruptions[v.ID]++
-			}
-		}
-		return nil
+				// Round-trip integrity probe after every iteration: what was
+				// written must read back byte-identical despite the faults.
+				probe := g.bench.Kernel.Bufs[0].Name
+				_, err = g.run(iters, func(it int) error {
+					in := g.w.Inputs[probe]
+					back, err := v.Ctx.MemcpyD2H(g.launch.Bindings[probe], len(in))
+					if err != nil {
+						return fmt.Errorf("iter %d d2h: %w", it, err)
+					}
+					if !bytes.Equal(back, in) {
+						corruptions.Add(1)
+					}
+					return nil
+				})
+				return err
+			})}
+		}()
 	}
 
-	// Per-VP failures are expected under faults; they are recorded, not
-	// fatal. Fleet.Run's aggregate is only consulted per VP below.
-	done := make(chan struct{})
-	errsCh := make(chan []string, 1)
-	go func() {
-		defer close(done)
-		perVP := make([]string, vps)
-		var inner vp.Fleet
-		inner.VPs = fleet.VPs
-		// Run each VP and capture its own error.
-		type res struct {
-			id  int
-			err error
-		}
-		ch := make(chan res, vps)
-		for _, v := range inner.VPs {
-			go func(v *vp.VP) {
-				if clients[v.ID] == nil {
-					ch <- res{v.ID, nil}
-					return
-				}
-				ch <- res{v.ID, v.Run(app)}
-			}(v)
-		}
-		for i := 0; i < vps; i++ {
-			r := <-ch
-			if r.err != nil {
-				perVP[r.id] = r.err.Error()
+	// Per-VP failures are expected under faults; they are recorded, not fatal.
+	wedged := time.After(2 * time.Minute)
+	for ; running > 0; running-- {
+		select {
+		case o := <-outcomes:
+			if o.err != nil {
+				res.Errors[o.id] = o.err.Error()
 			}
+		case <-wedged:
+			return nil, fmt.Errorf("fault drill wedged: fleet did not finish within 2m")
 		}
-		errsCh <- perVP
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		return nil, fmt.Errorf("fault drill wedged: fleet did not finish within 2m")
 	}
-	perVP := <-errsCh
-	for id, e := range perVP {
-		if e != "" && res.Errors[id] == "" {
-			res.Errors[id] = e
-		}
-		res.Corruptions += corruptions[id]
-	}
+	res.Corruptions = int(corruptions.Load())
 
-	// Post-drill health check with a clean client.
-	clean, err := ipc.DialWithOptions(addr, vps+1, ipc.DialOptions{CallTimeout: 5 * time.Second})
-	if err == nil {
-		defer clean.Close()
-		if resp, err := clean.Call(ipc.MallocReq{Size: 64}); err == nil {
-			payload := []byte{0x5A, 0xA5, 0x0F, 0xF0}
-			ptr := resp.(ipc.MallocResp).Ptr
-			if _, err := clean.Call(ipc.H2DReq{Dst: ptr, Data: payload}); err == nil {
-				if d, err := clean.Call(ipc.D2HReq{Src: ptr, N: len(payload)}); err == nil {
-					res.HealthyAfter = bytes.Equal(d.(ipc.D2HResp).Data, payload)
-				}
-			}
-		}
-	}
-
-	res.Metrics = reg.Snapshot()
+	// Post-drill health check with a clean client on a fresh VP.
+	res.HealthyAfter = farm.probeHealth(vps+1) == nil
+	res.Metrics = metrics.MergeSnapshots(farm.ms.Snapshot(), reg.Snapshot())
 
 	if res.Corruptions > 0 {
 		return res, fmt.Errorf("fault drill: %d corrupted round trips delivered as success", res.Corruptions)

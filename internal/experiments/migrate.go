@@ -6,18 +6,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/cudart"
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
 	"repro/internal/ipc"
@@ -588,181 +583,45 @@ type overloadMigLeg struct {
 	hotD2H     []byte
 }
 
-// runOverloadMigration runs the reference and contended passes.
+// runOverloadMigration runs the overload drill's two passes with one twist:
+// halfway through the contended pass the victim is live-migrated onto the
+// device the aggressor fleet is oversubscribing, via a MigrateReq on its own
+// connection (farm-admin requests bypass the migration gate, so a VP may move
+// itself).
 func runOverloadMigration(oversub, iters int) (*overloadMigLeg, error) {
-	leg := &overloadMigLeg{}
-	var err error
-	leg.refD2H, _, _, err = overloadMigrationPass(false, oversub, iters)
+	// pass runs one overload run to the end; a fleet that ended on anything
+	// but an overload shed fails the leg. The run's counters outlive its farm.
+	pass := func(contended bool, afterIter func(int, ipc.Client) error) (*overloadRun, error) {
+		run, err := startOverloadRun(contended, oversub, iters, afterIter)
+		if err != nil {
+			return nil, err
+		}
+		defer run.close()
+		return run, run.finish()
+	}
+	ref, err := pass(false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("overload-migration leg (reference pass): %w", err)
 	}
-	leg.hotD2H, leg.sheds, leg.migrations, err = overloadMigrationPass(true, oversub, iters)
+	hot, err := pass(true, func(it int, victim ipc.Client) error {
+		if it+1 != iters/2 {
+			return nil
+		}
+		resp, err := victim.Call(ipc.MigrateReq{VP: 0, Target: 1})
+		if err != nil {
+			return fmt.Errorf("iter %d migrate: %w", it, err)
+		}
+		if _, ok := resp.(ipc.OKResp); !ok {
+			return fmt.Errorf("iter %d migrate: unexpected response %T", it, resp)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("overload-migration leg (contended pass): %w", err)
 	}
-	return leg, nil
-}
-
-// overloadMigrationPass serves a fresh 2-device farm over TCP. The victim VP
-// lands alone on device 0 and runs a deterministic sequential workload; when
-// contended, an aggressor fleet oversubscribes device 1's admission quota
-// oversub× over, and halfway through the victim is live-migrated onto that
-// melting device via a MigrateReq on its own connection. The cudart client's
-// transparent overload retries carry the victim through the sheds.
-func overloadMigrationPass(contended bool, oversub, iters int) (d2h []byte, sheds, migrations int64, err error) {
-	opts := core.DefaultOptions()
-	opts.Admission = core.AdmissionOptions{
-		MaxQueuedJobs:        overloadCapJobs,
-		MaxQueuedBytes:       overloadCapBytes,
-		DeviceMaxQueuedJobs:  2 * overloadCapJobs,
-		DeviceMaxQueuedBytes: 2 * overloadCapBytes,
-	}
-	opts.FairShare = overloadCapJobs
-	ms, err := core.NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer ms.Close()
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	srv := ipc.ServeWithHooks(l, ms.Handle, ms.RegisterVP, ms.DisconnectVP)
-	defer srv.Close()
-	addr := srv.Addr().String()
-
-	dial := func(vp int) (ipc.Client, error) {
-		c, err := ipc.DialWithOptions(addr, vp, ipc.DialOptions{CallTimeout: 10 * time.Second})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := c.Call(ipc.SyncReq{}); err != nil {
-			c.Close()
-			return nil, err
-		}
-		return c, nil
-	}
-	victim, err := dial(0)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("victim dial: %w", err)
-	}
-	defer victim.Close()
-
-	var (
-		shedCount int64
-		aggErr    atomic.Value
-		stopAgg   = make(chan struct{})
-		aggWG     sync.WaitGroup
-	)
-	if contended {
-		submitters := oversub * overloadCapJobs
-		const perConn = 8
-		nConns := (submitters + perConn - 1) / perConn
-		aggConns := make([]ipc.Client, nConns)
-		aggDst := make([]devmem.Ptr, nConns)
-		for i := range aggConns {
-			c, err := dial(1)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("aggressor dial %d: %w", i, err)
-			}
-			defer c.Close()
-			aggConns[i] = c
-			resp, err := c.Call(ipc.MallocReq{Size: 32 << 10})
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("aggressor malloc: %w", err)
-			}
-			aggDst[i] = resp.(ipc.MallocResp).Ptr
-		}
-		payload := bytes.Repeat([]byte{0xA5}, overloadSmallPayload)
-		for i := 0; i < submitters; i++ {
-			aggWG.Add(1)
-			go func(i int) {
-				defer aggWG.Done()
-				c := aggConns[i/perConn]
-				dst := aggDst[i/perConn]
-				for {
-					select {
-					case <-stopAgg:
-						return
-					default:
-					}
-					_, err := c.Call(ipc.H2DReq{Dst: dst, Stream: i % perConn, Data: payload})
-					switch _, ok := ipc.AsOverload(err); {
-					case err == nil:
-					case ok:
-						atomic.AddInt64(&shedCount, 1)
-					default:
-						aggErr.Store(fmt.Errorf("aggressor %d: %w", i, err))
-						return
-					}
-				}
-			}(i)
-		}
-		defer func() {
-			close(stopAgg)
-			aggWG.Wait()
-		}()
-		deadline := time.Now().Add(10 * time.Second)
-		for atomic.LoadInt64(&shedCount) == 0 {
-			if e := aggErr.Load(); e != nil {
-				return nil, 0, 0, e.(error)
-			}
-			if time.Now().After(deadline) {
-				return nil, 0, 0, fmt.Errorf("aggressors never overloaded the farm")
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
-	bench, err := kernels.Get("vectorAdd")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	ctx := cudart.NewContext(0, cudart.NewRemoteBackend(victim))
-	w := bench.MakeWorkload(1)
-	launch := bench.NewLaunch(w)
-	launch.Bindings = map[string]devmem.Ptr{}
-	for _, decl := range bench.Kernel.Bufs {
-		ptr, err := ctx.Malloc(w.BufBytes[decl.Name])
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("malloc %s: %w", decl.Name, err)
-		}
-		launch.Bindings[decl.Name] = ptr
-	}
-	for it := 0; it < iters; it++ {
-		if contended && it == iters/2 {
-			// Live-migrate the victim onto the overloaded device, from its
-			// own connection: farm-admin requests bypass the migration gate,
-			// so a VP may move itself.
-			resp, err := victim.Call(ipc.MigrateReq{VP: 0, Target: 1})
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("iter %d migrate: %w", it, err)
-			}
-			if _, ok := resp.(ipc.OKResp); !ok {
-				return nil, 0, 0, fmt.Errorf("iter %d migrate: unexpected response %T", it, resp)
-			}
-		}
-		for _, decl := range bench.Kernel.Bufs {
-			data, ok := w.Inputs[decl.Name]
-			if !ok {
-				continue
-			}
-			if err := ctx.MemcpyH2D(launch.Bindings[decl.Name], data); err != nil {
-				return nil, 0, 0, fmt.Errorf("iter %d h2d %s: %w", it, decl.Name, err)
-			}
-		}
-		if err := ctx.LaunchKernelAsync(it%2, launch); err != nil {
-			return nil, 0, 0, fmt.Errorf("iter %d launch: %w", it, err)
-		}
-		if err := ctx.DeviceSynchronize(); err != nil {
-			return nil, 0, 0, fmt.Errorf("iter %d sync: %w", it, err)
-		}
-	}
-	out := bench.Kernel.Bufs[len(bench.Kernel.Bufs)-1].Name
-	d2h, err = ctx.MemcpyD2H(launch.Bindings[out], int(w.BufBytes[out]))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return d2h, atomic.LoadInt64(&shedCount), ms.MigrationSnapshot().CounterValue("core.migrate.migrations"), nil
+	return &overloadMigLeg{
+		sheds:      hot.agg.sheds.Load(),
+		migrations: hot.farm.ms.MigrationSnapshot().CounterValue("core.migrate.migrations"),
+		refD2H:     ref.d2h, hotD2H: hot.d2h,
+	}, nil
 }

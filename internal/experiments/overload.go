@@ -4,19 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/cudart"
-	"repro/internal/devmem"
 	"repro/internal/ipc"
-	"repro/internal/kernels"
 	"repro/internal/metrics"
 )
 
@@ -115,32 +108,47 @@ func (r *OverloadDrillResult) String() string {
 	return b.String()
 }
 
-// overloadPass is one farm run's artifacts and aggressor statistics.
+// overloadRun is one overload pass in flight: a 2-device farm served over
+// TCP, the victim guest (VP 0) finished on device 0 with its connection still
+// up, and the aggressor fleet (VP 1) on device 1 — hammering it if the pass
+// is contended, registered and idle otherwise. finish ends the pass; the farm
+// stays served for whatever the caller inspects next, until close.
+type overloadRun struct {
+	farm   *tcpFarm
+	victim ipc.Client
+	agg    *aggressorFleet
+	d2h    []byte // the victim's output buffer
+}
+
+// finish hangs the victim up and then stops the fleet, returning the fleet's
+// first non-overload error. The order matters: had the victim been migrated
+// onto the aggressors' device it would otherwise sit there registered and
+// idle, and the submitters' admitted copies would never dispatch.
+func (r *overloadRun) finish() error {
+	r.victim.Close()
+	return r.agg.stop()
+}
+
+// close hangs up every connection and tears the farm down.
+func (r *overloadRun) close() {
+	r.victim.Close()
+	r.agg.close()
+	r.farm.close()
+}
+
+// overloadPass is what OverloadDrill keeps of one finished run: the victim's
+// artifacts, the stopped fleet with its statistics, and the farm's state
+// after everything drained.
 type overloadPass struct {
 	d2h         []byte
 	metricsJSON []byte
 	traceJSON   []byte
 
-	attempts, admitted, sheds, badSheds int64
-	shedReasons                         map[string]int
-	maxJobs, maxBytes                   int64
-	leakJobs                            int
-	leakBytes                           int64
-	healthy                             bool
-	healthErr                           string
-	admSnap                             metrics.Snapshot
-}
-
-// shedReasonOf extracts the admission reason embedded in an overload
-// message (see core.OverloadError.Error).
-func shedReasonOf(msg string) string {
-	for _, r := range []string{"vp-jobs", "vp-bytes", "payload", "device-jobs",
-		"device-bytes", "rate", "farm-jobs", "farm-bytes"} {
-		if strings.Contains(msg, "("+r+",") {
-			return r
-		}
-	}
-	return "other"
+	agg       *aggressorFleet
+	leakJobs  int
+	leakBytes int64
+	healthErr error // nil: both devices answered the post-drill probe
+	admSnap   metrics.Snapshot
 }
 
 // OverloadDrill runs the overload experiment: an uncontended reference pass
@@ -160,25 +168,25 @@ func OverloadDrill(oversub, iters int) (*OverloadDrillResult, error) {
 		CapJobs: overloadCapJobs, CapBytes: overloadCapBytes,
 	}
 
-	ref, err := runOverloadPass(false, oversub, iters)
+	ref, err := overloadDrillPass(false, oversub, iters)
 	if err != nil {
 		return res, fmt.Errorf("overload drill (uncontended pass): %w", err)
 	}
-	hot, err := runOverloadPass(true, oversub, iters)
+	hot, err := overloadDrillPass(true, oversub, iters)
 	if err != nil {
 		return res, fmt.Errorf("overload drill (contended pass): %w", err)
 	}
 
-	res.Attempts = hot.attempts
-	res.Admitted = hot.admitted
-	res.Sheds = hot.sheds
-	res.BadSheds = hot.badSheds
-	res.ShedReasons = hot.shedReasons
-	res.MaxQueuedJobsSeen = hot.maxJobs
-	res.MaxQueuedBytesSeen = hot.maxBytes
+	res.Attempts = hot.agg.attempts.Load()
+	res.Admitted = hot.agg.admitted.Load()
+	res.Sheds = hot.agg.sheds.Load()
+	res.BadSheds = hot.agg.badSheds.Load()
+	res.ShedReasons = hot.agg.shedReasons
+	res.MaxQueuedJobsSeen = hot.agg.maxJobs
+	res.MaxQueuedBytesSeen = hot.agg.maxBytes
 	res.LeakJobs = hot.leakJobs
 	res.LeakBytes = hot.leakBytes
-	res.HealthyAfter = hot.healthy
+	res.HealthyAfter = hot.healthErr == nil
 	res.Metrics = hot.admSnap
 	res.IdenticalD2H = bytes.Equal(ref.d2h, hot.d2h)
 	res.IdenticalMetrics = bytes.Equal(ref.metricsJSON, hot.metricsJSON)
@@ -203,249 +211,27 @@ func OverloadDrill(oversub, iters int) (*OverloadDrillResult, error) {
 	return res, nil
 }
 
-// runOverloadPass serves a fresh 2-device farm over TCP and runs the victim
-// workload, with the aggressor fleet active only when contended is set. The
-// aggressor VP is registered in both passes — only its traffic differs — so
-// the victim device sees the same registration history either way.
-func runOverloadPass(contended bool, oversub, iters int) (*overloadPass, error) {
-	pass := &overloadPass{shedReasons: map[string]int{}}
-
-	opts := core.DefaultOptions()
-	opts.Trace = true
-	opts.Admission = core.AdmissionOptions{
-		MaxQueuedJobs:        overloadCapJobs,
-		MaxQueuedBytes:       overloadCapBytes,
-		DeviceMaxQueuedJobs:  2 * overloadCapJobs,
-		DeviceMaxQueuedBytes: 2 * overloadCapBytes,
-	}
-	// Fair dequeue is part of the overload posture; sized to the job quota it
-	// never splits the victim's small batches.
-	opts.FairShare = overloadCapJobs
-	ms, err := core.NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
+// overloadDrillPass runs one pass of the overload drill to the end: the
+// victim's artifacts captured off device 0, the fleet stopped, and then the
+// farm's reservation balance and health taken.
+func overloadDrillPass(contended bool, oversub, iters int) (*overloadPass, error) {
+	run, err := startOverloadRun(contended, oversub, iters, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer ms.Close()
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := ipc.ServeWithHooks(l, ms.Handle, ms.RegisterVP, ms.DisconnectVP)
-	defer srv.Close()
-	addr := srv.Addr().String()
-
-	dial := func(vp int) (ipc.Client, error) {
-		c, err := ipc.DialWithOptions(addr, vp, ipc.DialOptions{CallTimeout: 10 * time.Second})
-		if err != nil {
-			return nil, err
-		}
-		// A synchronous no-op forces the server past the hello, so VP
-		// registration (and thus round-robin placement) happens in dial
-		// order: victim → device 0, aggressor → device 1.
-		if _, err := c.Call(ipc.SyncReq{}); err != nil {
-			c.Close()
-			return nil, err
-		}
-		return c, nil
-	}
-
-	victim, err := dial(0)
-	if err != nil {
-		return nil, fmt.Errorf("victim dial: %w", err)
-	}
-	defer victim.Close()
-
-	// The aggressor fleet: oversub × the job quota concurrent submitters.
-	// The binary server bounds one connection to 8 concurrent handlers, so
-	// the fleet spreads across connections, one stream per submitter.
-	submitters := oversub * overloadCapJobs
-	const perConn = 8
-	nConns := (submitters + perConn - 1) / perConn
-	aggConns := make([]ipc.Client, nConns)
-	aggDst := make([]devmem.Ptr, nConns)
-	for i := range aggConns {
-		c, err := dial(1)
-		if err != nil {
-			return nil, fmt.Errorf("aggressor dial %d: %w", i, err)
-		}
-		defer c.Close()
-		aggConns[i] = c
-		resp, err := c.Call(ipc.MallocReq{Size: 32 << 10})
-		if err != nil {
-			return nil, fmt.Errorf("aggressor malloc: %w", err)
-		}
-		aggDst[i] = resp.(ipc.MallocResp).Ptr
-	}
-	if d, _ := ms.Assignment(0); d != 0 {
-		return nil, fmt.Errorf("victim placed on device %d, want 0", d)
-	}
-	if d, _ := ms.Assignment(1); d != 1 {
-		return nil, fmt.Errorf("aggressor placed on device %d, want 1", d)
-	}
-
-	var (
-		attempts, admitted, sheds, badSheds int64
-		shedMu                              sync.Mutex
-		aggErr                              atomic.Value
-		stopAgg                             = make(chan struct{})
-		aggWG                               sync.WaitGroup
-		samplerDone                         = make(chan struct{})
-	)
-	if contended {
-		// Gauge sampler: tracks the high-water of the admission reservations
-		// while the fleet hammers the farm.
-		go func() {
-			defer close(samplerDone)
-			tick := time.NewTicker(100 * time.Microsecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopAgg:
-					return
-				case <-tick.C:
-					for d := 0; d < ms.Devices(); d++ {
-						reg := ms.Device(d).AdmissionMetrics()
-						if v := reg.Gauge("core.admission.queue_jobs").Value(); v > pass.maxJobs {
-							pass.maxJobs = v
-						}
-						if v := reg.Gauge("core.admission.queue_bytes").Value(); v > pass.maxBytes {
-							pass.maxBytes = v
-						}
-					}
-				}
-			}
-		}()
-		small := bytes.Repeat([]byte{0xA5}, overloadSmallPayload)
-		big := bytes.Repeat([]byte{0x5A}, overloadBigPayload)
-		for i := 0; i < submitters; i++ {
-			aggWG.Add(1)
-			go func(i int) {
-				defer aggWG.Done()
-				c := aggConns[i/perConn]
-				dst := aggDst[i/perConn]
-				payload := small
-				if i%2 == 1 {
-					payload = big
-				}
-				for {
-					select {
-					case <-stopAgg:
-						return
-					default:
-					}
-					_, err := c.Call(ipc.H2DReq{Dst: dst, Stream: i % perConn, Data: payload})
-					atomic.AddInt64(&attempts, 1)
-					switch oe, ok := ipc.AsOverload(err); {
-					case err == nil:
-						atomic.AddInt64(&admitted, 1)
-					case ok:
-						atomic.AddInt64(&sheds, 1)
-						if !oe.Retryable || oe.Backoff <= 0 {
-							// Every aggressor payload fits the quota, so all
-							// sheds must be retryable with a backoff hint.
-							atomic.AddInt64(&badSheds, 1)
-						}
-						shedMu.Lock()
-						pass.shedReasons[shedReasonOf(oe.Msg)]++
-						shedMu.Unlock()
-					default:
-						aggErr.Store(fmt.Errorf("aggressor %d: %w", i, err))
-						return
-					}
-				}
-			}(i)
-		}
-		// Only start the victim once overload is established, so its whole
-		// run happens under sustained pressure.
-		deadline := time.Now().Add(10 * time.Second)
-		for atomic.LoadInt64(&sheds) == 0 {
-			if e := aggErr.Load(); e != nil {
-				close(stopAgg)
-				aggWG.Wait()
-				return nil, e.(error)
-			}
-			if time.Now().After(deadline) {
-				close(stopAgg)
-				aggWG.Wait()
-				return nil, fmt.Errorf("aggressors never overloaded the farm")
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	} else {
-		close(samplerDone)
-	}
-
-	// The victim workload, identical in both passes: a sequential vectorAdd
-	// guest over the remote cudart backend, exactly the shape the remote
-	// determinism suite pins.
-	victimErr := func() error {
-		bench, err := kernels.Get("vectorAdd")
-		if err != nil {
-			return err
-		}
-		// The context is NOT closed here: closing it closes the shared client,
-		// and the connection must stay up — the victim-device snapshot below
-		// races the server's disconnect hook otherwise, and the health probe
-		// reuses the connection. The deferred client Close tears it down.
-		ctx := cudart.NewContext(0, cudart.NewRemoteBackend(victim))
-		w := bench.MakeWorkload(1)
-		launch := bench.NewLaunch(w)
-		launch.Bindings = map[string]devmem.Ptr{}
-		for _, decl := range bench.Kernel.Bufs {
-			ptr, err := ctx.Malloc(w.BufBytes[decl.Name])
-			if err != nil {
-				return fmt.Errorf("malloc %s: %w", decl.Name, err)
-			}
-			launch.Bindings[decl.Name] = ptr
-		}
-		for it := 0; it < iters; it++ {
-			// Buffer-declaration order, not map order: the copy sequence must
-			// be identical across passes.
-			for _, decl := range bench.Kernel.Bufs {
-				data, ok := w.Inputs[decl.Name]
-				if !ok {
-					continue
-				}
-				if err := ctx.MemcpyH2D(launch.Bindings[decl.Name], data); err != nil {
-					return fmt.Errorf("iter %d h2d %s: %w", it, decl.Name, err)
-				}
-			}
-			if err := ctx.LaunchKernelAsync(it%2, launch); err != nil {
-				return fmt.Errorf("iter %d launch: %w", it, err)
-			}
-			if err := ctx.DeviceSynchronize(); err != nil {
-				return fmt.Errorf("iter %d sync: %w", it, err)
-			}
-		}
-		out := bench.Kernel.Bufs[len(bench.Kernel.Bufs)-1].Name
-		pass.d2h, err = ctx.MemcpyD2H(launch.Bindings[out], int(w.BufBytes[out]))
-		return err
-	}()
-	if contended {
-		close(stopAgg)
-		aggWG.Wait()
-		<-samplerDone
-	}
-	if victimErr != nil {
-		return nil, fmt.Errorf("victim workload: %w", victimErr)
-	}
-	if e := aggErr.Load(); e != nil {
-		return nil, e.(error)
-	}
-	pass.attempts = atomic.LoadInt64(&attempts)
-	pass.admitted = atomic.LoadInt64(&admitted)
-	pass.sheds = atomic.LoadInt64(&sheds)
-	pass.badSheds = atomic.LoadInt64(&badSheds)
-
-	// Capture the victim device's artifacts while its VP is still registered:
-	// the client teardown below runs the disconnect hook asynchronously, and
-	// the snapshot must not race it.
+	defer run.close()
+	ms := run.farm.ms
+	pass := &overloadPass{d2h: run.d2h, agg: run.agg}
+	// Capture device 0's artifacts while the victim's connection is up: the
+	// hang-up runs the disconnect hook asynchronously, and the snapshot must
+	// not race it. The aggressors never touch device 0.
 	pass.metricsJSON, err = ms.Device(0).Snapshot().JSON()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		pass.traceJSON, err = json.Marshal(ms.Device(0).Trace().Records())
 	}
-	pass.traceJSON, err = json.Marshal(ms.Device(0).Trace().Records())
+	if aggErr := run.finish(); err == nil {
+		err = aggErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -462,31 +248,99 @@ func runOverloadPass(contended bool, oversub, iters int) (*overloadPass, error) 
 
 	// Post-drill health probe: both devices must still answer a clean round
 	// trip (the victim's artifacts were captured above, so this traffic does
-	// not perturb them).
-	pass.healthy = func() bool {
-		payload := []byte{0x0F, 0xF0, 0x33, 0xCC}
-		for i, c := range []ipc.Client{victim, aggConns[0]} {
-			resp, err := c.Call(ipc.MallocReq{Size: 64})
-			if err != nil {
-				pass.healthErr = fmt.Sprintf("probe %d malloc: %v", i, err)
-				return false
-			}
-			ptr := resp.(ipc.MallocResp).Ptr
-			if _, err := c.Call(ipc.H2DReq{Dst: ptr, Data: payload}); err != nil {
-				pass.healthErr = fmt.Sprintf("probe %d h2d: %v", i, err)
-				return false
-			}
-			d, err := c.Call(ipc.D2HReq{Src: ptr, N: len(payload)})
-			if err != nil {
-				pass.healthErr = fmt.Sprintf("probe %d d2h: %v", i, err)
-				return false
-			}
-			if !bytes.Equal(d.(ipc.D2HResp).Data, payload) {
-				pass.healthErr = fmt.Sprintf("probe %d d2h bytes mismatch", i)
-				return false
-			}
+	// not perturb them). Nothing migrates in this drill, so VP d still lives
+	// on device d. The aggressor hangs up first: left registered and idle it
+	// would hold back the probe sharing its device.
+	run.agg.close()
+	for vp := 0; vp < ms.Devices(); vp++ {
+		if d, _ := ms.Assignment(vp); d != vp {
+			return nil, fmt.Errorf("vp %d ended on device %d, want %d", vp, d, vp)
 		}
-		return true
-	}()
+		if pass.healthErr = run.farm.probeHealth(vp); pass.healthErr != nil {
+			break
+		}
+	}
 	return pass, nil
+}
+
+// startOverloadRun serves a fresh 2-device farm over TCP and runs the victim
+// guest on VP 0, placed alone on device 0, with the aggressor fleet hammering
+// device 1 only when contended is set. The aggressor VP is registered in both
+// passes — only its traffic differs — so the victim device sees the same
+// registration history either way. afterIter, when non-nil, runs on the
+// victim's connection after each of its iterations (the migration drill's
+// overload leg moves the victim from there). On success the caller owes the
+// run a finish and a close; on error everything is already torn down.
+func startOverloadRun(contended bool, oversub, iters int, afterIter func(it int, victim ipc.Client) error) (*overloadRun, error) {
+	opts := core.DefaultOptions()
+	// Only OverloadDrill reads the trace; recording is one append per job, so
+	// the migration leg runs the same farm configuration rather than its own.
+	opts.Trace = true
+	opts.Admission = core.AdmissionOptions{
+		MaxQueuedJobs:        overloadCapJobs,
+		MaxQueuedBytes:       overloadCapBytes,
+		DeviceMaxQueuedJobs:  2 * overloadCapJobs,
+		DeviceMaxQueuedBytes: 2 * overloadCapBytes,
+	}
+	// Fair dequeue is part of the overload posture; sized to the job quota it
+	// never splits the victim's small batches.
+	opts.FairShare = overloadCapJobs
+	farm, err := serveFarm(opts, 2)
+	if err != nil {
+		return nil, err
+	}
+	victim, err := farm.dial(0)
+	if err != nil {
+		farm.close()
+		return nil, fmt.Errorf("victim dial: %w", err)
+	}
+	// The aggressor fleet: oversub × the job quota concurrent submitters.
+	agg, err := farm.dialAggressors(1, oversub*overloadCapJobs)
+	if err != nil {
+		victim.Close()
+		farm.close()
+		return nil, err
+	}
+	run := &overloadRun{farm: farm, victim: victim, agg: agg}
+	if d, _ := farm.ms.Assignment(0); d != 0 {
+		run.close()
+		return nil, fmt.Errorf("victim placed on device %d, want 0", d)
+	}
+	if d, _ := farm.ms.Assignment(1); d != 1 {
+		run.close()
+		return nil, fmt.Errorf("aggressor placed on device %d, want 1", d)
+	}
+	if contended {
+		// The small payload makes the job quota bind, the big one the byte
+		// quota. The victim only starts once overload is established, so its
+		// whole run happens under sustained pressure.
+		err := agg.start(bytes.Repeat([]byte{0xA5}, overloadSmallPayload),
+			bytes.Repeat([]byte{0x5A}, overloadBigPayload))
+		if err != nil {
+			run.close() // a fleet that failed to start has stopped itself
+			return nil, err
+		}
+	}
+
+	// The victim workload, identical in both passes. The cudart client's
+	// transparent overload retries carry it through any shed of its own.
+	err = func() error {
+		guest, err := newVectorAddGuest(cudart.NewContext(0, cudart.NewRemoteBackend(victim)))
+		if err != nil {
+			return err
+		}
+		var after func(int) error
+		if afterIter != nil {
+			after = func(it int) error { return afterIter(it, victim) }
+		}
+		run.d2h, err = guest.run(iters, after)
+		return err
+	}()
+	if err != nil {
+		// The fleet's own error, if any, is a consequence of this one.
+		run.finish()
+		run.close()
+		return nil, fmt.Errorf("victim workload: %w", err)
+	}
+	return run, nil
 }

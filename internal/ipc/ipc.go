@@ -195,8 +195,9 @@ func Serve(l net.Listener, h Handler) *Server {
 }
 
 // Endpoint is the host-service surface the transport needs: request handling
-// plus the VP lifecycle hooks. Both the single-device core.Service and the
-// multi-GPU core.MultiService implement it, so one serving path covers both.
+// plus the VP lifecycle hooks. What daemons serve is the farm,
+// core.MultiService — a single device is a farm of one; the per-device
+// core.Service has the same surface for in-process tests and harnesses.
 type Endpoint interface {
 	Handle(vp int, req any) any
 	RegisterVP(id int)
