@@ -339,11 +339,15 @@ func BenchmarkInterpreterVectorAdd(b *testing.B) {
 }
 
 // BenchmarkKernelExec compares the tree-walking interpreter against the
-// compiled slot-indexed engine on representative kernels, with and without
+// compiled typed engine on the four emul-kpl kernels, with and without
 // statistics collection. The compiled/interp ratio is the headline number of
-// the compiled-engine optimisation (BENCH_3.json).
+// the compiled-engine optimisation (BENCH_3.json); the blocks-w1/blocks-w2
+// pair is ExecBlocks as the emulated device calls it, so the worker scaling
+// (and any return of false sharing between workers' frames) is a number in
+// the bench-smoke artifact rather than a wall-clock assertion; native is the
+// kernel's Go form, the floor no engine can beat.
 func BenchmarkKernelExec(b *testing.B) {
-	for _, name := range []string{"vectorAdd", "BlackScholes", "reduction"} {
+	for _, name := range []string{"vectorAdd", "BlackScholes", "matrixMul", "reduction"} {
 		bench, err := kernels.Get(name)
 		if err != nil {
 			b.Fatal(err)
@@ -379,6 +383,16 @@ func BenchmarkKernelExec(b *testing.B) {
 		b.Run(name+"/compiled-stats", func(b *testing.B) {
 			run(b, bench.Kernel.ExecAll, kpl.NewStats())
 		})
+		b.Run(name+"/native", func(b *testing.B) {
+			run(b, func(env *kpl.Env, _ *kpl.Stats) error { return bench.Native(env) }, nil)
+		})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/blocks-w%d", name, workers), func(b *testing.B) {
+				run(b, func(env *kpl.Env, st *kpl.Stats) error {
+					return bench.Kernel.ExecBlocks(env, st, w.Block, workers)
+				}, kpl.NewStats())
+			})
+		}
 	}
 }
 

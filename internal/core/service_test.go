@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -346,6 +347,34 @@ func TestMemsetThroughService(t *testing.T) {
 	resp = s.Handle(0, ipc.MemsetReq{Dst: p, Off: 120, N: 64, Value: 1})
 	if _, ok := resp.(ipc.ErrResp); !ok {
 		t.Fatal("out-of-range wire memset accepted")
+	}
+}
+
+// TestMemsetHostileCountIsAnError: one MemsetReq with a negative count used
+// to panic the executor goroutine (makeslice), and one with a count of 8 GiB
+// allocated that many zeros before the bounds check. Both must come back as
+// an ErrResp, and the service must still serve afterwards.
+func TestMemsetHostileCountIsAnError(t *testing.T) {
+	s := NewService(DefaultOptions())
+	defer s.Close()
+	s.RegisterVP(0)
+	defer s.UnregisterVP(0)
+	mr, ok := s.Handle(0, ipc.MallocReq{Size: 128}).(ipc.MallocResp)
+	if !ok {
+		t.Fatal("malloc failed")
+	}
+	for _, n := range []int{-1, 1 << 33} {
+		resp := s.Handle(0, ipc.MemsetReq{Dst: mr.Ptr, N: n, Value: 1})
+		if _, ok := resp.(ipc.ErrResp); !ok {
+			t.Fatalf("MemsetReq{N: %d} = %#v, want an ErrResp", n, resp)
+		}
+	}
+	if resp, ok := s.Handle(0, ipc.MemsetReq{Dst: mr.Ptr, N: 128, Value: 9}).(ipc.OKResp); !ok {
+		t.Fatalf("in-range memset after the refusals: %#v", resp)
+	}
+	d2h, ok := s.Handle(0, ipc.D2HReq{Src: mr.Ptr, N: 128}).(ipc.D2HResp)
+	if !ok || !bytes.Equal(d2h.Data, bytes.Repeat([]byte{9}, 128)) {
+		t.Fatalf("service no longer serving after hostile memsets: %#v", d2h)
 	}
 }
 

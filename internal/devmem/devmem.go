@@ -321,6 +321,31 @@ func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	return nil
 }
 
+// Fill sets n bytes of the allocation at p starting at off to value (a
+// memset), in place under the lock. n comes from the guest: a negative or
+// oversized one is refused like an out-of-range Write, before anything is
+// touched.
+func (m *Mem) Fill(p Ptr, off, n int, value byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.allocs[p]
+	if !ok {
+		return fmt.Errorf("devmem: fill of invalid pointer %#x", uint64(p))
+	}
+	if off < 0 || n < 0 || n > len(b)-off {
+		return fmt.Errorf("devmem: fill of %d bytes at %d outside allocation of %d bytes", n, off, len(b))
+	}
+	b = b[off : off+n]
+	if value == 0 {
+		clear(b)
+		return nil
+	}
+	for i := range b {
+		b[i] = value
+	}
+	return nil
+}
+
 // Read copies n bytes out of the allocation at p starting at off (a D2H
 // copy). The returned slice is a private copy.
 func (m *Mem) Read(p Ptr, off, n int) ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -401,5 +402,49 @@ func TestHeadroomAccounting(t *testing.T) {
 	}
 	if m.Headroom() != 4096 {
 		t.Fatalf("headroom %d after free", m.Headroom())
+	}
+}
+
+// TestFillBounds: Fill writes in place and refuses, before touching or
+// allocating anything, every range a guest can make up — a negative count
+// (which make([]byte, n) would panic on) and one far beyond the allocation.
+func TestFillBounds(t *testing.T) {
+	m := New(1 << 20)
+	p, _ := m.Alloc(16)
+	if err := m.Write(p, 0, bytes.Repeat([]byte{7}, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fill(p, 4, 8, 0xAB); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fill(p, 14, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(bytes.Repeat([]byte{7}, 4), bytes.Repeat([]byte{0xAB}, 8)...), 7, 7, 0, 0)
+	if got, _ := m.Read(p, 0, 16); !bytes.Equal(got, want) {
+		t.Fatalf("after fills: % x, want % x", got, want)
+	}
+	if err := m.Fill(p, 16, 0, 1); err != nil {
+		t.Errorf("empty fill at the end refused: %v", err)
+	}
+	for _, bad := range []struct{ off, n int }{
+		{0, -1}, {-1, 1}, {0, 17}, {9, 8}, {17, 0}, {0, 1 << 33}, {1, math.MaxInt},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := m.Fill(p, bad.off, bad.n, 1)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("Fill(off %d, n %d) on 16 bytes accepted", bad.off, bad.n)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Fill(off %d, n %d) allocated %d bytes before refusing", bad.off, bad.n, grew)
+		}
+	}
+	if err := m.Fill(Ptr(0xdead), 0, 1, 1); err == nil {
+		t.Error("fill of invalid pointer accepted")
+	}
+	if got, _ := m.Read(p, 0, 16); !bytes.Equal(got, want) {
+		t.Fatalf("refused fills changed memory: % x", got)
 	}
 }

@@ -100,13 +100,7 @@ func (d *Device) CopyD2H(src devmem.Ptr, off, n int) ([]byte, hostgpu.Interval, 
 
 // Memset fills device memory (a CPU loop under emulation).
 func (d *Device) Memset(dst devmem.Ptr, off, n int, value byte) (hostgpu.Interval, error) {
-	fill := make([]byte, n)
-	if value != 0 {
-		for i := range fill {
-			fill[i] = value
-		}
-	}
-	if err := d.Mem.Write(dst, off, fill); err != nil {
+	if err := d.Mem.Fill(dst, off, n, value); err != nil {
 		return hostgpu.Interval{}, err
 	}
 	d.Metrics.Counter("emul.memsets").Inc()

@@ -218,3 +218,20 @@ func TestNativeSemanticsWithDynamicProfile(t *testing.T) {
 		t.Error("native semantics not applied")
 	}
 }
+
+// TestMemsetRejectsHostileCounts: see the hostgpu test of the same name.
+func TestMemsetRejectsHostileCounts(t *testing.T) {
+	d := New(arch.HostXeon(), 1<<24)
+	p, err := d.Mem.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, 65, 1 << 33} {
+		if _, err := d.Memset(p, 0, n, 0xFF); err == nil {
+			t.Errorf("Memset of %d bytes into 64 accepted", n)
+		}
+	}
+	if _, err := d.Memset(p, 0, 64, 0xFF); err != nil {
+		t.Errorf("in-range Memset after refusals: %v", err)
+	}
+}

@@ -487,19 +487,11 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 		if err != nil {
 			return Interval{}, err
 		}
-		if off < 0 || n < 0 || off+n > size {
-			return Interval{}, fmt.Errorf("hostgpu: memset [%d,%d) outside allocation of %d bytes", off, off+n, size)
+		if off < 0 || n < 0 || n > size-off {
+			return Interval{}, fmt.Errorf("hostgpu: memset of %d bytes at %d outside allocation of %d bytes", n, off, size)
 		}
-	} else {
-		fill := make([]byte, n)
-		if value != 0 {
-			for i := range fill {
-				fill[i] = value
-			}
-		}
-		if err := g.Mem.Write(dst, off, fill); err != nil {
-			return Interval{}, err
-		}
+	} else if err := g.Mem.Fill(dst, off, n, value); err != nil {
+		return Interval{}, err
 	}
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
 	return g.schedule(EngineCompute, stream, dur, fmt.Sprintf("memset %dB", n)), nil

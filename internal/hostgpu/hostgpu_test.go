@@ -544,3 +544,25 @@ func TestSessionEnergy(t *testing.T) {
 		t.Error("ResetClock did not clear session energy")
 	}
 }
+
+// TestMemsetRejectsHostileCounts: a guest-supplied count that is negative or
+// far beyond the allocation is an error in both execution modes — not a
+// makeslice panic, not a multi-GiB allocation of zeros.
+func TestMemsetRejectsHostileCounts(t *testing.T) {
+	for _, mode := range []ExecMode{ExecFull, ExecTimingOnly} {
+		g := newQuadro(t)
+		g.Mode = mode
+		p, err := g.Mem.Alloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{-1, 65, 1 << 33, math.MaxInt} {
+			if _, err := g.Memset(0, p, 1, n, 0xFF); err == nil {
+				t.Errorf("mode %v: Memset of %d bytes into 64 accepted", mode, n)
+			}
+		}
+		if _, err := g.Memset(0, p, 0, 64, 0xFF); err != nil {
+			t.Errorf("mode %v: in-range Memset after refusals: %v", mode, err)
+		}
+	}
+}

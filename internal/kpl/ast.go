@@ -14,6 +14,16 @@
 //     instrumented PTX).
 //  3. Static analysis over its block structure yields the per-block
 //     instruction counts µ of Eq. 1 (see internal/kir).
+//
+// Two engines execute a kernel. The tree-walking interpreter (interp.go) is
+// the reference semantics and the paper's emulation baseline. The compiled
+// engine (compile.go, program.go) decides every type at compile time, binds
+// parameters and buffers once per launch, and leaves the per-thread loop
+// typed arithmetic on 8-byte registers; ExecAll, ExecRange, ExecBlocks and
+// SampleStats use it whenever the compiler can prove the kernel's types and
+// the launch's bindings agree with the declarations, and the interpreter
+// otherwise. Nothing selects between them and no caller can tell which ran:
+// buffers, statistics and error text are bit-identical.
 package kpl
 
 import "fmt"

@@ -32,7 +32,9 @@ func diffEnv(n int, bufs map[string]Type) *Env {
 func cloneEnvT(env *Env) *Env {
 	out := &Env{NThreads: env.NThreads, Params: env.Params, Bufs: map[string]*Buffer{}}
 	for name, b := range env.Bufs {
-		out.Bufs[name] = cloneBuffer(b)
+		if b != nil { // a nil binding is an unbound name
+			out.Bufs[name] = cloneBuffer(b)
+		}
 	}
 	return out
 }
@@ -93,11 +95,19 @@ func diffKernel(t *testing.T, k *Kernel, env *Env) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	diffRuns(t, env,
+		func(e *Env, st *Stats) error { return k.InterpretAll(e, st) },
+		func(e *Env, st *Stats) error { return p.ExecAll(e, st) })
+}
 
+// diffRuns runs the reference and the engine under test on copies of env and
+// asserts identical error text, buffers and statistics.
+func diffRuns(t *testing.T, env *Env, interp, compiled func(*Env, *Stats) error) {
+	t.Helper()
 	envI, envC := cloneEnvT(env), cloneEnvT(env)
 	stI, stC := NewStats(), NewStats()
-	errI := k.InterpretAll(envI, stI)
-	errC := p.ExecAll(envC, stC)
+	errI := interp(envI, stI)
+	errC := compiled(envC, stC)
 
 	iMsg, cMsg := "", ""
 	if errI != nil {
@@ -229,7 +239,9 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 // TestCompiledErrorIdentity checks that runtime failures — out-of-range
 // accesses, unbound parameters and buffers — fail at the same thread with
 // the same message, and that the partial buffers and statistics accumulated
-// up to the failure are bit-identical.
+// up to the failure are bit-identical: serially, and through the
+// block-parallel dispatcher on two workers (where the compiled program is
+// compared with the interpreter driven through the same dispatcher).
 func TestCompiledErrorIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -290,6 +302,53 @@ func TestCompiledErrorIdentity(t *testing.T) {
 			env:  diffEnv(8, map[string]Type{"out": I32}),
 			want: `thread 2: unbound buffer "ghost"`,
 		},
+		{
+			// The fault is several trips into a loop: the segment tallies of
+			// the completed trips count in full, the faulting trip's only up
+			// to the load.
+			name: "oob_in_loop_body",
+			k: &Kernel{Name: "oob_loop", Bufs: []BufDecl{{Name: "a", Elem: F32, ReadOnly: true}, {Name: "out", Elem: F32}},
+				Body: []Stmt{
+					Let("acc", CF(0)),
+					For("l", "i", CI(0), CI(6),
+						Let("acc", Add(Mul(V("acc"), CF(0.5)), Load("a", Add(TID(), Mul(V("i"), CI(2)))))),
+						Store("out", TID(), Sqrt(Abs(V("acc")))),
+					),
+					Store("out", TID(), V("acc")),
+				}},
+			env:  diffEnv(12, map[string]Type{"a": F32, "out": F32}),
+			want: `thread 2: load a[12] out of range (len 12)`,
+		},
+		{
+			// The faulting load is an operand of a comparison that fuses with
+			// its branch.
+			name: "oob_in_fused_compare_operand",
+			k: &Kernel{Name: "oob_cmp", Bufs: []BufDecl{{Name: "a", Elem: I32, ReadOnly: true}, {Name: "out", Elem: I32}},
+				Body: []Stmt{
+					Store("out", TID(), CI(3)),
+					IfElse(LT(Load("a", Mul(TID(), CI(3))), Add(TID(), CI(1))),
+						[]Stmt{Store("out", TID(), CI(4))},
+						[]Stmt{Store("out", TID(), Neg(TID()))}),
+				}},
+			env:  diffEnv(10, map[string]Type{"a": I32, "out": I32}),
+			want: `thread 4: load a[12] out of range (len 10)`,
+		},
+		{
+			// The fault sits behind a fused compare-and-branch, in a store
+			// whose value expression the early bounds check must precede.
+			name: "oob_behind_fused_compare",
+			k: &Kernel{Name: "oob_guarded", Bufs: []BufDecl{{Name: "a", Elem: F64, ReadOnly: true}, {Name: "out", Elem: F64}},
+				Body: []Stmt{
+					For("l", "i", CI(0), CI(3),
+						If(GE(Add(TID(), V("i")), CI(9)),
+							Store("out", Add(TID(), V("i")), Exp(Load("a", TID()))),
+						),
+						AtomicAdd("out", TID(), Load("a", V("i"))),
+					),
+				}},
+			env:  diffEnv(9, map[string]Type{"a": F64, "out": F64}),
+			want: `thread 7: store out[9] out of range (len 9)`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -302,6 +361,15 @@ func TestCompiledErrorIdentity(t *testing.T) {
 				t.Fatalf("interpreter error = %v, want substring %q", errI, tc.want)
 			}
 			diffKernel(t, tc.k, tc.env)
+			p, err := Compile(tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				diffRuns(t, tc.env,
+					func(e *Env, st *Stats) error { return tc.k.execBlocks(nil, e, st, 4, workers) },
+					func(e *Env, st *Stats) error { return tc.k.execBlocks(p, e, st, 4, workers) })
+			}
 		})
 	}
 }

@@ -179,8 +179,8 @@ func (in *interp) eval(e Expr) Value {
 		}
 		return unEval(x.Op, a)
 	case *LoadExpr:
-		buf, ok := in.env.Bufs[x.Buf]
-		if !ok {
+		buf := in.env.Bufs[x.Buf]
+		if buf == nil {
 			in.fail("unbound buffer %q", x.Buf)
 		}
 		i := int(in.eval(x.Idx).Int())
@@ -224,8 +224,8 @@ func (in *interp) exec(stmts []Stmt) ctl {
 		case *LetStmt:
 			in.vars[x.Name] = in.eval(x.E)
 		case *StoreStmt:
-			buf, ok := in.env.Bufs[x.Buf]
-			if !ok {
+			buf := in.env.Bufs[x.Buf]
+			if buf == nil {
 				in.fail("unbound buffer %q", x.Buf)
 			}
 			i := int(in.eval(x.Idx).Int())
@@ -239,8 +239,8 @@ func (in *interp) exec(stmts []Stmt) ctl {
 			}
 			buf.Set(i, v)
 		case *AtomicAddStmt:
-			buf, ok := in.env.Bufs[x.Buf]
-			if !ok {
+			buf := in.env.Bufs[x.Buf]
+			if buf == nil {
 				in.fail("unbound buffer %q", x.Buf)
 			}
 			i := int(in.eval(x.Idx).Int())
@@ -329,15 +329,12 @@ func (k *Kernel) ExecThread(tid int, env *Env, st *Stats) error {
 }
 
 // ExecRange executes threads [lo, hi) in thread-index order. Kernels the
-// compiler covers run on the cached slot-indexed Program (see compile.go);
-// anything else falls back to the interpreter. Both engines produce
-// bit-identical buffers, statistics, and errors, so callers cannot tell
-// which one ran.
+// compiler covers run on the cached typed Program (see compile.go), unless
+// the launch's bindings contradict the declared types; anything else runs on
+// the interpreter. Both engines produce bit-identical buffers, statistics,
+// and errors, so callers cannot tell which one ran.
 func (k *Kernel) ExecRange(lo, hi int, env *Env, st *Stats) error {
-	if p := k.resolveProgram(); p != nil {
-		return p.ExecRange(lo, hi, env, st)
-	}
-	return k.InterpretRange(lo, hi, env, st)
+	return k.execStride(k.resolveProgram(), lo, hi, 1, env, st)
 }
 
 // ExecAll executes every thread of the launch sequentially, in thread-index
@@ -347,10 +344,15 @@ func (k *Kernel) ExecAll(env *Env, st *Stats) error {
 }
 
 // InterpretRange interprets threads [lo, hi) in thread-index order on the
-// tree-walking interpreter, reusing one pooled interpreter state for the
-// whole range. Statistics are accumulated into st when non-nil. This is the
-// reference engine: the compiled path must match it bit for bit.
+// tree-walking interpreter. Statistics are accumulated into st when non-nil.
+// This is the reference engine: the compiled path must match it bit for bit.
 func (k *Kernel) InterpretRange(lo, hi int, env *Env, st *Stats) error {
+	return k.interpretStride(lo, hi, 1, env, st)
+}
+
+// interpretStride interprets threads lo, lo+step, … below hi, reusing one
+// pooled interpreter state for the whole call.
+func (k *Kernel) interpretStride(lo, hi, step int, env *Env, st *Stats) error {
 	if st != nil {
 		st.ensureMaps()
 	}
@@ -360,7 +362,7 @@ func (k *Kernel) InterpretRange(lo, hi int, env *Env, st *Stats) error {
 		in.k, in.env, in.st = nil, nil, nil
 		interpPool.Put(in)
 	}()
-	for tid := lo; tid < hi; tid++ {
+	for tid := lo; tid < hi; tid += step {
 		if err := in.runThread(tid); err != nil {
 			return err
 		}
@@ -377,11 +379,12 @@ func (k *Kernel) InterpretAll(env *Env, st *Stats) error {
 	return k.InterpretRange(0, env.NThreads, env, st)
 }
 
-// SampleStats interprets up to sample threads spread evenly across the launch
-// against scratch copies of the buffers, returning the measured statistics
-// scaled to the full launch. This is the paper's dynamic-instrumentation path
-// for λ measurement (footnote 2: <0.5% overhead), used when σ must be known
-// without paying a full interpretation.
+// SampleStats executes up to sample threads spread evenly across the launch
+// against scratch copies of the writable buffers, returning the measured
+// statistics scaled to the full launch. This is the paper's
+// dynamic-instrumentation path for λ measurement (footnote 2: <0.5% overhead),
+// used when σ must be known without paying a full execution. The whole sample
+// runs over one resolved program and one bound frame.
 func (k *Kernel) SampleStats(env *Env, sample int) (*Stats, error) {
 	if sample <= 0 {
 		sample = 32
@@ -389,27 +392,24 @@ func (k *Kernel) SampleStats(env *Env, sample int) (*Stats, error) {
 	if sample > env.NThreads {
 		sample = env.NThreads
 	}
-	scratch := &Env{NThreads: env.NThreads, Params: env.Params, Bufs: map[string]*Buffer{}}
-	for name, b := range env.Bufs {
-		scratch.Bufs[name] = cloneBuffer(b)
-	}
 	st := NewStats()
-	if sample == 0 {
+	if sample <= 0 {
 		return st, nil
 	}
-	step := env.NThreads / sample
-	if step == 0 {
-		step = 1
-	}
-	ran := 0
-	for tid := 0; tid < env.NThreads && ran < sample; tid += step {
-		if err := k.ExecThread(tid, scratch, st); err != nil {
-			return nil, err
+	scratch := &Env{NThreads: env.NThreads, Params: env.Params, Bufs: make(map[string]*Buffer, len(env.Bufs))}
+	for name, b := range env.Bufs {
+		if decl := k.Buf(name); decl != nil && decl.ReadOnly {
+			scratch.Bufs[name] = b // never written (enforced by Validate)
+		} else {
+			scratch.Bufs[name] = cloneBuffer(b)
 		}
-		ran++
+	}
+	step := env.NThreads / sample // ≥ 1, so the sample threads are 0, step, … (sample-1)·step
+	if err := k.execStride(k.resolveProgram(), 0, sample*step, step, scratch, st); err != nil {
+		return nil, err
 	}
 	// Scale dynamic counts from the sample to the full launch.
-	scale := float64(env.NThreads) / float64(ran)
+	scale := float64(env.NThreads) / float64(sample)
 	st.Instr = st.Instr.Scale(scale)
 	for l := range st.Trips {
 		st.Trips[l] = int64(float64(st.Trips[l]) * scale)

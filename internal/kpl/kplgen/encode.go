@@ -303,9 +303,18 @@ func (e *encoder) expr(ex kpl.Expr, depth int) {
 		e.expr(x.A, depth-1)
 	case *kpl.SelExpr:
 		e.emit(9)
+		a, b := x.A, x.B
+		ca, okA := a.(*kpl.CastExpr)
+		cb, okB := b.(*kpl.CastExpr)
+		if okA && okB && ca.T == cb.T && ca.T <= kpl.F64 {
+			e.emit(byte(ca.T)) // mode: the decoder re-wraps both arms in this cast
+			a, b = ca.A, cb.A
+		} else {
+			e.emit(selRaw)
+		}
 		e.expr(x.Cond, depth-1)
-		e.expr(x.A, depth-1)
-		e.expr(x.B, depth-1)
+		e.expr(a, depth-1)
+		e.expr(b, depth-1)
 	default:
 		e.constZero()
 	}

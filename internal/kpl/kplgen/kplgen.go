@@ -7,7 +7,11 @@
 // clamped through a Mod by a small constant) so no input can hang the fuzzer.
 // Runtime errors — out-of-range accesses, unbound parameters or buffers,
 // reads of unassigned variables — are deliberately reachable: they must be
-// bit-identical between the two engines too.
+// bit-identical between the two engines too. So are the constructs the typed
+// compiler refuses (variables with two types where paths meet, selects with
+// unequal arms), but the generator leans toward kernels that compile — reads
+// of assigned variables, select arms cast to one type — so that a healthy
+// share of random kernels exercises the compiled engine.
 //
 // Encode is the lossy inverse used to seed the fuzz corpus from the real
 // benchmark suite: it renames identifiers into the generator's namespace and
@@ -211,9 +215,22 @@ func (d *decoder) expr(depth int) kpl.Expr {
 	case 8:
 		return kpl.Cast(kpl.Type(d.c.mod(3)), d.expr(depth-1))
 	default:
-		return kpl.Sel(d.expr(depth-1), d.expr(depth-1), d.expr(depth-1))
+		// The typed compiler refuses a select whose arms differ in type, so
+		// three times in four both arms are cast to one type; the rest keep
+		// the refusal (and the interpreter fallback) covered.
+		b := d.c.byte()
+		cond, x, y := d.expr(depth-1), d.expr(depth-1), d.expr(depth-1)
+		if b%4 != selRaw {
+			t := kpl.Type(b % 3)
+			x, y = kpl.Cast(t, x), kpl.Cast(t, y)
+		}
+		return kpl.Sel(cond, x, y)
 	}
 }
+
+// selRaw is the residue mod 4 of a select's mode byte that leaves the arms
+// as decoded; any other byte b casts both to Type(b % 3).
+const selRaw = 3
 
 // clampBound forces a loop bound into (-loopClamp, loopClamp). The I32 cast
 // is essential, not cosmetic: fmod(NaN, 16) is still NaN, and a NaN bound

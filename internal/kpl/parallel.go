@@ -6,10 +6,19 @@ import (
 )
 
 // HasAtomics reports whether the kernel body contains an atomic
-// read-modify-write. Atomic kernels are interpreted serially by ExecBlocks:
+// read-modify-write. Atomic kernels are executed serially by ExecBlocks:
 // a parallel fold of floating-point atomics would change the accumulation
 // order and therefore the bit pattern of the result.
-func (k *Kernel) HasAtomics() bool { return stmtsHaveAtomics(k.Body) }
+func (k *Kernel) HasAtomics() bool { return k.hasAtomics(k.resolveProgram()) }
+
+// hasAtomics answers from the compiled program, which recorded it once; only
+// uncompilable kernels walk the AST per call.
+func (k *Kernel) hasAtomics(p *Program) bool {
+	if p != nil {
+		return p.atomics
+	}
+	return stmtsHaveAtomics(k.Body)
+}
 
 func stmtsHaveAtomics(ss []Stmt) bool {
 	for _, s := range ss {
@@ -127,6 +136,13 @@ func blockSpans(n, blockSize, nBlocks, workers int) []threadSpan {
 // atomic fold would reorder floating-point accumulation), as do single-block
 // and single-worker launches.
 func (k *Kernel) ExecBlocks(env *Env, st *Stats, blockSize, workers int) error {
+	// Resolve the compiled program once per launch; every worker shares it.
+	return k.execBlocks(k.resolveProgram(), env, st, blockSize, workers)
+}
+
+// execBlocks is ExecBlocks on the given program, or on the interpreter when
+// p is nil.
+func (k *Kernel) execBlocks(p *Program, env *Env, st *Stats, blockSize, workers int) error {
 	if st != nil {
 		st.ensureMaps()
 	}
@@ -144,10 +160,8 @@ func (k *Kernel) ExecBlocks(env *Env, st *Stats, blockSize, workers int) error {
 	if workers > nBlocks {
 		workers = nBlocks
 	}
-	// Resolve the compiled program once per launch; every worker shares it.
-	p := k.resolveProgram()
-	if workers <= 1 || k.HasAtomics() {
-		return k.execRange(p, 0, n, env, st)
+	if workers <= 1 || k.hasAtomics(p) {
+		return k.execStride(p, 0, n, 1, env, st)
 	}
 
 	spans := blockSpans(n, blockSize, nBlocks, workers)
@@ -172,7 +186,7 @@ func (k *Kernel) ExecBlocks(env *Env, st *Stats, blockSize, workers int) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = k.execRange(p, spans[w].lo, spans[w].hi, envs[w], stats[w])
+			errs[w] = k.execStride(p, spans[w].lo, spans[w].hi, 1, envs[w], stats[w])
 		}(w)
 	}
 	wg.Wait()

@@ -1,11 +1,15 @@
 package kpl
 
-// The compiled execution engine. A Program runs against a frame: a pooled,
-// per-ExecRange register file plus dense per-slot statistics arrays. The hot
-// loop is string-free — register and slot indices only — and allocation-free
-// in steady state; the map-keyed Stats view the rest of the system consumes
-// is produced by a single fold at the end of each ExecRange call. Every
-// counter is an integer, so folding totals instead of incrementing per
+// The compiled execution engine. A Program runs against a frame: one pooled,
+// cache-line-isolated block holding the 256-word register file and the
+// control-flow edge counters, plus the launch's bindings resolved once —
+// scalar parameters as register contents, buffers as typed slice headers per
+// slot. The per-thread loop is typed arithmetic on 8-byte registers and
+// nothing else: no type tags, no maps, no strings, no per-instruction
+// counter. The map-keyed Stats view the rest of the system consumes is
+// produced by a single fold at the end of each call, which multiplies every
+// segment's static tally by the number of times the segment was entered.
+// Every counter is an integer, so folding totals instead of incrementing per
 // instruction yields bit-identical float64 accumulations.
 
 import (
@@ -16,118 +20,178 @@ import (
 	"repro/internal/arch"
 )
 
-// frame is the mutable state of one compiled ExecRange call: the register
-// file shared by consecutive threads (safe because compilation proves every
-// register is written before read within a thread) and the dense statistics
-// slots. Frames are pooled; getFrame re-sizes and zeroes them per call.
+// linePad is one 64-byte cache line. A frame begins and ends with one, so
+// that whatever the allocator places next to it, no line written by one
+// worker's thread loop is shared with another's.
+type linePad [8]uint64
+
+// boundBuf is one buffer slot resolved for a launch: the backing slice
+// matching the declared element type, and the block-parallel engine's shadow
+// write tracking when armed.
+type boundBuf struct {
+	f32     []float32
+	f64     []float64
+	i32     []int32
+	written []bool
+	n       int
+}
+
+// frame is the mutable state of one compiled call: one contiguous,
+// line-padded block. The register file is shared by consecutive threads (safe
+// because compilation proves every register is written before read within a
+// thread). Frames are pooled; bind re-fills them per call.
 type frame struct {
-	regs []Value
+	_    linePad
+	regs [nRegs]uint64
+	cnt  [nRegs]uint64 // by edge: times taken
 
-	icount  [arch.NumClasses]int64
-	trips   []int64
-	entries []int64
-	bufLd   []int64
-	bufSt   []int64
+	// The thread loop, kept here rather than in exec's locals so that the
+	// instruction loop's own state fits the machine's registers: the thread
+	// running, the bound, the stride, and the threads completed.
+	tid, hi, step, done int
 
-	params  []Value
-	paramOK []bool
-	bufs    []*Buffer
+	bufs  []boundBuf
+	loops []loopSlot // the program's
+	tot   []uint64   // fold scratch: loads then stores, per buffer slot
+	_     linePad
 }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
-func resetInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// getFrame acquires a pooled frame sized for the program and resolves the
-// launch bindings: parameter slots and buffer slots become array lookups for
-// the duration of the call. Missing bindings are recorded, not rejected —
-// the interpreter only fails when an unbound name is dynamically reached,
-// and the compiled engine must fail at exactly the same point.
-func (p *Program) getFrame(env *Env) *frame {
+// bind acquires a pooled frame and resolves the launch's bindings into it:
+// constants and parameters become register contents, buffers typed slice
+// headers. It returns nil when the bindings contradict what the program was
+// compiled against — an unbound name, a Value or a Buffer of another type —
+// and the launch must run on the interpreter, which raises the error (if the
+// name is ever reached) at the exact dynamic point.
+func (p *Program) bind(env *Env) *frame {
 	fr := framePool.Get().(*frame)
-	if cap(fr.regs) < p.nRegs {
-		fr.regs = make([]Value, p.nRegs)
-	} else {
-		fr.regs = fr.regs[:p.nRegs]
-	}
-	fr.icount = [arch.NumClasses]int64{}
-	fr.trips = resetInt64(fr.trips, len(p.loopLabels))
-	fr.entries = resetInt64(fr.entries, len(p.loopLabels))
-	fr.bufLd = resetInt64(fr.bufLd, len(p.bufNames))
-	fr.bufSt = resetInt64(fr.bufSt, len(p.bufNames))
+	clear(fr.cnt[:p.nEdges])
+	fr.loops = p.loops
 
-	np := len(p.paramNames)
-	if cap(fr.params) < np {
-		fr.params = make([]Value, np)
-		fr.paramOK = make([]bool, np)
-	} else {
-		fr.params = fr.params[:np]
-		fr.paramOK = fr.paramOK[:np]
+	fr.regs[regNT] = uint64(env.NThreads)
+	for i, w := range p.consts {
+		fr.regs[nRegs-1-i] = w
 	}
-	for i, name := range p.paramNames {
-		v, ok := env.Params[name]
-		fr.params[i], fr.paramOK[i] = v, ok
+	for _, ps := range p.params {
+		v, ok := env.Params[ps.name]
+		if !ok || v.T != ps.t {
+			putFrame(fr)
+			return nil
+		}
+		if ps.t == I32 {
+			fr.regs[ps.reg] = uint64(v.I)
+		} else {
+			fr.regs[ps.reg] = math.Float64bits(v.F)
+		}
 	}
 
-	nb := len(p.bufNames)
+	nb := len(p.bufs)
 	if cap(fr.bufs) < nb {
-		fr.bufs = make([]*Buffer, nb)
-	} else {
-		fr.bufs = fr.bufs[:nb]
+		fr.bufs = make([]boundBuf, nb)
+		fr.tot = make([]uint64, 2*nb)
 	}
-	for i, name := range p.bufNames {
-		fr.bufs[i] = env.Bufs[name]
+	fr.bufs, fr.tot = fr.bufs[:nb], fr.tot[:2*nb]
+	for i, bs := range p.bufs {
+		b := env.Bufs[bs.name]
+		if b == nil || b.Elem != bs.elem {
+			putFrame(fr)
+			return nil
+		}
+		fr.bufs[i] = boundBuf{f32: b.F32s, f64: b.F64s, i32: b.I32s, written: b.written, n: b.Len()}
 	}
 	return fr
 }
 
 func putFrame(fr *frame) {
-	for i := range fr.bufs {
-		fr.bufs[i] = nil // do not pin launch buffers in the pool
-	}
+	clear(fr.bufs) // do not pin launch buffers in the pool
 	framePool.Put(fr)
 }
 
-// fold merges the frame's dense counters into the map-keyed Stats. Slots
-// with zero counts create no map keys, exactly like the interpreter's
-// increment-on-first-touch behaviour.
-func (fr *frame) fold(p *Program, st *Stats) {
-	for c, n := range fr.icount {
-		if n != 0 {
-			st.Instr[c] += float64(n)
+// fold merges the frame's counters into the map-keyed Stats: each segment's
+// tally times its entries. Slots with zero counts create no map keys, exactly
+// like the interpreter's increment-on-first-touch behaviour. faultPC is the
+// pc a thread stopped at, or -1: that one entry of its segment executed only
+// the instructions before faultPC, and did not run on into the next segment.
+func (fr *frame) fold(p *Program, st *Stats, faultPC int) {
+	clear(fr.tot)
+	ld, sto := fr.tot[:len(p.bufs)], fr.tot[len(p.bufs):]
+	var n [arch.NumClasses]int64
+	var prev uint64
+	for i := range p.segs {
+		sg := &p.segs[i]
+		var h uint64
+		for _, e := range sg.in {
+			h += fr.cnt[e]
+		}
+		if sg.fallIn {
+			h += prev
+		}
+		prev = h
+		if h == 0 {
+			continue
+		}
+		for c := range n {
+			n[c] += int64(h) * sg.n[c]
+		}
+		for b := range ld {
+			ld[b] += h * uint64(sg.ld[b])
+			sto[b] += h * uint64(sg.st[b])
+		}
+		if sg.loop >= 0 {
+			st.Trips[p.loops[sg.loop].label] += int64(h)
+		}
+		if faultPC >= sg.start && faultPC < sg.end {
+			for pc := faultPC; pc < sg.end; pc++ {
+				t := &p.tallies[pc]
+				for c := range n {
+					n[c] -= int64(t.n[c])
+				}
+				if t.ld >= 0 {
+					ld[t.ld]--
+				}
+				if t.st >= 0 {
+					sto[t.st]--
+				}
+			}
+			prev = h - 1
 		}
 	}
-	for i, n := range fr.trips {
-		if n != 0 {
-			st.Trips[p.loopLabels[i]] += n
+	for c, v := range n {
+		if v != 0 {
+			st.Instr[c] += float64(v)
 		}
 	}
-	for i, n := range fr.entries {
-		if n != 0 {
-			st.Entries[p.loopLabels[i]] += n
+	for _, lp := range p.loops {
+		if v := fr.cnt[lp.edge+1]; v != 0 {
+			st.Entries[lp.label] += int64(v)
 		}
 	}
-	for i, n := range fr.bufLd {
-		if n != 0 {
-			st.BufLd[p.bufNames[i]] += n
+	for i, v := range ld {
+		if v != 0 {
+			st.BufLd[p.bufs[i].name] += int64(v)
 		}
 	}
-	for i, n := range fr.bufSt {
-		if n != 0 {
-			st.BufSt[p.bufNames[i]] += n
+	for i, v := range sto {
+		if v != 0 {
+			st.BufSt[p.bufs[i].name] += int64(v)
 		}
 	}
 }
 
-func (p *Program) errf(tid int, format string, args ...any) error {
-	return &Error{Kernel: p.kernelName, TID: tid, Msg: fmt.Sprintf(format, args...)}
+// faultError formats an out-of-range index at pc exactly as the interpreter
+// does.
+func (p *Program) faultError(fr *frame, pc, idx int) error {
+	w := p.code[pc]
+	kind := "store"
+	switch op := w.op(); {
+	case op <= opLdF64:
+		kind = "load"
+	case op == opChkAt || op >= opAtI32:
+		kind = "atomic"
+	}
+	return &Error{Kernel: p.src.Name, TID: fr.tid, Msg: fmt.Sprintf("%s %s[%d] out of range (len %d)",
+		kind, p.bufs[w.c()].name, idx, fr.bufs[w.c()].n)}
 }
 
 // ExecAll executes every thread of the launch through the compiled engine.
@@ -140,181 +204,446 @@ func (p *Program) ExecAll(env *Env, st *Stats) error {
 // counts of a failing thread, matching the interpreter's incremental
 // accounting at the point it stops.
 func (p *Program) ExecRange(lo, hi int, env *Env, st *Stats) error {
+	return p.execStride(lo, hi, 1, env, st)
+}
+
+// execStride executes threads lo, lo+step, … below hi on one bound frame, or
+// on the interpreter when the launch's bindings do not fit the program.
+func (p *Program) execStride(lo, hi, step int, env *Env, st *Stats) error {
+	fr := p.bind(env)
+	if fr == nil {
+		return p.src.interpretStride(lo, hi, step, env, st)
+	}
+	fr.tid, fr.hi, fr.step, fr.done = lo, hi, step, 0
+	var err error
+	faultPC := -1
+	if lo < hi {
+		var idx int
+		if faultPC, idx = exec(p.code, fr); faultPC >= 0 {
+			err = p.faultError(fr, faultPC, idx)
+		}
+	}
 	if st != nil {
 		st.ensureMaps()
-	}
-	fr := p.getFrame(env)
-	var err error
-	threads := 0
-	for tid := lo; tid < hi; tid++ {
-		if err = p.run(fr, tid, env.NThreads); err != nil {
-			break
-		}
-		threads++
-	}
-	if st != nil {
-		fr.fold(p, st)
-		st.Threads += threads
+		fr.fold(p, st, faultPC)
+		st.Threads += fr.done
 	}
 	putFrame(fr)
 	return err
 }
 
-// run executes one thread. Semantics — evaluation order, statistics classes,
-// quiet-divide behaviour, error text — mirror interp.go exactly; binEval and
-// unEval are shared with the interpreter so scalar arithmetic is identical
-// by construction.
-func (p *Program) run(fr *frame, tid, nThreads int) error {
-	code := p.code
-	regs := fr.regs
+// Word conversions between a register and the value it holds.
+func fw(w uint64) float64 { return math.Float64frombits(w) }
+func wf(f float64) uint64 { return math.Float64bits(f) }
+
+// w32 is F32Val: the result of an f32 operation, computed in float64 and
+// rounded once.
+func w32(f float64) uint64 { return math.Float64bits(float64(float32(f))) }
+
+// wi is the int32 wrap binEval applies to integer results.
+func wi(i int64) uint64 { return uint64(int64(int32(i))) }
+
+func wb(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// convertWord applies a conversion opcode to a constant, for compile-time
+// folding; exec has the same four lines.
+func convertWord(op opcode, w uint64) uint64 {
+	switch op {
+	case opCvtIF:
+		return wf(float64(int64(w)))
+	case opCvtIF32:
+		return w32(float64(int64(w)))
+	case opCvtFI:
+		return uint64(int64(fw(w)))
+	case opRoundF32:
+		return w32(fw(w))
+	}
+	return w
+}
+
+// branch takes a conditional jump — fall through when ok, else jump to the
+// target — and counts the edge taken.
+func branch(cnt *[nRegs]uint64, w word, pc int, ok bool) int {
+	e := w.d()
+	if ok {
+		pc++
+		e++
+	} else {
+		pc = w.target()
+	}
+	cnt[e]++
+	return pc
+}
+
+// exec runs threads fr.tid, fr.tid+fr.step, … below fr.hi in order, counting
+// the completed ones in fr.done. It returns -1, or the pc at which fr.tid
+// indexed a buffer out of range and the index. Each case is binEval, unEval,
+// Value.Convert, Buffer.At/Set/AddAt or the interpreter's control flow
+// specialised to one type; the evaluation order mirrors interp.go exactly.
+func exec(code []word, fr *frame) (faultPC, faultIdx int) {
+	regs := &fr.regs
+	cnt := &fr.cnt
+	regs[regTID] = uint64(fr.tid)
+	cnt[0]++
 	pc := 0
 	for {
-		ins := &code[pc]
-		switch ins.op {
-		case opConst:
-			regs[ins.dst] = ins.imm
-
-		case opTID:
-			regs[ins.dst] = Value{T: I32, I: int64(tid)}
-
-		case opNT:
-			regs[ins.dst] = Value{T: I32, I: int64(nThreads)}
-
-		case opParam:
-			if !fr.paramOK[ins.a] {
-				return p.errf(tid, "unbound parameter %q", p.paramNames[ins.a])
-			}
-			regs[ins.dst] = fr.params[ins.a]
-
+		w := code[pc]
+		switch w.op() {
 		case opMove:
-			regs[ins.dst] = regs[ins.a]
+			regs[w.d()] = regs[w.a()]
 
-		case opBin:
-			a, b := regs[ins.a], regs[ins.b]
-			op := BinOp(ins.sub)
-			if op.IsBitwise() {
-				fr.icount[arch.Bit]++
+		case opAddI:
+			regs[w.d()] = wi(int64(regs[w.a()]) + int64(regs[w.b()]))
+		case opSubI:
+			regs[w.d()] = wi(int64(regs[w.a()]) - int64(regs[w.b()]))
+		case opMulI:
+			regs[w.d()] = wi(int64(regs[w.a()]) * int64(regs[w.b()]))
+		case opDivI:
+			var r int64 // GPU-style quiet divide
+			if y := int64(regs[w.b()]); y != 0 {
+				r = int64(regs[w.a()]) / y
+			}
+			regs[w.d()] = wi(r)
+		case opModI:
+			var r int64
+			if y := int64(regs[w.b()]); y != 0 {
+				r = int64(regs[w.a()]) % y
+			}
+			regs[w.d()] = wi(r)
+		case opMinI:
+			r, y := int64(regs[w.a()]), int64(regs[w.b()])
+			if y < r {
+				r = y
+			}
+			regs[w.d()] = wi(r)
+		case opMaxI:
+			r, y := int64(regs[w.a()]), int64(regs[w.b()])
+			if y > r {
+				r = y
+			}
+			regs[w.d()] = wi(r)
+
+		case opAddF32:
+			regs[w.d()] = w32(addF64(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opSubF32:
+			regs[w.d()] = w32(fw(regs[w.a()]) - fw(regs[w.b()]))
+		case opMulF32:
+			regs[w.d()] = w32(mulF64(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opDivF32:
+			regs[w.d()] = w32(fw(regs[w.a()]) / fw(regs[w.b()]))
+		case opModF32:
+			regs[w.d()] = w32(math.Mod(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opMinF32:
+			regs[w.d()] = w32(math.Min(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opMaxF32:
+			regs[w.d()] = w32(math.Max(fw(regs[w.a()]), fw(regs[w.b()])))
+
+		case opAddF64:
+			regs[w.d()] = wf(addF64(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opSubF64:
+			regs[w.d()] = wf(fw(regs[w.a()]) - fw(regs[w.b()]))
+		case opMulF64:
+			regs[w.d()] = wf(mulF64(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opDivF64:
+			regs[w.d()] = wf(fw(regs[w.a()]) / fw(regs[w.b()]))
+		case opModF64:
+			regs[w.d()] = wf(math.Mod(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opMinF64:
+			regs[w.d()] = wf(math.Min(fw(regs[w.a()]), fw(regs[w.b()])))
+		case opMaxF64:
+			regs[w.d()] = wf(math.Max(fw(regs[w.a()]), fw(regs[w.b()])))
+
+		case opLTI:
+			regs[w.d()] = wb(int64(regs[w.a()]) < int64(regs[w.b()]))
+		case opLEI:
+			regs[w.d()] = wb(int64(regs[w.a()]) <= int64(regs[w.b()]))
+		case opGTI:
+			regs[w.d()] = wb(int64(regs[w.a()]) > int64(regs[w.b()]))
+		case opGEI:
+			regs[w.d()] = wb(int64(regs[w.a()]) >= int64(regs[w.b()]))
+		case opEQI:
+			regs[w.d()] = wb(regs[w.a()] == regs[w.b()])
+		case opNEI:
+			regs[w.d()] = wb(regs[w.a()] != regs[w.b()])
+		case opLTF:
+			regs[w.d()] = wb(fw(regs[w.a()]) < fw(regs[w.b()]))
+		case opLEF:
+			regs[w.d()] = wb(fw(regs[w.a()]) <= fw(regs[w.b()]))
+		case opGTF:
+			regs[w.d()] = wb(fw(regs[w.a()]) > fw(regs[w.b()]))
+		case opGEF:
+			regs[w.d()] = wb(fw(regs[w.a()]) >= fw(regs[w.b()]))
+		case opEQF:
+			regs[w.d()] = wb(fw(regs[w.a()]) == fw(regs[w.b()]))
+		case opNEF:
+			regs[w.d()] = wb(fw(regs[w.a()]) != fw(regs[w.b()]))
+
+		case opAndI:
+			regs[w.d()] = wi(int64(regs[w.a()] & regs[w.b()]))
+		case opOrI:
+			regs[w.d()] = wi(int64(regs[w.a()] | regs[w.b()]))
+		case opXorI:
+			regs[w.d()] = wi(int64(regs[w.a()] ^ regs[w.b()]))
+		case opShlI:
+			regs[w.d()] = wi(int64(regs[w.a()]) << uint(int64(regs[w.b()])&63))
+		case opShrI:
+			regs[w.d()] = wi(int64(regs[w.a()]) >> uint(int64(regs[w.b()])&63))
+
+		case opMadI:
+			m := wi(int64(regs[w.a()]) * int64(regs[w.b()]))
+			regs[w.d()] = wi(int64(m) + int64(regs[w.r()]))
+
+		case opNegI:
+			regs[w.d()] = -regs[w.a()] // IntVal(-a.I): not wrapped
+		case opNegF32:
+			regs[w.d()] = w32(-fw(regs[w.a()]))
+		case opNegF64:
+			regs[w.d()] = wf(-fw(regs[w.a()]))
+		case opAbsI:
+			x := int64(regs[w.a()])
+			if x < 0 {
+				x = -x
+			}
+			regs[w.d()] = uint64(x)
+		case opAbsF32:
+			regs[w.d()] = w32(math.Abs(fw(regs[w.a()])))
+		case opAbsF64:
+			regs[w.d()] = wf(math.Abs(fw(regs[w.a()])))
+		case opNotI:
+			regs[w.d()] = wi(int64(^regs[w.a()]))
+		case opFloorF32:
+			regs[w.d()] = w32(math.Floor(fw(regs[w.a()])))
+		case opFloorF64:
+			regs[w.d()] = wf(math.Floor(fw(regs[w.a()])))
+		case opSqrtF32:
+			regs[w.d()] = w32(math.Sqrt(fw(regs[w.a()])))
+		case opSqrtF64:
+			regs[w.d()] = wf(math.Sqrt(fw(regs[w.a()])))
+		case opRsqrtF32:
+			regs[w.d()] = w32(1 / math.Sqrt(fw(regs[w.a()])))
+		case opRsqrtF64:
+			regs[w.d()] = wf(1 / math.Sqrt(fw(regs[w.a()])))
+		case opExpF32:
+			regs[w.d()] = w32(math.Exp(fw(regs[w.a()])))
+		case opExpF64:
+			regs[w.d()] = wf(math.Exp(fw(regs[w.a()])))
+		case opLogF32:
+			regs[w.d()] = w32(math.Log(fw(regs[w.a()])))
+		case opLogF64:
+			regs[w.d()] = wf(math.Log(fw(regs[w.a()])))
+		case opSinF32:
+			regs[w.d()] = w32(math.Sin(fw(regs[w.a()])))
+		case opSinF64:
+			regs[w.d()] = wf(math.Sin(fw(regs[w.a()])))
+		case opCosF32:
+			regs[w.d()] = w32(math.Cos(fw(regs[w.a()])))
+		case opCosF64:
+			regs[w.d()] = wf(math.Cos(fw(regs[w.a()])))
+
+		case opCvtIF:
+			regs[w.d()] = wf(float64(int64(regs[w.a()])))
+		case opCvtIF32:
+			regs[w.d()] = w32(float64(int64(regs[w.a()])))
+		case opCvtFI:
+			regs[w.d()] = uint64(int64(fw(regs[w.a()])))
+		case opRoundF32:
+			regs[w.d()] = w32(fw(regs[w.a()]))
+
+		case opSelI:
+			if regs[w.a()] != 0 {
+				regs[w.d()] = regs[w.b()]
 			} else {
-				fr.icount[classOf(Promote(a.T, b.T))]++
+				regs[w.d()] = regs[w.r()]
 			}
-			regs[ins.dst] = binEval(op, a, b)
-
-		case opUn:
-			a := regs[ins.a]
-			op := UnOp(ins.sub)
-			if op == OpNot {
-				fr.icount[arch.Bit]++
+		case opSelF:
+			if fw(regs[w.a()]) != 0 {
+				regs[w.d()] = regs[w.b()]
 			} else {
-				t := a.T
-				if t == I32 && op >= OpFloor {
-					t = F32
-				}
-				fr.icount[classOf(t)] += int64(ins.c)
-			}
-			regs[ins.dst] = unEval(op, a)
-
-		case opCast:
-			fr.icount[arch.Int]++ // cvt
-			regs[ins.dst] = regs[ins.a].Convert(Type(ins.sub))
-
-		case opSel:
-			fr.icount[arch.Int]++ // predicated select
-			if regs[ins.a].Bool() {
-				regs[ins.dst] = regs[ins.b]
-			} else {
-				regs[ins.dst] = regs[ins.c]
+				regs[w.d()] = regs[w.r()]
 			}
 
-		case opBufChk:
-			if fr.bufs[ins.b] == nil {
-				return p.errf(tid, "unbound buffer %q", p.bufNames[ins.b])
+		case opLdI32:
+			s := fr.bufs[w.c()].i32
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(s)) {
+				return pc, i
+			}
+			regs[w.d()] = uint64(int64(s[i]))
+		case opLdF32:
+			s := fr.bufs[w.c()].f32
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(s)) {
+				return pc, i
+			}
+			regs[w.d()] = wf(float64(s[i]))
+		case opLdF64:
+			s := fr.bufs[w.c()].f64
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(s)) {
+				return pc, i
+			}
+			regs[w.d()] = wf(s[i])
+
+		case opChkSt, opChkAt:
+			if i := int(int64(regs[w.a()])); uint(i) >= uint(fr.bufs[w.c()].n) {
+				return pc, i
 			}
 
-		case opLoad:
-			buf := fr.bufs[ins.b]
-			i := int(regs[ins.a].Int())
-			if i < 0 || i >= buf.Len() {
-				return p.errf(tid, "load %s[%d] out of range (len %d)", p.bufNames[ins.b], i, buf.Len())
+		case opStI32:
+			b := &fr.bufs[w.c()]
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(b.i32)) {
+				return pc, i
 			}
-			fr.icount[arch.Ld]++
-			fr.bufLd[ins.b]++
-			regs[ins.dst] = buf.At(i)
-
-		case opStoreChk:
-			buf := fr.bufs[ins.b]
-			i := int(regs[ins.a].Int())
-			if i < 0 || i >= buf.Len() {
-				return p.errf(tid, "store %s[%d] out of range (len %d)", p.bufNames[ins.b], i, buf.Len())
+			b.i32[i] = int32(int64(regs[w.b()]))
+			if b.written != nil {
+				b.written[i] = true
+			}
+		case opStF32:
+			b := &fr.bufs[w.c()]
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(b.f32)) {
+				return pc, i
+			}
+			b.f32[i] = float32(fw(regs[w.b()]))
+			if b.written != nil {
+				b.written[i] = true
+			}
+		case opStF64:
+			b := &fr.bufs[w.c()]
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(b.f64)) {
+				return pc, i
+			}
+			b.f64[i] = fw(regs[w.b()])
+			if b.written != nil {
+				b.written[i] = true
 			}
 
-		case opStore:
-			buf := fr.bufs[ins.b]
-			fr.icount[arch.St]++
-			fr.bufSt[ins.b]++
-			buf.Set(int(regs[ins.a].Int()), regs[ins.c])
-
-		case opAtomicChk:
-			buf := fr.bufs[ins.b]
-			i := int(regs[ins.a].Int())
-			if i < 0 || i >= buf.Len() {
-				return p.errf(tid, "atomic %s[%d] out of range (len %d)", p.bufNames[ins.b], i, buf.Len())
+		case opAtI32:
+			b := &fr.bufs[w.c()]
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(b.i32)) {
+				return pc, i
+			}
+			b.i32[i] += int32(int64(regs[w.b()]))
+			if b.written != nil {
+				b.written[i] = true
+			}
+		case opAtF32:
+			b := &fr.bufs[w.c()]
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(b.f32)) {
+				return pc, i
+			}
+			b.f32[i] = addF32(b.f32[i], float32(fw(regs[w.b()])))
+			if b.written != nil {
+				b.written[i] = true
+			}
+		case opAtF64:
+			b := &fr.bufs[w.c()]
+			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(b.f64)) {
+				return pc, i
+			}
+			b.f64[i] = addF64(b.f64[i], fw(regs[w.b()]))
+			if b.written != nil {
+				b.written[i] = true
 			}
 
-		case opAtomic:
-			buf := fr.bufs[ins.b]
-			fr.icount[arch.Ld]++
-			fr.icount[arch.St]++
-			fr.bufLd[ins.b]++
-			fr.bufSt[ins.b]++
-			buf.AddAt(int(regs[ins.a].Int()), regs[ins.c])
-
+		// Control: every transfer counts the edge it takes.
 		case opJump:
-			pc = int(ins.c)
+			pc = w.target()
+			cnt[w.d()]++
+			continue
+		case opJzI:
+			pc = branch(cnt, w, pc, regs[w.a()] != 0)
+			continue
+		case opJzF:
+			pc = branch(cnt, w, pc, fw(regs[w.a()]) != 0)
+			continue
+		case opJnLTI:
+			pc = branch(cnt, w, pc, int64(regs[w.a()]) < int64(regs[w.b()]))
+			continue
+		case opJnLEI:
+			pc = branch(cnt, w, pc, int64(regs[w.a()]) <= int64(regs[w.b()]))
+			continue
+		case opJnGTI:
+			pc = branch(cnt, w, pc, int64(regs[w.a()]) > int64(regs[w.b()]))
+			continue
+		case opJnGEI:
+			pc = branch(cnt, w, pc, int64(regs[w.a()]) >= int64(regs[w.b()]))
+			continue
+		case opJnEQI:
+			pc = branch(cnt, w, pc, regs[w.a()] == regs[w.b()])
+			continue
+		case opJnNEI:
+			pc = branch(cnt, w, pc, regs[w.a()] != regs[w.b()])
+			continue
+		case opJnLTF:
+			pc = branch(cnt, w, pc, fw(regs[w.a()]) < fw(regs[w.b()]))
+			continue
+		case opJnLEF:
+			pc = branch(cnt, w, pc, fw(regs[w.a()]) <= fw(regs[w.b()]))
+			continue
+		case opJnGTF:
+			pc = branch(cnt, w, pc, fw(regs[w.a()]) > fw(regs[w.b()]))
+			continue
+		case opJnGEF:
+			pc = branch(cnt, w, pc, fw(regs[w.a()]) >= fw(regs[w.b()]))
+			continue
+		case opJnEQF:
+			pc = branch(cnt, w, pc, fw(regs[w.a()]) == fw(regs[w.b()]))
+			continue
+		case opJnNEF:
+			pc = branch(cnt, w, pc, fw(regs[w.a()]) != fw(regs[w.b()]))
 			continue
 
-		case opJz:
-			fr.icount[arch.Branch]++
-			if !regs[ins.a].Bool() {
-				pc = int(ins.c)
-				continue
-			}
-
 		case opForInit:
-			start, end := regs[ins.a].Int(), regs[ins.b].Int()
-			regs[ins.dst] = Value{T: I32, I: start}
-			regs[ins.dst+1] = Value{T: I32, I: end}
-			if end > start {
-				fr.entries[ins.imm.I]++
+			// for i := start; i < end; i++ — the loop variable is assigned
+			// from the hidden index at the head of every trip, so the body
+			// may overwrite it freely.
+			lp := &fr.loops[w.c()]
+			start, end := regs[w.a()], regs[w.b()]
+			regs[lp.hid], regs[lp.hid+1] = start, end
+			e := lp.edge
+			if int64(end) > int64(start) {
+				regs[w.d()] = start
+				pc++
+				e++
 			} else {
-				pc = int(ins.c)
-				continue
+				pc = int(lp.end)
 			}
-
-		case opForHead:
-			// Loop bookkeeping per iteration: increment + compare + backward
-			// branch, plus the trip count — before the body, like the
-			// interpreter.
-			cur := regs[ins.a].I
-			regs[ins.dst] = Value{T: I32, I: cur}
-			fr.icount[arch.Int] += 2
-			fr.icount[arch.Branch]++
-			fr.trips[ins.imm.I]++
-
+			cnt[e]++
+			continue
 		case opForNext:
-			cur := regs[ins.a].I + 1
-			regs[ins.a].I = cur
-			if cur < regs[ins.a+1].I {
-				pc = int(ins.c)
-				continue
+			e := w.b()
+			cur := regs[w.a()] + 1
+			regs[w.a()] = cur
+			if int64(cur) < int64(regs[w.a()+1]) {
+				regs[w.d()] = cur
+				pc = w.target()
+			} else {
+				pc++
+				e++
 			}
-
-		case opBreak:
-			fr.icount[arch.Branch]++
-			pc = int(ins.c)
+			cnt[e]++
 			continue
 
 		case opHalt:
-			return nil
+			fr.done++
+			if fr.tid += fr.step; fr.tid >= fr.hi {
+				return -1, 0
+			}
+			regs[regTID] = uint64(fr.tid)
+			cnt[0]++
+			pc = 0
+			continue
 		}
 		pc++
 	}
@@ -509,11 +838,11 @@ func (k *Kernel) resolveProgram() *Program {
 	return p
 }
 
-// execRange runs threads [lo, hi) on the compiled program when available and
-// on the interpreter otherwise.
-func (k *Kernel) execRange(p *Program, lo, hi int, env *Env, st *Stats) error {
+// execStride runs threads lo, lo+step, … below hi on the compiled program
+// when available and on the interpreter otherwise.
+func (k *Kernel) execStride(p *Program, lo, hi, step int, env *Env, st *Stats) error {
 	if p != nil {
-		return p.ExecRange(lo, hi, env, st)
+		return p.execStride(lo, hi, step, env, st)
 	}
-	return k.InterpretRange(lo, hi, env, st)
+	return k.interpretStride(lo, hi, step, env, st)
 }

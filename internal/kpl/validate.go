@@ -3,8 +3,10 @@ package kpl
 import "fmt"
 
 // Validate checks the kernel for structural errors — references to
-// undeclared buffers or parameters, duplicate or missing loop labels, and
-// break statements outside loops — and assigns labels to unlabeled loops.
+// undeclared buffers or parameters, writes to read-only buffers (which the
+// engines share between workers and with SampleStats instead of copying),
+// duplicate or missing loop labels, and break statements outside loops — and
+// assigns labels to unlabeled loops.
 // Back ends call it once at registration time so that launch-time failures
 // are limited to data-dependent errors.
 func (k *Kernel) Validate() error {
@@ -71,6 +73,9 @@ func (v *validator) stmts(ss []Stmt, loopDepth int) error {
 		case *AtomicAddStmt:
 			if v.k.Buf(x.Buf) == nil {
 				return fmt.Errorf("kpl: %s: atomic on undeclared buffer %q", v.k.Name, x.Buf)
+			}
+			if v.k.Buf(x.Buf).ReadOnly {
+				return fmt.Errorf("kpl: %s: atomic on read-only buffer %q", v.k.Name, x.Buf)
 			}
 			if err := v.expr(x.Idx); err != nil {
 				return err

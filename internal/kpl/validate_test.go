@@ -35,6 +35,11 @@ func TestValidateRejections(t *testing.T) {
 			Bufs: []BufDecl{{Name: "in", Elem: F32, ReadOnly: true}},
 			Body: []Stmt{Store("in", CI(0), CF(1))},
 		}},
+		{"atomic readonly", &Kernel{
+			Name: "k",
+			Bufs: []BufDecl{{Name: "in", Elem: F32, ReadOnly: true}},
+			Body: []Stmt{AtomicAdd("in", CI(0), CF(1))},
+		}},
 		{"break outside loop", &Kernel{Name: "k", Body: []Stmt{Break()}}},
 		{"dup loop label", &Kernel{
 			Name: "k",

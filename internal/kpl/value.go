@@ -167,9 +167,9 @@ func (b *Buffer) Set(i int, v Value) {
 func (b *Buffer) AddAt(i int, v Value) {
 	switch b.Elem {
 	case F32:
-		b.F32s[i] += float32(v.Float())
+		b.F32s[i] = addF32(b.F32s[i], float32(v.Float()))
 	case F64:
-		b.F64s[i] += v.Float()
+		b.F64s[i] = addF64(b.F64s[i], v.Float())
 	default:
 		b.I32s[i] += int32(v.Int())
 	}
@@ -188,6 +188,44 @@ func EvalBin(op BinOp, a, b Value) Value { return binEval(op, a, b) }
 // EvalUn applies a unary operator. It is exported for constant folding in
 // internal/kir; interpretation uses it internally.
 func EvalUn(op UnOp, a Value) Value { return unEval(op, a) }
+
+// A float sum or product of two NaNs keeps the payload of one of them, IEEE
+// 754 does not say which, and the Go compiler is free to commute the operands
+// of + and * differently at every place they are written. The interpreter and
+// the compiled engine must agree bit for bit, so both send the (rare) NaN
+// result through nanAdd/nanMul: one non-inlined body, one operand order.
+
+//go:noinline
+func nanAdd(x, y float64) float64 { return x + y }
+
+//go:noinline
+func nanMul(x, y float64) float64 { return x * y }
+
+func addF64(x, y float64) float64 {
+	r := x + y
+	if r != r {
+		r = nanAdd(x, y)
+	}
+	return r
+}
+
+func mulF64(x, y float64) float64 {
+	r := x * y
+	if r != r {
+		r = nanMul(x, y)
+	}
+	return r
+}
+
+// addF32 is the single-precision sum; widening and narrowing a NaN keep its
+// payload.
+func addF32(x, y float32) float32 {
+	r := x + y
+	if r != r {
+		r = float32(nanAdd(float64(x), float64(y)))
+	}
+	return r
+}
 
 // binEval applies op to promoted operands, returning the result value.
 func binEval(op BinOp, a, b Value) Value {
@@ -286,11 +324,11 @@ func binEval(op BinOp, a, b Value) Value {
 	var r float64
 	switch op {
 	case OpAdd:
-		r = x + y
+		r = addF64(x, y)
 	case OpSub:
 		r = x - y
 	case OpMul:
-		r = x * y
+		r = mulF64(x, y)
 	case OpDiv:
 		r = x / y
 	case OpMod:
