@@ -23,7 +23,6 @@
 //
 //	sigmavpd [-listen 127.0.0.1:7075] [-http ADDR] [-arch quadro|k520|tegra] [-gpus N|LIST] [-placement POLICY] [-baseline] [-pipeline=false]
 //	         [-max-queued N] [-max-queued-bytes N] [-farm-max-queued N] [-farm-max-queued-bytes N] [-rate R] [-burst N] [-fair N]
-//	         [-rebalance] [-rebalance-interval D] [-rebalance-threshold R]
 //	         [-restore FILE] [-checkpoint-out FILE]
 //
 // The admission flags bound what guests may keep in flight (0 = unlimited):
@@ -37,15 +36,12 @@
 // Checkpoint/restore and live migration (DESIGN.md §15): -checkpoint-out
 // serializes every VP's device-side state (allocations, buffer bytes, stream
 // clocks) to a file during shutdown, and -restore replays such a file at
-// startup, so a daemon restart resumes its fleet where it left off. On a farm
-// of two or more devices, -rebalance turns on the online rebalancer: a
-// background loop that live-migrates VPs from the hottest device to the
-// coldest whenever the load skew exceeds -rebalance-threshold, using the same
-// load signals as the least-loaded placement policy (a one-device farm has
-// nowhere to migrate, so -rebalance is refused there). Clients never observe
-// a migration beyond latency: guest pointers stay valid (rebased
-// transparently if the target arena cannot honour the original address) and
-// in-flight jobs drain first.
+// startup, so a daemon restart resumes its fleet where it left off. A VP moves
+// between devices when a client sends an ipc.MigrateReq (there is no
+// background policy loop; DESIGN.md §15 says why). Clients never observe a
+// migration beyond latency: guest pointers stay valid (rebased transparently
+// if the target arena cannot honour the original address) and in-flight jobs
+// drain first.
 package main
 
 import (
@@ -85,9 +81,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "per-VP sustained submission rate limit in jobs/second (0 = unlimited)")
 	burst := flag.Int("burst", 0, "token-bucket burst for -rate (0 = derived from the rate)")
 	fair := flag.Int("fair", 0, "fair-dequeue share: max jobs one VP contributes per dispatched batch (0 = unlimited)")
-	rebalance := flag.Bool("rebalance", false, "two or more GPUs only: run the online rebalancer, live-migrating VPs between devices when load skew exceeds the threshold")
-	rebalanceInterval := flag.Duration("rebalance-interval", core.DefaultRebalanceInterval, "period of the online rebalancer loop")
-	rebalanceThreshold := flag.Float64("rebalance-threshold", core.DefaultRebalanceThreshold, "hot/cold load-score ratio that triggers a migration")
 	restorePath := flag.String("restore", "", "restore device-side VP state from this checkpoint file at startup")
 	checkpointOut := flag.String("checkpoint-out", "", "write a checkpoint of device-side VP state to this file on shutdown")
 	flag.Parse()
@@ -123,10 +116,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sigmavpd: -gpus: %v\n", err)
 		os.Exit(2)
 	}
-	if *rebalance && len(gpus) < 2 {
-		fmt.Fprintln(os.Stderr, "sigmavpd: -rebalance requires two or more GPUs (a single device has nowhere to migrate)")
-		os.Exit(2)
-	}
 	placement, err := core.ParsePlacement(*placementName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sigmavpd: -placement: %v\n", err)
@@ -140,15 +129,6 @@ func main() {
 	names := make([]string, len(gpus))
 	for i, g := range gpus {
 		names[i] = g.Name
-	}
-	banner := fmt.Sprintf("%d GPUs [%s], %s placement", len(gpus), strings.Join(names, ", "), placement)
-	stopReb := func() {}
-	if *rebalance {
-		stopReb = ms.StartRebalancer(core.RebalanceOptions{
-			Threshold: *rebalanceThreshold,
-			Interval:  *rebalanceInterval,
-		})
-		banner += fmt.Sprintf(", rebalance every %v (threshold %.2g)", *rebalanceInterval, *rebalanceThreshold)
 	}
 
 	if *restorePath != "" {
@@ -178,7 +158,8 @@ func main() {
 	// into the served and final snapshots.
 	transport := metrics.New()
 	srv.SetMetrics(transport)
-	fmt.Printf("sigmavpd: serving %s on %s (optimizations %v)\n", banner, srv.Addr(), !*baseline)
+	fmt.Printf("sigmavpd: serving %d GPUs [%s], %s placement on %s (optimizations %v)\n",
+		len(gpus), strings.Join(names, ", "), placement, srv.Addr(), !*baseline)
 
 	var obs *http.Server
 	if *httpAddr != "" {
@@ -196,7 +177,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Printf("sigmavpd: %v: draining (grace %v)\n", s, *grace)
-	if err := shutdown(srv, obs, ms, transport, stopReb, *grace, *checkpointOut, *metricsOut); err != nil {
+	if err := shutdown(srv, obs, ms, transport, *grace, *checkpointOut, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "sigmavpd: shutdown:", err)
 		os.Exit(1)
 	}
@@ -249,16 +230,13 @@ func parseGPUs(spec string, def arch.GPU) ([]arch.GPU, error) {
 // snapshot flushed. Before this sequence existed the daemon died mid-frame
 // on SIGINT, which clients observed as a decode error instead of a clean
 // disconnect.
-func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, transport *metrics.Registry, stopReb func(), grace time.Duration, checkpointOut, metricsOut string) error {
+func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, transport *metrics.Registry, grace time.Duration, checkpointOut, metricsOut string) error {
 	if obs != nil {
 		obs.Close()
 	}
 	if err := srv.Shutdown(grace); err != nil {
 		return err
 	}
-	// The rebalancer must stop before the checkpoint is cut: a migration
-	// racing the final snapshot would be lost from it.
-	stopReb()
 	// Checkpoint after the last request drains (the device-side state is
 	// final) but before the pipelines stop, since the checkpoint itself
 	// flushes through them.
@@ -307,12 +285,7 @@ func buildMux(ms *core.MultiService, transport *metrics.Registry) *http.ServeMux
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		data, err := fullSnapshot(ms, transport).JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(data, '\n'))
+		writeJSON(w, data, err)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		tl := ms.MergedTrace()
@@ -329,12 +302,17 @@ func buildMux(ms *core.MultiService, transport *metrics.Registry) *http.ServeMux
 			})
 		}
 		data, err := json.MarshalIndent(view, "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(data, '\n'))
+		writeJSON(w, data, err)
 	})
 	return mux
+}
+
+// writeJSON sends an endpoint's rendered body, or a 500 if rendering failed.
+func writeJSON(w http.ResponseWriter, data []byte, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(data, '\n'))
 }

@@ -65,7 +65,7 @@ func TestGracefulShutdown(t *testing.T) {
 	c.Close()
 
 	out := filepath.Join(t.TempDir(), "metrics.json")
-	if err := shutdown(srv, nil, ms, transport, func() {}, 2*time.Second, "", out); err != nil {
+	if err := shutdown(srv, nil, ms, transport, 2*time.Second, "", out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,7 +255,7 @@ func TestMultiGPUDaemon(t *testing.T) {
 	}
 
 	out := filepath.Join(t.TempDir(), "metrics.json")
-	if err := shutdown(srv, nil, ms, transport, func() {}, 2*time.Second, "", out); err != nil {
+	if err := shutdown(srv, nil, ms, transport, 2*time.Second, "", out); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
@@ -322,7 +322,7 @@ func TestDaemonAdmissionFlags(t *testing.T) {
 
 	// Hang up first: an open connection would hold shutdown for the grace.
 	c.Close()
-	if err := shutdown(srv, nil, ms, transport, func() {}, 2*time.Second, "", ""); err != nil {
+	if err := shutdown(srv, nil, ms, transport, 2*time.Second, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }

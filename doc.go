@@ -39,9 +39,9 @@
 // evaluation plus the robustness drills (faults, overload, migrate,
 // checkpoint); bench_test.go in this directory wraps each experiment as a
 // testing.B benchmark. cmd/sigmavp is the experiment CLI; cmd/sigmavpd is
-// the serving daemon (TCP farm, observability endpoint, checkpoint/restore
-// and the optional live rebalancer). internal/metrics and internal/trace
-// are the observability substrates; internal/docscheck is the CI docs gate.
+// the serving daemon (TCP farm, observability endpoint, checkpoint/restore).
+// internal/metrics and internal/trace are the observability substrates;
+// internal/docscheck is the CI docs gate.
 //
 // See README.md for the user-facing overview, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for paper-vs-

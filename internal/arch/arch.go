@@ -146,9 +146,6 @@ type GPU struct {
 // ClockHz returns the core clock in Hz.
 func (g *GPU) ClockHz() float64 { return g.ClockMHz * 1e6 }
 
-// TotalCores returns SMCount × CoresPerSM.
-func (g *GPU) TotalCores() int { return g.SMCount * g.CoresPerSM }
-
 // IssuePerSM is the warp-instruction issue throughput of one SM
 // (warp-instructions per cycle).
 func (g *GPU) IssuePerSM() float64 {

@@ -81,7 +81,7 @@ func (b serviceBackend) Launch(stream int, l *hostgpu.Launch) (cudart.Token, err
 	if err != nil {
 		return nil, err
 	}
-	if resolved, changed := b.s.resolveBindingsChanged(b.vp, l.Bindings); changed {
+	if resolved, changed := b.s.resolveBindings(b.vp, l.Bindings); changed {
 		// Rebased pointers: bind the kernel to the relocated device
 		// addresses without mutating the caller's launch.
 		moved := *l

@@ -91,17 +91,10 @@ func (s *Service) ResolvePtr(vp int, p devmem.Ptr) devmem.Ptr {
 	return p
 }
 
-// resolveBindings translates every pointer in a kernel binding map,
-// returning the input map unchanged (and unCopied) when no pointer is
-// rebased — the common case.
-func (s *Service) resolveBindings(vp int, b map[string]devmem.Ptr) map[string]devmem.Ptr {
-	out, _ := s.resolveBindingsChanged(vp, b)
-	return out
-}
-
-// resolveBindingsChanged is resolveBindings plus a flag reporting whether a
-// fresh, translated copy was returned.
-func (s *Service) resolveBindingsChanged(vp int, b map[string]devmem.Ptr) (map[string]devmem.Ptr, bool) {
+// resolveBindings translates every pointer in a kernel binding map. When no
+// pointer is rebased — the common case — it returns the input map itself and
+// false; otherwise a fresh, translated copy and true.
+func (s *Service) resolveBindings(vp int, b map[string]devmem.Ptr) (map[string]devmem.Ptr, bool) {
 	if len(b) == 0 {
 		return b, false
 	}
@@ -126,47 +119,6 @@ func (s *Service) resolveBindingsChanged(vp int, b map[string]devmem.Ptr) (map[s
 		return b, false
 	}
 	return out, true
-}
-
-// VPBytes returns the resident device bytes a VP's tracked allocations pin —
-// the size of the checkpoint a migration would move, which the rebalancer
-// checks against the target's headroom before picking a candidate.
-func (s *Service) VPBytes(vp int) int64 {
-	s.memMu.Lock()
-	devs := make([]devmem.Ptr, 0, len(s.vpAllocs[vp]))
-	for _, d := range s.vpAllocs[vp] {
-		devs = append(devs, d)
-	}
-	s.memMu.Unlock()
-	var total int64
-	for _, d := range devs {
-		if n, err := s.GPU.Mem.Size(d); err == nil {
-			total += int64(n)
-		}
-	}
-	return total
-}
-
-// TrackedVPs returns the sorted ids of every VP the service holds state for:
-// VPs with tracked allocations plus currently registered VPs.
-func (s *Service) TrackedVPs() []int {
-	seen := map[int]bool{}
-	s.memMu.Lock()
-	for vp := range s.vpAllocs {
-		seen[vp] = true
-	}
-	s.memMu.Unlock()
-	s.regMu.RLock()
-	for _, vp := range s.order {
-		seen[vp] = true
-	}
-	s.regMu.RUnlock()
-	out := make([]int, 0, len(seen))
-	for vp := range seen {
-		out = append(out, vp)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // registered reports whether the VP is currently registered with the
@@ -336,20 +288,20 @@ type Checkpoint struct {
 // bench/ pins the Encode(CheckpointBinary) spelling.
 type CheckpointCodec uint8
 
-// CheckpointBinary is the hand-rolled varint encoding (see encode).
+// CheckpointBinary is the hand-rolled varint encoding (see Marshal).
 const CheckpointBinary CheckpointCodec = 1
 
 // ckptMagic opens a checkpoint image; its last byte is the format version.
 var ckptMagic = [4]byte{0xD6, 'C', 'K', 1}
 
-// Encode serializes the checkpoint. The error is always nil.
-func (ck *Checkpoint) Encode(CheckpointCodec) ([]byte, error) { return ck.encode(), nil }
+// Encode is Marshal under the spelling bench/ pins. The error is always nil.
+func (ck *Checkpoint) Encode(CheckpointCodec) ([]byte, error) { return ck.Marshal(), nil }
 
 // SaveCheckpoint writes the encoded checkpoint to path atomically (tmp file
 // + rename), so a crash mid-write never leaves a torn image.
 func SaveCheckpoint(path string, ck *Checkpoint) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, ck.encode(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, ck.Marshal(), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -364,7 +316,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// encode lays the checkpoint out as:
+// Marshal serializes the checkpoint to its one binary image, laid out as:
 //
 //	magic[4] | uvarint devices | uvarint nVPs | VPs...
 //
@@ -373,7 +325,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 //	varint vp | varint device | byte registered |
 //	uvarint nAllocs { uvarint ptr | uvarint len | raw bytes } |
 //	uvarint nStreams { varint stream | 8-byte LE float64 bits }
-func (ck *Checkpoint) encode() []byte {
+func (ck *Checkpoint) Marshal() []byte {
 	out := append([]byte(nil), ckptMagic[:]...)
 	out = binary.AppendUvarint(out, uint64(ck.Devices))
 	out = binary.AppendUvarint(out, uint64(len(ck.VPs)))

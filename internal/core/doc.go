@@ -41,7 +41,7 @@
 // collides (guest pointers stay stable; ResolvePtr translates). Whole-farm
 // images have one hand-rolled binary encoding and round-trip through disk
 // (SaveCheckpoint/LoadCheckpoint), so a daemon restart can restore its
-// fleet. An optional load-aware rebalancer (rebalance.go)
-// migrates VPs off hot devices in the background. DESIGN.md §15 documents
-// the format, the state machine, and the determinism caveats.
+// fleet. Moves are explicit (Migrate, or an ipc.MigrateReq from any
+// client); there is no background rebalancing policy. DESIGN.md §15
+// documents the format, the state machine, and the determinism caveats.
 package core

@@ -40,15 +40,8 @@ func (m *MultiService) gate(vp int) *sync.RWMutex {
 	return g
 }
 
-// MigrationMetrics returns the farm's migration registry (core.migrate.*:
-// migrations, bytes moved, allocations replayed, pointer rebases, failures,
-// rebalancer passes/moves). Like the executor and admission registries it is
-// deliberately separate from the simulated-work registry: whether and when
-// an operator migrates VPs is wall-clock operational state, and folding it
-// into Snapshot would break byte-identity between otherwise equal runs.
-func (m *MultiService) MigrationMetrics() *metrics.Registry { return m.migReg }
-
-// MigrationSnapshot snapshots the migration registry.
+// MigrationSnapshot snapshots the migration registry (core.migrate.*:
+// migrations, bytes moved, allocations replayed, pointer rebases, failures).
 func (m *MultiService) MigrationSnapshot() metrics.Snapshot { return m.migReg.Snapshot() }
 
 // Migrate moves a VP's device-side context to the target device:
@@ -129,15 +122,19 @@ func (m *MultiService) Checkpoint() (*Checkpoint, error) {
 	m.Flush()
 	ck := &Checkpoint{Devices: len(m.services)}
 	m.mu.RLock()
-	byVP := make(map[int]int, len(m.byVP))
-	for vp, d := range m.byVP {
-		byVP[vp] = d
+	vps := make([]int, 0, len(m.byVP))
+	for vp := range m.byVP {
+		vps = append(vps, vp)
 	}
 	m.mu.RUnlock()
-	for _, vp := range sortedKeys(byVP) {
-		d := byVP[vp]
+	sort.Ints(vps)
+	for _, vp := range vps {
 		g := m.gate(vp)
 		g.Lock()
+		// Read the device under the gate: a migration that finished since
+		// the id list was taken has moved the VP, and its old device would
+		// yield an image with no allocations.
+		d, _ := m.Assignment(vp)
 		m.services[d].Flush()
 		v, err := m.services[d].CheckpointVP(vp, d)
 		g.Unlock()
@@ -182,14 +179,4 @@ func (m *MultiService) Restore(ck *Checkpoint) error {
 		}
 	}
 	return nil
-}
-
-// sortedKeys returns a map's int keys in ascending order.
-func sortedKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

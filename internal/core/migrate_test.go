@@ -226,7 +226,7 @@ func TestCheckpointRoundTripDisk(t *testing.T) {
 
 	// Format invariants: the image opens with the magic, and anything that
 	// is not exactly one whole image is refused.
-	img := ck.encode()
+	img := ck.Marshal()
 	if !bytes.HasPrefix(img, ckptMagic[:]) {
 		t.Fatal("image missing magic")
 	}
@@ -243,6 +243,66 @@ func TestCheckpointRoundTripDisk(t *testing.T) {
 		if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("%s image: got %v, want ErrBadCheckpoint", name, err)
 		}
+	}
+}
+
+// TestCheckpointConcurrentWithMigrate pins the farm checkpoint against a
+// racing migration: while a VP ping-pongs between two devices, every image
+// must carry the VP's full resident bytes, captured on the device the VP was
+// on when its gate was taken. Checkpoint used to pick the device before
+// taking the gate, so a migration finishing in between left it capturing the
+// evicted source: an image with no allocations and Registered=false.
+func TestCheckpointConcurrentWithMigrate(t *testing.T) {
+	m := migTestFarm(t, 2)
+	m.RegisterVP(0)
+	payload := bytes.Repeat([]byte{0x5A, 0xC3}, 2048)
+	p := mallocVP(t, m, 0, len(payload)).Ptr
+	if _, ok := m.Handle(0, ipc.H2DReq{Dst: p, Data: payload}).(ipc.OKResp); !ok {
+		t.Fatal("H2D failed")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for target := 1; ; target ^= 1 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := m.Migrate(0, target); err != nil {
+				t.Errorf("migrate to %d: %v", target, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		ck, err := m.Checkpoint()
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		if len(ck.VPs) != 1 {
+			t.Fatalf("checkpoint %d: %d VPs in the image, want 1", i, len(ck.VPs))
+		}
+		v := ck.VPs[0]
+		if !v.Registered || len(v.Allocs) != 1 || !bytes.Equal(v.Allocs[0].Data, payload) {
+			t.Fatalf("checkpoint %d: image of device %d lost the VP's state: registered=%v, %d allocs, %d bytes",
+				i, v.Device, v.Registered, len(v.Allocs), v.Bytes())
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// With migrations quiesced, the image names the device Assignment does.
+	ck, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := m.Assignment(0); ck.VPs[0].Device != d || ck.VPs[0].Bytes() != int64(len(payload)) {
+		t.Fatalf("quiesced image: device %d with %d bytes, want device %d with %d",
+			ck.VPs[0].Device, ck.VPs[0].Bytes(), d, len(payload))
 	}
 }
 

@@ -100,8 +100,9 @@ type MultiService struct {
 
 	// gates are the per-VP migration gates: request handling holds a VP's
 	// gate shared, Migrate holds it exclusive (see migrate.go). migReg
-	// counts migrations and rebalancer activity (core.migrate.*), kept
-	// apart from the simulated-work registries like admReg is.
+	// counts migrations (core.migrate.*), kept apart from the simulated-work
+	// registries like admReg is: whether and when an operator migrates VPs
+	// is wall-clock operational state.
 	gateMu sync.Mutex
 	gates  map[int]*sync.RWMutex
 	migReg *metrics.Registry
@@ -255,30 +256,21 @@ func (m *MultiService) RegisterVP(id int) {
 
 // UnregisterVP removes the VP from its device at a clean point. The device
 // assignment itself is retained for reconnects.
-func (m *MultiService) UnregisterVP(id int) {
-	g := m.gate(id)
-	g.RLock()
-	defer g.RUnlock()
-	m.mu.RLock()
-	d, ok := m.byVP[id]
-	m.mu.RUnlock()
-	if ok {
-		m.services[d].UnregisterVP(id)
-	}
-}
+func (m *MultiService) UnregisterVP(id int) { m.leave(id, (*Service).UnregisterVP) }
 
 // DisconnectVP removes a VP that vanished abruptly, cancelling its orphaned
 // jobs on its device (see Service.DisconnectVP). Use it as the ipc server's
 // disconnect hook.
-func (m *MultiService) DisconnectVP(id int) {
+func (m *MultiService) DisconnectVP(id int) { m.leave(id, (*Service).DisconnectVP) }
+
+// leave runs a VP's teardown on its device, holding the VP's migration gate
+// shared as request handling does. A VP never placed has nothing to tear down.
+func (m *MultiService) leave(id int, teardown func(*Service, int)) {
 	g := m.gate(id)
 	g.RLock()
 	defer g.RUnlock()
-	m.mu.RLock()
-	d, ok := m.byVP[id]
-	m.mu.RUnlock()
-	if ok {
-		m.services[d].DisconnectVP(id)
+	if d, ok := m.Assignment(id); ok {
+		teardown(m.services[d], id)
 	}
 }
 
@@ -312,7 +304,7 @@ func (m *MultiService) Handle(vp int, req any) any {
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
-		return ipc.CheckpointResp{Data: ck.encode()}
+		return ipc.CheckpointResp{Data: ck.Marshal()}
 	}
 	g := m.gate(vp)
 	g.RLock()
@@ -422,6 +414,20 @@ func (m *MultiService) DeviceMetrics(i int) *metrics.Registry {
 	return m.services[i].Metrics()
 }
 
+// perDevice merges one registry family across the farm: every device's
+// instruments "gpu<i>."-prefixed, an unprefixed aggregate summing the
+// per-device values, and any farm-level snapshots.
+func (m *MultiService) perDevice(family func(*Service) *metrics.Registry, farm ...metrics.Snapshot) metrics.Snapshot {
+	devs := make([]metrics.Snapshot, len(m.services))
+	parts := make([]metrics.Snapshot, 0, len(m.services)+1+len(farm))
+	for i, s := range m.services {
+		devs[i] = family(s).Snapshot()
+		parts = append(parts, devs[i].Prefixed(fmt.Sprintf("gpu%d.", i)))
+	}
+	parts = append(parts, metrics.MergeSnapshots(devs...))
+	return metrics.MergeSnapshots(append(parts, farm...)...)
+}
+
 // Snapshot returns the aggregated observability view: every device's
 // instruments namespaced "gpu<i>."-prefixed, plus unprefixed aggregate
 // instruments summing the per-device values, plus the merged job-event
@@ -429,14 +435,7 @@ func (m *MultiService) DeviceMetrics(i int) *metrics.Registry {
 // deterministic workload, like the per-device snapshots it merges.
 func (m *MultiService) Snapshot() metrics.Snapshot {
 	m.Drain()
-	devs := make([]metrics.Snapshot, len(m.services))
-	parts := make([]metrics.Snapshot, 0, len(m.services)+1)
-	for i, s := range m.services {
-		devs[i] = s.Metrics().Snapshot()
-		parts = append(parts, devs[i].Prefixed(fmt.Sprintf("gpu%d.", i)))
-	}
-	parts = append(parts, metrics.MergeSnapshots(devs...))
-	return metrics.MergeSnapshots(parts...)
+	return m.perDevice((*Service).Metrics)
 }
 
 // ExecSnapshot returns the farm's executor-health view: each device's
@@ -444,14 +443,7 @@ func (m *MultiService) Snapshot() metrics.Snapshot {
 // plus an unprefixed aggregate — kept apart from Snapshot so the simulated
 // metrics stay byte-identical with pipelining on or off.
 func (m *MultiService) ExecSnapshot() metrics.Snapshot {
-	devs := make([]metrics.Snapshot, len(m.services))
-	parts := make([]metrics.Snapshot, 0, len(m.services)+1)
-	for i, s := range m.services {
-		devs[i] = s.ExecMetrics().Snapshot()
-		parts = append(parts, devs[i].Prefixed(fmt.Sprintf("gpu%d.", i)))
-	}
-	parts = append(parts, metrics.MergeSnapshots(devs...))
-	return metrics.MergeSnapshots(parts...)
+	return m.perDevice((*Service).ExecMetrics)
 }
 
 // AdmissionSnapshot returns the farm's admission view: each device's
@@ -459,15 +451,7 @@ func (m *MultiService) ExecSnapshot() metrics.Snapshot {
 // and the farm-level counters (farm-cap sheds, placement refusals) — kept
 // apart from Snapshot for the same byte-identity reason as ExecSnapshot.
 func (m *MultiService) AdmissionSnapshot() metrics.Snapshot {
-	devs := make([]metrics.Snapshot, len(m.services))
-	parts := make([]metrics.Snapshot, 0, len(m.services)+2)
-	for i, s := range m.services {
-		devs[i] = s.AdmissionMetrics().Snapshot()
-		parts = append(parts, devs[i].Prefixed(fmt.Sprintf("gpu%d.", i)))
-	}
-	parts = append(parts, metrics.MergeSnapshots(devs...))
-	parts = append(parts, m.admReg.Snapshot())
-	return metrics.MergeSnapshots(parts...)
+	return m.perDevice((*Service).AdmissionMetrics, m.admReg.Snapshot())
 }
 
 // Traces returns the per-device engine timelines (nil entries when tracing

@@ -158,7 +158,7 @@ func TestOneDeviceFarmRestoresSingleDeviceImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := again.encode(); !bytes.Equal(got, img) {
+	if got := again.Marshal(); !bytes.Equal(got, img) {
 		t.Fatalf("farm image differs from the single-device image:\n got %x\nwant %x", got, img)
 	}
 	v := ck.VPs[0]

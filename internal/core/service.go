@@ -607,55 +607,27 @@ func (s *Service) Handle(vp int, req any) any {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
 		j := sched.NewH2D(vp, stream, s.ResolvePtr(vp, r.Dst), r.Off, r.Data)
-		if resp := s.admitJob(vp, j); resp != nil {
-			return resp
-		}
-		s.Submit(j)
-		if err := s.WaitJob(vp, j); err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.OKResp{End: j.Interval.End}
+		return s.serveJob(vp, j)
 	case ipc.D2HReq:
 		stream, err := streamOf(vp, r.Stream)
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
 		j := sched.NewD2H(vp, stream, s.ResolvePtr(vp, r.Src), r.Off, r.N)
-		if resp := s.admitJob(vp, j); resp != nil {
-			return resp
-		}
-		s.Submit(j)
-		if err := s.WaitJob(vp, j); err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.D2HResp{Data: j.Data, End: j.Interval.End}
+		return s.serveJob(vp, j)
 	case ipc.MemsetReq:
 		stream, err := streamOf(vp, r.Stream)
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
 		j := sched.NewMemset(vp, stream, s.ResolvePtr(vp, r.Dst), r.Off, r.N, r.Value)
-		if resp := s.admitJob(vp, j); resp != nil {
-			return resp
-		}
-		s.Submit(j)
-		if err := s.WaitJob(vp, j); err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.OKResp{End: j.Interval.End}
+		return s.serveJob(vp, j)
 	case ipc.LaunchReq:
 		j, err := s.launchJob(vp, r)
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
-		if resp := s.admitJob(vp, j); resp != nil {
-			return resp
-		}
-		s.Submit(j)
-		if err := s.WaitJob(vp, j); err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.OKResp{End: j.Interval.End}
+		return s.serveJob(vp, j)
 	case ipc.SyncReq:
 		stream, err := streamOf(vp, r.Stream)
 		if err != nil {
@@ -666,6 +638,23 @@ func (s *Service) Handle(vp int, req any) any {
 	default:
 		return ipc.ErrResp{Msg: fmt.Sprintf("core: unknown request %T", req)}
 	}
+}
+
+// serveJob is the tail of every job-submitting request: pass admission (or
+// return its overload response), submit, park the VP until the job's batch
+// retires, and reply with the completion time — and, for a D2H, the bytes.
+func (s *Service) serveJob(vp int, j *sched.Job) any {
+	if resp := s.admitJob(vp, j); resp != nil {
+		return resp
+	}
+	s.Submit(j)
+	if err := s.WaitJob(vp, j); err != nil {
+		return ipc.ErrResp{Msg: err.Error()}
+	}
+	if j.Engine == hostgpu.EngineD2H {
+		return ipc.D2HResp{Data: j.Data, End: j.Interval.End}
+	}
+	return ipc.OKResp{End: j.Interval.End}
 }
 
 // launchJob reconstructs a launch from a wire request via the kernel
@@ -679,7 +668,7 @@ func (s *Service) launchJob(vp int, r ipc.LaunchReq) (*sched.Job, error) {
 	if params == nil {
 		params = map[string]kpl.Value{}
 	}
-	bindings := s.resolveBindings(vp, r.Bindings)
+	bindings, _ := s.resolveBindings(vp, r.Bindings)
 	if bindings == nil {
 		bindings = map[string]devmem.Ptr{}
 	}

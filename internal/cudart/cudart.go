@@ -297,33 +297,20 @@ const DefaultOverloadRetries = 4
 const DefaultMaxBackoff = 250 * time.Millisecond
 
 // NewRemoteBackend talks to a ΣVP service over an ipc.Client (socket or
-// in-process pipe). Operations are synchronous RPCs; the service's VP
-// Control batches concurrently-stopped VPs for re-scheduling. Idempotent
-// requests (H2D, D2H, memset) are retried up to DefaultRetries times when
-// the transport reports a timeout or disconnect; launches, allocations, and
-// frees are never replayed — a duplicated launch would re-run kernel side
-// effects, a duplicated malloc would leak.
+// in-process pipe) with the default retry contracts. Operations are
+// synchronous RPCs; the service's VP Control batches concurrently-stopped VPs
+// for re-scheduling. Idempotent requests (H2D, D2H, memset) are retried up to
+// DefaultRetries times when the transport reports a timeout or disconnect;
+// launches, allocations, and frees are never replayed — a duplicated launch
+// would re-run kernel side effects, a duplicated malloc would leak.
 func NewRemoteBackend(c ipc.Client) Backend {
-	return newRemote(c, DefaultRetries, nil)
-}
-
-// NewRemoteBackendRetries overrides the idempotent-retry budget (0 disables
-// retries).
-func NewRemoteBackendRetries(c ipc.Client, retries int) Backend {
-	return newRemote(c, retries, nil)
-}
-
-// NewRemoteBackendMetrics is NewRemoteBackendRetries with a registry counting
-// idempotent replays (cudart.retries) and retry exhaustion
-// (cudart.retries_exhausted).
-func NewRemoteBackendMetrics(c ipc.Client, retries int, m *metrics.Registry) Backend {
-	return newRemote(c, retries, m)
+	return NewRemoteBackendOpts(c, RemoteOptions{Retries: DefaultRetries})
 }
 
 // RemoteOptions tunes the remote back end's retry contracts.
 type RemoteOptions struct {
 	// Retries is the idempotent-replay budget after transport faults
-	// (0 disables, matching NewRemoteBackendRetries(c, 0)).
+	// (0 disables).
 	Retries int
 	// OverloadRetries bounds backoff-and-resubmit rounds after retryable
 	// overload sheds; zero means DefaultOverloadRetries, negative disables.
@@ -338,26 +325,18 @@ type RemoteOptions struct {
 
 // NewRemoteBackendOpts builds a remote back end with explicit retry tuning.
 func NewRemoteBackendOpts(c ipc.Client, o RemoteOptions) Backend {
-	r := newRemote(c, o.Retries, o.Metrics).(*remoteBackend)
-	if o.OverloadRetries != 0 {
-		r.overloadRetries = o.OverloadRetries
-		if r.overloadRetries < 0 {
-			r.overloadRetries = 0
-		}
-	}
-	if o.MaxBackoff > 0 {
-		r.maxBackoff = o.MaxBackoff
-	}
-	return r
-}
-
-func newRemote(c ipc.Client, retries int, m *metrics.Registry) Backend {
 	r := &remoteBackend{
-		c: c, retries: retries, m: m,
+		c: c, retries: o.Retries, m: o.Metrics,
 		overloadRetries: DefaultOverloadRetries,
 		maxBackoff:      DefaultMaxBackoff,
 	}
 	r.tc, _ = c.(ipc.TypedCaller)
+	if o.OverloadRetries != 0 {
+		r.overloadRetries = max(o.OverloadRetries, 0)
+	}
+	if o.MaxBackoff > 0 {
+		r.maxBackoff = o.MaxBackoff
+	}
 	return r
 }
 

@@ -143,7 +143,7 @@ func TestRemoteNeverRetriesNonIdempotent(t *testing.T) {
 // TestRemoteRetriesDisabled: a zero budget turns retries off.
 func TestRemoteRetriesDisabled(t *testing.T) {
 	fc := &flakyClient{fail: 1, err: retryableErr()}
-	b := NewRemoteBackendRetries(fc, 0)
+	b := NewRemoteBackendOpts(fc, RemoteOptions{})
 	tok, err := b.H2D(0, 1, 0, []byte{1})
 	if err != nil {
 		t.Fatal(err)

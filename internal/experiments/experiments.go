@@ -8,12 +8,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/arch"
-	"repro/internal/cpumodel"
+	"repro/internal/coalesce"
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
-	"repro/internal/kir"
 	"repro/internal/kpl"
 	"repro/internal/sched"
 )
@@ -39,10 +37,12 @@ func (c IPCCost) Transfer(n int) float64 {
 	return c.LatencySec + 2*float64(n)/(c.BWGBps*1e9)
 }
 
-// provisioned is a benchmark workload materialized on one device.
+// provisioned is a benchmark workload materialized for one VP: its launch
+// and the pointers of its copy legs. On a bare device the pointers are device
+// pointers; on a farm they are the VP's guest pointers (Service.AllocVP),
+// which travel with the VP on migration — see resolved.
 type provisioned struct {
 	bench  *kernels.Benchmark
-	work   *kernels.Workload
 	launch *hostgpu.Launch
 	// inputs in device order, for per-iteration re-copies.
 	inPtrs  []devmem.Ptr
@@ -51,26 +51,25 @@ type provisioned struct {
 	outLens []int
 }
 
-// provision allocates and fills a workload's buffers on a host GPU. It does
-// not advance the simulated clock (setup happens before the measurement
-// window).
-func provision(g *hostgpu.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*provisioned, error) {
-	p := &provisioned{bench: bench, work: w, launch: bench.NewLaunch(w)}
+// provision reserves a workload's buffers through alloc, which receives each
+// buffer's size and its input bytes (nil for a buffer the workload does not
+// fill). It does not advance the simulated clock (setup happens before the
+// measurement window).
+func provision(bench *kernels.Benchmark, w *kernels.Workload, alloc func(size int, input []byte) (devmem.Ptr, error)) (*provisioned, error) {
+	p := &provisioned{bench: bench, launch: bench.NewLaunch(w)}
 	p.launch.Bindings = map[string]devmem.Ptr{}
 	for _, decl := range bench.Kernel.Bufs {
 		size, ok := w.BufBytes[decl.Name]
 		if !ok {
 			return nil, fmt.Errorf("experiments: %s: workload missing buffer %q", bench.Name, decl.Name)
 		}
-		ptr, err := g.Mem.Alloc(size)
+		in, isInput := w.Inputs[decl.Name]
+		ptr, err := alloc(size, in)
 		if err != nil {
 			return nil, err
 		}
 		p.launch.Bindings[decl.Name] = ptr
-		if in, ok := w.Inputs[decl.Name]; ok {
-			if err := g.Mem.Write(ptr, 0, in); err != nil {
-				return nil, err
-			}
+		if isInput {
 			p.inPtrs = append(p.inPtrs, ptr)
 			p.inData = append(p.inData, in)
 		}
@@ -82,27 +81,62 @@ func provision(g *hostgpu.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*
 	return p, nil
 }
 
-// iterationJobs builds the copy-in → kernel → copy-out job burst of one
-// application iteration for one VP.
-func (p *provisioned) iterationJobs(vpID int) []*sched.Job {
-	return p.phaseJobs(vpID, true, true)
+// provisionOn allocates and fills a workload's buffers on a bare host GPU.
+func provisionOn(g *hostgpu.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*provisioned, error) {
+	return provision(bench, w, func(size int, input []byte) (devmem.Ptr, error) {
+		ptr, err := g.Mem.Alloc(size)
+		if err != nil || input == nil {
+			return ptr, err
+		}
+		return ptr, g.Mem.Write(ptr, 0, input)
+	})
 }
 
-// phaseJobs builds one iteration's jobs, optionally including the copy legs
-// (copy-once applications only transfer on their first and last iterations).
-func (p *provisioned) phaseJobs(vpID int, copyIn, copyOut bool) []*sched.Job {
+// resolved returns the workload with every pointer translated by at — a farm
+// VP's guest pointers to where its current device holds them.
+func (p *provisioned) resolved(at func(devmem.Ptr) devmem.Ptr) *provisioned {
+	r := *p
+	l := *p.launch
+	l.Bindings = make(map[string]devmem.Ptr, len(p.launch.Bindings))
+	for name, ptr := range p.launch.Bindings {
+		l.Bindings[name] = at(ptr)
+	}
+	r.launch = &l
+	r.inPtrs = make([]devmem.Ptr, len(p.inPtrs))
+	for i, ptr := range p.inPtrs {
+		r.inPtrs[i] = at(ptr)
+	}
+	r.outPtrs = make([]devmem.Ptr, len(p.outPtrs))
+	for i, ptr := range p.outPtrs {
+		r.outPtrs[i] = at(ptr)
+	}
+	return &r
+}
+
+// iterationJobs builds the job burst of application iteration it: copy-once
+// applications only transfer on their first and last iterations.
+func (p *provisioned) iterationJobs(vpID, stream, it int) []*sched.Job {
+	return p.phaseJobs(vpID, stream,
+		p.bench.CopyEachIteration || it == 0,
+		p.bench.CopyEachIteration || it == p.bench.Iterations-1)
+}
+
+// phaseJobs builds one iteration's copy-in → kernel → copy-out burst on the
+// given device stream, optionally without the copy legs; with copyOut the
+// D2H jobs are the last len(outPtrs) of the burst.
+func (p *provisioned) phaseJobs(vpID, stream int, copyIn, copyOut bool) []*sched.Job {
 	var jobs []*sched.Job
 	if copyIn {
 		for i, ptr := range p.inPtrs {
-			jobs = append(jobs, sched.NewH2D(vpID, vpID, ptr, 0, p.inData[i]))
+			jobs = append(jobs, sched.NewH2D(vpID, stream, ptr, 0, p.inData[i]))
 		}
 	}
-	kj := sched.NewKernel(vpID, vpID, p.launch)
+	kj := sched.NewKernel(vpID, stream, p.launch)
 	kj.Coalescable = p.bench.Coalescable
 	jobs = append(jobs, kj)
 	if copyOut {
 		for i, ptr := range p.outPtrs {
-			jobs = append(jobs, sched.NewD2H(vpID, vpID, ptr, 0, p.outLens[i]))
+			jobs = append(jobs, sched.NewD2H(vpID, stream, ptr, 0, p.outLens[i]))
 		}
 	}
 	return jobs
@@ -130,7 +164,7 @@ func (p *provisioned) iterationBytes() int {
 // finishing every job, and returns the first error.
 func dispatch(g *hostgpu.GPU, batch []*sched.Job, policy sched.Policy, coalesceOn bool) error {
 	if coalesceOn {
-		batch = applyCoalesce(g, batch)
+		batch = coalesce.Apply(g, batch)
 	}
 	var first error
 	for _, j := range sched.PlanRecorded(batch, policy, g.Metrics) {
@@ -145,24 +179,15 @@ func dispatch(g *hostgpu.GPU, batch []*sched.Job, policy sched.Policy, coalesceO
 	return first
 }
 
-// launchOf builds the kir launch descriptor of a workload.
-func launchOf(w *kernels.Workload) kir.Launch {
-	return kir.Launch{NThreads: w.Threads(), Params: w.Params}
-}
-
-// emulKernelSeconds prices one emulated kernel launch on a guest CPU.
-func emulKernelSeconds(c *arch.CPU, sigma arch.ClassVec, threads int) float64 {
-	return cpumodel.EmulTime(c, sigma, threads)
-}
-
-// emulMemcpySeconds prices a workload's host↔device copies on a guest CPU.
-func emulMemcpySeconds(c *arch.CPU, w *kernels.Workload) float64 {
-	return cpumodel.MemcpyTime(c, w.InBytes()+w.OutBytes())
-}
-
-// buildWorkloadEnv materializes a workload's buffers as an interpreter
-// environment (for λ sampling outside any device).
-func buildWorkloadEnv(bench *kernels.Benchmark, w *kernels.Workload) (*kpl.Env, error) {
+// sampledDyn measures a data-dependent kernel's λ statistics on a thread
+// sample over the workload's inputs, materialized as an interpreter
+// environment outside any device; kernels whose σ is static yield nil. λ is a
+// property of (kernel, workload), not of the VP or device, so a fleet samples
+// once per benchmark.
+func sampledDyn(bench *kernels.Benchmark, w *kernels.Workload) (*kpl.Stats, error) {
+	if !bench.Prog.NeedsDynamicProfile() {
+		return nil, nil
+	}
 	env := &kpl.Env{NThreads: w.Threads(), Params: w.Params, Bufs: map[string]*kpl.Buffer{}}
 	if env.Params == nil {
 		env.Params = map[string]kpl.Value{}
@@ -178,7 +203,7 @@ func buildWorkloadEnv(bench *kernels.Benchmark, w *kernels.Workload) (*kpl.Env, 
 		}
 		env.Bufs[decl.Name] = devmem.BufferFromBytes(decl.Elem, raw)
 	}
-	return env, nil
+	return bench.Kernel.SampleStats(env, 32)
 }
 
 // busyKernel builds a synthetic kernel whose per-thread cost is an

@@ -135,7 +135,7 @@ func FaultDrill(spec string, vps, iters int) (*FaultDrillResult, error) {
 		}
 		defer c.Close()
 		v := vp.New(id, arch.ARMVersatile(),
-			cudart.NewContext(id, cudart.NewRemoteBackendMetrics(c, cudart.DefaultRetries, reg)))
+			cudart.NewContext(id, cudart.NewRemoteBackendOpts(c, cudart.RemoteOptions{Retries: cudart.DefaultRetries, Metrics: reg})))
 		running++
 		go func() {
 			outcomes <- outcome{v.ID, v.Run(func(v *vp.VP) error {

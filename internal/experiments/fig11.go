@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/arch"
-	"repro/internal/cpumodel"
-	"repro/internal/hostgpu"
 	"repro/internal/kernels"
-	"repro/internal/kir"
-	"repro/internal/sched"
 )
 
 // Fig11Row is the result for one benchmark application.
@@ -72,36 +67,15 @@ func Fig11(scale int) (*Fig11Result, error) {
 
 // fig11Row runs the three scenarios of one application.
 func fig11Row(bench *kernels.Benchmark, scale, nVPs int) (Fig11Row, error) {
-	guest := arch.ARMVersatile()
 	ipc := DefaultIPC()
 	w := bench.MakeWorkload(scale)
 
-	// --- Scenario 1: GPU emulation on the VP. Multi-VP QEMU simulations
-	// execute the VP instances through one simulation loop (netShip-style
-	// co-simulation), so completing all eight emulated VPs costs eight
-	// times one VP's emulated application time. ---
-	kl := kir.Launch{NThreads: w.Threads(), Params: w.Params}
-	sigma, err := staticOrSampledSigma(bench, w, kl)
+	// --- Scenario 1: GPU emulation on the VP. ---
+	emulSec, err := emulScenario(bench, w, nVPs)
 	if err != nil {
 		return Fig11Row{}, err
 	}
-	inBytes, outBytes := 0, 0
-	for _, d := range w.Inputs {
-		inBytes += len(d)
-	}
-	for _, name := range w.OutBufs {
-		outBytes += w.BufBytes[name]
-	}
-	perIterEmul := cpumodel.EmulTime(&guest, sigma, w.Threads())
-	memcpySec := cpumodel.MemcpyTime(&guest, inBytes+outBytes)
-	if bench.CopyEachIteration {
-		perIterEmul += memcpySec
-		memcpySec = 0
-	}
-	row := Fig11Row{
-		App:     bench.Name,
-		EmulSec: float64(nVPs) * (float64(bench.Iterations)*(perIterEmul+bench.NonCUDAVPSeconds) + memcpySec),
-	}
+	row := Fig11Row{App: bench.Name, EmulSec: emulSec}
 
 	// --- Scenarios 2–3: ΣVP without and with the optimizations. ---
 	for _, optimized := range []bool{false, true} {
@@ -123,91 +97,23 @@ func fig11Row(bench *kernels.Benchmark, scale, nVPs int) (Fig11Row, error) {
 	return row, nil
 }
 
-// staticOrSampledSigma derives the canonical σ of one launch, interpreting a
-// thread sample for data-dependent kernels.
-func staticOrSampledSigma(bench *kernels.Benchmark, w *kernels.Workload, kl kir.Launch) (arch.ClassVec, error) {
-	if !bench.Prog.NeedsDynamicProfile() {
-		return bench.Prog.RawSigma(kl, nil)
-	}
-	// Materialize the inputs once and sample.
-	env, err := buildWorkloadEnv(bench, w)
-	if err != nil {
-		return arch.ClassVec{}, err
-	}
-	dyn, err := bench.Kernel.SampleStats(env, 32)
-	if err != nil {
-		return arch.ClassVec{}, err
-	}
-	return bench.Prog.RawSigma(kl, dyn)
-}
-
 // runSigmaVP measures the GPU-side makespan of nVPs VPs each running the
 // benchmark's application loop through the ΣVP service, plus the IPC costs.
 func runSigmaVP(bench *kernels.Benchmark, w *kernels.Workload, nVPs int, optimized bool, ipc IPCCost) (float64, error) {
-	g := newGPU(arch.Quadro4000(), 1<<32)
-	g.Mode = hostgpu.ExecTimingOnly
-	g.Serialize = !optimized
-	policy := sched.PolicyFIFO
-	if optimized {
-		policy = sched.PolicyInterleave
+	gpuSec, p, err := runBareFleet(bench, w, nVPs, optimized, ipc)
+	if err != nil {
+		return 0, err
 	}
-
-	provs := make([]*provisioned, nVPs)
-	for vpID := 0; vpID < nVPs; vpID++ {
-		p, err := provision(g, bench, w)
-		if err != nil {
-			return 0, err
-		}
-		provs[vpID] = p
-	}
-	// Resolve λ once per launch (data-dependent kernels sample against the
-	// provisioned inputs) so per-iteration launches are cheap.
-	for _, p := range provs {
-		if bench.Prog.NeedsDynamicProfile() {
-			env, err := buildWorkloadEnv(bench, w)
-			if err != nil {
-				return 0, err
-			}
-			st, err := bench.Kernel.SampleStats(env, 32)
-			if err != nil {
-				return 0, err
-			}
-			p.launch.Dyn = st
-		}
-	}
-
-	totalJobs := 0
-	for it := 0; it < bench.Iterations; it++ {
-		copyIn := bench.CopyEachIteration || it == 0
-		copyOut := bench.CopyEachIteration || it == bench.Iterations-1
-		var batch []*sched.Job
-		for vpID, p := range provs {
-			batch = append(batch, p.phaseJobs(vpID, copyIn, copyOut)...)
-		}
-		totalJobs += len(batch)
-		if err := dispatch(g, batch, policy, optimized); err != nil {
-			return 0, err
-		}
-	}
-	gpuSec := g.Sync()
-	if !optimized {
-		// Without the optimizations the dispatcher serves synchronous
-		// requests one at a time: the device idles for a request round-trip
-		// between consecutive jobs. VP Control's batching (stop all VPs,
-		// re-schedule, dispatch) eliminates these gaps.
-		gpuSec += float64(totalJobs) * ipc.LatencySec
-	}
-
 	// IPC cost: every VP pays request latency + marshaling for its own
 	// traffic; the eight VPs marshal concurrently (separate guest cores), so
 	// the scenario cost is one VP's. Copy-once applications only marshal
 	// their buffers at the start and end of the run.
 	ipcSec := float64(bench.Iterations) * ipc.LatencySec // launch requests
 	if bench.CopyEachIteration {
-		ipcSec += float64(bench.Iterations) * (float64(provs[0].opsPerIteration()-1)*ipc.LatencySec +
-			ipc.Transfer(provs[0].iterationBytes()))
+		ipcSec += float64(bench.Iterations) * (float64(p.opsPerIteration()-1)*ipc.LatencySec +
+			ipc.Transfer(p.iterationBytes()))
 	} else {
-		ipcSec += float64(provs[0].opsPerIteration()-1)*ipc.LatencySec + ipc.Transfer(provs[0].iterationBytes())
+		ipcSec += float64(p.opsPerIteration()-1)*ipc.LatencySec + ipc.Transfer(p.iterationBytes())
 	}
 	return gpuSec + ipcSec, nil
 }

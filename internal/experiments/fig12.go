@@ -9,7 +9,6 @@ import (
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
 	"repro/internal/kir"
-	"repro/internal/kpl"
 	"repro/internal/profile"
 )
 
@@ -119,7 +118,7 @@ func fig12Cell(name string, scale int) ([]Fig12Row, error) {
 func measureOn(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*profile.Profile, error) {
 	dev := newGPU(*g, 1<<32)
 	dev.Mode = hostgpu.ExecTimingOnly
-	p, err := provision(dev, bench, w)
+	p, err := provisionOn(dev, bench, w)
 	if err != nil {
 		return nil, err
 	}
@@ -132,15 +131,9 @@ func measureOn(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*pro
 // access streams for the cache model.
 func estimatorInputs(host, target *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload, hostProf *profile.Profile) (*estimate.Inputs, error) {
 	kl := kir.Launch{NThreads: w.Threads(), Params: w.Params}
-	var dyn *kpl.Stats
-	if bench.Prog.NeedsDynamicProfile() {
-		env, err := buildWorkloadEnv(bench, w)
-		if err != nil {
-			return nil, err
-		}
-		if dyn, err = bench.Kernel.SampleStats(env, 32); err != nil {
-			return nil, err
-		}
+	dyn, err := sampledDyn(bench, w)
+	if err != nil {
+		return nil, err
 	}
 	sigmaT, err := bench.Prog.Sigma(target, kl, dyn)
 	if err != nil {
@@ -149,7 +142,7 @@ func estimatorInputs(host, target *arch.GPU, bench *kernels.Benchmark, w *kernel
 	// Access streams come from a device-side resolution (geometry-neutral).
 	dev := newGPU(*target, 1<<32)
 	dev.Mode = hostgpu.ExecTimingOnly
-	p, err := provision(dev, bench, w)
+	p, err := provisionOn(dev, bench, w)
 	if err != nil {
 		return nil, err
 	}

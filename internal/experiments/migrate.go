@@ -11,14 +11,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/devmem"
-	"repro/internal/hostgpu"
 	"repro/internal/ipc"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 )
 
 // Migration drill geometry: a 16-VP fleet with the multi-GPU mixed workload
@@ -130,19 +126,9 @@ func MigrationDrill(nVPs, scale, oversub int) (*MigrationResult, error) {
 	if oversub <= 0 {
 		oversub = 4
 	}
-	benches := make([]*kernels.Benchmark, len(multiGPUApps))
-	for i, name := range multiGPUApps {
-		b, err := kernels.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		benches[i] = b
-	}
-	maxIters := 0
-	for _, b := range benches {
-		if b.Iterations > maxIters {
-			maxIters = b.Iterations
-		}
+	benches, maxIters, err := mixedBenches()
+	if err != nil {
+		return nil, err
 	}
 	plan := migrationPlan(nVPs, maxIters)
 	res := &MigrationResult{
@@ -154,7 +140,7 @@ func MigrationDrill(nVPs, scale, oversub int) (*MigrationResult, error) {
 		ref, mig, ckpt *fleetArtifacts
 		over           *overloadMigLeg
 	)
-	err := forEach(4, func(i int) error {
+	err = forEach(4, func(i int) error {
 		var err error
 		switch i {
 		case 0:
@@ -246,26 +232,16 @@ func CheckpointDrill(nVPs, scale int) (*CheckpointResult, error) {
 	if scale < 1 {
 		scale = 1
 	}
-	benches := make([]*kernels.Benchmark, len(multiGPUApps))
-	for i, name := range multiGPUApps {
-		b, err := kernels.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		benches[i] = b
-	}
-	maxIters := 0
-	for _, b := range benches {
-		if b.Iterations > maxIters {
-			maxIters = b.Iterations
-		}
+	benches, maxIters, err := mixedBenches()
+	if err != nil {
+		return nil, err
 	}
 	res := &CheckpointResult{
 		VPs: nVPs, Scale: scale, Devices: migrationDevices,
 		Iterations: maxIters,
 	}
 	var ref, ckpt *fleetArtifacts
-	err := forEach(2, func(i int) error {
+	err = forEach(2, func(i int) error {
 		var err error
 		if i == 0 {
 			ref, err = runMigrationFleet(benches, scale, nVPs, migrationDevices, nil, -1)
@@ -286,58 +262,6 @@ func CheckpointDrill(nVPs, scale int) (*CheckpointResult, error) {
 	return res, nil
 }
 
-// migVP is one fleet member: its benchmark, workload, and *guest* pointers.
-// Guest pointers are allocated through Service.AllocVP, so they travel with
-// the VP on migration; every iteration resolves them to current device
-// pointers before building jobs, because a restore may have rebased them.
-type migVP struct {
-	vp      int
-	bench   *kernels.Benchmark
-	launch  *hostgpu.Launch
-	inPtrs  []devmem.Ptr
-	inData  [][]byte
-	outPtrs []devmem.Ptr
-	outLens []int
-
-	finalD2H []*sched.Job
-}
-
-// jobs builds one iteration's burst against the VP's current device,
-// resolving guest pointers freshly (migration may have rebased them since
-// the last iteration) and submitting into the VP's stream window.
-func (v *migVP) jobs(ms *core.MultiService, it int) (int, []*sched.Job) {
-	dev, _ := ms.Assignment(v.vp)
-	svc := ms.Device(dev)
-	stream := core.VPStream(v.vp, 0)
-	copyIn := v.bench.CopyEachIteration || it == 0
-	copyOut := v.bench.CopyEachIteration || it == v.bench.Iterations-1
-	var jobs []*sched.Job
-	if copyIn {
-		for i, gp := range v.inPtrs {
-			jobs = append(jobs, sched.NewH2D(v.vp, stream, svc.ResolvePtr(v.vp, gp), 0, v.inData[i]))
-		}
-	}
-	l := *v.launch
-	l.Bindings = make(map[string]devmem.Ptr, len(v.launch.Bindings))
-	for name, gp := range v.launch.Bindings {
-		l.Bindings[name] = svc.ResolvePtr(v.vp, gp)
-	}
-	kj := sched.NewKernel(v.vp, stream, &l)
-	kj.Coalescable = v.bench.Coalescable
-	jobs = append(jobs, kj)
-	if copyOut {
-		var d2h []*sched.Job
-		for i, gp := range v.outPtrs {
-			d2h = append(d2h, sched.NewD2H(v.vp, stream, svc.ResolvePtr(v.vp, gp), 0, v.outLens[i]))
-		}
-		jobs = append(jobs, d2h...)
-		if it == v.bench.Iterations-1 {
-			v.finalD2H = d2h
-		}
-	}
-	return dev, jobs
-}
-
 // fleetArtifacts is one fleet run's comparable output.
 type fleetArtifacts struct {
 	d2h         map[int][]byte // vp → concatenated final output buffers
@@ -347,202 +271,106 @@ type fleetArtifacts struct {
 	ckptBytes   int
 }
 
-// newMigrationFarm builds the drill's farm shape: nDev identical devices,
-// round-robin placement, tracing on so migration records land in a timeline.
-// Unlike the multi-GPU scaling study this farm runs in full-execution mode —
-// the drill's whole point is that buffer *contents* survive migration, so
-// kernels must really compute and copies must really move bytes.
-func newMigrationFarm(nDev int) (*core.MultiService, error) {
-	opts := core.DefaultOptions()
-	opts.MemBytes = 1 << 33
-	opts.Trace = true
-	gpus := make([]arch.GPU, nDev)
-	for i := range gpus {
-		gpus[i] = arch.Quadro4000()
-	}
-	return core.NewMultiServicePlaced(opts, gpus, core.PlaceRoundRobin)
-}
-
 // runMigrationFleet serves the fleet once in lock-step iterations, applying
 // the migration plan at iteration barriers. With checkpointAt >= 0, the whole
 // farm is checkpointed before that iteration, round-tripped through a file
 // on disk, and restored into a brand-new farm that runs the remaining
-// iterations — the daemon-restart scenario.
+// iterations — the daemon-restart scenario. Unlike the multi-GPU scaling
+// study the farm runs in full-execution mode — the drill's whole point is
+// that buffer *contents* survive migration, so kernels must really compute
+// and copies must really move bytes — with tracing on, so migration records
+// land in a timeline.
 func runMigrationFleet(benches []*kernels.Benchmark, scale, nVPs, nDev int, plan []migPlanStep, checkpointAt int) (*fleetArtifacts, error) {
-	ms, err := newMigrationFarm(nDev)
+	opts := core.DefaultOptions()
+	opts.MemBytes = fleetMemBytes
+	opts.Trace = true
+	f, err := newFarmFleet(opts, nDev, benches, scale, nVPs)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { ms.Close() }()
+	defer f.close()
 
-	vps := make([]*migVP, nVPs)
-	dynOf := map[string]*hostgpu.Launch{}
-	maxIters := 0
-	for id := 0; id < nVPs; id++ {
-		ms.RegisterVP(id)
-		dev, ok := ms.Assignment(id)
-		if !ok {
-			return nil, fmt.Errorf("experiments: vp %d unassigned after registration", id)
-		}
-		bench := benches[id%len(benches)]
-		w := bench.MakeWorkload(scale)
-		v := &migVP{vp: id, bench: bench, launch: bench.NewLaunch(w)}
-		v.launch.Bindings = map[string]devmem.Ptr{}
-		svc := ms.Device(dev)
-		for _, decl := range bench.Kernel.Bufs {
-			size, ok := w.BufBytes[decl.Name]
-			if !ok {
-				return nil, fmt.Errorf("experiments: %s: workload missing buffer %q", bench.Name, decl.Name)
-			}
-			gp, err := svc.AllocVP(id, size)
-			if err != nil {
-				return nil, err
-			}
-			v.launch.Bindings[decl.Name] = gp
-			if in, ok := w.Inputs[decl.Name]; ok {
-				v.inPtrs = append(v.inPtrs, gp)
-				v.inData = append(v.inData, in)
-			}
-		}
-		for _, name := range w.OutBufs {
-			v.outPtrs = append(v.outPtrs, v.launch.Bindings[name])
-			v.outLens = append(v.outLens, w.BufBytes[name])
-		}
-		if bench.Prog.NeedsDynamicProfile() {
-			if ref, ok := dynOf[bench.Name]; ok {
-				v.launch.Dyn = ref.Dyn
-			} else {
-				env, err := buildWorkloadEnv(bench, w)
-				if err != nil {
-					return nil, err
-				}
-				st, err := bench.Kernel.SampleStats(env, 32)
-				if err != nil {
-					return nil, err
-				}
-				v.launch.Dyn = st
-				dynOf[bench.Name] = v.launch
-			}
-		}
-		vps[id] = v
-		if bench.Iterations > maxIters {
-			maxIters = bench.Iterations
-		}
-	}
-
-	ckptBytes := 0
-	for it := 0; it < maxIters; it++ {
+	a := &fleetArtifacts{d2h: map[int][]byte{}}
+	for it := 0; it < f.iters; it++ {
 		if it == checkpointAt {
-			ms2, n, err := checkpointHandover(ms, nDev)
-			if err != nil {
+			if a.ckptBytes, err = f.checkpointHandover(); err != nil {
 				return nil, err
 			}
-			old := ms
-			ms = ms2
-			old.Close()
-			ckptBytes = n
 		}
 		for _, step := range plan {
 			if step.It != it {
 				continue
 			}
-			dev, ok := ms.Assignment(step.VP)
-			if !ok {
-				return nil, fmt.Errorf("experiments: migration plan: vp %d unassigned at iter %d", step.VP, it)
-			}
-			if err := ms.Migrate(step.VP, (dev+1)%nDev); err != nil {
+			dev, _ := f.ms.Assignment(step.VP)
+			if err := f.ms.Migrate(step.VP, (dev+1)%nDev); err != nil {
 				return nil, err
 			}
 		}
-		batches := make([][]*sched.Job, nDev)
-		for _, v := range vps {
-			if it >= v.bench.Iterations {
-				continue
-			}
-			dev, jobs := v.jobs(ms, it)
-			batches[dev] = append(batches[dev], jobs...)
-		}
-		for dev, batch := range batches {
-			if len(batch) > 0 {
-				ms.DispatchBatch(dev, batch)
-			}
-		}
+		f.step(it)
 	}
-	ms.Flush()
-	a, err := artifactsOf(ms, vps, nVPs)
-	if err != nil {
+
+	// Drain the farm and capture the comparable outputs: every VP's final
+	// D2H bytes, the merged simulated-metrics snapshot, the merged trace
+	// records, and the migration snapshot.
+	f.ms.Flush()
+	a.migSnap = f.ms.MigrationSnapshot()
+	for vp, d2h := range f.finalD2H {
+		var out []byte
+		for _, j := range d2h {
+			if j.Err != nil {
+				return nil, fmt.Errorf("experiments: vp %d final D2H: %w", vp, j.Err)
+			}
+			out = append(out, j.Data...)
+		}
+		a.d2h[vp] = out
+	}
+	if a.metricsJSON, err = f.ms.Snapshot().JSON(); err != nil {
 		return nil, err
 	}
-	a.ckptBytes = ckptBytes
+	if tl := f.ms.MergedTrace(); tl != nil {
+		if a.traceJSON, err = json.Marshal(tl.Records()); err != nil {
+			return nil, err
+		}
+	}
 	return a, nil
 }
 
 // checkpointHandover cuts a farm image, round-trips it through a file on
-// disk, and restores it into a fresh farm — the daemon-restart leg.
-func checkpointHandover(ms *core.MultiService, nDev int) (*core.MultiService, int, error) {
-	ck, err := ms.Checkpoint()
+// disk, and moves the fleet onto a fresh farm restored from it — the
+// daemon-restart leg. It returns the image's size on disk.
+func (f *farmFleet) checkpointHandover() (int, error) {
+	ck, err := f.ms.Checkpoint()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	dir, err := os.MkdirTemp("", "sigmavp-ckpt")
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "farm.ckpt")
 	if err := core.SaveCheckpoint(path, ck); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	ck2, err := core.LoadCheckpoint(path)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	ms2, err := newMigrationFarm(nDev)
+	fresh, err := newFleetFarm(f.opts, f.ms.Devices())
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if err := ms2.Restore(ck2); err != nil {
-		ms2.Close()
-		return nil, 0, err
+	if err := fresh.Restore(ck2); err != nil {
+		fresh.Close()
+		return 0, err
 	}
-	return ms2, len(data), nil
-}
-
-// artifactsOf drains the farm and captures the comparable outputs: every
-// VP's final D2H bytes, the merged simulated-metrics snapshot, the merged
-// trace records, and the migration snapshot.
-func artifactsOf(ms *core.MultiService, vps []*migVP, nVPs int) (*fleetArtifacts, error) {
-	ms.Flush()
-	a := &fleetArtifacts{d2h: map[int][]byte{}, migSnap: ms.MigrationSnapshot()}
-	for _, v := range vps {
-		var out []byte
-		for _, j := range v.finalD2H {
-			if j.Err != nil {
-				return nil, fmt.Errorf("experiments: vp %d final D2H: %w", v.vp, j.Err)
-			}
-			out = append(out, j.Data...)
-		}
-		a.d2h[v.vp] = out
-	}
-	var err error
-	a.metricsJSON, err = ms.Snapshot().JSON()
-	if err != nil {
-		return nil, err
-	}
-	if tl := ms.MergedTrace(); tl != nil {
-		a.traceJSON, err = json.Marshal(tl.Records())
-		if err != nil {
-			return nil, err
-		}
-	}
-	for id := 0; id < nVPs; id++ {
-		ms.UnregisterVP(id)
-	}
-	return a, nil
+	f.ms.Close()
+	f.ms = fresh
+	return len(data), nil
 }
 
 // d2hEqual compares two per-VP output maps byte for byte.

@@ -6,18 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
-	"repro/internal/sched"
 )
-
-// multiGPUApps is the mixed workload of the multi-GPU scaling study. Its
-// length is coprime with the device counts {1,2,4}, so round-robin placement
-// deals every device a mix of cheap and expensive applications instead of
-// pinning one application per device.
-var multiGPUApps = []string{"vectorAdd", "BlackScholes", "scalarProd", "reduction", "matrixMul"}
 
 // MultiGPUPoint is one fleet size in the multi-GPU scaling study.
 type MultiGPUPoint struct {
@@ -76,16 +68,12 @@ func MultiGPUScalingOpt(nVPs, scale int, devCounts []int, pipeline bool) (*Multi
 		Apps:      multiGPUApps,
 		Placement: core.PlaceRoundRobin.String(),
 	}
-	benches := make([]*kernels.Benchmark, len(multiGPUApps))
-	for i, name := range multiGPUApps {
-		b, err := kernels.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		benches[i] = b
+	benches, _, err := mixedBenches()
+	if err != nil {
+		return nil, err
 	}
 	res.Points = make([]MultiGPUPoint, len(devCounts))
-	err := forEach(len(devCounts), func(i int) error {
+	err = forEach(len(devCounts), func(i int) error {
 		p, err := multiGPURun(benches, scale, nVPs, devCounts[i], pipeline)
 		if err != nil {
 			return err
@@ -110,96 +98,25 @@ func MultiGPUScalingOpt(nVPs, scale int, devCounts []int, pipeline bool) (*Multi
 func multiGPURun(benches []*kernels.Benchmark, scale, nVPs, nDev int, pipeline bool) (*MultiGPUPoint, error) {
 	opts := core.DefaultOptions()
 	opts.Mode = hostgpu.ExecTimingOnly
-	opts.MemBytes = 1 << 33
+	opts.MemBytes = fleetMemBytes
 	opts.Pipeline = pipeline
-	gpus := make([]arch.GPU, nDev)
-	for i := range gpus {
-		gpus[i] = arch.Quadro4000()
-	}
-	ms, err := core.NewMultiService(opts, gpus)
+	f, err := newFarmFleet(opts, nDev, benches, scale, nVPs)
 	if err != nil {
 		return nil, err
 	}
+	defer f.close()
 
-	// Register in VP order; round-robin placement makes device assignment a
-	// pure function of that order.
-	type vpState struct {
-		dev   int
-		prov  *provisioned
-		bench *kernels.Benchmark
-	}
-	vps := make([]vpState, nVPs)
-	// λ statistics are a property of (kernel, workload), not of the VP or
-	// device, so sample once per benchmark.
-	dynOf := make(map[string]*provisioned)
-	maxIters := 0
-	for id := 0; id < nVPs; id++ {
-		ms.RegisterVP(id)
-		dev, ok := ms.Assignment(id)
-		if !ok {
-			return nil, fmt.Errorf("experiments: vp %d unassigned after registration", id)
-		}
-		bench := benches[id%len(benches)]
-		w := bench.MakeWorkload(scale)
-		p, err := provision(ms.Device(dev).GPU, bench, w)
-		if err != nil {
-			return nil, err
-		}
-		if bench.Prog.NeedsDynamicProfile() {
-			if ref, ok := dynOf[bench.Name]; ok {
-				p.launch.Dyn = ref.launch.Dyn
-			} else {
-				env, err := buildWorkloadEnv(bench, w)
-				if err != nil {
-					return nil, err
-				}
-				st, err := bench.Kernel.SampleStats(env, 32)
-				if err != nil {
-					return nil, err
-				}
-				p.launch.Dyn = st
-				dynOf[bench.Name] = p
-			}
-		}
-		vps[id] = vpState{dev: dev, prov: p, bench: bench}
-		if bench.Iterations > maxIters {
-			maxIters = bench.Iterations
-		}
-	}
-
-	// Lock-step iteration loop, mirroring the VP Control batching predicate:
-	// each round collects every still-running VP's job burst, split by owning
-	// device, and each device re-schedules its own batch. DispatchBatch only
-	// enqueues with pipelining on, so the devices' simulations run
-	// concurrently in wall clock; Sync below is the completion barrier, and
-	// the measurement window covers exactly the simulation work.
+	// Sync is the completion barrier, so the measurement window covers
+	// exactly the simulation work.
 	start := time.Now()
-	for it := 0; it < maxIters; it++ {
-		batches := make([][]*sched.Job, nDev)
-		for id, v := range vps {
-			if it >= v.bench.Iterations {
-				continue
-			}
-			copyIn := v.bench.CopyEachIteration || it == 0
-			copyOut := v.bench.CopyEachIteration || it == v.bench.Iterations-1
-			batches[v.dev] = append(batches[v.dev], v.prov.phaseJobs(id, copyIn, copyOut)...)
-		}
-		for dev, batch := range batches {
-			if len(batch) > 0 {
-				ms.DispatchBatch(dev, batch)
-			}
-		}
+	for it := 0; it < f.iters; it++ {
+		f.step(it)
 	}
-	for id := 0; id < nVPs; id++ {
-		ms.UnregisterVP(id)
-	}
-
-	pt := &MultiGPUPoint{Devices: nDev, MakespanSec: ms.Sync(), Utilization: make([]float64, nDev)}
+	pt := &MultiGPUPoint{Devices: nDev, MakespanSec: f.ms.Sync(), Utilization: make([]float64, nDev)}
 	pt.WallClockSec = time.Since(start).Seconds()
-	ms.Close()
 	if pt.MakespanSec > 0 {
 		for i := 0; i < nDev; i++ {
-			pt.Utilization[i] = ms.Device(i).GPU.BusySeconds(hostgpu.EngineCompute) / pt.MakespanSec
+			pt.Utilization[i] = f.ms.Device(i).GPU.BusySeconds(hostgpu.EngineCompute) / pt.MakespanSec
 		}
 	}
 	return pt, nil

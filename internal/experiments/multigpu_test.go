@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -105,6 +106,73 @@ func TestMultiGPUScalingPipelineEquivalence(t *testing.T) {
 		if p.WallClockSec <= 0 {
 			t.Errorf("%d devices: wall clock not measured", p.Devices)
 		}
+	}
+}
+
+// TestMultiGPUScalingMatchesBENCH7 pins the study this package ships to the
+// recorded BENCH_7 makespans, bit for bit, with the executors pipelined and
+// inline (bench/ compares its own copy of the fleet, not this one): the
+// fleet's VPStream numbering and AllocVP addresses must not move a
+// simulated nanosecond.
+func TestMultiGPUScalingMatchesBENCH7(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_7.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Study struct {
+			VPs, Scale int
+			Points     []struct {
+				Devices  int
+				Makespan float64 `json:"makespan_sec"`
+			}
+		}
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	var devCounts []int
+	for _, p := range golden.Study.Points {
+		devCounts = append(devCounts, p.Devices)
+	}
+	if len(devCounts) != 3 {
+		t.Fatalf("BENCH_7.json lists %d points, want 3", len(devCounts))
+	}
+	for _, pipeline := range []bool{true, false} {
+		r, err := MultiGPUScalingOpt(golden.Study.VPs, golden.Study.Scale, devCounts, pipeline)
+		if err != nil {
+			t.Fatalf("pipeline=%v: %v", pipeline, err)
+		}
+		for i, p := range r.Points {
+			if want := golden.Study.Points[i].Makespan; p.MakespanSec != want {
+				t.Errorf("pipeline=%v, %d devices: makespan %v, BENCH_7 records %v", pipeline, p.Devices, p.MakespanSec, want)
+			}
+		}
+	}
+}
+
+// TestFarmFleetClosesOnProvisionError forces an allocation failure while the
+// fleet provisions (an arena too small for one buffer) and checks no executor
+// goroutine outlives the error: multiGPURun used to return without closing
+// the farm, leaving one per device.
+func TestFarmFleetClosesOnProvisionError(t *testing.T) {
+	benches, _, err := mixedBenches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	opts := core.DefaultOptions()
+	opts.MemBytes = 1 << 10
+	if _, err := newFarmFleet(opts, 4, benches, 1, 8); err == nil {
+		t.Fatal("fleet provisioned into a 1 KiB arena")
+	}
+	// An exiting goroutine stays counted for an instant after Close returns.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, started with %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/hostgpu"
+	"repro/internal/cpumodel"
 	"repro/internal/kernels"
-	"repro/internal/sched"
+	"repro/internal/kir"
 )
 
 // ScalingPoint is one VP count in the scaling study.
@@ -47,15 +47,16 @@ func Scaling(app string, scale int) (*ScalingResult, error) {
 	res.Points = make([]ScalingPoint, len(counts))
 	err = forEach(len(counts), func(i int) error {
 		n := counts[i]
-		emulSec, err := emulScenario(bench, scale, n)
+		w := bench.MakeWorkload(scale)
+		emulSec, err := emulScenario(bench, w, n)
 		if err != nil {
 			return err
 		}
-		plain, err := runSigmaVPN(bench, scale, n, false, ipc)
+		plain, err := scalingSigmaVP(bench, w, n, false, ipc)
 		if err != nil {
 			return err
 		}
-		opt, err := runSigmaVPN(bench, scale, n, true, ipc)
+		opt, err := scalingSigmaVP(bench, w, n, true, ipc)
 		if err != nil {
 			return err
 		}
@@ -75,81 +76,39 @@ func Scaling(app string, scale int) (*ScalingResult, error) {
 	return res, nil
 }
 
-// emulScenario prices the serialized multi-VP emulation of n VPs.
-func emulScenario(bench *kernels.Benchmark, scale, n int) (float64, error) {
+// emulScenario prices the emulation of n VPs. Multi-VP QEMU simulations
+// execute the VP instances through one simulation loop (netShip-style
+// co-simulation), so completing n emulated VPs costs n times one VP's
+// emulated application time.
+func emulScenario(bench *kernels.Benchmark, w *kernels.Workload, n int) (float64, error) {
 	guest := arch.ARMVersatile()
-	w := bench.MakeWorkload(scale)
-	one, err := emulAppSeconds(&guest, bench, w)
+	dyn, err := sampledDyn(bench, w)
 	if err != nil {
 		return 0, err
 	}
-	return float64(n) * one, nil
-}
-
-// runSigmaVPN is runSigmaVP with a configurable VP count.
-func runSigmaVPN(bench *kernels.Benchmark, scale, nVPs int, optimized bool, ipc IPCCost) (float64, error) {
-	w := bench.MakeWorkload(scale)
-	g := newGPU(arch.Quadro4000(), 1<<33)
-	g.Mode = hostgpu.ExecTimingOnly
-	g.Serialize = !optimized
-	policy := sched.PolicyFIFO
-	if optimized {
-		policy = sched.PolicyInterleave
-	}
-	provs := make([]*provisioned, nVPs)
-	for vpID := 0; vpID < nVPs; vpID++ {
-		p, err := provision(g, bench, w)
-		if err != nil {
-			return 0, err
-		}
-		if bench.Prog.NeedsDynamicProfile() {
-			env, err := buildWorkloadEnv(bench, w)
-			if err != nil {
-				return 0, err
-			}
-			st, err := bench.Kernel.SampleStats(env, 32)
-			if err != nil {
-				return 0, err
-			}
-			p.launch.Dyn = st
-		}
-		provs[vpID] = p
-	}
-	totalJobs := 0
-	for it := 0; it < bench.Iterations; it++ {
-		copyIn := bench.CopyEachIteration || it == 0
-		copyOut := bench.CopyEachIteration || it == bench.Iterations-1
-		var batch []*sched.Job
-		for vpID, p := range provs {
-			batch = append(batch, p.phaseJobs(vpID, copyIn, copyOut)...)
-		}
-		totalJobs += len(batch)
-		if err := dispatch(g, batch, policy, optimized); err != nil {
-			return 0, err
-		}
-	}
-	sec := g.Sync()
-	if !optimized {
-		sec += float64(totalJobs) * ipc.LatencySec
-	}
-	sec += float64(bench.Iterations)*ipc.LatencySec + ipc.Transfer(provs[0].iterationBytes())
-	return sec, nil
-}
-
-// emulAppSeconds prices one VP's emulated application run.
-func emulAppSeconds(guest *arch.CPU, bench *kernels.Benchmark, w *kernels.Workload) (float64, error) {
-	kl := launchOf(w)
-	sigma, err := staticOrSampledSigma(bench, w, kl)
+	sigma, err := bench.Prog.RawSigma(kir.Launch{NThreads: w.Threads(), Params: w.Params}, dyn)
 	if err != nil {
 		return 0, err
 	}
-	perIter := emulKernelSeconds(guest, sigma, w.Threads())
-	memcpySec := emulMemcpySeconds(guest, w)
+	perIter := cpumodel.EmulTime(&guest, sigma, w.Threads())
+	memcpySec := cpumodel.MemcpyTime(&guest, w.InBytes()+w.OutBytes())
 	if bench.CopyEachIteration {
 		perIter += memcpySec
 		memcpySec = 0
 	}
-	return float64(bench.Iterations)*(perIter+bench.NonCUDAVPSeconds) + memcpySec, nil
+	return float64(n) * (float64(bench.Iterations)*(perIter+bench.NonCUDAVPSeconds) + memcpySec), nil
+}
+
+// scalingSigmaVP is the scaling study's ΣVP scenario: the bare fleet's
+// makespan plus the study's flat IPC estimate (one launch round-trip per
+// iteration and one marshaling of a VP's buffers).
+func scalingSigmaVP(bench *kernels.Benchmark, w *kernels.Workload, nVPs int, optimized bool, ipc IPCCost) (float64, error) {
+	sec, p, err := runBareFleet(bench, w, nVPs, optimized, ipc)
+	if err != nil {
+		return 0, err
+	}
+	sec += float64(bench.Iterations)*ipc.LatencySec + ipc.Transfer(p.iterationBytes())
+	return sec, nil
 }
 
 func (r *ScalingResult) String() string {

@@ -5,18 +5,12 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/coalesce"
 	"repro/internal/cpumodel"
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
 	"repro/internal/kir"
 	"repro/internal/sched"
 )
-
-// applyCoalesce runs the Kernel Match + merge pass.
-func applyCoalesce(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
-	return coalesce.Apply(g, batch)
-}
 
 // Table1Row is one configuration of the matrix-multiplication comparison.
 type Table1Row struct {
@@ -47,12 +41,12 @@ func Table1() (*Table1Result, error) {
 	// --- Row 1: CUDA executed natively by the (host) GPU. ---
 	g := newGPU(arch.Quadro4000(), 1<<30)
 	g.Mode = hostgpu.ExecTimingOnly
-	p, err := provision(g, bench, w)
+	p, err := provisionOn(g, bench, w)
 	if err != nil {
 		return nil, err
 	}
 	for it := 0; it < iterations; it++ {
-		if err := dispatch(g, p.iterationJobs(0), sched.PolicyInterleave, false); err != nil {
+		if err := dispatch(g, p.phaseJobs(0, 0, true, true), sched.PolicyInterleave, false); err != nil {
 			return nil, err
 		}
 	}

@@ -112,14 +112,10 @@ type faultConn struct {
 	rng *rand.Rand
 }
 
-// WrapFaulty wraps conn with deterministic fault injection. A config with
-// all probabilities zero returns conn unchanged.
-func WrapFaulty(conn net.Conn, cfg FaultConfig) net.Conn {
-	return WrapFaultyMetrics(conn, cfg, nil)
-}
-
-// WrapFaultyMetrics is WrapFaulty with a registry counting each injected
-// fault (ipc.faults.drop / corrupt / disconnect / delay).
+// WrapFaultyMetrics wraps conn with deterministic fault injection, counting
+// each injected fault (ipc.faults.drop / corrupt / disconnect / delay) in m
+// (nil counts nothing). A config with all probabilities zero returns conn
+// unchanged.
 func WrapFaultyMetrics(conn net.Conn, cfg FaultConfig, m *metrics.Registry) net.Conn {
 	if !cfg.enabled() {
 		return conn

@@ -76,14 +76,11 @@ type Buffer struct {
 	F64s []float64
 	I32s []int32
 
-	// written, when armed by trackWrites, records which elements Set/AddAt
+	// written, when armed (see shadowOf), records which elements Set/AddAt
 	// touched — the block-parallel engine uses it to merge per-worker shadow
 	// copies back in block order.
 	written []bool
 }
-
-// trackWrites arms per-element write tracking on the buffer.
-func (b *Buffer) trackWrites() { b.written = make([]bool, b.Len()) }
 
 // applyWrites copies every element src recorded as written into b. Both
 // buffers must share element type and length.
