@@ -613,8 +613,13 @@ func (s *Service) Handle(vp int, req any) any {
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
-		j := sched.NewD2H(vp, stream, s.ResolvePtr(vp, r.Src), r.Off, r.N)
-		return s.serveJob(vp, j)
+		j, d2h := s.d2hJob(vp, stream, s.ResolvePtr(vp, r.Src), r.Off, r.N)
+		resp := s.serveJob(vp, j)
+		if ok, done := resp.(ipc.OKResp); done {
+			d2h.Data, d2h.End = j.Data, ok.End
+			return d2h
+		}
+		return resp
 	case ipc.MemsetReq:
 		stream, err := streamOf(vp, r.Stream)
 		if err != nil {
@@ -642,7 +647,7 @@ func (s *Service) Handle(vp int, req any) any {
 
 // serveJob is the tail of every job-submitting request: pass admission (or
 // return its overload response), submit, park the VP until the job's batch
-// retires, and reply with the completion time — and, for a D2H, the bytes.
+// retires, and reply with the completion time.
 func (s *Service) serveJob(vp int, j *sched.Job) any {
 	if resp := s.admitJob(vp, j); resp != nil {
 		return resp
@@ -651,10 +656,24 @@ func (s *Service) serveJob(vp int, j *sched.Job) any {
 	if err := s.WaitJob(vp, j); err != nil {
 		return ipc.ErrResp{Msg: err.Error()}
 	}
-	if j.Engine == hostgpu.EngineD2H {
-		return ipc.D2HResp{Data: j.Data, End: j.Interval.End}
-	}
 	return ipc.OKResp{End: j.Interval.End}
+}
+
+// d2hJob builds a D2H request's job and the response it fills. The bytes go
+// from the device straight into a response frame of the transport's, which is
+// sized only once [off, off+n) is known to lie inside the allocation. The
+// check the job makes when it runs stays the authoritative one (the
+// allocation may be freed in between), so a request that fails this one gets
+// a plain job and that job's error. Handle drops the response on an error
+// path and never recycles its frame: a cancelled job may still hold it.
+func (s *Service) d2hJob(vp, stream int, src devmem.Ptr, off, n int) (*sched.Job, ipc.D2HResp) {
+	if size, err := s.GPU.Mem.Size(src); err == nil && off >= 0 && n >= 0 && n <= size-off &&
+		s.opts.Mode != hostgpu.ExecTimingOnly {
+		if resp := ipc.NewD2HResp(n); resp.Data != nil {
+			return sched.NewD2HInto(vp, stream, src, off, resp.Data), resp
+		}
+	}
+	return sched.NewD2H(vp, stream, src, off, n), ipc.D2HResp{}
 }
 
 // launchJob reconstructs a launch from a wire request via the kernel

@@ -3,6 +3,8 @@ package cudart
 import (
 	"errors"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/hostgpu"
 	"repro/internal/ipc"
 	"repro/internal/kernels"
+	"repro/internal/metrics"
 )
 
 // flakyClient fails its first `fail` calls with a retryable transport error
@@ -153,5 +156,48 @@ func TestRemoteRetriesDisabled(t *testing.T) {
 	}
 	if len(fc.calls) != 1 {
 		t.Fatalf("want 1 attempt, got %d", len(fc.calls))
+	}
+}
+
+// TestOversizeH2DNotRetried: an H2D whose frame cannot fit the wire is
+// refused by the ipc client before anything is written, with an error the
+// idempotent-retry loop does not take for a transport fault. Before, the
+// frame went out, the server closed the connection on it as corruption, and
+// the retry redialed and resent the same doomed frame Retries times. The
+// slice (one byte over ipc's 128 MiB frame cap) is never touched, so it costs
+// address space only.
+func TestOversizeH2DNotRetried(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests atomic.Int64
+	srv := ipc.Serve(l, func(vp int, req any) any {
+		requests.Add(1)
+		return ipc.OKResp{}
+	})
+	defer srv.Close()
+	reg := metrics.New()
+	c, err := ipc.DialWithOptions(srv.Addr().String(), 1, ipc.DialOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewRemoteBackendOpts(c, RemoteOptions{Retries: DefaultRetries, Metrics: reg})
+	defer b.Close()
+
+	tok, err := b.H2D(0, 0x100, 0, make([]byte, 1<<27+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tok.Wait(); !errors.Is(err, ipc.ErrFrameTooLarge) {
+		t.Fatalf("oversize H2D: err %v, want ipc.ErrFrameTooLarge", err)
+	}
+	for _, name := range []string{"cudart.retries", "cudart.retries_exhausted", "ipc.client.reconnects"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("%s = %d, want 0", name, n)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("server handled %d requests, want none", n)
 	}
 }

@@ -349,18 +349,35 @@ func (m *Mem) Fill(p Ptr, off, n int, value byte) error {
 // Read copies n bytes out of the allocation at p starting at off (a D2H
 // copy). The returned slice is a private copy.
 func (m *Mem) Read(p Ptr, off, n int) ([]byte, error) {
+	return m.read(p, off, n, nil)
+}
+
+// ReadInto copies len(dst) bytes out of the allocation at p starting at off
+// into dst: Read for a caller that already owns the destination (a response
+// frame), so the bytes are copied once and nothing is allocated.
+func (m *Mem) ReadInto(p Ptr, off int, dst []byte) error {
+	_, err := m.read(p, off, len(dst), dst)
+	return err
+}
+
+// read checks [off, off+n) against the allocation and copies it into dst, or
+// into a fresh slice when dst is nil — made only after the check, so a
+// hostile n allocates nothing.
+func (m *Mem) read(p Ptr, off, n int, dst []byte) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	b, ok := m.allocs[p]
 	if !ok {
 		return nil, fmt.Errorf("devmem: read from invalid pointer %#x", uint64(p))
 	}
-	if off < 0 || n < 0 || off+n > len(b) {
+	if off < 0 || n < 0 || n > len(b)-off {
 		return nil, fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", off, off+n, len(b))
 	}
-	out := make([]byte, n)
-	copy(out, b[off:off+n])
-	return out, nil
+	if dst == nil {
+		dst = make([]byte, n)
+	}
+	copy(dst, b[off:off+n])
+	return dst, nil
 }
 
 // Copy moves n bytes from src+srcOff to dst+dstOff inside device memory (a

@@ -259,21 +259,29 @@ func (g *GPU) CopyH2D(stream int, dst devmem.Ptr, off int, src []byte) (Interval
 	return g.schedule(EngineH2D, stream, dur, fmt.Sprintf("H2D %dB", len(src))), nil
 }
 
-// CopyD2H transfers n bytes from device memory at src+off back to the host.
-// In timing-only mode no bytes are returned (bounds are still checked).
-func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int) ([]byte, Interval, error) {
+// CopyD2H transfers n bytes from device memory at src+off back to the host:
+// into dst[:n] when the caller brings the destination (a response frame of at
+// least n bytes; the bytes are then copied once and nothing is allocated),
+// into a fresh slice when dst is nil. In timing-only mode no bytes are
+// returned (bounds are still checked).
+func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int, dst []byte) ([]byte, Interval, error) {
 	var data []byte
 	if g.Mode == ExecTimingOnly {
 		size, err := g.Mem.Size(src)
 		if err != nil {
 			return nil, Interval{}, err
 		}
-		if off < 0 || n < 0 || off+n > size {
+		if off < 0 || n < 0 || n > size-off {
 			return nil, Interval{}, fmt.Errorf("hostgpu: D2H [%d,%d) outside allocation of %d bytes", off, off+n, size)
 		}
 	} else {
 		var err error
-		data, err = g.Mem.Read(src, off, n)
+		if dst != nil {
+			data = dst[:n]
+			err = g.Mem.ReadInto(src, off, data)
+		} else {
+			data, err = g.Mem.Read(src, off, n)
+		}
 		if err != nil {
 			return nil, Interval{}, err
 		}

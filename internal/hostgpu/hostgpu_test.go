@@ -96,7 +96,7 @@ func TestLaunchExecutesFunctionally(t *testing.T) {
 	if iv.Duration() <= 0 {
 		t.Error("kernel should take time")
 	}
-	raw, _, err := g.CopyD2H(0, l.Bindings["out"], 0, 4*512)
+	raw, _, err := g.CopyD2H(0, l.Bindings["out"], 0, 4*512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestLaunchNativeSemantics(t *testing.T) {
 	if !called {
 		t.Fatal("native function not used")
 	}
-	raw, _, _ := g.CopyD2H(0, l.Bindings["out"], 0, 4*256)
+	raw, _, _ := g.CopyD2H(0, l.Bindings["out"], 0, 4*256, nil)
 	if devmem.DecodeF32(raw)[100] != 300 {
 		t.Fatal("native result not written back")
 	}
@@ -145,7 +145,7 @@ func TestTimingOnlySkipsExecution(t *testing.T) {
 	if _, _, err := g.Launch(0, l); err != nil {
 		t.Fatal(err)
 	}
-	raw, _, _ := g.CopyD2H(0, l.Bindings["out"], 0, 4*256)
+	raw, _, _ := g.CopyD2H(0, l.Bindings["out"], 0, 4*256, nil)
 	for _, v := range devmem.DecodeF32(raw) {
 		if v != 0 {
 			t.Fatal("timing-only mode mutated output buffer")
@@ -221,8 +221,8 @@ func TestEngineOverlap(t *testing.T) {
 	g.CopyH2D(2, src, 0, payload)
 	g.Launch(1, lA)
 	g.Launch(2, lB)
-	g.CopyD2H(1, src, 0, nBytes)
-	g.CopyD2H(2, src, 0, nBytes)
+	g.CopyD2H(1, src, 0, nBytes, nil)
+	g.CopyD2H(2, src, 0, nBytes, nil)
 	span := g.Sync()
 	busy := g.BusySeconds(EngineH2D) + g.BusySeconds(EngineD2H) + g.BusySeconds(EngineCompute)
 	if span >= busy*0.95 {
@@ -263,18 +263,18 @@ func TestInOrderIssueHeadOfLineBlocking(t *testing.T) {
 			g.Serialize = true
 			g.CopyH2D(1, src, 0, payload)
 			g.Launch(1, lA)
-			g.CopyD2H(1, src, 0, nBytes)
+			g.CopyD2H(1, src, 0, nBytes, nil)
 			g.CopyH2D(2, src, 0, payload)
 			g.Launch(2, lB)
-			g.CopyD2H(2, src, 0, nBytes)
+			g.CopyD2H(2, src, 0, nBytes, nil)
 		case "good": // interleaved, pipelined across the three engines
 			g.Serialize = false
 			g.CopyH2D(1, src, 0, payload)
 			g.CopyH2D(2, src, 0, payload)
 			g.Launch(1, lA)
 			g.Launch(2, lB)
-			g.CopyD2H(1, src, 0, nBytes)
-			g.CopyD2H(2, src, 0, nBytes)
+			g.CopyD2H(1, src, 0, nBytes, nil)
+			g.CopyD2H(2, src, 0, nBytes, nil)
 		}
 		return g.Sync()
 	}
@@ -461,7 +461,7 @@ func TestDynamicKernelSampling(t *testing.T) {
 	if p.TotalInstr() <= 0 {
 		t.Error("sampled σ should be positive")
 	}
-	raw, _, _ := g.CopyD2H(0, ptr, 0, 4*64)
+	raw, _, _ := g.CopyD2H(0, ptr, 0, 4*64, nil)
 	if devmem.DecodeI32(raw)[0] != 10 {
 		t.Errorf("escape result = %d, want 10", devmem.DecodeI32(raw)[0])
 	}

@@ -67,7 +67,7 @@ func TestDeviceMetrics(t *testing.T) {
 	if _, _, err := g.Launch(2, l); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.CopyD2H(1, l.Bindings["out"], 0, 64); err != nil {
+	if _, _, err := g.CopyD2H(1, l.Bindings["out"], 0, 64, nil); err != nil {
 		t.Fatal(err)
 	}
 

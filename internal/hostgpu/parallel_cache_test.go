@@ -77,7 +77,7 @@ func runPropLaunch(t *testing.T, workers int, noCache bool, grid, block int, inp
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := g.CopyD2H(0, outPtr, 0, 4*n)
+	out, _, err := g.CopyD2H(0, outPtr, 0, 4*n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

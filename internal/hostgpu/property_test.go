@@ -57,7 +57,7 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 			case 0:
 				iv, err = g.CopyH2D(stream, ptr, 0, make([]byte, int(op)%(1<<14)+1))
 			case 1:
-				_, iv, err = g.CopyD2H(stream, ptr, 0, int(op)%(1<<14)+1)
+				_, iv, err = g.CopyD2H(stream, ptr, 0, int(op)%(1<<14)+1, nil)
 			default:
 				_, iv, err = g.Launch(stream, &Launch{
 					Kernel: k, Prog: prog,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,10 @@ type binClient struct {
 	vp   int
 	opts DialOptions
 
-	writeMu sync.Mutex // serializes frame writes; guards wbuf
-	wbuf    []byte     // reusable encode buffer
+	writeMu sync.Mutex  // serializes frame writes; guards wbuf, vec, vecBuf
+	wbuf    []byte      // reusable encode buffer
+	vec     net.Buffers // head + payload of one vectored write, over vecBuf
+	vecBuf  [2][]byte
 
 	mu      sync.Mutex // connection + pending-call state
 	conn    net.Conn
@@ -180,17 +183,61 @@ func (c *binClient) failConn(gen int, cause error) {
 	}
 }
 
+// take removes and returns the pending call waiting for id — the read loop
+// owns the slot from here on — or nil, counted as stale, when the call was
+// abandoned (timed out): the framing is intact, so its late response can
+// safely be skipped.
+func (c *binClient) take(id uint64) *pendingCall {
+	c.mu.Lock()
+	p := c.pending[id]
+	if p != nil {
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	if p == nil {
+		c.opts.Metrics.Counter("ipc.client.stale_responses").Inc()
+	}
+	return p
+}
+
+// failCall fails a call the read loop has taken, and the connection with it:
+// a response that is malformed or cut short means the stream can't be
+// trusted.
+func (c *binClient) failCall(p *pendingCall, gen int, cause error) {
+	p.err = &DisconnectError{Op: "read", Cause: cause}
+	p.ch <- struct{}{}
+	c.failConn(gen, cause)
+}
+
 // readLoop is the demultiplexer: it reads frames, matches them to pending
 // calls by request ID, and decodes the typed response directly into the
-// call's slot (no interface boxing on the hot path).
+// call's slot (no interface boxing on the hot path). A D2H response is never
+// read whole: its head is parsed from the buffered window and its payload
+// goes from the socket into the caller-owned result (readD2HResp), the only
+// copy and the only allocation the client makes of it.
 func (c *binClient) readLoop(conn net.Conn, gen int) {
-	br := bufio.NewReaderSize(conn, 1<<16)
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var hdr [4]byte
 	var buf []byte
 	for {
-		var err error
-		buf, err = readFrame(br, &hdr, buf)
+		n, err := readFrameLen(br, &hdr)
 		if err != nil {
+			c.failConn(gen, err)
+			return
+		}
+		head, err := br.Peek(min(n, d2hHeadMax-4))
+		if err != nil {
+			c.failConn(gen, err)
+			return
+		}
+		if head[0] == msgD2HResp {
+			if err := c.readD2HResp(br, head, n); err != nil {
+				c.failConn(gen, err)
+				return
+			}
+			continue
+		}
+		if buf, err = readFrameBody(br, n, buf); err != nil {
 			c.failConn(gen, err)
 			return
 		}
@@ -202,16 +249,8 @@ func (c *binClient) readLoop(conn net.Conn, gen int) {
 			c.failConn(gen, rd.err)
 			return
 		}
-		c.mu.Lock()
-		p := c.pending[id]
-		if p != nil {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
+		p := c.take(id)
 		if p == nil {
-			// Response to an abandoned (timed-out) request: the framing is
-			// intact, so it can safely be skipped.
-			c.opts.Metrics.Counter("ipc.client.stale_responses").Inc()
 			continue
 		}
 		p.kind = typ
@@ -226,29 +265,56 @@ func (c *binClient) readLoop(conn net.Conn, gen int) {
 			p.over.Retryable = rd.byte() != 0
 		case msgMallocResp:
 			p.malloc = MallocResp{Ptr: devmem.Ptr(rd.uvarint())}
-		case msgD2HResp:
-			view := rd.bytesView()
-			data := make([]byte, len(view))
-			copy(data, view)
-			p.d2h = D2HResp{Data: data, End: rd.float64()}
 		case msgCheckpointResp:
-			view := rd.bytesView()
-			data := make([]byte, len(view))
-			copy(data, view)
-			p.ckpt = CheckpointResp{Data: data}
+			p.ckpt = CheckpointResp{Data: append([]byte(nil), rd.bytesView()...)}
 		default:
 			rd.fail("unexpected response type %d", typ)
 		}
 		if derr := rd.done(); derr != nil {
-			// A malformed response means the stream can't be trusted: fail
-			// this call and the connection.
-			p.err = &DisconnectError{Op: "read", Cause: derr}
-			p.ch <- struct{}{}
-			c.failConn(gen, derr)
+			c.failCall(p, gen, derr)
 			return
 		}
 		p.ch <- struct{}{}
 	}
+}
+
+// readD2HResp reads the rest of a D2HResp frame of n bytes whose first bytes
+// are head (peeked, not yet consumed). Nothing is allocated until the head
+// has been checked against the frame length and a call is found waiting. The
+// call keeps its slot while the payload is being read — the read loop takes
+// it only once the whole frame is in memory — so a peer that stalls
+// mid-payload leaves the caller free to time out on schedule and, with no
+// frame delivered meanwhile, to drop the connection (see await), which is
+// what unblocks this read. A non-nil return means the stream can no longer be
+// trusted; the caller fails the connection, and the waiting call with it.
+func (c *binClient) readD2HResp(br *bufio.Reader, head []byte, n int) error {
+	headLen, id, end, size, err := parseD2HRespHead(head, n)
+	if err != nil {
+		return err
+	}
+	br.Discard(headLen) // peeked above, cannot fail
+	c.mu.Lock()
+	_, waiting := c.pending[id]
+	c.mu.Unlock()
+	var data []byte
+	if waiting {
+		data = make([]byte, size)
+		_, err = io.ReadFull(br, data)
+	} else {
+		_, err = br.Discard(size)
+	}
+	if err != nil {
+		return err
+	}
+	c.recvSeq.Add(1)
+	// A call that timed out while its payload was arriving is stale like any
+	// other: its bytes are dropped.
+	if p := c.take(id); p != nil {
+		p.kind = msgD2HResp
+		p.d2h = D2HResp{Data: data, End: end}
+		p.ch <- struct{}{}
+	}
+	return nil
 }
 
 // begin registers a new in-flight request, redialing first if the
@@ -301,10 +367,23 @@ func (c *binClient) abandon(id uint64, p *pendingCall) {
 	putPending(p)
 }
 
-// send writes the frame sitting in c.wbuf. Callers hold writeMu.
-func (c *binClient) sendLocked(conn net.Conn, gen int, deadline time.Time) error {
+// sendLocked writes one frame: the bytes sitting in c.wbuf followed by
+// payload, which a TCP connection takes from the caller's slice in the same
+// writev as the head. Any other net.Conn (the fault injector, a wrapper) gets
+// the frame assembled in c.wbuf and one Write, so that one frame is never two
+// Writes. Callers hold writeMu.
+func (c *binClient) sendLocked(conn net.Conn, gen int, deadline time.Time, payload []byte) error {
 	conn.SetWriteDeadline(deadline)
-	_, err := conn.Write(c.wbuf)
+	var err error
+	if tcp, ok := conn.(*net.TCPConn); ok && len(payload) > 0 {
+		c.vecBuf = [2][]byte{c.wbuf, payload}
+		c.vec = c.vecBuf[:] // WriteTo consumes c.vec, not the array under it
+		_, err = c.vec.WriteTo(tcp)
+		c.vecBuf[1] = nil // on every path: the caller's slice is not ours to keep
+	} else {
+		c.wbuf = append(c.wbuf, payload...)
+		_, err = conn.Write(c.wbuf)
+	}
 	if err != nil {
 		c.failConn(gen, err)
 		return transportErr("write", err, c.opts.CallTimeout)
@@ -378,7 +457,7 @@ func (c *binClient) roundtrip(req any) (*pendingCall, uint64, error) {
 		c.abandon(id, p)
 		return nil, 0, err
 	}
-	err = c.sendLocked(conn, gen, deadline)
+	err = c.sendLocked(conn, gen, deadline, nil)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id, p)
@@ -432,7 +511,9 @@ func (c *binClient) okOrErr(p *pendingCall) (OKResp, error) {
 	return OKResp{}, wireError("unexpected response kind %d", p.kind)
 }
 
-// CallH2D is the zero-boxing host-to-device fast path.
+// CallH2D is the zero-boxing host-to-device fast path. The payload is never
+// copied in user space on a TCP connection, and a frame over the wire's cap
+// is refused (ErrFrameTooLarge) before anything is written.
 func (c *binClient) CallH2D(req H2DReq) (resp OKResp, err error) {
 	c.opts.Metrics.Counter("ipc.client.calls").Inc()
 	defer func() { c.countErr(err) }()
@@ -442,8 +523,10 @@ func (c *binClient) CallH2D(req H2DReq) (resp OKResp, err error) {
 		return OKResp{}, err
 	}
 	c.writeMu.Lock()
-	c.wbuf = appendH2DReq(c.wbuf, id, req)
-	err = c.sendLocked(conn, gen, deadline)
+	c.wbuf = appendH2DHead(c.wbuf, id, req)
+	if err = checkFrameLen(len(c.wbuf) - 4 + len(req.Data)); err == nil {
+		err = c.sendLocked(conn, gen, deadline, req.Data)
+	}
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id, p)
@@ -456,7 +539,8 @@ func (c *binClient) CallH2D(req H2DReq) (resp OKResp, err error) {
 }
 
 // CallD2H is the typed device-to-host fast path; the returned Data is
-// caller-owned (its allocation is the one unavoidable alloc of a D2H).
+// caller-owned (its allocation is the one unavoidable alloc of a D2H, and the
+// read loop fills it from the socket).
 func (c *binClient) CallD2H(req D2HReq) (resp D2HResp, err error) {
 	c.opts.Metrics.Counter("ipc.client.calls").Inc()
 	defer func() { c.countErr(err) }()
@@ -467,7 +551,7 @@ func (c *binClient) CallD2H(req D2HReq) (resp D2HResp, err error) {
 	}
 	c.writeMu.Lock()
 	c.wbuf = appendD2HReq(c.wbuf, id, req)
-	err = c.sendLocked(conn, gen, deadline)
+	err = c.sendLocked(conn, gen, deadline, nil)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id, p)
@@ -499,7 +583,7 @@ func (c *binClient) CallMemset(req MemsetReq) (resp OKResp, err error) {
 	}
 	c.writeMu.Lock()
 	c.wbuf = appendMemsetReq(c.wbuf, id, req)
-	err = c.sendLocked(conn, gen, deadline)
+	err = c.sendLocked(conn, gen, deadline, nil)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id, p)
@@ -522,7 +606,7 @@ func (c *binClient) CallLaunch(req LaunchReq) (resp OKResp, err error) {
 	}
 	c.writeMu.Lock()
 	c.wbuf = appendLaunchReq(c.wbuf, id, req)
-	err = c.sendLocked(conn, gen, deadline)
+	err = c.sendLocked(conn, gen, deadline, nil)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id, p)

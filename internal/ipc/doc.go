@@ -24,5 +24,8 @@
 // with zero steady-state allocations on the fast path. A peer whose hello
 // names another version is closed without a reply. Clients may pipeline:
 // several calls of one VP can be in flight at once, each matched to its
-// response by frame id (binclient.go).
+// response by frame id (binclient.go). A payload crosses user space once per
+// side: an H2D leaves as one writev of head and the caller's slice, a D2H is
+// read from the device into a pooled response frame (NewD2HResp) and from the
+// socket into the caller's result (DESIGN.md §11).
 package ipc

@@ -51,6 +51,10 @@ type D2HReq struct {
 type D2HResp struct {
 	Data []byte
 	End  float64 // simulated completion time
+
+	// frame, when non-nil, is the pooled response frame Data is the tail of
+	// (see NewD2HResp).
+	frame *frameBuf
 }
 
 // MemsetReq fills device memory with a byte value (cudaMemset).
@@ -287,10 +291,20 @@ const writeGrace = 2 * time.Second
 // their wire order — the pipelining ordering guarantee.
 const serverWorkersPerConn = 8
 
-// frameBuf pools frame buffers by pointer so Put never allocates a box.
+// frameBuf pools frame buffers by pointer so Put never allocates a box. One
+// pool serves both directions: request frames read off the socket and the
+// D2H response frames of NewD2HResp.
 type frameBuf struct{ b []byte }
 
 var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} }}
+
+// readBufSize sizes both sides' bufio.Reader. The value is measured, not
+// derived (ROADMAP 5(i)): against 64 KiB readers and otherwise identical code,
+// 4 KiB reads copy-stream (256 KiB frames) x1.07 and coalesce-launch (8 and
+// 32 KiB frames, which now take a second read each) x0.94. The cause of the
+// gain on large frames is not known: 16 KiB readers do no better there than
+// 64 KiB ones, so it is not the bytes spared a copy through the buffer.
+const readBufSize = 4096
 
 // readHello consumes a connection's hello — wireMagic, wireVersion, varint
 // VP id — and returns the VP it names.
@@ -316,7 +330,7 @@ func readHello(br *bufio.Reader) (int, error) {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.serving.Done()
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 1<<16)
+	br := bufio.NewReaderSize(conn, readBufSize)
 	vp, err := readHello(br)
 	if err != nil {
 		s.metrics.Counter("ipc.server.decode_errors").Inc()
@@ -454,11 +468,21 @@ func (cs *connServer) drain(key int) {
 	}
 }
 
-// writeResp encodes and writes one response frame. Write errors are
-// ignored: the read loop notices the dead connection and tears down.
+// writeResp encodes and writes one response frame — one Write per frame.
+// Write errors are ignored: the read loop notices the dead connection and
+// tears down. A D2H response that still sits in its pooled frame is written
+// from there; the frame is recycled here and nowhere else, once the Write has
+// returned — the handler succeeded, so no job holds the buffer any more.
 func (cs *connServer) writeResp(id uint64, body any) {
 	cs.wmu.Lock()
 	defer cs.wmu.Unlock()
+	if r, ok := body.(D2HResp); ok {
+		if frame := r.wireFrame(id); frame != nil {
+			_, _ = cs.conn.Write(frame)
+			framePool.Put(r.frame)
+			return
+		}
+	}
 	var err error
 	cs.wbuf, err = appendMsg(cs.wbuf, id, body)
 	if err != nil {

@@ -13,7 +13,21 @@
 // The length covers type+id+body and is capped at maxFrame; a corrupted
 // length either trips the cap (typed error, connection closed) or truncates
 // the body (typed decode error). Decoding never reads past the frame and
-// never panics — FuzzWireCodec holds it to that.
+// never panics — FuzzWireCodec holds it to that. An encoder refuses a message
+// over the cap (ErrFrameTooLarge) before it writes anything.
+//
+// The two payload-carrying frames end in their payload, so each side moves
+// the bytes once: a client sends an H2DReq as head + the caller's slice in
+// one writev, a server reads a D2H straight into a response frame (see
+// NewD2HResp) and the client reads that frame's tail off the socket into the
+// caller-owned result.
+//
+//	H2DReq  | type | id | stream | dst | off | n uvarint | n payload bytes |
+//	D2HResp | type | id | End f64 LE     | n uvarint | n payload bytes |
+//
+// One frame is one Write (or one writev) on the connection, never two: the
+// fault injector's seeded schedule rolls once per Write, and that has to
+// keep meaning once per frame.
 //
 // A connection opens with the client's hello — wireMagic, wireVersion,
 // varint VP id — and the server closes, without a reply, any connection
@@ -39,8 +53,9 @@ const wireMagic = 0xD5
 
 // wireVersion is the protocol version carried in the hello. It changes
 // whenever any frame's layout does, so a mismatched peer is refused at the
-// hello instead of misreading a frame later.
-const wireVersion = 2
+// hello instead of misreading a frame later. 3 moved D2HResp's End in front
+// of its payload.
+const wireVersion = 3
 
 // maxFrame bounds a single frame's payload (type+id+body). Larger lengths
 // are treated as corruption and close the connection.
@@ -72,6 +87,20 @@ const (
 // garbage. Callers match it with errors.Is.
 var ErrMalformedFrame = errors.New("ipc: malformed binary frame")
 
+// ErrFrameTooLarge refuses a message whose frame would exceed the wire's
+// frame cap, before anything is written: the peer would take such a frame for
+// corruption and close the connection, so replaying it can never succeed
+// (IsRetryable reports false). Callers match it with errors.Is.
+var ErrFrameTooLarge = errors.New("ipc: message exceeds the frame limit")
+
+// checkFrameLen refuses a frame of n bytes (type+id+body) over maxFrame.
+func checkFrameLen(n int) error {
+	if n > maxFrame {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, n, maxFrame)
+	}
+	return nil
+}
+
 // wireError wraps a decode failure with context while staying matchable as
 // ErrMalformedFrame.
 func wireError(format string, args ...any) error {
@@ -89,8 +118,13 @@ func beginFrame(buf []byte, typ byte, id uint64) []byte {
 }
 
 // finishFrame patches the length prefix.
-func finishFrame(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+func finishFrame(buf []byte) []byte { return finishHead(buf, 0) }
+
+// finishHead patches the length prefix of a frame whose last payload bytes
+// are not in buf: they follow it on the wire (a writev's second element) or
+// sit behind it already (a response frame's tail).
+func finishHead(buf []byte, payload int) []byte {
+	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4+payload))
 	return buf
 }
 
@@ -135,13 +169,15 @@ func appendMsg(buf []byte, id uint64, body any) ([]byte, error) {
 		buf = beginFrame(buf, msgFreeReq, id)
 		buf = appendUint64(buf, uint64(m.Ptr))
 	case H2DReq:
-		buf = appendH2DReq(buf, id, m)
+		buf = appendH2DHead(buf, id, m)
+		if err := checkFrameLen(len(buf) - 4 + len(m.Data)); err != nil {
+			return buf, err
+		}
+		return append(buf, m.Data...), nil
 	case D2HReq:
 		buf = appendD2HReq(buf, id, m)
 	case D2HResp:
-		buf = beginFrame(buf, msgD2HResp, id)
-		buf = appendBytes(buf, m.Data)
-		buf = appendFloat64(buf, m.End)
+		buf = append(appendD2HRespHead(buf, id, m.End, len(m.Data)), m.Data...)
 	case MemsetReq:
 		buf = appendMemsetReq(buf, id, m)
 	case LaunchReq:
@@ -176,16 +212,80 @@ func appendMsg(buf []byte, id uint64, body any) ([]byte, error) {
 	default:
 		return buf, fmt.Errorf("ipc: cannot encode %T", body)
 	}
+	if err := checkFrameLen(len(buf) - 4); err != nil {
+		return buf, err
+	}
 	return finishFrame(buf), nil
 }
 
-func appendH2DReq(buf []byte, id uint64, m H2DReq) []byte {
+// appendH2DHead encodes an H2D frame up to, and not including, its payload
+// bytes; the length prefix already counts them. The payload follows as the
+// second element of a writev, or appended for a single Write.
+func appendH2DHead(buf []byte, id uint64, m H2DReq) []byte {
 	buf = beginFrame(buf, msgH2DReq, id)
 	buf = appendInt(buf, m.Stream)
 	buf = appendUint64(buf, uint64(m.Dst))
 	buf = appendInt(buf, m.Off)
-	buf = appendBytes(buf, m.Data)
-	return finishFrame(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(m.Data)))
+	return finishHead(buf, len(m.Data))
+}
+
+func appendH2DReq(buf []byte, id uint64, m H2DReq) []byte {
+	return append(appendH2DHead(buf, id, m), m.Data...)
+}
+
+// appendD2HRespHead encodes a D2HResp frame up to, and not including, its n
+// payload bytes; the length prefix already counts them.
+func appendD2HRespHead(buf []byte, id uint64, end float64, n int) []byte {
+	buf = beginFrame(buf, msgD2HResp, id)
+	buf = appendFloat64(buf, end)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	return finishHead(buf, n)
+}
+
+// d2hHeadMax is the longest head a D2HResp frame can have in front of its
+// payload: length prefix, type, id, End, payload length.
+const d2hHeadMax = 4 + 1 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
+
+// NewD2HResp returns a response whose Data, n bytes long, is the tail of a
+// pooled response frame with room for the frame head in front of it. A
+// handler reads the device bytes straight into Data (sched.NewD2HInto) and
+// returns the response; the TCP server then writes head and payload as the
+// one frame they already are and recycles it — no buffer is made and the
+// bytes are not copied again. n must already have been checked against the
+// allocation it reads from. The frame goes back to the pool only from the
+// transport, after its Write has returned: a handler that fails simply drops
+// the response (a cancelled job may still hold the buffer), and the pipe
+// transport hands Data to the caller for good. A length no frame can carry
+// gets a response without a frame, which the encoder then refuses with
+// ErrFrameTooLarge.
+func NewD2HResp(n int) D2HResp {
+	if n < 0 || n > maxFrame-d2hHeadMax {
+		return D2HResp{}
+	}
+	fb := framePool.Get().(*frameBuf)
+	if cap(fb.b) < d2hHeadMax+n {
+		fb.b = make([]byte, d2hHeadMax+n)
+	}
+	fb.b = fb.b[:d2hHeadMax+n]
+	return D2HResp{Data: fb.b[d2hHeadMax:], frame: fb}
+}
+
+// wireFrame right-aligns the frame head against the payload inside the
+// response's pooled frame and returns the complete frame, or nil when Data is
+// not (or no longer) that frame's payload and the response must be encoded
+// the plain way.
+func (m D2HResp) wireFrame(id uint64) []byte {
+	fb := m.frame
+	if fb == nil || len(fb.b) != d2hHeadMax+len(m.Data) ||
+		(len(m.Data) > 0 && &m.Data[0] != &fb.b[d2hHeadMax]) {
+		return nil
+	}
+	var scratch [d2hHeadMax]byte
+	head := appendD2HRespHead(scratch[:], id, m.End, len(m.Data))
+	start := d2hHeadMax - len(head)
+	copy(fb.b[start:], head)
+	return fb.b[start:]
 }
 
 func appendD2HReq(buf []byte, id uint64, m D2HReq) []byte {
@@ -373,7 +473,7 @@ func decodeMsg(b []byte) (id uint64, body any, err error) {
 		m := D2HReq{Stream: rd.int(), Src: devmem.Ptr(rd.uvarint()), Off: rd.int(), N: rd.int()}
 		return id, m, rd.done()
 	case msgD2HResp:
-		m := D2HResp{Data: rd.bytesView(), End: rd.float64()}
+		m := D2HResp{End: rd.float64(), Data: rd.bytesView()}
 		return id, m, rd.done()
 	case msgMemsetReq:
 		m := MemsetReq{Stream: rd.int(), Dst: devmem.Ptr(rd.uvarint()), Off: rd.int(), N: rd.int(), Value: rd.byte()}
@@ -440,24 +540,59 @@ func decodeLaunch(rd *wireReader) (LaunchReq, error) {
 	return m, rd.done()
 }
 
-// readFrame reads one length-prefixed frame payload from r into buf
-// (growing it if needed) and returns the payload slice. It enforces
-// maxFrame before allocating or reading the payload, so a corrupted length
-// can neither over-allocate nor over-read.
-func readFrame(r io.Reader, hdr *[4]byte, buf []byte) ([]byte, error) {
+// readFrameLen reads a frame's length prefix and enforces maxFrame on it, so
+// a corrupted length can neither over-allocate nor over-read.
+func readFrameLen(r io.Reader, hdr *[4]byte) (int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return buf, err
+		return 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n == 0 || n > maxFrame {
-		return buf, wireError("frame length %d out of range", n)
+		return 0, wireError("frame length %d out of range", n)
 	}
-	if cap(buf) < int(n) {
+	return int(n), nil
+}
+
+// readFrameBody reads a frame's n bytes (type+id+body) from r into buf,
+// growing it if needed, and returns them.
+func readFrameBody(r io.Reader, n int, buf []byte) ([]byte, error) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	_, err := io.ReadFull(r, buf)
+	return buf, err
+}
+
+// readFrame reads one length-prefixed frame from r into buf: readFrameLen,
+// then readFrameBody.
+func readFrame(r io.Reader, hdr *[4]byte, buf []byte) ([]byte, error) {
+	n, err := readFrameLen(r, hdr)
+	if err != nil {
 		return buf, err
 	}
-	return buf, nil
+	return readFrameBody(r, n, buf)
+}
+
+// parseD2HRespHead parses the head of a D2HResp frame of frameLen bytes from
+// head, the frame's first bytes (type byte first; d2hHeadMax-4 of them always
+// suffice). It returns the head's length, the request ID, End and the payload
+// length, which it has checked to fill the rest of the frame exactly — the
+// split path's equivalent of the whole-frame decoder's bounds and
+// trailing-bytes checks, made before anything is allocated for the payload.
+func parseD2HRespHead(head []byte, frameLen int) (headLen int, id uint64, end float64, n int, err error) {
+	if len(head) > frameLen {
+		head = head[:frameLen]
+	}
+	rd := wireReader{b: head}
+	if typ := rd.byte(); typ != msgD2HResp {
+		rd.fail("message type %d is not a D2H response", typ)
+	}
+	id = rd.uvarint()
+	end = rd.float64()
+	size := rd.uvarint()
+	if rd.err == nil && size != uint64(frameLen-rd.off) {
+		rd.fail("D2H payload of %d bytes in a frame with %d left", size, frameLen-rd.off)
+	}
+	return rd.off, id, end, int(size), rd.err
 }

@@ -9,11 +9,13 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/devmem"
 	"repro/internal/kpl"
+	"repro/internal/raceflag"
 )
 
 // wireMessages is one example of every body the wire can carry.
@@ -199,10 +201,64 @@ func TestReadFrameLengthCap(t *testing.T) {
 	}
 }
 
+// checkSplitAgrees holds the client's split D2H read to the whole-frame
+// decoder: given the same frame (type+id+body), parsing the head from its
+// first bytes and taking the rest as the payload must accept exactly when
+// decodeMsg accepts, and then yield the same request ID and D2HResp.
+func checkSplitAgrees(t *testing.T, frame []byte, id uint64, body any, err error) {
+	t.Helper()
+	if len(frame) == 0 || frame[0] != msgD2HResp {
+		return
+	}
+	headLen, sid, end, n, serr := parseD2HRespHead(frame[:min(len(frame), d2hHeadMax-4)], len(frame))
+	if (serr == nil) != (err == nil) {
+		t.Fatalf("split read and whole-frame decode disagree on % x: split err %v, whole err %v", frame, serr, err)
+	}
+	if serr != nil {
+		if !errors.Is(serr, ErrMalformedFrame) {
+			t.Fatalf("split head error not typed: %v", serr)
+		}
+		return
+	}
+	split := D2HResp{Data: frame[headLen : headLen+n], End: end}
+	if headLen+n != len(frame) || sid != id || !reflect.DeepEqual(normalize(split), normalize(body)) {
+		t.Fatalf("split read of % x: id %d head %d payload %d, got %#v; whole-frame decode: id %d, %#v", frame, sid, headLen, n, split, id, body)
+	}
+}
+
+// TestSplitD2HHeadAgreesWithDecoder runs checkSplitAgrees over D2H frames
+// with the defects the split read must catch before it allocates: a payload
+// length that is not the frame's remainder, truncation at every byte, and
+// trailing bytes.
+func TestSplitD2HHeadAgreesWithDecoder(t *testing.T) {
+	for _, n := range []int{0, 1, 200, 1 << 10, 4 << 10} {
+		frame, err := appendMsg(nil, uint64(n)<<40|5, D2HResp{Data: make([]byte, n), End: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := frame[4:]
+		cases := [][]byte{good, append(good[:len(good):len(good)], 0)}
+		for cut := 0; cut < min(len(good), 64); cut++ {
+			cases = append(cases, good[:cut])
+		}
+		if n > 0 {
+			cases = append(cases, good[:len(good)-1])
+		}
+		for _, c := range cases {
+			id, body, err := decodeMsg(c)
+			if (err == nil) != (len(c) == len(good)) {
+				t.Fatalf("n=%d: %d of %d bytes: decode err %v", n, len(c), len(good), err)
+			}
+			checkSplitAgrees(t, c, id, body, err)
+		}
+	}
+}
+
 // FuzzWireCodec fuzzes the frame decoder: arbitrary payloads must either
 // fail with a typed error or decode into a body that re-encodes and
 // re-decodes to the same value (the codec's round-trip property). It must
-// never panic and never over-read.
+// never panic and never over-read. A D2H response is also put through the
+// client's split read, which must agree with the decoder (checkSplitAgrees).
 func FuzzWireCodec(f *testing.F) {
 	for i, msg := range wireMessages() {
 		frame, err := appendMsg(nil, uint64(i+1), msg)
@@ -214,8 +270,12 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Add([]byte{byte(msgLaunchReq), 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// D2H responses whose announced payload length is one off the remainder.
+	f.Add([]byte{msgD2HResp, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xAA})
+	f.Add([]byte{msgD2HResp, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xAA, 0xBB})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		id, body, err := decodeMsg(payload)
+		checkSplitAgrees(t, payload, id, body, err)
 		if err != nil {
 			if !errors.Is(err, ErrMalformedFrame) {
 				t.Fatalf("decode error not typed: %v", err)
@@ -316,7 +376,7 @@ func TestBinaryCallAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc pins are timing-sensitive; skipped in -short")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	c, stop := dialRaw(t)
@@ -366,6 +426,74 @@ func TestBinaryCallAllocs(t *testing.T) {
 		if n > pin.budget {
 			t.Errorf("%s: %v allocs/op, budget %v", pin.name, n, pin.budget)
 		}
+	}
+}
+
+// allocBytesPerOp returns the bytes allocated per call of fn, by the whole
+// process, over n calls.
+func allocBytesPerOp(t *testing.T, n int, fn func() error) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestPayloadCallAllocs pins, in bytes, what a payload-sized call allocates
+// end to end — client and Server in this process, handler serving D2H from a
+// pooled response frame as core does: an H2D allocates no buffer anywhere
+// (the caller's slice leaves in a writev, the server reads into a pooled
+// frame), a D2H allocates the caller-owned result and nothing else of
+// payload size.
+func TestPayloadCallAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc pins are timing-sensitive; skipped in -short")
+	}
+	if raceflag.Enabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(l, payloadHandler)
+	defer srv.Close()
+	c, err := Dial(srv.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tc := c.(TypedCaller)
+
+	const payload = 256 << 10
+	data := make([]byte, payload)
+	h2d := func() error { _, err := tc.CallH2D(H2DReq{Dst: 0x100, Data: data}); return err }
+	d2h := func() error {
+		d, err := tc.CallD2H(D2HReq{Src: 0x100, N: payload})
+		if err == nil && len(d.Data) != payload {
+			err = fmt.Errorf("D2H returned %d bytes", len(d.Data))
+		}
+		return err
+	}
+	for i := 0; i < 16; i++ { // warm the connection, the pools, the encode buffers
+		if err := errors.Join(h2d(), d2h()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := allocBytesPerOp(t, 64, h2d); got >= 4<<10 {
+		t.Errorf("H2D of %d bytes allocates %.0f B/op end to end, want < 4 KiB", payload, got)
+	} else {
+		t.Logf("H2D: %.0f B/op", got)
+	}
+	if got := allocBytesPerOp(t, 64, d2h); got > 1.1*payload {
+		t.Errorf("D2H of %d bytes allocates %.0f B/op end to end, want ≤ 1.1× the payload", payload, got)
+	} else {
+		t.Logf("D2H: %.0f B/op", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hostgpu"
+	"repro/internal/raceflag"
 )
 
 // planBatch builds a representative dispatch batch: nVPs chains of one H2D,
@@ -50,6 +51,9 @@ func BenchmarkPlanAllocs(b *testing.B) {
 // the scratch maps. The bound allows the output slice plus occasional pool
 // refills after a GC, nothing more (the un-pooled planner cost ~20).
 func TestPlanAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
 	for _, policy := range []Policy{PolicyFIFO, PolicyInterleave} {
 		batch := planBatch(8)
 		Plan(batch, policy) // warm the pool

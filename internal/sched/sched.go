@@ -119,12 +119,26 @@ func NewH2D(vp, stream int, dst devmem.Ptr, off int, data []byte) *Job {
 	return j
 }
 
-// NewD2H builds a device-to-host copy job; the bytes land in Job.Data.
+// NewD2H builds a device-to-host copy job; the bytes land in Job.Data, a
+// slice made when the job runs.
 func NewD2H(vp, stream int, src devmem.Ptr, off, n int) *Job {
+	return newD2H(vp, stream, src, off, n, nil)
+}
+
+// NewD2HInto builds a device-to-host copy job of len(dst) bytes that reads
+// into dst, the caller's buffer (the transport's response frame), instead of
+// a fresh slice; Job.Data is dst once the job has run. The caller must keep
+// dst untouched until then — a job cancelled in the queue never writes it,
+// but one already handed to the executor may.
+func NewD2HInto(vp, stream int, src devmem.Ptr, off int, dst []byte) *Job {
+	return newD2H(vp, stream, src, off, len(dst), dst)
+}
+
+func newD2H(vp, stream int, src devmem.Ptr, off, n int, dst []byte) *Job {
 	j := newJob(vp, stream, hostgpu.EngineD2H, fmt.Sprintf("vp%d D2H %dB", vp, n))
 	j.Bytes = n
 	j.Run = func(g *hostgpu.GPU) error {
-		data, iv, err := g.CopyD2H(stream, src, off, n)
+		data, iv, err := g.CopyD2H(stream, src, off, n, dst)
 		j.Data = data
 		j.Interval = iv
 		return err
