@@ -20,7 +20,6 @@ import (
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
 	"repro/internal/kir"
-	"repro/internal/kpl"
 	"repro/internal/profile"
 )
 
@@ -67,15 +66,9 @@ func run(host arch.GPU, name string, scale int) error {
 	fmt.Print(hostProf.String())
 
 	kl := kir.Launch{NThreads: w.Threads(), Params: w.Params}
-	var dyn *kpl.Stats
-	if bench.Prog.NeedsDynamicProfile() {
-		env, err := buildEnv(bench, w)
-		if err != nil {
-			return err
-		}
-		if dyn, err = bench.Kernel.SampleStats(env, 32); err != nil {
-			return err
-		}
+	dyn, err := bench.SampleDyn(w)
+	if err != nil {
+		return err
 	}
 	sigmaT, err := bench.Prog.Sigma(&target, kl, dyn)
 	if err != nil {
@@ -137,21 +130,4 @@ func measure(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*profi
 	}
 	prof, _, err := dev.Launch(0, l)
 	return prof, accesses, err
-}
-
-// buildEnv materializes the workload as an interpreter environment for λ
-// sampling.
-func buildEnv(bench *kernels.Benchmark, w *kernels.Workload) (*kpl.Env, error) {
-	env := &kpl.Env{NThreads: w.Threads(), Params: w.Params, Bufs: map[string]*kpl.Buffer{}}
-	if env.Params == nil {
-		env.Params = map[string]kpl.Value{}
-	}
-	for _, decl := range bench.Kernel.Bufs {
-		raw := make([]byte, w.BufBytes[decl.Name])
-		if in, ok := w.Inputs[decl.Name]; ok {
-			copy(raw, in)
-		}
-		env.Bufs[decl.Name] = devmem.BufferFromBytes(decl.Elem, raw)
-	}
-	return env, nil
 }

@@ -149,16 +149,22 @@ func runSigma(bench *kernels.Benchmark, nVPs, scale, iters int, showTrace, showE
 		tegra := arch.TegraK1()
 		opts.EstimateTarget = &tegra
 	}
-	s := core.NewService(opts)
-	fleet := vp.NewFleet(nVPs, arch.ARMVersatile(), func(id int) *cudart.Context {
-		s.RegisterVP(id)
-		return cudart.NewContext(id, s.Backend(id))
-	})
-	if err := fleet.Run(s.WrapApp(guestApp(bench, scale, iters))); err != nil {
+	// The in-process service is what sigmavpd serves by default: a farm of one.
+	m, err := core.NewMultiService(opts, []arch.GPU{opts.Arch})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpsim:", err)
 		os.Exit(1)
 	}
-	s.Flush()
+	fleet := vp.NewFleet(nVPs, arch.ARMVersatile(), func(id int) *cudart.Context {
+		m.RegisterVP(id)
+		return cudart.NewContext(id, m.Backend(id))
+	})
+	if err := fleet.Run(m.WrapApp(guestApp(bench, scale, iters))); err != nil {
+		fmt.Fprintln(os.Stderr, "vpsim:", err)
+		os.Exit(1)
+	}
+	m.Flush()
+	s := m.Device(0)
 	fmt.Printf("ΣVP back end: %d VPs completed, simulated GPU makespan %.3f ms, device energy %.4f J\n",
 		nVPs, s.Sync()*1e3, s.SessionEnergy())
 	if showTrace {

@@ -66,10 +66,7 @@ func main() {
 		m.RegisterVP(id)
 		return cudart.NewContext(id, m.Backend(id))
 	})
-	err = fleet.Run(func(v *vp.VP) error {
-		defer m.UnregisterVP(v.ID)
-		return app(v)
-	})
+	err = fleet.Run(m.WrapApp(app))
 	m.Flush()
 	if err != nil {
 		log.Fatal(err)

@@ -72,7 +72,10 @@ func run(policy sched.Policy, coalesce bool) float64 {
 	opts.Policy = policy
 	opts.Coalesce = coalesce
 	opts.Trace = true
-	svc := core.NewService(opts)
+	svc, err := core.NewMultiService(opts, []arch.GPU{opts.Arch})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fleet := vp.NewFleet(8, arch.ARMVersatile(), func(id int) *cudart.Context {
 		svc.RegisterVP(id)
 		return cudart.NewContext(id, svc.Backend(id))
@@ -83,7 +86,7 @@ func run(policy sched.Policy, coalesce bool) float64 {
 	svc.Flush()
 	if policy == sched.PolicyInterleave {
 		fmt.Println("\nEngine timeline (digits are VP streams):")
-		fmt.Print(svc.Trace().Gantt(100))
+		fmt.Print(svc.Device(0).Trace().Gantt(100))
 	}
 	return svc.Sync()
 }

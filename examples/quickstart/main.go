@@ -98,7 +98,10 @@ func main() {
 	fmt.Printf("  simulated time: %.3f ms\n\n", emulSec*1e3)
 
 	// Back end 2: the ΣVP host-GPU service.
-	svc := core.NewService(core.DefaultOptions())
+	svc, err := core.NewMultiService(core.DefaultOptions(), []arch.GPU{arch.Quadro4000()})
+	if err != nil {
+		log.Fatal(err)
+	}
 	svc.RegisterVP(1)
 	v2 := vp.New(1, arch.ARMVersatile(), cudart.NewContext(1, svc.Backend(1)))
 	fmt.Println("ΣVP host-GPU multiplexing:")

@@ -26,8 +26,10 @@
 // farm of one (sigmavpd without -gpus). Placement policies (round-robin,
 // least-loaded, mem-aware) assign a VP to a device at registration. The
 // farm-admin requests (CheckpointReq, MigrateReq) are answered here, before
-// routing; Service.Handle knows only device work. In-process harnesses,
-// vpsim and the benchmark module still build a bare Service directly.
+// routing; Service.Handle knows only device work. In-process hosts take their
+// cudart back ends from MultiService.Backend, the one in-process back end,
+// which builds its jobs with the per-device builders Handle uses. Service is
+// the per-device layer; no other package's non-test code constructs one.
 //
 // # Checkpoint, restore, and live migration
 //

@@ -23,8 +23,8 @@ import (
 func TestOOMPropagatesThroughBackend(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MemBytes = 1024
-	s := NewService(opts)
-	b := s.Backend(0)
+	m, _ := farmOfOne(t, opts)
+	b := m.Backend(0)
 	if _, err := b.Malloc(512); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestOOMPropagatesThroughBackend(t *testing.T) {
 // full service path: the VP's synchronous wait must return the error, and a
 // healthy VP sharing the service must be unaffected.
 func TestKernelErrorPropagatesToVP(t *testing.T) {
-	s := NewService(DefaultOptions())
+	m, s := farmOfOne(t, DefaultOptions())
 	s.RegisterVP(0)
 	s.RegisterVP(1)
 	defer s.UnregisterVP(1)
@@ -56,7 +56,7 @@ func TestKernelErrorPropagatesToVP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx0 := cudart.NewContext(0, s.Backend(0))
+	ctx0 := cudart.NewContext(0, m.Backend(0))
 	launchErr := make(chan error, 1)
 	go func() {
 		launchErr <- ctx0.LaunchKernel(&hostgpu.Launch{
@@ -66,7 +66,7 @@ func TestKernelErrorPropagatesToVP(t *testing.T) {
 	}()
 
 	// A healthy VP does real work at the same time.
-	ctx1 := cudart.NewContext(1, s.Backend(1))
+	ctx1 := cudart.NewContext(1, m.Backend(1))
 	good, err := kernels.Get("vectorAdd")
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // correct results — instead of the dead VP wedging the all-stopped
 // predicate forever.
 func TestDisconnectCancelsOrphanedJobs(t *testing.T) {
-	s := NewService(DefaultOptions())
+	m, s := farmOfOne(t, DefaultOptions())
 	s.RegisterVP(0)
 	s.RegisterVP(1)
 
@@ -45,7 +45,7 @@ func TestDisconnectCancelsOrphanedJobs(t *testing.T) {
 	got := make(chan []byte, 1)
 	fail := make(chan error, 1)
 	go func() {
-		ctx := cudart.NewContext(1, s.Backend(1))
+		ctx := cudart.NewContext(1, m.Backend(1))
 		p1, err := ctx.Malloc(len(payload))
 		if err != nil {
 			fail <- err
@@ -177,11 +177,11 @@ func TestTCPDisconnectMidBatch(t *testing.T) {
 // in-process backend — the wire-protocol change is invisible to
 // co-simulated VPs.
 func TestPipeProtocolByteIdentical(t *testing.T) {
-	run := func(mk func(s *Service) cudart.Backend) ([]byte, float64, float64) {
-		s := NewService(DefaultOptions())
+	run := func(mk func(m *MultiService) cudart.Backend) ([]byte, float64, float64) {
+		m, s := farmOfOne(t, DefaultOptions())
 		s.RegisterVP(0)
 		defer s.UnregisterVP(0)
-		ctx := cudart.NewContext(0, mk(s))
+		ctx := cudart.NewContext(0, mk(m))
 
 		bench := mustBench(t, "vectorAdd")
 		w := bench.MakeWorkload(1)
@@ -210,11 +210,11 @@ func TestPipeProtocolByteIdentical(t *testing.T) {
 		return data, s.Sync(), s.SessionEnergy()
 	}
 
-	direct, directSync, directEnergy := run(func(s *Service) cudart.Backend {
-		return s.Backend(0)
+	direct, directSync, directEnergy := run(func(m *MultiService) cudart.Backend {
+		return m.Backend(0)
 	})
-	piped, pipedSync, pipedEnergy := run(func(s *Service) cudart.Backend {
-		return cudart.NewRemoteBackend(ipc.Pipe(0, s.Handle))
+	piped, pipedSync, pipedEnergy := run(func(m *MultiService) cudart.Backend {
+		return cudart.NewRemoteBackend(ipc.Pipe(0, m.Handle))
 	})
 
 	if !bytes.Equal(direct, piped) {

@@ -19,11 +19,11 @@ func serviceSnapshot(t *testing.T, workers int) []byte {
 	opts := DefaultOptions()
 	opts.Workers = workers
 	opts.ComputeSlots = 2
-	s := NewService(opts)
+	m, s := farmOfOne(t, opts)
 	for id := 1; id <= 3; id++ {
 		s.RegisterVP(id)
-		v := vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, s.Backend(id)))
-		if err := v.Run(s.WrapApp(vecAddApp(128*id, 2))); err != nil {
+		v := vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, m.Backend(id)))
+		if err := v.Run(m.WrapApp(vecAddApp(128*id, 2))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,10 +50,10 @@ func TestSnapshotWorkerInvariance(t *testing.T) {
 // lifecycle with simulated timestamps.
 func TestServiceJobEvents(t *testing.T) {
 	opts := DefaultOptions()
-	s := NewService(opts)
+	m, s := farmOfOne(t, opts)
 	s.RegisterVP(1)
-	v := vp.New(1, arch.ARMVersatile(), cudart.NewContext(1, s.Backend(1)))
-	if err := v.Run(s.WrapApp(vecAddApp(256, 1))); err != nil {
+	v := vp.New(1, arch.ARMVersatile(), cudart.NewContext(1, m.Backend(1)))
+	if err := v.Run(m.WrapApp(vecAddApp(256, 1))); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush()

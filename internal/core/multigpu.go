@@ -6,9 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/cudart"
-	"repro/internal/devmem"
-	"repro/internal/hostgpu"
 	"repro/internal/ipc"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -315,26 +312,19 @@ func (m *MultiService) Handle(vp int, req any) any {
 	return m.serviceFor(vp).Handle(vp, req)
 }
 
-// payloadBytes returns the host-side payload a request would pin while
-// queued (zero for requests that submit no payload-carrying job).
-func payloadBytes(req any) int {
+// queuedPayload classifies a request for the farm-wide caps: whether it
+// enqueues work (mallocs, frees and syncs pass freely) and the host-side
+// payload it would pin while queued.
+func queuedPayload(req any) (bytes int, submits bool) {
 	switch r := req.(type) {
 	case ipc.H2DReq:
-		return len(r.Data)
+		return len(r.Data), true
 	case ipc.D2HReq:
-		return r.N
+		return r.N, true
+	case ipc.MemsetReq, ipc.LaunchReq:
+		return 0, true
 	}
-	return 0
-}
-
-// submitsJob reports whether the request enqueues work (and so is subject to
-// queue-based admission caps). Mallocs, frees, and syncs pass freely.
-func submitsJob(req any) bool {
-	switch req.(type) {
-	case ipc.H2DReq, ipc.D2HReq, ipc.MemsetReq, ipc.LaunchReq:
-		return true
-	}
-	return false
+	return 0, false
 }
 
 // admitFarm sheds a submission when the farm-wide totals are at their caps.
@@ -343,7 +333,8 @@ func submitsJob(req any) bool {
 // admission gates — a snapshot, not a reservation: the per-device gates are
 // the precise bound, the farm cap is the coarse circuit breaker above them.
 func (m *MultiService) admitFarm(vp int, req any) any {
-	if !m.adm.farmEnabled() || !submitsJob(req) {
+	payload, submits := queuedPayload(req)
+	if !m.adm.farmEnabled() || !submits {
 		return nil
 	}
 	jobs, bytes := 0, int64(0)
@@ -356,7 +347,7 @@ func (m *MultiService) admitFarm(vp int, req any) any {
 	switch {
 	case m.adm.FarmMaxQueuedJobs > 0 && jobs >= m.adm.FarmMaxQueuedJobs:
 		oe = &OverloadError{VP: vp, Reason: "farm-jobs", Backoff: m.adm.retryAfter(), Retryable: true}
-	case m.adm.FarmMaxQueuedBytes > 0 && bytes+int64(payloadBytes(req)) > m.adm.FarmMaxQueuedBytes:
+	case m.adm.FarmMaxQueuedBytes > 0 && bytes+int64(payload) > m.adm.FarmMaxQueuedBytes:
 		oe = &OverloadError{VP: vp, Reason: "farm-bytes", Backoff: m.adm.retryAfter(), Retryable: true}
 	default:
 		return nil
@@ -364,13 +355,6 @@ func (m *MultiService) admitFarm(vp int, req any) any {
 	m.admReg.Counter("core.admission.shed").Inc()
 	m.admReg.Counter("core.admission.shed." + oe.Reason).Inc()
 	return ipc.OverloadResp{Msg: oe.Error(), Backoff: oe.Backoff, Retryable: oe.Retryable}
-}
-
-// Backend returns the in-process cudart back end of a VP, placing the VP on
-// a device if it has none yet.
-func (m *MultiService) Backend(vp int) *multiBackend {
-	m.serviceFor(vp)
-	return &multiBackend{m: m, vp: vp, gate: m.gate(vp)}
 }
 
 // Flush drains every device. All devices are fed first and only then
@@ -482,64 +466,6 @@ func (m *MultiService) MergedTrace() *trace.Log {
 	}
 	return trace.Merge(names, logs...)
 }
-
-// multiBackend is a VP's in-process backend on a farm. Every call resolves
-// the VP's device afresh, holding the VP's migration gate shared as Handle
-// does, so after a migration the VP's work follows it to the target device
-// and a migration never overlaps a submit. Tokens stay valid across a move:
-// Migrate drains the source before it evicts the VP.
-type multiBackend struct {
-	m    *MultiService
-	vp   int
-	gate *sync.RWMutex
-}
-
-// Service returns the device service the VP is on now.
-func (b *multiBackend) Service() *Service { return b.m.serviceFor(b.vp) }
-
-// dev returns the back end of the VP's current device; the caller holds
-// the gate.
-func (b *multiBackend) dev() serviceBackend {
-	return serviceBackend{s: b.m.serviceFor(b.vp), vp: b.vp}
-}
-
-func (b *multiBackend) Malloc(n int) (devmem.Ptr, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	return b.dev().Malloc(n)
-}
-
-func (b *multiBackend) Free(p devmem.Ptr) error {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	return b.dev().Free(p)
-}
-
-func (b *multiBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	return b.dev().H2D(stream, dst, off, data)
-}
-
-func (b *multiBackend) D2H(stream int, src devmem.Ptr, off, n int) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	return b.dev().D2H(stream, src, off, n)
-}
-
-func (b *multiBackend) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	return b.dev().Memset(stream, dst, off, n, value)
-}
-
-func (b *multiBackend) Launch(stream int, l *hostgpu.Launch) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	return b.dev().Launch(stream, l)
-}
-
-func (b *multiBackend) Close() error { return nil }
 
 // DispatchBatch runs one externally-assembled batch against a specific
 // device — the deterministic path the experiments use. Jobs must belong to

@@ -22,12 +22,12 @@ func pipelineSnapshot(t *testing.T, pipeline bool) (float64, []byte) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Pipeline = pipeline
-	s := NewService(opts)
+	m, s := farmOfOne(t, opts)
 	defer s.Close()
 	for id := 1; id <= 3; id++ {
 		s.RegisterVP(id)
-		v := vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, s.Backend(id)))
-		if err := v.Run(s.WrapApp(vecAddApp(256*id, 2))); err != nil {
+		v := vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, m.Backend(id)))
+		if err := v.Run(m.WrapApp(vecAddApp(256*id, 2))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,10 +59,10 @@ func TestPipelineEquivalence(t *testing.T) {
 // registry stays free of core.exec.* families.
 func TestPipelineExecMetrics(t *testing.T) {
 	opts := DefaultOptions()
-	s := NewService(opts)
+	m, s := farmOfOne(t, opts)
 	defer s.Close()
 	s.RegisterVP(0)
-	ctx := cudart.NewContext(0, s.Backend(0))
+	ctx := cudart.NewContext(0, m.Backend(0))
 	p, err := ctx.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestOneDispatchPath(t *testing.T) {
 		before := runtime.NumGoroutine()
 		opts := DefaultOptions()
 		opts.Pipeline = st.pipeline
-		s := NewService(opts)
+		m, s := farmOfOne(t, opts)
 		if startedExecutor(s) != st.pipeline {
 			t.Fatalf("%s: NewService started an executor goroutine: %v", st.name, !st.pipeline)
 		}
@@ -172,7 +172,7 @@ func TestOneDispatchPath(t *testing.T) {
 		}
 
 		s.RegisterVP(0)
-		ctx := cudart.NewContext(0, s.Backend(0))
+		ctx := cudart.NewContext(0, m.Backend(0))
 		p, err := ctx.Malloc(256)
 		if err != nil {
 			t.Fatal(err)

@@ -602,37 +602,24 @@ func (s *Service) Handle(vp int, req any) any {
 		}
 		return ipc.OKResp{}
 	case ipc.H2DReq:
-		stream, err := streamOf(vp, r.Stream)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		j := sched.NewH2D(vp, stream, s.ResolvePtr(vp, r.Dst), r.Off, r.Data)
-		return s.serveJob(vp, j)
+		return s.serveJob(s.h2dJob(vp, r.Stream, r.Dst, r.Off, r.Data))
 	case ipc.D2HReq:
-		stream, err := streamOf(vp, r.Stream)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		j, d2h := s.d2hJob(vp, stream, s.ResolvePtr(vp, r.Src), r.Off, r.N)
-		resp := s.serveJob(vp, j)
+		var d2h ipc.D2HResp
+		j, err := s.d2hJob(vp, r.Stream, r.Src, r.Off, r.N, &d2h)
+		resp := s.serveJob(j, err)
 		if ok, done := resp.(ipc.OKResp); done {
 			d2h.Data, d2h.End = j.Data, ok.End
 			return d2h
 		}
 		return resp
 	case ipc.MemsetReq:
-		stream, err := streamOf(vp, r.Stream)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		j := sched.NewMemset(vp, stream, s.ResolvePtr(vp, r.Dst), r.Off, r.N, r.Value)
-		return s.serveJob(vp, j)
+		return s.serveJob(s.memsetJob(vp, r.Stream, r.Dst, r.Off, r.N, r.Value))
 	case ipc.LaunchReq:
-		j, err := s.launchJob(vp, r)
+		l, err := launchOf(r)
 		if err != nil {
 			return ipc.ErrResp{Msg: err.Error()}
 		}
-		return s.serveJob(vp, j)
+		return s.serveJob(s.kernelJob(vp, r.Stream, l))
 	case ipc.SyncReq:
 		stream, err := streamOf(vp, r.Stream)
 		if err != nil {
@@ -645,51 +632,95 @@ func (s *Service) Handle(vp int, req any) any {
 	}
 }
 
-// serveJob is the tail of every job-submitting request: pass admission (or
-// return its overload response), submit, park the VP until the job's batch
-// retires, and reply with the completion time.
-func (s *Service) serveJob(vp int, j *sched.Job) any {
-	if resp := s.admitJob(vp, j); resp != nil {
+// serveJob is the served tail of a job builder: answer a request the builder
+// refused, pass admission (or return its overload response), submit, park the
+// VP until the job's batch retires, and reply with the completion time.
+func (s *Service) serveJob(j *sched.Job, err error) any {
+	if err != nil {
+		return ipc.ErrResp{Msg: err.Error()}
+	}
+	if resp := s.admitJob(j.VP, j); resp != nil {
 		return resp
 	}
 	s.Submit(j)
-	if err := s.WaitJob(vp, j); err != nil {
+	if err := s.WaitJob(j.VP, j); err != nil {
 		return ipc.ErrResp{Msg: err.Error()}
 	}
 	return ipc.OKResp{End: j.Interval.End}
 }
 
-// d2hJob builds a D2H request's job and the response it fills. The bytes go
-// from the device straight into a response frame of the transport's, which is
-// sized only once [off, off+n) is known to lie inside the allocation. The
-// check the job makes when it runs stays the authoritative one (the
-// allocation may be freed in between), so a request that fails this one gets
-// a plain job and that job's error. Handle drops the response on an error
-// path and never recycles its frame: a cancelled job may still hold it.
-func (s *Service) d2hJob(vp, stream int, src devmem.Ptr, off, n int) (*sched.Job, ipc.D2HResp) {
-	if size, err := s.GPU.Mem.Size(src); err == nil && off >= 0 && n >= 0 && n <= size-off &&
-		s.opts.Mode != hostgpu.ExecTimingOnly {
-		if resp := ipc.NewD2HResp(n); resp.Data != nil {
-			return sched.NewD2HInto(vp, stream, src, off, resp.Data), resp
-		}
-	}
-	return sched.NewD2H(vp, stream, src, off, n), ipc.D2HResp{}
-}
+// The job builders, one per request kind, are what Handle (then serveJob) and
+// the in-process back end (then enqueue) share: the guest stream mapped into
+// the VP's window, guest pointers a migration rebased translated. Offsets and
+// lengths are checked when the job runs (devmem.InRange): until then the
+// allocation may still be freed or replaced.
 
-// launchJob reconstructs a launch from a wire request via the kernel
-// registry.
-func (s *Service) launchJob(vp int, r ipc.LaunchReq) (*sched.Job, error) {
-	b, err := kernels.Get(r.Kernel)
+func (s *Service) h2dJob(vp, stream int, dst devmem.Ptr, off int, data []byte) (*sched.Job, error) {
+	dev, err := streamOf(vp, stream)
 	if err != nil {
 		return nil, err
 	}
-	params := r.Params
-	if params == nil {
-		params = map[string]kpl.Value{}
+	return sched.NewH2D(vp, dev, s.ResolvePtr(vp, dst), off, data), nil
+}
+
+// d2hJob builds a D2H job. With frame non-nil (the served route) the bytes go
+// from the device straight into a response frame of the transport's, left in
+// *frame and sized only once [off, off+n) is known to lie inside the
+// allocation; a request that fails that check gets a plain job and its error.
+// Handle never recycles the frame itself: a cancelled job may still hold it.
+func (s *Service) d2hJob(vp, stream int, src devmem.Ptr, off, n int, frame *ipc.D2HResp) (*sched.Job, error) {
+	dev, err := streamOf(vp, stream)
+	if err != nil {
+		return nil, err
 	}
-	bindings, _ := s.resolveBindings(vp, r.Bindings)
-	if bindings == nil {
-		bindings = map[string]devmem.Ptr{}
+	src = s.ResolvePtr(vp, src)
+	if frame != nil && s.opts.Mode != hostgpu.ExecTimingOnly {
+		if size, err := s.GPU.Mem.Size(src); err == nil && devmem.InRange(off, n, size) {
+			if *frame = ipc.NewD2HResp(n); frame.Data != nil {
+				return sched.NewD2HInto(vp, dev, src, off, frame.Data), nil
+			}
+		}
+	}
+	return sched.NewD2H(vp, dev, src, off, n), nil
+}
+
+func (s *Service) memsetJob(vp, stream int, dst devmem.Ptr, off, n int, value byte) (*sched.Job, error) {
+	dev, err := streamOf(vp, stream)
+	if err != nil {
+		return nil, err
+	}
+	return sched.NewMemset(vp, dev, s.ResolvePtr(vp, dst), off, n, value), nil
+}
+
+// kernelJob builds a launch's job. Rebased pointers are bound through a copy
+// of the launch, never by mutating the caller's, and the Kernel Match stage's
+// coalescability comes from the registry entry of the kernel's name.
+func (s *Service) kernelJob(vp, stream int, l *hostgpu.Launch) (*sched.Job, error) {
+	dev, err := streamOf(vp, stream)
+	if err != nil {
+		return nil, err
+	}
+	if l == nil || l.Kernel == nil || l.Prog == nil {
+		return nil, fmt.Errorf("core: vp %d: launch without kernel or program", vp)
+	}
+	if resolved, changed := s.resolveBindings(vp, l.Bindings); changed {
+		moved := *l
+		moved.Bindings = resolved
+		l = &moved
+	}
+	j := sched.NewKernel(vp, dev, l)
+	if bench, err := kernels.Get(l.Kernel.Name); err == nil {
+		j.Coalescable = bench.Coalescable
+	}
+	return j, nil
+}
+
+// launchOf reconstructs a launch from a wire request via the kernel registry:
+// launches arrive by name.
+func launchOf(r ipc.LaunchReq) (*hostgpu.Launch, error) {
+	b, err := kernels.Get(r.Kernel)
+	if err != nil {
+		return nil, err
 	}
 	l := &hostgpu.Launch{
 		Kernel:            b.Kernel,
@@ -698,17 +729,17 @@ func (s *Service) launchJob(vp int, r ipc.LaunchReq) (*sched.Job, error) {
 		Block:             r.Block,
 		SharedMemPerBlock: r.SharedMem,
 		RegsPerThread:     r.Regs,
-		Params:            params,
-		Bindings:          bindings,
+		Params:            r.Params,
+		Bindings:          r.Bindings,
 		Native:            b.Native,
 	}
-	stream, err := streamOf(vp, r.Stream)
-	if err != nil {
-		return nil, err
+	if l.Params == nil {
+		l.Params = map[string]kpl.Value{}
 	}
-	j := sched.NewKernel(vp, stream, l)
-	j.Coalescable = b.Coalescable
-	return j, nil
+	if l.Bindings == nil {
+		l.Bindings = map[string]devmem.Ptr{}
+	}
+	return l, nil
 }
 
 // streamsPerVP is the size of each VP's device-stream window. Guest streams

@@ -82,16 +82,28 @@ func vecAddApp(n int, iters int) vp.App {
 	}
 }
 
+// farmOfOne hosts a per-device test's VPs the way every in-process harness
+// does, on a one-device farm, and returns the farm (Backend, WrapApp) with its
+// device.
+func farmOfOne(t testing.TB, opts Options) (*MultiService, *Service) {
+	t.Helper()
+	m, err := NewMultiService(opts, []arch.GPU{opts.Arch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, m.Device(0)
+}
+
 // runFleet runs n VPs of the app through a service and returns the GPU
 // makespan.
 func runFleet(t *testing.T, opts Options, n, elems, iters int) float64 {
 	t.Helper()
-	s := NewService(opts)
+	m, s := farmOfOne(t, opts)
 	fleet := vp.NewFleet(n, arch.ARMVersatile(), func(id int) *cudart.Context {
 		s.RegisterVP(id)
-		return cudart.NewContext(id, s.Backend(id))
+		return cudart.NewContext(id, m.Backend(id))
 	})
-	err := fleet.Run(s.WrapApp(vecAddApp(elems, iters)))
+	err := fleet.Run(m.WrapApp(vecAddApp(elems, iters)))
 	s.Flush()
 	if err != nil {
 		t.Fatal(err)
@@ -232,12 +244,12 @@ func TestEstimationModuleInService(t *testing.T) {
 	opts := DefaultOptions()
 	tegra := arch.TegraK1()
 	opts.EstimateTarget = &tegra
-	s := NewService(opts)
+	m, s := farmOfOne(t, opts)
 	fleet := vp.NewFleet(2, arch.ARMVersatile(), func(id int) *cudart.Context {
 		s.RegisterVP(id)
-		return cudart.NewContext(id, s.Backend(id))
+		return cudart.NewContext(id, m.Backend(id))
 	})
-	if err := fleet.Run(s.WrapApp(vecAddApp(2048, 2))); err != nil {
+	if err := fleet.Run(m.WrapApp(vecAddApp(2048, 2))); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush()
@@ -316,10 +328,10 @@ func TestEstimationObservesCoalescedMembers(t *testing.T) {
 // the TCP IPC paths, and histogram-style apps can zero their bins between
 // iterations.
 func TestMemsetThroughService(t *testing.T) {
-	s := NewService(DefaultOptions())
+	m, s := farmOfOne(t, DefaultOptions())
 	s.RegisterVP(0)
 	defer s.UnregisterVP(0)
-	ctx := cudart.NewContext(0, s.Backend(0))
+	ctx := cudart.NewContext(0, m.Backend(0))
 	p, err := ctx.Malloc(128)
 	if err != nil {
 		t.Fatal(err)
@@ -420,15 +432,15 @@ func TestRemoteVPsWithRegistrationHooks(t *testing.T) {
 }
 
 func TestSessionEnergyThroughService(t *testing.T) {
-	s := NewService(DefaultOptions())
+	m, s := farmOfOne(t, DefaultOptions())
 	if s.SessionEnergy() != 0 {
 		t.Fatal("fresh service energy not zero")
 	}
 	fleet := vp.NewFleet(2, arch.ARMVersatile(), func(id int) *cudart.Context {
 		s.RegisterVP(id)
-		return cudart.NewContext(id, s.Backend(id))
+		return cudart.NewContext(id, m.Backend(id))
 	})
-	if err := fleet.Run(s.WrapApp(vecAddApp(1024, 1))); err != nil {
+	if err := fleet.Run(m.WrapApp(vecAddApp(1024, 1))); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush()

@@ -57,8 +57,8 @@ func TestHandleRejectsOutOfRangeStream(t *testing.T) {
 // TestBackendRejectsOutOfRangeStream: the in-process cudart back end surfaces
 // the same validation.
 func TestBackendRejectsOutOfRangeStream(t *testing.T) {
-	s := NewService(DefaultOptions())
-	b := s.Backend(2)
+	m, _ := farmOfOne(t, DefaultOptions())
+	b := m.Backend(2)
 	if _, err := b.H2D(streamsPerVP, devmem.Ptr(0), 0, []byte{1}); err == nil {
 		t.Fatal("H2D with out-of-range stream should fail")
 	}

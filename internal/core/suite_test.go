@@ -32,10 +32,10 @@ func TestFullSuiteThroughService(t *testing.T) {
 			}
 
 			// The same workload through the service.
-			s := NewService(DefaultOptions())
+			m, s := farmOfOne(t, DefaultOptions())
 			s.RegisterVP(0)
 			defer s.UnregisterVP(0)
-			ctx := cudart.NewContext(0, s.Backend(0))
+			ctx := cudart.NewContext(0, m.Backend(0))
 			l := bench.NewLaunch(w)
 			l.Bindings = map[string]devmem.Ptr{}
 			for _, decl := range bench.Kernel.Bufs {

@@ -265,9 +265,8 @@ func (e *emulBackend) Close() error { return nil }
 
 type remoteBackend struct {
 	c ipc.Client
-	// tc is the client's typed fast path (the binary codec), if it has one:
-	// per-message-type calls with no `any` boxing on request or response.
-	// nil for transports that only implement Call.
+	// tc carries the four job-submitting operations: the TCP client's typed
+	// calls, or ipc.Typed's adapter over Call for any other transport.
 	tc ipc.TypedCaller
 	// retries is the extra-attempt budget for idempotent requests that fail
 	// with a retryable transport error (timeout, disconnect).
@@ -330,7 +329,7 @@ func NewRemoteBackendOpts(c ipc.Client, o RemoteOptions) Backend {
 		overloadRetries: DefaultOverloadRetries,
 		maxBackoff:      DefaultMaxBackoff,
 	}
-	r.tc, _ = c.(ipc.TypedCaller)
+	r.tc = ipc.Typed(c)
 	if o.OverloadRetries != 0 {
 		r.overloadRetries = max(o.OverloadRetries, 0)
 	}
@@ -386,28 +385,9 @@ func (r *remoteBackend) backoff(hint time.Duration, attempt int) {
 	}
 }
 
-// callIdempotent issues a request, re-issuing it on retryable transport
-// errors. Only requests whose replay leaves the device in the same state may
-// go through here: the original may have been applied server-side even
-// though the response was lost.
-func (r *remoteBackend) callIdempotent(req any) (any, error) {
-	resp, err := r.c.Call(req)
-	for attempt := 0; attempt < r.retries && ipc.IsRetryable(err); attempt++ {
-		r.m.Counter("cudart.retries").Inc()
-		resp, err = r.c.Call(req)
-	}
-	if ipc.IsRetryable(err) {
-		r.m.Counter("cudart.retries_exhausted").Inc()
-	}
-	return resp, err
-}
-
 func (r *remoteBackend) Malloc(n int) (devmem.Ptr, error) {
-	resp, err := r.c.Call(ipc.MallocReq{Size: n})
-	if err != nil {
-		return 0, err
-	}
-	return resp.(ipc.MallocResp).Ptr, nil
+	resp, err := ipc.ReplyAs[ipc.MallocResp](r.c.Call(ipc.MallocReq{Size: n}))
+	return resp.Ptr, err
 }
 
 func (r *remoteBackend) Free(p devmem.Ptr) error {
@@ -415,8 +395,10 @@ func (r *remoteBackend) Free(p devmem.Ptr) error {
 	return err
 }
 
-// retryIdempotent re-issues a typed idempotent request on retryable
-// transport errors, mirroring callIdempotent without the boxing.
+// retryIdempotent issues a request, re-issuing it on retryable transport
+// errors. Only requests whose replay leaves the device in the same state may
+// go through here: the original may have been applied server-side even
+// though the response was lost.
 func retryIdempotent[Req, Resp any](r *remoteBackend, req Req, call func(Req) (Resp, error)) (Resp, error) {
 	resp, err := call(req)
 	for attempt := 0; attempt < r.retries && ipc.IsRetryable(err); attempt++ {
@@ -429,61 +411,31 @@ func retryIdempotent[Req, Resp any](r *remoteBackend, req Req, call func(Req) (R
 	return resp, err
 }
 
+// okToken is the token of a finished H2D, memset or launch.
+func okToken(ok ipc.OKResp, err error) (Token, error) {
+	return doneToken{iv: hostgpu.Interval{End: ok.End}, err: err}, nil
+}
+
 func (r *remoteBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (Token, error) {
 	req := ipc.H2DReq{Stream: stream, Dst: dst, Off: off, Data: data}
-	if r.tc != nil {
-		ok, err := withOverloadRetry(r, func() (ipc.OKResp, error) {
-			return retryIdempotent(r, req, r.tc.CallH2D)
-		})
-		if err != nil {
-			return doneToken{err: err}, nil
-		}
-		return doneToken{iv: hostgpu.Interval{End: ok.End}}, nil
-	}
-	resp, err := withOverloadRetry(r, func() (any, error) { return r.callIdempotent(req) })
-	if err != nil {
-		return doneToken{err: err}, nil
-	}
-	ok := resp.(ipc.OKResp)
-	return doneToken{iv: hostgpu.Interval{End: ok.End}}, nil
+	return okToken(withOverloadRetry(r, func() (ipc.OKResp, error) {
+		return retryIdempotent(r, req, r.tc.CallH2D)
+	}))
 }
 
 func (r *remoteBackend) D2H(stream int, src devmem.Ptr, off, n int) (Token, error) {
 	req := ipc.D2HReq{Stream: stream, Src: src, Off: off, N: n}
-	if r.tc != nil {
-		d, err := withOverloadRetry(r, func() (ipc.D2HResp, error) {
-			return retryIdempotent(r, req, r.tc.CallD2H)
-		})
-		if err != nil {
-			return doneToken{err: err}, nil
-		}
-		return doneToken{iv: hostgpu.Interval{End: d.End}, data: d.Data}, nil
-	}
-	resp, err := withOverloadRetry(r, func() (any, error) { return r.callIdempotent(req) })
-	if err != nil {
-		return doneToken{err: err}, nil
-	}
-	d := resp.(ipc.D2HResp)
-	return doneToken{iv: hostgpu.Interval{End: d.End}, data: d.Data}, nil
+	d, err := withOverloadRetry(r, func() (ipc.D2HResp, error) {
+		return retryIdempotent(r, req, r.tc.CallD2H)
+	})
+	return doneToken{iv: hostgpu.Interval{End: d.End}, data: d.Data, err: err}, nil
 }
 
 func (r *remoteBackend) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Token, error) {
 	req := ipc.MemsetReq{Stream: stream, Dst: dst, Off: off, N: n, Value: value}
-	if r.tc != nil {
-		ok, err := withOverloadRetry(r, func() (ipc.OKResp, error) {
-			return retryIdempotent(r, req, r.tc.CallMemset)
-		})
-		if err != nil {
-			return doneToken{err: err}, nil
-		}
-		return doneToken{iv: hostgpu.Interval{End: ok.End}}, nil
-	}
-	resp, err := withOverloadRetry(r, func() (any, error) { return r.callIdempotent(req) })
-	if err != nil {
-		return doneToken{err: err}, nil
-	}
-	ok := resp.(ipc.OKResp)
-	return doneToken{iv: hostgpu.Interval{End: ok.End}}, nil
+	return okToken(withOverloadRetry(r, func() (ipc.OKResp, error) {
+		return retryIdempotent(r, req, r.tc.CallMemset)
+	}))
 }
 
 func (r *remoteBackend) Launch(stream int, l *hostgpu.Launch) (Token, error) {
@@ -504,19 +456,7 @@ func (r *remoteBackend) Launch(stream int, l *hostgpu.Launch) (Token, error) {
 	// kernel repeats its side effects), so each attempt is a single shot.
 	// Overload sheds are different: a shed launch was never admitted, so the
 	// backoff-and-resubmit wrapper is safe even here.
-	if r.tc != nil {
-		ok, err := withOverloadRetry(r, func() (ipc.OKResp, error) { return r.tc.CallLaunch(req) })
-		if err != nil {
-			return doneToken{err: err}, nil
-		}
-		return doneToken{iv: hostgpu.Interval{End: ok.End}}, nil
-	}
-	resp, err := withOverloadRetry(r, func() (any, error) { return r.c.Call(req) })
-	if err != nil {
-		return doneToken{err: err}, nil
-	}
-	ok := resp.(ipc.OKResp)
-	return doneToken{iv: hostgpu.Interval{End: ok.End}}, nil
+	return okToken(withOverloadRetry(r, func() (ipc.OKResp, error) { return r.tc.CallLaunch(req) }))
 }
 
 func (r *remoteBackend) Close() error { return r.c.Close() }

@@ -1,6 +1,7 @@
 package cudart
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/arch"
@@ -177,12 +178,19 @@ func TestRemoteBackendOverPipe(t *testing.T) {
 	}
 }
 
-func TestRemoteLaunchWithoutKernel(t *testing.T) {
-	ctx := NewContext(1, NewRemoteBackend(ipc.Pipe(1, func(int, any) any {
-		return ipc.ErrResp{Msg: "unreachable"}
-	})))
-	if err := ctx.LaunchKernel(&hostgpu.Launch{}); err == nil {
-		t.Fatal("kernel-less launch accepted")
+// TestRemoteWrongKindReply: a server (or a corrupted frame that still decodes)
+// answering every request with OKResp is a wire error where another reply kind
+// was due — malloc, D2H — never a failed type assertion in the guest.
+func TestRemoteWrongKindReply(t *testing.T) {
+	ctx := NewContext(1, NewRemoteBackend(ipc.Pipe(1, func(int, any) any { return ipc.OKResp{End: 1} })))
+	if _, err := ctx.Malloc(64); !errors.Is(err, ipc.ErrMalformedFrame) {
+		t.Fatalf("Malloc answered with OKResp: err %v, want a malformed-frame error", err)
+	}
+	if _, err := ctx.MemcpyD2H(0x100, 4); !errors.Is(err, ipc.ErrMalformedFrame) {
+		t.Fatalf("D2H answered with OKResp: err %v, want a malformed-frame error", err)
+	}
+	if err := ctx.MemcpyH2D(0x100, []byte{1}); err != nil {
+		t.Fatalf("H2D answered with OKResp: %v", err)
 	}
 }
 

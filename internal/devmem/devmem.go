@@ -306,6 +306,14 @@ func (m *Mem) HighWater() Ptr {
 	return m.next
 }
 
+// InRange reports whether [off, off+n) lies inside an allocation of size
+// bytes — the one range check on device memory, here and in hostgpu's
+// timing-only branches. off and n come from the guest, so it never computes
+// off+n: that sum can wrap negative and pass a naive comparison.
+func InRange(off, n, size int) bool {
+	return off >= 0 && n >= 0 && n <= size-off
+}
+
 // Write copies data into the allocation at p starting at off (an H2D copy).
 func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	m.mu.Lock()
@@ -314,7 +322,7 @@ func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	if !ok {
 		return fmt.Errorf("devmem: write to invalid pointer %#x", uint64(p))
 	}
-	if off < 0 || off+len(data) > len(b) {
+	if !InRange(off, len(data), len(b)) {
 		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), len(b))
 	}
 	copy(b[off:], data)
@@ -332,7 +340,7 @@ func (m *Mem) Fill(p Ptr, off, n int, value byte) error {
 	if !ok {
 		return fmt.Errorf("devmem: fill of invalid pointer %#x", uint64(p))
 	}
-	if off < 0 || n < 0 || n > len(b)-off {
+	if !InRange(off, n, len(b)) {
 		return fmt.Errorf("devmem: fill of %d bytes at %d outside allocation of %d bytes", n, off, len(b))
 	}
 	b = b[off : off+n]
@@ -370,7 +378,7 @@ func (m *Mem) read(p Ptr, off, n int, dst []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("devmem: read from invalid pointer %#x", uint64(p))
 	}
-	if off < 0 || n < 0 || n > len(b)-off {
+	if !InRange(off, n, len(b)) {
 		return nil, fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", off, off+n, len(b))
 	}
 	if dst == nil {
@@ -390,14 +398,14 @@ func (m *Mem) Copy(dst Ptr, dstOff int, src Ptr, srcOff, n int) error {
 	if !ok {
 		return fmt.Errorf("devmem: read from invalid pointer %#x", uint64(src))
 	}
-	if srcOff < 0 || n < 0 || srcOff+n > len(from) {
+	if !InRange(srcOff, n, len(from)) {
 		return fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", srcOff, srcOff+n, len(from))
 	}
 	to, ok := m.allocs[dst]
 	if !ok {
 		return fmt.Errorf("devmem: write to invalid pointer %#x", uint64(dst))
 	}
-	if dstOff < 0 || dstOff+n > len(to) {
+	if !InRange(dstOff, n, len(to)) {
 		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", dstOff, dstOff+n, len(to))
 	}
 	copy(to[dstOff:], from[srcOff:srcOff+n])
@@ -450,7 +458,7 @@ func (m *Mem) BindParamRange(p Ptr, off, n int, decl *kpl.BufDecl) (*kpl.Buffer,
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 || n < 0 || off+n > len(raw) {
+	if !InRange(off, n, len(raw)) {
 		return nil, fmt.Errorf("devmem: range [%d,%d) outside allocation of %d bytes", off, off+n, len(raw))
 	}
 	return bindParam(decl, raw[off:off+n]), nil
@@ -472,7 +480,7 @@ func (m *Mem) WriteBufferRange(p Ptr, off int, buf *kpl.Buffer) error {
 		return err
 	}
 	need := buf.Bytes()
-	if off < 0 || off+need > len(raw) {
+	if !InRange(off, need, len(raw)) {
 		return fmt.Errorf("devmem: range write [%d,%d) outside allocation of %d bytes", off, off+need, len(raw))
 	}
 	BufferToBytes(buf, raw[off:off+need])

@@ -448,3 +448,35 @@ func TestFillBounds(t *testing.T) {
 		t.Fatalf("refused fills changed memory: % x", got)
 	}
 }
+
+// TestRangeChecksNeverWrap: every entry point that takes a guest offset and a
+// length refuses a pair whose sum wraps (off+n < 0 slips past off+n > size)
+// as it refuses any other out-of-range pair — with an error, not by slicing
+// out of range — and leaves the bytes alone.
+func TestRangeChecksNeverWrap(t *testing.T) {
+	m := New(1 << 20)
+	p, _ := m.Alloc(16)
+	q, _ := m.Alloc(16)
+	decl := &kpl.BufDecl{Name: "b", Elem: kpl.I32}
+	buf := kpl.NewBuffer(kpl.I32, 1)
+	for _, off := range []int{math.MaxInt, math.MaxInt - 3, math.MinInt, -1, 16, 13} {
+		for name, err := range map[string]error{
+			"Write":            m.Write(p, off, []byte{1, 2, 3, 4}),
+			"Copy src":         m.Copy(q, 0, p, off, 4),
+			"Copy dst":         m.Copy(q, off, p, 0, 4),
+			"WriteBufferRange": m.WriteBufferRange(p, off, buf),
+		} {
+			if err == nil {
+				t.Errorf("%s at offset %d of 16 bytes accepted", name, off)
+			}
+		}
+		if _, err := m.BindParamRange(p, off, 4, decl); err == nil {
+			t.Errorf("BindParamRange at offset %d of 16 bytes accepted", off)
+		}
+	}
+	for _, ptr := range []Ptr{p, q} {
+		if got, _ := m.Read(ptr, 0, 16); !bytes.Equal(got, make([]byte, 16)) {
+			t.Fatalf("refused operations changed memory: % x", got)
+		}
+	}
+}

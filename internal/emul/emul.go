@@ -116,56 +116,25 @@ func (d *Device) Launch(l *hostgpu.Launch) (*profile.Profile, hostgpu.Interval, 
 		return nil, hostgpu.Interval{}, fmt.Errorf("emul: %s: invalid launch %d×%d", l.Kernel.Name, l.Grid, l.Block)
 	}
 
-	env := &kpl.Env{NThreads: l.Threads(), Params: l.Params, Bufs: map[string]*kpl.Buffer{}}
-	if env.Params == nil {
-		env.Params = map[string]kpl.Value{}
+	env, err := l.Bind("emul", d.Mem)
+	if err != nil {
+		return nil, hostgpu.Interval{}, err
 	}
-	for i := range l.Kernel.Bufs {
-		decl := &l.Kernel.Bufs[i]
-		ptr, ok := l.Bindings[decl.Name]
-		if !ok {
-			return nil, hostgpu.Interval{}, fmt.Errorf("emul: %s: buffer %q not bound", l.Kernel.Name, decl.Name)
-		}
-		buf, err := d.Mem.BindParam(ptr, decl)
-		if err != nil {
-			return nil, hostgpu.Interval{}, err
-		}
-		env.Bufs[decl.Name] = buf
-	}
-
 	dyn := l.Dyn
-	var err error
 	if !d.TimingOnly {
-		// Functional emulation: interpret (or run compiled semantics) and
-		// collect the exact dynamic statistics while doing so.
-		if l.Native != nil {
-			if err := l.Native(env); err != nil {
-				return nil, hostgpu.Interval{}, fmt.Errorf("emul: %s: %w", l.Kernel.Name, err)
-			}
-			if dyn == nil && l.Prog.NeedsDynamicProfile() {
-				if dyn, err = l.Kernel.SampleStats(env, 32); err != nil {
-					return nil, hostgpu.Interval{}, err
-				}
-			}
-		} else {
-			st := kpl.NewStats()
-			if err := l.Kernel.ExecBlocks(env, st, l.Block, d.Workers); err != nil {
-				return nil, hostgpu.Interval{}, err
-			}
+		// Functional emulation: an interpreted kernel collects the exact
+		// dynamic statistics while it runs; native semantics cannot.
+		var st *kpl.Stats
+		if l.Native == nil {
+			st = kpl.NewStats()
 			dyn = st
 		}
-		for _, decl := range l.Kernel.Bufs {
-			if decl.ReadOnly {
-				continue
-			}
-			if err := d.Mem.WriteBuffer(l.Bindings[decl.Name], env.Bufs[decl.Name]); err != nil {
-				return nil, hostgpu.Interval{}, err
-			}
-		}
-	} else if dyn == nil && l.Prog.NeedsDynamicProfile() {
-		if dyn, err = l.Kernel.SampleStats(env, 32); err != nil {
+		if err := l.Exec("emul", d.Mem, env, st, d.Workers); err != nil {
 			return nil, hostgpu.Interval{}, err
 		}
+	}
+	if dyn, err = hostgpu.SampleDyn(l.Kernel, l.Prog, env, dyn); err != nil {
+		return nil, hostgpu.Interval{}, err
 	}
 
 	kl := kir.Launch{NThreads: l.Threads(), Params: l.Params}

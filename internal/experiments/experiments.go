@@ -179,33 +179,6 @@ func dispatch(g *hostgpu.GPU, batch []*sched.Job, policy sched.Policy, coalesceO
 	return first
 }
 
-// sampledDyn measures a data-dependent kernel's λ statistics on a thread
-// sample over the workload's inputs, materialized as an interpreter
-// environment outside any device; kernels whose σ is static yield nil. λ is a
-// property of (kernel, workload), not of the VP or device, so a fleet samples
-// once per benchmark.
-func sampledDyn(bench *kernels.Benchmark, w *kernels.Workload) (*kpl.Stats, error) {
-	if !bench.Prog.NeedsDynamicProfile() {
-		return nil, nil
-	}
-	env := &kpl.Env{NThreads: w.Threads(), Params: w.Params, Bufs: map[string]*kpl.Buffer{}}
-	if env.Params == nil {
-		env.Params = map[string]kpl.Value{}
-	}
-	for _, decl := range bench.Kernel.Bufs {
-		size, ok := w.BufBytes[decl.Name]
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s: workload missing buffer %q", bench.Name, decl.Name)
-		}
-		raw := make([]byte, size)
-		if in, ok := w.Inputs[decl.Name]; ok {
-			copy(raw, in)
-		}
-		env.Bufs[decl.Name] = devmem.BufferFromBytes(decl.Elem, raw)
-	}
-	return bench.Kernel.SampleStats(env, 32)
-}
-
 // busyKernel builds a synthetic kernel whose per-thread cost is an
 // m-iteration FP32 chain — the tunable-length kernel of the Fig. 9 sweeps.
 func busyKernel() (*kpl.Kernel, error) {

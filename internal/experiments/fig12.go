@@ -131,7 +131,7 @@ func measureOn(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*pro
 // access streams for the cache model.
 func estimatorInputs(host, target *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload, hostProf *profile.Profile) (*estimate.Inputs, error) {
 	kl := kir.Launch{NThreads: w.Threads(), Params: w.Params}
-	dyn, err := sampledDyn(bench, w)
+	dyn, err := bench.SampleDyn(w)
 	if err != nil {
 		return nil, err
 	}

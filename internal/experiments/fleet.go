@@ -54,7 +54,7 @@ func runBareFleet(bench *kernels.Benchmark, w *kernels.Workload, nVPs int, optim
 		policy = sched.PolicyInterleave
 	}
 	// Resolve λ once, so per-iteration launches are cheap.
-	dyn, err := sampledDyn(bench, w)
+	dyn, err := bench.SampleDyn(w)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -145,7 +145,7 @@ func (f *farmFleet) provision(benches []*kernels.Benchmark, scale int) error {
 		}
 		dyn, sampled := dynOf[bench.Name]
 		if !sampled {
-			if dyn, err = sampledDyn(bench, w); err != nil {
+			if dyn, err = bench.SampleDyn(w); err != nil {
 				return err
 			}
 			dynOf[bench.Name] = dyn

@@ -82,7 +82,7 @@ func Scaling(app string, scale int) (*ScalingResult, error) {
 // emulated application time.
 func emulScenario(bench *kernels.Benchmark, w *kernels.Workload, n int) (float64, error) {
 	guest := arch.ARMVersatile()
-	dyn, err := sampledDyn(bench, w)
+	dyn, err := bench.SampleDyn(w)
 	if err != nil {
 		return 0, err
 	}

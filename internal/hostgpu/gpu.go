@@ -249,7 +249,7 @@ func (g *GPU) CopyH2D(stream int, dst devmem.Ptr, off int, src []byte) (Interval
 		if err != nil {
 			return Interval{}, err
 		}
-		if off < 0 || off+len(src) > size {
+		if !devmem.InRange(off, len(src), size) {
 			return Interval{}, fmt.Errorf("hostgpu: H2D [%d,%d) outside allocation of %d bytes", off, off+len(src), size)
 		}
 	} else if err := g.Mem.Write(dst, off, src); err != nil {
@@ -271,7 +271,7 @@ func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int, dst []byte) ([]byt
 		if err != nil {
 			return nil, Interval{}, err
 		}
-		if off < 0 || n < 0 || n > size-off {
+		if !devmem.InRange(off, n, size) {
 			return nil, Interval{}, fmt.Errorf("hostgpu: D2H [%d,%d) outside allocation of %d bytes", off, off+n, size)
 		}
 	} else {
@@ -313,11 +313,11 @@ func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) 
 				return nil, Interval{}, fmt.Errorf("hostgpu: %s: %w", l.Kernel.Name, err)
 			}
 		} else {
-			env, err := g.bindEnv(l)
+			env, err := l.Bind("hostgpu", g.Mem)
 			if err != nil {
 				return nil, Interval{}, err
 			}
-			if err := g.execute(l, env); err != nil {
+			if err := l.Exec("hostgpu", g.Mem, env, nil, g.Workers); err != nil {
 				return nil, Interval{}, err
 			}
 		}
@@ -380,16 +380,13 @@ func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error)
 	if l.SigmaOverride != nil {
 		return *l.SigmaOverride, l.AccessesOverride, nil
 	}
-	env, err := g.bindEnv(l)
+	env, err := l.Bind("hostgpu", g.Mem)
 	if err != nil {
 		return arch.ClassVec{}, nil, err
 	}
-	dyn := l.Dyn
-	if dyn == nil && l.Prog.NeedsDynamicProfile() {
-		dyn, err = l.Kernel.SampleStats(env, 32)
-		if err != nil {
-			return arch.ClassVec{}, nil, fmt.Errorf("hostgpu: %s: pre-launch sampling: %w", l.Kernel.Name, err)
-		}
+	dyn, err := SampleDyn(l.Kernel, l.Prog, env, l.Dyn)
+	if err != nil {
+		return arch.ClassVec{}, nil, fmt.Errorf("hostgpu: %s: pre-launch sampling: %w", l.Kernel.Name, err)
 	}
 	kl := kir.Launch{NThreads: l.Threads(), Params: l.Params}
 	sigma, err := l.Prog.Sigma(&g.Arch, kl, dyn)
@@ -403,10 +400,27 @@ func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error)
 	return sigma, accesses, nil
 }
 
-// bindEnv binds the kernel's buffer parameters to device memory: read-only
-// parameters as views of the allocation, writable ones as private copies
-// that execute writes back on success (devmem.Mem.BindParam).
-func (g *GPU) bindEnv(l *Launch) (*kpl.Env, error) {
+// lambdaSample is how many threads, spread evenly over the launch, a λ
+// measurement runs (paper footnote 2).
+const lambdaSample = 32
+
+// SampleDyn returns the dynamic statistics σ derivation needs: dyn when the
+// caller already has them or the program's loops are all statically bounded
+// (nil then), otherwise λ measured on a thread sample of k over env, whose
+// buffers are not modified.
+func SampleDyn(k *kpl.Kernel, prog *kir.Program, env *kpl.Env, dyn *kpl.Stats) (*kpl.Stats, error) {
+	if dyn != nil || !prog.NeedsDynamicProfile() {
+		return dyn, nil
+	}
+	return k.SampleStats(env, lambdaSample)
+}
+
+// Bind binds the kernel's buffer parameters to device memory: read-only
+// parameters as views of the allocation, writable ones as private copies that
+// Exec writes back on success (devmem.Mem.BindParam). Bind and Exec are the
+// functional half of a launch on any device model; who ("hostgpu", "emul")
+// prefixes their errors.
+func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
 	env := &kpl.Env{NThreads: l.Threads(), Params: l.Params, Bufs: map[string]*kpl.Buffer{}}
 	if env.Params == nil {
 		env.Params = map[string]kpl.Value{}
@@ -415,33 +429,34 @@ func (g *GPU) bindEnv(l *Launch) (*kpl.Env, error) {
 		decl := &l.Kernel.Bufs[i]
 		ptr, ok := l.Bindings[decl.Name]
 		if !ok {
-			return nil, fmt.Errorf("hostgpu: %s: buffer %q not bound", l.Kernel.Name, decl.Name)
+			return nil, fmt.Errorf("%s: %s: buffer %q not bound", who, l.Kernel.Name, decl.Name)
 		}
-		buf, err := g.Mem.BindParam(ptr, decl)
+		buf, err := mem.BindParam(ptr, decl)
 		if err != nil {
-			return nil, fmt.Errorf("hostgpu: %s: buffer %q: %w", l.Kernel.Name, decl.Name, err)
+			return nil, fmt.Errorf("%s: %s: buffer %q: %w", who, l.Kernel.Name, decl.Name, err)
 		}
 		env.Bufs[decl.Name] = buf
 	}
 	return env, nil
 }
 
-// execute runs the kernel's semantics and writes results back to device
-// memory. Interpreted kernels fan their thread blocks out over the device's
-// worker pool; the result is bit-identical to serial interpretation.
-func (g *GPU) execute(l *Launch, env *kpl.Env) error {
+// Exec runs the kernel's semantics over env (from Bind) — the native
+// implementation when the launch has one, otherwise its thread blocks fanned
+// out over workers, bit-identical to serial interpretation and counted into st
+// when that is non-nil — and writes the writable buffers back to device memory.
+func (l *Launch) Exec(who string, mem *devmem.Mem, env *kpl.Env, st *kpl.Stats, workers int) error {
 	if l.Native != nil {
 		if err := l.Native(env); err != nil {
-			return fmt.Errorf("hostgpu: %s: native execution: %w", l.Kernel.Name, err)
+			return fmt.Errorf("%s: %s: native execution: %w", who, l.Kernel.Name, err)
 		}
-	} else if err := l.Kernel.ExecBlocks(env, nil, l.Block, g.Workers); err != nil {
+	} else if err := l.Kernel.ExecBlocks(env, st, l.Block, workers); err != nil {
 		return err
 	}
 	for _, decl := range l.Kernel.Bufs {
 		if decl.ReadOnly {
 			continue
 		}
-		if err := g.Mem.WriteBuffer(l.Bindings[decl.Name], env.Bufs[decl.Name]); err != nil {
+		if err := mem.WriteBuffer(l.Bindings[decl.Name], env.Bufs[decl.Name]); err != nil {
 			return err
 		}
 	}
@@ -495,7 +510,7 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 		if err != nil {
 			return Interval{}, err
 		}
-		if off < 0 || n < 0 || n > size-off {
+		if !devmem.InRange(off, n, size) {
 			return Interval{}, fmt.Errorf("hostgpu: memset of %d bytes at %d outside allocation of %d bytes", n, off, size)
 		}
 	} else if err := g.Mem.Fill(dst, off, n, value); err != nil {

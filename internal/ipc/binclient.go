@@ -65,12 +65,6 @@ type pendingCall struct {
 	err    error // transport-level failure, nil on delivery
 }
 
-// overloadErr converts the slot's decoded OverloadResp into the typed error
-// the retry layers match with AsOverload.
-func (p *pendingCall) overloadErr() error {
-	return &OverloadError{Msg: p.over.Msg, Backoff: p.over.Backoff, Retryable: p.over.Retryable}
-}
-
 var pendingPool = sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	if !t.Stop() {
@@ -443,179 +437,94 @@ func (c *binClient) countErr(err error) {
 	}
 }
 
-// roundtrip runs one generic (boxed) exchange.
-func (c *binClient) roundtrip(req any) (*pendingCall, uint64, error) {
+// exchange is the client's one request/response sequence: register the call
+// (redialing first if need be), encode its frame head with enc and write it,
+// with any payload behind it, under writeMu, park until the response or the
+// deadline, and let dec pick the reply the caller wants out of the slot (false
+// for any other kind). enc and dec are top-level functions and the request is
+// passed by value, so a typed call boxes nothing and allocates no closure.
+func exchange[Req, Resp any](c *binClient, req Req, enc func([]byte, uint64, Req) ([]byte, error),
+	payload []byte, dec func(*pendingCall) (Resp, bool)) (resp Resp, err error) {
+	c.opts.Metrics.Counter("ipc.client.calls").Inc()
+	defer func() { c.countErr(err) }()
 	deadline := time.Now().Add(c.opts.CallTimeout)
 	id, p, conn, gen, err := c.begin(deadline)
 	if err != nil {
-		return nil, 0, err
+		return resp, err
 	}
 	c.writeMu.Lock()
-	c.wbuf, err = appendMsg(c.wbuf, id, req)
-	if err != nil {
-		c.writeMu.Unlock()
-		c.abandon(id, p)
-		return nil, 0, err
+	if c.wbuf, err = enc(c.wbuf, id, req); err == nil {
+		err = c.sendLocked(conn, gen, deadline, payload)
 	}
-	err = c.sendLocked(conn, gen, deadline, nil)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id, p)
-		return nil, 0, err
+		return resp, err
 	}
 	if err := c.await(id, p, gen, deadline); err != nil {
-		return nil, 0, err
-	}
-	return p, id, nil
-}
-
-// Call implements Client. The response body is boxed; latency-critical
-// paths use the typed methods below instead.
-func (c *binClient) Call(req any) (resp any, err error) {
-	c.opts.Metrics.Counter("ipc.client.calls").Inc()
-	defer func() { c.countErr(err) }()
-	p, _, err := c.roundtrip(req)
-	if err != nil {
-		return nil, err
+		return resp, err
 	}
 	defer putPending(p)
+	if r, ok := dec(p); ok {
+		return r, nil
+	}
+	switch p.kind {
+	case msgErrResp:
+		return resp, fmt.Errorf("ipc: %s", p.errMsg)
+	case msgOverloadResp:
+		return resp, &OverloadError{Msg: p.over.Msg, Backoff: p.over.Backoff, Retryable: p.over.Retryable}
+	}
+	return resp, wireError("unexpected response kind %d", p.kind)
+}
+
+// The response decoders of exchange.
+
+func okReply(p *pendingCall) (OKResp, bool)   { return p.ok, p.kind == msgOKResp }
+func d2hReply(p *pendingCall) (D2HResp, bool) { return p.d2h, p.kind == msgD2HResp }
+
+// anyReply boxes whichever success reply arrived.
+func anyReply(p *pendingCall) (any, bool) {
 	switch p.kind {
 	case msgOKResp:
-		return p.ok, nil
-	case msgErrResp:
-		return nil, fmt.Errorf("ipc: %s", p.errMsg)
-	case msgOverloadResp:
-		return nil, p.overloadErr()
+		return p.ok, true
 	case msgMallocResp:
-		return p.malloc, nil
+		return p.malloc, true
 	case msgD2HResp:
-		return p.d2h, nil
+		return p.d2h, true
 	case msgCheckpointResp:
-		return p.ckpt, nil
+		return p.ckpt, true
 	}
-	return nil, wireError("unexpected response kind %d", p.kind)
+	return nil, false
 }
 
-// okOrErr maps a resolved slot onto the (OKResp, error) shape shared by
-// H2D, memset, and launch.
-func (c *binClient) okOrErr(p *pendingCall) (OKResp, error) {
-	defer putPending(p)
-	switch p.kind {
-	case msgOKResp:
-		return p.ok, nil
-	case msgErrResp:
-		return OKResp{}, fmt.Errorf("ipc: %s", p.errMsg)
-	case msgOverloadResp:
-		return OKResp{}, p.overloadErr()
-	}
-	return OKResp{}, wireError("unexpected response kind %d", p.kind)
+// Call implements Client. Request and response are boxed; latency-critical
+// paths use the typed methods below instead.
+func (c *binClient) Call(req any) (any, error) {
+	return exchange(c, req, appendMsg, nil, anyReply)
 }
 
 // CallH2D is the zero-boxing host-to-device fast path. The payload is never
 // copied in user space on a TCP connection, and a frame over the wire's cap
 // is refused (ErrFrameTooLarge) before anything is written.
-func (c *binClient) CallH2D(req H2DReq) (resp OKResp, err error) {
-	c.opts.Metrics.Counter("ipc.client.calls").Inc()
-	defer func() { c.countErr(err) }()
-	deadline := time.Now().Add(c.opts.CallTimeout)
-	id, p, conn, gen, err := c.begin(deadline)
-	if err != nil {
-		return OKResp{}, err
-	}
-	c.writeMu.Lock()
-	c.wbuf = appendH2DHead(c.wbuf, id, req)
-	if err = checkFrameLen(len(c.wbuf) - 4 + len(req.Data)); err == nil {
-		err = c.sendLocked(conn, gen, deadline, req.Data)
-	}
-	c.writeMu.Unlock()
-	if err != nil {
-		c.abandon(id, p)
-		return OKResp{}, err
-	}
-	if err := c.await(id, p, gen, deadline); err != nil {
-		return OKResp{}, err
-	}
-	return c.okOrErr(p)
+func (c *binClient) CallH2D(req H2DReq) (OKResp, error) {
+	return exchange(c, req, appendH2DHead, req.Data, okReply)
 }
 
 // CallD2H is the typed device-to-host fast path; the returned Data is
 // caller-owned (its allocation is the one unavoidable alloc of a D2H, and the
 // read loop fills it from the socket).
-func (c *binClient) CallD2H(req D2HReq) (resp D2HResp, err error) {
-	c.opts.Metrics.Counter("ipc.client.calls").Inc()
-	defer func() { c.countErr(err) }()
-	deadline := time.Now().Add(c.opts.CallTimeout)
-	id, p, conn, gen, err := c.begin(deadline)
-	if err != nil {
-		return D2HResp{}, err
-	}
-	c.writeMu.Lock()
-	c.wbuf = appendD2HReq(c.wbuf, id, req)
-	err = c.sendLocked(conn, gen, deadline, nil)
-	c.writeMu.Unlock()
-	if err != nil {
-		c.abandon(id, p)
-		return D2HResp{}, err
-	}
-	if err := c.await(id, p, gen, deadline); err != nil {
-		return D2HResp{}, err
-	}
-	defer putPending(p)
-	switch p.kind {
-	case msgD2HResp:
-		return p.d2h, nil
-	case msgErrResp:
-		return D2HResp{}, fmt.Errorf("ipc: %s", p.errMsg)
-	case msgOverloadResp:
-		return D2HResp{}, p.overloadErr()
-	}
-	return D2HResp{}, wireError("unexpected response kind %d", p.kind)
+func (c *binClient) CallD2H(req D2HReq) (D2HResp, error) {
+	return exchange(c, req, appendD2HReq, nil, d2hReply)
 }
 
 // CallMemset is the typed memset fast path.
-func (c *binClient) CallMemset(req MemsetReq) (resp OKResp, err error) {
-	c.opts.Metrics.Counter("ipc.client.calls").Inc()
-	defer func() { c.countErr(err) }()
-	deadline := time.Now().Add(c.opts.CallTimeout)
-	id, p, conn, gen, err := c.begin(deadline)
-	if err != nil {
-		return OKResp{}, err
-	}
-	c.writeMu.Lock()
-	c.wbuf = appendMemsetReq(c.wbuf, id, req)
-	err = c.sendLocked(conn, gen, deadline, nil)
-	c.writeMu.Unlock()
-	if err != nil {
-		c.abandon(id, p)
-		return OKResp{}, err
-	}
-	if err := c.await(id, p, gen, deadline); err != nil {
-		return OKResp{}, err
-	}
-	return c.okOrErr(p)
+func (c *binClient) CallMemset(req MemsetReq) (OKResp, error) {
+	return exchange(c, req, appendMemsetReq, nil, okReply)
 }
 
 // CallLaunch is the typed kernel-launch fast path.
-func (c *binClient) CallLaunch(req LaunchReq) (resp OKResp, err error) {
-	c.opts.Metrics.Counter("ipc.client.calls").Inc()
-	defer func() { c.countErr(err) }()
-	deadline := time.Now().Add(c.opts.CallTimeout)
-	id, p, conn, gen, err := c.begin(deadline)
-	if err != nil {
-		return OKResp{}, err
-	}
-	c.writeMu.Lock()
-	c.wbuf = appendLaunchReq(c.wbuf, id, req)
-	err = c.sendLocked(conn, gen, deadline, nil)
-	c.writeMu.Unlock()
-	if err != nil {
-		c.abandon(id, p)
-		return OKResp{}, err
-	}
-	if err := c.await(id, p, gen, deadline); err != nil {
-		return OKResp{}, err
-	}
-	return c.okOrErr(p)
+func (c *binClient) CallLaunch(req LaunchReq) (OKResp, error) {
+	return exchange(c, req, appendLaunchReq, nil, okReply)
 }
 
 func (c *binClient) Close() error {

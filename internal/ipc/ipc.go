@@ -123,15 +123,42 @@ type Client interface {
 	Close() error
 }
 
-// TypedCaller is the optional fast-path interface of the TCP client:
-// per-message-type calls that skip the `any` boxing of Client.Call on both
-// the request and the response. The cudart remote back end type-asserts for
-// it and falls back to Call when the transport doesn't provide it.
+// TypedCaller is the per-message-type call surface the cudart remote back end
+// programs against. The TCP client implements it without the `any` boxing of
+// Client.Call on request or response; Typed gives it to every other transport.
 type TypedCaller interface {
 	CallH2D(H2DReq) (OKResp, error)
 	CallD2H(D2HReq) (D2HResp, error)
 	CallMemset(MemsetReq) (OKResp, error)
 	CallLaunch(LaunchReq) (OKResp, error)
+}
+
+// Typed returns c's typed calls: its own when it has them, otherwise an
+// adapter that issues each one through c.Call (the pipe transport, test
+// fakes), so callers have one body per operation whatever the transport.
+func Typed(c Client) TypedCaller {
+	if tc, ok := c.(TypedCaller); ok {
+		return tc
+	}
+	return callAdapter{c}
+}
+
+type callAdapter struct{ c Client }
+
+func (a callAdapter) CallH2D(r H2DReq) (OKResp, error)       { return ReplyAs[OKResp](a.c.Call(r)) }
+func (a callAdapter) CallD2H(r D2HReq) (D2HResp, error)      { return ReplyAs[D2HResp](a.c.Call(r)) }
+func (a callAdapter) CallMemset(r MemsetReq) (OKResp, error) { return ReplyAs[OKResp](a.c.Call(r)) }
+func (a callAdapter) CallLaunch(r LaunchReq) (OKResp, error) { return ReplyAs[OKResp](a.c.Call(r)) }
+
+// ReplyAs narrows Client.Call's boxed reply to the kind the request expects.
+// A reply of any other kind is a wire error, as on the typed TCP calls — never
+// a failed type assertion in the guest.
+func ReplyAs[Resp any](resp any, err error) (Resp, error) {
+	r, ok := resp.(Resp)
+	if err == nil && !ok {
+		err = wireError("unexpected response %T", resp)
+	}
+	return r, err
 }
 
 // Err converts an ErrResp or OverloadResp into an error, passing other

@@ -239,7 +239,7 @@ func TestOversizeFrameRefusedBeforeWrite(t *testing.T) {
 	// The largest payload that does fit is not refused by the size check (it
 	// is not sent: encoding the head is enough to know).
 	fits := H2DReq{Data: huge.Data[:maxFrame-64]}
-	if err := checkFrameLen(len(appendH2DHead(nil, 1, fits)) - 4 + len(fits.Data)); err != nil {
+	if _, err := appendH2DHead(nil, 1, fits); err != nil {
 		t.Errorf("a frame under the cap is refused: %v", err)
 	}
 	if _, err := c.(TypedCaller).CallH2D(H2DReq{Dst: 0x100, Data: []byte{1, 2, 3}}); err != nil {
@@ -334,8 +334,9 @@ func TestSplitD2HReadHostileFrames(t *testing.T) {
 			tc := dial(t, func(i int, typ byte, id uint64) []byte {
 				// A well-formed head announcing len(payload)+delta bytes in a
 				// frame that carries len(payload).
-				head := appendD2HRespHead(nil, id, 1, len(payload)+delta)
-				return finishFrame(append(head, payload...))
+				head, _ := appendD2HRespHead(nil, id, 1, len(payload)+delta)
+				frame, _ := finishFrame(append(head, payload...))
+				return frame
 			})
 			_, err := tc.CallD2H(D2HReq{N: len(payload)})
 			wantMalformedDisconnect(t, err)

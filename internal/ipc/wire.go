@@ -117,15 +117,19 @@ func beginFrame(buf []byte, typ byte, id uint64) []byte {
 	return buf
 }
 
-// finishFrame patches the length prefix.
-func finishFrame(buf []byte) []byte { return finishHead(buf, 0) }
+// finishFrame patches the length prefix, refusing a frame over the cap.
+func finishFrame(buf []byte) ([]byte, error) { return finishHead(buf, 0) }
 
-// finishHead patches the length prefix of a frame whose last payload bytes
-// are not in buf: they follow it on the wire (a writev's second element) or
-// sit behind it already (a response frame's tail).
-func finishHead(buf []byte, payload int) []byte {
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4+payload))
-	return buf
+// finishHead is finishFrame for a frame whose last payload bytes are not in
+// buf: they follow it on the wire (a writev's second element) or sit behind it
+// already (a response frame's tail).
+func finishHead(buf []byte, payload int) ([]byte, error) {
+	n := len(buf) - 4 + payload
+	if err := checkFrameLen(n); err != nil {
+		return buf, err
+	}
+	binary.LittleEndian.PutUint32(buf[:4], uint32(n))
+	return buf, nil
 }
 
 func appendInt(buf []byte, v int) []byte       { return binary.AppendVarint(buf, int64(v)) }
@@ -154,9 +158,9 @@ func appendValue(buf []byte, v kpl.Value) []byte {
 }
 
 // appendMsg encodes one request or response body (type byte + id + body)
-// into buf, returning the complete frame. It is the `any`-typed entry used
-// by the server path and the generic client Call; the typed client methods
-// below skip the boxing.
+// into buf, returning the complete frame. It is the `any`-typed encoder of
+// the server path and the generic client Call; the typed client methods hand
+// the per-type encoders below to the same exchange and skip the boxing.
 func appendMsg(buf []byte, id uint64, body any) ([]byte, error) {
 	switch m := body.(type) {
 	case MallocReq:
@@ -169,19 +173,23 @@ func appendMsg(buf []byte, id uint64, body any) ([]byte, error) {
 		buf = beginFrame(buf, msgFreeReq, id)
 		buf = appendUint64(buf, uint64(m.Ptr))
 	case H2DReq:
-		buf = appendH2DHead(buf, id, m)
-		if err := checkFrameLen(len(buf) - 4 + len(m.Data)); err != nil {
+		buf, err := appendH2DHead(buf, id, m)
+		if err != nil {
 			return buf, err
 		}
 		return append(buf, m.Data...), nil
 	case D2HReq:
-		buf = appendD2HReq(buf, id, m)
+		return appendD2HReq(buf, id, m)
 	case D2HResp:
-		buf = append(appendD2HRespHead(buf, id, m.End, len(m.Data)), m.Data...)
+		buf, err := appendD2HRespHead(buf, id, m.End, len(m.Data))
+		if err != nil {
+			return buf, err
+		}
+		return append(buf, m.Data...), nil
 	case MemsetReq:
-		buf = appendMemsetReq(buf, id, m)
+		return appendMemsetReq(buf, id, m)
 	case LaunchReq:
-		buf = appendLaunchReq(buf, id, m)
+		return appendLaunchReq(buf, id, m)
 	case SyncReq:
 		buf = beginFrame(buf, msgSyncReq, id)
 		buf = appendInt(buf, m.Stream)
@@ -212,16 +220,13 @@ func appendMsg(buf []byte, id uint64, body any) ([]byte, error) {
 	default:
 		return buf, fmt.Errorf("ipc: cannot encode %T", body)
 	}
-	if err := checkFrameLen(len(buf) - 4); err != nil {
-		return buf, err
-	}
-	return finishFrame(buf), nil
+	return finishFrame(buf)
 }
 
 // appendH2DHead encodes an H2D frame up to, and not including, its payload
 // bytes; the length prefix already counts them. The payload follows as the
 // second element of a writev, or appended for a single Write.
-func appendH2DHead(buf []byte, id uint64, m H2DReq) []byte {
+func appendH2DHead(buf []byte, id uint64, m H2DReq) ([]byte, error) {
 	buf = beginFrame(buf, msgH2DReq, id)
 	buf = appendInt(buf, m.Stream)
 	buf = appendUint64(buf, uint64(m.Dst))
@@ -231,12 +236,13 @@ func appendH2DHead(buf []byte, id uint64, m H2DReq) []byte {
 }
 
 func appendH2DReq(buf []byte, id uint64, m H2DReq) []byte {
-	return append(appendH2DHead(buf, id, m), m.Data...)
+	buf, _ = appendH2DHead(buf, id, m)
+	return append(buf, m.Data...)
 }
 
 // appendD2HRespHead encodes a D2HResp frame up to, and not including, its n
 // payload bytes; the length prefix already counts them.
-func appendD2HRespHead(buf []byte, id uint64, end float64, n int) []byte {
+func appendD2HRespHead(buf []byte, id uint64, end float64, n int) ([]byte, error) {
 	buf = beginFrame(buf, msgD2HResp, id)
 	buf = appendFloat64(buf, end)
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -282,13 +288,13 @@ func (m D2HResp) wireFrame(id uint64) []byte {
 		return nil
 	}
 	var scratch [d2hHeadMax]byte
-	head := appendD2HRespHead(scratch[:], id, m.End, len(m.Data))
+	head, _ := appendD2HRespHead(scratch[:], id, m.End, len(m.Data)) // NewD2HResp sized the frame under the cap
 	start := d2hHeadMax - len(head)
 	copy(fb.b[start:], head)
 	return fb.b[start:]
 }
 
-func appendD2HReq(buf []byte, id uint64, m D2HReq) []byte {
+func appendD2HReq(buf []byte, id uint64, m D2HReq) ([]byte, error) {
 	buf = beginFrame(buf, msgD2HReq, id)
 	buf = appendInt(buf, m.Stream)
 	buf = appendUint64(buf, uint64(m.Src))
@@ -297,7 +303,7 @@ func appendD2HReq(buf []byte, id uint64, m D2HReq) []byte {
 	return finishFrame(buf)
 }
 
-func appendMemsetReq(buf []byte, id uint64, m MemsetReq) []byte {
+func appendMemsetReq(buf []byte, id uint64, m MemsetReq) ([]byte, error) {
 	buf = beginFrame(buf, msgMemsetReq, id)
 	buf = appendInt(buf, m.Stream)
 	buf = appendUint64(buf, uint64(m.Dst))
@@ -307,7 +313,7 @@ func appendMemsetReq(buf []byte, id uint64, m MemsetReq) []byte {
 	return finishFrame(buf)
 }
 
-func appendLaunchReq(buf []byte, id uint64, m LaunchReq) []byte {
+func appendLaunchReq(buf []byte, id uint64, m LaunchReq) ([]byte, error) {
 	buf = beginFrame(buf, msgLaunchReq, id)
 	buf = appendInt(buf, m.Stream)
 	buf = appendString(buf, m.Kernel)

@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -273,6 +274,21 @@ func FuzzWireCodec(f *testing.F) {
 	// D2H responses whose announced payload length is one off the remainder.
 	f.Add([]byte{msgD2HResp, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xAA})
 	f.Add([]byte{msgD2HResp, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xAA, 0xBB})
+	// The extreme offsets and lengths of a hostile guest: they are well-formed
+	// on the wire and must round-trip; the device refuses them.
+	for _, v := range []int{-1, math.MinInt, math.MaxInt} {
+		for _, msg := range []any{
+			H2DReq{Dst: 0x100, Off: v, Data: []byte{1}},
+			D2HReq{Src: 0x100, Off: v, N: v},
+			MemsetReq{Dst: 0x100, Off: v, N: v, Value: 1},
+		} {
+			frame, err := appendMsg(nil, 7, msg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame[4:])
+		}
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		id, body, err := decodeMsg(payload)
 		checkSplitAgrees(t, payload, id, body, err)
@@ -433,6 +449,9 @@ func TestBinaryCallAllocs(t *testing.T) {
 // process, over n calls.
 func allocBytesPerOp(t *testing.T, n int, fn func() error) float64 {
 	t.Helper()
+	// No collection while measuring: one would empty the frame pool, and the
+	// frame made to refill it reads as a payload-sized allocation per call.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/devmem"
+	"repro/internal/hostgpu"
 	"repro/internal/kpl"
 )
 
@@ -25,4 +26,19 @@ func BuildEnv(b *Benchmark, w *Workload) (*kpl.Env, error) {
 		env.Bufs[decl.Name] = devmem.BufferFromBytes(decl.Elem, raw)
 	}
 	return env, nil
+}
+
+// SampleDyn measures a data-dependent kernel's λ statistics on a thread
+// sample over the workload's inputs, materialized outside any device; kernels
+// whose σ is static yield nil. λ is a property of (kernel, workload), not of
+// the VP or device, so a fleet samples once per benchmark.
+func (b *Benchmark) SampleDyn(w *Workload) (*kpl.Stats, error) {
+	if !b.Prog.NeedsDynamicProfile() {
+		return nil, nil
+	}
+	env, err := BuildEnv(b, w)
+	if err != nil {
+		return nil, err
+	}
+	return hostgpu.SampleDyn(b.Kernel, b.Prog, env, nil)
 }
