@@ -5,6 +5,11 @@
 // instance processes the merged data, and the results scatter back to each
 // VP's buffers — functionally identical to four separate launches, but with
 // one launch overhead and four times the concurrent threads.
+//
+// That is what the simulated device does and what the timeline below shows.
+// The host simulating it reserves the regions without filling them, prices
+// the copies without making them, and runs each VP's kernel on the VP's own
+// buffers (DESIGN.md §5).
 package main
 
 import (
@@ -78,7 +83,8 @@ func main() {
 	}
 	fmt.Printf("Kernel Match: 4 identical vectorAdd launches (key %#x)\n", key)
 
-	// Merge and execute: gather D2D copies → one kernel → scatter.
+	// Merge and execute: gather D2D copies → one kernel → scatter on the
+	// simulated clock; on the host, the four kernels in place.
 	merged := coalesce.Merge(g, jobs)
 	if err := merged.Run(g); err != nil {
 		log.Fatal(err)

@@ -3,6 +3,7 @@ package coalesce
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strconv"
 
 	"repro/internal/arch"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
 	"repro/internal/kpl"
+	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/sched"
 )
@@ -144,9 +146,14 @@ func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (arch.ClassVec, []cache
 // constituents. Merging wins when the per-VP grids undersubscribe the device
 // or waste alignment (Fig. 10a); it loses when each launch already saturates
 // the device and the D2D traffic is pure overhead — which is how the paper's
-// coalescing-unfriendly applications behave.
+// coalescing-unfriendly applications behave. A group whose merged regions do
+// not fit in the device's free memory is refused as well: merged, all of its
+// members would fail with the region's out-of-memory error, where each alone
+// runs. (Headroom can still shrink between this plan and the run; runMerged
+// keeps its error path for that.)
 func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 	var sumSeconds, d2dBytes float64
+	var regionBytes int64
 	for _, m := range members {
 		// The trial timing rides the device's launch-signature cache, so the
 		// win predictor prices repeated identical launches in O(1).
@@ -158,6 +165,7 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 		for _, decl := range m.Launch.Kernel.Bufs {
 			if ptr, ok := m.Launch.Bindings[decl.Name]; ok {
 				if size, err := g.Mem.Size(ptr); err == nil {
+					regionBytes += int64(size)
 					d2dBytes += float64(size) // gather
 					if !decl.ReadOnly {
 						d2dBytes += float64(size) // scatter
@@ -165,6 +173,9 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 				}
 			}
 		}
+	}
+	if regionBytes > g.Mem.Headroom() {
+		return false
 	}
 	sigma, accs, grid, err := mergedPricing(g, members)
 	if err != nil {
@@ -183,17 +194,13 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 	return mergedSeconds < sumSeconds
 }
 
-// piece records one constituent of a merged launch.
-type piece struct {
-	job     *sched.Job
-	offsets map[string]int // byte offset of this piece in each merged buffer
-	sizes   map[string]int
-}
-
-// Merge builds the coalesced job for a group of matching kernel jobs. Its
-// execution: device-to-device gathers of every input chunk into the merged
-// contiguous buffers (Fig. 5), one kernel launch over grid = Σ grids whose σ
-// is the sum of the constituents', then scatters of the written chunks back.
+// Merge builds the coalesced job for a group of matching kernel jobs. On the
+// simulated device it is the paper's sequence: device-to-device gathers of
+// every input chunk into the merged contiguous regions (Fig. 5), one kernel
+// launch over grid = Σ grids whose σ is the sum of the constituents', then
+// scatters of the written chunks back. The host pays for the kernels alone:
+// the regions are reserved, not filled, the copies priced, not made, and each
+// member's kernel runs in place on the member's own allocations (runPieces).
 // The member jobs are finished with their share of the result.
 func Merge(g *hostgpu.GPU, members []*sched.Job) *sched.Job {
 	first := members[0].Launch
@@ -214,13 +221,13 @@ func Merge(g *hostgpu.GPU, members []*sched.Job) *sched.Job {
 func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	first := members[0].Launch
 	kernel := first.Kernel
+	nb := len(kernel.Bufs)
 
-	// Plan the merged buffers.
-	pieces := make([]*piece, len(members))
-	mergedSize := map[string]int{}
+	// Plan the merged regions: chunk[i*nb+b] is member i's bytes of buffer b.
+	chunk := make([]int, len(members)*nb)
+	regionSize := make([]int, nb)
 	for i, m := range members {
-		p := &piece{job: m, offsets: map[string]int{}, sizes: map[string]int{}}
-		for _, decl := range kernel.Bufs {
+		for b, decl := range kernel.Bufs {
 			ptr, ok := m.Launch.Bindings[decl.Name]
 			if !ok {
 				return fmt.Errorf("coalesce: %s: vp%d missing buffer %q", kernel.Name, m.VP, decl.Name)
@@ -229,35 +236,33 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 			if err != nil {
 				return err
 			}
-			p.offsets[decl.Name] = mergedSize[decl.Name]
-			p.sizes[decl.Name] = size
-			mergedSize[decl.Name] += size
+			chunk[i*nb+b] = size
+			regionSize[b] += size
 		}
-		pieces[i] = p
 	}
 
-	mergedPtr := map[string]devmem.Ptr{}
+	// The regions take device capacity and address space for the length of
+	// the job — a group that does not fit fails here, in either exec mode —
+	// but no host bytes: nothing reads them.
+	regions := make(map[string]devmem.Ptr, nb)
 	defer func() {
-		for _, ptr := range mergedPtr {
-			_ = gpu.Mem.Free(ptr)
+		for _, ptr := range regions {
+			_ = gpu.Mem.Free(ptr) // reserved below, freed once: cannot fail
 		}
 	}()
-	for _, decl := range kernel.Bufs {
-		ptr, err := gpu.Mem.Alloc(mergedSize[decl.Name])
+	for b, decl := range kernel.Bufs {
+		ptr, err := gpu.Mem.Reserve(regionSize[b])
 		if err != nil {
 			return fmt.Errorf("coalesce: %s: merged %q: %w", kernel.Name, decl.Name, err)
 		}
-		mergedPtr[decl.Name] = ptr
+		regions[decl.Name] = ptr
 	}
 
-	// Gather: D2D copies of every chunk into the contiguous region.
+	// Gather: a D2D copy of every chunk into its region, priced.
 	stream := -1 - mj.VP
-	for _, p := range pieces {
-		for _, decl := range kernel.Bufs {
-			src := p.job.Launch.Bindings[decl.Name]
-			if _, err := gpu.CopyD2D(stream, mergedPtr[decl.Name], p.offsets[decl.Name], src, 0, p.sizes[decl.Name]); err != nil {
-				return err
-			}
+	for i := range members {
+		for b := range kernel.Bufs {
+			gpu.ChargeD2D(stream, chunk[i*nb+b])
 		}
 	}
 
@@ -276,46 +281,11 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 		SharedMemPerBlock: first.SharedMemPerBlock,
 		RegsPerThread:     first.RegsPerThread,
 		Params:            first.Params,
-		Bindings:          mergedPtr,
+		Bindings:          regions,
 		SigmaOverride:     &sigma,
 		AccessesOverride:  accesses,
 		ExecOverride: func(mem *devmem.Mem) error {
-			// Execute each constituent on its slice of the merged buffers,
-			// preserving per-VP semantics exactly.
-			for _, p := range pieces {
-				env := &kpl.Env{
-					NThreads: p.job.Launch.Threads(),
-					Params:   p.job.Launch.Params,
-					Bufs:     map[string]*kpl.Buffer{},
-				}
-				if env.Params == nil {
-					env.Params = map[string]kpl.Value{}
-				}
-				for i := range kernel.Bufs {
-					decl := &kernel.Bufs[i]
-					buf, err := mem.BindParamRange(mergedPtr[decl.Name], p.offsets[decl.Name], p.sizes[decl.Name], decl)
-					if err != nil {
-						return err
-					}
-					env.Bufs[decl.Name] = buf
-				}
-				if p.job.Launch.Native != nil {
-					if err := p.job.Launch.Native(env); err != nil {
-						return err
-					}
-				} else if err := kernel.ExecBlocks(env, nil, p.job.Launch.Block, gpu.Workers); err != nil {
-					return err
-				}
-				for _, decl := range kernel.Bufs {
-					if decl.ReadOnly {
-						continue
-					}
-					if err := mem.WriteBufferRange(mergedPtr[decl.Name], p.offsets[decl.Name], env.Bufs[decl.Name]); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
+			return runPieces(mem, gpu.Workers, members)
 		},
 	}
 
@@ -326,20 +296,16 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	mj.Interval = iv
 	mj.Profile = prof
 
-	// Scatter: written chunks go back to each VP's allocations.
+	// Scatter: written chunks go back to each VP's allocations, priced.
 	totalThreads := float64(merged.Threads())
-	for _, p := range pieces {
-		for _, decl := range kernel.Bufs {
-			if decl.ReadOnly {
-				continue
-			}
-			dst := p.job.Launch.Bindings[decl.Name]
-			if _, err := gpu.CopyD2D(stream, dst, 0, mergedPtr[decl.Name], p.offsets[decl.Name], p.sizes[decl.Name]); err != nil {
-				return err
+	for i, m := range members {
+		for b, decl := range kernel.Bufs {
+			if !decl.ReadOnly {
+				gpu.ChargeD2D(stream, chunk[i*nb+b])
 			}
 		}
 		// Each member receives a thread-proportional share of the profile.
-		share := float64(p.job.Launch.Threads()) / totalThreads
+		share := float64(m.Launch.Threads()) / totalThreads
 		pp := *prof
 		pp.Sigma = prof.Sigma.Scale(share)
 		pp.Cycles *= share
@@ -350,13 +316,46 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 		pp.CacheMisses *= share
 		pp.TimeSec *= share
 		pp.EnergyJ *= share
-		pp.Shape = profile.LaunchShape{
-			Grid:              p.job.Launch.Grid,
-			Block:             p.job.Launch.Block,
-			SharedMemPerBlock: p.job.Launch.SharedMemPerBlock,
-			RegsPerThread:     p.job.Launch.RegsPerThread,
+		pp.Shape = m.Launch.Shape()
+		m.Profile = &pp
+	}
+	return nil
+}
+
+// runPieces is the functional half of a merged launch: every member's kernel
+// on the member's own allocations, bound by the unmerged launch's rule
+// (hostgpu.Launch.Bind: read-only parameters are views, writable ones private
+// copies), so each member computes exactly what it would have alone. The
+// pieces are independent — their writes go to private copies and no device
+// byte changes while a view is live — so they fan out over the device's
+// worker budget; a piece without native code interprets its blocks on the
+// share of the budget its goroutine stands for. The merge stays
+// all-or-nothing: nothing is written back until every piece has run without
+// error, then the write-backs go in member order (the scatter's order, which
+// decides who wins when two members share a writable allocation), and the
+// error returned is the lowest-index piece's, as from a serial loop.
+func runPieces(mem *devmem.Mem, workers int, members []*sched.Job) error {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	fan := min(workers, len(members))
+	envs := make([]*kpl.Env, len(members))
+	err := par.ForEach(len(members), fan, func(i int) error {
+		l := members[i].Launch
+		env, err := l.Bind("hostgpu", mem)
+		if err != nil {
+			return err
 		}
-		p.job.Profile = &pp
+		envs[i] = env
+		return l.Run("hostgpu", env, nil, workers/fan)
+	})
+	if err != nil {
+		return err
+	}
+	for i, m := range members {
+		if err := m.Launch.WriteBack(mem, envs[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

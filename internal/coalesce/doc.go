@@ -11,4 +11,12 @@
 // per-VP grids each wasted one (data alignment), and the extra parallelism
 // of the merged grid when the constituents undersubscribe the device
 // (Fig. 10a).
+//
+// That sequence is what the simulated device is charged for. The host does
+// only what needs no modelling: the merged regions are reserved in device
+// memory without backing bytes (devmem.Mem.Reserve), the gather and scatter
+// copies are priced and not made (hostgpu.GPU.ChargeD2D), and in ExecFull each
+// member's kernel runs in place on the member's own allocations, the pieces
+// fanned out over the device's worker budget. A merged launch is
+// all-or-nothing: no member's memory changes unless every piece succeeded.
 package coalesce

@@ -45,6 +45,7 @@ type Mem struct {
 	mu       sync.Mutex
 	next     Ptr
 	allocs   map[Ptr][]byte
+	unbacked map[Ptr]int // reservations (Reserve): ptr → size; they have no bytes
 	reserved map[Ptr]Ptr // ptr → aligned span length in the address space
 	free     []span      // address-sorted, coalesced free regions
 	used     int64
@@ -56,6 +57,7 @@ func New(capacity int64) *Mem {
 	return &Mem{
 		next:     base,
 		allocs:   map[Ptr][]byte{},
+		unbacked: map[Ptr]int{},
 		reserved: map[Ptr]Ptr{},
 		capacity: capacity,
 	}
@@ -71,7 +73,20 @@ func alignSpan(n int) Ptr { return Ptr((n + 255) &^ 255) }
 // reused first-fit from freed regions; the bump pointer only grows when no
 // freed region fits, so a long-running alloc/free churn stays bounded.
 // Requests outside [1, maxAlloc] fail with ErrBadAllocSize.
-func (m *Mem) Alloc(n int) (Ptr, error) {
+func (m *Mem) Alloc(n int) (Ptr, error) { return m.alloc(n, true) }
+
+// Reserve is Alloc without the bytes: the same checks, errors, first-fit
+// address and accounting (Used, Headroom, HighWater, Size, Free), but no
+// backing store, so it costs the host nothing however large n is. Every byte
+// access to a reservation — Write, Fill, Read, Copy, a kernel binding — is an
+// error. The coalescer reserves a merged launch's contiguous regions with it
+// (they occupy device capacity and address space for the length of the job,
+// and nothing ever reads them); a reservation must be freed before the job
+// ends, so Export never meets one.
+func (m *Mem) Reserve(n int) (Ptr, error) { return m.alloc(n, false) }
+
+// alloc is the one body of Alloc (backed) and Reserve (not).
+func (m *Mem) alloc(n int, backed bool) (Ptr, error) {
 	if n <= 0 || n > maxAlloc {
 		return 0, fmt.Errorf("devmem: alloc of %d bytes: %w", n, ErrBadAllocSize)
 	}
@@ -103,7 +118,11 @@ func (m *Mem) Alloc(n int) (Ptr, error) {
 		p = m.next
 		m.next += need
 	}
-	m.allocs[p] = make([]byte, n)
+	if backed {
+		m.allocs[p] = make([]byte, n)
+	} else {
+		m.unbacked[p] = n
+	}
 	m.reserved[p] = need
 	m.used += int64(n)
 	return p, nil
@@ -215,12 +234,13 @@ func (m *Mem) Replay(entries []Entry) error {
 func (m *Mem) Free(p Ptr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.allocs[p]
+	n, ok := m.sizeOf(p)
 	if !ok {
 		return fmt.Errorf("devmem: free of invalid pointer %#x", uint64(p))
 	}
-	m.used -= int64(len(b))
+	m.used -= int64(n)
 	delete(m.allocs, p)
+	delete(m.unbacked, p)
 	size := m.reserved[p]
 	delete(m.reserved, p)
 	m.insertFree(span{addr: p, size: size})
@@ -264,15 +284,37 @@ func (m *Mem) insertFree(s span) {
 	m.free[i] = s
 }
 
-// Size returns the byte length of the allocation at p.
+// Size returns the byte length of the allocation or reservation at p.
 func (m *Mem) Size(p Ptr) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.allocs[p]
+	n, ok := m.sizeOf(p)
 	if !ok {
 		return 0, fmt.Errorf("devmem: size of invalid pointer %#x", uint64(p))
 	}
-	return len(b), nil
+	return n, nil
+}
+
+// sizeOf looks p up among allocations and reservations. The caller holds mu.
+func (m *Mem) sizeOf(p Ptr) (int, bool) {
+	if b, ok := m.allocs[p]; ok {
+		return len(b), true
+	}
+	n, ok := m.unbacked[p]
+	return n, ok
+}
+
+// backing returns the bytes of the allocation at p for the named access
+// ("write to", "read from", …). A reservation has none, so touching it is an
+// error like touching a pointer never handed out. The caller holds mu.
+func (m *Mem) backing(p Ptr, access string) ([]byte, error) {
+	if b, ok := m.allocs[p]; ok {
+		return b, nil
+	}
+	if _, ok := m.unbacked[p]; ok {
+		return nil, fmt.Errorf("devmem: %s reservation %#x, which has no bytes", access, uint64(p))
+	}
+	return nil, fmt.Errorf("devmem: %s invalid pointer %#x", access, uint64(p))
 }
 
 // Used returns the total allocated bytes.
@@ -318,9 +360,9 @@ func InRange(off, n, size int) bool {
 func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.allocs[p]
-	if !ok {
-		return fmt.Errorf("devmem: write to invalid pointer %#x", uint64(p))
+	b, err := m.backing(p, "write to")
+	if err != nil {
+		return err
 	}
 	if !InRange(off, len(data), len(b)) {
 		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), len(b))
@@ -336,9 +378,9 @@ func (m *Mem) Write(p Ptr, off int, data []byte) error {
 func (m *Mem) Fill(p Ptr, off, n int, value byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.allocs[p]
-	if !ok {
-		return fmt.Errorf("devmem: fill of invalid pointer %#x", uint64(p))
+	b, err := m.backing(p, "fill of")
+	if err != nil {
+		return err
 	}
 	if !InRange(off, n, len(b)) {
 		return fmt.Errorf("devmem: fill of %d bytes at %d outside allocation of %d bytes", n, off, len(b))
@@ -374,9 +416,9 @@ func (m *Mem) ReadInto(p Ptr, off int, dst []byte) error {
 func (m *Mem) read(p Ptr, off, n int, dst []byte) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.allocs[p]
-	if !ok {
-		return nil, fmt.Errorf("devmem: read from invalid pointer %#x", uint64(p))
+	b, err := m.backing(p, "read from")
+	if err != nil {
+		return nil, err
 	}
 	if !InRange(off, n, len(b)) {
 		return nil, fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", off, off+n, len(b))
@@ -394,16 +436,16 @@ func (m *Mem) read(p Ptr, off, n int, dst []byte) ([]byte, error) {
 func (m *Mem) Copy(dst Ptr, dstOff int, src Ptr, srcOff, n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	from, ok := m.allocs[src]
-	if !ok {
-		return fmt.Errorf("devmem: read from invalid pointer %#x", uint64(src))
+	from, err := m.backing(src, "read from")
+	if err != nil {
+		return err
 	}
 	if !InRange(srcOff, n, len(from)) {
 		return fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", srcOff, srcOff+n, len(from))
 	}
-	to, ok := m.allocs[dst]
-	if !ok {
-		return fmt.Errorf("devmem: write to invalid pointer %#x", uint64(dst))
+	to, err := m.backing(dst, "write to")
+	if err != nil {
+		return err
 	}
 	if !InRange(dstOff, n, len(to)) {
 		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", dstOff, dstOff+n, len(to))
@@ -417,11 +459,7 @@ func (m *Mem) Copy(dst Ptr, dstOff int, src Ptr, srcOff, n int) error {
 func (m *Mem) bind(p Ptr) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.allocs[p]
-	if !ok {
-		return nil, fmt.Errorf("devmem: bind of invalid pointer %#x", uint64(p))
-	}
-	return b, nil
+	return m.backing(p, "bind of")
 }
 
 // BindBuffer decodes the allocation at p as a typed kernel buffer. The buffer

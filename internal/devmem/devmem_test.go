@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -452,31 +454,117 @@ func TestFillBounds(t *testing.T) {
 // TestRangeChecksNeverWrap: every entry point that takes a guest offset and a
 // length refuses a pair whose sum wraps (off+n < 0 slips past off+n > size)
 // as it refuses any other out-of-range pair — with an error, not by slicing
-// out of range — and leaves the bytes alone.
+// out of range — and leaves the bytes alone. A reservation has no bytes, so it
+// refuses the same entry points at every offset, in range or not, and its
+// accounting stays as Reserve left it.
 func TestRangeChecksNeverWrap(t *testing.T) {
 	m := New(1 << 20)
 	p, _ := m.Alloc(16)
 	q, _ := m.Alloc(16)
+	r, _ := m.Reserve(16)
+	used, headroom, high := m.Used(), m.Headroom(), m.HighWater()
 	decl := &kpl.BufDecl{Name: "b", Elem: kpl.I32}
 	buf := kpl.NewBuffer(kpl.I32, 1)
+	// refused makes every byte access of four bytes at off of target.
+	refused := func(target Ptr, off int) map[string]error {
+		_, read := m.Read(target, off, 4)
+		_, bind := m.BindParamRange(target, off, 4, decl)
+		return map[string]error{
+			"Write":            m.Write(target, off, []byte{1, 2, 3, 4}),
+			"Fill":             m.Fill(target, off, 4, 1),
+			"Read":             read,
+			"ReadInto":         m.ReadInto(target, off, make([]byte, 4)),
+			"Copy src":         m.Copy(q, 0, target, off, 4),
+			"Copy dst":         m.Copy(target, off, q, 0, 4),
+			"BindParamRange":   bind,
+			"WriteBufferRange": m.WriteBufferRange(target, off, buf),
+		}
+	}
 	for _, off := range []int{math.MaxInt, math.MaxInt - 3, math.MinInt, -1, 16, 13} {
-		for name, err := range map[string]error{
-			"Write":            m.Write(p, off, []byte{1, 2, 3, 4}),
-			"Copy src":         m.Copy(q, 0, p, off, 4),
-			"Copy dst":         m.Copy(q, off, p, 0, 4),
-			"WriteBufferRange": m.WriteBufferRange(p, off, buf),
-		} {
+		for name, err := range refused(p, off) {
 			if err == nil {
 				t.Errorf("%s at offset %d of 16 bytes accepted", name, off)
 			}
 		}
-		if _, err := m.BindParamRange(p, off, 4, decl); err == nil {
-			t.Errorf("BindParamRange at offset %d of 16 bytes accepted", off)
+	}
+	for _, off := range []int{0, 12, 13, -1, math.MaxInt} {
+		for name, err := range refused(r, off) {
+			if err == nil {
+				t.Errorf("%s at offset %d of a reservation accepted", name, off)
+			}
 		}
+	}
+	_, bindParam := m.BindParam(r, &kpl.BufDecl{Name: "v", Elem: kpl.I32, ReadOnly: true})
+	_, bindBuffer := m.BindBuffer(r, kpl.I32)
+	if bindParam == nil || bindBuffer == nil || m.WriteBuffer(r, buf) == nil {
+		t.Errorf("kernel binding of a reservation accepted: BindParam %v, BindBuffer %v", bindParam, bindBuffer)
 	}
 	for _, ptr := range []Ptr{p, q} {
 		if got, _ := m.Read(ptr, 0, 16); !bytes.Equal(got, make([]byte, 16)) {
 			t.Fatalf("refused operations changed memory: % x", got)
+		}
+	}
+	if n, err := m.Size(r); n != 16 || err != nil {
+		t.Errorf("Size of the reservation = %d, %v", n, err)
+	}
+	if m.Used() != used || m.Headroom() != headroom || m.HighWater() != high {
+		t.Errorf("refused operations changed the accounting: used %d→%d, headroom %d→%d, high water %#x→%#x",
+			used, m.Used(), headroom, m.Headroom(), uint64(high), uint64(m.HighWater()))
+	}
+	if len(m.Export()) != 2 {
+		t.Errorf("Export lists %d entries, want the two allocations", len(m.Export()))
+	}
+	if err := m.Free(r); err != nil || m.Used() != 32 {
+		t.Errorf("Free of the reservation: %v, used %d", err, m.Used())
+	}
+}
+
+// TestReserveIsAllocWithoutBytes replays random alloc/free sequences on two
+// arenas, the second with Reserve in Alloc's place at random positions: every
+// pointer, error text, Used, Headroom, HighWater, Size and the free list agree
+// step by step, for requests that fit, that exceed the headroom and that are
+// malformed.
+func TestReserveIsAllocWithoutBytes(t *testing.T) {
+	sizes := []int{1, 100, 256, 257, 4096, 1 << 16, 0, -3, math.MaxInt, 1 << 21}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := New(1<<20), New(1<<20)
+		var live []Ptr
+		for step := 0; step < 400; step++ {
+			if len(live) > 0 && rng.Intn(5) < 2 {
+				i := rng.Intn(len(live))
+				errA, errB := a.Free(live[i]), b.Free(live[i])
+				if errA != nil || errB != nil {
+					t.Fatalf("seed %d step %d: Free: %v / %v", seed, step, errA, errB)
+				}
+				live = append(live[:i], live[i+1:]...)
+			} else {
+				n := sizes[rng.Intn(len(sizes))]
+				pa, errA := a.Alloc(n)
+				request := b.Alloc
+				if rng.Intn(2) == 0 {
+					request = b.Reserve
+				}
+				pb, errB := request(n)
+				if pa != pb || (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) ||
+					errors.Is(errA, ErrBadAllocSize) != errors.Is(errB, ErrBadAllocSize) {
+					t.Fatalf("seed %d step %d: request of %d: %#x, %v / %#x, %v", seed, step, n, uint64(pa), errA, uint64(pb), errB)
+				}
+				if errA == nil {
+					live = append(live, pa)
+					if sa, _ := a.Size(pa); sa != n {
+						t.Fatalf("seed %d step %d: Size %d, want %d", seed, step, sa, n)
+					}
+					if sb, err := b.Size(pb); sb != n || err != nil {
+						t.Fatalf("seed %d step %d: Size %d, %v, want %d", seed, step, sb, err, n)
+					}
+				}
+			}
+			if a.Used() != b.Used() || a.Headroom() != b.Headroom() || a.HighWater() != b.HighWater() ||
+				!slices.Equal(a.free, b.free) {
+				t.Fatalf("seed %d step %d: arenas diverged: used %d/%d, high water %#x/%#x, free %v/%v",
+					seed, step, a.Used(), b.Used(), uint64(a.HighWater()), uint64(b.HighWater()), a.free, b.free)
+			}
 		}
 	}
 }

@@ -3,7 +3,8 @@ package experiments
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // The concurrent experiment harness: independent (benchmark × config) cells
@@ -36,44 +37,9 @@ func Workers() int {
 	return workerCount
 }
 
-// forEach runs fn(0) … fn(n-1) on min(Workers, n) goroutines and returns the
-// lowest-index error — the same error the serial loop would surface. fn must
-// write its result into a caller-owned slot for index i; slots make the
-// result ordering deterministic regardless of completion order.
+// forEach runs fn(0) … fn(n-1) on the harness pool (par.ForEach over
+// Workers() goroutines): the lowest-index error is returned, and fn must
+// write its result into a caller-owned slot for index i.
 func forEach(n int, fn func(i int) error) error {
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	next := int64(-1)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return par.ForEach(n, Workers(), fn)
 }

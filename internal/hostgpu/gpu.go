@@ -68,7 +68,9 @@ type Launch struct {
 	Dyn *kpl.Stats
 
 	// Native optionally supplies compiled semantics for ExecFull mode; the
-	// interpreter is the fallback.
+	// interpreter is the fallback. It must be safe for concurrent calls on
+	// distinct environments: the pieces of a coalesced launch run it side by
+	// side.
 	Native func(env *kpl.Env) error
 
 	// SigmaOverride, when non-nil, bypasses σ derivation — used by Kernel
@@ -81,8 +83,9 @@ type Launch struct {
 	AccessesOverride []cachemodel.Access
 
 	// ExecOverride, when non-nil, replaces kernel execution entirely in
-	// ExecFull mode (the coalescer runs each constituent piece on its slice
-	// of the merged buffers). It receives the owning device's memory.
+	// ExecFull mode (the coalescer runs each constituent piece in place, on
+	// its member's own allocations). It receives the owning device's memory,
+	// and its error is returned as it is.
 	ExecOverride func(mem *devmem.Mem) error
 }
 
@@ -240,6 +243,15 @@ func (g *GPU) schedule(engine string, stream int, dur float64, label string) Int
 	return Interval{Start: start, End: end}
 }
 
+// sizeLabel is the timeline label of an n-byte operation ("H2D 4096B"). Only
+// a trace reads labels, so without one nothing is formatted.
+func (g *GPU) sizeLabel(op string, n int) string {
+	if g.Trace == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s %dB", op, n)
+}
+
 // CopyH2D transfers src into device memory at dst+off through the copy
 // engine and returns the transfer interval. In timing-only mode the bytes
 // are not materialized (bounds are still checked).
@@ -256,7 +268,7 @@ func (g *GPU) CopyH2D(stream int, dst devmem.Ptr, off int, src []byte) (Interval
 		return Interval{}, err
 	}
 	dur := CopyTime(&g.Arch, len(src))
-	return g.schedule(EngineH2D, stream, dur, fmt.Sprintf("H2D %dB", len(src))), nil
+	return g.schedule(EngineH2D, stream, dur, g.sizeLabel("H2D", len(src))), nil
 }
 
 // CopyD2H transfers n bytes from device memory at src+off back to the host:
@@ -287,7 +299,7 @@ func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int, dst []byte) ([]byt
 		}
 	}
 	dur := CopyTime(&g.Arch, n)
-	iv := g.schedule(EngineD2H, stream, dur, fmt.Sprintf("D2H %dB", n))
+	iv := g.schedule(EngineD2H, stream, dur, g.sizeLabel("D2H", n))
 	return data, iv, nil
 }
 
@@ -310,7 +322,7 @@ func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) 
 	if g.Mode == ExecFull {
 		if l.ExecOverride != nil {
 			if err := l.ExecOverride(g.Mem); err != nil {
-				return nil, Interval{}, fmt.Errorf("hostgpu: %s: %w", l.Kernel.Name, err)
+				return nil, Interval{}, err
 			}
 		} else {
 			env, err := l.Bind("hostgpu", g.Mem)
@@ -419,7 +431,9 @@ func SampleDyn(k *kpl.Kernel, prog *kir.Program, env *kpl.Env, dyn *kpl.Stats) (
 // parameters as views of the allocation, writable ones as private copies that
 // Exec writes back on success (devmem.Mem.BindParam). Bind and Exec are the
 // functional half of a launch on any device model; who ("hostgpu", "emul")
-// prefixes their errors.
+// prefixes their errors. The coalescer runs each piece of a merged launch
+// through Bind and Exec's two halves, Run and WriteBack, with every Run before
+// any WriteBack.
 func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
 	env := &kpl.Env{NThreads: l.Threads(), Params: l.Params, Bufs: map[string]*kpl.Buffer{}}
 	if env.Params == nil {
@@ -440,18 +454,32 @@ func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
 	return env, nil
 }
 
-// Exec runs the kernel's semantics over env (from Bind) — the native
+// Exec is Run, then WriteBack when the kernel returned without error.
+func (l *Launch) Exec(who string, mem *devmem.Mem, env *kpl.Env, st *kpl.Stats, workers int) error {
+	if err := l.Run(who, env, st, workers); err != nil {
+		return err
+	}
+	return l.WriteBack(mem, env)
+}
+
+// Run runs the kernel's semantics over env (from Bind) — the native
 // implementation when the launch has one, otherwise its thread blocks fanned
 // out over workers, bit-identical to serial interpretation and counted into st
-// when that is non-nil — and writes the writable buffers back to device memory.
-func (l *Launch) Exec(who string, mem *devmem.Mem, env *kpl.Env, st *kpl.Stats, workers int) error {
+// when that is non-nil. It touches env only: device memory is as it was until
+// WriteBack.
+func (l *Launch) Run(who string, env *kpl.Env, st *kpl.Stats, workers int) error {
 	if l.Native != nil {
 		if err := l.Native(env); err != nil {
 			return fmt.Errorf("%s: %s: native execution: %w", who, l.Kernel.Name, err)
 		}
-	} else if err := l.Kernel.ExecBlocks(env, st, l.Block, workers); err != nil {
-		return err
+		return nil
 	}
+	return l.Kernel.ExecBlocks(env, st, l.Block, workers)
+}
+
+// WriteBack stores env's writable buffers into the device allocations they
+// were bound from.
+func (l *Launch) WriteBack(mem *devmem.Mem, env *kpl.Env) error {
 	for _, decl := range l.Kernel.Bufs {
 		if decl.ReadOnly {
 			continue
@@ -517,20 +545,17 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 		return Interval{}, err
 	}
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
-	return g.schedule(EngineCompute, stream, dur, fmt.Sprintf("memset %dB", n)), nil
+	return g.schedule(EngineCompute, stream, dur, g.sizeLabel("memset", n)), nil
 }
 
-// CopyD2D moves n bytes between two device allocations through device
-// memory at MemBW (the memory-chunk merge of Kernel Coalescing, paper
-// Fig. 5). In timing-only mode no bytes move.
-func (g *GPU) CopyD2D(stream int, dst devmem.Ptr, dstOff int, src devmem.Ptr, srcOff, n int) (Interval, error) {
-	if g.Mode != ExecTimingOnly {
-		if err := g.Mem.Copy(dst, dstOff, src, srcOff, n); err != nil {
-			return Interval{}, err
-		}
-	}
+// ChargeD2D prices a copy of n bytes between two device allocations through
+// device memory at MemBW — one chunk of the memory merge of Kernel Coalescing
+// (paper Fig. 5) — and moves nothing: the simulated device pays for the
+// gather and the scatter, while the host runs each piece of a merged launch on
+// the member's own allocations.
+func (g *GPU) ChargeD2D(stream, n int) Interval {
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
-	return g.schedule(EngineH2D, stream, dur, fmt.Sprintf("D2D %dB", n)), nil
+	return g.schedule(EngineH2D, stream, dur, g.sizeLabel("D2D", n))
 }
 
 // SyncStream returns the simulated time at which all work submitted to the

@@ -1,7 +1,9 @@
 package hostgpu
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -564,5 +566,44 @@ func TestMemsetRejectsHostileCounts(t *testing.T) {
 		if _, err := g.Memset(0, p, 0, 64, 0xFF); err != nil {
 			t.Errorf("mode %v: in-range Memset after refusals: %v", mode, err)
 		}
+	}
+}
+
+// TestOpLabelsOnlyUnderTrace: the size label of a copy, a memset and a D2D
+// charge reads as it always has on the timeline, and without a trace nobody
+// reads it, so it is not built — the charge, which a merged launch of eight
+// members makes 32 times, allocates nothing. The charge moves no bytes either.
+func TestOpLabelsOnlyUnderTrace(t *testing.T) {
+	g := newQuadro(t)
+	g.Trace = trace.New()
+	p, _ := g.Mem.Alloc(16)
+	if _, err := g.CopyH2D(1, p, 0, make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.CopyD2H(1, p, 0, 16, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Memset(1, p, 0, 16, 7); err != nil {
+		t.Fatal(err)
+	}
+	iv := g.ChargeD2D(1, 16)
+	if want := 16 / (g.Arch.MemBWGBps * 1e9); math.Abs(iv.Duration()-want) > 1e-18 {
+		t.Errorf("D2D charge of 16 bytes lasts %g s, want %g", iv.Duration(), want)
+	}
+	var labels []string
+	for _, r := range g.Trace.Records() {
+		labels = append(labels, r.Engine+":"+r.Label)
+	}
+	want := []string{"h2d:H2D 16B", "d2h:D2H 16B", "compute:memset 16B", "h2d:D2D 16B"}
+	if !slices.Equal(labels, want) {
+		t.Errorf("timeline labels %q, want %q", labels, want)
+	}
+	if got, _ := g.Mem.Read(p, 0, 16); !bytes.Equal(got, bytes.Repeat([]byte{7}, 16)) {
+		t.Errorf("device bytes after the charge: % x", got)
+	}
+
+	g.Trace = nil
+	if n := testing.AllocsPerRun(100, func() { g.ChargeD2D(1, 4096) }); n != 0 {
+		t.Errorf("an untraced D2D charge allocates %v times, want 0", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/kpl"
@@ -251,6 +252,45 @@ func TestNativeLeavesReadOnlyBuffersUnchanged(t *testing.T) {
 			}
 			if err := kplgen.BuffersEqual(env.Bufs[decl.Name], ref.Bufs[decl.Name]); err != nil {
 				t.Errorf("%s: native kernel wrote to read-only buffer %q: %v", b.Name, decl.Name, err)
+			}
+		}
+	}
+}
+
+// TestNativesRunConcurrentlyOnDistinctEnvs: hostgpu.Launch.Native's contract,
+// which the coalescer's fan-out of merged pieces relies on — a native kernel
+// keeps no state outside its environment, so concurrent calls on distinct
+// environments (run under -race) each give the serial result.
+func TestNativesRunConcurrentlyOnDistinctEnvs(t *testing.T) {
+	for _, b := range All() {
+		if b.Native == nil {
+			continue
+		}
+		w := b.MakeWorkload(1)
+		ref := buildEnv(t, b, w)
+		if err := b.Native(ref); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		envs := make([]*kpl.Env, 4)
+		errs := make([]error, len(envs))
+		var wg sync.WaitGroup
+		for i := range envs {
+			envs[i] = buildEnv(t, b, w)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = b.Native(envs[i])
+			}()
+		}
+		wg.Wait()
+		for i, env := range envs {
+			if errs[i] != nil {
+				t.Fatalf("%s: concurrent call %d: %v", b.Name, i, errs[i])
+			}
+			for name, buf := range env.Bufs {
+				if err := kplgen.BuffersEqual(buf, ref.Bufs[name]); err != nil {
+					t.Errorf("%s: concurrent call %d differs from the serial run in %q: %v", b.Name, i, name, err)
+				}
 			}
 		}
 	}
