@@ -2,9 +2,7 @@ package coalesce
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -18,17 +16,22 @@ import (
 
 // Key fingerprints a kernel launch for the Kernel Match stage: two launches
 // are mergeable when their kernels are structurally identical and their
-// block shapes and scalar parameters agree.
+// block shapes and scalar parameters agree. The kernel's identity is the one
+// its analysis recorded and the parameters go in as raw bits in declaration
+// order (hostgpu.AppendParams), so matching a launch walks no kernel body and
+// allocates nothing.
 func Key(l *hostgpu.Launch) uint64 {
 	var arr [128]byte
-	b := strconv.AppendUint(arr[:0], l.Kernel.Signature(), 16)
+	b := hostgpu.AppendParams(arr[:0], l.Kernel, l.Params)
+	w := kpl.NewHash()
+	w.U64(l.Prog.Identity())
 	for _, n := range [...]int{l.Block, l.SharedMemPerBlock, l.RegsPerThread} {
-		b = strconv.AppendInt(append(b, '/'), int64(n), 10)
+		w.U64(uint64(n))
 	}
-	b = hostgpu.AppendParams(b, l.Params)
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	for _, c := range b {
+		w.Byte(c)
+	}
+	return w.Sum()
 }
 
 // Apply performs the Kernel Match + merge pass over a batch: groups of ≥2

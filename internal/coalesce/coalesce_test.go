@@ -1,12 +1,14 @@
 package coalesce
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
+	"repro/internal/kir"
 	"repro/internal/kpl"
 	"repro/internal/sched"
 )
@@ -159,15 +161,44 @@ func TestKeyMatching(t *testing.T) {
 	if Key(j1.Launch) == Key(j4.Launch) {
 		t.Fatal("different block shapes must not match")
 	}
+	j5, _ := vecAddJob(t, g, 5, 512)
+	j5.Launch.Params["alpha"] = kpl.F32Val(0) // not declared by vectorAdd
+	if Key(j1.Launch) == Key(j5.Launch) {
+		t.Fatal("an extra parameter must not match")
+	}
+	j6, _ := vecAddJob(t, g, 6, 512)
+	j6.Launch.Params["alpha"] = kpl.F32Val(math.Copysign(0, -1))
+	if Key(j5.Launch) == Key(j6.Launch) {
+		t.Fatal("0.0 and -0.0 must not match")
+	}
+	// Cache hints are part of the identity a launch is matched by: the merged
+	// launch is priced from its members' access streams.
+	j7, _ := vecAddJob(t, g, 7, 512)
+	hinted := *j7.Launch.Kernel
+	hinted.Bufs = append([]kpl.BufDecl(nil), hinted.Bufs...)
+	hinted.Bufs[0].L2Fraction = 0.25
+	prog, err := kir.Analyze(&hinted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j7.Launch.Kernel, j7.Launch.Prog = &hinted, prog
+	if Key(j1.Launch) == Key(j7.Launch) {
+		t.Fatal("different cache hints must not match")
+	}
 }
 
-// TestKeyAllocs: Key runs for every kernel job of every batch.
+// TestKeyAllocs: Key runs for every kernel job of every batch, and allocates
+// nothing; a parameter the kernel does not declare costs the sorted tail's
+// slice.
 func TestKeyAllocs(t *testing.T) {
 	g := hostgpu.New(arch.Quadro4000(), 1<<28)
 	j, _ := vecAddJob(t, g, 1, 512)
+	if n := testing.AllocsPerRun(100, func() { _ = Key(j.Launch) }); n != 0 {
+		t.Errorf("Key allocates %v times, want 0", n)
+	}
 	j.Launch.Params["alpha"] = kpl.F32Val(0.5)
 	if n := testing.AllocsPerRun(100, func() { _ = Key(j.Launch) }); n > 1 {
-		t.Errorf("Key allocates %v times, want at most 1", n)
+		t.Errorf("Key with an undeclared parameter allocates %v times, want at most 1", n)
 	}
 }
 

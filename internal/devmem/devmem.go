@@ -489,6 +489,30 @@ func (m *Mem) BindParam(p Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
 	return bindParam(decl, raw), nil
 }
 
+// BindView binds the allocation at p for a caller that only reads it: a typed
+// view wherever BindParam would give a read-only parameter one, else a private
+// copy. Sampling λ binds every parameter this way — the sampler clones the
+// writable ones itself — under the same rule as any view: device memory must
+// not change while it is in use.
+func (m *Mem) BindView(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
+	raw, err := m.bind(p)
+	if err != nil {
+		return nil, err
+	}
+	if v := viewBuffer(t, raw); v != nil {
+		return v, nil
+	}
+	return BufferFromBytes(t, raw), nil
+}
+
+// CheckBind returns the error a bind of p would — an invalid pointer, a
+// reservation — without touching the allocation's bytes: pricing a launch
+// that samples nothing validates its bindings with it.
+func (m *Mem) CheckBind(p Ptr) error {
+	_, err := m.bind(p)
+	return err
+}
+
 // BindParamRange is BindParam over n bytes at offset off of the allocation at
 // p (one VP's slice of a coalesced launch's merged buffer).
 func (m *Mem) BindParamRange(p Ptr, off, n int, decl *kpl.BufDecl) (*kpl.Buffer, error) {

@@ -40,6 +40,7 @@ func Fig3() (*Fig3Result, error) {
 		return nil, err
 	}
 	iters := calibrateBusyIters(&q, prog, 512, 256, tm)
+	payload := make([]byte, copyBytes)
 
 	run := func(interleaved bool) (string, float64, map[string]float64, error) {
 		g := newGPU(q, 1<<32)
@@ -52,7 +53,7 @@ func Fig3() (*Fig3Result, error) {
 		}
 		var batch []*sched.Job
 		for vpID := 0; vpID < 2; vpID++ {
-			p, err := newBusyProgram(g, kernel, prog, copyBytes, iters)
+			p, err := newBusyProgram(g, kernel, prog, payload, iters)
 			if err != nil {
 				return "", 0, nil, err
 			}

@@ -54,14 +54,16 @@ func calibrateBusyIters(g *arch.GPU, prog *kir.Program, grid, block int, targetS
 	return lo
 }
 
-// newBusyProgram provisions one busy program on the device. copyBytes sets
-// Tm; kernelSec sets Tk.
-func newBusyProgram(g *hostgpu.GPU, kernel *kpl.Kernel, prog *kir.Program, copyBytes int, iters int) (*busyProgram, error) {
+// newBusyProgram provisions one busy program on the device. len(payload)
+// sets Tm; iters sets Tk. The devices these programs run on only keep time, so
+// the copy buffer is reserved, not allocated, and the programs of a run share
+// one host payload that nothing reads or writes.
+func newBusyProgram(g *hostgpu.GPU, kernel *kpl.Kernel, prog *kir.Program, payload []byte, iters int) (*busyProgram, error) {
 	outPtr, err := g.Mem.Alloc(4 * 1024)
 	if err != nil {
 		return nil, err
 	}
-	inPtr, err := g.Mem.Alloc(copyBytes)
+	inPtr, err := g.Mem.Reserve(len(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -73,8 +75,8 @@ func newBusyProgram(g *hostgpu.GPU, kernel *kpl.Kernel, prog *kir.Program, copyB
 			Bindings: map[string]devmem.Ptr{"out": outPtr},
 		},
 		inPtr:    inPtr,
-		payload:  make([]byte, copyBytes),
-		outBytes: copyBytes,
+		payload:  payload,
+		outBytes: len(payload),
 	}, nil
 }
 
@@ -99,13 +101,14 @@ func runInterleaving(n, copyBytes, iters int) (serial, interleaved float64, err 
 	if err != nil {
 		return 0, 0, err
 	}
+	payload := make([]byte, copyBytes)
 	run := func(serialize bool, policy sched.Policy) (float64, error) {
 		g := newGPU(arch.Quadro4000(), 1<<32)
 		g.Mode = hostgpu.ExecTimingOnly
 		g.Serialize = serialize
 		var batch []*sched.Job
 		for vpID := 0; vpID < n; vpID++ {
-			p, err := newBusyProgram(g, kernel, prog, copyBytes, iters)
+			p, err := newBusyProgram(g, kernel, prog, payload, iters)
 			if err != nil {
 				return 0, err
 			}

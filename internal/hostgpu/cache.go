@@ -1,11 +1,10 @@
 package hostgpu
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"sort"
-	"strconv"
+	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -21,12 +20,18 @@ import (
 // times: every iteration of an Iterations-heavy Fig. 11 application re-prices
 // an identical launch per VP, and the coalesce win predictor re-times every
 // group member per merge window. The cache memoizes the full
-// (σ, accesses, Timing) triple under a collision-free string key.
+// (σ, accesses, Timing) triple under a collision-free binary key.
 //
 // Launches whose pricing depends on live device-memory *contents* are never
 // cached: data-dependent kernels without pre-measured Dyn stats sample λ from
 // the current buffers at launch time, and override launches (coalesced
 // merges) carry externally-summed σ.
+//
+// A hit has to cost a lookup, so the key is rebuilt per call from what is
+// already at hand — the identity kir.Analyze recorded, raw bits in
+// declaration order, into the caller's stack buffer, looked up as
+// m[string(key)] — and nothing is memoized on the Launch: its fields are
+// exported and callers change them between launches.
 
 // timingEntry is one memoized pricing. accesses and sigma are shared across
 // hits and must be treated as read-only by callers.
@@ -37,98 +42,120 @@ type timingEntry struct {
 	hasTiming bool
 }
 
-// timingKey builds the cache key of a launch, or reports it uncacheable.
-// The key covers everything the pricing depends on besides the (fixed)
-// architecture: kernel structure, grid/block/shared/regs, scalar parameters,
-// per-buffer allocation sizes (the cache model reads them), and a fingerprint
-// of the pre-measured dynamic stats.
-func (g *GPU) timingKey(l *Launch) (string, bool) {
+// keyBuf is the stack buffer a key is built in; the registry's longest key
+// (five parameters, five buffers, Dyn) is about 150 bytes, and a longer one
+// spills to the heap.
+type keyBuf [256]byte
+
+// appendTimingKey appends the cache key of a launch to b, or reports the
+// launch uncacheable. The key covers everything the pricing depends on besides
+// the (fixed) architecture: kernel identity, grid/block/shared/regs, scalar
+// parameters, per-buffer allocation sizes (the cache model reads them), and a
+// fingerprint of the pre-measured dynamic stats. Every field delimits itself,
+// so two launches of one kernel share a key only if they agree on all of them.
+// Buffers go in by name: the identity does not depend on the order of the
+// buffer declarations, the order of the sizes does.
+func (g *GPU) appendTimingKey(b []byte, l *Launch) ([]byte, bool) {
 	if g.NoTimingCache || l.SigmaOverride != nil || l.AccessesOverride != nil || l.ExecOverride != nil {
-		return "", false
+		return nil, false
 	}
 	if l.Dyn == nil && l.Prog.NeedsDynamicProfile() {
 		// λ must be sampled from live device memory at launch time; the
 		// result depends on buffer contents the key cannot see.
-		return "", false
+		return nil, false
 	}
-	// Built with strconv appends into a stack buffer: the key is rebuilt on
-	// every launch and every win prediction, and the only allocation left is
-	// the returned string.
-	var arr [192]byte
-	b := strconv.AppendUint(arr[:0], l.Kernel.Signature(), 16)
+	b = binary.LittleEndian.AppendUint64(b, l.Prog.Identity())
 	for _, n := range [...]int{l.Grid, l.Block, l.SharedMemPerBlock, l.RegsPerThread} {
-		b = strconv.AppendInt(append(b, '|'), int64(n), 10)
+		b = binary.AppendVarint(b, int64(n))
 	}
-	b = AppendParams(b, l.Params)
+	b = AppendParams(b, l.Kernel, l.Params)
 	for i := range l.Kernel.Bufs {
 		name := l.Kernel.Bufs[i].Name
 		ptr, ok := l.Bindings[name]
 		if !ok {
-			return "", false
+			return nil, false
 		}
 		size, err := g.Mem.Size(ptr)
 		if err != nil {
-			return "", false
+			return nil, false
 		}
-		b = append(append(b, '|'), name...)
-		b = strconv.AppendInt(append(b, '#'), int64(size), 10)
+		b = binary.AppendVarint(appendName(b, name), int64(size))
 	}
 	if l.Dyn != nil {
-		b = strconv.AppendUint(append(b, "|dyn:"...), dynFingerprint(l.Dyn), 16)
+		b = binary.LittleEndian.AppendUint64(b, dynFingerprint(l.Dyn))
 	}
-	return string(b), true
+	return b, true
 }
 
-// AppendParams appends the launch's scalar parameters to a cache or match
-// key as "|name=type:float:int", sorted by name so that map order does not
-// reach the key.
-func AppendParams(b []byte, params map[string]kpl.Value) []byte {
-	var arr [8]string
-	names := arr[:0]
-	for name := range params {
-		names = append(names, name)
+// AppendParams appends the launch's scalar parameters to a cache or match key
+// as raw bits — type, Float64bits(F), I — in the order the kernel declares
+// them, so that neither map order nor a sort nor a float format is on the
+// path; a declared parameter the launch leaves out is a zero byte. Names the
+// kernel does not declare reach the key too, after the declared ones, sorted:
+// no registry workload has any.
+func AppendParams(b []byte, k *kpl.Kernel, params map[string]kpl.Value) []byte {
+	declared := 0
+	for i := range k.Params {
+		if v, ok := params[k.Params[i].Name]; ok {
+			b = appendValue(b, v)
+			declared++
+		} else {
+			b = append(b, 0)
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := params[name]
-		b = append(append(append(b, '|'), name...), '=')
-		b = strconv.AppendInt(b, int64(v.T), 10)
-		b = strconv.AppendFloat(append(b, ':'), v.F, 'g', -1, 64)
-		b = strconv.AppendInt(append(b, ':'), v.I, 10)
+	b = binary.AppendVarint(b, int64(len(params)-declared))
+	if declared < len(params) {
+		var extra []string
+		for name := range params {
+			if k.Param(name) == nil {
+				extra = append(extra, name)
+			}
+		}
+		slices.Sort(extra)
+		for _, name := range extra {
+			b = appendValue(appendName(b, name), params[name])
+		}
 	}
 	return b
 }
 
-// dynFingerprint hashes the contents of pre-measured dynamic stats.
-func dynFingerprint(st *kpl.Stats) uint64 {
-	h := fnv.New64a()
-	for c, v := range st.Instr {
-		fmt.Fprintf(h, "i%d=%g;", c, v)
-	}
-	hashInt64Map(h, "t", st.Trips)
-	hashInt64Map(h, "e", st.Entries)
-	hashInt64Map(h, "l", st.BufLd)
-	hashInt64Map(h, "s", st.BufSt)
-	fmt.Fprintf(h, "n=%d", st.Threads)
-	return h.Sum64()
+func appendName(b []byte, name string) []byte {
+	return append(binary.AppendVarint(b, int64(len(name))), name...)
 }
 
-func hashInt64Map(h io.Writer, tag string, m map[string]int64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func appendValue(b []byte, v kpl.Value) []byte {
+	b = binary.LittleEndian.AppendUint64(append(b, 1+byte(v.T)), math.Float64bits(v.F))
+	return binary.AppendVarint(b, v.I)
+}
+
+// dynFingerprint hashes the contents of pre-measured dynamic stats: the
+// instruction vector's bits in class order, each count map as the sum of its
+// entries' hashes, so that map order does not reach it.
+func dynFingerprint(st *kpl.Stats) uint64 {
+	w := kpl.NewHash()
+	for _, v := range st.Instr {
+		w.U64(math.Float64bits(v))
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(h, "%s%s=%d;", tag, k, m[k])
+	for tag, m := range [...]map[string]int64{st.Trips, st.Entries, st.BufLd, st.BufSt} {
+		var sum uint64
+		for k, v := range m {
+			e := kpl.NewHash()
+			e.Byte(byte(tag))
+			e.Str(k)
+			e.U64(uint64(v))
+			sum += e.Sum()
+		}
+		w.U64(sum)
 	}
+	w.U64(uint64(st.Threads))
+	return w.Sum()
 }
 
 // cacheLookup returns the memoized entry for key, maintaining the hit/miss
 // counters.
-func (g *GPU) cacheLookup(key string) *timingEntry {
+func (g *GPU) cacheLookup(key []byte) *timingEntry {
 	g.cacheMu.RLock()
-	e := g.timingCache[key]
+	e := g.timingCache[string(key)] // no copy: the compiler looks a converted []byte up in place
 	g.cacheMu.RUnlock()
 	if e != nil {
 		g.cacheHits.Add(1)
@@ -140,12 +167,12 @@ func (g *GPU) cacheLookup(key string) *timingEntry {
 	return e
 }
 
-func (g *GPU) cacheStore(key string, e *timingEntry) {
+func (g *GPU) cacheStore(key []byte, e *timingEntry) {
 	g.cacheMu.Lock()
 	if g.timingCache == nil {
 		g.timingCache = map[string]*timingEntry{}
 	}
-	g.timingCache[key] = e
+	g.timingCache[string(key)] = e
 	g.cacheMu.Unlock()
 }
 
@@ -166,7 +193,8 @@ func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timin
 		}
 		return arch.ClassVec{}, nil, Timing{}, fmt.Errorf("hostgpu: %s: zero-thread launch %d×%d cannot be priced", name, l.Grid, l.Block)
 	}
-	key, cacheable := g.timingKey(l)
+	var buf keyBuf
+	key, cacheable := g.appendTimingKey(buf[:0], l)
 	var sigma arch.ClassVec
 	var accesses []cachemodel.Access
 	var have bool

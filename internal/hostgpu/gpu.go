@@ -374,7 +374,8 @@ func (g *GPU) SessionEnergy() float64 {
 // the pieces of a merged launch. Results are memoized by launch signature
 // whenever the derivation cannot depend on live buffer contents.
 func (g *GPU) ResolveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
-	key, cacheable := g.timingKey(l)
+	var buf keyBuf
+	key, cacheable := g.appendTimingKey(buf[:0], l)
 	if cacheable {
 		if e := g.cacheLookup(key); e != nil {
 			return e.sigma, e.accesses, nil
@@ -388,17 +389,29 @@ func (g *GPU) ResolveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error
 }
 
 // deriveSigma is the uncached σ/access-stream derivation behind ResolveSigma.
+// It touches device bytes only to sample: when the launch brings no Dyn and
+// the kernel has a data-dependent loop, every parameter is bound as a view
+// (the sampler clones the writable ones itself) and λ measured on it;
+// otherwise the bindings are only checked, with the errors a bind would give.
 func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
 	if l.SigmaOverride != nil {
 		return *l.SigmaOverride, l.AccessesOverride, nil
 	}
-	env, err := l.Bind("hostgpu", g.Mem)
+	dyn := l.Dyn
+	sample := dyn == nil && l.Prog.NeedsDynamicProfile()
+	env, err := l.bind("hostgpu", func(ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
+		if !sample {
+			return nil, g.Mem.CheckBind(ptr)
+		}
+		return g.Mem.BindView(ptr, decl.Elem)
+	})
 	if err != nil {
 		return arch.ClassVec{}, nil, err
 	}
-	dyn, err := SampleDyn(l.Kernel, l.Prog, env, l.Dyn)
-	if err != nil {
-		return arch.ClassVec{}, nil, fmt.Errorf("hostgpu: %s: pre-launch sampling: %w", l.Kernel.Name, err)
+	if sample {
+		if dyn, err = SampleDyn(l.Kernel, l.Prog, env, nil); err != nil {
+			return arch.ClassVec{}, nil, fmt.Errorf("hostgpu: %s: pre-launch sampling: %w", l.Kernel.Name, err)
+		}
 	}
 	kl := kir.Launch{NThreads: l.Threads(), Params: l.Params}
 	sigma, err := l.Prog.Sigma(&g.Arch, kl, dyn)
@@ -435,6 +448,11 @@ func SampleDyn(k *kpl.Kernel, prog *kir.Program, env *kpl.Env, dyn *kpl.Stats) (
 // through Bind and Exec's two halves, Run and WriteBack, with every Run before
 // any WriteBack.
 func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
+	return l.bind(who, mem.BindParam)
+}
+
+// bind is Bind with the per-parameter rule left to the caller.
+func (l *Launch) bind(who string, param func(devmem.Ptr, *kpl.BufDecl) (*kpl.Buffer, error)) (*kpl.Env, error) {
 	env := &kpl.Env{NThreads: l.Threads(), Params: l.Params, Bufs: map[string]*kpl.Buffer{}}
 	if env.Params == nil {
 		env.Params = map[string]kpl.Value{}
@@ -445,7 +463,7 @@ func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
 		if !ok {
 			return nil, fmt.Errorf("%s: %s: buffer %q not bound", who, l.Kernel.Name, decl.Name)
 		}
-		buf, err := mem.BindParam(ptr, decl)
+		buf, err := param(ptr, decl)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %s: buffer %q: %w", who, l.Kernel.Name, decl.Name, err)
 		}

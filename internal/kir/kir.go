@@ -19,6 +19,7 @@ package kir
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/kpl"
@@ -66,11 +67,27 @@ func newBlock(label string, kind TripKind) *Block {
 	return &Block{Label: label, Kind: kind, BufLd: map[string]float64{}, BufSt: map[string]float64{}}
 }
 
-// Program is the analyzed kernel.
+// Program is the analyzed kernel. Analyze is its only constructor, so what it
+// records about the kernel — identity, dynamic — is fixed with the blocks; a
+// kernel whose body or declarations change afterwards is analyzed again.
 type Program struct {
 	Kernel *kpl.Kernel
 	Root   *Block
+
+	identity uint64
+	dynamic  bool
 }
+
+// Identity is what a launch of the kernel is matched and priced by: the
+// kernel's structural signature (kpl.Kernel.Signature) with every buffer's
+// Stride and L2Fraction folded in, which the signature leaves out and the
+// cache model reads. Like the signature it does not depend on the order of
+// the buffer declarations, and is compared within one process only.
+func (p *Program) Identity() uint64 { return p.identity }
+
+// NeedsDynamicProfile reports whether any loop's λ is data-dependent, i.e.
+// Sigma requires dynamic statistics for this kernel.
+func (p *Program) NeedsDynamicProfile() bool { return p.dynamic }
 
 // Analyze lowers the kernel. The kernel must already Validate.
 func Analyze(k *kpl.Kernel) (*Program, error) {
@@ -82,7 +99,32 @@ func Analyze(k *kpl.Kernel) (*Program, error) {
 	if err := a.stmts(k.Body, root); err != nil {
 		return nil, err
 	}
-	return &Program{Kernel: k, Root: root}, nil
+	p := &Program{Kernel: k, Root: root, identity: identity(k)}
+	for _, b := range p.Blocks() {
+		// Bounds referencing TID/Var/Load cannot be resolved statically.
+		if b.Kind == TripLoop && (b.HasBreak || !staticResolvable(b.Start) || !staticResolvable(b.End)) {
+			p.dynamic = true
+			break
+		}
+	}
+	return p, nil
+}
+
+// identity hashes the kernel's signature with its buffers' cache hints; the
+// per-buffer hashes are summed, so the declarations' order does not matter.
+func identity(k *kpl.Kernel) uint64 {
+	var hints uint64
+	for i := range k.Bufs {
+		d := kpl.NewHash()
+		d.Str(k.Bufs[i].Name)
+		d.U64(uint64(k.Bufs[i].Stride))
+		d.U64(math.Float64bits(k.Bufs[i].L2Fraction))
+		hints += d.Sum()
+	}
+	id := kpl.NewHash()
+	id.U64(k.Signature())
+	id.U64(hints)
+	return id.Sum()
 }
 
 type analyzer struct {

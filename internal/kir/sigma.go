@@ -228,24 +228,6 @@ func (p *Program) Blocks() []*Block {
 	return out
 }
 
-// NeedsDynamicProfile reports whether any loop's λ is data-dependent, i.e.
-// Sigma requires dynamic statistics for this kernel.
-func (p *Program) NeedsDynamicProfile() bool {
-	for _, b := range p.Blocks() {
-		if b.Kind != TripLoop {
-			continue
-		}
-		if b.HasBreak {
-			return true
-		}
-		// Bounds referencing TID/Var/Load cannot be resolved statically.
-		if !staticResolvable(b.Start) || !staticResolvable(b.End) {
-			return true
-		}
-	}
-	return false
-}
-
 func staticResolvable(e kpl.Expr) bool {
 	switch x := e.(type) {
 	case *kpl.Const, *kpl.NTExpr, *kpl.ParamExpr:

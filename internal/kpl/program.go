@@ -663,155 +663,171 @@ type progEntry struct{ p *Program }
 // fnvOffset is the FNV-1a 64-bit offset basis.
 const fnvOffset = 14695981039346656037
 
-// progHash is an allocation-free FNV-1a structural hasher. Both kernel keys
-// are recomputed on every launch — resolveProgram's, so that a rebuilt body
-// re-compiles, and Signature, which the timing cache and the coalescer's
-// Kernel Match key launches by — so the walk must not allocate.
-type progHash struct {
-	h uint64
+// Hash is an allocation-free FNV-1a hasher over bytes, words and strings.
+// resolveProgram hashes the kernel's structure with it on every launch (so
+// that a rebuilt body re-compiles); kir.Analyze and the timing cache's Dyn
+// fingerprint build their identities from it too, so one process has one
+// spelling of the hash. Start from NewHash.
+type Hash struct{ h uint64 }
+
+// NewHash returns a hasher at the FNV-1a offset basis.
+func NewHash() Hash { return Hash{h: fnvOffset} }
+
+// Sum returns the hash of everything fed so far.
+func (w *Hash) Sum() uint64 { return w.h }
+
+// Byte feeds one byte.
+func (w *Hash) Byte(p byte) { w.h = (w.h ^ uint64(p)) * 1099511628211 }
+
+// U64 feeds a word, low byte first.
+func (w *Hash) U64(v uint64) {
+	for i := 0; i < 64; i += 8 {
+		w.Byte(byte(v >> i))
+	}
+}
+
+// Str feeds a string and a terminator, so that "ab","c" and "a","bc" differ.
+func (w *Hash) Str(s string) {
+	for i := 0; i < len(s); i++ {
+		w.Byte(s[i])
+	}
+	w.Byte(0xff)
+}
+
+// structHash walks a kernel's AST into a Hash.
+type structHash struct {
+	Hash
 	// labels includes loop labels in the hash (progKey); Signature leaves
 	// them out.
 	labels bool
 }
 
-func (w *progHash) b(p byte) { w.h = (w.h ^ uint64(p)) * 1099511628211 }
-
-func (w *progHash) u64(v uint64) {
-	for i := 0; i < 64; i += 8 {
-		w.b(byte(v >> i))
-	}
-}
-
-func (w *progHash) str(s string) {
-	for i := 0; i < len(s); i++ {
-		w.b(s[i])
-	}
-	w.b(0xff) // terminator: "ab","c" must not collide with "a","bc"
-}
-
-func (w *progHash) expr(e Expr) {
+func (w *structHash) expr(e Expr) {
 	switch x := e.(type) {
 	case *Const:
-		w.b(1)
-		w.b(byte(x.T))
-		w.u64(uint64(x.I))
-		w.u64(math.Float64bits(x.F))
+		w.Byte(1)
+		w.Byte(byte(x.T))
+		w.U64(uint64(x.I))
+		w.U64(math.Float64bits(x.F))
 	case *TIDExpr:
-		w.b(2)
+		w.Byte(2)
 	case *NTExpr:
-		w.b(3)
+		w.Byte(3)
 	case *ParamExpr:
-		w.b(4)
-		w.str(x.Name)
+		w.Byte(4)
+		w.Str(x.Name)
 	case *VarExpr:
-		w.b(5)
-		w.str(x.Name)
+		w.Byte(5)
+		w.Str(x.Name)
 	case *BinExpr:
-		w.b(6)
-		w.b(byte(x.Op))
+		w.Byte(6)
+		w.Byte(byte(x.Op))
 		w.expr(x.A)
 		w.expr(x.B)
 	case *UnExpr:
-		w.b(7)
-		w.b(byte(x.Op))
+		w.Byte(7)
+		w.Byte(byte(x.Op))
 		w.expr(x.A)
 	case *LoadExpr:
-		w.b(8)
-		w.str(x.Buf)
+		w.Byte(8)
+		w.Str(x.Buf)
 		w.expr(x.Idx)
 	case *CastExpr:
-		w.b(9)
-		w.b(byte(x.T))
+		w.Byte(9)
+		w.Byte(byte(x.T))
 		w.expr(x.A)
 	case *SelExpr:
-		w.b(10)
+		w.Byte(10)
 		w.expr(x.Cond)
 		w.expr(x.A)
 		w.expr(x.B)
 	default:
-		w.b(255) // unknown node: compiles to a fallback entry
+		w.Byte(255) // unknown node: compiles to a fallback entry
 	}
 }
 
-func (w *progHash) stmts(ss []Stmt) {
+func (w *structHash) stmts(ss []Stmt) {
 	for _, s := range ss {
 		switch x := s.(type) {
 		case *LetStmt:
-			w.b(20)
-			w.str(x.Name)
+			w.Byte(20)
+			w.Str(x.Name)
 			w.expr(x.E)
 		case *StoreStmt:
-			w.b(21)
-			w.str(x.Buf)
+			w.Byte(21)
+			w.Str(x.Buf)
 			w.expr(x.Idx)
 			w.expr(x.Val)
 		case *AtomicAddStmt:
-			w.b(22)
-			w.str(x.Buf)
+			w.Byte(22)
+			w.Str(x.Buf)
 			w.expr(x.Idx)
 			w.expr(x.Val)
 		case *ForStmt:
-			w.b(23)
+			w.Byte(23)
 			if w.labels {
-				w.str(x.Label)
+				w.Str(x.Label)
 			}
-			w.str(x.Var)
+			w.Str(x.Var)
 			w.expr(x.Start)
 			w.expr(x.End)
 			w.stmts(x.Body)
-			w.b(24)
+			w.Byte(24)
 		case *IfStmt:
-			w.b(25)
+			w.Byte(25)
 			w.expr(x.Cond)
 			w.stmts(x.Then)
-			w.b(26)
+			w.Byte(26)
 			w.stmts(x.Else)
-			w.b(27)
+			w.Byte(27)
 		case *BreakStmt:
-			w.b(28)
+			w.Byte(28)
 		default:
-			w.b(254)
+			w.Byte(254)
 		}
 	}
-	w.b(0)
+	w.Byte(0)
 }
 
 // structKey hashes the kernel's name, declarations and body. Buffer
 // declarations are hashed one by one and summed, so their order does not
-// matter; Stride and L2Fraction, which only the cache model reads, are left
-// out.
+// matter; Stride and L2Fraction are left out — two kernels that differ only
+// in those compute the same thing — and folded in by the pricing identity
+// kir.Analyze records, because the cache model reads them.
 func (k *Kernel) structKey(labels bool) uint64 {
-	w := &progHash{h: fnvOffset, labels: labels}
-	w.str(k.Name)
+	w := structHash{Hash: NewHash(), labels: labels}
+	w.Str(k.Name)
 	var bufs uint64
 	for i := range k.Bufs {
 		b := &k.Bufs[i]
-		d := progHash{h: fnvOffset}
-		d.str(b.Name)
-		d.b(byte(b.Elem))
-		d.b(byte(b.Access))
+		d := NewHash()
+		d.Str(b.Name)
+		d.Byte(byte(b.Elem))
+		d.Byte(byte(b.Access))
 		if b.ReadOnly {
-			d.b(1)
+			d.Byte(1)
 		} else {
-			d.b(0)
+			d.Byte(0)
 		}
 		bufs += d.h
 	}
-	w.u64(bufs)
+	w.U64(bufs)
 	for i := range k.Params {
-		w.str(k.Params[i].Name)
-		w.b(byte(k.Params[i].T))
+		w.Str(k.Params[i].Name)
+		w.Byte(byte(k.Params[i].T))
 	}
-	w.b(0)
+	w.Byte(0)
 	w.stmts(k.Body)
 	return w.h
 }
 
-// Signature returns a stable structural fingerprint of the kernel. The
-// Re-scheduler's Kernel Match stage (paper Fig. 2) uses it to decide whether
-// requests from different VPs invoke the *identical* kernel and are therefore
-// eligible for Kernel Coalescing, and the launch timing cache keys on it.
-// Loop labels and the order of buffer declarations do not affect it.
+// Signature returns a stable structural fingerprint of the kernel: what it
+// computes, whatever its loop labels, the order of its buffer declarations and
+// their cache hints. It walks the whole body, so nothing calls it per launch:
+// kir.Analyze takes it once and records it, cache hints folded in, as the
+// identity (kir.Program.Identity) by which the Re-scheduler's Kernel Match
+// stage (paper Fig. 2) decides that requests from different VPs invoke the
+// *identical* kernel, and by which the launch timing cache keys.
 //
 // The value is only ever compared within one process: it appears in no wire
 // frame, checkpoint image or metrics output, so its definition may change
