@@ -430,30 +430,6 @@ func (m *Mem) read(p Ptr, off, n int, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Copy moves n bytes from src+srcOff to dst+dstOff inside device memory (a
-// D2D copy) with one in-place copy under the lock. The two ranges may lie in
-// the same allocation and overlap; the result is then that of memmove.
-func (m *Mem) Copy(dst Ptr, dstOff int, src Ptr, srcOff, n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	from, err := m.backing(src, "read from")
-	if err != nil {
-		return err
-	}
-	if !InRange(srcOff, n, len(from)) {
-		return fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", srcOff, srcOff+n, len(from))
-	}
-	to, err := m.backing(dst, "write to")
-	if err != nil {
-		return err
-	}
-	if !InRange(dstOff, n, len(to)) {
-		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", dstOff, dstOff+n, len(to))
-	}
-	copy(to[dstOff:], from[srcOff:srcOff+n])
-	return nil
-}
-
 // bind returns the raw backing slice (no copy) for kernel binding. Internal:
 // kernel execution happens under the host service's serialization.
 func (m *Mem) bind(p Ptr) ([]byte, error) {
@@ -513,19 +489,6 @@ func (m *Mem) CheckBind(p Ptr) error {
 	return err
 }
 
-// BindParamRange is BindParam over n bytes at offset off of the allocation at
-// p (one VP's slice of a coalesced launch's merged buffer).
-func (m *Mem) BindParamRange(p Ptr, off, n int, decl *kpl.BufDecl) (*kpl.Buffer, error) {
-	raw, err := m.bind(p)
-	if err != nil {
-		return nil, err
-	}
-	if !InRange(off, n, len(raw)) {
-		return nil, fmt.Errorf("devmem: range [%d,%d) outside allocation of %d bytes", off, off+n, len(raw))
-	}
-	return bindParam(decl, raw[off:off+n]), nil
-}
-
 func bindParam(decl *kpl.BufDecl, raw []byte) *kpl.Buffer {
 	if decl.ReadOnly {
 		if v := viewBuffer(decl.Elem, raw); v != nil {
@@ -535,23 +498,17 @@ func bindParam(decl *kpl.BufDecl, raw []byte) *kpl.Buffer {
 	return BufferFromBytes(decl.Elem, raw)
 }
 
-// WriteBufferRange encodes buf into the allocation at p starting at off.
-func (m *Mem) WriteBufferRange(p Ptr, off int, buf *kpl.Buffer) error {
+// WriteBuffer encodes buf back into the allocation at p.
+func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
 	raw, err := m.bind(p)
 	if err != nil {
 		return err
 	}
-	need := buf.Bytes()
-	if !InRange(off, need, len(raw)) {
-		return fmt.Errorf("devmem: range write [%d,%d) outside allocation of %d bytes", off, off+need, len(raw))
+	if need := buf.Bytes(); need > len(raw) {
+		return fmt.Errorf("devmem: write of %d bytes outside allocation of %d bytes", need, len(raw))
 	}
-	BufferToBytes(buf, raw[off:off+need])
+	BufferToBytes(buf, raw)
 	return nil
-}
-
-// WriteBuffer encodes buf back into the allocation at p.
-func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
-	return m.WriteBufferRange(p, 0, buf)
 }
 
 // hostLittleEndian reports whether the host lays multi-byte values out in

@@ -463,21 +463,15 @@ func TestRangeChecksNeverWrap(t *testing.T) {
 	q, _ := m.Alloc(16)
 	r, _ := m.Reserve(16)
 	used, headroom, high := m.Used(), m.Headroom(), m.HighWater()
-	decl := &kpl.BufDecl{Name: "b", Elem: kpl.I32}
 	buf := kpl.NewBuffer(kpl.I32, 1)
 	// refused makes every byte access of four bytes at off of target.
 	refused := func(target Ptr, off int) map[string]error {
 		_, read := m.Read(target, off, 4)
-		_, bind := m.BindParamRange(target, off, 4, decl)
 		return map[string]error{
-			"Write":            m.Write(target, off, []byte{1, 2, 3, 4}),
-			"Fill":             m.Fill(target, off, 4, 1),
-			"Read":             read,
-			"ReadInto":         m.ReadInto(target, off, make([]byte, 4)),
-			"Copy src":         m.Copy(q, 0, target, off, 4),
-			"Copy dst":         m.Copy(target, off, q, 0, 4),
-			"BindParamRange":   bind,
-			"WriteBufferRange": m.WriteBufferRange(target, off, buf),
+			"Write":    m.Write(target, off, []byte{1, 2, 3, 4}),
+			"Fill":     m.Fill(target, off, 4, 1),
+			"Read":     read,
+			"ReadInto": m.ReadInto(target, off, make([]byte, 4)),
 		}
 	}
 	for _, off := range []int{math.MaxInt, math.MaxInt - 3, math.MinInt, -1, 16, 13} {

@@ -3,6 +3,7 @@ package hostgpu
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -486,13 +487,31 @@ func (l *Launch) Exec(who string, mem *devmem.Mem, env *kpl.Env, st *kpl.Stats, 
 // when that is non-nil. It touches env only: device memory is as it was until
 // WriteBack.
 func (l *Launch) Run(who string, env *kpl.Env, st *kpl.Stats, workers int) error {
-	if l.Native != nil {
-		if err := l.Native(env); err != nil {
-			return fmt.Errorf("%s: %s: native execution: %w", who, l.Kernel.Name, err)
-		}
-		return nil
+	if l.Native == nil {
+		return l.Kernel.ExecBlocks(env, st, l.Block, workers)
 	}
-	return l.Kernel.ExecBlocks(env, st, l.Block, workers)
+	if err := l.runNative(env); err != nil {
+		return fmt.Errorf("%s: %s: native execution: %w", who, l.Kernel.Name, err)
+	}
+	return nil
+}
+
+// runNative calls the native and returns a runtime error raised inside it as
+// its error: natives index unchecked, so a launch whose parameters describe
+// more work than its bindings hold faults there, and that must answer the
+// guest, as the interpreter's out-of-range access does, not unwind the
+// device's executor goroutine. Any other panic is a bug and is re-raised.
+func (l *Launch) runNative(env *kpl.Env) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(runtime.Error)
+			if !ok {
+				panic(r)
+			}
+			err = fault
+		}
+	}()
+	return l.Native(env)
 }
 
 // WriteBack stores env's writable buffers into the device allocations they

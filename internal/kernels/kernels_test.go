@@ -20,6 +20,9 @@ func buildEnv(t *testing.T, b *Benchmark, w *Workload) *kpl.Env {
 	return env
 }
 
+// compareBuffers requires b to equal a bit for bit: floats by their IEEE bits
+// (so -0 ≠ +0 and a NaN equals only itself), integers by value. No tolerance —
+// a native that reorders a sum fails here.
 func compareBuffers(t *testing.T, bench, name string, a, b *kpl.Buffer) {
 	t.Helper()
 	if a.Len() != b.Len() {
@@ -28,22 +31,12 @@ func compareBuffers(t *testing.T, bench, name string, a, b *kpl.Buffer) {
 	bad := 0
 	for i := 0; i < a.Len(); i++ {
 		va, vb := a.At(i), b.At(i)
-		if va.T == kpl.I32 {
-			if va.I != vb.I {
-				bad++
-				if bad < 4 {
-					t.Errorf("%s/%s[%d]: interp %d vs native %d", bench, name, i, va.I, vb.I)
-				}
-			}
+		if va.I == vb.I && math.Float64bits(va.F) == math.Float64bits(vb.F) {
 			continue
 		}
-		x, y := va.F, vb.F
-		diff := math.Abs(x - y)
-		if diff > 1e-4*(1+math.Max(math.Abs(x), math.Abs(y))) {
-			bad++
-			if bad < 4 {
-				t.Errorf("%s/%s[%d]: interp %g vs native %g", bench, name, i, x, y)
-			}
+		bad++
+		if bad < 4 {
+			t.Errorf("%s/%s[%d]: interp %v vs native %v", bench, name, i, va, vb)
 		}
 	}
 	if bad > 0 {

@@ -42,13 +42,36 @@ var MatrixMul = register(&Benchmark{
 		n := int(env.Params["n"].Int())
 		k := int(env.Params["k"].Int())
 		a, b, c := env.Bufs["a"].F64s, env.Bufs["b"].F64s, env.Bufs["c"].F64s
+		// Host order: row r of c is n accumulators, k walked four steps per
+		// pass, each step one contiguous row of b. An element still takes its
+		// k products in ascending k from +0, each rounded before its add (the
+		// float64 conversions stop an FMA-fusing GOARCH rounding once), so the
+		// output bits are the kernel body's.
 		for r := 0; r < m; r++ {
-			for col := 0; col < n; col++ {
-				var acc float64
-				for kk := 0; kk < k; kk++ {
-					acc += a[r*k+kk] * b[kk*n+col]
+			cr := c[r*n : (r+1)*n]
+			clear(cr)
+			ar := a[r*k : (r+1)*k]
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				a0, a1, a2, a3 := ar[kk], ar[kk+1], ar[kk+2], ar[kk+3]
+				b0 := b[kk*n:][:len(cr)]
+				b1 := b[(kk+1)*n:][:len(cr)]
+				b2 := b[(kk+2)*n:][:len(cr)]
+				b3 := b[(kk+3)*n:][:len(cr)]
+				for j, v := range cr {
+					v += float64(a0 * b0[j])
+					v += float64(a1 * b1[j])
+					v += float64(a2 * b2[j])
+					v += float64(a3 * b3[j])
+					cr[j] = v
 				}
-				c[r*n+col] = acc
+			}
+			for ; kk < k; kk++ {
+				a0 := ar[kk]
+				b0 := b[kk*n:][:len(cr)]
+				for j, v := range cr {
+					cr[j] = v + float64(a0*b0[j])
+				}
 			}
 		}
 		return nil
