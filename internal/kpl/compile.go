@@ -12,13 +12,38 @@ package kpl
 //     its target; a Sel needs equal arm types. Every instruction is one
 //     (operator, type) pair — binEval/unEval/Convert specialised to that
 //     type — and a mixed-type operand gets an explicit convert emitted here.
-//     Registers are untyped 8-byte words: i32 values are held as int64 (as
-//     Value.I is), f32 and f64 values as float64 bits (as Value.F is).
-//   - Operands. Constants live in a constant pool at the top of the register
-//     file, parameters in registers filled once per launch (see bind in
+//   - Registers. Untyped 8-byte words holding a value in its own type's host
+//     form: an i32 as int64 (as Value.I is), an f64 as float64 bits, an f32
+//     as float32 bits in the low half. f32 + − × ÷ sqrt neg abs min max floor
+//     are computed in float32, which is bit-identical to the interpreter's
+//     "compute in float64, round once" because both operands are float32s
+//     (53 ≥ 2·24 + 2: the float64 result rounds to the float32 the
+//     single-precision operation gives); mod, rsqrt, exp, log, sin and cos
+//     widen, call math and round once. That identity needs both operands in
+//     float32, so an operation mixing an i32 with an f32 — which the
+//     interpreter evaluates on the exact float64 of the integer — widens
+//     both, runs the f64 opcode under the f32 class tally and rounds with an
+//     untallied opRoundF32 (16777217 + 1f is not f32(16777217) + 1f); an i32
+//     constant that float32 holds exactly just becomes an f32 constant.
+//   - Operands. Constants live in a pool at the top of the register file,
+//     parameters in registers filled once per launch (see bind in
 //     program.go), so neither costs an instruction; tid and nthreads are
 //     registers too. Buffers resolve to slots whose typed slice headers are
 //     bound per launch.
+//   - Launch invariants. An expression over constants, parameters and
+//     nthreads under pure operators — (n + nthreads − 1)/nthreads,
+//     r + 0.5f·vol·vol, m·n — has one value per launch. It is lowered into a
+//     prologue, a second instruction stream that bind runs once on the same
+//     exec, and its result sits in a register beside the constant pool. The
+//     interpreter evaluates it per thread, so its tally stays where it was:
+//     on the next thread instruction emitted, as that instruction's keep
+//     part (counted even when that instruction faults, because the
+//     interpreter had evaluated the expression before it reached the fault).
+//   - Superinstructions, chosen from the dynamic opcode pairs of the registry
+//     kernels (DESIGN §9 has the frequencies): a·b ± r and r ± a·b on f32,
+//     r + a·b on f64, in one dispatch with both roundings kept, and a float
+//     load whose index is a·b + r in one dispatch (its two Int are keep: a
+//     faulting index was still computed).
 //   - Statistics. The instruction class of every instruction is known
 //     statically, so the compiler records a tally per instruction and sums
 //     them per straight-line segment; the engine counts control-flow edges
@@ -40,7 +65,11 @@ package kpl
 //   - a Sel whose arms have different types;
 //   - an undeclared parameter or buffer, a type, operator or AST node outside
 //     the language;
-//   - a kernel needing more than 256 registers or 256 control-flow edges.
+//   - an f32 constant that float32 does not hold exactly (the interpreter
+//     carries its float64 as it is; a register cannot). An f32 parameter
+//     bound to such a value makes bind refuse that launch instead;
+//   - a kernel needing more than 256 registers — prologue results included —
+//     or 256 control-flow edges, or an instruction tally past 65535.
 //
 // Statements that can never execute (after an unconditional break) are not
 // lowered at all; the interpreter never reaches them either.
@@ -84,20 +113,25 @@ const (
 	opMinF64
 	opMaxF64
 
-	// Comparisons yield i32 0/1. f32 and f64 compare alike (both are held as
-	// float64), so there is one float block.
+	// Comparisons yield i32 0/1: opLTI + 6·Type + (BinOp − OpLT).
 	opLTI
 	opLEI
 	opGTI
 	opGEI
 	opEQI
 	opNEI
-	opLTF
-	opLEF
-	opGTF
-	opGEF
-	opEQF
-	opNEF
+	opLTF32
+	opLEF32
+	opGTF32
+	opGEF32
+	opEQF32
+	opNEF32
+	opLTF64
+	opLEF64
+	opGTF64
+	opGEF64
+	opEQF64
+	opNEF64
 
 	// Bitwise, integer operands only (float operands are converted first).
 	opAndI
@@ -109,6 +143,17 @@ const (
 	// a·b + c on integers: the index arithmetic of nearly every kernel
 	// (row·k + kk, tid + j·nthreads), fused.
 	opMadI
+
+	// The float multiply-adds, a·b rounded before the add or subtract as the
+	// two instructions they replace round it. The forms differ in operand
+	// order, which a sum of two NaNs and any difference observe; madOpcode
+	// selects one. Only the pairs the registry kernels run have an opcode
+	// (DESIGN §9): on f64 that is matrixMul's acc + a·b alone.
+	opMadF32   // a·b + c
+	opRmadF32  // c + a·b
+	opMsubF32  // a·b − c
+	opRmsubF32 // c − a·b
+	opRmadF64
 
 	// Unary: opNegI + Type, opAbsI + Type; the math intrinsics have an f32
 	// and an f64 form each, in UnOp order from OpFloor.
@@ -134,23 +179,31 @@ const (
 	opCosF32
 	opCosF64
 
-	// Conversions: Value.Float of an i32, Convert(F32) of an i32, Value.Int
-	// of a float (truncation toward zero, not wrapped), Convert(F32) of an f64.
+	// Conversions, one per ordered pair of types (cvtOpcode): Value.Float and
+	// Convert(F32) of an i32, Value.Int of a float (truncation toward zero,
+	// not wrapped), Convert(F32) of an f64, and the widening of an f32 that
+	// Value.F never needed.
 	opCvtIF
 	opCvtIF32
 	opCvtFI
+	opCvtF32I
 	opRoundF32
+	opWidenF32
 
-	// Select on an integer or a float condition.
+	// Select: opSelI + the condition's Type.
 	opSelI
-	opSelF
+	opSelF32
+	opSelF64
 
-	// Memory. Loads and stores check their index; opChkSt/opChkAt are the
-	// early bounds check the interpreter performs before it evaluates the
-	// value operand.
+	// Memory. Loads and stores check their index; opLdMad* index with a·b + r
+	// (r and the slot share c; no registry kernel indexes an i32 buffer so);
+	// opChkSt/opChkAt are the early bounds check the interpreter performs
+	// before it evaluates the value operand.
 	opLdI32
 	opLdF32
 	opLdF64
+	opLdMadF32
+	opLdMadF64
 	opChkSt
 	opChkAt
 	opStI32
@@ -160,23 +213,31 @@ const (
 	opAtF32
 	opAtF64
 
-	// Control. opJn* are fused compare-and-branch: jump when the comparison
-	// is false, in the order of the comparison blocks above.
+	// Control. opJz* + the condition's Type; opJn* are fused
+	// compare-and-branch: jump when the comparison is false, in the order of
+	// the comparison blocks above.
 	opJump
 	opJzI
-	opJzF
+	opJzF32
+	opJzF64
 	opJnLTI
 	opJnLEI
 	opJnGTI
 	opJnGEI
 	opJnEQI
 	opJnNEI
-	opJnLTF
-	opJnLEF
-	opJnGTF
-	opJnGEF
-	opJnEQF
-	opJnNEF
+	opJnLTF32
+	opJnLEF32
+	opJnGTF32
+	opJnGEF32
+	opJnEQF32
+	opJnNEF32
+	opJnLTF64
+	opJnLEF64
+	opJnGTF64
+	opJnGEF64
+	opJnEQF64
+	opJnNEF64
 	opForInit
 	opForNext
 )
@@ -191,10 +252,7 @@ func binOpcode(op BinOp, t Type) opcode {
 	case op.IsBitwise():
 		return opAndI + opcode(op-OpAnd)
 	case op.IsCompare():
-		if t == I32 {
-			return opLTI + opcode(op-OpLT)
-		}
-		return opLTF + opcode(op-OpLT)
+		return opLTI + 6*opcode(t) + opcode(op-OpLT)
 	default:
 		return opAddI + 7*opcode(t) + opcode(op)
 	}
@@ -215,12 +273,33 @@ func unOpcode(op UnOp, t Type) opcode {
 	}
 }
 
+// madOpcode[t][form] is the fused opcode of a multiply-add on operands of
+// type t, or 0 where there is none; the forms are p·q + r, r + p·q, p·q − r
+// and r − p·q. ldMadOpcode[elem] is the load indexed by an i32 p·q + r.
+var (
+	madOpcode = [3][4]opcode{
+		I32: {opMadI, opMadI, 0, 0},
+		F32: {opMadF32, opRmadF32, opMsubF32, opRmsubF32},
+		F64: {0, opRmadF64, 0, 0},
+	}
+	ldMadOpcode = [3]opcode{F32: opLdMadF32, F64: opLdMadF64}
+)
+
+// cvtOpcode[from][to] is Value.Convert between two types; opMove where the
+// word does not change.
+var cvtOpcode = [3][3]opcode{
+	I32: {opMove, opCvtIF32, opCvtIF},
+	F32: {opCvtF32I, opMove, opWidenF32},
+	F64: {opCvtFI, opRoundF32, opMove},
+}
+
 // instr is one lowered instruction: eight bytes. dst, a and b index the
 // 256-word register file, so no access needs a bounds check; c is a jump
-// target, a buffer slot, a loop slot (opForInit) or a fourth register
-// (opSel*). Control instructions number their outgoing edges instead of
-// naming a destination register: the edge taken by jumping is dst (b for
-// opForNext, loopSlot.edge for opForInit), the fall-through edge the next.
+// target, a buffer slot, a loop slot (opForInit), a fourth register (opSel*,
+// opMad*) or a fourth register under a buffer slot (opLdMad*). Control
+// instructions number their outgoing edges instead of naming a destination
+// register: the edge taken by jumping is dst (b for opForNext, loopSlot.edge
+// for opForInit), the fall-through edge the next.
 type instr struct {
 	op        opcode
 	dst, a, b uint8
@@ -240,20 +319,33 @@ func (w word) d() uint8    { return uint8(w >> 8) }
 func (w word) a() uint8    { return uint8(w >> 16) }
 func (w word) b() uint8    { return uint8(w >> 24) }
 func (w word) c() int32    { return int32(w >> 32) }
-func (w word) r() uint8    { return uint8(w >> 32) } // c as a fourth register
+func (w word) r() uint8    { return uint8(w >> 32) } // c's low byte as a fourth register
 func (w word) target() int { return int(int32(w >> 32)) }
 
-// tally is what one executed instruction adds to the statistics.
+// slot is the buffer slot of a memory instruction: c, or for opLdMad*, whose
+// c also holds the fourth register, the part above it (madSlot).
+func (w word) slot() int32 {
+	if op := w.op(); op == opLdMadF32 || op == opLdMadF64 {
+		return w.madSlot()
+	}
+	return w.c()
+}
+
+func (w word) madSlot() int32 { return w.c() >> 8 }
+
+// tally is what one executed instruction adds to the statistics. keep is the
+// part of n it has added by the time it faults: what the interpreter had
+// already evaluated when it reached the failing bounds check.
 type tally struct {
-	n      [arch.NumClasses]uint8
-	ld, st int16 // buffer slot whose load/store count it bumps, or -1
+	n, keep [arch.NumClasses]uint16
+	ld, st  int16 // buffer slot whose load/store count it bumps, or -1
 }
 
 var noTally = tally{ld: -1, st: -1}
 
 func classTally(c arch.InstrClass, n int) tally {
 	t := noTally
-	t.n[c] = uint8(n)
+	t.n[c] = uint16(n)
 	return t
 }
 
@@ -303,8 +395,13 @@ type Program struct {
 	// tallies parallels code; segs partitions it.
 	tallies []tally
 	segs    []segment
+	// pro is the prologue bind runs once per launch: the launch-invariant
+	// expressions, straight-line, ending in opHalt; nil when there are none.
+	pro []word
 
-	consts  []uint64 // constant pool; consts[i] lives in register nRegs-1-i
+	// pool[i] is the launch's initial content of register nRegs-1-i: a
+	// constant, or zero where the prologue leaves a result.
+	pool    []uint64
 	params  []paramSlot
 	bufs    []bufSlot
 	loops   []loopSlot
@@ -323,8 +420,8 @@ func unsupportedf(format string, args ...any) error {
 }
 
 // Register file layout: tid, nthreads, parameters, variables, two hidden
-// registers per loop, expression temporaries growing up — and the constant
-// pool growing down from the top.
+// registers per loop, expression temporaries growing up — and the pool of
+// constants and prologue results growing down from the top.
 const (
 	nRegs  = 256
 	regTID = 0
@@ -357,6 +454,14 @@ type compiler struct {
 	code    []instr
 	tallies []tally
 
+	// The prologue, and the thread stream's statistics for it: while
+	// hoisting, code and tallies above are the prologue's; pending is the
+	// tally of the hoisted expressions the next thread instruction leads.
+	pro      []instr
+	hoisting bool
+	pending  [arch.NumClasses]uint16
+	overflow bool // a tally passed 65535
+
 	vars     map[string]int // variable name → index; register = varBase + index
 	varNames []string       // index → name
 	varBase  int
@@ -367,7 +472,7 @@ type compiler struct {
 	maxTmp     int // temporary high-water mark
 
 	constRegs map[uint64]uint8
-	consts    []uint64
+	pool      []uint64
 
 	params   []paramSlot
 	paramIdx map[string]int
@@ -410,29 +515,43 @@ func Compile(k *Kernel) (*Program, error) {
 	for _, pc := range c.topBreaks {
 		c.code[pc].c = halt
 	}
-	if need := c.tmpBase + c.maxTmp + len(c.consts); need > nRegs {
+	if need := c.tmpBase + c.maxTmp + len(c.pool); need > nRegs {
 		return nil, unsupportedf("kernel needs %d registers (max %d)", need, nRegs)
 	}
 	if c.nEdges > nRegs {
 		return nil, unsupportedf("kernel has %d control-flow edges (max %d)", c.nEdges, nRegs)
 	}
-	src := *k
-	code := make([]word, len(c.code))
-	for i, ins := range c.code {
-		code[i] = ins.word()
+	if c.overflow {
+		return nil, unsupportedf("an instruction's tally exceeds %d", math.MaxUint16)
 	}
+	if len(c.pro) > 0 {
+		c.pro = append(c.pro, instr{op: opHalt})
+	}
+	src := *k
 	return &Program{
 		src:     &src,
-		code:    code,
+		code:    pack(c.code),
 		tallies: c.tallies,
 		segs:    c.segments(),
-		consts:  c.consts,
+		pro:     pack(c.pro),
+		pool:    c.pool,
 		params:  c.params,
 		bufs:    c.bufs,
 		loops:   c.loops,
 		nEdges:  c.nEdges,
 		atomics: stmtsHaveAtomics(k.Body),
 	}, nil
+}
+
+func pack(code []instr) []word {
+	if len(code) == 0 {
+		return nil
+	}
+	out := make([]word, len(code))
+	for i, ins := range code {
+		out[i] = ins.word()
+	}
+	return out
 }
 
 // collect interns every assigned variable (Let targets and loop variables)
@@ -532,21 +651,82 @@ func (c *compiler) bufSlot(name string) (int32, Type, error) {
 	return s, decl.Elem, nil
 }
 
+// poolReg takes the next register of the pool, which bind fills with bits. A
+// kernel with too many wraps here and is refused by the register budget check
+// at the end of Compile.
+func (c *compiler) poolReg(bits uint64) uint8 {
+	c.pool = append(c.pool, bits)
+	return uint8(nRegs - len(c.pool))
+}
+
 // konst interns a constant word in the pool and returns it as an operand.
 func (c *compiler) konst(t Type, bits uint64) operand {
 	r, ok := c.constRegs[bits]
 	if !ok {
-		r = uint8(nRegs - 1 - len(c.consts))
+		r = c.poolReg(bits)
 		c.constRegs[bits] = r
-		c.consts = append(c.consts, bits)
 	}
 	return operand{reg: r, t: t, konst: true, bits: bits}
 }
 
+// accumulate adds src to dst, noting a sum that does not fit.
+func (c *compiler) accumulate(dst *[arch.NumClasses]uint16, src [arch.NumClasses]uint16) {
+	for cl, n := range src {
+		if dst[cl] += n; dst[cl] < n {
+			c.overflow = true
+		}
+	}
+}
+
+// emit appends an instruction to the stream being lowered. A thread
+// instruction takes the pending tally of the hoisted expressions it leads, as
+// part of its keep: the interpreter evaluated them before it got here.
 func (c *compiler) emit(i instr, t tally) int {
+	if !c.hoisting && c.pending != [arch.NumClasses]uint16{} {
+		c.accumulate(&t.n, c.pending)
+		c.accumulate(&t.keep, c.pending)
+		c.pending = [arch.NumClasses]uint16{}
+	}
 	c.code = append(c.code, i)
 	c.tallies = append(c.tallies, t)
 	return len(c.code) - 1
+}
+
+// invariant reports whether e has one value per launch: constants,
+// parameters and nthreads under operators that read nothing else.
+func invariant(e Expr) bool {
+	switch x := e.(type) {
+	case *Const, *NTExpr, *ParamExpr:
+		return true
+	case *BinExpr:
+		return invariant(x.A) && invariant(x.B)
+	case *UnExpr:
+		return invariant(x.A)
+	case *CastExpr:
+		return invariant(x.A)
+	case *SelExpr:
+		return invariant(x.Cond) && invariant(x.A) && invariant(x.B)
+	}
+	return false
+}
+
+// hoist lowers a launch-invariant expression into the prologue, its result
+// into a pool register, and leaves what the interpreter would have counted
+// for it pending on the next thread instruction.
+func (c *compiler) hoist(e Expr, st []vtype, dst int) (operand, error) {
+	h := c.poolReg(0)
+	code, tallies := c.code, c.tallies
+	c.code, c.tallies, c.hoisting = c.pro, nil, true
+	o, err := c.expr(e, st, int(h))
+	c.pro, c.hoisting = c.code, false
+	for _, t := range c.tallies {
+		c.accumulate(&c.pending, t.n)
+	}
+	c.code, c.tallies = code, tallies
+	if err != nil {
+		return operand{}, err
+	}
+	return c.place(operand{reg: h, t: o.t}, dst), nil
 }
 
 // edges numbers the n outgoing edges of a control instruction. A kernel with
@@ -585,8 +765,8 @@ func (c *compiler) place(o operand, dst int) operand {
 	return operand{reg: uint8(dst), t: o.t}
 }
 
-// convert emits op (one of the opCvt*/opRoundF32 conversions) on o, folding
-// it when o is a constant. The result has type t.
+// convert emits op (one of cvtOpcode's) on o, folding it when o is a
+// constant. The result has type t.
 func (c *compiler) convert(op opcode, o operand, t Type, tl tally, dst int) operand {
 	if o.konst && dst < 0 && tl == noTally {
 		return c.konst(t, convertWord(op, o.bits))
@@ -596,21 +776,14 @@ func (c *compiler) convert(op opcode, o operand, t Type, tl tally, dst int) oper
 	return operand{reg: d, t: t}
 }
 
-// asInt is Value.Int: floats truncate toward zero.
-func (c *compiler) asInt(o operand) operand {
-	if o.t == I32 {
+// to is the conversion the interpreter applies without counting it: Value.Int
+// of an index, a bound or a bitwise operand, Value.Float of a promoted
+// operand, the narrowing inside Buffer.Set.
+func (c *compiler) to(o operand, t Type) operand {
+	if o.t == t {
 		return o
 	}
-	return c.convert(opCvtFI, o, I32, noTally, -1)
-}
-
-// asFloat is Value.Float: the result keeps o's type tag for floats and is an
-// exact float64 for integers, typed t by the caller.
-func (c *compiler) asFloat(o operand, t Type) operand {
-	if o.t != I32 {
-		return o
-	}
-	return c.convert(opCvtIF, o, t, noTally, -1)
+	return c.convert(cvtOpcode[o.t][t], o, t, noTally, -1)
 }
 
 func cloneTypes(st []vtype) []vtype { return append([]vtype(nil), st...) }
@@ -715,7 +888,7 @@ func (c *compiler) memStmt(buf string, idx, val Expr, st []vtype, chk, first opc
 	if err != nil {
 		return err
 	}
-	oi = c.asInt(oi)
+	oi = c.to(oi, I32)
 	if !isLeaf(val) {
 		c.emit(instr{op: chk, a: oi.reg, c: slot}, noTally)
 	}
@@ -723,12 +896,7 @@ func (c *compiler) memStmt(buf string, idx, val Expr, st []vtype, chk, first opc
 	if err != nil {
 		return err
 	}
-	// Buffer.Set / Buffer.AddAt convert through Value.Int or Value.Float.
-	if elem == I32 {
-		ov = c.asInt(ov)
-	} else {
-		ov = c.asFloat(ov, elem)
-	}
+	ov = c.to(ov, elem) // Buffer.Set / Buffer.AddAt narrow to the element type
 	tl := classTally(arch.St, 1)
 	tl.st = int16(slot)
 	if first == opAtI32 {
@@ -746,12 +914,12 @@ func (c *compiler) forStmt(x *ForStmt, st []vtype) error {
 	if err != nil {
 		return err
 	}
-	os = c.asInt(os)
+	os = c.to(os, I32)
 	oe, err := c.expr(x.End, st, -1)
 	if err != nil {
 		return err
 	}
-	oe = c.asInt(oe)
+	oe = c.to(oe, I32)
 
 	slot := len(c.loops)
 	hid := uint8(c.hiddenNext)
@@ -807,21 +975,17 @@ func (c *compiler) ifStmt(x *IfStmt, st []vtype) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		oa, ob, t := c.promote(oa, ob)
+		oa, ob, run, t := c.promote(oa, ob)
 		tl := classTally(classOf(t), 1)
 		tl.n[arch.Branch]++
-		op := opJnLTI + opcode(binOpcode(cmp.Op, t)-opLTI)
+		op := opJnLTI + (binOpcode(cmp.Op, run) - opLTI)
 		jz = c.emit(instr{op: op, dst: c.edges(2), a: oa.reg, b: ob.reg}, tl)
 	} else {
 		oc, err := c.expr(x.Cond, st, -1)
 		if err != nil {
 			return false, err
 		}
-		op := opJzI
-		if oc.t != I32 {
-			op = opJzF
-		}
-		jz = c.emit(instr{op: op, dst: c.edges(2), a: oc.reg}, classTally(arch.Branch, 1))
+		jz = c.emit(instr{op: opJzI + opcode(oc.t), dst: c.edges(2), a: oc.reg}, classTally(arch.Branch, 1))
 	}
 	c.tmp = mark
 
@@ -872,33 +1036,47 @@ func (c *compiler) ifStmt(x *IfStmt, st []vtype) (bool, error) {
 }
 
 // promote converts two lowered operands of an arithmetic or comparison
-// operator to their promoted type.
-func (c *compiler) promote(oa, ob operand) (operand, operand, Type) {
-	t := Promote(oa.t, ob.t)
-	if t != I32 {
-		oa, ob = c.asFloat(oa, t), c.asFloat(ob, t)
+// operator to the type it runs in. That is the type t of its result,
+// Promote(a, b), except where an i32 meets an f32: the interpreter evaluates
+// that on the exact float64 of the integer and rounds once, so unless the
+// integer is a constant float32 holds exactly, the operation runs in f64.
+func (c *compiler) promote(oa, ob operand) (_, _ operand, run, t Type) {
+	t = Promote(oa.t, ob.t)
+	run = t
+	if t == F32 && oa.t != ob.t {
+		run = F64
+		i := &oa
+		if ob.t == I32 {
+			i = &ob
+		}
+		if f := float64(int64(i.bits)); i.konst && float64(float32(f)) == f {
+			*i, run = c.konst(F32, ws(float32(f))), F32
+		}
 	}
-	return oa, ob, t
+	return c.to(oa, run), c.to(ob, run), run, t
 }
 
 // binOp emits op on two lowered operands, converting them first as binEval
 // would. Temporaries above mark are released before the destination is
 // chosen, so the result may reuse an operand's register.
 func (c *compiler) binOp(op BinOp, oa, ob operand, dst, mark int) operand {
-	var t Type
+	var run, t Type
 	var tl tally
 	if op.IsBitwise() {
-		oa, ob, t = c.asInt(oa), c.asInt(ob), I32
+		oa, ob = c.to(oa, I32), c.to(ob, I32)
 		tl = classTally(arch.Bit, 1)
 	} else {
-		oa, ob, t = c.promote(oa, ob)
+		oa, ob, run, t = c.promote(oa, ob)
 		tl = classTally(classOf(t), 1)
 	}
 	c.tmp = mark
 	d := c.dest(dst)
-	c.emit(instr{op: binOpcode(op, t), dst: d, a: oa.reg, b: ob.reg}, tl)
-	if op.IsCompare() {
+	c.emit(instr{op: binOpcode(op, run), dst: d, a: oa.reg, b: ob.reg}, tl)
+	switch {
+	case op.IsCompare():
 		t = I32
+	case run != t:
+		c.emit(instr{op: opRoundF32, dst: d, a: d}, noTally)
 	}
 	return operand{reg: d, t: t}
 }
@@ -920,56 +1098,98 @@ func hasLoad(e Expr) bool {
 	return false
 }
 
-// mulAdd lowers the sums r + p·q and p·q + r, fusing the two operations into
-// opMadI when all three operands are integers. ok is false when x is not such
-// a sum. In r + p·q the interpreter multiplies and adds back to back; in
-// p·q + r it evaluates r in between, so that form only qualifies when r
-// cannot fault — otherwise a fault in r would have to leave the multiply
-// counted.
+// mad is a sum or difference with a product on one side, its three operands
+// lowered in interpreter order.
+type mad struct {
+	op       BinOp // OpAdd or OpSub
+	p, q, r  operand
+	mulFirst bool // p·q op r rather than r op p·q
+}
+
+// matchMad recognises r ± p·q and p·q ± r and lowers the operands; ok is
+// false when x is neither. In r ± p·q the interpreter multiplies and combines
+// back to back; in p·q ± r it evaluates r in between, so that form only
+// qualifies when r cannot fault — otherwise a fault in r would have to leave
+// the multiply counted. A launch-invariant product in a thread expression is
+// hoisted, not fused.
+func (c *compiler) matchMad(x *BinExpr, st []vtype) (m mad, ok bool, err error) {
+	if x.Op != OpAdd && x.Op != OpSub {
+		return mad{}, false, nil
+	}
+	product := func(e Expr) *BinExpr {
+		if b, _ := e.(*BinExpr); b != nil && b.Op == OpMul && (c.hoisting || !invariant(b)) {
+			return b
+		}
+		return nil
+	}
+	m.op = x.Op
+	mul, other := product(x.B), x.A
+	if mul == nil {
+		mul, other, m.mulFirst = product(x.A), x.B, true
+		if mul == nil || hasLoad(other) {
+			return mad{}, false, nil
+		}
+	}
+	if !m.mulFirst {
+		if m.r, err = c.expr(other, st, -1); err != nil {
+			return mad{}, true, err
+		}
+	}
+	if m.p, err = c.expr(mul.A, st, -1); err != nil {
+		return mad{}, true, err
+	}
+	if m.q, err = c.expr(mul.B, st, -1); err != nil {
+		return mad{}, true, err
+	}
+	if m.mulFirst {
+		if m.r, err = c.expr(other, st, -1); err != nil {
+			return mad{}, true, err
+		}
+	}
+	return m, true, nil
+}
+
+// fused is madOpcode's entry for m, or 0: the operands must share one type.
+func (m *mad) fused() opcode {
+	if m.p.t != m.r.t || m.q.t != m.r.t {
+		return 0
+	}
+	form := 0
+	if !m.mulFirst {
+		form = 1
+	}
+	if m.op == OpSub {
+		form += 2
+	}
+	return madOpcode[m.r.t][form]
+}
+
+// unfused emits the multiply and the add or subtract of m one after the
+// other: the operand types do not fit a fused opcode.
+func (c *compiler) unfused(m mad, dst, mark int) operand {
+	om := c.binOp(OpMul, m.p, m.q, -1, c.tmp)
+	if m.mulFirst {
+		return c.binOp(m.op, om, m.r, dst, mark)
+	}
+	return c.binOp(m.op, m.r, om, dst, mark)
+}
+
+// mulAdd lowers r ± p·q and p·q ± r, as one opMad* when the operands share a
+// type that has one. ok is false when x is not such an expression.
 func (c *compiler) mulAdd(x *BinExpr, st []vtype, dst int) (o operand, ok bool, err error) {
-	if x.Op != OpAdd {
-		return operand{}, false, nil
-	}
-	mul, _ := x.B.(*BinExpr)
-	other, mulFirst := x.A, false
-	if mul == nil || mul.Op != OpMul {
-		mul, _ = x.A.(*BinExpr)
-		other, mulFirst = x.B, true
-		if mul == nil || mul.Op != OpMul || hasLoad(other) {
-			return operand{}, false, nil
-		}
-	}
 	mark := c.tmp
-	var or operand
-	if !mulFirst {
-		if or, err = c.expr(other, st, -1); err != nil {
-			return operand{}, true, err
-		}
+	m, ok, err := c.matchMad(x, st)
+	if !ok || err != nil {
+		return operand{}, ok, err
 	}
-	op, err := c.expr(mul.A, st, -1)
-	if err != nil {
-		return operand{}, true, err
+	op := m.fused()
+	if op == 0 {
+		return c.unfused(m, dst, mark), true, nil
 	}
-	oq, err := c.expr(mul.B, st, -1)
-	if err != nil {
-		return operand{}, true, err
-	}
-	if mulFirst {
-		if or, err = c.expr(other, st, -1); err != nil {
-			return operand{}, true, err
-		}
-	}
-	if op.t == I32 && oq.t == I32 && or.t == I32 {
-		c.tmp = mark
-		d := c.dest(dst)
-		c.emit(instr{op: opMadI, dst: d, a: op.reg, b: oq.reg, c: int32(or.reg)}, classTally(arch.Int, 2))
-		return operand{reg: d, t: I32}, true, nil
-	}
-	om := c.binOp(OpMul, op, oq, -1, c.tmp)
-	if mulFirst {
-		return c.binOp(OpAdd, om, or, dst, mark), true, nil
-	}
-	return c.binOp(OpAdd, or, om, dst, mark), true, nil
+	c.tmp = mark
+	d := c.dest(dst)
+	c.emit(instr{op: op, dst: d, a: m.p.reg, b: m.q.reg, c: int32(m.r.reg)}, classTally(classOf(m.r.t), 2))
+	return operand{reg: d, t: m.r.t}, true, nil
 }
 
 // expr lowers an expression, returning its operand. With dst ≥ 0 the result
@@ -977,14 +1197,24 @@ func (c *compiler) mulAdd(x *BinExpr, st []vtype, dst int) (o operand, ok bool, 
 // so RHS reads of the same register see the old value, exactly like the
 // interpreter's evaluate-then-assign order).
 func (c *compiler) expr(e Expr, st []vtype, dst int) (operand, error) {
+	if !c.hoisting && !isLeaf(e) && invariant(e) {
+		return c.hoist(e, st, dst)
+	}
 	switch x := e.(type) {
 	case *Const:
-		if x.T > F64 {
+		var bits uint64
+		switch x.T {
+		case I32:
+			bits = uint64(x.I)
+		case F32:
+			var ok bool
+			if bits, ok = f32Word(x.F); !ok {
+				return operand{}, unsupportedf("f32 constant %v is not float32-representable", x.F)
+			}
+		case F64:
+			bits = wf(x.F)
+		default:
 			return operand{}, unsupportedf("constant of unknown type %v", x.T)
-		}
-		bits := uint64(x.I)
-		if x.T != I32 {
-			bits = math.Float64bits(x.F)
 		}
 		return c.place(c.konst(x.T, bits), dst), nil
 
@@ -1035,11 +1265,11 @@ func (c *compiler) expr(e Expr, st []vtype, dst int) (operand, error) {
 		var tl tally
 		switch {
 		case x.Op == OpNot:
-			oa = c.asInt(oa)
+			oa = c.to(oa, I32)
 			tl = classTally(arch.Bit, 1)
 		case oa.t == I32 && x.Op >= OpFloor:
 			// Math intrinsics on ints promote to f32.
-			oa = c.convert(opCvtIF32, oa, F32, noTally, -1)
+			oa = c.to(oa, F32)
 			fallthrough
 		default:
 			tl = classTally(classOf(oa.t), x.Op.IntrinsicCost())
@@ -1055,15 +1285,34 @@ func (c *compiler) expr(e Expr, st []vtype, dst int) (operand, error) {
 			return operand{}, err
 		}
 		mark := c.tmp
-		oi, err := c.expr(x.Idx, st, -1)
-		if err != nil {
-			return operand{}, err
-		}
-		oi = c.asInt(oi)
-		c.tmp = mark
-		d := c.dest(dst)
 		tl := classTally(arch.Ld, 1)
 		tl.ld = int16(slot)
+		var oi operand
+		var m mad
+		isMad := false
+		if sum, _ := x.Idx.(*BinExpr); sum != nil && sum.Op == OpAdd && !invariant(sum) {
+			if m, isMad, err = c.matchMad(sum, st); err != nil {
+				return operand{}, err
+			}
+		}
+		switch {
+		case isMad && m.fused() == opMadI && ldMadOpcode[elem] != 0:
+			// The index is computed, and counted, before it is checked.
+			tl.n[arch.Int], tl.keep[arch.Int] = 2, 2
+			c.tmp = mark
+			d := c.dest(dst)
+			c.emit(instr{op: ldMadOpcode[elem], dst: d, a: m.p.reg, b: m.q.reg, c: slot<<8 | int32(m.r.reg)}, tl)
+			return operand{reg: d, t: elem}, nil
+		case isMad:
+			oi = c.unfused(m, -1, mark)
+		default:
+			if oi, err = c.expr(x.Idx, st, -1); err != nil {
+				return operand{}, err
+			}
+		}
+		oi = c.to(oi, I32)
+		c.tmp = mark
+		d := c.dest(dst)
 		c.emit(instr{op: opLdI32 + opcode(elem), dst: d, a: oi.reg, c: slot}, tl)
 		return operand{reg: d, t: elem}, nil
 
@@ -1077,21 +1326,7 @@ func (c *compiler) expr(e Expr, st []vtype, dst int) (operand, error) {
 			return operand{}, err
 		}
 		c.tmp = mark
-		// Value.Convert, specialised: the value is unchanged when the types
-		// are equal and when an f32 widens to f64.
-		op := opMove
-		switch {
-		case oa.t == x.T:
-		case x.T == I32:
-			op = opCvtFI
-		case x.T == F32 && oa.t == I32:
-			op = opCvtIF32
-		case x.T == F32:
-			op = opRoundF32
-		case oa.t == I32:
-			op = opCvtIF
-		}
-		return c.convert(op, oa, x.T, classTally(arch.Int, 1), int(c.dest(dst))), nil // cvt
+		return c.convert(cvtOpcode[oa.t][x.T], oa, x.T, classTally(arch.Int, 1), int(c.dest(dst))), nil // cvt
 
 	case *SelExpr:
 		mark := c.tmp
@@ -1112,11 +1347,7 @@ func (c *compiler) expr(e Expr, st []vtype, dst int) (operand, error) {
 		}
 		c.tmp = mark
 		d := c.dest(dst)
-		op := opSelI
-		if oc.t != I32 {
-			op = opSelF
-		}
-		c.emit(instr{op: op, dst: d, a: oc.reg, b: oa.reg, c: int32(ob.reg)}, classTally(arch.Int, 1)) // predicated select
+		c.emit(instr{op: opSelI + opcode(oc.t), dst: d, a: oc.reg, b: oa.reg, c: int32(ob.reg)}, classTally(arch.Int, 1)) // predicated select
 		return operand{reg: d, t: oa.t}, nil
 
 	case nil:

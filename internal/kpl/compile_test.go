@@ -240,8 +240,8 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 // accesses, unbound parameters and buffers — fail at the same thread with
 // the same message, and that the partial buffers and statistics accumulated
 // up to the failure are bit-identical: serially, and through the
-// block-parallel dispatcher on two workers (where the compiled program is
-// compared with the interpreter driven through the same dispatcher).
+// block-parallel dispatcher on one, two and three workers, each engine
+// against the serial interpreter.
 func TestCompiledErrorIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -349,6 +349,35 @@ func TestCompiledErrorIdentity(t *testing.T) {
 			env:  diffEnv(9, map[string]Type{"a": F64, "out": F64}),
 			want: `thread 7: store out[9] out of range (len 9)`,
 		},
+		{
+			// The load is fused with its index arithmetic: the multiply and
+			// the add were evaluated, and counted, before the index failed.
+			name: "oob_in_fused_indexed_load",
+			k: &Kernel{Name: "oob_ldmad", Bufs: []BufDecl{{Name: "a", Elem: F32, ReadOnly: true}, {Name: "out", Elem: F32}},
+				Body: []Stmt{
+					For("l", "i", CI(0), CI(3),
+						Store("out", TID(), Add(Load("a", Add(Mul(TID(), CI(3)), V("i"))), CF(1)))),
+				}},
+			env:  diffEnv(10, map[string]Type{"a": F32, "out": F32}),
+			want: `thread 3: load a[10] out of range (len 10)`,
+		},
+		{
+			// The failing index is launch-invariant: the prologue computed it,
+			// but every thread is charged its multiply before the load fails,
+			// and nothing of what follows the load — the second hoisted
+			// product included.
+			name: "oob_in_hoisted_index",
+			k: &Kernel{Name: "oob_hoist",
+				Params: []ParamDecl{{Name: "m", T: I32}, {Name: "s", T: F32}},
+				Bufs:   []BufDecl{{Name: "a", Elem: F32, ReadOnly: true}, {Name: "out", Elem: F32}},
+				Body: []Stmt{
+					Store("out", TID(), Mul(P("s"), P("s"))),
+					If(GE(TID(), CI(2)),
+						Store("out", TID(), Add(Load("a", Mul(P("m"), CI(4))), Mul(P("s"), CF(0.5))))),
+				}},
+			env:  diffEnv(8, map[string]Type{"a": F32, "out": F32}).SetInt("m", 2).SetF32("s", 1.5),
+			want: `thread 2: load a[8] out of range (len 8)`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -365,9 +394,14 @@ func TestCompiledErrorIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2} {
+			// Every worker count leaves what the serial interpreter left. (The
+			// atomic kernels run serially whatever the count.)
+			for _, workers := range []int{1, 2, 3} {
 				diffRuns(t, tc.env,
-					func(e *Env, st *Stats) error { return tc.k.execBlocks(nil, e, st, 4, workers) },
+					func(e *Env, st *Stats) error { return tc.k.InterpretAll(e, st) },
+					func(e *Env, st *Stats) error { return tc.k.execBlocks(nil, e, st, 4, workers) })
+				diffRuns(t, tc.env,
+					func(e *Env, st *Stats) error { return tc.k.InterpretAll(e, st) },
 					func(e *Env, st *Stats) error { return tc.k.execBlocks(p, e, st, 4, workers) })
 			}
 		})
@@ -531,28 +565,42 @@ func TestProgramCacheReuse(t *testing.T) {
 }
 
 // TestCompiledExecAllocs: steady-state compiled execution must not allocate
-// — registers and stat slots come from the pooled frame.
+// — registers and stat slots come from the pooled frame, and the prologue of
+// a kernel with launch-invariant expressions runs on it too.
 func TestCompiledExecAllocs(t *testing.T) {
-	k := opsI32()
-	if err := k.Validate(); err != nil {
-		t.Fatal(err)
+	hoisting := &Kernel{
+		Name:   "prologue",
+		Params: []ParamDecl{{Name: "n", T: I32}, {Name: "s", T: F32}},
+		Bufs:   []BufDecl{{Name: "a", Elem: I32, ReadOnly: true}, {Name: "out", Elem: I32}},
+		Body: []Stmt{
+			For("l", "j", CI(0), Div(Add(P("n"), Sub(NT(), CI(1))), NT()),
+				Store("out", TID(), Mul(Load("a", TID()), ToI32(Mul(P("s"), P("s")))))),
+		},
 	}
-	p, err := Compile(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := diffEnv(64, map[string]Type{"a": I32, "out": I32})
-	st := NewStats()
-	if err := p.ExecAll(env, st); err != nil { // warm the pool and the map keys
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.ExecAll(env, st); err != nil {
+	for _, k := range []*Kernel{opsI32(), hoisting} {
+		if err := k.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 2 {
-		t.Errorf("compiled ExecAll allocates %.1f objects/launch, want ≤ 2", allocs)
+		p, err := Compile(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (p.pro != nil) != (k == hoisting) {
+			t.Fatalf("%s: prologue of %d instructions", k.Name, len(p.pro))
+		}
+		env := diffEnv(64, map[string]Type{"a": I32, "out": I32}).SetInt("n", 100).SetF32("s", 1.5)
+		st := NewStats()
+		if err := p.ExecAll(env, st); err != nil { // warm the pool and the map keys
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := p.ExecAll(env, st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s: compiled ExecAll allocates %.1f objects/launch, want ≤ 2", k.Name, allocs)
+		}
 	}
 }
 

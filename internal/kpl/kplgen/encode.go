@@ -1,6 +1,11 @@
 package kplgen
 
-import "repro/internal/kpl"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/kpl"
+)
 
 // Encode maps a kernel and thread count into the byte format Decode reads,
 // mirroring Decode's read order exactly. It is lossy by design: identifiers
@@ -43,7 +48,6 @@ func Encode(k *kpl.Kernel, nThreads int) []byte {
 			decl = k.Bufs[i]
 		}
 		e.bufs[decl.Name] = i
-		e.emit(byte(decl.Elem))
 		ro := decl.ReadOnly && i > 0 // decode forces buffer 0 writable
 		if i > 0 {
 			if ro {
@@ -52,6 +56,7 @@ func Encode(k *kpl.Kernel, nThreads int) []byte {
 				e.emit(1)
 			}
 		}
+		e.emit(byte(decl.Elem))
 		if !ro {
 			e.writable[decl.Name] = len(e.writable)
 		}
@@ -163,18 +168,18 @@ func (e *encoder) stmt(s kpl.Stmt, depth, loopDepth int) {
 	case *kpl.LetStmt:
 		e.emit(0)
 		e.emit(e.varByte(x.Name))
-		e.expr(x.E, depth)
+		e.expr(x.E, depth+1)
 		e.markDefined(x.Name)
 	case *kpl.StoreStmt:
 		e.emit(1)
 		e.emit(e.writableByte(x.Buf))
-		e.expr(x.Idx, depth)
-		e.expr(x.Val, depth)
+		e.expr(x.Idx, depth+1)
+		e.expr(x.Val, depth+1)
 	case *kpl.AtomicAddStmt:
 		e.emit(2)
 		e.emit(e.writableByte(x.Buf))
-		e.expr(x.Idx, depth)
-		e.expr(x.Val, depth)
+		e.expr(x.Idx, depth+1)
+		e.expr(x.Val, depth+1)
 	case *kpl.ForStmt:
 		if depth <= 0 {
 			e.letZero() // decode cannot nest here
@@ -182,8 +187,8 @@ func (e *encoder) stmt(s kpl.Stmt, depth, loopDepth int) {
 		}
 		e.emit(3)
 		e.emit(e.varByte(x.Var))
-		e.expr(unclamp(x.Start), depth-1)
-		e.expr(unclamp(x.End), depth-1)
+		e.expr(unclamp(x.Start), depth)
+		e.expr(unclamp(x.End), depth)
 		snap := e.snapshot()
 		e.markDefined(x.Var)
 		e.block(x.Body, 3, depth-1, loopDepth+1)
@@ -194,7 +199,7 @@ func (e *encoder) stmt(s kpl.Stmt, depth, loopDepth int) {
 			return
 		}
 		e.emit(4)
-		e.expr(x.Cond, depth-1)
+		e.expr(x.Cond, depth)
 		snap := e.snapshot()
 		e.block(x.Then, 3, depth-1, loopDepth)
 		e.restore(snap)
@@ -237,9 +242,29 @@ func unclamp(ex kpl.Expr) kpl.Expr {
 	return ex
 }
 
+// scalar emits a value as cursor.scalar reads one: an entry of the type's
+// edge table by its index, anything else narrowed to the small range.
+func (e *encoder) scalar(t kpl.Type, i int64, f float64) {
+	idx := -1
+	if t == kpl.I32 {
+		idx = slices.Index(edgeInts, i)
+	} else {
+		idx = slices.Index(edgeF64s, math.Float64bits(f))
+		i = int64(f * 4)
+	}
+	if idx >= 0 {
+		e.emit(escape + 256) // the byte that reads as escape
+		e.emit(byte(idx))
+		return
+	}
+	e.emit(clampI8(i))
+}
+
+// clampI8 narrows a scalar to the byte Decode reads one from, short of the
+// escape.
 func clampI8(v int64) byte {
-	if v < -128 {
-		v = -128
+	if v <= escape {
+		v = escape + 1
 	}
 	if v > 127 {
 		v = 127
@@ -261,11 +286,7 @@ func (e *encoder) expr(ex kpl.Expr, depth int) {
 	case *kpl.Const:
 		e.emit(0)
 		e.emit(byte(x.T))
-		if x.T == kpl.I32 {
-			e.emit(clampI8(x.I))
-		} else {
-			e.emit(clampI8(int64(x.F * 4)))
-		}
+		e.scalar(x.T, x.I, x.F)
 	case *kpl.TIDExpr:
 		e.emit(1)
 	case *kpl.NTExpr:
@@ -279,10 +300,8 @@ func (e *encoder) expr(ex kpl.Expr, depth int) {
 		e.emit(4)
 		if pos, ok := e.defined[x.Name]; ok {
 			e.emit(byte(pos * 8)) // pos*8 % 8 == 0: decoder reads defined[pos]
-		} else if len(e.defined) == 0 {
-			e.emit(e.varByte(x.Name)) // decoder's else branch: v{b%maxVars}
 		} else {
-			e.emit(7) // decoder's else branch: a (likely) unassigned read
+			e.emit(7) // the decoder's arbitrary name: a (likely) unassigned read
 		}
 	case *kpl.BinExpr:
 		e.emit(5)

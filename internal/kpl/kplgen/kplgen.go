@@ -57,6 +57,52 @@ func (c *cursor) byte() byte {
 
 func (c *cursor) mod(n int) int { return int(c.byte()) % n }
 
+// Scalars — constants, parameters, buffer elements — are small: a byte read as
+// int8, quartered for the float types. The values where the engines'
+// representations could part are not small, so the byte −128 escapes: the
+// next byte indexes the edge table of the type.
+const escape = -128
+
+// The edge tables. An integer above 2^24 is one float32 does not hold, which
+// matters where it meets an f32; MaxInt32 + 1 wraps. The float64 patterns tag
+// constants and parameters of either float type — as f32, 0.1, 2^24 + 1, the
+// float64 denormal, the payload in the low bits and the signalling NaN are
+// values a float32 register cannot hold (the compiler must refuse the
+// constant, bind the parameter) and the rest are ones it must hold exactly.
+// The float32 patterns go into f32 buffers as they are, signalling NaNs
+// included: a load must quiet them as the interpreter's widening does.
+var (
+	edgeInts = []int64{1<<24 + 1, -(1<<24 + 1), 1 << 24, math.MaxInt32, math.MinInt32, 1 << 30, 46341}
+	edgeF64s = []uint64{
+		math.Float64bits(0.1), math.Float64bits(1<<24 + 1), math.Float64bits(1 << 24),
+		0x7FF0000000000000, 0xFFF0000000000000, 0x8000000000000000, // ±Inf, −0
+		math.Float64bits(math.SmallestNonzeroFloat32), 1, // a float32 denormal, a float64 one
+		math.Float64bits(math.MaxFloat32), math.Float64bits(1e300),
+		0x7FF8000020000000, 0xFFF8000000000000, 0x7FF8000000000001, // quiet NaNs
+		0x7FF4000000000000, 0xFFF0000000000001, // signalling NaNs
+	}
+	edgeF32s = []uint32{
+		0x3DCCCCCD, 0x4B800000, 0x4B800001, // 0.1f, 2^24, 2^24 + 2
+		0x7F800000, 0xFF800000, 0x80000000, // ±Inf, −0
+		0x00000001, 0x007FFFFF, 0x7F7FFFFF, // denormals, MaxFloat32
+		0x7FC00001, 0xFFC00000, // quiet NaNs
+		0x7FA00000, 0xFF800001, // signalling NaNs
+	}
+)
+
+// scalar reads a value of type t: its integer for I32, its float64 for the
+// float types (for F32 not necessarily one float32 holds).
+func (c *cursor) scalar(t kpl.Type) (int64, float64) {
+	v := int8(c.byte())
+	if v != escape {
+		return int64(v), float64(v) / 4
+	}
+	if t == kpl.I32 {
+		return edgeInts[c.mod(len(edgeInts))], 0
+	}
+	return 0, math.Float64frombits(edgeF64s[c.mod(len(edgeF64s))])
+}
+
 type decoder struct {
 	c        *cursor
 	k        *kpl.Kernel
@@ -94,7 +140,10 @@ func Decode(data []byte) (*kpl.Kernel, *kpl.Env, bool) {
 	if len(data) == 0 {
 		return nil, nil, false
 	}
-	c := &cursor{data: data}
+	return decode(&cursor{data: data})
+}
+
+func decode(c *cursor) (*kpl.Kernel, *kpl.Env, bool) {
 	k := &kpl.Kernel{Name: "fuzz"}
 	nParams := c.mod(maxParams + 1)
 	for i := 0; i < nParams; i++ {
@@ -137,17 +186,17 @@ func (d *decoder) stmt(depth, loopDepth int) kpl.Stmt {
 	switch tag {
 	case 0:
 		v := d.varName()
-		s := kpl.Let(v, d.expr(depth))
+		s := kpl.Let(v, d.expr(depth+1))
 		d.markDefined(v)
 		return s
 	case 1:
-		return kpl.Store(d.writableBuf(), d.expr(depth), d.expr(depth))
+		return kpl.Store(d.writableBuf(), d.expr(depth+1), d.expr(depth+1))
 	case 2:
-		return kpl.AtomicAdd(d.writableBuf(), d.expr(depth), d.expr(depth))
+		return kpl.AtomicAdd(d.writableBuf(), d.expr(depth+1), d.expr(depth+1))
 	case 3:
 		v := d.varName()
-		start := clampBound(d.expr(depth - 1))
-		end := clampBound(d.expr(depth - 1))
+		start := clampBound(d.expr(depth))
+		end := clampBound(d.expr(depth))
 		// The loop variable is definitely assigned only inside the body, and
 		// body assignments do not escape a possibly-zero-trip loop.
 		snap := d.snapshot()
@@ -156,7 +205,7 @@ func (d *decoder) stmt(depth, loopDepth int) kpl.Stmt {
 		d.restore(snap)
 		return kpl.For("", v, start, end, body...)
 	case 4:
-		cond := d.expr(depth - 1)
+		cond := d.expr(depth)
 		snap := d.snapshot()
 		then := d.stmts(1+d.c.mod(3), depth-1, loopDepth)
 		d.restore(snap)
@@ -179,15 +228,8 @@ func (d *decoder) expr(depth int) kpl.Expr {
 	switch tag {
 	case 0:
 		t := kpl.Type(d.c.mod(3))
-		v := int8(d.c.byte())
-		switch t {
-		case kpl.I32:
-			return kpl.CI(int64(v))
-		case kpl.F32:
-			return kpl.CF(float64(v) / 4)
-		default:
-			return kpl.CD(float64(v) / 4)
-		}
+		i, f := d.c.scalar(t)
+		return &kpl.Const{T: t, I: i, F: f}
 	case 1:
 		return kpl.TID()
 	case 2:
@@ -198,14 +240,18 @@ func (d *decoder) expr(depth int) kpl.Expr {
 		}
 		return kpl.P(d.k.Params[d.c.mod(len(d.k.Params))].Name)
 	case 4:
-		// Bias reads toward variables already assigned so most kernels are
-		// fully defined (and thus compilable); the remaining 1/8 read an
-		// arbitrary name to keep the undefined-variable path covered.
+		// Bias reads toward variables already assigned (the thread index
+		// while there is none) so most kernels are fully defined, and thus
+		// compilable; the remaining 1/8 read an arbitrary name to keep the
+		// undefined-variable path covered.
 		b := d.c.byte()
-		if len(d.defined) > 0 && b%8 != 7 {
-			return kpl.V(d.defined[int(b/8)%len(d.defined)])
+		switch {
+		case b%8 == 7:
+			return kpl.V(fmt.Sprintf("v%d", int(b)%maxVars))
+		case len(d.defined) == 0:
+			return kpl.TID()
 		}
-		return kpl.V(fmt.Sprintf("v%d", int(b)%maxVars))
+		return kpl.V(d.defined[int(b/8)%len(d.defined)])
 	case 5:
 		return kpl.Bin(kpl.BinOp(d.c.mod(18)), d.expr(depth-1), d.expr(depth-1))
 	case 6:
@@ -254,15 +300,8 @@ func (d *decoder) env() *kpl.Env {
 		if d.c.mod(8) == 7 {
 			continue // unbound parameter
 		}
-		v := int8(d.c.byte())
-		switch p.T {
-		case kpl.I32:
-			env.SetInt(p.Name, int64(v))
-		case kpl.F32:
-			env.SetF32(p.Name, float64(v)/4)
-		default:
-			env.SetF64(p.Name, float64(v)/4)
-		}
+		i, f := d.c.scalar(p.T)
+		env.Params[p.Name] = kpl.Value{T: p.T, I: i, F: f}
 	}
 	for _, b := range d.k.Bufs {
 		if d.c.mod(16) == 15 {
@@ -275,19 +314,33 @@ func (d *decoder) env() *kpl.Env {
 	return env
 }
 
-// fillBuffer writes small deterministic values derived from seed.
+// fillBuffer writes small deterministic values derived from seed, escaping
+// into the edge tables as scalar does: bit patterns go in unconverted.
 func fillBuffer(b *kpl.Buffer, seed byte) {
 	s := uint32(seed)*2654435761 + 1
-	for i := 0; i < b.Len(); i++ {
+	next := func() uint32 {
 		s = s*1664525 + 1013904223
-		v := int64(int8(s >> 24))
+		return s >> 24
+	}
+	for i := 0; i < b.Len(); i++ {
+		v := int8(next())
+		edge := v == escape
 		switch b.Elem {
 		case kpl.I32:
-			b.Set(i, kpl.IntVal(v))
+			b.I32s[i] = int32(v)
+			if edge {
+				b.I32s[i] = int32(edgeInts[int(next())%len(edgeInts)])
+			}
 		case kpl.F32:
-			b.Set(i, kpl.F32Val(float64(v)/4))
+			b.F32s[i] = float32(v) / 4
+			if edge {
+				b.F32s[i] = math.Float32frombits(edgeF32s[int(next())%len(edgeF32s)])
+			}
 		default:
-			b.Set(i, kpl.F64Val(float64(v)/4))
+			b.F64s[i] = float64(v) / 4
+			if edge {
+				b.F64s[i] = math.Float64frombits(edgeF64s[int(next())%len(edgeF64s)])
+			}
 		}
 	}
 }
@@ -382,7 +435,7 @@ func CheckDiff(k *kpl.Kernel, env *kpl.Env, blockSize, workers int) error {
 		envC := CloneEnv(env)
 		stC := kpl.NewStats()
 		errC := p.ExecAll(envC, stC)
-		if err := compareRuns("compiled-serial", envI, stI, errI, envC, stC, errC, true); err != nil {
+		if err := compareRuns("compiled-serial", envI, stI, errI, envC, stC, errC); err != nil {
 			return err
 		}
 	}
@@ -390,15 +443,12 @@ func CheckDiff(k *kpl.Kernel, env *kpl.Env, blockSize, workers int) error {
 	envB := CloneEnv(env)
 	stB := kpl.NewStats()
 	errB := k.ExecBlocks(envB, stB, blockSize, workers)
-	// On a failing parallel launch, worker-local statistics and shadow
-	// writes are discarded by design; only the error itself is comparable.
-	full := errI == nil || workers <= 1 || k.HasAtomics()
 	tag := fmt.Sprintf("blocks[bs=%d,w=%d]", blockSize, workers)
-	return compareRuns(tag, envI, stI, errI, envB, stB, errB, full)
+	return compareRuns(tag, envI, stI, errI, envB, stB, errB)
 }
 
 func compareRuns(tag string, envA *kpl.Env, stA *kpl.Stats, errA error,
-	envB *kpl.Env, stB *kpl.Stats, errB error, full bool) error {
+	envB *kpl.Env, stB *kpl.Stats, errB error) error {
 	aMsg, bMsg := "", ""
 	if errA != nil {
 		aMsg = errA.Error()
@@ -408,9 +458,6 @@ func compareRuns(tag string, envA *kpl.Env, stA *kpl.Stats, errA error,
 	}
 	if aMsg != bMsg {
 		return fmt.Errorf("%s: error mismatch:\n  interp: %q\n  other:  %q", tag, aMsg, bMsg)
-	}
-	if !full {
-		return nil
 	}
 	for name, a := range envA.Bufs {
 		if err := BuffersEqual(a, envB.Bufs[name]); err != nil {

@@ -130,7 +130,11 @@ func blockSpans(n, blockSize, nBlocks, workers int) []threadSpan {
 //     blocks write the same element the highest block wins — exactly the
 //     serial thread-order outcome;
 //   - dynamic statistics are folded per worker and reduced in the same fixed
-//     order; every counter is an integer, so the fold is exact.
+//     order; every counter is an integer, so the fold is exact;
+//   - when a thread faults, the reduction stops after the lowest worker that
+//     failed: the workers below it ran every thread the serial run would have,
+//     that worker stopped where the serial run stops, and what the workers
+//     above it did the serial run never reached.
 //
 // Kernels containing atomics fall back to serial interpretation (a parallel
 // atomic fold would reorder floating-point accumulation), as do single-block
@@ -191,35 +195,27 @@ func (k *Kernel) execBlocks(p *Program, env *Env, st *Stats, blockSize, workers 
 	}
 	wg.Wait()
 
-	release := func() {
-		for w := range envs {
-			for name, shadow := range envs[w].Bufs {
-				if shadow != env.Bufs[name] {
-					releaseShadow(shadow)
-				}
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			release()
-			return err // lowest worker index = lowest failing thread range
-		}
-	}
-
 	// Deterministic reduction: workers own contiguous ascending block
 	// ranges, so folding their results in index order reproduces the serial
-	// thread order exactly.
+	// thread order exactly — up to and including the first that failed.
+	var err error
 	for w := range envs {
-		if st != nil {
-			st.Merge(stats[w])
+		if err == nil {
+			if st != nil {
+				st.Merge(stats[w])
+			}
+			for name, shadow := range envs[w].Bufs {
+				if dst := env.Bufs[name]; dst != nil && dst != shadow {
+					dst.applyWrites(shadow)
+				}
+			}
+			err = errs[w]
 		}
 		for name, shadow := range envs[w].Bufs {
-			if dst := env.Bufs[name]; dst != nil && dst != shadow {
-				dst.applyWrites(shadow)
+			if shadow != env.Bufs[name] {
+				releaseShadow(shadow)
 			}
 		}
 	}
-	release()
-	return nil
+	return err
 }

@@ -144,8 +144,10 @@ func TestExecBlocksAtomicsFallback(t *testing.T) {
 	}
 }
 
-// TestExecBlocksErrorMatchesSerial: the reported failure is the one the
-// serial interpreter would hit first (lowest failing thread).
+// TestExecBlocksErrorMatchesSerial: a launch that faults is, on any worker
+// count and either engine, the serial run up to the fault — the same error,
+// the buffers as the threads below the failing one left them, and their
+// statistics.
 func TestExecBlocksErrorMatchesSerial(t *testing.T) {
 	k := &Kernel{
 		Name: "parOOB",
@@ -155,17 +157,33 @@ func TestExecBlocksErrorMatchesSerial(t *testing.T) {
 			Store("out", TID(), CF(1)),
 		},
 	}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 1000
 	serialEnv := NewEnv(n).Bind("out", NewBuffer(F32, 500))
-	parEnv := NewEnv(n).Bind("out", NewBuffer(F32, 500))
-	serialErr := k.ExecAll(serialEnv, nil)
-	parErr := k.ExecBlocks(parEnv, nil, 100, 4)
-	if serialErr == nil || parErr == nil {
-		t.Fatalf("expected errors, got serial=%v parallel=%v", serialErr, parErr)
+	serialSt := NewStats()
+	serialErr := k.InterpretAll(serialEnv, serialSt)
+	if serialErr == nil || serialSt.Threads != 500 || serialEnv.Bufs["out"].F32s[499] != 1 {
+		t.Fatalf("serial run: error %v, %d threads", serialErr, serialSt.Threads)
 	}
-	se, pe := serialErr.(*Error), parErr.(*Error)
-	if se.TID != pe.TID || se.Msg != pe.Msg {
-		t.Fatalf("error mismatch: serial %v, parallel %v", serialErr, parErr)
+	for name, prog := range map[string]*Program{"interpreter": nil, "compiled": p} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			parEnv := NewEnv(n).Bind("out", NewBuffer(F32, 500))
+			parSt := NewStats()
+			parErr := k.execBlocks(prog, parEnv, parSt, 100, workers)
+			if parErr == nil || parErr.Error() != serialErr.Error() {
+				t.Fatalf("%s, %d workers: error %v, serial %v", name, workers, parErr, serialErr)
+			}
+			sameBuffers(t, name, serialEnv.Bufs, parEnv.Bufs)
+			if !reflect.DeepEqual(serialSt, parSt) {
+				t.Fatalf("%s, %d workers: stats differ\nserial:   %+v\nparallel: %+v", name, workers, serialSt, parSt)
+			}
+		}
 	}
 }
 

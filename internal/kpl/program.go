@@ -3,10 +3,12 @@ package kpl
 // The compiled execution engine. A Program runs against a frame: one pooled,
 // cache-line-isolated block holding the 256-word register file and the
 // control-flow edge counters, plus the launch's bindings resolved once —
-// scalar parameters as register contents, buffers as typed slice headers per
-// slot. The per-thread loop is typed arithmetic on 8-byte registers and
-// nothing else: no type tags, no maps, no strings, no per-instruction
-// counter. The map-keyed Stats view the rest of the system consumes is
+// scalar parameters and the prologue's launch-invariant results as register
+// contents, buffers as typed slice headers per slot. The per-thread loop is
+// typed arithmetic on 8-byte registers — an i32 as int64, an f64 as float64
+// bits, an f32 as float32 bits — and nothing else: no type tags, no maps, no
+// strings, no per-instruction counter. The map-keyed Stats view the rest of
+// the system consumes is
 // produced by a single fold at the end of each call, which multiplies every
 // segment's static tally by the number of times the segment was entered.
 // Every counter is an integer, so folding totals instead of incrementing per
@@ -59,18 +61,19 @@ type frame struct {
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 // bind acquires a pooled frame and resolves the launch's bindings into it:
-// constants and parameters become register contents, buffers typed slice
+// constants and parameters become register contents, the prologue computes
+// the launch-invariant expressions from them, buffers become typed slice
 // headers. It returns nil when the bindings contradict what the program was
-// compiled against — an unbound name, a Value or a Buffer of another type —
-// and the launch must run on the interpreter, which raises the error (if the
-// name is ever reached) at the exact dynamic point.
+// compiled against — an unbound name, a Value or a Buffer of another type, an
+// f32 Value that float32 does not hold exactly — and the launch must run on
+// the interpreter, which raises the error (if the name is ever reached) at
+// the exact dynamic point.
 func (p *Program) bind(env *Env) *frame {
 	fr := framePool.Get().(*frame)
-	clear(fr.cnt[:p.nEdges])
 	fr.loops = p.loops
 
 	fr.regs[regNT] = uint64(env.NThreads)
-	for i, w := range p.consts {
+	for i, w := range p.pool {
 		fr.regs[nRegs-1-i] = w
 	}
 	for _, ps := range p.params {
@@ -79,12 +82,24 @@ func (p *Program) bind(env *Env) *frame {
 			putFrame(fr)
 			return nil
 		}
-		if ps.t == I32 {
+		switch ps.t {
+		case I32:
 			fr.regs[ps.reg] = uint64(v.I)
-		} else {
-			fr.regs[ps.reg] = math.Float64bits(v.F)
+		case F32:
+			if fr.regs[ps.reg], ok = f32Word(v.F); !ok {
+				putFrame(fr)
+				return nil
+			}
+		default:
+			fr.regs[ps.reg] = wf(v.F)
 		}
 	}
+	if p.pro != nil {
+		// One pass of the same loop: no memory access, so no fault.
+		fr.tid, fr.hi, fr.step = 0, 1, 1
+		exec(p.pro, fr)
+	}
+	clear(fr.cnt[:p.nEdges])
 
 	nb := len(p.bufs)
 	if cap(fr.bufs) < nb {
@@ -112,7 +127,8 @@ func putFrame(fr *frame) {
 // tally times its entries. Slots with zero counts create no map keys, exactly
 // like the interpreter's increment-on-first-touch behaviour. faultPC is the
 // pc a thread stopped at, or -1: that one entry of its segment executed only
-// the instructions before faultPC, and did not run on into the next segment.
+// the instructions before faultPC and the keep part of the one at faultPC,
+// and did not run on into the next segment.
 func (fr *frame) fold(p *Program, st *Stats, faultPC int) {
 	clear(fr.tot)
 	ld, sto := fr.tot[:len(p.bufs)], fr.tot[len(p.bufs):]
@@ -154,6 +170,9 @@ func (fr *frame) fold(p *Program, st *Stats, faultPC int) {
 					sto[t.st]--
 				}
 			}
+			for c, k := range p.tallies[faultPC].keep {
+				n[c] += int64(k)
+			}
 			prev = h - 1
 		}
 	}
@@ -185,13 +204,13 @@ func (p *Program) faultError(fr *frame, pc, idx int) error {
 	w := p.code[pc]
 	kind := "store"
 	switch op := w.op(); {
-	case op <= opLdF64:
+	case op <= opLdMadF64:
 		kind = "load"
 	case op == opChkAt || op >= opAtI32:
 		kind = "atomic"
 	}
 	return &Error{Kernel: p.src.Name, TID: fr.tid, Msg: fmt.Sprintf("%s %s[%d] out of range (len %d)",
-		kind, p.bufs[w.c()].name, idx, fr.bufs[w.c()].n)}
+		kind, p.bufs[w.slot()].name, idx, fr.bufs[w.slot()].n)}
 }
 
 // ExecAll executes every thread of the launch through the compiled engine.
@@ -232,16 +251,24 @@ func (p *Program) execStride(lo, hi, step int, env *Env, st *Stats) error {
 	return err
 }
 
-// Word conversions between a register and the value it holds.
+// Word conversions between a register and the value it holds: f64 (fw, wf),
+// f32 (fs, ws), i32 with binEval's wrap (wi), a comparison (wb).
 func fw(w uint64) float64 { return math.Float64frombits(w) }
 func wf(f float64) uint64 { return math.Float64bits(f) }
+func fs(w uint64) float32 { return math.Float32frombits(uint32(w)) }
+func ws(f float32) uint64 { return uint64(math.Float32bits(f)) }
+func wi(i int64) uint64   { return uint64(int64(int32(i))) }
 
-// w32 is F32Val: the result of an f32 operation, computed in float64 and
-// rounded once.
-func w32(f float64) uint64 { return math.Float64bits(float64(float32(f))) }
+// f32Word is the register holding the f32 value the interpreter carries as f,
+// and whether there is one: float32 must hold f exactly (narrowing a
+// signalling NaN quiets it, so it does not).
+func f32Word(f float64) (uint64, bool) {
+	w := ws(float32(f))
+	return w, wf(float64(fs(w))) == wf(f)
+}
 
-// wi is the int32 wrap binEval applies to integer results.
-func wi(i int64) uint64 { return uint64(int64(int32(i))) }
+// madI is a·b + r on i32 words, each step wrapped as binEval wraps it.
+func madI(a, b, r uint64) uint64 { return wi(int64(wi(int64(a)*int64(b))) + int64(r)) }
 
 func wb(b bool) uint64 {
 	if b {
@@ -250,18 +277,69 @@ func wb(b bool) uint64 {
 	return 0
 }
 
+// widen is float64(fs(w)) for the argument of a math call. The conversion
+// instruction merges into its destination register, which the compiler makes
+// the one the previous call returned in, so the call would wait for a result
+// it does not use (sin then cos of independent values ran 1.3× slower); a
+// normal number widens in integer registers instead.
+func widen(w uint64) float64 {
+	b := uint32(w)
+	if e := b >> 23 & 0xFF; e-1 < 0xFE {
+		return math.Float64frombits(uint64(b&(1<<31))<<32 | uint64(e+(1023-127))<<52 | uint64(b&(1<<23-1))<<29)
+	}
+	return float64(math.Float32frombits(b))
+}
+
+// ldF32 is Buffer.At on an f32 element. The interpreter widens the element,
+// which quiets a signalling NaN; the register holds it unwidened, so the quiet
+// bit is set here.
+func ldF32(v float32) uint64 {
+	b := math.Float32bits(v)
+	if v != v {
+		b |= 1 << 22
+	}
+	return uint64(b)
+}
+
+// minF32 and maxF32 are math.Min and math.Max on float32s: an ordered pair
+// needs no more than the comparison, and what remains — equal operands, the
+// two zeros, a NaN — is math's to decide.
+func minF32(x, y float32) float32 {
+	switch {
+	case x < y:
+		return x
+	case y < x:
+		return y
+	}
+	return float32(math.Min(float64(x), float64(y)))
+}
+
+func maxF32(x, y float32) float32 {
+	switch {
+	case x > y:
+		return x
+	case y > x:
+		return y
+	}
+	return float32(math.Max(float64(x), float64(y)))
+}
+
 // convertWord applies a conversion opcode to a constant, for compile-time
-// folding; exec has the same four lines.
+// folding; exec has the same six lines.
 func convertWord(op opcode, w uint64) uint64 {
 	switch op {
 	case opCvtIF:
 		return wf(float64(int64(w)))
 	case opCvtIF32:
-		return w32(float64(int64(w)))
+		return ws(float32(float64(int64(w))))
 	case opCvtFI:
 		return uint64(int64(fw(w)))
+	case opCvtF32I:
+		return uint64(int64(float64(fs(w))))
 	case opRoundF32:
-		return w32(fw(w))
+		return ws(float32(fw(w)))
+	case opWidenF32:
+		return wf(float64(fs(w)))
 	}
 	return w
 }
@@ -329,19 +407,19 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			regs[w.d()] = wi(r)
 
 		case opAddF32:
-			regs[w.d()] = w32(addF64(fw(regs[w.a()]), fw(regs[w.b()])))
+			regs[w.d()] = ws(addF32(fs(regs[w.a()]), fs(regs[w.b()])))
 		case opSubF32:
-			regs[w.d()] = w32(fw(regs[w.a()]) - fw(regs[w.b()]))
+			regs[w.d()] = ws(fs(regs[w.a()]) - fs(regs[w.b()]))
 		case opMulF32:
-			regs[w.d()] = w32(mulF64(fw(regs[w.a()]), fw(regs[w.b()])))
+			regs[w.d()] = ws(mulF32(fs(regs[w.a()]), fs(regs[w.b()])))
 		case opDivF32:
-			regs[w.d()] = w32(fw(regs[w.a()]) / fw(regs[w.b()]))
+			regs[w.d()] = ws(fs(regs[w.a()]) / fs(regs[w.b()]))
 		case opModF32:
-			regs[w.d()] = w32(math.Mod(fw(regs[w.a()]), fw(regs[w.b()])))
+			regs[w.d()] = ws(float32(math.Mod(widen(regs[w.a()]), widen(regs[w.b()]))))
 		case opMinF32:
-			regs[w.d()] = w32(math.Min(fw(regs[w.a()]), fw(regs[w.b()])))
+			regs[w.d()] = ws(minF32(fs(regs[w.a()]), fs(regs[w.b()])))
 		case opMaxF32:
-			regs[w.d()] = w32(math.Max(fw(regs[w.a()]), fw(regs[w.b()])))
+			regs[w.d()] = ws(maxF32(fs(regs[w.a()]), fs(regs[w.b()])))
 
 		case opAddF64:
 			regs[w.d()] = wf(addF64(fw(regs[w.a()]), fw(regs[w.b()])))
@@ -370,17 +448,29 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			regs[w.d()] = wb(regs[w.a()] == regs[w.b()])
 		case opNEI:
 			regs[w.d()] = wb(regs[w.a()] != regs[w.b()])
-		case opLTF:
+		case opLTF32:
+			regs[w.d()] = wb(fs(regs[w.a()]) < fs(regs[w.b()]))
+		case opLEF32:
+			regs[w.d()] = wb(fs(regs[w.a()]) <= fs(regs[w.b()]))
+		case opGTF32:
+			regs[w.d()] = wb(fs(regs[w.a()]) > fs(regs[w.b()]))
+		case opGEF32:
+			regs[w.d()] = wb(fs(regs[w.a()]) >= fs(regs[w.b()]))
+		case opEQF32:
+			regs[w.d()] = wb(fs(regs[w.a()]) == fs(regs[w.b()]))
+		case opNEF32:
+			regs[w.d()] = wb(fs(regs[w.a()]) != fs(regs[w.b()]))
+		case opLTF64:
 			regs[w.d()] = wb(fw(regs[w.a()]) < fw(regs[w.b()]))
-		case opLEF:
+		case opLEF64:
 			regs[w.d()] = wb(fw(regs[w.a()]) <= fw(regs[w.b()]))
-		case opGTF:
+		case opGTF64:
 			regs[w.d()] = wb(fw(regs[w.a()]) > fw(regs[w.b()]))
-		case opGEF:
+		case opGEF64:
 			regs[w.d()] = wb(fw(regs[w.a()]) >= fw(regs[w.b()]))
-		case opEQF:
+		case opEQF64:
 			regs[w.d()] = wb(fw(regs[w.a()]) == fw(regs[w.b()]))
-		case opNEF:
+		case opNEF64:
 			regs[w.d()] = wb(fw(regs[w.a()]) != fw(regs[w.b()]))
 
 		case opAndI:
@@ -395,13 +485,23 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			regs[w.d()] = wi(int64(regs[w.a()]) >> uint(int64(regs[w.b()])&63))
 
 		case opMadI:
-			m := wi(int64(regs[w.a()]) * int64(regs[w.b()]))
-			regs[w.d()] = wi(int64(m) + int64(regs[w.r()]))
+			regs[w.d()] = madI(regs[w.a()], regs[w.b()], regs[w.r()])
+
+		case opMadF32:
+			regs[w.d()] = ws(addF32(mulF32(fs(regs[w.a()]), fs(regs[w.b()])), fs(regs[w.r()])))
+		case opRmadF32:
+			regs[w.d()] = ws(addF32(fs(regs[w.r()]), mulF32(fs(regs[w.a()]), fs(regs[w.b()]))))
+		case opMsubF32:
+			regs[w.d()] = ws(mulF32(fs(regs[w.a()]), fs(regs[w.b()])) - fs(regs[w.r()]))
+		case opRmsubF32:
+			regs[w.d()] = ws(fs(regs[w.r()]) - mulF32(fs(regs[w.a()]), fs(regs[w.b()])))
+		case opRmadF64:
+			regs[w.d()] = wf(addF64(fw(regs[w.r()]), mulF64(fw(regs[w.a()]), fw(regs[w.b()]))))
 
 		case opNegI:
 			regs[w.d()] = -regs[w.a()] // IntVal(-a.I): not wrapped
 		case opNegF32:
-			regs[w.d()] = w32(-fw(regs[w.a()]))
+			regs[w.d()] = ws(-fs(regs[w.a()]))
 		case opNegF64:
 			regs[w.d()] = wf(-fw(regs[w.a()]))
 		case opAbsI:
@@ -411,48 +511,54 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			}
 			regs[w.d()] = uint64(x)
 		case opAbsF32:
-			regs[w.d()] = w32(math.Abs(fw(regs[w.a()])))
+			regs[w.d()] = regs[w.a()] &^ (1 << 31)
 		case opAbsF64:
 			regs[w.d()] = wf(math.Abs(fw(regs[w.a()])))
 		case opNotI:
 			regs[w.d()] = wi(int64(^regs[w.a()]))
 		case opFloorF32:
-			regs[w.d()] = w32(math.Floor(fw(regs[w.a()])))
+			regs[w.d()] = ws(float32(math.Floor(float64(fs(regs[w.a()])))))
 		case opFloorF64:
 			regs[w.d()] = wf(math.Floor(fw(regs[w.a()])))
 		case opSqrtF32:
-			regs[w.d()] = w32(math.Sqrt(fw(regs[w.a()])))
+			regs[w.d()] = ws(float32(math.Sqrt(float64(fs(regs[w.a()])))))
 		case opSqrtF64:
 			regs[w.d()] = wf(math.Sqrt(fw(regs[w.a()])))
 		case opRsqrtF32:
-			regs[w.d()] = w32(1 / math.Sqrt(fw(regs[w.a()])))
+			regs[w.d()] = ws(float32(1 / math.Sqrt(float64(fs(regs[w.a()])))))
 		case opRsqrtF64:
 			regs[w.d()] = wf(1 / math.Sqrt(fw(regs[w.a()])))
 		case opExpF32:
-			regs[w.d()] = w32(math.Exp(fw(regs[w.a()])))
+			regs[w.d()] = ws(float32(math.Exp(widen(regs[w.a()]))))
 		case opExpF64:
 			regs[w.d()] = wf(math.Exp(fw(regs[w.a()])))
 		case opLogF32:
-			regs[w.d()] = w32(math.Log(fw(regs[w.a()])))
+			regs[w.d()] = ws(float32(math.Log(widen(regs[w.a()]))))
 		case opLogF64:
 			regs[w.d()] = wf(math.Log(fw(regs[w.a()])))
 		case opSinF32:
-			regs[w.d()] = w32(math.Sin(fw(regs[w.a()])))
+			regs[w.d()] = ws(float32(math.Sin(widen(regs[w.a()]))))
 		case opSinF64:
 			regs[w.d()] = wf(math.Sin(fw(regs[w.a()])))
 		case opCosF32:
-			regs[w.d()] = w32(math.Cos(fw(regs[w.a()])))
+			regs[w.d()] = ws(float32(math.Cos(widen(regs[w.a()]))))
 		case opCosF64:
 			regs[w.d()] = wf(math.Cos(fw(regs[w.a()])))
 
 		case opCvtIF:
 			regs[w.d()] = wf(float64(int64(regs[w.a()])))
 		case opCvtIF32:
-			regs[w.d()] = w32(float64(int64(regs[w.a()])))
+			// Through float64, as Convert(F32) goes: past 2^53 a direct
+			// conversion would round once where the interpreter rounds twice.
+			regs[w.d()] = ws(float32(float64(int64(regs[w.a()]))))
 		case opCvtFI:
 			regs[w.d()] = uint64(int64(fw(regs[w.a()])))
+		case opCvtF32I:
+			regs[w.d()] = uint64(int64(float64(fs(regs[w.a()]))))
 		case opRoundF32:
-			regs[w.d()] = w32(fw(regs[w.a()]))
+			regs[w.d()] = ws(float32(fw(regs[w.a()])))
+		case opWidenF32:
+			regs[w.d()] = wf(float64(fs(regs[w.a()])))
 
 		case opSelI:
 			if regs[w.a()] != 0 {
@@ -460,7 +566,13 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			} else {
 				regs[w.d()] = regs[w.r()]
 			}
-		case opSelF:
+		case opSelF32:
+			if fs(regs[w.a()]) != 0 {
+				regs[w.d()] = regs[w.b()]
+			} else {
+				regs[w.d()] = regs[w.r()]
+			}
+		case opSelF64:
 			if fw(regs[w.a()]) != 0 {
 				regs[w.d()] = regs[w.b()]
 			} else {
@@ -480,10 +592,25 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			if uint(i) >= uint(len(s)) {
 				return pc, i
 			}
-			regs[w.d()] = wf(float64(s[i]))
+			regs[w.d()] = ldF32(s[i])
 		case opLdF64:
 			s := fr.bufs[w.c()].f64
 			i := int(int64(regs[w.a()]))
+			if uint(i) >= uint(len(s)) {
+				return pc, i
+			}
+			regs[w.d()] = wf(s[i])
+
+		case opLdMadF32:
+			s := fr.bufs[w.madSlot()].f32
+			i := int(int64(madI(regs[w.a()], regs[w.b()], regs[w.r()])))
+			if uint(i) >= uint(len(s)) {
+				return pc, i
+			}
+			regs[w.d()] = ldF32(s[i])
+		case opLdMadF64:
+			s := fr.bufs[w.madSlot()].f64
+			i := int(int64(madI(regs[w.a()], regs[w.b()], regs[w.r()])))
 			if uint(i) >= uint(len(s)) {
 				return pc, i
 			}
@@ -510,7 +637,7 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			if uint(i) >= uint(len(b.f32)) {
 				return pc, i
 			}
-			b.f32[i] = float32(fw(regs[w.b()]))
+			b.f32[i] = fs(regs[w.b()])
 			if b.written != nil {
 				b.written[i] = true
 			}
@@ -541,7 +668,7 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 			if uint(i) >= uint(len(b.f32)) {
 				return pc, i
 			}
-			b.f32[i] = addF32(b.f32[i], float32(fw(regs[w.b()])))
+			b.f32[i] = addF32(b.f32[i], fs(regs[w.b()]))
 			if b.written != nil {
 				b.written[i] = true
 			}
@@ -564,7 +691,10 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 		case opJzI:
 			pc = branch(cnt, w, pc, regs[w.a()] != 0)
 			continue
-		case opJzF:
+		case opJzF32:
+			pc = branch(cnt, w, pc, fs(regs[w.a()]) != 0)
+			continue
+		case opJzF64:
 			pc = branch(cnt, w, pc, fw(regs[w.a()]) != 0)
 			continue
 		case opJnLTI:
@@ -585,22 +715,40 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 		case opJnNEI:
 			pc = branch(cnt, w, pc, regs[w.a()] != regs[w.b()])
 			continue
-		case opJnLTF:
+		case opJnLTF32:
+			pc = branch(cnt, w, pc, fs(regs[w.a()]) < fs(regs[w.b()]))
+			continue
+		case opJnLEF32:
+			pc = branch(cnt, w, pc, fs(regs[w.a()]) <= fs(regs[w.b()]))
+			continue
+		case opJnGTF32:
+			pc = branch(cnt, w, pc, fs(regs[w.a()]) > fs(regs[w.b()]))
+			continue
+		case opJnGEF32:
+			pc = branch(cnt, w, pc, fs(regs[w.a()]) >= fs(regs[w.b()]))
+			continue
+		case opJnEQF32:
+			pc = branch(cnt, w, pc, fs(regs[w.a()]) == fs(regs[w.b()]))
+			continue
+		case opJnNEF32:
+			pc = branch(cnt, w, pc, fs(regs[w.a()]) != fs(regs[w.b()]))
+			continue
+		case opJnLTF64:
 			pc = branch(cnt, w, pc, fw(regs[w.a()]) < fw(regs[w.b()]))
 			continue
-		case opJnLEF:
+		case opJnLEF64:
 			pc = branch(cnt, w, pc, fw(regs[w.a()]) <= fw(regs[w.b()]))
 			continue
-		case opJnGTF:
+		case opJnGTF64:
 			pc = branch(cnt, w, pc, fw(regs[w.a()]) > fw(regs[w.b()]))
 			continue
-		case opJnGEF:
+		case opJnGEF64:
 			pc = branch(cnt, w, pc, fw(regs[w.a()]) >= fw(regs[w.b()]))
 			continue
-		case opJnEQF:
+		case opJnEQF64:
 			pc = branch(cnt, w, pc, fw(regs[w.a()]) == fw(regs[w.b()]))
 			continue
-		case opJnNEF:
+		case opJnNEF64:
 			pc = branch(cnt, w, pc, fw(regs[w.a()]) != fw(regs[w.b()]))
 			continue
 

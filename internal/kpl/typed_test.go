@@ -52,6 +52,9 @@ func TestCompileRefusals(t *testing.T) {
 			If(GT(TID(), CI(3)), Let("x", CI(1))),
 			Store("out", TID(), V("x")),
 		}}, `variable "x" may be read before assignment`},
+		{"f32_constant_unrepresentable", &Kernel{Name: "r8", Bufs: out, Body: []Stmt{
+			Store("out", TID(), Mul(&Const{T: F32, F: 0.1}, CF(10))),
+		}}, `f32 constant 0.1 is not float32-representable`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,25 +183,39 @@ func runOp(t *testing.T, op opcode, a, b, c uint64) uint64 {
 	return fr.regs[5]
 }
 
-// bitsOf is the register contents holding v.
+// bitsOf is the register contents holding v: an i32 as int64, an f64 as
+// float64 bits, an f32 — which must be representable — as float32 bits.
 func bitsOf(v Value) uint64 {
-	if v.T == I32 {
+	switch v.T {
+	case I32:
 		return uint64(v.I)
+	case F32:
+		return uint64(math.Float32bits(float32(v.F)))
 	}
 	return math.Float64bits(v.F)
+}
+
+// representable reports whether a register can hold v: every value but an
+// f32-tagged one that float32 does not hold exactly (a signalling NaN
+// included: narrowing quiets it).
+func representable(v Value) bool {
+	_, ok := f32Word(v.F)
+	return v.T != F32 || ok
 }
 
 // edgeOperands are the operand values every typed opcode is checked on:
 // NaNs, ±Inf, −0, the int32 limits (and values a Convert(I32) of an
 // out-of-range float leaves behind, which exceed them), zero divisors,
 // shift counts ≥ 32 and ≥ 64, f32 values that are not exactly representable
-// products, and f32-tagged values that are not f32-representable at all.
+// products, and f32-tagged values that are not f32-representable at all —
+// which the opcode table skips (registerOperands) and the kernel-level tests
+// feed as constants and parameters, where they must be refused.
 func edgeOperands(t Type) []Value {
 	if t == I32 {
 		var out []Value
 		for _, i := range []int64{0, 1, -1, 2, 7, -7, 31, 32, 33, 63, 64, 65, 255,
-			math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1,
-			1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64} {
+			1<<24 + 1, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1,
+			1 << 40, -(1 << 40), 1<<53 + 1<<29 + 1, math.MaxInt64, math.MinInt64} {
 			out = append(out, Value{T: I32, I: i})
 		}
 		return out
@@ -210,11 +227,22 @@ func edgeOperands(t Type) []Value {
 		math.Inf(1), math.Inf(-1),
 		// Two NaNs that differ in payload and sign: the result of adding or
 		// multiplying them must not depend on how the compiler ordered the
-		// operands (see nanAdd).
-		math.NaN(), math.Float64frombits(0xFFF8000000000000)} {
+		// operands (see nanAdd). The third is signalling.
+		math.NaN(), math.Float64frombits(0xFFF8000000000000), math.Float64frombits(0x7FF4000000000000)} {
 		out = append(out, Value{T: t, F: f})
 		if t == F32 {
 			out = append(out, F32Val(f))
+		}
+	}
+	return out
+}
+
+// registerOperands are the edge operands a register of type t can hold.
+func registerOperands(t Type) []Value {
+	var out []Value
+	for _, v := range edgeOperands(t) {
+		if representable(v) {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -228,15 +256,15 @@ func TestTypedOpcodesMatchEval(t *testing.T) {
 	for op := OpAdd; op <= OpShr; op++ {
 		for _, ty := range types {
 			if op.IsBitwise() && ty != I32 {
-				continue // float operands reach bitwise opcodes through opCvtFI
+				continue // float operands reach bitwise opcodes through a convert
 			}
 			code := binOpcode(op, ty)
-			for _, a := range edgeOperands(ty) {
-				for _, b := range edgeOperands(ty) {
+			for _, a := range registerOperands(ty) {
+				for _, b := range registerOperands(ty) {
 					want := binEval(op, a, b)
 					got := runOp(t, code, bitsOf(a), bitsOf(b), 0)
 					if got != bitsOf(want) {
-						t.Errorf("%v %v (%v, %v): opcode %d gives %#x, binEval %v (%#x)", op, ty, a, b, code, got, want, bitsOf(want))
+						t.Errorf("%v %v (%v, %v): %s gives %#x, binEval %v (%#x)", op, ty, a, b, opcodeNames[code], got, want, bitsOf(want))
 					}
 					if !op.IsCompare() {
 						continue
@@ -247,7 +275,7 @@ func TestTypedOpcodesMatchEval(t *testing.T) {
 					fr := runHand(t, 3, bitsOf(a), bitsOf(b), 0,
 						instr{op: jn, dst: 1, a: 2, b: 3, c: 2}, instr{op: opHalt}, instr{op: opHalt})
 					if fell := fr.cnt[2] == 1; fell != (want.I == 1) || fr.cnt[1]+fr.cnt[2] != 1 {
-						t.Errorf("fused %v %v (%v, %v): fell through = %v, binEval %v", op, ty, a, b, fell, want)
+						t.Errorf("%s (%v, %v): fell through = %v, binEval %v", opcodeNames[jn], a, b, fell, want)
 					}
 					putFrame(fr)
 				}
@@ -255,13 +283,36 @@ func TestTypedOpcodesMatchEval(t *testing.T) {
 		}
 	}
 
-	// The fused integer multiply-add is the composition of the two.
+	// A fused multiply-add is the composition of the two it replaces, in
+	// their operand order: the integer one, and every float form madOpcode
+	// has, over every triple, NaN pairs included.
 	for _, a := range edgeOperands(I32) {
 		for _, b := range edgeOperands(I32) {
 			for _, c := range edgeOperands(I32) {
 				want := binEval(OpAdd, binEval(OpMul, a, b), c)
 				if got := runOp(t, opMadI, bitsOf(a), bitsOf(b), bitsOf(c)); got != bitsOf(want) {
 					t.Errorf("mad (%v, %v, %v): opcode gives %#x, binEval %v", a, b, c, got, want)
+				}
+			}
+		}
+	}
+	for _, ty := range []Type{F32, F64} {
+		ops := registerOperands(ty)
+		for _, a := range ops {
+			for _, b := range ops {
+				m := binEval(OpMul, a, b)
+				for _, c := range ops {
+					for form, want := range []Value{
+						binEval(OpAdd, m, c), binEval(OpAdd, c, m), binEval(OpSub, m, c), binEval(OpSub, c, m),
+					} {
+						code := madOpcode[ty][form]
+						if code == 0 {
+							continue
+						}
+						if got := runOp(t, code, bitsOf(a), bitsOf(b), bitsOf(c)); got != bitsOf(want) {
+							t.Errorf("%s (%v, %v, %v): opcode gives %#x, binEval %v (%#x)", opcodeNames[code], a, b, c, got, want, bitsOf(want))
+						}
+					}
 				}
 			}
 		}
@@ -273,59 +324,40 @@ func TestTypedOpcodesMatchEval(t *testing.T) {
 				continue // intrinsics on ints go through opCvtIF32 first
 			}
 			if op == OpNot && ty != I32 {
-				continue // through opCvtFI first
+				continue // through a convert first
 			}
 			code := unOpcode(op, ty)
-			for _, a := range edgeOperands(ty) {
+			for _, a := range registerOperands(ty) {
 				want := unEval(op, a)
 				if got := runOp(t, code, bitsOf(a), 0, 0); got != bitsOf(want) {
-					t.Errorf("%v %v (%v): opcode %d gives %#x, unEval %v (%#x)", op, ty, a, code, got, want, bitsOf(want))
+					t.Errorf("%v %v (%v): %s gives %#x, unEval %v (%#x)", op, ty, a, opcodeNames[code], got, want, bitsOf(want))
 				}
 			}
 		}
 	}
 
-	// Conversions: the implicit ones (Value.Int, Value.Float, the intrinsic's
-	// Convert(F32)) and Value.Convert for every pair of types.
-	for _, a := range edgeOperands(I32) {
-		for code, want := range map[opcode]uint64{
-			opCvtIF:   math.Float64bits(a.Float()),
-			opCvtIF32: bitsOf(a.Convert(F32)),
-		} {
-			if got := runOp(t, code, bitsOf(a), 0, 0); got != want || convertWord(code, bitsOf(a)) != want {
-				t.Errorf("conversion %d of %v: exec %#x, folded %#x, want %#x", code, a, got, convertWord(code, bitsOf(a)), want)
+	// Conversions: Value.Convert for every ordered pair of types, which is
+	// also what the uncounted ones are — Value.Int is Convert(I32), Value.Float
+	// of an i32 Convert(F64), Buffer.Set's narrowing Convert(Elem) — executed
+	// and folded.
+	for _, from := range types {
+		for _, a := range registerOperands(from) {
+			if a.Int() != a.Convert(I32).I || math.Float64bits(a.Float()) != math.Float64bits(a.Convert(F64).F) {
+				t.Fatalf("%v: Value.Int / Value.Float are not Convert", a)
 			}
-		}
-		if want := bitsOf(a.Convert(F64)); runOp(t, opCvtIF, bitsOf(a), 0, 0) != want {
-			t.Errorf("Convert(F64) of %v", a)
-		}
-	}
-	for _, ty := range []Type{F32, F64} {
-		for _, a := range edgeOperands(ty) {
-			for code, want := range map[opcode]uint64{
-				opCvtFI:    uint64(a.Int()),
-				opRoundF32: bitsOf(a.Convert(F32)),
-			} {
-				if ty == F32 && code == opRoundF32 {
-					continue // Convert(F32) of an f32 is the identity, lowered as a move
-				}
+			for _, to := range types {
+				code, want := cvtOpcode[from][to], bitsOf(a.Convert(to))
 				if got := runOp(t, code, bitsOf(a), 0, 0); got != want || convertWord(code, bitsOf(a)) != want {
-					t.Errorf("conversion %d of %v: exec %#x, folded %#x, want %#x", code, a, got, convertWord(code, bitsOf(a)), want)
+					t.Errorf("%s of %v: exec %#x, folded %#x, want %#x", opcodeNames[code], a, got, convertWord(code, bitsOf(a)), want)
 				}
-			}
-			if bitsOf(a.Convert(I32)) != uint64(a.Int()) || bitsOf(a.Convert(F64)) != bitsOf(a) {
-				t.Errorf("Convert of %v is not what the compiler lowers it to", a)
 			}
 		}
 	}
 
 	// Select and conditional jump: Value.Bool of the condition.
 	for _, ty := range types {
-		sel, jz := opSelI, opJzI
-		if ty != I32 {
-			sel, jz = opSelF, opJzF
-		}
-		for _, c := range edgeOperands(ty) {
+		sel, jz := opSelI+opcode(ty), opJzI+opcode(ty)
+		for _, c := range registerOperands(ty) {
 			want := uint64(22)
 			if c.Bool() {
 				want = 11
@@ -338,10 +370,41 @@ func TestTypedOpcodesMatchEval(t *testing.T) {
 			putFrame(fr)
 		}
 	}
+
+	// The indexed loads compute opMadI's index, and quiet what they load.
+	for _, a := range edgeOperands(I32) {
+		for _, b := range edgeOperands(I32) {
+			for _, c := range edgeOperands(I32) {
+				want := int(binEval(OpAdd, binEval(OpMul, a, b), c).I)
+				for elem, buf := range map[Type]boundBuf{
+					F32: {f32: []float32{7, 8, math.Float32frombits(0x7FA00001)}, n: 3},
+					F64: {f64: []float64{7, 8, math.Float64frombits(0x7FF4000000000001)}, n: 3},
+				} {
+					p := &Program{nEdges: 1, code: pack([]instr{{op: ldMadOpcode[elem], dst: 5, a: 2, b: 3, c: 4}, {op: opHalt}})}
+					fr := p.bind(&Env{NThreads: 1})
+					fr.bufs = append(fr.bufs[:0], buf)
+					fr.regs[2], fr.regs[3], fr.regs[4] = bitsOf(a), bitsOf(b), bitsOf(c)
+					fr.tid, fr.hi, fr.step = 0, 1, 1
+					pc, idx := exec(p.code, fr)
+					if uint(want) < 3 {
+						b := &Buffer{Elem: elem, F32s: buf.f32, F64s: buf.f64}
+						if pc != -1 || fr.regs[5] != bitsOf(b.At(want)) {
+							t.Errorf("%s (%v, %v, %v): pc %d, loaded %#x, want element %d", opcodeNames[ldMadOpcode[elem]], a, b, c, pc, fr.regs[5], want)
+						}
+					} else if pc != 0 || idx != want {
+						t.Errorf("%s (%v, %v, %v): fault (%d, %d), want index %d", opcodeNames[ldMadOpcode[elem]], a, b, c, pc, idx, want)
+					}
+					putFrame(fr)
+				}
+			}
+		}
+	}
 }
 
 // TestTypedMemoryOpsMatchBuffer: typed loads, stores and atomics against
-// Buffer.At/Set/AddAt, for every element type and both register kinds.
+// Buffer.At/Set/AddAt, for every element type and register type, the elements
+// preset to a signalling NaN (which a load must quiet as widening does). A
+// parameter no register can hold makes that launch fall back.
 func TestTypedMemoryOpsMatchBuffer(t *testing.T) {
 	for _, elem := range []Type{I32, F32, F64} {
 		for _, vt := range []Type{I32, F32, F64} {
@@ -358,11 +421,104 @@ func TestTypedMemoryOpsMatchBuffer(t *testing.T) {
 						Store("o", CI(1), Load("b", CI(1))),
 					},
 				}
-				env := NewEnv(1).Bind("b", NewBuffer(elem, 2)).Bind("o", NewBuffer(elem, 2))
+				b := NewBuffer(elem, 3)
+				switch elem {
+				case F32:
+					b.F32s[2] = math.Float32frombits(0x7FA00001)
+				case F64:
+					b.F64s[2] = math.Float64frombits(0x7FF4000000000001)
+				}
+				k.Body = append(k.Body, Store("o", CI(2), Load("b", CI(2))), AtomicAdd("b", CI(2), P("v")))
+				env := NewEnv(1).Bind("b", b).Bind("o", NewBuffer(elem, 3))
 				env.Params["v"] = v
 				diffKernel(t, k, env)
+				p, err := Compile(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fr := p.bind(env)
+				if (fr != nil) != representable(v) {
+					t.Errorf("parameter %v: bind succeeded = %v, representable = %v", v, fr != nil, representable(v))
+				}
+				if fr != nil {
+					putFrame(fr)
+				}
 			}
 		}
+	}
+}
+
+// TestF32RegisterHazards: the places where holding an f32 as float32 could
+// show — a signalling NaN in a buffer, an integer above 2^24 meeting an f32
+// (in arithmetic, in a comparison, under an intrinsic), a parameter float32
+// does not hold — in thread code and, the same expressions on launch
+// constants alone, in the prologue.
+func TestF32RegisterHazards(t *testing.T) {
+	k := &Kernel{
+		Name:   "hazards",
+		Params: []ParamDecl{{Name: "p", T: F32}, {Name: "big", T: I32}},
+		Bufs: []BufDecl{
+			{Name: "in", Elem: F32, ReadOnly: true},
+			{Name: "out", Elem: F32}, {Name: "flag", Elem: I32},
+		},
+		Body: []Stmt{
+			Let("b", Add(P("big"), TID())),
+			Store("out", CI(0), Load("in", CI(0))),
+			Store("out", CI(1), Add(V("b"), CF(1))),
+			Store("out", CI(2), Add(P("big"), CF(1))),
+			Store("out", CI(3), Mul(Load("in", CI(1)), P("p"))),
+			Store("out", CI(4), Sqrt(V("b"))),
+			Store("out", CI(5), Sqrt(P("big"))),
+			Store("out", CI(6), Sub(Mul(P("p"), CI(3)), V("b"))),
+			Store("flag", CI(0), LT(Load("in", CI(2)), V("b"))),
+			Store("flag", CI(1), LT(CF(16777216), P("big"))),
+			If(LT(Load("in", CI(2)), V("b")), Store("flag", CI(2), V("b"))),
+			AtomicAdd("out", CI(7), V("b")),
+			AtomicAdd("flag", CI(3), Mul(P("p"), CF(40))),
+		},
+	}
+	in := NewBuffer(F32, 3)
+	in.F32s[0], in.F32s[1], in.F32s[2] = math.Float32frombits(0x7F800001), 3, 16777216
+	for _, p := range []Value{F32Val(0.1), {T: F32, F: 0.1}, {T: F32, F: math.Float64frombits(0x7FF4000000000000)}} {
+		env := NewEnv(2).Bind("in", in).Bind("out", NewBuffer(F32, 8)).Bind("flag", NewBuffer(I32, 4)).SetInt("big", 16777217)
+		env.Params["p"] = p
+		diffKernel(t, k, env)
+	}
+}
+
+// TestWidenIsTheConversion: widen's integer path gives float64(float32) bit
+// for bit — over the edge operands, both ends of every exponent, and a stride
+// through all of float32.
+func TestWidenIsTheConversion(t *testing.T) {
+	check := func(b uint32) {
+		if got, want := math.Float64bits(widen(uint64(b))), math.Float64bits(float64(math.Float32frombits(b))); got != want {
+			t.Fatalf("widen(%#08x) = %#016x, the conversion gives %#016x", b, got, want)
+		}
+	}
+	for _, v := range registerOperands(F32) {
+		check(uint32(bitsOf(v)))
+	}
+	for e := uint32(0); e < 256; e++ {
+		for _, m := range []uint32{0, 1, 1<<22 - 1, 1 << 22, 1<<23 - 1} {
+			check(e<<23 | m)
+			check(1<<31 | e<<23 | m)
+		}
+	}
+	for b := uint32(0); b < 1<<32-4099; b += 4099 {
+		check(b)
+	}
+}
+
+func TestOpcodeNames(t *testing.T) {
+	seen := map[string]opcode{}
+	for op, name := range opcodeNames {
+		if prev, dup := seen[name]; name == "" || dup {
+			t.Errorf("opcode %d is named %q, as is opcode %d", op, name, prev)
+		}
+		seen[name] = opcode(op)
+	}
+	if opcodeNames[opForNext] != "for.next" || opcodeNames[opLdMadF64] != "ldmad.f64" || opcodeNames[opRmadF64] != "rmad.f64" {
+		t.Error("opcodeNames has drifted from the opcode list")
 	}
 }
 

@@ -206,8 +206,11 @@ func addF64(x, y float64) float64 {
 	return r
 }
 
+// The product is rounded by an explicit conversion: where the engine adds to
+// it in the same expression (opMad*), a GOARCH with a fused multiply-add must
+// not round once.
 func mulF64(x, y float64) float64 {
-	r := x * y
+	r := float64(x * y)
 	if r != r {
 		r = nanMul(x, y)
 	}
@@ -220,6 +223,15 @@ func addF32(x, y float32) float32 {
 	r := x + y
 	if r != r {
 		r = float32(nanAdd(float64(x), float64(y)))
+	}
+	return r
+}
+
+// mulF32 is the single-precision product, rounded before use as mulF64's is.
+func mulF32(x, y float32) float32 {
+	r := float32(x * y)
+	if r != r {
+		r = float32(nanMul(float64(x), float64(y)))
 	}
 	return r
 }
