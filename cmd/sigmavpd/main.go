@@ -13,9 +13,11 @@
 // With -http, the daemon also serves an observability endpoint:
 //
 //	GET /metrics  — the farm snapshot (counters, gauges, histograms, per-job
-//	                events) as deterministic JSON: per-device families
-//	                namespaced "gpu<i>." with unprefixed aggregates alongside
-//	                (a one-device farm carries both, with equal values)
+//	                events) as JSON: per-device families namespaced "gpu<i>."
+//	                with unprefixed aggregates alongside (a one-device farm
+//	                carries both, with equal values); the wall-clock host
+//	                families (core.exec/admission/migrate.*, ipc.server.*)
+//	                sit beside the deterministic simulated ones
 //	GET /trace    — the merged engine timeline (records, span, per-engine
 //	                utilization) as JSON, engines labeled "gpu<i>/<engine>"
 //
@@ -153,11 +155,7 @@ func main() {
 	// hook: a VP whose connection dies mid-batch has its orphaned jobs
 	// cancelled instead of wedging the batching predicate.
 	srv := ipc.ServeEndpoint(l, ms)
-	// Transport counters live in their own registry (the simulated-work
-	// snapshot must not vary with reconnect noise) and are merged
-	// into the served and final snapshots.
-	transport := metrics.New()
-	srv.SetMetrics(transport)
+	srv.SetMetrics(ms.Metrics()) // ipc.server.*, a host family of the farm registry
 	fmt.Printf("sigmavpd: serving %d GPUs [%s], %s placement on %s (optimizations %v)\n",
 		len(gpus), strings.Join(names, ", "), placement, srv.Addr(), !*baseline)
 
@@ -168,7 +166,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sigmavpd: -http:", err)
 			os.Exit(1)
 		}
-		obs = &http.Server{Handler: buildMux(ms, transport)}
+		obs = &http.Server{Handler: buildMux(ms)}
 		go obs.Serve(hl)
 		fmt.Printf("sigmavpd: observability on http://%s (/metrics, /trace)\n", hl.Addr())
 	}
@@ -177,7 +175,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Printf("sigmavpd: %v: draining (grace %v)\n", s, *grace)
-	if err := shutdown(srv, obs, ms, transport, *grace, *checkpointOut, *metricsOut); err != nil {
+	if err := shutdown(srv, obs, ms, *grace, *checkpointOut, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "sigmavpd: shutdown:", err)
 		os.Exit(1)
 	}
@@ -185,14 +183,11 @@ func main() {
 }
 
 // fullSnapshot is the snapshot /metrics serves and -metrics-out writes: the
-// simulated-work view plus the wall-clock registries kept outside it — the
-// executor-health counters (core.exec.* queue depth, batches, enqueue
-// stalls), the admission counters (core.admission.* admitted/shed/throttled,
-// reservation gauges), the migration counters and the transport counters —
-// so farm saturation and shedding are observable remotely.
-func fullSnapshot(ms *core.MultiService, transport *metrics.Registry) metrics.Snapshot {
-	return metrics.MergeSnapshots(ms.Snapshot(), ms.ExecSnapshot(), ms.AdmissionSnapshot(),
-		ms.MigrationSnapshot(), transport.Snapshot())
+// simulated view plus the host families beside it — executor health, admission,
+// migration and transport — so farm saturation and shedding are observable
+// remotely.
+func fullSnapshot(ms *core.MultiService) metrics.Snapshot {
+	return metrics.MergeSnapshots(ms.Snapshot(), ms.HostSnapshot())
 }
 
 // parseGPUs decodes the -gpus flag: an integer replicates the -arch device,
@@ -230,7 +225,7 @@ func parseGPUs(spec string, def arch.GPU) ([]arch.GPU, error) {
 // snapshot flushed. Before this sequence existed the daemon died mid-frame
 // on SIGINT, which clients observed as a decode error instead of a clean
 // disconnect.
-func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, transport *metrics.Registry, grace time.Duration, checkpointOut, metricsOut string) error {
+func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, grace time.Duration, checkpointOut, metricsOut string) error {
 	if obs != nil {
 		obs.Close()
 	}
@@ -256,7 +251,7 @@ func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, transpor
 	if metricsOut == "" {
 		return nil
 	}
-	data, err := fullSnapshot(ms, transport).JSON()
+	data, err := fullSnapshot(ms).JSON()
 	if err != nil {
 		return err
 	}
@@ -279,12 +274,11 @@ type traceRecord struct {
 	End    float64 `json:"end"`
 }
 
-// buildMux wires the observability endpoints over the farm and the
-// transport registry.
-func buildMux(ms *core.MultiService, transport *metrics.Registry) *http.ServeMux {
+// buildMux wires the observability endpoints over the farm.
+func buildMux(ms *core.MultiService) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		data, err := fullSnapshot(ms, transport).JSON()
+		data, err := fullSnapshot(ms).JSON()
 		writeJSON(w, data, err)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {

@@ -17,9 +17,8 @@ import (
 )
 
 // testDaemon builds what main builds for `-gpus spec`: the farm, and — when
-// serve is set — its listener on loopback with the transport registry
-// attached.
-func testDaemon(t *testing.T, opts core.Options, spec string, serve bool) (*core.MultiService, *ipc.Server, *metrics.Registry) {
+// serve is set — its listener on loopback recording into the farm registry.
+func testDaemon(t *testing.T, opts core.Options, spec string, serve bool) (*core.MultiService, *ipc.Server) {
 	t.Helper()
 	gpus, err := parseGPUs(spec, arch.Quadro4000())
 	if err != nil {
@@ -30,25 +29,24 @@ func testDaemon(t *testing.T, opts core.Options, spec string, serve bool) (*core
 		t.Fatal(err)
 	}
 	t.Cleanup(ms.Close)
-	transport := metrics.New()
 	if !serve {
-		return ms, nil, transport
+		return ms, nil
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := ipc.ServeEndpoint(l, ms)
-	srv.SetMetrics(transport)
+	srv.SetMetrics(ms.Metrics())
 	t.Cleanup(func() { srv.Close() })
-	return ms, srv, transport
+	return ms, srv
 }
 
 // TestGracefulShutdown drives a real TCP round-trip through the default
 // daemon shape (a one-device farm), then shuts the daemon down and checks the
 // final metrics snapshot lands on disk and reflects the drained traffic.
 func TestGracefulShutdown(t *testing.T) {
-	ms, srv, transport := testDaemon(t, core.DefaultOptions(), "1", true)
+	ms, srv := testDaemon(t, core.DefaultOptions(), "1", true)
 
 	c, err := ipc.Dial(srv.Addr().String(), 1)
 	if err != nil {
@@ -65,7 +63,7 @@ func TestGracefulShutdown(t *testing.T) {
 	c.Close()
 
 	out := filepath.Join(t.TempDir(), "metrics.json")
-	if err := shutdown(srv, nil, ms, transport, 2*time.Second, "", out); err != nil {
+	if err := shutdown(srv, nil, ms, 2*time.Second, "", out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,8 +97,8 @@ func TestGracefulShutdown(t *testing.T) {
 func TestObservabilityEndpoints(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Trace = true
-	ms, _, transport := testDaemon(t, opts, "1", false)
-	mux := buildMux(ms, transport)
+	ms, _ := testDaemon(t, opts, "1", false)
+	mux := buildMux(ms)
 
 	ms.RegisterVP(1)
 	c := ipc.Pipe(1, ms.Handle)
@@ -187,8 +185,8 @@ func TestParseGPUs(t *testing.T) {
 func TestMultiGPUDaemon(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Trace = true
-	ms, srv, transport := testDaemon(t, opts, "2", true)
-	mux := buildMux(ms, transport)
+	ms, srv := testDaemon(t, opts, "2", true)
+	mux := buildMux(ms)
 
 	for vp := 1; vp <= 2; vp++ {
 		c, err := ipc.Dial(srv.Addr().String(), vp)
@@ -255,7 +253,7 @@ func TestMultiGPUDaemon(t *testing.T) {
 	}
 
 	out := filepath.Join(t.TempDir(), "metrics.json")
-	if err := shutdown(srv, nil, ms, transport, 2*time.Second, "", out); err != nil {
+	if err := shutdown(srv, nil, ms, 2*time.Second, "", out); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
@@ -273,8 +271,8 @@ func TestDaemonAdmissionFlags(t *testing.T) {
 	// What `sigmavpd -max-queued 4 -max-queued-bytes 16 -fair 2` would set.
 	opts.Admission = core.AdmissionOptions{MaxQueuedJobs: 4, MaxQueuedBytes: 16}
 	opts.FairShare = 2
-	ms, srv, transport := testDaemon(t, opts, "1", true)
-	mux := buildMux(ms, transport)
+	ms, srv := testDaemon(t, opts, "1", true)
+	mux := buildMux(ms)
 
 	c, err := ipc.Dial(srv.Addr().String(), 1)
 	if err != nil {
@@ -322,15 +320,15 @@ func TestDaemonAdmissionFlags(t *testing.T) {
 
 	// Hang up first: an open connection would hold shutdown for the grace.
 	c.Close()
-	if err := shutdown(srv, nil, ms, transport, 2*time.Second, "", ""); err != nil {
+	if err := shutdown(srv, nil, ms, 2*time.Second, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestTraceDisabled checks /trace 404s when the recorder is off.
 func TestTraceDisabled(t *testing.T) {
-	ms, _, transport := testDaemon(t, core.DefaultOptions(), "1", false)
-	mux := buildMux(ms, transport)
+	ms, _ := testDaemon(t, core.DefaultOptions(), "1", false)
+	mux := buildMux(ms)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
 	if rec.Code != 404 {

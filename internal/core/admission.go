@@ -4,11 +4,11 @@
 // a runaway VP is shed at the service door instead of filling the job queue,
 // pinning unbounded host memory, or parking every IPC worker in WaitJob.
 //
-// Admission accounting is wall-clock state and lives in its own registry
-// (Service.AdmissionMetrics), mirroring the executor-health split: the
-// simulated-work registry must stay byte-identical between a contended and an
-// uncontended run of the same admitted workload, and shed attempts must never
-// perturb it.
+// Admission accounting is wall-clock state: the core.admission.* host family
+// of the service registry (the farm-cap sheds go to the farm registry). Like
+// executor health it is left out of every Snapshot, which must stay
+// byte-identical between a contended and an uncontended run of the same
+// admitted workload — shed attempts must never perturb it.
 
 package core
 
@@ -144,10 +144,6 @@ type admission struct {
 
 	// now is the clock, swappable in tests; nil means time.Now.
 	now func() time.Time
-}
-
-func newAdmission(opts AdmissionOptions, reg *metrics.Registry) *admission {
-	return &admission{opts: opts, reg: reg, vps: map[int]*vpAdmission{}}
 }
 
 func (a *admission) clock() time.Time {

@@ -12,9 +12,14 @@ import (
 	"repro/internal/sched"
 )
 
-func TestAdmissionJobQuota(t *testing.T) {
+// testGate builds a bare admission gate recording into a fresh registry.
+func testGate(opts AdmissionOptions) (*admission, *metrics.Registry) {
 	reg := metrics.New()
-	a := newAdmission(AdmissionOptions{MaxQueuedJobs: 2}, reg)
+	return &admission{opts: opts, reg: reg, vps: map[int]*vpAdmission{}}, reg
+}
+
+func TestAdmissionJobQuota(t *testing.T) {
+	a, reg := testGate(AdmissionOptions{MaxQueuedJobs: 2})
 	if oe := a.admit(0, 10); oe != nil {
 		t.Fatalf("first admit shed: %v", oe)
 	}
@@ -52,7 +57,7 @@ func TestAdmissionJobQuota(t *testing.T) {
 }
 
 func TestAdmissionByteQuota(t *testing.T) {
-	a := newAdmission(AdmissionOptions{MaxQueuedBytes: 100}, metrics.New())
+	a, _ := testGate(AdmissionOptions{MaxQueuedBytes: 100})
 	if oe := a.admit(0, 60); oe != nil {
 		t.Fatalf("first admit shed: %v", oe)
 	}
@@ -72,7 +77,7 @@ func TestAdmissionByteQuota(t *testing.T) {
 }
 
 func TestAdmissionDeviceCaps(t *testing.T) {
-	a := newAdmission(AdmissionOptions{DeviceMaxQueuedJobs: 2, DeviceMaxQueuedBytes: 100}, metrics.New())
+	a, _ := testGate(AdmissionOptions{DeviceMaxQueuedJobs: 2, DeviceMaxQueuedBytes: 100})
 	if oe := a.admit(0, 40); oe != nil {
 		t.Fatalf("admit: %v", oe)
 	}
@@ -100,8 +105,7 @@ func TestAdmissionDeviceCaps(t *testing.T) {
 }
 
 func TestAdmissionRateLimit(t *testing.T) {
-	reg := metrics.New()
-	a := newAdmission(AdmissionOptions{Rate: 10, Burst: 2}, reg)
+	a, reg := testGate(AdmissionOptions{Rate: 10, Burst: 2})
 	clock := time.Unix(1000, 0)
 	a.now = func() time.Time { return clock }
 
@@ -133,8 +137,7 @@ func TestAdmissionRateLimit(t *testing.T) {
 }
 
 func TestAdmissionGaugesBalance(t *testing.T) {
-	reg := metrics.New()
-	a := newAdmission(AdmissionOptions{MaxQueuedJobs: 8, MaxQueuedBytes: 1 << 20}, reg)
+	a, reg := testGate(AdmissionOptions{MaxQueuedJobs: 8, MaxQueuedBytes: 1 << 20})
 	for i := 0; i < 4; i++ {
 		if oe := a.admit(i%2, 100); oe != nil {
 			t.Fatalf("admit: %v", oe)
@@ -163,7 +166,7 @@ func TestAdmissionGaugesBalance(t *testing.T) {
 
 // TestHandleShedsOverload drives the IPC serving path: an over-quota payload
 // comes back as a non-retryable ipc.OverloadResp, a rate-shed request as a
-// retryable one with a backoff hint, and neither perturbs the simulated-work
+// retryable one with a backoff hint, and neither perturbs the simulated
 // registry or leaks a reservation.
 func TestHandleShedsOverload(t *testing.T) {
 	opts := DefaultOptions()
@@ -192,7 +195,7 @@ func TestHandleShedsOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(bj) != string(aj) {
-		t.Fatal("shed perturbed simulated-work registry")
+		t.Fatal("shed perturbed the simulated snapshot")
 	}
 
 	// Rate limiting: burst of 1, negligible refill — the second submit sheds
@@ -232,7 +235,7 @@ func TestAdmissionReleasedOnDispatch(t *testing.T) {
 	if jobs, bytes := s.AdmissionLoad(); jobs != 0 || bytes != 0 {
 		t.Fatalf("reservations leaked after dispatch: %d jobs, %d bytes", jobs, bytes)
 	}
-	areg := s.AdmissionMetrics()
+	areg := s.Metrics()
 	if got := areg.Counter("core.admission.admitted").Value(); got != 3 {
 		t.Fatalf("admitted = %d", got)
 	}
@@ -300,7 +303,7 @@ func TestExecDepthGaugeSingleOwner(t *testing.T) {
 	}
 	wg.Wait()
 	s.Drain()
-	ereg := s.ExecMetrics()
+	ereg := s.Metrics()
 	if got := ereg.Gauge("core.exec.queue_depth").Value(); got != 0 {
 		t.Fatalf("queue_depth = %d after drain, want 0", got)
 	}

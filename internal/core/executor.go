@@ -39,9 +39,9 @@ type execBatch struct {
 // executor goroutine, so no cross-device synchronization is needed until a
 // merge point (Sync/Snapshot/Traces) drains the pipelines.
 //
-// Health counters (queue depth, batches, enqueue stalls) go to their own
-// registry, NOT the service's simulated-work registry: executor load is a
-// wall-clock property of the host, and keeping it separate is what keeps
+// Health counters (queue depth, batches, enqueue stalls) are the core.exec.*
+// host family of the service registry: executor load is a wall-clock property
+// of the host, and leaving the family out of Service.Snapshot is what keeps
 // pipeline-on and pipeline-off snapshots byte-identical.
 type executor struct {
 	s       *Service
@@ -53,8 +53,6 @@ type executor struct {
 	inflight  int  // batches enqueued (or pending enqueue) but not yet retired
 	highWater int  // max inflight ever seen
 	inline    bool // no goroutine: submit runs batches on the caller
-
-	reg *metrics.Registry
 }
 
 // setDepth publishes the pipeline depth gauges. Caller holds e.mu: the gauge
@@ -62,17 +60,17 @@ type executor struct {
 // enqueue/retire can never publish a stale depth over a fresher one —
 // metrics.Gauge.Set is only safe with a single writer.
 func (e *executor) setDepth() {
-	e.reg.Gauge("core.exec.queue_depth").Set(int64(e.inflight))
+	e.s.metrics.Gauge("core.exec.queue_depth").Set(int64(e.inflight))
 	if e.inflight > e.highWater {
 		e.highWater = e.inflight
-		e.reg.Gauge("core.exec.queue_depth_hw").Set(int64(e.highWater))
+		e.s.metrics.Gauge("core.exec.queue_depth_hw").Set(int64(e.highWater))
 	}
 }
 
 // newExecutor builds a service's execution pipeline, starting its goroutine
 // only when pipelined.
-func newExecutor(s *Service, reg *metrics.Registry, pipelined bool) *executor {
-	e := &executor{s: s, reg: reg, inline: !pipelined}
+func newExecutor(s *Service, pipelined bool) *executor {
+	e := &executor{s: s, inline: !pipelined}
 	e.cond = sync.NewCond(&e.mu)
 	if pipelined {
 		e.ch = make(chan execBatch, ExecQueueDepth)
@@ -123,14 +121,14 @@ func (e *executor) submit(b execBatch) {
 	e.setDepth()
 	e.mu.Unlock()
 
-	e.reg.Counter("core.exec.batches").Inc()
+	e.s.metrics.Counter("core.exec.batches").Inc()
 	select {
 	case e.ch <- b:
 	default:
-		e.reg.Counter("core.exec.enqueue_stalls").Inc()
+		e.s.metrics.Counter("core.exec.enqueue_stalls").Inc()
 		start := time.Now()
 		e.ch <- b
-		e.reg.Counter("core.exec.stall_wait_ns").Add(time.Since(start).Nanoseconds())
+		e.s.metrics.Counter("core.exec.stall_wait_ns").Add(time.Since(start).Nanoseconds())
 	}
 }
 

@@ -28,7 +28,7 @@ func serviceSnapshot(t *testing.T, workers int) []byte {
 		}
 	}
 	s.Flush()
-	data, err := s.Metrics().Snapshot().JSON()
+	data, err := s.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

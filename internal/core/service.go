@@ -45,11 +45,6 @@ type Options struct {
 	// time and profiles are identical for every value.
 	Workers int
 
-	// Metrics receives the service's counters and the structured job trace
-	// (submitted → scheduled → dispatched → completed/cancelled). Nil creates
-	// a fresh registry, available via Service.Metrics().
-	Metrics *metrics.Registry
-
 	// Pipeline starts the service's executor goroutine: drained batches are
 	// enqueued to it instead of running on the submitter's goroutine, so
 	// guest submission overlaps device simulation and an N-device farm
@@ -115,17 +110,10 @@ type Service struct {
 	dispatchMu sync.Mutex
 
 	// exec is the device's execution pipeline (inline with Options.Pipeline
-	// off); execReg holds its wall-clock health counters, deliberately
-	// separate from the simulated-work registry so pipelined and synchronous
-	// runs snapshot byte-identically.
-	exec    *executor
-	execReg *metrics.Registry
-
-	// adm is the admission gate (nil with Options.Admission zero); admReg
-	// holds its wall-clock counters, separate from the simulated-work
-	// registry for the same byte-identity reason as execReg.
-	adm    *admission
-	admReg *metrics.Registry
+	// off); adm is the admission gate (nil with Options.Admission zero). Both
+	// record host families (see hostFamilies) into the service registry.
+	exec *executor
+	adm  *admission
 
 	// memMu guards vpAllocs, the per-VP allocation tables behind VP
 	// checkpoint/restore and live migration: vpAllocs[vp] maps each guest
@@ -179,10 +167,7 @@ func NewService(opts Options) *Service {
 	if opts.Trace {
 		g.Trace = trace.New()
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
+	reg := metrics.New()
 	g.Metrics = reg
 	q := sched.NewQueue()
 	q.Metrics = reg
@@ -195,29 +180,33 @@ func NewService(opts Options) *Service {
 		metrics:  reg,
 		queue:    q,
 		vps:      map[int]*vpState{},
-		execReg:  metrics.New(),
-		admReg:   metrics.New(),
 		vpAllocs: map[int]map[devmem.Ptr]devmem.Ptr{},
 	}
 	// Farm caps are enforced by MultiService from sampled per-device loads,
 	// so they too need the per-service gate running (with every device knob
 	// zero it admits everything but still tracks reservations).
 	if opts.Admission.deviceEnabled() || opts.Admission.farmEnabled() {
-		s.adm = newAdmission(opts.Admission, s.admReg)
+		s.adm = &admission{opts: opts.Admission, reg: reg, vps: map[int]*vpAdmission{}}
 	}
 	if opts.EstimateTarget != nil {
 		s.Estimator = NewEstimation(*opts.EstimateTarget)
 	}
-	s.exec = newExecutor(s, s.execReg, opts.Pipeline)
+	s.exec = newExecutor(s, opts.Pipeline)
 	return s
 }
 
 // Options returns the service configuration.
 func (s *Service) Options() Options { return s.opts }
 
+// hostFamilies are the instrument families that measure the host, not the
+// simulated device: wall-clock state, exempt from the metrics determinism
+// contract and left out of every Snapshot. This list is the only place an
+// instrument's domain is decided.
+var hostFamilies = []string{"core.exec.", "core.admission.", "core.migrate.", "ipc.server."}
+
 // Metrics returns the service's registry (never nil): service counters, the
 // structured job trace, and the counters of every subsystem the service owns
-// (device model, queue, coalescer).
+// (device model, queue, coalescer, executor, admission gate).
 func (s *Service) Metrics() *metrics.Registry { return s.metrics }
 
 // RegisterVP announces a VP to the batching logic.
@@ -384,20 +373,9 @@ func (s *Service) Drain() { s.exec.drain() }
 // Options.Pipeline off. Idempotent.
 func (s *Service) Close() { s.exec.close() }
 
-// ExecMetrics returns the executor-health registry (queue depth, batches,
-// enqueue stalls). It is separate from Metrics() by design: executor load is
-// a wall-clock property of the host, and folding it into the simulated-work
-// registry would break the byte-identical pipelined-vs-synchronous snapshot
-// guarantee. Empty (but never nil) with the pipeline off.
-func (s *Service) ExecMetrics() *metrics.Registry { return s.execReg }
-
-// AdmissionMetrics returns the admission registry (core.admission.*:
-// admitted/shed/throttled counters, reserved jobs/bytes gauges, shed-latency
-// histogram). Like ExecMetrics it is wall-clock state kept out of the
-// simulated-work registry: a contended and an uncontended run of the same
-// admitted workload must snapshot byte-identically. Empty (but never nil)
-// with admission off.
-func (s *Service) AdmissionMetrics() *metrics.Registry { return s.admReg }
+// ExecMetrics is Metrics, kept for the benchmark module, which reads the
+// executor's core.exec.* gauges through it.
+func (s *Service) ExecMetrics() *metrics.Registry { return s.metrics }
 
 // AdmissionLoad returns the admission gate's device-wide reservation totals
 // (jobs, bytes); zero with admission off. Placement uses it to refuse
@@ -445,11 +423,11 @@ func (s *Service) releaseJob(j *sched.Job) {
 	}
 }
 
-// Snapshot drains the pipeline and snapshots the simulated-work registry —
-// the barrier form of Metrics().Snapshot().
+// Snapshot drains the pipeline and snapshots the simulated domain of the
+// registry: everything but the host families, events included.
 func (s *Service) Snapshot() metrics.Snapshot {
 	s.Drain()
-	return s.metrics.Snapshot()
+	return s.metrics.Without(hostFamilies...)
 }
 
 // runBatch hands one drained batch to the executor, which runs it on its

@@ -165,17 +165,6 @@ func estimatorInputs(host, target *arch.GPU, bench *kernels.Benchmark, w *kernel
 	}, nil
 }
 
-// RowsFor returns the rows measured through one host GPU.
-func (r *Fig12Result) RowsFor(host string) []Fig12Row {
-	var out []Fig12Row
-	for _, row := range r.Rows {
-		if row.Host == host {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
 func (r *Fig12Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 12: normalized execution times (target Tegra K1 = 1)\n")

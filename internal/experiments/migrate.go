@@ -63,7 +63,7 @@ type MigrationResult struct {
 	Devices    int
 	Iterations int
 
-	// Migration-run observables, from the farm's migration registry.
+	// Migration-run observables, from the farm's core.migrate.* counters.
 	Migrations     int64
 	BytesMoved     int64
 	AllocsReplayed int64

@@ -12,7 +12,6 @@ import (
 	"repro/internal/devmem"
 	"repro/internal/ipc"
 	"repro/internal/kernels"
-	"repro/internal/metrics"
 )
 
 // remoteRun drives a fixed guest workload against a fresh ΣVP service over
@@ -26,7 +25,6 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	opts := core.DefaultOptions()
 	opts.Workers = workers
 	opts.Trace = true
-	opts.Metrics = metrics.New()
 	svc := core.NewService(opts)
 
 	var client ipc.Client

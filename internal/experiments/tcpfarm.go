@@ -237,7 +237,7 @@ func (a *aggressorFleet) sample() {
 			return
 		case <-tick.C:
 			for d := 0; d < a.farm.ms.Devices(); d++ {
-				reg := a.farm.ms.Device(d).AdmissionMetrics()
+				reg := a.farm.ms.Device(d).Metrics()
 				a.maxJobs = max(a.maxJobs, reg.Gauge("core.admission.queue_jobs").Value())
 				a.maxBytes = max(a.maxBytes, reg.Gauge("core.admission.queue_bytes").Value())
 			}

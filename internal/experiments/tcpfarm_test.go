@@ -54,8 +54,14 @@ func TestAggressorFleetReportsTransportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cut one connection under the running fleet: its submitters' calls fail
-	// with a transport error, at once, while the rest keep hammering.
+	// with a transport error, at once, while the rest keep hammering. Wait
+	// for one of them to report it before stopping: a submitter between two
+	// calls when stop halts the fleet returns without making another.
 	agg.conns[0].Close()
+	deadline := time.Now().Add(drillCallTimeout)
+	for agg.firstErr() == nil && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if err := agg.stop(); err == nil {
 		t.Fatalf("fleet lost a connection and reported no error (%d attempts, %d sheds)",
 			agg.attempts.Load(), agg.sheds.Load())

@@ -322,12 +322,6 @@ func (in *interp) runThread(tid int) (err error) {
 	return nil
 }
 
-// ExecThread executes one thread of the kernel. Statistics are accumulated
-// into st when non-nil.
-func (k *Kernel) ExecThread(tid int, env *Env, st *Stats) error {
-	return k.ExecRange(tid, tid+1, env, st)
-}
-
 // ExecRange executes threads [lo, hi) in thread-index order. Kernels the
 // compiler covers run on the cached typed Program (see compile.go), unless
 // the launch's bindings contradict the declared types; anything else runs on

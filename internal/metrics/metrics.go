@@ -24,6 +24,10 @@
 // Instrumented code must only feed the registry values that are themselves
 // deterministic — simulated time, not wall-clock time.
 //
+// The contract binds the simulated domain. Host families — wall-clock
+// counters named by prefix — are exempt and left out of the owner's Snapshot,
+// which reads the simulated domain with Without and the host one with Select.
+//
 // All methods are safe for concurrent use, and all registry accessors are
 // nil-receiver-safe: a nil *Registry hands out shared no-op instruments, so
 // instrumentation sites need no nil guards.
@@ -32,7 +36,9 @@ package metrics
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -238,19 +244,41 @@ type Snapshot struct {
 // Snapshot captures the registry. The result is JSON-marshalable and, per the
 // package determinism contract, byte-identical for identical workloads
 // regardless of goroutine interleaving.
-func (r *Registry) Snapshot() Snapshot {
+func (r *Registry) Snapshot() Snapshot { return r.snapshot(nil, false) }
+
+// Select captures the instruments whose names start with one of the
+// prefixes, and no events: a host-domain read never copies the job trace.
+func (r *Registry) Select(prefixes ...string) Snapshot { return r.snapshot(prefixes, true) }
+
+// Without captures every instrument whose name starts with none of the
+// prefixes, events included: the simulated domain beside host families.
+func (r *Registry) Without(prefixes ...string) Snapshot { return r.snapshot(prefixes, false) }
+
+// snapshot captures the instruments whose "has one of prefixes" equals in,
+// plus the events unless in is set. A family with nothing kept stays nil.
+func (r *Registry) snapshot(prefixes []string, in bool) Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
+	keep := func(name string) bool {
+		return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) }) == in
+	}
 	r.mu.RLock()
 	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.Value()})
+		if keep(name) {
+			s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.Value()})
+		}
 	}
 	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value()})
+		if keep(name) {
+			s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value()})
+		}
 	}
 	for name, h := range r.hists {
+		if !keep(name) {
+			continue
+		}
 		hs := HistogramSnap{Name: name, Count: h.Count(), Sum: h.Sum()}
 		for i, b := range h.bounds {
 			hs.Buckets = append(hs.Buckets, BucketSnap{LE: b, Count: h.buckets[i].Load()})
@@ -262,7 +290,9 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
-	s.Events = r.Events()
+	if !in {
+		s.Events = r.Events()
+	}
 	return s
 }
 
@@ -375,20 +405,4 @@ func (s Snapshot) CounterValue(name string) int64 {
 		}
 	}
 	return 0
-}
-
-// Reset clears every instrument and the event trace, keeping the registry
-// usable (a fresh measurement window).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
-	r.mu.Unlock()
-	r.evMu.Lock()
-	r.events = nil
-	r.evMu.Unlock()
 }

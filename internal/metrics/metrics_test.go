@@ -71,7 +71,9 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Events) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
-	r.Reset()
+	if s := r.Select("x"); s.Counters != nil {
+		t.Errorf("nil registry selection not empty: %+v", s)
+	}
 }
 
 func TestSnapshotSortedAndMarshalable(t *testing.T) {
@@ -132,17 +134,33 @@ func TestEventCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+// TestSelectWithout pins the two-domain reads: Select and Without partition
+// the instruments by prefix, only Without carries the events, a family with
+// nothing kept stays nil (JSON null, as Snapshot prints it), and Without with
+// a prefix nothing matches is Snapshot byte for byte.
+func TestSelectWithout(t *testing.T) {
 	r := New()
-	r.Counter("c").Inc()
-	r.Event(Event{Kind: EventSubmitted})
-	r.Reset()
-	s := r.Snapshot()
-	if len(s.Counters) != 0 || len(s.Events) != 0 {
-		t.Fatalf("Reset left data: %+v", s)
+	r.Counter("sim.jobs").Add(3)
+	r.Counter("host.batches").Inc()
+	r.Gauge("host.depth").Set(2)
+	r.Histogram("sim.lat", CountBuckets).Observe(1)
+	r.Event(Event{Kind: EventSubmitted, VP: 1})
+	host, sim := r.Select("host."), r.Without("host.")
+	if len(host.Counters) != 1 || host.Counters[0].Name != "host.batches" || len(host.Gauges) != 1 {
+		t.Fatalf("Select(host.) = %+v", host)
 	}
-	r.Counter("c").Inc() // still usable
-	if r.Counter("c").Value() != 1 {
-		t.Error("registry unusable after Reset")
+	if host.Histograms != nil || host.Events != nil {
+		t.Fatalf("Select(host.) kept a histogram or events: %+v", host)
+	}
+	if len(sim.Counters) != 1 || sim.Counters[0].Name != "sim.jobs" || len(sim.Histograms) != 1 || len(sim.Events) != 1 {
+		t.Fatalf("Without(host.) = %+v", sim)
+	}
+	if sim.Gauges != nil {
+		t.Fatalf("Without(host.) gauges = %+v, want nil", sim.Gauges)
+	}
+	all, _ := r.Snapshot().JSON()
+	none, _ := r.Without("nothing.").JSON()
+	if !bytes.Equal(all, none) {
+		t.Fatalf("Without(unmatched) differs from Snapshot:\n%s\n---\n%s", none, all)
 	}
 }
