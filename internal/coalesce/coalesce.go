@@ -335,8 +335,9 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 // share of the budget its goroutine stands for. The merge stays
 // all-or-nothing: nothing is written back until every piece has run without
 // error, then the write-backs go in member order (the scatter's order, which
-// decides who wins when two members share a writable allocation), and the
-// error returned is the lowest-index piece's, as from a serial loop.
+// decides who wins when two members share a writable allocation: each commit
+// swaps the member's copy in and the last one stays), and the error returned
+// is the lowest-index piece's, as from a serial loop, with every copy released.
 func runPieces(mem *devmem.Mem, workers int, members []*sched.Job) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -353,6 +354,11 @@ func runPieces(mem *devmem.Mem, workers int, members []*sched.Job) error {
 		return l.Run("hostgpu", env, nil, workers/fan)
 	})
 	if err != nil {
+		for i, env := range envs {
+			if env != nil {
+				members[i].Launch.Release(env)
+			}
+		}
 		return err
 	}
 	for i, m := range members {

@@ -192,9 +192,11 @@ func TestMergedLaunchAliasing(t *testing.T) {
 }
 
 // TestMergedLaunchAllocs pins what the host allocates for a merged launch of
-// 16 members with 1 MiB buffers: in timing-only mode nothing of buffer size
-// (the 48 MiB of merged regions are reserved, not made), in ExecFull the
-// private copies of the writable buffers and nothing else.
+// 16 members with 1 MiB buffers: nothing of buffer size in either mode. In
+// timing-only mode the 48 MiB of merged regions are reserved, not made; in
+// ExecFull the private copies of the writable buffers are drawn from the
+// devmem pool, which the first launch's commits refilled with the backings
+// they displaced.
 func TestMergedLaunchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc pins are timing-sensitive; skipped in -short")
@@ -203,13 +205,12 @@ func TestMergedLaunchAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	const k, n = 16, 256 << 10
-	const writable = k * 4 * n // vectorAdd writes "out" alone
 	for _, tc := range []struct {
 		mode  hostgpu.ExecMode
 		limit float64
 	}{
 		{hostgpu.ExecTimingOnly, 64 << 10},
-		{hostgpu.ExecFull, 1.1*writable + 64<<10},
+		{hostgpu.ExecFull, 64 << 10},
 	} {
 		g := hostgpu.New(arch.Quadro4000(), 1<<28)
 		g.Mode = tc.mode
@@ -226,7 +227,7 @@ func TestMergedLaunchAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // fill the timing cache
+		run() // fill the timing cache and the buffer pool
 		// No collection while measuring, as in ipc's TestPayloadCallAllocs.
 		old := debug.SetGCPercent(-1)
 		var before, after runtime.MemStats

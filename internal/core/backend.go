@@ -82,7 +82,7 @@ func (b *multiBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (cu
 	b.gate.RLock()
 	defer b.gate.RUnlock()
 	s := b.Service()
-	return s.enqueue(s.h2dJob(b.vp, stream, dst, off, data))
+	return s.enqueue(s.h2dJob(b.vp, stream, dst, off, data, nil))
 }
 
 func (b *multiBackend) D2H(stream int, src devmem.Ptr, off, n int) (cudart.Token, error) {

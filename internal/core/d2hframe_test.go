@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/devmem"
 	"repro/internal/ipc"
+	"repro/internal/kpl"
 	"repro/internal/raceflag"
 )
 
@@ -103,6 +104,69 @@ func TestServedD2HAllocs(t *testing.T) {
 	t.Logf("served D2H of %d bytes: %.0f B/op, of which %d are the client's result", payload, perOp, payload)
 	if perOp > 1.1*payload {
 		t.Errorf("served D2H of %d bytes allocates %.0f B/op: the service made a payload-sized allocation", payload, perOp)
+	}
+}
+
+// TestServedRoundAllocs pins what one served copy-stream round allocates on
+// the service side at steady state: two whole-allocation H2Ds of 256 KiB, a
+// vectorAdd launch and a D2H, client and service in this process. The H2D
+// payloads become the allocations' backings, the launch's writable copy is a
+// pool buffer committed by swap, and the D2H is read into a pooled response
+// frame, so past the client's own D2H result the round allocates only jobs,
+// events and bookkeeping.
+func TestServedRoundAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc pins are timing-sensitive; skipped in -short")
+	}
+	if raceflag.Enabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	s := NewService(DefaultOptions())
+	defer s.Close()
+	srv := serveTCP(t, s)
+	c, tc := dialTyped(t, srv, 1)
+	defer c.Close()
+
+	const elems = 64 << 10
+	const payload = 4 * elems
+	a, b := fillPattern(payload, 1), fillPattern(payload, 2)
+	pa, pb, pout := allocFilled(t, s, 1, a), allocFilled(t, s, 1, b), allocFilled(t, s, 1, make([]byte, payload))
+	launch := ipc.LaunchReq{
+		Kernel: "vectorAdd", Grid: elems / 256, Block: 256,
+		Params:   map[string]kpl.Value{"n": kpl.IntVal(elems)},
+		Bindings: map[string]devmem.Ptr{"a": pa, "b": pb, "out": pout},
+	}
+	round := func() {
+		for _, h2d := range []ipc.H2DReq{{Dst: pa, Data: a}, {Dst: pb, Data: b}} {
+			if _, err := tc.CallH2D(h2d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tc.CallLaunch(launch); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := tc.CallD2H(ipc.D2HReq{Src: pout, N: payload}); err != nil || len(d.Data) != payload {
+			t.Fatalf("D2H: %d bytes, %v", len(d.Data), err)
+		}
+	}
+	for i := 0; i < 16; i++ { // warm the connection, the pools and the timing cache
+		round()
+	}
+	const rounds = 64
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	service := float64(after.TotalAlloc-before.TotalAlloc)/rounds - payload
+	t.Logf("served round: %.0f B beyond the client's %d-byte D2H result", service, payload)
+	if service >= 16<<10 {
+		t.Errorf("a served round allocates %.0f B on the service side, want < 16 KiB", service)
+	}
+	if got := s.Metrics().Counter("core.exec.h2d_adopted_bytes").Value(); got != 2*payload*(16+rounds) {
+		t.Errorf("%d H2D bytes adopted, want every one of the %d sent", got, 2*payload*(16+rounds))
 	}
 }
 

@@ -88,19 +88,22 @@ func domainSession(t *testing.T) *MultiService {
 
 // domainInstruments pins the instrument names /metrics carried for
 // domainSession when the executor, admission, migration and transport
-// counters still lived in side registries merged at snapshot time: the union
-// of the two domains must carry exactly these.
+// counters still lived in side registries merged at snapshot time, plus the
+// executor's byte-movement counter the session's partial H2Ds touch
+// (core.exec.h2d_copied_bytes): the union of the two domains must carry
+// exactly these.
 var domainInstruments = []string{
 	"core.admission.admitted", "core.admission.queue_bytes",
 	"core.admission.queue_jobs", "core.admission.shed",
 	"core.admission.shed.farm-bytes", "core.dispatch_latency_s",
-	"core.exec.batches", "core.exec.queue_depth", "core.exec.queue_depth_hw",
+	"core.exec.batches", "core.exec.h2d_copied_bytes", "core.exec.queue_depth",
+	"core.exec.queue_depth_hw",
 	"core.jobs_completed", "core.jobs_in_flight", "core.jobs_submitted",
 	"core.migrate.allocs_replayed", "core.migrate.bytes_moved",
 	"core.migrate.migrations", "core.migrate.ptrs_rebased", "core.vps_active",
 	"gpu0.core.admission.admitted", "gpu0.core.admission.queue_bytes",
 	"gpu0.core.admission.queue_jobs", "gpu0.core.dispatch_latency_s",
-	"gpu0.core.exec.batches", "gpu0.core.exec.queue_depth",
+	"gpu0.core.exec.batches", "gpu0.core.exec.h2d_copied_bytes", "gpu0.core.exec.queue_depth",
 	"gpu0.core.exec.queue_depth_hw", "gpu0.core.jobs_completed",
 	"gpu0.core.jobs_in_flight", "gpu0.core.jobs_submitted",
 	"gpu0.core.vps_active", "gpu0.hostgpu.engine_busy_ns.h2d",
@@ -109,7 +112,7 @@ var domainInstruments = []string{
 	"gpu0.sched.jobs_pushed", "gpu0.sched.queue_depth",
 	"gpu0.sched.reorder_distance", "gpu1.core.admission.admitted",
 	"gpu1.core.admission.queue_bytes", "gpu1.core.admission.queue_jobs",
-	"gpu1.core.dispatch_latency_s", "gpu1.core.exec.batches",
+	"gpu1.core.dispatch_latency_s", "gpu1.core.exec.batches", "gpu1.core.exec.h2d_copied_bytes",
 	"gpu1.core.exec.queue_depth", "gpu1.core.exec.queue_depth_hw",
 	"gpu1.core.jobs_completed", "gpu1.core.jobs_in_flight",
 	"gpu1.core.jobs_submitted", "gpu1.core.vps_active",

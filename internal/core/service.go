@@ -123,6 +123,8 @@ type Service struct {
 	// allocation (see RestoreVP).
 	memMu    sync.Mutex
 	vpAllocs map[int]map[devmem.Ptr]devmem.Ptr
+
+	moved devmem.Moves // as of the last countMoves
 }
 
 // vpState is one VP's shard of the VP-control state.
@@ -491,6 +493,7 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 			s.Estimator.observe(s, j)
 		}
 	}
+	s.countMoves()
 	if rec == nil {
 		return
 	}
@@ -520,6 +523,23 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 			lat.Observe(0)
 		}
 	}
+}
+
+// countMoves adds the batch's devmem.Moves to the core.exec counters, each
+// appearing once non-zero. Inline batches count too. Only the executor running
+// the batch calls it, so moved has one owner.
+func (s *Service) countMoves() {
+	mv := s.GPU.Mem.Moves()
+	add := func(name string, n int64) {
+		if n != 0 {
+			s.metrics.Counter(name).Add(n)
+		}
+	}
+	add("core.exec.h2d_adopted_bytes", mv.AdoptedBytes-s.moved.AdoptedBytes)
+	add("core.exec.h2d_copied_bytes", mv.CopiedBytes-s.moved.CopiedBytes)
+	add("core.exec.writebacks_swapped", mv.Swapped-s.moved.Swapped)
+	add("core.exec.writebacks_copied", mv.Copied-s.moved.Copied)
+	s.moved = mv
 }
 
 // Sync returns the simulated completion time of all dispatched work,
@@ -580,7 +600,7 @@ func (s *Service) Handle(vp int, req any) any {
 		}
 		return ipc.OKResp{}
 	case ipc.H2DReq:
-		return s.serveJob(s.h2dJob(vp, r.Stream, r.Dst, r.Off, r.Data))
+		return s.serveJob(s.h2dJob(vp, r.Stream, r.Dst, r.Off, r.Data, r.Payload()))
 	case ipc.D2HReq:
 		var d2h ipc.D2HResp
 		j, err := s.d2hJob(vp, r.Stream, r.Src, r.Off, r.N, &d2h)
@@ -633,12 +653,17 @@ func (s *Service) serveJob(j *sched.Job, err error) any {
 // lengths are checked when the job runs (devmem.InRange): until then the
 // allocation may still be freed or replaced.
 
-func (s *Service) h2dJob(vp, stream int, dst devmem.Ptr, off int, data []byte) (*sched.Job, error) {
+// h2dJob builds an H2D job. A payload the transport owns (the served route)
+// may be adopted; data from anyone else is copied.
+func (s *Service) h2dJob(vp, stream int, dst devmem.Ptr, off int, data []byte, owned *devmem.Payload) (*sched.Job, error) {
 	dev, err := streamOf(vp, stream)
 	if err != nil {
 		return nil, err
 	}
-	return sched.NewH2D(vp, dev, s.ResolvePtr(vp, dst), off, data), nil
+	if dst = s.ResolvePtr(vp, dst); owned != nil {
+		return sched.NewH2DFrom(vp, dev, dst, off, owned), nil
+	}
+	return sched.NewH2D(vp, dev, dst, off, data), nil
 }
 
 // d2hJob builds a D2H job. With frame non-nil (the served route) the bytes go

@@ -50,6 +50,22 @@ type Mem struct {
 	free     []span      // address-sorted, coalesced free regions
 	used     int64
 	capacity int64
+	moves    Moves
+}
+
+// Moves counts how bytes entered allocations, for the host's accounting: H2D
+// bytes adopted (Adopt of a whole allocation) or copied (Write, any other
+// Adopt), and write-backs swapped in (Commit) or copied (WriteBuffer).
+type Moves struct {
+	AdoptedBytes, CopiedBytes int64
+	Swapped, Copied           int64
+}
+
+// Moves returns the counts so far.
+func (m *Mem) Moves() Moves {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.moves
 }
 
 // New returns a device memory of the given capacity in bytes.
@@ -219,7 +235,11 @@ func (m *Mem) Replay(entries []Entry) error {
 		if err := m.AllocAt(e.Ptr, len(e.Data)); err != nil {
 			return err
 		}
-		if err := m.Write(e.Ptr, 0, e.Data); err != nil {
+		m.mu.Lock()
+		var restored int64 // not H2D traffic: left out of Moves
+		err := m.writeLocked(e.Ptr, 0, e.Data, &restored)
+		m.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
@@ -360,6 +380,12 @@ func InRange(off, n, size int) bool {
 func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.writeLocked(p, off, data, &m.moves.CopiedBytes)
+}
+
+// writeLocked checks [off, off+len(data)) against the allocation at p, copies
+// data there and adds its length to *count. The caller holds mu.
+func (m *Mem) writeLocked(p Ptr, off int, data []byte, count *int64) error {
 	b, err := m.backing(p, "write to")
 	if err != nil {
 		return err
@@ -368,7 +394,22 @@ func (m *Mem) Write(p Ptr, off int, data []byte) error {
 		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), len(b))
 	}
 	copy(b[off:], data)
+	*count += int64(len(data))
 	return nil
+}
+
+// Adopt is Write of a payload the allocation may keep: one covering the whole
+// allocation becomes its backing and pl is left holding the displaced one;
+// any other is copied. The caller releases pl either way.
+func (m *Mem) Adopt(p Ptr, off int, pl *Payload) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b, ok := m.allocs[p]; ok && off == 0 && len(pl.B) == len(b) {
+		m.allocs[p], pl.B = pl.B, b
+		m.moves.AdoptedBytes += int64(len(b))
+		return nil
+	}
+	return m.writeLocked(p, off, pl.B, &m.moves.CopiedBytes)
 }
 
 // Fill sets n bytes of the allocation at p starting at off to value (a
@@ -453,14 +494,23 @@ func (m *Mem) BindBuffer(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 // allocation's bytes: nothing is copied, and the caller must neither write
 // through it nor let device memory change while it is in use (the per-device
 // executor owns the memory for the duration of a launch). A writable
-// parameter gets a private copy, to be stored with WriteBuffer once the
-// kernel has succeeded, so a failed launch leaves device memory untouched.
-// Where a view is impossible (big-endian host, or bytes not aligned for the
-// element type) the read-only parameter gets a private copy as well.
+// parameter gets a private copy, a pool slice viewed at its type, that Commit
+// makes the allocation's backing once the kernel has succeeded (or
+// ReleaseBuffer returns after a failure), so a failed launch leaves device
+// memory untouched. Where a view is impossible (big-endian host, or bytes not
+// aligned for the element type) either parameter gets a decoded copy.
 func (m *Mem) BindParam(p Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
 	raw, err := m.bind(p)
 	if err != nil {
 		return nil, err
+	}
+	if !decl.ReadOnly && hostLittleEndian {
+		b := getBytes(len(raw))
+		copy(b, raw)
+		if v := viewBuffer(decl.Elem, b); v != nil {
+			return v, nil
+		}
+		putBytes(b)
 	}
 	return bindParam(decl, raw), nil
 }
@@ -500,7 +550,13 @@ func bindParam(decl *kpl.BufDecl, raw []byte) *kpl.Buffer {
 
 // WriteBuffer encodes buf back into the allocation at p.
 func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
-	raw, err := m.bind(p)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.writeBufferLocked(p, buf)
+}
+
+func (m *Mem) writeBufferLocked(p Ptr, buf *kpl.Buffer) error {
+	raw, err := m.backing(p, "bind of")
 	if err != nil {
 		return err
 	}
@@ -508,7 +564,36 @@ func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
 		return fmt.Errorf("devmem: write of %d bytes outside allocation of %d bytes", need, len(raw))
 	}
 	BufferToBytes(buf, raw)
+	m.moves.Copied++
 	return nil
+}
+
+// Commit is WriteBuffer of a writable copy from BindParam that the allocation
+// takes over: when buf's storage can hold the whole allocation it becomes the
+// backing (bytes no element covers carried over) and the displaced one goes
+// to the pool. The caller must not touch buf again.
+func (m *Mem) Commit(p Ptr, buf *kpl.Buffer) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.allocs[p]
+	s := elemBytes(buf)
+	if !ok || !hostLittleEndian || len(s) > len(b) || cap(s) < len(b) || unsafe.SliceData(s) == unsafe.SliceData(b) {
+		return m.writeBufferLocked(p, buf)
+	}
+	s = s[:len(b)]
+	copy(s[buf.Bytes():], b[buf.Bytes():])
+	m.allocs[p] = s
+	putBytes(b)
+	m.moves.Swapped++
+	return nil
+}
+
+// ReleaseBuffer returns a writable copy from BindParam to the pool after a
+// failed launch. The caller must not touch buf again.
+func ReleaseBuffer(buf *kpl.Buffer) {
+	if hostLittleEndian {
+		putBytes(elemBytes(buf))
+	}
 }
 
 // hostLittleEndian reports whether the host lays multi-byte values out in
@@ -519,9 +604,9 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // viewBuffer returns a typed buffer whose element slice aliases raw, or nil
 // when the host is big-endian, raw is not aligned for the element type, or
 // raw holds no whole element. Trailing bytes that do not fill an element are
-// left out of the view.
+// left out of the view but stay in its capacity, as does raw's spare room.
 func viewBuffer(t kpl.Type, raw []byte) *kpl.Buffer {
-	n := len(raw) / t.Size()
+	n, c := len(raw)/t.Size(), cap(raw)/t.Size()
 	p := unsafe.Pointer(unsafe.SliceData(raw))
 	if !hostLittleEndian || n == 0 || uintptr(p)%uintptr(t.Size()) != 0 {
 		return nil
@@ -529,24 +614,25 @@ func viewBuffer(t kpl.Type, raw []byte) *kpl.Buffer {
 	buf := &kpl.Buffer{Elem: t}
 	switch t {
 	case kpl.F32:
-		buf.F32s = unsafe.Slice((*float32)(p), n)
+		buf.F32s = unsafe.Slice((*float32)(p), c)[:n]
 	case kpl.F64:
-		buf.F64s = unsafe.Slice((*float64)(p), n)
+		buf.F64s = unsafe.Slice((*float64)(p), c)[:n]
 	default:
-		buf.I32s = unsafe.Slice((*int32)(p), n)
+		buf.I32s = unsafe.Slice((*int32)(p), c)[:n]
 	}
 	return buf
 }
 
-// elemBytes returns the buffer's element slice as bytes in host byte order.
+// elemBytes returns the buffer's element slice as bytes in host byte order,
+// its capacity included.
 func elemBytes(buf *kpl.Buffer) []byte {
 	switch buf.Elem {
 	case kpl.F32:
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.F32s))), 4*len(buf.F32s))
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.F32s))), 4*cap(buf.F32s))[:4*len(buf.F32s)]
 	case kpl.F64:
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.F64s))), 8*len(buf.F64s))
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.F64s))), 8*cap(buf.F64s))[:8*len(buf.F64s)]
 	default:
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.I32s))), 4*len(buf.I32s))
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf.I32s))), 4*cap(buf.I32s))[:4*len(buf.I32s)]
 	}
 }
 

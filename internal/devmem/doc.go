@@ -6,12 +6,18 @@
 //
 // Allocations hold little-endian bytes. For a launch, BindParam hands a
 // read-only kernel parameter a typed view that aliases those bytes and a
-// writable one a private copy that WriteBuffer stores once the kernel has
-// succeeded, so a failed launch leaves device memory untouched. Views exist
-// only on a little-endian host and over bytes aligned for the element type;
-// everywhere else the parameter gets a private copy. A view relies on the
-// per-device executor being the only writer of the memory while a launch is
-// in flight (DESIGN.md §16).
+// writable one a private copy that Commit makes the allocation's backing once
+// the kernel has succeeded, so a failed launch leaves device memory
+// untouched. Views exist only on a little-endian host and over bytes aligned
+// for the element type; everywhere else the parameter gets a private copy. A
+// view relies on the per-device executor being the only writer of the memory
+// while a launch is in flight (DESIGN.md §16).
+//
+// Bytes change owner rather than place where they can: an H2D payload that
+// covers its whole allocation is adopted as its backing (Adopt), and a
+// committed copy replaces the backing it was made from. What either
+// displaces goes to the package's one buffer pool (pool.go), which the next
+// payload or writable copy draws from and the garbage collector trims.
 //
 // The allocator is a first-fit free list with adjacent-region merge and
 // bump-pointer retraction, so long-lived alloc/free churn keeps the address

@@ -257,15 +257,29 @@ func (g *GPU) sizeLabel(op string, n int) string {
 // engine and returns the transfer interval. In timing-only mode the bytes
 // are not materialized (bounds are still checked).
 func (g *GPU) CopyH2D(stream int, dst devmem.Ptr, off int, src []byte) (Interval, error) {
-	if g.Mode == ExecTimingOnly {
-		size, err := g.Mem.Size(dst)
-		if err != nil {
-			return Interval{}, err
+	return g.copyH2D(stream, dst, off, src, nil)
+}
+
+// AdoptH2D is CopyH2D of a payload the allocation may keep (devmem.Mem.Adopt);
+// every simulated figure is CopyH2D's.
+func (g *GPU) AdoptH2D(stream int, dst devmem.Ptr, off int, pl *devmem.Payload) (Interval, error) {
+	return g.copyH2D(stream, dst, off, pl.B, pl)
+}
+
+func (g *GPU) copyH2D(stream int, dst devmem.Ptr, off int, src []byte, pl *devmem.Payload) (Interval, error) {
+	var err error
+	switch {
+	case g.Mode == ExecTimingOnly:
+		var size int
+		if size, err = g.Mem.Size(dst); err == nil && !devmem.InRange(off, len(src), size) {
+			err = fmt.Errorf("hostgpu: H2D [%d,%d) outside allocation of %d bytes", off, off+len(src), size)
 		}
-		if !devmem.InRange(off, len(src), size) {
-			return Interval{}, fmt.Errorf("hostgpu: H2D [%d,%d) outside allocation of %d bytes", off, off+len(src), size)
-		}
-	} else if err := g.Mem.Write(dst, off, src); err != nil {
+	case pl != nil:
+		err = g.Mem.Adopt(dst, off, pl)
+	default:
+		err = g.Mem.Write(dst, off, src)
+	}
+	if err != nil {
 		return Interval{}, err
 	}
 	dur := CopyTime(&g.Arch, len(src))
@@ -443,13 +457,33 @@ func SampleDyn(k *kpl.Kernel, prog *kir.Program, env *kpl.Env, dyn *kpl.Stats) (
 
 // Bind binds the kernel's buffer parameters to device memory: read-only
 // parameters as views of the allocation, writable ones as private copies that
-// Exec writes back on success (devmem.Mem.BindParam). Bind and Exec are the
-// functional half of a launch on any device model; who ("hostgpu", "emul")
-// prefixes their errors. The coalescer runs each piece of a merged launch
-// through Bind and Exec's two halves, Run and WriteBack, with every Run before
-// any WriteBack.
+// Exec commits on success and releases on failure (devmem.Mem.BindParam).
+// Bind and Exec are the functional half of a launch on any device model; who
+// ("hostgpu", "emul") prefixes their errors. The coalescer runs each piece of
+// a merged launch through Bind and Exec's parts, with every Run before any
+// WriteBack. A committed copy becomes its allocation's backing, which would
+// leave another binding's view of that allocation on the displaced bytes, so a
+// writable binding sharing its allocation gets a fresh copy that is copied
+// back instead: the env then reads as device memory after the launch, as
+// emul's λ sampling needs.
 func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
-	return l.bind(who, mem.BindParam)
+	return l.bind(who, func(ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
+		if !decl.ReadOnly && l.aliased(decl.Name) {
+			return mem.BindBuffer(ptr, decl.Elem)
+		}
+		return mem.BindParam(ptr, decl)
+	})
+}
+
+// aliased reports whether buffer name shares its allocation with another.
+func (l *Launch) aliased(name string) bool {
+	ptr := l.Bindings[name]
+	for _, decl := range l.Kernel.Bufs {
+		if decl.Name != name && l.Bindings[decl.Name] == ptr {
+			return true
+		}
+	}
+	return false
 }
 
 // bind is Bind with the per-parameter rule left to the caller.
@@ -473,9 +507,10 @@ func (l *Launch) bind(who string, param func(devmem.Ptr, *kpl.BufDecl) (*kpl.Buf
 	return env, nil
 }
 
-// Exec is Run, then WriteBack when the kernel returned without error.
+// Exec is Run, then WriteBack on success or Release on failure.
 func (l *Launch) Exec(who string, mem *devmem.Mem, env *kpl.Env, st *kpl.Stats, workers int) error {
 	if err := l.Run(who, env, st, workers); err != nil {
+		l.Release(env)
 		return err
 	}
 	return l.WriteBack(mem, env)
@@ -515,17 +550,34 @@ func (l *Launch) runNative(env *kpl.Env) (err error) {
 }
 
 // WriteBack stores env's writable buffers into the device allocations they
-// were bound from.
+// were bound from, committing each copy (devmem.Mem.Commit) but an aliased
+// binding's, which is copied back (see Bind).
 func (l *Launch) WriteBack(mem *devmem.Mem, env *kpl.Env) error {
 	for _, decl := range l.Kernel.Bufs {
 		if decl.ReadOnly {
 			continue
 		}
-		if err := mem.WriteBuffer(l.Bindings[decl.Name], env.Bufs[decl.Name]); err != nil {
+		ptr, buf := l.Bindings[decl.Name], env.Bufs[decl.Name]
+		var err error
+		if l.aliased(decl.Name) {
+			err = mem.WriteBuffer(ptr, buf)
+		} else {
+			err = mem.Commit(ptr, buf)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Release returns env's writable copies to the pool after a failed Run.
+func (l *Launch) Release(env *kpl.Env) {
+	for _, decl := range l.Kernel.Bufs {
+		if !decl.ReadOnly && !l.aliased(decl.Name) {
+			devmem.ReleaseBuffer(env.Bufs[decl.Name])
+		}
+	}
 }
 
 // accessStreams derives the cache-model access descriptors for the launch.

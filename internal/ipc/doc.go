@@ -28,4 +28,16 @@
 // side: an H2D leaves as one writev of head and the caller's slice, a D2H is
 // read from the device into a pooled response frame (NewD2HResp) and from the
 // socket into the caller's result (DESIGN.md §11).
+//
+// # Handler contract: who owns the bytes
+//
+// A request's byte slices belong to the transport and are dead once the
+// handler returns. The TCP server reads an H2D's payload into a buffer of its
+// own from device memory's pool and lends it to the handler through
+// H2DReq.Payload; the handler may lend it on to a job, which adopts it as an
+// allocation's backing when the H2D covers the whole allocation and leaves
+// the displaced backing in its place (devmem.Mem.Adopt). The server releases
+// the payload, whatever it then holds, once the handler has returned — so a
+// handler returns only after such a job has run or been cancelled. An H2DReq
+// built by anyone else has no payload and is only ever copied.
 package ipc

@@ -38,7 +38,14 @@ type H2DReq struct {
 	Dst    devmem.Ptr
 	Off    int
 	Data   []byte
+
+	payload *devmem.Payload // see Payload
 }
+
+// Payload returns the payload the TCP server read Data into, lent to the
+// handler until it returns (see the package doc), or nil when Data belongs to
+// whoever built the request.
+func (r H2DReq) Payload() *devmem.Payload { return r.payload }
 
 // D2HReq copies device bytes back to the host.
 type D2HReq struct {
@@ -381,25 +388,56 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	var hdr [4]byte
 	for {
-		fb := framePool.Get().(*frameBuf)
-		fb.b, err = readFrame(br, &hdr, fb.b)
+		r, err := readRequest(br, &hdr)
 		if err != nil {
-			// EOF, a short read, or a corrupted length prefix. The framing
-			// can no longer be trusted, so close the connection; the client
-			// sees a typed disconnect and redials.
-			framePool.Put(fb)
-			s.metrics.Counter("ipc.server.decode_errors").Inc()
-			return
-		}
-		id, body, derr := decodeMsg(fb.b)
-		if derr != nil {
-			framePool.Put(fb)
+			// EOF, a short read, a corrupted length prefix or a bad frame. The
+			// framing can no longer be trusted, so close the connection; the
+			// client sees a typed disconnect and redials.
 			s.metrics.Counter("ipc.server.decode_errors").Inc()
 			return
 		}
 		s.metrics.Counter("ipc.server.requests").Inc()
-		cs.enqueue(binRequest{id: id, body: body, key: orderKey(body), fb: fb})
+		cs.enqueue(r)
 	}
+}
+
+// readRequest reads and decodes one request frame. An H2D is read split, as
+// the client reads a D2H response: its head is checked against the frame
+// length before its payload is read into a pool buffer of its own that the
+// device may adopt. Every other request is decoded in a pooled frame.
+func readRequest(br *bufio.Reader, hdr *[4]byte) (binRequest, error) {
+	n, err := readFrameLen(br, hdr)
+	if err != nil {
+		return binRequest{}, err
+	}
+	head, err := br.Peek(min(n, h2dHeadMax-4))
+	if err != nil {
+		return binRequest{}, err
+	}
+	if head[0] == msgH2DReq {
+		headLen, id, m, size, err := parseH2DHead(head, n)
+		if err != nil {
+			return binRequest{}, err
+		}
+		br.Discard(headLen) // peeked above, cannot fail
+		m.payload = devmem.NewPayload(size)
+		if _, err := io.ReadFull(br, m.payload.B); err != nil {
+			m.payload.Release()
+			return binRequest{}, err
+		}
+		m.Data = m.payload.B
+		return binRequest{id: id, body: m, key: m.Stream, payload: m.payload}, nil
+	}
+	fb := framePool.Get().(*frameBuf)
+	if fb.b, err = readFrameBody(br, n, fb.b); err == nil {
+		var id uint64
+		var body any
+		if id, body, err = decodeMsg(fb.b); err == nil {
+			return binRequest{id: id, body: body, key: orderKey(body), fb: fb}, nil
+		}
+	}
+	framePool.Put(fb)
+	return binRequest{}, err
 }
 
 // orderKey buckets a request for per-stream ordered execution. Requests
@@ -422,12 +460,24 @@ func orderKey(body any) int {
 }
 
 // binRequest is one decoded request waiting for a worker. It owns its frame
-// buffer (payload views alias it) until the handler returns.
+// buffer (payload views alias it) or H2D payload until the handler returns.
 type binRequest struct {
-	id   uint64
-	body any
-	key  int
-	fb   *frameBuf
+	id      uint64
+	body    any
+	key     int
+	fb      *frameBuf
+	payload *devmem.Payload
+}
+
+// release recycles the frame, or the payload with whatever the device left
+// in it.
+func (r binRequest) release() {
+	if r.fb != nil {
+		framePool.Put(r.fb)
+	}
+	if r.payload != nil {
+		r.payload.Release()
+	}
 }
 
 // connServer runs one connection's handler side: per-stream FIFO
@@ -486,12 +536,18 @@ func (cs *connServer) drain(key int) {
 		cs.queues[key] = q[1:]
 		cs.mu.Unlock()
 		resp := cs.s.h(cs.vp, r.body)
-		cs.writeResp(r.id, resp)
-		// The handler contract: request payload views are dead once the
-		// handler returns, and a response that aliases them (echo-style
-		// handlers) has been copied onto the wire above — only now can the
-		// frame buffer be recycled.
-		framePool.Put(r.fb)
+		// Request bytes are dead once the handler returns, but a response
+		// carrying bytes may alias them (echo-style handlers) and must be on
+		// the wire first; any other goes after, so the peer's next request
+		// finds the buffer back in the pool.
+		switch resp.(type) {
+		case D2HResp, CheckpointResp:
+			cs.writeResp(r.id, resp)
+			r.release()
+		default:
+			r.release()
+			cs.writeResp(r.id, resp)
+		}
 	}
 }
 

@@ -3,13 +3,18 @@ package ipc
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/raceflag"
 )
 
 // pattern fills b with bytes that depend on the position and on seed, so a
@@ -413,6 +418,106 @@ func TestSplitD2HReadHostileFrames(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSplitH2DReadHostileFrames sends the server frames a hostile or broken
+// client could. Each must close the connection without reaching the handler,
+// and none may cost the server memory it was told about but not sent: an H2D
+// head whose payload length is not the frame's remainder is refused before a
+// payload is drawn, and a 128 MiB length prefix in front of a few bytes
+// allocates nothing of that size. A well-formed frame after it, on a fresh
+// connection, is still served.
+func TestSplitH2DReadHostileFrames(t *testing.T) {
+	var calls atomic.Int64
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(l, func(vp int, req any) any {
+		calls.Add(1)
+		return payloadHandler(vp, req)
+	})
+	defer srv.Close()
+
+	// h2dHead is an H2D frame head announcing a payload of announced bytes,
+	// with a length prefix for a frame that carries carried bytes after it.
+	h2dHead := func(announced, carried int) []byte {
+		head := beginFrame(nil, msgH2DReq, 1)
+		head = appendInt(head, 0)
+		head = appendUint64(head, 0x1000)
+		head = appendInt(head, 0)
+		head = binary.AppendUvarint(head, uint64(announced))
+		binary.LittleEndian.PutUint32(head[:4], uint32(len(head)-4+carried))
+		return head
+	}
+	const mib = 1 << 20
+	// prefix128 is the first bytes of a frame of type typ that announces
+	// 128 MiB and carries sent.
+	prefix128 := func(typ byte, sent int) []byte {
+		frame := binary.LittleEndian.AppendUint32(nil, maxFrame)
+		return append(append(frame, typ, 1), make([]byte, sent-2)...)
+	}
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"payload one byte short of the frame", append(h2dHead(mib-1, mib), make([]byte, mib)...)},
+		{"payload one byte past the frame", append(h2dHead(mib+1, mib), make([]byte, mib)...)},
+		{"128 MiB frame whose head announces 16 bytes", append(h2dHead(16, maxFrame-len(h2dHead(16, 0))+4), make([]byte, 16)...)},
+		{"128 MiB length prefix, H2D head cut short", prefix128(msgH2DReq, 8)},
+		{"128 MiB length prefix, launch cut short", prefix128(msgLaunchReq, 64<<10)},
+		{"length prefix over the cap", binary.LittleEndian.AppendUint32(nil, maxFrame+1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(appendHello(nil, 1)); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			go func() {
+				conn.Write(tc.frame) // the server may hang up before it has read it all
+				conn.(*net.TCPConn).CloseWrite()
+			}()
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := io.Copy(io.Discard, conn); err != nil || n != 0 {
+				var ne net.Error
+				if errors.As(err, &ne) && ne.Timeout() {
+					t.Fatal("the server kept the connection open")
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; !raceflag.Enabled && got > mib/2 {
+				t.Errorf("the refused frame cost %d bytes of allocation", got)
+			}
+		})
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("the handler ran %d times for frames that should have been refused", n)
+	}
+	c, err := Dial(srv.Addr().String(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	data := pattern(make([]byte, 3000), 5)
+	if ok, err := c.(TypedCaller).CallH2D(H2DReq{Dst: 0x1000, Data: data}); err != nil || ok.End != float64(checksum(data)) {
+		t.Fatalf("well-formed H2D after the hostile ones: %v, %v", ok, err)
+	}
+}
+
+// checksum is payloadHandler's H2D acknowledgement of data.
+func checksum(data []byte) int {
+	sum := 0
+	for _, b := range data {
+		sum += int(b)
+	}
+	return sum
 }
 
 // TestD2HStalledMidPayloadTimesOut: a server that sends a D2H response's head

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/devmem"
@@ -559,15 +560,22 @@ func readFrameLen(r io.Reader, hdr *[4]byte) (int, error) {
 	return int(n), nil
 }
 
-// readFrameBody reads a frame's n bytes (type+id+body) from r into buf,
-// growing it if needed, and returns them.
+// readFrameBody reads a frame's n bytes (type+id+body) from r into buf and
+// returns them, growing buf as the bytes arrive: a length prefix announcing
+// more than the peer sends costs only what it sent.
 func readFrameBody(r io.Reader, n int, buf []byte) ([]byte, error) {
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 4<<10)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
 	}
-	buf = buf[:n]
-	_, err := io.ReadFull(r, buf)
-	return buf, err
+	return buf, nil
 }
 
 // readFrame reads one length-prefixed frame from r into buf: readFrameLen,
@@ -578,6 +586,30 @@ func readFrame(r io.Reader, hdr *[4]byte, buf []byte) ([]byte, error) {
 		return buf, err
 	}
 	return readFrameBody(r, n, buf)
+}
+
+// h2dHeadMax is the longest head an H2DReq frame can have in front of its
+// payload: length prefix, type, id, stream, dst, off, payload length.
+const h2dHeadMax = 4 + 1 + 5*binary.MaxVarintLen64
+
+// parseH2DHead is parseD2HRespHead for an H2DReq frame: it returns the head's
+// length, the request ID, the request without its Data, and the checked
+// payload length.
+func parseH2DHead(head []byte, frameLen int) (headLen int, id uint64, m H2DReq, n int, err error) {
+	if len(head) > frameLen {
+		head = head[:frameLen]
+	}
+	rd := wireReader{b: head}
+	if typ := rd.byte(); typ != msgH2DReq {
+		rd.fail("message type %d is not an H2D request", typ)
+	}
+	id = rd.uvarint()
+	m = H2DReq{Stream: rd.int(), Dst: devmem.Ptr(rd.uvarint()), Off: rd.int()}
+	size := rd.uvarint()
+	if rd.err == nil && size != uint64(frameLen-rd.off) {
+		rd.fail("H2D payload of %d bytes in a frame with %d left", size, frameLen-rd.off)
+	}
+	return rd.off, id, m, int(size), rd.err
 }
 
 // parseD2HRespHead parses the head of a D2HResp frame of frameLen bytes from

@@ -202,16 +202,29 @@ func TestReadFrameLengthCap(t *testing.T) {
 	}
 }
 
-// checkSplitAgrees holds the client's split D2H read to the whole-frame
-// decoder: given the same frame (type+id+body), parsing the head from its
-// first bytes and taking the rest as the payload must accept exactly when
-// decodeMsg accepts, and then yield the same request ID and D2HResp.
+// checkSplitAgrees holds the split reads to the whole-frame decoder — the
+// client's of a D2H response, the server's of an H2D request: given the same
+// frame (type+id+body), parsing the head from its first bytes and taking the
+// rest as the payload must accept exactly when decodeMsg accepts, and then
+// yield the same request ID and body.
 func checkSplitAgrees(t *testing.T, frame []byte, id uint64, body any, err error) {
 	t.Helper()
-	if len(frame) == 0 || frame[0] != msgD2HResp {
+	if len(frame) == 0 || (frame[0] != msgD2HResp && frame[0] != msgH2DReq) {
 		return
 	}
-	headLen, sid, end, n, serr := parseD2HRespHead(frame[:min(len(frame), d2hHeadMax-4)], len(frame))
+	var headLen, n int
+	var sid uint64
+	var split any
+	var serr error
+	if frame[0] == msgD2HResp {
+		var end float64
+		headLen, sid, end, n, serr = parseD2HRespHead(frame[:min(len(frame), d2hHeadMax-4)], len(frame))
+		split = D2HResp{End: end}
+	} else {
+		var m H2DReq
+		headLen, sid, m, n, serr = parseH2DHead(frame[:min(len(frame), h2dHeadMax-4)], len(frame))
+		split = m
+	}
 	if (serr == nil) != (err == nil) {
 		t.Fatalf("split read and whole-frame decode disagree on % x: split err %v, whole err %v", frame, serr, err)
 	}
@@ -221,7 +234,14 @@ func checkSplitAgrees(t *testing.T, frame []byte, id uint64, body any, err error
 		}
 		return
 	}
-	split := D2HResp{Data: frame[headLen : headLen+n], End: end}
+	switch m := split.(type) {
+	case D2HResp:
+		m.Data = frame[headLen : headLen+n]
+		split = m
+	case H2DReq:
+		m.Data = frame[headLen : headLen+n]
+		split = m
+	}
 	if headLen+n != len(frame) || sid != id || !reflect.DeepEqual(normalize(split), normalize(body)) {
 		t.Fatalf("split read of % x: id %d head %d payload %d, got %#v; whole-frame decode: id %d, %#v", frame, sid, headLen, n, split, id, body)
 	}
@@ -232,8 +252,22 @@ func checkSplitAgrees(t *testing.T, frame []byte, id uint64, body any, err error
 // length that is not the frame's remainder, truncation at every byte, and
 // trailing bytes.
 func TestSplitD2HHeadAgreesWithDecoder(t *testing.T) {
+	checkSplitDefects(t, func(n int) any { return D2HResp{Data: make([]byte, n), End: 0.5} })
+}
+
+// TestSplitH2DHeadAgreesWithDecoder is TestSplitD2HHeadAgreesWithDecoder for
+// the server's split read of H2D requests.
+func TestSplitH2DHeadAgreesWithDecoder(t *testing.T) {
+	checkSplitDefects(t, func(n int) any {
+		return H2DReq{Stream: n, Dst: devmem.Ptr(n) << 32, Off: -n, Data: make([]byte, n)}
+	})
+}
+
+// checkSplitDefects runs checkSplitAgrees over msg(n)'s frame for payloads of
+// several sizes, whole, truncated at every byte and with a trailing byte.
+func checkSplitDefects(t *testing.T, msg func(n int) any) {
 	for _, n := range []int{0, 1, 200, 1 << 10, 4 << 10} {
-		frame, err := appendMsg(nil, uint64(n)<<40|5, D2HResp{Data: make([]byte, n), End: 0.5})
+		frame, err := appendMsg(nil, uint64(n)<<40|5, msg(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +293,8 @@ func TestSplitD2HHeadAgreesWithDecoder(t *testing.T) {
 // fail with a typed error or decode into a body that re-encodes and
 // re-decodes to the same value (the codec's round-trip property). It must
 // never panic and never over-read. A D2H response is also put through the
-// client's split read, which must agree with the decoder (checkSplitAgrees).
+// client's split read, and an H2D request through the server's, each of
+// which must agree with the decoder (checkSplitAgrees).
 func FuzzWireCodec(f *testing.F) {
 	for i, msg := range wireMessages() {
 		frame, err := appendMsg(nil, uint64(i+1), msg)
@@ -274,6 +309,11 @@ func FuzzWireCodec(f *testing.F) {
 	// D2H responses whose announced payload length is one off the remainder.
 	f.Add([]byte{msgD2HResp, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xAA})
 	f.Add([]byte{msgD2HResp, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xAA, 0xBB})
+	// H2D requests whose announced payload length is one off the remainder,
+	// and one whose varints are padded to their longest legal encoding.
+	f.Add([]byte{msgH2DReq, 1, 0, 0x80, 0x20, 0, 2, 0xAA})
+	f.Add([]byte{msgH2DReq, 1, 0, 0x80, 0x20, 0, 1, 0xAA, 0xBB})
+	f.Add([]byte{msgH2DReq, 0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0, 0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0, 0xCC})
 	// The extreme offsets and lengths of a hostile guest: they are well-formed
 	// on the wire and must round-trip; the device refuses them.
 	for _, v := range []int{-1, math.MinInt, math.MaxInt} {

@@ -107,12 +107,28 @@ func newJob(vp, stream int, engine, label string) *Job {
 	return &Job{VP: vp, Stream: stream, Engine: engine, Label: label, done: make(chan struct{})}
 }
 
-// NewH2D builds a host-to-device copy job.
+// NewH2D builds a host-to-device copy job; data is copied, never kept.
 func NewH2D(vp, stream int, dst devmem.Ptr, off int, data []byte) *Job {
+	return newH2D(vp, stream, dst, off, data, nil)
+}
+
+// NewH2DFrom builds a host-to-device copy job from pl, lent until the job has
+// run or been cancelled, which the allocation may adopt (hostgpu.GPU.AdoptH2D).
+func NewH2DFrom(vp, stream int, dst devmem.Ptr, off int, pl *devmem.Payload) *Job {
+	return newH2D(vp, stream, dst, off, pl.B, pl)
+}
+
+func newH2D(vp, stream int, dst devmem.Ptr, off int, data []byte, pl *devmem.Payload) *Job {
 	j := newJob(vp, stream, hostgpu.EngineH2D, fmt.Sprintf("vp%d H2D %dB", vp, len(data)))
 	j.Bytes = len(data)
 	j.Run = func(g *hostgpu.GPU) error {
-		iv, err := g.CopyH2D(stream, dst, off, data)
+		var iv hostgpu.Interval
+		var err error
+		if pl != nil {
+			iv, err = g.AdoptH2D(stream, dst, off, pl)
+		} else {
+			iv, err = g.CopyH2D(stream, dst, off, data)
+		}
 		j.Interval = iv
 		return err
 	}
