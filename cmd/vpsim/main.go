@@ -103,7 +103,6 @@ func guestApp(bench *kernels.Benchmark, scale, iters int) vp.App {
 			l.Bindings[decl.Name] = ptr
 		}
 		for it := 0; it < iters; it++ {
-			v.Checkpoint()
 			if bench.CopyEachIteration || it == 0 {
 				for name, data := range w.Inputs {
 					if err := v.Ctx.MemcpyH2DAsync(0, l.Bindings[name], data); err != nil {

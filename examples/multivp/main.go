@@ -46,7 +46,6 @@ func mixedApp(v *vp.VP) error {
 		l.Bindings[decl.Name] = ptr
 	}
 	for it := 0; it < 3; it++ {
-		v.Checkpoint() // VP Control stop/resume point
 		for bufName, data := range w.Inputs {
 			if err := v.Ctx.MemcpyH2DAsync(0, l.Bindings[bufName], data); err != nil {
 				return err

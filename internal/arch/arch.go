@@ -56,14 +56,6 @@ func (v ClassVec) Add(w ClassVec) ClassVec {
 	return v
 }
 
-// Sub returns v - w elementwise.
-func (v ClassVec) Sub(w ClassVec) ClassVec {
-	for i := range v {
-		v[i] -= w[i]
-	}
-	return v
-}
-
 // Scale returns v multiplied by s.
 func (v ClassVec) Scale(s float64) ClassVec {
 	for i := range v {
@@ -97,9 +89,6 @@ func (v ClassVec) Sum() float64 {
 	}
 	return s
 }
-
-// Mem returns the load+store component of v.
-func (v ClassVec) Mem() float64 { return v[Ld] + v[St] }
 
 // GPU describes a GPU microarchitecture. Fields marked (τ), (µ) and (RP)
 // correspond directly to the symbols of the paper's Eq. 1–6.
@@ -178,12 +167,6 @@ func (g *GPU) ResidentBlocks(threadsPerBlock, sharedMemPerBlock, regsPerThread i
 		n = 1
 	}
 	return n
-}
-
-// ConcurrentThreads returns the maximum number of threads the GPU holds
-// simultaneously for the given block shape — the λ alignment unit of Eq. 9.
-func (g *GPU) ConcurrentThreads(threadsPerBlock, sharedMemPerBlock, regsPerThread int) int {
-	return g.SMCount * g.ResidentBlocks(threadsPerBlock, sharedMemPerBlock, regsPerThread) * threadsPerBlock
 }
 
 // Validate reports an error for descriptors that would break the models.

@@ -42,10 +42,6 @@ func TestClassVecAlgebra(t *testing.T) {
 			t.Fatalf("Add[%d] = %v, want 8", i, sum[i])
 		}
 	}
-	diff := v.Sub(v)
-	if diff.Sum() != 0 {
-		t.Fatalf("Sub self not zero: %v", diff)
-	}
 	if got := v.Scale(2).Sum(); got != 2*v.Sum() {
 		t.Fatalf("Scale(2).Sum() = %v", got)
 	}
@@ -54,9 +50,6 @@ func TestClassVecAlgebra(t *testing.T) {
 	}
 	if got := v.Mul(w)[0]; got != 7 {
 		t.Fatalf("Mul[0] = %v", got)
-	}
-	if got := v.Mem(); got != 6+7 {
-		t.Fatalf("Mem = %v", got)
 	}
 }
 
@@ -175,14 +168,6 @@ func TestResidentBlocks(t *testing.T) {
 	// Oversized block still yields at least 1.
 	if got := g.ResidentBlocks(4096, 0, 0); got != 1 {
 		t.Errorf("ResidentBlocks(4096) = %d, want 1", got)
-	}
-}
-
-func TestConcurrentThreads(t *testing.T) {
-	g := Quadro4000()
-	want := g.SMCount * 3 * 512
-	if got := g.ConcurrentThreads(512, 0, 0); got != want {
-		t.Errorf("ConcurrentThreads(512) = %d, want %d", got, want)
 	}
 }
 

@@ -44,36 +44,25 @@ func (s *Service) AllocVP(vp, n int) (devmem.Ptr, error) {
 	return p, nil
 }
 
-// FreeVP releases the allocation behind a VP's guest pointer. Pointers not
-// tracked for the VP (allocated straight on GPU.Mem by a harness) fall back
-// to a raw free, preserving the historical behaviour.
+// FreeVP releases the allocation behind one of the VP's guest pointers. A
+// pointer the VP does not own is refused: freeing it would hand another VP's
+// live allocation back to the arena.
 func (s *Service) FreeVP(vp int, guest devmem.Ptr) error {
 	s.memMu.Lock()
-	dev, tracked := guest, false
-	if t := s.vpAllocs[vp]; t != nil {
-		if d, ok := t[guest]; ok {
-			dev, tracked = d, true
-			delete(t, guest)
-			if len(t) == 0 {
-				delete(s.vpAllocs, vp)
-			}
-		}
+	defer s.memMu.Unlock()
+	t := s.vpAllocs[vp]
+	dev, ok := t[guest]
+	if !ok {
+		return fmt.Errorf("core: vp %d does not own ptr %#x", vp, uint64(guest))
 	}
-	s.memMu.Unlock()
-	err := s.GPU.Mem.Free(dev)
-	if err != nil && tracked {
-		// The arena refused a pointer the table vouched for; re-track it so
-		// the VP's ownership map stays consistent with the arena.
-		s.memMu.Lock()
-		t := s.vpAllocs[vp]
-		if t == nil {
-			t = map[devmem.Ptr]devmem.Ptr{}
-			s.vpAllocs[vp] = t
-		}
-		t[guest] = dev
-		s.memMu.Unlock()
+	if err := s.GPU.Mem.Free(dev); err != nil {
+		return err
 	}
-	return err
+	delete(t, guest)
+	if len(t) == 0 {
+		delete(s.vpAllocs, vp)
+	}
+	return nil
 }
 
 // ResolvePtr translates a VP's guest pointer to its current device pointer.

@@ -18,7 +18,6 @@ func serviceSnapshot(t *testing.T, workers int) []byte {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Workers = workers
-	opts.ComputeSlots = 2
 	m, s := farmOfOne(t, opts)
 	for id := 1; id <= 3; id++ {
 		s.RegisterVP(id)

@@ -154,13 +154,17 @@ func TestPlacementLeastLoaded(t *testing.T) {
 	if d, ok := m.Assignment(7); !ok || d != 1 {
 		t.Fatalf("vp placed on device %d (ok=%v), want idle device 1", d, ok)
 	}
-	// With both devices now equal in queue/busy... tie falls to VP count:
-	// device 0 has none assigned, so the next VP goes there.
-	m.Device(1).GPU.ResetClock()
-	m.Device(0).GPU.ResetClock()
-	m.RegisterVP(8)
-	if d, _ := m.Assignment(8); d != 0 {
-		t.Fatalf("tie-break vp placed on device %d, want 0", d)
+	// Devices equal in queue and busy time: the tie falls to VP count, so on
+	// an idle farm the second VP goes to the device the first did not take.
+	idle, err := NewMultiServicePlaced(DefaultOptions(), []arch.GPU{q, q}, PlaceLeastLoaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	idle.RegisterVP(7)
+	idle.RegisterVP(8)
+	if d, _ := idle.Assignment(8); d != 1 {
+		t.Fatalf("tie-break vp placed on device %d, want 1", d)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -86,6 +87,90 @@ func TestGuestSliceIsNeverAdopted(t *testing.T) {
 	if got := host.CounterValue("core.exec.h2d_copied_bytes"); got != 2*n {
 		t.Fatalf("in-process H2Ds copied %d bytes, want %d", got, 2*n)
 	}
+}
+
+// TestFreeRefusesAnotherVPsPointer: a VP frees only what it allocated. A
+// free of another VP's pointer is refused and leaves the allocation with its
+// owner, so the next malloc cannot hand it out again and the owner's writes
+// stay its own — served over TCP and through the in-process back end.
+func TestFreeRefusesAnotherVPsPointer(t *testing.T) {
+	const n = 256
+	owned := bytes.Repeat([]byte{0xab}, n)
+	newFarm := func(t *testing.T) *MultiService {
+		m, err := NewMultiService(DefaultOptions(), []arch.GPU{arch.Quadro4000()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		return m
+	}
+	t.Run("served", func(t *testing.T) {
+		m := newFarm(t)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := ipc.ServeEndpoint(l, m)
+		defer srv.Shutdown(2e9)
+		dial := func(vp int) ipc.Client {
+			c, err := ipc.Dial(srv.Addr().String(), vp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		call := func(c ipc.Client, req any) any {
+			resp, err := c.Call(req)
+			if err != nil {
+				t.Fatalf("%T: %v", req, err)
+			}
+			return resp
+		}
+		c0 := dial(0)
+		defer c0.Close()
+		p := call(c0, ipc.MallocReq{Size: n}).(ipc.MallocResp).Ptr
+		call(c0, ipc.H2DReq{Dst: p, Data: owned})
+		c1 := dial(1)
+		if _, err := c1.Call(ipc.FreeReq{Ptr: p}); err == nil || !strings.Contains(err.Error(), "does not own") {
+			t.Fatalf("vp 1 freed vp 0's pointer: err = %v", err)
+		}
+		if q := call(c1, ipc.MallocReq{Size: n}).(ipc.MallocResp).Ptr; q == p {
+			t.Fatal("vp 1 was handed vp 0's live allocation")
+		}
+		c1.Close() // VP 0's jobs need no one else parked
+		if got := call(c0, ipc.D2HReq{Src: p, N: n}).(ipc.D2HResp).Data; !bytes.Equal(got, owned) {
+			t.Fatal("vp 0's allocation changed")
+		}
+		call(c0, ipc.FreeReq{Ptr: p})
+	})
+	t.Run("backend", func(t *testing.T) {
+		m := newFarm(t)
+		ctx0, ctx1 := cudart.NewContext(0, m.Backend(0)), cudart.NewContext(1, m.Backend(1))
+		p, err := ctx0.Malloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx1.Free(p); err == nil || !strings.Contains(err.Error(), "does not own") {
+			t.Fatalf("vp 1 freed vp 0's pointer: err = %v", err)
+		}
+		q, err := ctx1.Malloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx0.MemcpyH2D(p, owned); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ctx1.MemcpyD2H(q, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, owned) {
+			t.Fatal("vp 0's H2D landed in vp 1's buffer")
+		}
+		if err := ctx0.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // ownershipScript is one VP's session on a two-device farm: whole and partial

@@ -35,11 +35,6 @@ type Options struct {
 	// execution time and power (paper Fig. 2, Section 4).
 	EstimateTarget *arch.GPU
 
-	// ComputeSlots > 1 enables the device's Concurrent Kernel Execution —
-	// the hardware feature the paper contrasts its software re-scheduling
-	// against (Fig. 3a).
-	ComputeSlots int
-
 	// Workers sizes the worker pool for block-parallel kernel interpretation
 	// on the host GPU model (0 = runtime.NumCPU(), 1 = serial). Simulated
 	// time and profiles are identical for every value.
@@ -164,7 +159,6 @@ func NewService(opts Options) *Service {
 	// engines never overlapping (the 3N·T baseline). Kernel Interleaving
 	// pipelines the engines.
 	g.Serialize = opts.Policy == sched.PolicyFIFO
-	g.ComputeSlots = opts.ComputeSlots
 	g.Workers = opts.Workers
 	if opts.Trace {
 		g.Trace = trace.New()

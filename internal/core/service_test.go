@@ -54,7 +54,6 @@ func vecAddApp(n int, iters int) vp.App {
 			Native:   b.Native,
 		}
 		for it := 0; it < iters; it++ {
-			v.Checkpoint()
 			if err := ctx.MemcpyH2DAsync(0, pa, devmem.EncodeF32(a)); err != nil {
 				return err
 			}

@@ -145,7 +145,7 @@ func (m *Mem) alloc(n int, backed bool) (Ptr, error) {
 }
 
 // AllocAt reserves n bytes at exactly the device address p, used by
-// checkpoint replay and migration to keep guest pointers valid without
+// checkpoint restore and migration to keep guest pointers valid without
 // translation. The target span must be free: it either lies inside a single
 // free-list region (which is carved around it) or beyond the bump pointer
 // (the gap up to p, if any, joins the free list). A span overlapping a live
@@ -208,8 +208,8 @@ type Entry struct {
 }
 
 // Export snapshots every live allocation, sorted by address, with private
-// byte copies. Replaying the result into a fresh arena of the same capacity
-// reproduces Used, Headroom and HighWater exactly: reserved spans land at
+// byte copies. Re-creating the result in a fresh arena of the same capacity
+// (AllocAt, then Write) reproduces Used, Headroom and HighWater exactly: reserved spans land at
 // their original addresses, interior gaps rebuild the free list, and the
 // bump pointer converges to the end of the last reserved span (which is
 // where retraction pins it on the source arena).
@@ -224,26 +224,6 @@ func (m *Mem) Export() []Entry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ptr < out[j].Ptr })
 	return out
-}
-
-// Replay reconstructs exported allocations at their original addresses via
-// AllocAt and restores their bytes. It fails with ErrSpanBusy if any entry
-// overlaps a live allocation; entries applied before the failure remain
-// (callers restoring into a fresh arena never hit this).
-func (m *Mem) Replay(entries []Entry) error {
-	for _, e := range entries {
-		if err := m.AllocAt(e.Ptr, len(e.Data)); err != nil {
-			return err
-		}
-		m.mu.Lock()
-		var restored int64 // not H2D traffic: left out of Moves
-		err := m.writeLocked(e.Ptr, 0, e.Data, &restored)
-		m.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Free releases the allocation at p, returning its address-space span to the
@@ -380,12 +360,12 @@ func InRange(off, n, size int) bool {
 func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.writeLocked(p, off, data, &m.moves.CopiedBytes)
+	return m.writeLocked(p, off, data)
 }
 
 // writeLocked checks [off, off+len(data)) against the allocation at p, copies
-// data there and adds its length to *count. The caller holds mu.
-func (m *Mem) writeLocked(p Ptr, off int, data []byte, count *int64) error {
+// data there and counts it as copied. The caller holds mu.
+func (m *Mem) writeLocked(p Ptr, off int, data []byte) error {
 	b, err := m.backing(p, "write to")
 	if err != nil {
 		return err
@@ -394,7 +374,7 @@ func (m *Mem) writeLocked(p Ptr, off int, data []byte, count *int64) error {
 		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), len(b))
 	}
 	copy(b[off:], data)
-	*count += int64(len(data))
+	m.moves.CopiedBytes += int64(len(data))
 	return nil
 }
 
@@ -409,7 +389,7 @@ func (m *Mem) Adopt(p Ptr, off int, pl *Payload) error {
 		m.moves.AdoptedBytes += int64(len(b))
 		return nil
 	}
-	return m.writeLocked(p, off, pl.B, &m.moves.CopiedBytes)
+	return m.writeLocked(p, off, pl.B)
 }
 
 // Fill sets n bytes of the allocation at p starting at off to value (a

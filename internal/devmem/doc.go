@@ -25,9 +25,10 @@
 // expose the load signals the multi-GPU placement policies (paper §V's
 // multi-device serving extension) score devices by.
 //
-// For VP checkpoint/restore and live migration, an arena is serializable:
-// Export captures every live allocation (pointer + private byte copy) and
-// Replay reconstructs them — AllocAt pins an allocation at its original
-// address when the span is free, and callers fall back to a fresh Alloc plus
-// a pointer-rebase entry when it is not (see core's migration machinery).
+// For VP checkpoint/restore and live migration, core reads each allocation a
+// VP owns (Read) and re-creates it elsewhere: AllocAt pins an allocation at
+// its original address when the span is free, core falls back to a fresh
+// Alloc plus a pointer-rebase entry when it is not, and Write puts the bytes
+// back. Export snapshots every live allocation of an arena, sorted, for tests
+// to compare.
 package devmem

@@ -8,6 +8,20 @@ import (
 	"testing"
 )
 
+// replay re-creates exported allocations at their original addresses, as a
+// checkpoint restore does (core's RestoreVP): AllocAt, then Write.
+func replay(m *Mem, entries []Entry) error {
+	for _, e := range entries {
+		if err := m.AllocAt(e.Ptr, len(e.Data)); err != nil {
+			return err
+		}
+		if err := m.Write(e.Ptr, 0, e.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestExportReplayRoundTrip is the migration-restore property test: after an
 // arbitrary churn of allocations, frees, and writes, exporting the arena and
 // replaying it into a fresh one must reproduce identical accounting
@@ -68,7 +82,7 @@ func TestExportReplayRoundTrip(t *testing.T) {
 	}
 
 	dst := New(src.Capacity())
-	if err := dst.Replay(entries); err != nil {
+	if err := replay(dst, entries); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if dst.Used() != src.Used() {
@@ -171,15 +185,15 @@ func TestAllocAtErrors(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsOverlap pins Replay's failure atomicity signal: replaying
-// entries that collide reports an error.
+// TestReplayRejectsOverlap: re-creating entries that collide fails on the
+// second, whose span starts inside the first's, with ErrSpanBusy.
 func TestReplayRejectsOverlap(t *testing.T) {
 	m := New(1 << 16)
 	entries := []Entry{
 		{Ptr: 0x1000, Data: make([]byte, 512)},
 		{Ptr: 0x1100, Data: make([]byte, 512)}, // inside the first span
 	}
-	if err := m.Replay(entries); err == nil {
-		t.Fatal("replay of overlapping entries: no error")
+	if err := replay(m, entries); !errors.Is(err, ErrSpanBusy) {
+		t.Fatalf("replay of overlapping entries: err = %v, want ErrSpanBusy", err)
 	}
 }

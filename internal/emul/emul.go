@@ -72,13 +72,6 @@ func (d *Device) Now() float64 {
 	return d.now
 }
 
-// ResetClock rewinds the timeline without touching memory.
-func (d *Device) ResetClock() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.now = 0
-}
-
 // CopyH2D emulates a host-to-device copy (a CPU memcpy).
 func (d *Device) CopyH2D(dst devmem.Ptr, off int, src []byte) (hostgpu.Interval, error) {
 	if err := d.Mem.Write(dst, off, src); err != nil {
@@ -157,46 +150,4 @@ func (d *Device) Launch(l *hostgpu.Launch) (*profile.Profile, hostgpu.Interval, 
 		TimeSec:       dur,
 	}
 	return p, iv, nil
-}
-
-// RunProgram emulates a whole copy-in → kernel → copy-out GPU program and
-// returns its duration. It is a convenience wrapper used by the baseline
-// rows of Table 1.
-func (d *Device) RunProgram(in [][]byte, l *hostgpu.Launch, outBytes int) (float64, error) {
-	start := d.Now()
-	ptrs := make([]devmem.Ptr, 0, len(in))
-	for _, data := range in {
-		p, err := d.Mem.Alloc(len(data))
-		if err != nil {
-			return 0, err
-		}
-		ptrs = append(ptrs, p)
-		if _, err := d.CopyH2D(p, 0, data); err != nil {
-			return 0, err
-		}
-	}
-	_ = ptrs
-	if _, _, err := d.Launch(l); err != nil {
-		return 0, err
-	}
-	if outBytes > 0 {
-		d.advance(cpumodel.MemcpyTime(&d.CPU, outBytes))
-	}
-	return d.Now() - start, nil
-}
-
-// ScalarTime exposes the plain-C baseline: the same algorithmic work
-// executed as natively compiled scalar code on this device's CPU (Table 1's
-// "C" rows). The work is the kernel's canonical instruction count.
-func (d *Device) ScalarTime(instr float64) float64 {
-	return cpumodel.ScalarTime(&d.CPU, instr)
-}
-
-// Slowdown returns the emulation slowdown of this device relative to a
-// reference duration (for reporting).
-func Slowdown(emulated, reference float64) float64 {
-	if reference <= 0 {
-		return math.Inf(1)
-	}
-	return emulated / reference
 }

@@ -172,20 +172,3 @@ func (r *Result) String() string {
 		r.Kernel, r.Target, r.Host,
 		r.CyclesC, r.TimeC, r.CyclesC1, r.TimeC1, r.CyclesC2, r.TimeC2, r.PowerW)
 }
-
-// PowerBreakdown returns the per-class contributions of Eq. 6 (watts per
-// instruction class, plus the static term under the "static" key) for a
-// target and its σ at the C″-estimated runtime.
-func PowerBreakdown(target *arch.GPU, sigmaTarget arch.ClassVec, cyclesC2 float64) map[string]float64 {
-	out := map[string]float64{"static": target.StaticPowerW}
-	et := Time(target, cyclesC2)
-	if et <= 0 {
-		return out
-	}
-	for _, c := range arch.Classes() {
-		if sigmaTarget[c] > 0 {
-			out[c.String()] = sigmaTarget[c] * target.EnergyPerInstr[c] / et
-		}
-	}
-	return out
-}

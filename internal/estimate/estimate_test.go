@@ -209,7 +209,7 @@ func TestPowerCloseToMeasured(t *testing.T) {
 	}
 }
 
-func TestResultStringAndBreakdown(t *testing.T) {
+func TestResultString(t *testing.T) {
 	q, tk := arch.Quadro4000(), arch.TegraK1()
 	in, _ := inputsFor(&q, &tk)
 	res, err := Estimate(in)
@@ -221,22 +221,5 @@ func TestResultStringAndBreakdown(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Result.String missing %q:\n%s", want, s)
 		}
-	}
-	bd := PowerBreakdown(&tk, in.SigmaTarget, res.CyclesC2)
-	if bd["static"] != tk.StaticPowerW {
-		t.Errorf("static term = %v", bd["static"])
-	}
-	var dynamic float64
-	for k, v := range bd {
-		if k != "static" {
-			dynamic += v
-		}
-	}
-	if math.Abs(tk.StaticPowerW+dynamic-res.PowerW) > 1e-9 {
-		t.Errorf("breakdown sum %v != P %v", tk.StaticPowerW+dynamic, res.PowerW)
-	}
-	// Degenerate cycles: static only.
-	if len(PowerBreakdown(&tk, in.SigmaTarget, 0)) != 1 {
-		t.Error("zero-cycle breakdown should be static only")
 	}
 }

@@ -158,10 +158,8 @@ func (g *GPU) cacheLookup(key []byte) *timingEntry {
 	e := g.timingCache[string(key)] // no copy: the compiler looks a converted []byte up in place
 	g.cacheMu.RUnlock()
 	if e != nil {
-		g.cacheHits.Add(1)
 		g.Metrics.Counter("hostgpu.timing_cache.hits").Inc()
 	} else {
-		g.cacheMisses.Add(1)
 		g.Metrics.Counter("hostgpu.timing_cache.misses").Inc()
 	}
 	return e
@@ -218,10 +216,4 @@ func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timin
 		g.cacheStore(key, &timingEntry{sigma: sigma, accesses: accesses, timing: timing, hasTiming: true})
 	}
 	return sigma, accesses, timing, nil
-}
-
-// TimingCacheStats returns the hit/miss counters of the launch-signature
-// timing cache.
-func (g *GPU) TimingCacheStats() (hits, misses uint64) {
-	return g.cacheHits.Load(), g.cacheMisses.Load()
 }

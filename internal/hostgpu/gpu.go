@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -125,19 +124,11 @@ type GPU struct {
 	// this off and pipelines the engines.
 	Serialize bool
 
-	// ComputeSlots > 1 enables Concurrent Kernel Execution: up to that many
-	// kernels from distinct streams overlap on the compute engine. The paper
-	// notes CKE "may automatically interleave kernels from distinct streams"
-	// but "can lead to suboptimal performance" (Fig. 3a) — overlapping
-	// kernels share issue bandwidth, so each runs proportionally slower.
-	ComputeSlots int
-
 	// Trace optionally records the engine timeline.
 	Trace *trace.Log
 
 	// Metrics optionally receives device counters: per-engine op counts and
-	// busy time, CKE slot occupancy, timing-cache hits/misses. A nil registry
-	// is a no-op.
+	// busy time, timing-cache hits/misses. A nil registry is a no-op.
 	Metrics *metrics.Registry
 
 	// Workers sizes the worker pool for block-parallel functional kernel
@@ -151,7 +142,6 @@ type GPU struct {
 
 	mu           sync.Mutex
 	engineFree   map[string]float64
-	computeSlots []float64 // per-slot free times under CKE
 	streamReady  map[int]float64
 	lastIssue    float64
 	busy         map[string]float64 // accumulated busy seconds per engine
@@ -159,8 +149,6 @@ type GPU struct {
 
 	cacheMu     sync.RWMutex
 	timingCache map[string]*timingEntry
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
 }
 
 // New returns a GPU with the given descriptor and device memory capacity.
@@ -180,36 +168,7 @@ func New(a arch.GPU, memBytes int64) *GPU {
 // issue. It returns the op's interval.
 func (g *GPU) schedule(engine string, stream int, dur float64, label string) Interval {
 	g.mu.Lock()
-	cke := engine == EngineCompute && g.ComputeSlots > 1 && !g.Serialize
-	var slot int
-	var engineReady float64
-	if cke {
-		if len(g.computeSlots) != g.ComputeSlots {
-			g.computeSlots = make([]float64, g.ComputeSlots)
-		}
-		slot = 0
-		for i, t := range g.computeSlots {
-			if t < g.computeSlots[slot] {
-				slot = i
-			}
-		}
-		engineReady = g.computeSlots[slot]
-	} else {
-		engineReady = g.engineFree[engine]
-	}
-	start := math.Max(g.streamReady[stream], engineReady)
-	occupancy := 1.0
-	if cke {
-		// Sharing the SMs: the kernel slows down in proportion to the
-		// kernels already in flight at its start (static fair share — the
-		// reason CKE alone "can lead to suboptimal performance", Fig. 3a).
-		for i, t := range g.computeSlots {
-			if i != slot && t > start {
-				occupancy++
-			}
-		}
-		dur *= occupancy
-	}
+	start := math.Max(g.streamReady[stream], g.engineFree[engine])
 	if g.Serialize {
 		for _, t := range g.engineFree {
 			start = math.Max(start, t)
@@ -220,14 +179,7 @@ func (g *GPU) schedule(engine string, stream int, dur float64, label string) Int
 	}
 	g.lastIssue = start
 	end := start + dur
-	if cke {
-		g.computeSlots[slot] = end
-		if end > g.engineFree[engine] {
-			g.engineFree[engine] = end
-		}
-	} else {
-		g.engineFree[engine] = end
-	}
+	g.engineFree[engine] = end
 	g.streamReady[stream] = end
 	g.busy[engine] += dur
 	g.mu.Unlock()
@@ -237,9 +189,6 @@ func (g *GPU) schedule(engine string, stream int, dur float64, label string) Int
 	if g.Metrics != nil {
 		g.Metrics.Counter("hostgpu.ops." + engine).Inc()
 		g.Metrics.Counter("hostgpu.engine_busy_ns." + engine).Add(int64(math.Round(dur * 1e9)))
-		if cke {
-			g.Metrics.Histogram("hostgpu.cke_occupancy", metrics.CountBuckets).Observe(occupancy)
-		}
 	}
 	return Interval{Start: start, End: end}
 }
@@ -718,20 +667,4 @@ func (g *GPU) BusyTotal() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.busy[EngineH2D] + g.busy[EngineD2H] + g.busy[EngineCompute]
-}
-
-// ResetClock rewinds the simulated clock to zero without touching device
-// memory, starting a fresh measurement window.
-func (g *GPU) ResetClock() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.engineFree = map[string]float64{}
-	g.computeSlots = nil
-	g.streamReady = map[int]float64{}
-	g.lastIssue = 0
-	g.busy = map[string]float64{}
-	g.kernelEnergy = 0
-	if g.Trace != nil {
-		g.Trace.Reset()
-	}
 }

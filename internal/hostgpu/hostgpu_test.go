@@ -218,7 +218,6 @@ func TestEngineOverlap(t *testing.T) {
 	payload := make([]byte, nBytes)
 	lA := busyLaunch(t, g, 1400, 512, 256)
 	lB := busyLaunch(t, g, 1400, 512, 256)
-	g.ResetClock()
 	g.CopyH2D(1, src, 0, payload)
 	g.CopyH2D(2, src, 0, payload)
 	g.Launch(1, lA)
@@ -236,22 +235,24 @@ func TestEngineOverlap(t *testing.T) {
 // Eq. 7: a per-VP batched submission order costs ≈N(2Tm+Tk) under the single
 // hardware queue, while the interleaved order costs ≈2Tm+N·max(Tm,Tk).
 func TestInOrderIssueHeadOfLineBlocking(t *testing.T) {
-	g := newQuadro(t)
-	g.Mode = ExecTimingOnly
-	g.InOrderIssue = true
-
 	nBytes := 1 << 24
-	src, err := g.Mem.Alloc(nBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
 	payload := make([]byte, nBytes)
-	lA := busyLaunch(t, g, 1400, 512, 256)
-	lB := busyLaunch(t, g, 1400, 512, 256)
+	// fresh is a device at simulated time zero holding the copy buffer and the
+	// two programs' kernels.
+	fresh := func() (*GPU, devmem.Ptr, *Launch, *Launch) {
+		g := newQuadro(t)
+		g.Mode = ExecTimingOnly
+		g.InOrderIssue = true
+		src, err := g.Mem.Alloc(nBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, src, busyLaunch(t, g, 1400, 512, 256), busyLaunch(t, g, 1400, 512, 256)
+	}
 
 	// Measure Tm and Tk from the model itself.
+	g, _, lA, _ := fresh()
 	tm := CopyTime(&g.Arch, nBytes)
-	g.ResetClock()
 	_, iv, err := g.Launch(0, lA)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +260,7 @@ func TestInOrderIssueHeadOfLineBlocking(t *testing.T) {
 	tk := iv.Duration()
 
 	run := func(order string) float64 {
-		g.ResetClock()
+		g, src, lA, lB := fresh()
 		switch order {
 		case "bad": // unoptimized: serialized dispatch of A's loop, then B's
 			g.Serialize = true
@@ -386,7 +387,6 @@ func TestStreamOrderingWithinStream(t *testing.T) {
 	g := newQuadro(t)
 	g.Mode = ExecTimingOnly
 	l := prepVecAdd(t, g, 1024, 2, 512)
-	g.ResetClock()
 	_, iv1, err := g.Launch(7, l)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestStreamOrderingWithinStream(t *testing.T) {
 	}
 }
 
-func TestResetClockAndBusy(t *testing.T) {
+func TestBusyAndTrace(t *testing.T) {
 	g := newQuadro(t)
 	g.Mode = ExecTimingOnly
 	g.Trace = trace.New()
@@ -419,13 +419,6 @@ func TestResetClockAndBusy(t *testing.T) {
 	}
 	if len(g.Trace.Records()) == 0 {
 		t.Error("trace should have records")
-	}
-	g.ResetClock()
-	if g.Sync() != 0 || g.BusySeconds(EngineCompute) != 0 {
-		t.Error("ResetClock did not rewind")
-	}
-	if len(g.Trace.Records()) != 0 {
-		t.Error("ResetClock did not clear trace")
 	}
 }
 
@@ -476,49 +469,6 @@ func TestIntervalDuration(t *testing.T) {
 	}
 }
 
-// TestConcurrentKernelExecution: with CKE slots, kernels from distinct
-// streams overlap on the compute engine, but each runs slower because they
-// share the SMs — the paper's "can lead to suboptimal performance" remark.
-// Total throughput does not improve for back-to-back saturated kernels.
-func TestConcurrentKernelExecution(t *testing.T) {
-	run := func(slots int) float64 {
-		g := newQuadro(t)
-		g.Mode = ExecTimingOnly
-		g.ComputeSlots = slots
-		lA := busyLaunch(t, g, 1000, 64, 256)
-		lB := busyLaunch(t, g, 1000, 64, 256)
-		g.ResetClock()
-		if _, _, err := g.Launch(1, lA); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := g.Launch(2, lB); err != nil {
-			t.Fatal(err)
-		}
-		return g.Sync()
-	}
-	serial := run(0)
-	cke := run(2)
-	// Two saturated kernels: CKE interleaves but shares bandwidth, so the
-	// makespan is the same (no free lunch), matching the paper's point that
-	// CKE alone is not the optimization.
-	if math.Abs(cke-serial) > 0.05*serial {
-		t.Errorf("CKE makespan %.6f vs serial %.6f: saturated kernels should tie", cke, serial)
-	}
-	// But a single kernel is unaffected by the slot count.
-	one := func(slots int) float64 {
-		g := newQuadro(t)
-		g.Mode = ExecTimingOnly
-		g.ComputeSlots = slots
-		l := busyLaunch(t, g, 1000, 64, 256)
-		g.ResetClock()
-		g.Launch(1, l)
-		return g.Sync()
-	}
-	if a, b := one(0), one(4); math.Abs(a-b) > 1e-12 {
-		t.Errorf("single kernel should not pay for unused slots: %v vs %v", a, b)
-	}
-}
-
 func TestSessionEnergy(t *testing.T) {
 	g := newQuadro(t)
 	g.Mode = ExecTimingOnly
@@ -540,10 +490,6 @@ func TestSessionEnergy(t *testing.T) {
 	}
 	if e2 := g.SessionEnergy(); e2 <= e1 {
 		t.Errorf("session energy did not grow: %v → %v", e1, e2)
-	}
-	g.ResetClock()
-	if g.SessionEnergy() != 0 {
-		t.Error("ResetClock did not clear session energy")
 	}
 }
 

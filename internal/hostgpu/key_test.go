@@ -14,6 +14,7 @@ import (
 	"repro/internal/devmem"
 	"repro/internal/kir"
 	"repro/internal/kpl"
+	"repro/internal/metrics"
 	"repro/internal/raceflag"
 )
 
@@ -28,6 +29,7 @@ func TestPricingAllocs(t *testing.T) {
 	const n = 4 << 20 // three 16 MiB buffers
 	g := New(arch.Quadro4000(), 1<<28)
 	g.Mode = ExecTimingOnly
+	g.Metrics = metrics.New()
 	k, prog := vecAdd(t)
 	l := &Launch{
 		Kernel: k, Prog: prog, Grid: n / 256, Block: 256,
@@ -64,14 +66,14 @@ func TestPricingAllocs(t *testing.T) {
 		}
 	}
 	miss()
-	_, misses0 := g.TimingCacheStats()
+	_, misses0 := cacheStats(t, g)
 	old := debug.SetGCPercent(-1)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	miss()
 	runtime.ReadMemStats(&m1)
 	debug.SetGCPercent(old)
-	if _, misses := g.TimingCacheStats(); misses != misses0+1 {
+	if _, misses := cacheStats(t, g); misses != misses0+1 {
 		t.Fatalf("the measured call was not a miss (%d → %d)", misses0, misses)
 	}
 	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 64<<10 {
@@ -95,7 +97,7 @@ func TestPricingAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("a ResolveSigma hit allocates %v times, want 0", a)
 	}
-	if hits, _ := g.TimingCacheStats(); hits < 200 {
+	if hits, _ := cacheStats(t, g); hits < 200 {
 		t.Errorf("the measured lookups were not hits (%d)", hits)
 	}
 }
@@ -225,12 +227,13 @@ func TestTimingKeyDiscrimination(t *testing.T) {
 		// Through the cache: a, then b misses, then a and b again both hit.
 		dev := New(arch.Quadro4000(), 1<<24)
 		dev.Mode = ExecTimingOnly
-		want := [][2]uint64{{0, 1}, {0, 2}, {1, 2}, {2, 2}}
+		dev.Metrics = metrics.New()
+		want := [][2]int64{{0, 1}, {0, 2}, {1, 2}, {2, 2}}
 		for step, c := range []keyCase{a, b, a, b} {
 			if _, _, _, err := dev.LaunchTiming(c.launch(t, dev, progs)); err != nil {
 				t.Fatalf("%s: %v", m.name, err)
 			}
-			if hits, misses := dev.TimingCacheStats(); [2]uint64{hits, misses} != want[step] {
+			if hits, misses := cacheStats(t, dev); [2]int64{hits, misses} != want[step] {
 				t.Errorf("%s: after launch %d hits/misses = %d/%d, want %v", m.name, step, hits, misses, want[step])
 			}
 		}

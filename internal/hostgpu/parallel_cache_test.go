@@ -9,6 +9,7 @@ import (
 	"repro/internal/devmem"
 	"repro/internal/kir"
 	"repro/internal/kpl"
+	"repro/internal/metrics"
 	"repro/internal/profile"
 )
 
@@ -125,6 +126,7 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 	const n = grid * block
 	g := New(arch.Quadro4000(), 1<<24)
 	g.Mode = ExecTimingOnly
+	g.Metrics = metrics.New()
 	k, prog := parPropKernel(t)
 
 	launch := func(grid, block int) *profile.Profile {
@@ -149,12 +151,12 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 	}
 
 	p1 := launch(grid, block)
-	hits0, misses0 := g.TimingCacheStats()
+	hits0, misses0 := cacheStats(t, g)
 	if misses0 == 0 {
 		t.Fatal("first launch should miss the timing cache")
 	}
 	p2 := launch(grid, block)
-	hits1, _ := g.TimingCacheStats()
+	hits1, _ := cacheStats(t, g)
 	if hits1 <= hits0 {
 		t.Fatalf("second identical launch should hit the cache (hits %d -> %d)", hits0, hits1)
 	}
@@ -162,9 +164,9 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 		t.Fatalf("cached launch priced differently: %+v vs %+v", p1, p2)
 	}
 
-	_, missesBefore := g.TimingCacheStats()
+	_, missesBefore := cacheStats(t, g)
 	launch(grid/2, block) // different geometry → different key
-	_, missesAfter := g.TimingCacheStats()
+	_, missesAfter := cacheStats(t, g)
 	if missesAfter <= missesBefore {
 		t.Fatal("launch with different geometry should miss the cache")
 	}
@@ -173,6 +175,7 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 	g2 := New(arch.Quadro4000(), 1<<24)
 	g2.Mode = ExecTimingOnly
 	g2.NoTimingCache = true
+	g2.Metrics = metrics.New()
 	inPtr, _ := g2.Mem.Alloc(4 * n)
 	outPtr, _ := g2.Mem.Alloc(4 * n)
 	p3, _, err := g2.Launch(0, &Launch{
@@ -183,7 +186,7 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := g2.TimingCacheStats(); hits != 0 || misses != 0 {
+	if hits, misses := cacheStats(t, g2); hits != 0 || misses != 0 {
 		t.Fatalf("NoTimingCache device touched the cache: hits=%d misses=%d", hits, misses)
 	}
 	if p3.TimeSec != p1.TimeSec {

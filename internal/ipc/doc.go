@@ -2,9 +2,9 @@
 // Fig. 2): the channel through which virtual embedded GPUs inside VPs talk
 // to the host-GPU service. Two transports are provided — an in-process
 // transport for co-simulated VPs and a TCP socket transport for VPs running
-// as separate processes ("an IPC method such as socket or shared memory") —
-// plus the VP Control primitive the service uses to stop and resume VPs for
-// synchronous-kernel interleaving (paper Fig. 4b).
+// as separate processes ("an IPC method such as socket or shared memory").
+// VP Control (paper Fig. 4b) is not a transport matter: a VP is stopped while
+// its handler waits in the service (core.Service.WaitJob).
 //
 // # Request vocabulary
 //

@@ -673,52 +673,3 @@ func DialWithOptions(addr string, vp int, opts DialOptions) (Client, error) {
 	}
 	return c, nil
 }
-
-// --- VP Control ---
-
-// Gate is the VP Control primitive: the service stops and resumes a VP's
-// progress to interleave synchronous kernel invocations (paper Fig. 4b). The
-// VP calls Wait before each GPU operation; the service toggles Stop/Resume.
-type Gate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	stopped bool
-}
-
-// NewGate returns an open gate.
-func NewGate() *Gate {
-	g := &Gate{}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// Stop blocks future Wait calls until Resume.
-func (g *Gate) Stop() {
-	g.mu.Lock()
-	g.stopped = true
-	g.mu.Unlock()
-}
-
-// Resume releases the gate.
-func (g *Gate) Resume() {
-	g.mu.Lock()
-	g.stopped = false
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// Wait blocks while the gate is stopped.
-func (g *Gate) Wait() {
-	g.mu.Lock()
-	for g.stopped {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
-
-// Stopped reports whether the gate is currently stopped.
-func (g *Gate) Stopped() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stopped
-}

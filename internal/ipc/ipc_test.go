@@ -128,34 +128,6 @@ func TestTCPServerClose(t *testing.T) {
 	}
 }
 
-func TestGateStopResume(t *testing.T) {
-	g := NewGate()
-	g.Wait() // open gate does not block
-	g.Stop()
-	if !g.Stopped() {
-		t.Fatal("gate should be stopped")
-	}
-	released := make(chan struct{})
-	go func() {
-		g.Wait()
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("Wait returned while stopped")
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.Resume()
-	select {
-	case <-released:
-	case <-time.After(time.Second):
-		t.Fatal("Resume did not release waiter")
-	}
-	if g.Stopped() {
-		t.Fatal("gate should be open")
-	}
-}
-
 func TestErrHelper(t *testing.T) {
 	if _, err := Err(ErrResp{Msg: "boom"}); err == nil {
 		t.Fatal("Err should convert ErrResp")

@@ -363,30 +363,3 @@ func TestMandelbrotInteriorExterior(t *testing.T) {
 		t.Error("corner did not escape")
 	}
 }
-
-// TestFoldedKernelsAgree: constant-folding every registry kernel preserves
-// its semantics exactly (the compiler front-end pass is safe on the whole
-// suite).
-func TestFoldedKernelsAgree(t *testing.T) {
-	for _, b := range All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			w := b.MakeWorkload(1)
-			folded := kpl.Fold(b.Kernel)
-			if err := folded.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			envO := buildEnv(t, b, w)
-			envF := buildEnv(t, b, w)
-			if err := b.Kernel.ExecAll(envO, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := folded.ExecAll(envF, nil); err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range w.OutBufs {
-				compareBuffers(t, b.Name+"(folded)", name, envO.Bufs[name], envF.Bufs[name])
-			}
-		})
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hostgpu"
 	"repro/internal/kir"
 	"repro/internal/kpl"
+	"repro/internal/metrics"
 )
 
 // provisionLaunch allocates the workload's buffers on g, writes its inputs and
@@ -94,6 +95,7 @@ func TestSampledPricingMatchesBindAndSample(t *testing.T) {
 	w := b.MakeWorkload(1)
 	g := hostgpu.New(arch.Quadro4000(), 1<<26)
 	g.Mode = hostgpu.ExecTimingOnly
+	g.Metrics = metrics.New()
 	l := provisionLaunch(t, g, b, w)
 	image := func() map[string][]byte {
 		out := map[string][]byte{}
@@ -144,7 +146,7 @@ func TestSampledPricingMatchesBindAndSample(t *testing.T) {
 			t.Errorf("access streams = %+v, want %+v", accesses, wantAccesses)
 		}
 	}
-	if hits, misses := g.TimingCacheStats(); hits != 0 || misses != 0 {
+	if hits, misses := g.Metrics.Counter("hostgpu.timing_cache.hits").Value(), g.Metrics.Counter("hostgpu.timing_cache.misses").Value(); hits != 0 || misses != 0 {
 		t.Errorf("a launch priced from live memory touched the cache: %d hits, %d misses", hits, misses)
 	}
 	for name, raw := range image() {

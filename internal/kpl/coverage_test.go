@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/arch"
 )
 
 // TestDSLHelpersEvaluate drives every builder helper through the
@@ -54,9 +52,6 @@ func TestDSLHelpersEvaluate(t *testing.T) {
 	if flags.I32s[1] != 3 {
 		t.Errorf("flags = %d, want 3", flags.I32s[1])
 	}
-	if st.PerThread().Sum() != st.Instr.Sum()/2 {
-		t.Error("PerThread wrong")
-	}
 	// Error type formatting.
 	e := &Error{Kernel: "k", TID: 3, Msg: "boom"}
 	if !strings.Contains(e.Error(), "thread 3") {
@@ -66,10 +61,6 @@ func TestDSLHelpersEvaluate(t *testing.T) {
 	env2 := NewEnv(1).SetF32("x", 1.5)
 	if env2.Params["x"].T != F32 {
 		t.Error("SetF32 type wrong")
-	}
-	// Empty stats PerThread.
-	if NewStats().PerThread() != (arch.ClassVec{}) {
-		t.Error("empty PerThread should be zero")
 	}
 }
 

@@ -73,14 +73,6 @@ func (s *Stats) ensureMaps() {
 	}
 }
 
-// PerThread returns the average per-thread instruction vector.
-func (s *Stats) PerThread() arch.ClassVec {
-	if s.Threads == 0 {
-		return arch.ClassVec{}
-	}
-	return s.Instr.Scale(1 / float64(s.Threads))
-}
-
 // MeanTrips returns the average iteration count λ of the labelled loop per
 // entry, or 0 when the loop never ran.
 func (s *Stats) MeanTrips(label string) float64 {

@@ -56,14 +56,6 @@ func (p *Profile) IPC() float64 {
 	return p.TotalInstr() / p.Cycles
 }
 
-// StallFraction returns the share of cycles lost to data stalls.
-func (p *Profile) StallFraction() float64 {
-	if p.Cycles == 0 {
-		return 0
-	}
-	return p.DataStallCycles / p.Cycles
-}
-
 // MissRate returns the cache miss ratio.
 func (p *Profile) MissRate() float64 {
 	if p.CacheAccesses == 0 {

@@ -35,9 +35,6 @@ func TestDerivedQuantities(t *testing.T) {
 	if p.IPC() != 0.55 {
 		t.Errorf("IPC = %v", p.IPC())
 	}
-	if p.StallFraction() != 0.2 {
-		t.Errorf("StallFraction = %v", p.StallFraction())
-	}
 	if p.MissRate() != 0.1 {
 		t.Errorf("MissRate = %v", p.MissRate())
 	}
@@ -48,7 +45,7 @@ func TestDerivedQuantities(t *testing.T) {
 
 func TestZeroDivisionGuards(t *testing.T) {
 	var p Profile
-	if p.IPC() != 0 || p.StallFraction() != 0 || p.MissRate() != 0 || p.PowerW() != 0 {
+	if p.IPC() != 0 || p.MissRate() != 0 || p.PowerW() != 0 {
 		t.Error("zero profile should yield zero derived quantities")
 	}
 }

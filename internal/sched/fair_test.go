@@ -63,33 +63,6 @@ func TestFairDrainCapsHotVP(t *testing.T) {
 	}
 }
 
-// TestFairDrainWeights: a weighted VP gets weight× the base share per batch.
-func TestFairDrainWeights(t *testing.T) {
-	q := NewQueue()
-	q.SetFairShare(1)
-	q.SetWeight(7, 3)
-	for i := 0; i < 4; i++ {
-		q.Push(fakeJob(7, 0, hostgpu.EngineH2D))
-		q.Push(fakeJob(8, 1, hostgpu.EngineH2D))
-	}
-	batch := q.DrainBatch()
-	count := map[int]int{}
-	for _, j := range batch {
-		count[j.VP]++
-	}
-	if count[7] != 3 || count[8] != 1 {
-		t.Fatalf("per-VP counts = %v, want vp7:3 vp8:1", count)
-	}
-	// Weight below 1 clamps to 1 rather than starving the VP forever.
-	q2 := NewQueue()
-	q2.SetFairShare(1)
-	q2.SetWeight(9, 0)
-	q2.Push(fakeJob(9, 0, hostgpu.EngineH2D))
-	if b := q2.DrainBatch(); len(b) != 1 {
-		t.Fatalf("zero-weight VP starved: batch = %d", len(b))
-	}
-}
-
 // TestFairDrainOffIsTotal: without a fair share the drain keeps the
 // historical everything-at-once behaviour.
 func TestFairDrainOffIsTotal(t *testing.T) {

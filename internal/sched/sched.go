@@ -224,7 +224,6 @@ type Queue struct {
 	pending   []*Job
 	nextSeq   int
 	fairShare int
-	weights   map[int]int
 
 	// Metrics optionally tracks queue depth and push counts; nil is a no-op.
 	Metrics *metrics.Registry
@@ -245,8 +244,7 @@ func (q *Queue) Push(j *Job) {
 }
 
 // SetFairShare bounds how many jobs any single VP may contribute to one
-// drained batch (multiplied by the VP's weight; see SetWeight). Jobs beyond a
-// VP's share stay queued, in arrival order, for the next batch — so a hot VP
+// drained batch. Jobs beyond a VP's share stay queued, in arrival order, for the next batch — so a hot VP
 // flooding the queue cannot monopolise a dispatch round. limit <= 0 restores
 // the default drain-everything behaviour. Call before serving traffic: the
 // share is read under the queue lock but changing it mid-stream changes batch
@@ -257,24 +255,8 @@ func (q *Queue) SetFairShare(limit int) {
 	q.mu.Unlock()
 }
 
-// SetWeight scales one VP's fair share: a VP with weight w may contribute up
-// to w*fairShare jobs per drained batch. Weights below 1 are clamped to 1;
-// unset VPs default to weight 1.
-func (q *Queue) SetWeight(vp, weight int) {
-	if weight < 1 {
-		weight = 1
-	}
-	q.mu.Lock()
-	if q.weights == nil {
-		q.weights = make(map[int]int)
-	}
-	q.weights[vp] = weight
-	q.mu.Unlock()
-}
-
 // DrainBatch removes and returns pending jobs in arrival order. With a fair
-// share configured (SetFairShare), each VP contributes at most its weighted
-// share to the batch and the overflow stays queued; otherwise the whole queue
+// share configured (SetFairShare), each VP contributes at most its share to the batch and the overflow stays queued; otherwise the whole queue
 // drains. The result is never empty while jobs are pending: the first pending
 // job always fits its VP's share (share >= 1), so callers looping
 // "drain-until-empty" terminate.
@@ -288,11 +270,7 @@ func (q *Queue) DrainBatch() []*Job {
 		taken := make(map[int]int, 8)
 		kept := q.pending[:0]
 		for _, j := range q.pending {
-			share := q.fairShare
-			if w, ok := q.weights[j.VP]; ok {
-				share *= w
-			}
-			if taken[j.VP] < share {
+			if taken[j.VP] < q.fairShare {
 				taken[j.VP]++
 				out = append(out, j)
 			} else {

@@ -95,13 +95,6 @@ func Merge(names []string, logs ...*Log) *Log {
 	return out
 }
 
-// Reset clears the log.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.recs = nil
-}
-
 // Span returns the [min start, max end] of all records.
 func (l *Log) Span() (float64, float64) {
 	recs := l.Records()
@@ -117,10 +110,9 @@ func (l *Log) Span() (float64, float64) {
 }
 
 // Utilization returns, per engine, the fraction of the overall span the
-// engine was busy. Overlapping records on one engine — concurrent kernels
-// sharing the compute engine's CKE slots — are merged into disjoint busy
-// intervals before dividing by the span, so utilization never exceeds 1.0
-// (summing raw durations double-counted overlap).
+// engine was busy. Overlapping records on one engine are merged into disjoint
+// busy intervals before dividing by the span, so utilization never exceeds
+// 1.0 (summing raw durations double-counted overlap).
 func (l *Log) Utilization() map[string]float64 {
 	start, end := l.Span()
 	span := end - start
@@ -202,25 +194,4 @@ func (l *Log) Gantt(width int) string {
 		fmt.Fprintf(&b, "%-8s |%s|\n", name, row)
 	}
 	return b.String()
-}
-
-// CSV renders the records as comma-separated rows (engine, stream, label,
-// start_s, end_s), header included — for external plotting of the
-// timelines.
-func (l *Log) CSV() string {
-	var b strings.Builder
-	b.WriteString("engine,stream,label,start_s,end_s\n")
-	for _, r := range l.Records() {
-		fmt.Fprintf(&b, "%s,%d,%q,%.9f,%.9f\n", r.Engine, r.Stream, r.Label, r.Start, r.End)
-	}
-	return b.String()
-}
-
-// PerStream returns, per stream, the total busy seconds across engines.
-func (l *Log) PerStream() map[int]float64 {
-	out := map[int]float64{}
-	for _, r := range l.Records() {
-		out[r.Stream] += r.Duration()
-	}
-	return out
 }

@@ -112,7 +112,7 @@ func TestRecordsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestUtilizationOverlapMerged: overlapping records on one engine (CKE slots)
+// TestUtilizationOverlapMerged: overlapping records on one engine
 // must merge before dividing by span — raw duration sums reported >100%.
 func TestUtilizationOverlapMerged(t *testing.T) {
 	l := New()
@@ -197,30 +197,4 @@ func TestGanttGolden(t *testing.T) {
 			t.Fatalf("Gantt =\n%q\nwant\n%q", got, want)
 		}
 	})
-}
-
-func TestReset(t *testing.T) {
-	l := sampleLog()
-	l.Reset()
-	if len(l.Records()) != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestCSVAndPerStream(t *testing.T) {
-	l := sampleLog()
-	csv := l.CSV()
-	if !strings.HasPrefix(csv, "engine,stream,label,start_s,end_s\n") {
-		t.Fatalf("CSV header wrong:\n%s", csv)
-	}
-	if !strings.Contains(csv, `compute,1,"k",`) {
-		t.Errorf("CSV missing row:\n%s", csv)
-	}
-	if got := len(strings.Split(strings.TrimSpace(csv), "\n")); got != 4 {
-		t.Errorf("CSV rows = %d, want 4", got)
-	}
-	ps := l.PerStream()
-	if ps[1] != 3 || ps[2] != 1 {
-		t.Errorf("PerStream = %v", ps)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cpumodel"
 	"repro/internal/cudart"
-	"repro/internal/ipc"
 )
 
 // App is a guest application.
@@ -20,10 +19,6 @@ type VP struct {
 	CPU arch.CPU
 	Ctx *cudart.Context
 
-	// Gate is the VP Control hook: the host service stops and resumes the
-	// VP here for synchronous-kernel interleaving.
-	Gate *ipc.Gate
-
 	mu    sync.Mutex
 	clock float64
 }
@@ -31,7 +26,7 @@ type VP struct {
 // New builds a VP over a cudart context. The context's synchronous waits
 // advance the VP's local clock (loosely-timed co-simulation).
 func New(id int, cpu arch.CPU, ctx *cudart.Context) *VP {
-	v := &VP{ID: id, CPU: cpu, Ctx: ctx, Gate: ipc.NewGate()}
+	v := &VP{ID: id, CPU: cpu, Ctx: ctx}
 	if ctx != nil {
 		ctx.AttachClock(v)
 	}
@@ -71,10 +66,6 @@ func (v *VP) SyncTo(t float64) {
 	}
 	v.mu.Unlock()
 }
-
-// Checkpoint blocks while the service has stopped this VP (VP Control).
-// Guest GPU stubs call it before every device operation.
-func (v *VP) Checkpoint() { v.Gate.Wait() }
 
 // Run executes a guest application to completion.
 func (v *VP) Run(app App) error {

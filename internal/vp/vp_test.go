@@ -56,24 +56,6 @@ func TestRunAppErrorWrapped(t *testing.T) {
 	}
 }
 
-func TestCheckpointRespectsGate(t *testing.T) {
-	v := newVP(t, 2)
-	v.Checkpoint() // open gate: no block
-	v.Gate.Stop()
-	done := make(chan struct{})
-	go func() {
-		v.Checkpoint()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("checkpoint passed a stopped gate")
-	default:
-	}
-	v.Gate.Resume()
-	<-done
-}
-
 func TestFleetRunsAll(t *testing.T) {
 	seen := make([]bool, 4)
 	f := NewFleet(4, arch.ARMVersatile(), func(id int) *cudart.Context {
