@@ -1,8 +1,10 @@
 package coalesce
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -36,33 +38,57 @@ func Key(l *hostgpu.Launch) uint64 {
 
 // Apply performs the Kernel Match + merge pass over a batch: groups of ≥2
 // coalescable kernel jobs with equal keys (one job per VP at most) are
-// replaced by a single merged job. The returned batch preserves every
-// remaining job and inserts each merged job at its last member's position,
-// with dependencies wired so the Re-scheduler cannot hoist it above any
-// member's earlier operations. Member jobs are finished by the merged job's
-// execution.
+// replaced by a single merged job. Groups are judged in batch order of their
+// first member. The returned batch preserves every remaining job and inserts
+// each merged job at its last member's position, with dependencies wired so
+// the Re-scheduler cannot hoist it above any member's earlier operations.
+// Member jobs are finished by the merged job's execution. A batch in which
+// nothing merges is returned as it is, and costs no allocation.
 func Apply(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
-	groups := map[uint64][]*sched.Job{}
-	vpSeen := map[uint64]map[int]bool{}
-	for _, j := range batch {
+	// A group is a list threaded through next from its first member; the
+	// groups, in batch order, are found by a scan of their keys — a batch
+	// holds a handful of kernels — so nothing is hashed. For a batch of up to
+	// 64 jobs the state lives on the stack.
+	var (
+		headArr [16]int        // each group's first member
+		keyArr  [16]uint64     // and its Key
+		nextArr [64]int        // next member of the job's group, -1 at its end
+		intoArr [64]*sched.Job // the merged job that replaces a member
+		memArr  [16]*sched.Job // the group being judged
+	)
+	n := len(batch)
+	heads, keys, members := headArr[:0], keyArr[:0], memArr[:0]
+	next, into := append(nextArr[:0], make([]int, n)...), append(intoArr[:0], make([]*sched.Job, n)...)
+	for i, j := range batch {
 		if j.Launch == nil || !j.Coalescable {
 			continue
 		}
-		k := Key(j.Launch)
-		if vpSeen[k] == nil {
-			vpSeen[k] = map[int]bool{}
+		k, h := Key(j.Launch), 0
+		for h < len(keys) && keys[h] != k {
+			h++
 		}
-		if vpSeen[k][j.VP] {
-			continue // one invocation per VP per merge window
+		next[i] = -1
+		if h == len(keys) {
+			heads, keys = append(heads, i), append(keys, k)
+			continue
 		}
-		vpSeen[k][j.VP] = true
-		groups[k] = append(groups[k], j)
+		p := heads[h]
+		for batch[p].VP != j.VP && next[p] >= 0 {
+			p = next[p]
+		}
+		if batch[p].VP != j.VP { // one invocation per VP per merge window
+			next[p] = i
+		}
 	}
 
-	replaced := map[*sched.Job]*sched.Job{} // member → merged
-	for _, members := range groups {
-		if len(members) < 2 {
+	merged := false
+	for _, h := range heads {
+		if next[h] < 0 {
 			continue
+		}
+		members = members[:0]
+		for p := h; p >= 0; p = next[p] {
+			members = append(members, batch[p])
 		}
 		// Kernel Match found a mergeable group; the win predictor decides
 		// whether merging actually pays.
@@ -73,47 +99,46 @@ func Apply(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
 		}
 		g.Metrics.Counter("coalesce.wins").Inc()
 		g.Metrics.Counter("coalesce.jobs_merged").Add(int64(len(members)))
-		merged := Merge(g, members)
-		for _, m := range members {
-			replaced[m] = merged
+		mj := Merge(g, slices.Clone(members))
+		for p := h; p >= 0; p = next[p] {
+			into[p] = mj
 		}
+		merged = true
 	}
-	if len(replaced) == 0 {
+	if !merged {
 		return batch
 	}
 
 	// Rebuild the batch: drop members, insert each merged job at its last
 	// member's slot, and wire dependencies across chains.
-	lastIdx := map[*sched.Job]int{}
-	isMerged := map[*sched.Job]bool{}
+	out := make([]*sched.Job, 0, n)
 	for i, j := range batch {
-		if merged, ok := replaced[j]; ok {
-			lastIdx[merged] = i
-			isMerged[merged] = true
+		// j's predecessor in its (VP, stream) chain, as the rebuilt batch
+		// has it: a few chains back, so a scan beats hashing the key.
+		p := i - 1
+		for p >= 0 && (batch[p].VP != j.VP || batch[p].Stream != j.Stream) {
+			p--
 		}
-	}
-	prevInChain := map[[2]int]*sched.Job{}
-	out := make([]*sched.Job, 0, len(batch))
-	for i, j := range batch {
-		ck := [2]int{j.VP, j.Stream}
-		if merged, ok := replaced[j]; ok {
-			// The merged job must run after the member's predecessors…
-			if prev := prevInChain[ck]; prev != nil {
-				merged.Deps = append(merged.Deps, prev)
+		var prev *sched.Job
+		if p >= 0 {
+			prev = cmp.Or(into[p], batch[p])
+		}
+		if mj := into[i]; mj != nil {
+			// The merged job must run after the member's predecessors, and
+			// the member's successors after the merged job.
+			if prev != nil {
+				mj.Deps = append(mj.Deps, prev)
 			}
-			// …and the member's successors must run after the merged job.
-			prevInChain[ck] = merged
-			if lastIdx[merged] == i {
-				out = append(out, merged)
+			if next[i] < 0 {
+				out = append(out, mj)
 			}
 			continue
 		}
 		// Cross-chain dependency: a job following a coalesced member in its
 		// chain must wait for the merged job.
-		if prev := prevInChain[ck]; prev != nil && isMerged[prev] {
+		if p >= 0 && into[p] != nil {
 			j.Deps = append(j.Deps, prev)
 		}
-		prevInChain[ck] = j
 		out = append(out, j)
 	}
 	return out

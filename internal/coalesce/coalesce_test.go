@@ -10,6 +10,8 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/kir"
 	"repro/internal/kpl"
+	"repro/internal/metrics"
+	"repro/internal/raceflag"
 	"repro/internal/sched"
 )
 
@@ -294,5 +296,46 @@ func TestApplySingletonNotMerged(t *testing.T) {
 	out := Apply(g, []*sched.Job{j1})
 	if len(out) != 1 || out[0] != j1 {
 		t.Fatal("singleton group must pass through")
+	}
+}
+
+// TestApplyAllocs: Apply runs on every batch. One in which nothing merges —
+// copies, a non-coalescable launch, two keys, one VP's second launch of a
+// key — allocates nothing; one that merges pays for the merged job (label,
+// members, closures, done channel), its pricing and the rebuilt batch.
+func TestApplyAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
+	g := hostgpu.New(arch.Quadro4000(), 1<<28)
+	g.Metrics = metrics.New()
+	var batch []*sched.Job
+	for vp := 1; vp <= 3; vp++ {
+		kj, out := vecAddJob(t, g, vp, 512)
+		batch = append(batch, sched.NewH2D(vp, vp, kj.Launch.Bindings["a"], 0, nil), kj, sched.NewD2H(vp, vp, out, 0, 4))
+	}
+	apply := func(batch []*sched.Job) func() {
+		return func() {
+			for _, j := range batch {
+				j.Deps = j.Deps[:0]
+			}
+			Apply(g, batch)
+		}
+	}
+	other, _ := vecAddJob(t, g, 2, 256)
+	again, _ := vecAddJob(t, g, 1, 512)
+	plain, _ := vecAddJob(t, g, 3, 512)
+	plain.Coalescable = false
+	nothing := []*sched.Job{batch[0], batch[1], other, again, plain, batch[2]}
+	apply(nothing)()
+	if n := testing.AllocsPerRun(100, apply(nothing)); n != 0 {
+		t.Errorf("a batch with nothing to merge: %v allocs, want 0", n)
+	}
+	apply(batch)()
+	const bound = 16
+	if n := testing.AllocsPerRun(100, apply(batch)); n > bound {
+		t.Errorf("a batch merging three launches: %v allocs, want <= %d", n, bound)
+	} else {
+		t.Logf("a batch merging three launches: %v allocs", n)
 	}
 }

@@ -53,6 +53,9 @@ type executor struct {
 	inflight  int  // batches enqueued (or pending enqueue) but not yet retired
 	highWater int  // max inflight ever seen
 	inline    bool // no goroutine: submit runs batches on the caller
+	// Per-batch instruments, resolved under mu by the first pipelined submit.
+	depth, depthHW *metrics.Gauge
+	batches        *metrics.Counter
 }
 
 // setDepth publishes the pipeline depth gauges. Caller holds e.mu: the gauge
@@ -60,10 +63,15 @@ type executor struct {
 // enqueue/retire can never publish a stale depth over a fresher one —
 // metrics.Gauge.Set is only safe with a single writer.
 func (e *executor) setDepth() {
-	e.s.metrics.Gauge("core.exec.queue_depth").Set(int64(e.inflight))
+	if e.depth == nil {
+		m := e.s.metrics
+		e.depth, e.depthHW = m.Gauge("core.exec.queue_depth"), m.Gauge("core.exec.queue_depth_hw")
+		e.batches = m.Counter("core.exec.batches")
+	}
+	e.depth.Set(int64(e.inflight))
 	if e.inflight > e.highWater {
 		e.highWater = e.inflight
-		e.s.metrics.Gauge("core.exec.queue_depth_hw").Set(int64(e.highWater))
+		e.depthHW.Set(int64(e.highWater))
 	}
 }
 
@@ -121,7 +129,7 @@ func (e *executor) submit(b execBatch) {
 	e.setDepth()
 	e.mu.Unlock()
 
-	e.s.metrics.Counter("core.exec.batches").Inc()
+	e.batches.Inc()
 	select {
 	case e.ch <- b:
 	default:

@@ -157,11 +157,13 @@ func (g *GPU) cacheLookup(key []byte) *timingEntry {
 	g.cacheMu.RLock()
 	e := g.timingCache[string(key)] // no copy: the compiler looks a converted []byte up in place
 	g.cacheMu.RUnlock()
+	i := ctrCacheMisses
 	if e != nil {
-		g.Metrics.Counter("hostgpu.timing_cache.hits").Inc()
-	} else {
-		g.Metrics.Counter("hostgpu.timing_cache.misses").Inc()
+		i = ctrCacheHits
 	}
+	g.mu.Lock()
+	g.counter(i).Inc()
+	g.mu.Unlock()
 	return e
 }
 

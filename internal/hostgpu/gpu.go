@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,6 +27,27 @@ const (
 	EngineD2H     = "d2h"
 	EngineCompute = "compute"
 )
+
+// Indexes of the per-engine state (clocks, busy time) and of the device's
+// counters: an engine's op count at the engine's index, its busy nanoseconds
+// nEngines on, then the timing cache's hits and misses.
+const (
+	engH2D = iota
+	engD2H
+	engCompute
+	nEngines
+	ctrBusyNs      = nEngines
+	ctrCacheHits   = 2 * nEngines
+	ctrCacheMisses = ctrCacheHits + 1
+)
+
+var engineNames = [nEngines]string{EngineH2D, EngineD2H, EngineCompute}
+
+var counterNames = [...]string{
+	"hostgpu.ops.h2d", "hostgpu.ops.d2h", "hostgpu.ops.compute",
+	"hostgpu.engine_busy_ns.h2d", "hostgpu.engine_busy_ns.d2h", "hostgpu.engine_busy_ns.compute",
+	"hostgpu.timing_cache.hits", "hostgpu.timing_cache.misses",
+}
 
 // ExecMode selects whether kernel launches execute functionally.
 type ExecMode uint8
@@ -141,11 +163,13 @@ type GPU struct {
 	NoTimingCache bool
 
 	mu           sync.Mutex
-	engineFree   map[string]float64
+	engineFree   [nEngines]float64
 	streamReady  map[int]float64
 	lastIssue    float64
-	busy         map[string]float64 // accumulated busy seconds per engine
-	kernelEnergy float64            // accumulated kernel energies (dynamic + per-launch static)
+	busy         [nEngines]float64 // accumulated busy seconds per engine
+	kernelEnergy float64           // accumulated kernel energies (dynamic + per-launch static)
+	ctrReg       *metrics.Registry // the registry ctr was resolved from
+	ctr          [len(counterNames)]*metrics.Counter
 
 	cacheMu     sync.RWMutex
 	timingCache map[string]*timingEntry
@@ -156,9 +180,7 @@ func New(a arch.GPU, memBytes int64) *GPU {
 	return &GPU{
 		Arch:        a,
 		Mem:         devmem.New(memBytes),
-		engineFree:  map[string]float64{},
 		streamReady: map[int]float64{},
-		busy:        map[string]float64{},
 		timingCache: map[string]*timingEntry{},
 	}
 }
@@ -166,9 +188,9 @@ func New(a arch.GPU, memBytes int64) *GPU {
 // schedule places an operation of the given duration on an engine,
 // respecting stream order, engine availability, and (when enabled) in-order
 // issue. It returns the op's interval.
-func (g *GPU) schedule(engine string, stream int, dur float64, label string) Interval {
+func (g *GPU) schedule(e, stream int, dur float64, label string) Interval {
 	g.mu.Lock()
-	start := math.Max(g.streamReady[stream], g.engineFree[engine])
+	start := math.Max(g.streamReady[stream], g.engineFree[e])
 	if g.Serialize {
 		for _, t := range g.engineFree {
 			start = math.Max(start, t)
@@ -179,18 +201,31 @@ func (g *GPU) schedule(engine string, stream int, dur float64, label string) Int
 	}
 	g.lastIssue = start
 	end := start + dur
-	g.engineFree[engine] = end
+	g.engineFree[e] = end
 	g.streamReady[stream] = end
-	g.busy[engine] += dur
+	g.busy[e] += dur
+	if g.Metrics != nil {
+		g.counter(e).Inc()
+		g.counter(ctrBusyNs + e).Add(int64(math.Round(dur * 1e9)))
+	}
 	g.mu.Unlock()
 	if g.Trace != nil {
-		g.Trace.Add(trace.Record{Engine: engine, Stream: stream, Label: label, Start: start, End: end})
-	}
-	if g.Metrics != nil {
-		g.Metrics.Counter("hostgpu.ops." + engine).Inc()
-		g.Metrics.Counter("hostgpu.engine_busy_ns." + engine).Add(int64(math.Round(dur * 1e9)))
+		g.Trace.Add(trace.Record{Engine: engineNames[e], Stream: stream, Label: label, Start: start, End: end})
 	}
 	return Interval{Start: start, End: end}
+}
+
+// counter returns device counter i of Metrics, resolved once per registry
+// (Metrics may be attached, or replaced, after New) on its first touch, so it
+// still appears in a snapshot when it is first counted. Caller holds g.mu.
+func (g *GPU) counter(i int) *metrics.Counter {
+	if g.ctrReg != g.Metrics {
+		g.ctrReg, g.ctr = g.Metrics, [len(counterNames)]*metrics.Counter{}
+	}
+	if g.ctr[i] == nil {
+		g.ctr[i] = g.Metrics.Counter(counterNames[i])
+	}
+	return g.ctr[i]
 }
 
 // sizeLabel is the timeline label of an n-byte operation ("H2D 4096B"). Only
@@ -232,7 +267,7 @@ func (g *GPU) copyH2D(stream int, dst devmem.Ptr, off int, src []byte, pl *devme
 		return Interval{}, err
 	}
 	dur := CopyTime(&g.Arch, len(src))
-	return g.schedule(EngineH2D, stream, dur, g.sizeLabel("H2D", len(src))), nil
+	return g.schedule(engH2D, stream, dur, g.sizeLabel("H2D", len(src))), nil
 }
 
 // CopyD2H transfers n bytes from device memory at src+off back to the host:
@@ -263,7 +298,7 @@ func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int, dst []byte) ([]byt
 		}
 	}
 	dur := CopyTime(&g.Arch, n)
-	iv := g.schedule(EngineD2H, stream, dur, g.sizeLabel("D2H", n))
+	iv := g.schedule(engD2H, stream, dur, g.sizeLabel("D2H", n))
 	return data, iv, nil
 }
 
@@ -299,7 +334,7 @@ func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) 
 		}
 	}
 
-	iv := g.schedule(EngineCompute, stream, timing.Seconds, l.Kernel.Name)
+	iv := g.schedule(engCompute, stream, timing.Seconds, l.Kernel.Name)
 	energy := KernelEnergy(&g.Arch, sigma, timing)
 	g.mu.Lock()
 	g.kernelEnergy += energy
@@ -583,7 +618,7 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 		return Interval{}, err
 	}
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
-	return g.schedule(EngineCompute, stream, dur, g.sizeLabel("memset", n)), nil
+	return g.schedule(engCompute, stream, dur, g.sizeLabel("memset", n)), nil
 }
 
 // ChargeD2D prices a copy of n bytes between two device allocations through
@@ -593,7 +628,7 @@ func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interv
 // the member's own allocations.
 func (g *GPU) ChargeD2D(stream, n int) Interval {
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
-	return g.schedule(EngineH2D, stream, dur, g.sizeLabel("D2D", n))
+	return g.schedule(engH2D, stream, dur, g.sizeLabel("D2D", n))
 }
 
 // SyncStream returns the simulated time at which all work submitted to the
@@ -657,7 +692,10 @@ func (g *GPU) Sync() float64 {
 func (g *GPU) BusySeconds(engine string) float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.busy[engine]
+	if e := slices.Index(engineNames[:], engine); e >= 0 {
+		return g.busy[e]
+	}
+	return 0
 }
 
 // BusyTotal returns the accumulated busy time summed across every engine —
@@ -666,5 +704,5 @@ func (g *GPU) BusySeconds(engine string) float64 {
 func (g *GPU) BusyTotal() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.busy[EngineH2D] + g.busy[EngineD2H] + g.busy[EngineCompute]
+	return g.busy[engH2D] + g.busy[engD2H] + g.busy[engCompute]
 }

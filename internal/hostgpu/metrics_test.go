@@ -1,11 +1,13 @@
 package hostgpu
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/raceflag"
 )
 
 // cacheStats reads the timing cache's hit and miss counters from the registry
@@ -97,5 +99,38 @@ func TestDeviceMetrics(t *testing.T) {
 	misses := reg.Counter("hostgpu.timing_cache.misses").Value()
 	if hits < 1 || misses < 1 {
 		t.Errorf("timing cache counters hits=%d misses=%d, want both >= 1", hits, misses)
+	}
+}
+
+// TestScheduleAllocs: ChargeD2D schedules once per chunk of every merged
+// launch. The counters it moves are those of the registry attached now, each
+// appearing when it is first counted, and after that a schedule allocates
+// nothing.
+func TestScheduleAllocs(t *testing.T) {
+	g := newQuadro(t)
+	first, second := metrics.New(), metrics.New()
+	names := func(r *metrics.Registry) string {
+		var s []string
+		for _, c := range r.Snapshot().Counters {
+			s = append(s, fmt.Sprintf("%s=%d", c.Name, c.Value))
+		}
+		return strings.Join(s, " ")
+	}
+	g.Metrics = first
+	g.ChargeD2D(1, 4096)
+	g.Metrics = second
+	g.ChargeD2D(1, 4096)
+	g.ChargeD2D(1, 4096)
+	if got, want := names(first), "hostgpu.engine_busy_ns.h2d=46 hostgpu.ops.h2d=1"; got != want {
+		t.Errorf("first registry: %s, want %s", got, want)
+	}
+	if got, want := names(second), "hostgpu.engine_busy_ns.h2d=92 hostgpu.ops.h2d=2"; got != want {
+		t.Errorf("second registry: %s, want %s", got, want)
+	}
+	if raceflag.Enabled {
+		return // race instrumentation perturbs allocation counts
+	}
+	if n := testing.AllocsPerRun(100, func() { g.ChargeD2D(1, 4096) }); n != 0 {
+		t.Errorf("a schedule with a registry attached allocates %v times, want 0", n)
 	}
 }

@@ -333,11 +333,11 @@ type frameBuf struct{ b []byte }
 var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} }}
 
 // readBufSize sizes both sides' bufio.Reader. The value is measured, not
-// derived (ROADMAP 5(i)): against 64 KiB readers and otherwise identical code,
-// 4 KiB reads copy-stream (256 KiB frames) x1.07 and coalesce-launch (8 and
-// 32 KiB frames, which now take a second read each) x0.94. The cause of the
-// gain on large frames is not known: 16 KiB readers do no better there than
-// 64 KiB ones, so it is not the bytes spared a copy through the buffer.
+// derived (ROADMAP, Parked, "Sizing the socket read"): against 64 KiB readers
+// and otherwise identical code, 4 KiB reads copy-stream (256 KiB frames)
+// x1.07 and coalesce-launch (8 and 32 KiB frames, which take a second read
+// each) x0.94. The cause of the large-frame gain is unknown: 16 KiB readers
+// do no better there than 64 KiB ones, so it is not a copy spared.
 const readBufSize = 4096
 
 // readHello consumes a connection's hello — wireMagic, wireVersion, varint

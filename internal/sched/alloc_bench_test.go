@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hostgpu"
+	"repro/internal/metrics"
 	"repro/internal/raceflag"
 )
 
@@ -25,7 +26,7 @@ func planBatch(nVPs int) []*Job {
 
 // BenchmarkPlanAllocs pins the allocs-per-batch of the Re-scheduler hot path:
 // with the pooled planScratch, a steady-state plan allocates only the returned
-// order slice, not a fresh set of bookkeeping maps per batch.
+// order slice.
 func BenchmarkPlanAllocs(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -47,21 +48,26 @@ func BenchmarkPlanAllocs(b *testing.B) {
 	}
 }
 
-// TestPlanAllocs is the regression pin: a planned batch must not reallocate
-// the scratch maps. The bound allows the output slice plus occasional pool
-// refills after a GC, nothing more (the un-pooled planner cost ~20).
+// TestPlanAllocs is the regression pin: a planned batch allocates the
+// returned order and nothing else — the scratch is pooled slices, and
+// recording into a registry looks up two existing instruments (the map-based
+// planner cost 1 with its maps pooled, ~20 without). AllocsPerRun's integer
+// average absorbs a pool refill after a GC.
 func TestPlanAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops scratch at random under the race detector")
 	}
+	m := metrics.New()
 	for _, policy := range []Policy{PolicyFIFO, PolicyInterleave} {
 		batch := planBatch(8)
-		Plan(batch, policy) // warm the pool
-		avg := testing.AllocsPerRun(100, func() {
-			Plan(batch, policy)
-		})
-		if avg > 4 {
-			t.Errorf("policy %v: %.1f allocs per planned batch, want <= 4", policy, avg)
+		PlanRecorded(batch, policy, m) // warm the pool and the registry
+		for name, plan := range map[string]func(){
+			"Plan":         func() { Plan(batch, policy) },
+			"PlanRecorded": func() { PlanRecorded(batch, policy, m) },
+		} {
+			if avg := testing.AllocsPerRun(100, plan); avg > 1 {
+				t.Errorf("%s %v: %.1f allocs per planned batch, want <= 1", name, policy, avg)
+			}
 		}
 	}
 }

@@ -78,6 +78,7 @@ type Job struct {
 	Admitted bool
 
 	seq  int
+	pos  int // batch position while a plan runs (planScratch)
 	done chan struct{}
 
 	// retired, when non-nil, is closed once the executor batch containing
@@ -334,77 +335,66 @@ func markCycle(j *Job) {
 	}
 }
 
-// chainKey identifies one (VP, stream) arrival chain within a batch.
-type chainKey struct{ vp, stream int }
-
-// planChain is one (VP, stream) chain of the batch being planned: its jobs in
-// arrival order plus the planner's head cursor.
-type planChain struct {
-	jobs []*Job
-	head int
-}
-
-// planScratch is the Re-scheduler's per-batch scratch state. A plan runs on
-// every dispatched batch — the hot path of the whole service — so the maps
-// and chain slices are pooled and reused across batches (cleared, capacity
-// retained) instead of reallocated. Pinned by BenchmarkPlanAllocs and
-// TestPlanAllocs.
+// planScratch is the Re-scheduler's per-batch state, indexed by batch
+// position. A plan runs on every dispatched batch — the hot path of the whole
+// service — so the slices are pooled and reused across batches (capacity
+// retained) instead of reallocated, and nothing is hashed: each job carries
+// its position (Job.pos) for the length of the plan, so "is this dependency
+// in the batch, and planned?" is an index and a pointer compare. Pinned by
+// BenchmarkPlanAllocs and TestPlanAllocs.
 type planScratch struct {
-	planned  map[*Job]bool
-	inBatch  map[*Job]bool
-	prev     map[*Job]*Job // previous job in the (VP, stream) chain
-	lastOf   map[chainKey]*Job
-	chainIdx map[chainKey]int
-	arrival  map[*Job]int
-	chains   []planChain
-	nchains  int
+	planned []bool
+	next    []int // next position in the job's (VP, stream) chain, -1 at its end
+	chainOf []int // index into heads
+	heads   []int // each chain's unplanned head, -1 once planned; first-seen order
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}
 
-// getScratch fetches a scratch sized for an n-job batch.
-func getScratch(n int) *planScratch {
+// getScratch positions the batch's jobs and threads them into their chains,
+// in first-seen order (the order planInterleave round-robins over).
+func getScratch(batch []*Job) *planScratch {
+	n := len(batch)
 	ps := planPool.Get().(*planScratch)
-	if ps.planned == nil {
-		ps.planned = make(map[*Job]bool, n)
-		ps.inBatch = make(map[*Job]bool, n)
-		ps.prev = make(map[*Job]*Job, n)
-		ps.lastOf = make(map[chainKey]*Job, n)
-		ps.chainIdx = make(map[chainKey]int, n)
-		ps.arrival = make(map[*Job]int, n)
+	ps.planned = append(ps.planned[:0], make([]bool, n)...)
+	ps.next = append(ps.next[:0], make([]int, n)...)
+	ps.chainOf = append(ps.chainOf[:0], make([]int, n)...)
+	ps.heads = ps.heads[:0]
+	for i, j := range batch {
+		j.pos, ps.next[i] = i, -1
+		// The chain's previous job sits a few chains back: scanning for it
+		// beats hashing the (VP, stream) key.
+		p := i - 1
+		for p >= 0 && (batch[p].VP != j.VP || batch[p].Stream != j.Stream) {
+			p--
+		}
+		if p < 0 {
+			ps.chainOf[i] = len(ps.heads)
+			ps.heads = append(ps.heads, i)
+		} else {
+			ps.chainOf[i], ps.next[p] = ps.chainOf[p], i
+		}
 	}
 	return ps
 }
 
-// release clears the scratch (keeping map buckets and slice capacity) and
-// returns it to the pool.
-func (ps *planScratch) release() {
-	clear(ps.planned)
-	clear(ps.inBatch)
-	clear(ps.prev)
-	clear(ps.lastOf)
-	clear(ps.chainIdx)
-	clear(ps.arrival)
-	for i := 0; i < ps.nchains; i++ {
-		ps.chains[i].jobs = ps.chains[i].jobs[:0]
-		ps.chains[i].head = 0
+// ready reports whether every explicit dependency of j that is a job of the
+// batch has been planned. A dependency outside the batch may carry a position
+// from an earlier plan; only the job at that position of this batch counts.
+func (ps *planScratch) ready(j *Job, batch []*Job) bool {
+	for _, d := range j.Deps {
+		if p := d.pos; p < len(batch) && batch[p] == d && !ps.planned[p] {
+			return false
+		}
 	}
-	ps.nchains = 0
-	planPool.Put(ps)
+	return true
 }
 
-// chain returns the chain for a key, creating it in insertion order on first
-// sight (the order planInterleave round-robins over).
-func (ps *planScratch) chain(k chainKey) *planChain {
-	if i, ok := ps.chainIdx[k]; ok {
-		return &ps.chains[i]
-	}
-	if ps.nchains == len(ps.chains) {
-		ps.chains = append(ps.chains, planChain{})
-	}
-	ps.chainIdx[k] = ps.nchains
-	ps.nchains++
-	return &ps.chains[ps.nchains-1]
+// take appends the job at position i, the head of its chain, to out.
+func (ps *planScratch) take(out, batch []*Job, i int) []*Job {
+	ps.planned[i] = true
+	ps.heads[ps.chainOf[i]] = ps.next[i]
+	return append(out, batch[i])
 }
 
 // Plan computes the dispatch order of a batch under the given policy. The
@@ -414,16 +404,17 @@ func (ps *planScratch) chain(k chainKey) *planChain {
 // VPs round-robin, which interleaves copy and kernel jobs from different
 // VPs (Fig. 4a). A batch whose Deps form a cycle cannot honour (b); the
 // affected jobs are still emitted (exactly once) but marked with ErrCycle.
+// Plan records each job's batch position on it: a job is planned by one
+// goroutine at a time, as it belongs to one batch.
 func Plan(batch []*Job, policy Policy) []*Job {
-	if len(batch) <= 1 {
+	ps := getScratch(batch) // positions every job: PlanRecorded reads them
+	defer planPool.Put(ps)
+	switch {
+	case len(batch) <= 1:
 		return batch
-	}
-	ps := getScratch(len(batch))
-	defer ps.release()
-	if policy == PolicyFIFO {
+	case policy == PolicyFIFO:
 		return planFIFO(batch, ps)
 	}
-
 	return planInterleave(batch, ps)
 }
 
@@ -437,22 +428,9 @@ func PlanRecorded(batch []*Job, policy Policy, m *metrics.Registry) []*Job {
 		return order
 	}
 	m.Counter("sched.batches_planned").Inc()
-	ps := getScratch(len(batch))
-	defer ps.release()
-	for i, j := range batch {
-		ps.arrival[j] = i
-	}
 	h := m.Histogram("sched.reorder_distance", metrics.CountBuckets)
 	for i, j := range order {
-		ai, ok := ps.arrival[j]
-		if !ok {
-			continue // job injected after arrival (merged coalesce jobs)
-		}
-		d := i - ai
-		if d < 0 {
-			d = -d
-		}
-		h.Observe(float64(d))
+		h.Observe(float64(max(i-j.pos, j.pos-i))) // j.pos: the arrival position
 	}
 	return order
 }
@@ -462,51 +440,27 @@ func PlanRecorded(batch []*Job, policy Policy, m *metrics.Registry) []*Job {
 // earlier members' successors must slide after it): a stable topological
 // order.
 func planFIFO(batch []*Job, ps *planScratch) []*Job {
-	for _, j := range batch {
-		ps.inBatch[j] = true
-		k := chainKey{j.VP, j.Stream}
-		ps.prev[j] = ps.lastOf[k]
-		ps.lastOf[k] = j
-	}
 	out := make([]*Job, 0, len(batch))
 	for len(out) < len(batch) {
 		progressed := false
-		for _, j := range batch {
-			if ps.planned[j] {
+		for i, j := range batch {
+			if ps.planned[i] || ps.heads[ps.chainOf[i]] != i || !ps.ready(j, batch) {
 				continue
 			}
-			ok := true
-			if p := ps.prev[j]; p != nil && !ps.planned[p] {
-				ok = false
-			}
-			for _, d := range j.Deps {
-				if ps.inBatch[d] && !ps.planned[d] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			ps.planned[j] = true
-			out = append(out, j)
+			out = ps.take(out, batch, i)
 			progressed = true
 		}
 		if !progressed {
 			// Malformed cycle: emit the remainder in arrival order, marking
 			// every job whose explicit deps are violated by the forced order.
-			for _, j := range batch {
-				if ps.planned[j] {
+			for i, j := range batch {
+				if ps.planned[i] {
 					continue
 				}
-				for _, d := range j.Deps {
-					if ps.inBatch[d] && !ps.planned[d] {
-						markCycle(j)
-						break
-					}
+				if !ps.ready(j, batch) {
+					markCycle(j)
 				}
-				ps.planned[j] = true
-				out = append(out, j)
+				out = ps.take(out, batch, i)
 			}
 		}
 	}
@@ -514,73 +468,46 @@ func planFIFO(batch []*Job, ps *planScratch) []*Job {
 }
 
 func planInterleave(batch []*Job, ps *planScratch) []*Job {
-	for _, j := range batch {
-		c := ps.chain(chainKey{j.VP, j.Stream})
-		c.jobs = append(c.jobs, j)
-		ps.inBatch[j] = true
-	}
-	chains := ps.chains[:ps.nchains]
-
+	heads := ps.heads
 	out := make([]*Job, 0, len(batch))
 	lastEngine := ""
 	rr := 0
-
-	ready := func(j *Job) bool {
-		for _, d := range j.Deps {
-			if ps.inBatch[d] && !ps.planned[d] {
-				return false
-			}
-		}
-		return true
-	}
-
 	for len(out) < len(batch) {
-		// Gather the ready head of each chain.
-		var pick *Job
-		pickIdx := -1
-		// First pass: prefer a different engine, round-robin from rr.
-		for pass := 0; pass < 2 && pick == nil; pass++ {
-			for i := 0; i < len(chains); i++ {
-				ci := (rr + i) % len(chains)
-				c := &chains[ci]
-				if c.head >= len(c.jobs) {
+		// Take the ready head of a chain, round-robin from rr. First pass:
+		// prefer a different engine.
+		pick := -1
+		for pass := 0; pass < 2 && pick < 0; pass++ {
+			for i := range heads {
+				c := (rr + i) % len(heads)
+				h := heads[c]
+				if h < 0 || !ps.ready(batch[h], batch) ||
+					(pass == 0 && lastEngine != "" && batch[h].Engine == lastEngine) {
 					continue
 				}
-				j := c.jobs[c.head]
-				if !ready(j) {
-					continue
-				}
-				if pass == 0 && lastEngine != "" && j.Engine == lastEngine {
-					continue
-				}
-				pick = j
-				pickIdx = ci
+				pick = c
 				break
 			}
 		}
-		if pick == nil {
-			// Every ready head shares lastEngine and the two passes above
-			// missed it, or a (malformed) dependency cycle blocks all heads:
-			// take the first head outright to guarantee progress. Only chain
-			// heads are eligible — per-chain order is inviolable. A forced
-			// head with unplanned deps is a cycle victim: mark it so the
-			// violation is signalled, not silent.
-			for i := range chains {
-				if c := &chains[i]; c.head < len(c.jobs) {
-					pick = c.jobs[c.head]
-					pickIdx = i
-					if !ready(pick) {
-						markCycle(pick)
+		if pick < 0 {
+			// A (malformed) dependency cycle blocks every head: take the
+			// first head outright to guarantee progress. Only chain heads are
+			// eligible — per-chain order is inviolable. A forced head with
+			// unplanned deps is a cycle victim: mark it so the violation is
+			// signalled, not silent.
+			for c, h := range heads {
+				if h >= 0 {
+					pick = c
+					if !ps.ready(batch[h], batch) {
+						markCycle(batch[h])
 					}
 					break
 				}
 			}
 		}
-		chains[pickIdx].head++
-		rr = (pickIdx + 1) % len(chains)
-		ps.planned[pick] = true
-		lastEngine = pick.Engine
-		out = append(out, pick)
+		h := heads[pick]
+		out = ps.take(out, batch, h)
+		rr = (pick + 1) % len(heads)
+		lastEngine = batch[h].Engine
 	}
 	return out
 }
