@@ -217,4 +217,33 @@ func TestMetricsDomainSplit(t *testing.T) {
 			t.Errorf("host snapshot: %s = 0", want)
 		}
 	}
+
+	// domainSession launches nothing, and a byte-movement counter appears
+	// once non-zero, so the launch-side ones are pinned on a served vectorAdd:
+	// its whole-allocation H2Ds are adopted, and its copy of "out" takes none
+	// of out's bytes, all of which the kernel overwrites, and is swapped in.
+	lm, call, _ := servedSession(t)
+	s := newVectorAddSession(t, call, 0, 1<<10, 1, make([]byte, 4<<10))
+	if err := s.launch(1 << 10); err != nil {
+		t.Fatal(err)
+	}
+	s.read()
+	var exec []string
+	for _, n := range instrumentNames(lm.HostSnapshot()) {
+		if familyOf(n) == "core.exec." {
+			exec = append(exec, n)
+		}
+	}
+	if !reflect.DeepEqual(exec, launchExecInstruments) {
+		t.Errorf("core.exec. instruments after a launch differ from the pinned list:\n got %q\nwant %q", exec, launchExecInstruments)
+	}
+}
+
+// launchExecInstruments pins the core.exec. family after one served vectorAdd
+// on a one-device farm, bare and per device.
+var launchExecInstruments = []string{
+	"core.exec.batches", "core.exec.bind_uncopied_bytes", "core.exec.h2d_adopted_bytes",
+	"core.exec.queue_depth", "core.exec.queue_depth_hw", "core.exec.writebacks_swapped",
+	"gpu0.core.exec.batches", "gpu0.core.exec.bind_uncopied_bytes", "gpu0.core.exec.h2d_adopted_bytes",
+	"gpu0.core.exec.queue_depth", "gpu0.core.exec.queue_depth_hw", "gpu0.core.exec.writebacks_swapped",
 }

@@ -533,6 +533,7 @@ func (s *Service) countMoves() {
 	add("core.exec.h2d_copied_bytes", mv.CopiedBytes-s.moved.CopiedBytes)
 	add("core.exec.writebacks_swapped", mv.Swapped-s.moved.Swapped)
 	add("core.exec.writebacks_copied", mv.Copied-s.moved.Copied)
+	add("core.exec.bind_uncopied_bytes", mv.UncopiedBytes-s.moved.UncopiedBytes)
 	s.moved = mv
 }
 

@@ -55,10 +55,13 @@ type Mem struct {
 
 // Moves counts how bytes entered allocations, for the host's accounting: H2D
 // bytes adopted (Adopt of a whole allocation) or copied (Write, any other
-// Adopt), and write-backs swapped in (Commit) or copied (WriteBuffer).
+// Adopt), write-backs swapped in (Commit) or copied (WriteBuffer), and the
+// bytes of writable copies BindParam left unfilled because the launch
+// overwrites them.
 type Moves struct {
 	AdoptedBytes, CopiedBytes int64
 	Swapped, Copied           int64
+	UncopiedBytes             int64
 }
 
 // Moves returns the counts so far.
@@ -477,17 +480,27 @@ func (m *Mem) BindBuffer(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 // parameter gets a private copy, a pool slice viewed at its type, that Commit
 // makes the allocation's backing once the kernel has succeeded (or
 // ReleaseBuffer returns after a failure), so a failed launch leaves device
-// memory untouched. Where a view is impossible (big-endian host, or bytes not
-// aligned for the element type) either parameter gets a decoded copy.
-func (m *Mem) BindParam(p Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
+// memory untouched. Of that copy only the elements from covered on are filled
+// from the allocation: the caller vouches that a launch which succeeds stores
+// every one of the first covered elements before reading any (kir's
+// Program.Covered), so what the pool slice held there never reaches device
+// memory. Where a view is impossible (big-endian host, or bytes not aligned for
+// the element type) either parameter gets a fully decoded copy.
+func (m *Mem) BindParam(p Ptr, decl *kpl.BufDecl, covered int) (*kpl.Buffer, error) {
 	raw, err := m.bind(p)
 	if err != nil {
 		return nil, err
 	}
 	if !decl.ReadOnly && hostLittleEndian {
 		b := getBytes(len(raw))
-		copy(b, raw)
+		skip := min(max(covered, 0), len(raw)/decl.Elem.Size()) * decl.Elem.Size()
+		copy(b[skip:], raw[skip:])
 		if v := viewBuffer(decl.Elem, b); v != nil {
+			if skip > 0 {
+				m.mu.Lock()
+				m.moves.UncopiedBytes += int64(skip)
+				m.mu.Unlock()
+			}
 			return v, nil
 		}
 		putBytes(b)

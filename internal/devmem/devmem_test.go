@@ -488,7 +488,7 @@ func TestRangeChecksNeverWrap(t *testing.T) {
 			}
 		}
 	}
-	_, bindParam := m.BindParam(r, &kpl.BufDecl{Name: "v", Elem: kpl.I32, ReadOnly: true})
+	_, bindParam := m.BindParam(r, &kpl.BufDecl{Name: "v", Elem: kpl.I32, ReadOnly: true}, 0)
 	_, bindBuffer := m.BindBuffer(r, kpl.I32)
 	if bindParam == nil || bindBuffer == nil || m.WriteBuffer(r, buf) == nil {
 		t.Errorf("kernel binding of a reservation accepted: BindParam %v, BindBuffer %v", bindParam, bindBuffer)

@@ -8,7 +8,9 @@
 // read-only kernel parameter a typed view that aliases those bytes and a
 // writable one a private copy that Commit makes the allocation's backing once
 // the kernel has succeeded, so a failed launch leaves device memory
-// untouched. Views exist only on a little-endian host and over bytes aligned
+// untouched. The copy is filled from the allocation only past the prefix the
+// caller says the launch overwrites before reading (kir's Program.Covered);
+// the package itself knows no kernel. Views exist only on a little-endian host and over bytes aligned
 // for the element type; everywhere else the parameter gets a private copy. A
 // view relies on the per-device executor being the only writer of the memory
 // while a launch is in flight (DESIGN.md §16).

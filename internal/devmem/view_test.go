@@ -98,11 +98,11 @@ func TestBindParamViewsOnlyReadOnly(t *testing.T) {
 	ro := &kpl.BufDecl{Name: "in", Elem: kpl.F32, ReadOnly: true}
 	rw := &kpl.BufDecl{Name: "out", Elem: kpl.F32}
 
-	view, err := m.BindParam(p, ro)
+	view, err := m.BindParam(p, ro, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := m.BindParam(p, rw)
+	priv, err := m.BindParam(p, rw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestBindParamViewsOnlyReadOnly(t *testing.T) {
 		t.Error("WriteBuffer did not store the private copy")
 	}
 
-	if _, err := m.BindParam(Ptr(0xbad), ro); err == nil {
+	if _, err := m.BindParam(Ptr(0xbad), ro, 0); err == nil {
 		t.Error("BindParam of invalid pointer accepted")
 	}
 	if err := m.WriteBuffer(p, &kpl.Buffer{Elem: kpl.F32, F32s: make([]float32, 17)}); err == nil {
@@ -149,7 +149,7 @@ func TestBindAllocs(t *testing.T) {
 	p, _ := m.Alloc(1 << 20)
 	ro := &kpl.BufDecl{Name: "in", Elem: kpl.F32, ReadOnly: true}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := m.BindParam(p, ro); err != nil {
+		if _, err := m.BindParam(p, ro, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 1 {

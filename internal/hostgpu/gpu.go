@@ -398,7 +398,7 @@ func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error)
 	}
 	dyn := l.Dyn
 	sample := dyn == nil && l.Prog.NeedsDynamicProfile()
-	env, err := l.bind("hostgpu", func(ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
+	env, err := l.bind("hostgpu", func(_ int, ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
 		if !sample {
 			return nil, g.Mem.CheckBind(ptr)
 		}
@@ -441,22 +441,33 @@ func SampleDyn(k *kpl.Kernel, prog *kir.Program, env *kpl.Env, dyn *kpl.Stats) (
 
 // Bind binds the kernel's buffer parameters to device memory: read-only
 // parameters as views of the allocation, writable ones as private copies that
-// Exec commits on success and releases on failure (devmem.Mem.BindParam).
-// Bind and Exec are the functional half of a launch on any device model; who
-// ("hostgpu", "emul") prefixes their errors. The coalescer runs each piece of
-// a merged launch through Bind and Exec's parts, with every Run before any
-// WriteBack. A committed copy becomes its allocation's backing, which would
-// leave another binding's view of that allocation on the displaced bytes, so a
-// writable binding sharing its allocation gets a fresh copy that is copied
-// back instead: the env then reads as device memory after the launch, as
-// emul's λ sampling needs.
+// Exec commits on success and releases on failure (devmem.Mem.BindParam),
+// filled only past the prefix the launch overwrites before reading
+// (kir.Program.Covered). Bind and Exec are the functional half of a launch on
+// any device model; who ("hostgpu", "emul") prefixes their errors. The
+// coalescer runs each piece of a merged launch through Bind and Exec's parts,
+// with every Run before any WriteBack. A committed copy becomes its
+// allocation's backing, which would leave another binding's view of that
+// allocation on the displaced bytes, so a writable binding sharing its
+// allocation gets a fresh full copy that is copied back instead: the env then
+// reads as device memory after the launch, as emul's λ sampling needs.
 func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
-	return l.bind(who, func(ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
+	return l.bind(who, func(i int, ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
 		if !decl.ReadOnly && l.aliased(decl.Name) {
 			return mem.BindBuffer(ptr, decl.Elem)
 		}
-		return mem.BindParam(ptr, decl)
+		return mem.BindParam(ptr, decl, l.covered(i))
 	})
+}
+
+// covered is how many leading elements of the kernel's i-th buffer the launch
+// overwrites before reading any; none for a read-only buffer, or when Prog was
+// not analyzed from Kernel.
+func (l *Launch) covered(i int) int {
+	if l.Prog == nil || l.Prog.Kernel != l.Kernel {
+		return 0
+	}
+	return l.Prog.Covered(i, kir.Launch{NThreads: l.Threads(), Params: l.Params})
 }
 
 // aliased reports whether buffer name shares its allocation with another.
@@ -471,7 +482,7 @@ func (l *Launch) aliased(name string) bool {
 }
 
 // bind is Bind with the per-parameter rule left to the caller.
-func (l *Launch) bind(who string, param func(devmem.Ptr, *kpl.BufDecl) (*kpl.Buffer, error)) (*kpl.Env, error) {
+func (l *Launch) bind(who string, param func(int, devmem.Ptr, *kpl.BufDecl) (*kpl.Buffer, error)) (*kpl.Env, error) {
 	env := &kpl.Env{NThreads: l.Threads(), Params: l.Params, Bufs: map[string]*kpl.Buffer{}}
 	if env.Params == nil {
 		env.Params = map[string]kpl.Value{}
@@ -482,7 +493,7 @@ func (l *Launch) bind(who string, param func(devmem.Ptr, *kpl.BufDecl) (*kpl.Buf
 		if !ok {
 			return nil, fmt.Errorf("%s: %s: buffer %q not bound", who, l.Kernel.Name, decl.Name)
 		}
-		buf, err := param(ptr, decl)
+		buf, err := param(i, ptr, decl)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %s: buffer %q: %w", who, l.Kernel.Name, decl.Name, err)
 		}

@@ -76,6 +76,7 @@ type Program struct {
 
 	identity uint64
 	dynamic  bool
+	covers   []cover // per buffer, indexed like Kernel.Bufs; nil when none is covered
 }
 
 // Identity is what a launch of the kernel is matched and priced by: the
@@ -100,13 +101,15 @@ func Analyze(k *kpl.Kernel) (*Program, error) {
 		return nil, err
 	}
 	p := &Program{Kernel: k, Root: root, identity: identity(k)}
-	for _, b := range p.Blocks() {
+	blocks := p.Blocks()
+	for _, b := range blocks {
 		// Bounds referencing TID/Var/Load cannot be resolved statically.
 		if b.Kind == TripLoop && (b.HasBreak || !staticResolvable(b.Start) || !staticResolvable(b.End)) {
 			p.dynamic = true
 			break
 		}
 	}
+	p.covers = coverage(k, blocks)
 	return p, nil
 }
 
