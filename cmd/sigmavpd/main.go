@@ -41,8 +41,9 @@
 // startup, so a daemon restart resumes its fleet where it left off. A VP moves
 // between devices when a client sends an ipc.MigrateReq (there is no
 // background policy loop; DESIGN.md §15 says why). Clients never observe a
-// migration beyond latency: guest pointers stay valid (rebased transparently
-// if the target arena cannot honour the original address) and in-flight jobs
+// migration beyond latency: guest pointers stay valid (the VP's pointer table
+// on the target translates them if its arena cannot honour the original
+// address, and refuses any pointer the VP does not own) and in-flight jobs
 // drain first.
 package main
 

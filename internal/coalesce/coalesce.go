@@ -144,15 +144,18 @@ func Apply(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
 	return out
 }
 
-// mergedPricing sums the members' σ, access streams and grids.
-func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (arch.ClassVec, []cachemodel.Access, int, error) {
+// mergedPricing prices the merged launch of a group on the device's timing
+// model: its shape is the first member's over grid = Σ grids, its σ and access
+// streams the sums of the members'.
+func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (profile.LaunchShape, arch.ClassVec, hostgpu.Timing, error) {
 	var sigma arch.ClassVec
 	var accSums []cachemodel.Access
-	grid := 0
+	shape := members[0].Launch.Shape()
+	shape.Grid = 0
 	for _, m := range members {
 		s, accs, err := g.ResolveSigma(m.Launch)
 		if err != nil {
-			return arch.ClassVec{}, nil, 0, err
+			return profile.LaunchShape{}, arch.ClassVec{}, hostgpu.Timing{}, err
 		}
 		sigma = sigma.Add(s)
 		for i, a := range accs {
@@ -163,9 +166,13 @@ func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (arch.ClassVec, []cache
 				accSums = append(accSums, a)
 			}
 		}
-		grid += m.Launch.Grid
+		shape.Grid += m.Launch.Grid
 	}
-	return sigma, accSums, grid, nil
+	if shape.Grid <= 0 || shape.Block <= 0 {
+		return profile.LaunchShape{}, arch.ClassVec{}, hostgpu.Timing{}, fmt.Errorf("coalesce: invalid merged launch %d×%d", shape.Grid, shape.Block)
+	}
+	threads := float64(shape.Grid * shape.Block)
+	return shape, sigma, hostgpu.KernelTiming(&g.Arch, shape, sigma.Scale(1/threads), accSums), nil
 }
 
 // beneficial predicts whether merging the group actually saves time, using
@@ -205,19 +212,10 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 	if regionBytes > g.Mem.Headroom() {
 		return false
 	}
-	sigma, accs, grid, err := mergedPricing(g, members)
+	_, _, mergedTiming, err := mergedPricing(g, members)
 	if err != nil {
 		return false
 	}
-	first := members[0].Launch
-	mergedShape := profile.LaunchShape{
-		Grid:              grid,
-		Block:             first.Block,
-		SharedMemPerBlock: first.SharedMemPerBlock,
-		RegsPerThread:     first.RegsPerThread,
-	}
-	threads := float64(grid * first.Block)
-	mergedTiming := hostgpu.KernelTiming(&g.Arch, mergedShape, sigma.Scale(1/threads), accs)
 	mergedSeconds := mergedTiming.Seconds + d2dBytes/(g.Arch.MemBWGBps*1e9)
 	return mergedSeconds < sumSeconds
 }
@@ -247,8 +245,7 @@ func Merge(g *hostgpu.GPU, members []*sched.Job) *sched.Job {
 }
 
 func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
-	first := members[0].Launch
-	kernel := first.Kernel
+	kernel := members[0].Launch.Kernel
 	nb := len(kernel.Bufs)
 
 	// Plan the merged regions: chunk[i*nb+b] is member i's bytes of buffer b.
@@ -272,7 +269,7 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	// The regions take device capacity and address space for the length of
 	// the job — a group that does not fit fails here, in either exec mode —
 	// but no host bytes: nothing reads them.
-	regions := make(map[string]devmem.Ptr, nb)
+	regions := make([]devmem.Ptr, 0, nb)
 	defer func() {
 		for _, ptr := range regions {
 			_ = gpu.Mem.Free(ptr) // reserved below, freed once: cannot fail
@@ -283,7 +280,7 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 		if err != nil {
 			return fmt.Errorf("coalesce: %s: merged %q: %w", kernel.Name, decl.Name, err)
 		}
-		regions[decl.Name] = ptr
+		regions = append(regions, ptr)
 	}
 
 	// Gather: a D2D copy of every chunk into its region, priced.
@@ -294,30 +291,14 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 		}
 	}
 
-	// Price the merged launch: σ and access streams are the sums of the
-	// constituents'.
-	sigma, accesses, grid, err := mergedPricing(gpu, members)
+	// The merged launch, priced from its members and run as their pieces.
+	shape, sigma, timing, err := mergedPricing(gpu, members)
 	if err != nil {
 		return err
 	}
-
-	merged := &hostgpu.Launch{
-		Kernel:            kernel,
-		Prog:              first.Prog,
-		Grid:              grid,
-		Block:             first.Block,
-		SharedMemPerBlock: first.SharedMemPerBlock,
-		RegsPerThread:     first.RegsPerThread,
-		Params:            first.Params,
-		Bindings:          regions,
-		SigmaOverride:     &sigma,
-		AccessesOverride:  accesses,
-		ExecOverride: func(mem *devmem.Mem) error {
-			return runPieces(mem, gpu.Workers, members)
-		},
-	}
-
-	prof, iv, err := gpu.Launch(stream, merged)
+	prof, iv, err := gpu.RunPriced(stream, kernel.Name, shape, sigma, timing, func() error {
+		return runPieces(gpu.Mem, gpu.Workers, members)
+	})
 	if err != nil {
 		return err
 	}
@@ -325,7 +306,7 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	mj.Profile = prof
 
 	// Scatter: written chunks go back to each VP's allocations, priced.
-	totalThreads := float64(merged.Threads())
+	totalThreads := float64(shape.Grid * shape.Block)
 	for i, m := range members {
 		for b, decl := range kernel.Bufs {
 			if !decl.ReadOnly {

@@ -173,9 +173,13 @@ func TestHandleShedsOverload(t *testing.T) {
 	opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
 	s := NewService(opts)
 	defer s.Close()
+	dst, err := s.AllocVP(0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := s.Snapshot()
 
-	resp := s.Handle(0, ipc.H2DReq{Dst: 0x1000, Data: make([]byte, 64)})
+	resp := s.Handle(0, ipc.H2DReq{Dst: dst, Data: make([]byte, 64)})
 	or, ok := resp.(ipc.OverloadResp)
 	if !ok {
 		t.Fatalf("resp = %#v, want OverloadResp", resp)
@@ -204,7 +208,7 @@ func TestHandleShedsOverload(t *testing.T) {
 	opts.Admission = AdmissionOptions{Rate: 1e-9, Burst: 1}
 	s2 := NewService(opts)
 	defer s2.Close()
-	p, _ := s2.GPU.Mem.Alloc(64)
+	p, _ := s2.AllocVP(0, 64)
 	if _, ok := s2.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 8)}).(ipc.OKResp); !ok {
 		t.Fatal("first submit should be admitted")
 	}
@@ -225,7 +229,7 @@ func TestAdmissionReleasedOnDispatch(t *testing.T) {
 	opts.Admission = AdmissionOptions{MaxQueuedJobs: 4}
 	s := NewService(opts)
 	defer s.Close()
-	p, _ := s.GPU.Mem.Alloc(1 << 10)
+	p, _ := s.AllocVP(0, 1<<10)
 	for i := 0; i < 3; i++ {
 		if _, ok := s.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 16)}).(ipc.OKResp); !ok {
 			t.Fatalf("submit %d failed", i)
@@ -320,10 +324,16 @@ func TestExecDepthGaugeSingleOwner(t *testing.T) {
 // back into *ipc.OverloadError on the in-process pipe and over the binary
 // TCP protocol, so the cudart retry contract works regardless of transport.
 func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
-	newSvc := func() *Service {
+	// Each service's oversized H2D targets a buffer its VP owns.
+	newSvc := func() (*Service, ipc.H2DReq) {
 		opts := DefaultOptions()
 		opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
-		return NewService(opts)
+		s := NewService(opts)
+		dst, err := s.AllocVP(0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, ipc.H2DReq{Dst: dst, Data: make([]byte, 64)}
 	}
 	check := t.Helper
 	assertOverload := func(t *testing.T, err error) {
@@ -336,17 +346,15 @@ func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
 			t.Fatal("oversized payload must be non-retryable")
 		}
 	}
-	oversized := ipc.H2DReq{Dst: 0x1000, Data: make([]byte, 64)}
-
 	t.Run("pipe", func(t *testing.T) {
-		s := newSvc()
+		s, oversized := newSvc()
 		defer s.Close()
 		c := ipc.Pipe(0, s.Handle)
 		_, err := c.Call(oversized)
 		assertOverload(t, err)
 	})
 	t.Run("binary", func(t *testing.T) {
-		s := newSvc()
+		s, oversized := newSvc()
 		defer s.Close()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -23,24 +23,34 @@ import (
 	"repro/internal/hostgpu"
 )
 
-// AllocVP reserves n bytes of the device for a VP and records the ownership,
-// so the allocation travels with the VP on checkpoint and migration. The
-// returned pointer is the VP's *guest* pointer: it stays stable for the
-// VP's lifetime even if a later migration rebases the backing device
-// address (ResolvePtr translates).
+// AllocVP reserves n bytes of the device for a VP and enters the allocation
+// in the VP's pointer table, so that only the VP can name it and it travels
+// with the VP on checkpoint and migration. The returned pointer is the VP's
+// guest pointer: equal to the device pointer, and stable for the VP's
+// lifetime even if a restore later moves the allocation (RestoreVP). The
+// device may return an address the VP already holds as the guest pointer of
+// such a moved allocation; that entry is never overwritten.
 func (s *Service) AllocVP(vp, n int) (devmem.Ptr, error) {
 	p, err := s.GPU.Mem.Alloc(n)
 	if err != nil {
 		return 0, err
 	}
-	s.memMu.Lock()
-	t := s.vpAllocs[vp]
-	if t == nil {
-		t = map[devmem.Ptr]devmem.Ptr{}
-		s.vpAllocs[vp] = t
+	st := s.shard(vp)
+	st.mu.Lock()
+	_, held := st.allocs[p]
+	if !held {
+		if st.allocs == nil {
+			st.allocs = map[devmem.Ptr]devmem.Ptr{}
+		}
+		st.allocs[p] = p
 	}
-	t[p] = p
-	s.memMu.Unlock()
+	st.mu.Unlock()
+	if held {
+		// Keep p taken while the device finds another address, then give
+		// it back.
+		defer s.GPU.Mem.Free(p)
+		return s.AllocVP(vp, n)
+	}
 	return p, nil
 }
 
@@ -48,66 +58,37 @@ func (s *Service) AllocVP(vp, n int) (devmem.Ptr, error) {
 // pointer the VP does not own is refused: freeing it would hand another VP's
 // live allocation back to the arena.
 func (s *Service) FreeVP(vp int, guest devmem.Ptr) error {
-	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	t := s.vpAllocs[vp]
-	dev, ok := t[guest]
-	if !ok {
-		return fmt.Errorf("core: vp %d does not own ptr %#x", vp, uint64(guest))
+	st := s.shard(vp)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	dev, err := st.translate(vp, guest)
+	if err != nil {
+		return err
 	}
 	if err := s.GPU.Mem.Free(dev); err != nil {
 		return err
 	}
-	delete(t, guest)
-	if len(t) == 0 {
-		delete(s.vpAllocs, vp)
-	}
+	delete(st.allocs, guest)
 	return nil
 }
 
-// ResolvePtr translates a VP's guest pointer to its current device pointer.
-// The two are identical unless a migration restore rebased the allocation;
-// unknown pointers pass through untranslated (harness allocations made
-// straight on GPU.Mem keep working).
-func (s *Service) ResolvePtr(vp int, p devmem.Ptr) devmem.Ptr {
-	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	if t := s.vpAllocs[vp]; t != nil {
-		if d, ok := t[p]; ok {
-			return d
-		}
-	}
-	return p
+// ResolvePtr translates one of the VP's guest pointers to its device pointer
+// on this device, or refuses a pointer the VP does not own (see translate).
+func (s *Service) ResolvePtr(vp int, guest devmem.Ptr) (devmem.Ptr, error) {
+	st := s.shard(vp)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.translate(vp, guest)
 }
 
-// resolveBindings translates every pointer in a kernel binding map. When no
-// pointer is rebased — the common case — it returns the input map itself and
-// false; otherwise a fresh, translated copy and true.
-func (s *Service) resolveBindings(vp int, b map[string]devmem.Ptr) (map[string]devmem.Ptr, bool) {
-	if len(b) == 0 {
-		return b, false
+// translate is the one translation of a guest pointer: the device pointer
+// the VP's table holds for it, or an error when the VP does not own it, so a
+// VP names no device memory but its own. Caller holds st.mu.
+func (st *vpState) translate(vp int, guest devmem.Ptr) (devmem.Ptr, error) {
+	if dev, ok := st.allocs[guest]; ok {
+		return dev, nil
 	}
-	s.memMu.Lock()
-	t := s.vpAllocs[vp]
-	var out map[string]devmem.Ptr
-	if t != nil {
-		for name, p := range b {
-			if d, ok := t[p]; ok && d != p {
-				if out == nil {
-					out = make(map[string]devmem.Ptr, len(b))
-					for n, q := range b {
-						out[n] = q
-					}
-				}
-				out[name] = d
-			}
-		}
-	}
-	s.memMu.Unlock()
-	if out == nil {
-		return b, false
-	}
-	return out, true
+	return 0, fmt.Errorf("core: vp %d does not own ptr %#x", vp, uint64(guest))
 }
 
 // registered reports whether the VP is currently registered with the
@@ -149,17 +130,18 @@ func (ck *VPCheckpoint) Bytes() int64 {
 // stream clocks.
 func (s *Service) CheckpointVP(vp, device int) (VPCheckpoint, error) {
 	ck := VPCheckpoint{VP: vp, Device: device, Registered: s.registered(vp)}
-	s.memMu.Lock()
-	guests := make([]devmem.Ptr, 0, len(s.vpAllocs[vp]))
-	for g := range s.vpAllocs[vp] {
+	st := s.shard(vp)
+	st.mu.Lock()
+	guests := make([]devmem.Ptr, 0, len(st.allocs))
+	for g := range st.allocs {
 		guests = append(guests, g)
 	}
 	sort.Slice(guests, func(i, j int) bool { return guests[i] < guests[j] })
 	devs := make([]devmem.Ptr, len(guests))
 	for i, g := range guests {
-		devs[i] = s.vpAllocs[vp][g]
+		devs[i] = st.allocs[g]
 	}
-	s.memMu.Unlock()
+	st.mu.Unlock()
 	for i, g := range guests {
 		n, err := s.GPU.Mem.Size(devs[i])
 		if err != nil {
@@ -223,14 +205,15 @@ func (s *Service) RestoreVP(ck VPCheckpoint) (restoreStats, error) {
 		s.GPU.LiftStream(f.Stream, f.Ready)
 	}
 	if len(table) > 0 {
-		s.memMu.Lock()
-		if old := s.vpAllocs[ck.VP]; len(old) > 0 {
-			s.memMu.Unlock()
+		st := s.shard(ck.VP)
+		st.mu.Lock()
+		if held := len(st.allocs); held > 0 {
+			st.mu.Unlock()
 			undo()
-			return restoreStats{}, fmt.Errorf("core: restore vp %d: vp already holds %d allocations here", ck.VP, len(old))
+			return restoreStats{}, fmt.Errorf("core: restore vp %d: vp already holds %d allocations here", ck.VP, held)
 		}
-		s.vpAllocs[ck.VP] = table
-		s.memMu.Unlock()
+		st.allocs = table
+		st.mu.Unlock()
 	}
 	if ck.Registered {
 		s.RegisterVP(ck.VP)
@@ -243,10 +226,11 @@ func (s *Service) RestoreVP(ck VPCheckpoint) (restoreStats, error) {
 // batching logic. The caller holds the VP's migration gate and has drained
 // the device, so no job can reference the freed memory.
 func (s *Service) evictVP(vp int) {
-	s.memMu.Lock()
-	t := s.vpAllocs[vp]
-	delete(s.vpAllocs, vp)
-	s.memMu.Unlock()
+	st := s.shard(vp)
+	st.mu.Lock()
+	t := st.allocs
+	st.allocs = nil
+	st.mu.Unlock()
 	devs := make([]devmem.Ptr, 0, len(t))
 	for _, d := range t {
 		devs = append(devs, d)

@@ -40,7 +40,9 @@
 // representation: they are provably empty at the cut. MultiService.Migrate
 // moves a VP between devices through quiesce → transfer → replay → resume
 // (migrate.go), rebasing device pointers when the target's address space
-// collides (guest pointers stay stable; ResolvePtr translates). Whole-farm
+// collides. Guest pointers stay stable: each VP's pointer table lives in its
+// vpState shard, and one translation (vpState.translate) maps every pointer
+// a request or a free names, refusing one the VP does not own. Whole-farm
 // images have one hand-rolled binary encoding and round-trip through disk
 // (SaveCheckpoint/LoadCheckpoint), so a daemon restart can restore its
 // fleet. Moves are explicit (Migrate, or an ipc.MigrateReq from any

@@ -52,11 +52,11 @@ func TestKernelErrorPropagatesToVP(t *testing.T) {
 		Body: []kpl.Stmt{kpl.Store("out", kpl.CI(1<<20), kpl.CF(1))},
 	}
 	prog := mustAnalyze(t, bad)
-	ptr, err := s.GPU.Mem.Alloc(64)
+	ctx0 := cudart.NewContext(0, m.Backend(0))
+	ptr, err := ctx0.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx0 := cudart.NewContext(0, m.Backend(0))
 	launchErr := make(chan error, 1)
 	go func() {
 		launchErr <- ctx0.LaunchKernel(&hostgpu.Launch{

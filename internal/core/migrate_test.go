@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/devmem"
 	"repro/internal/ipc"
 	"repro/internal/metrics"
 )
@@ -326,6 +327,57 @@ func TestRestoreCollision(t *testing.T) {
 	resp, ok := m.Handle(0, ipc.D2HReq{Src: p, N: len(data)}).(ipc.D2HResp)
 	if !ok || !bytes.Equal(resp.Data, data) {
 		t.Fatal("failed restore corrupted the live VP")
+	}
+}
+
+// TestAllocAfterRebaseKeepsTheRebasedBuffer: a malloc never overwrites the
+// VP's own table entry. VP 0's pointer is rebased onto VP 1's device, VP 1
+// frees the address VP 0's guest pointer names, and VP 0's next malloc must
+// get a different pointer: the old one still reads its bytes, both
+// allocations count in Used, and both free.
+func TestAllocAfterRebaseKeepsTheRebasedBuffer(t *testing.T) {
+	const n = 256
+	m := migTestFarm(t, 2)
+	m.RegisterVP(0) // → device 0
+	m.RegisterVP(1) // → device 1
+	data := bytes.Repeat([]byte{0x77}, n)
+	p := mallocVP(t, m, 0, n).Ptr
+	if q := mallocVP(t, m, 1, n).Ptr; q != p {
+		t.Fatalf("vp 1 got %#x, vp 0 %#x: the collision this test needs did not happen", uint64(q), uint64(p))
+	}
+	if _, ok := m.Handle(0, ipc.H2DReq{Dst: p, Data: data}).(ipc.OKResp); !ok {
+		t.Fatal("H2D failed")
+	}
+	if err := m.Migrate(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.MigrationSnapshot().CounterValue("core.migrate.ptrs_rebased"); got != 1 {
+		t.Fatalf("ptrs_rebased = %d, want 1", got)
+	}
+	if _, ok := m.Handle(1, ipc.FreeReq{Ptr: p}).(ipc.OKResp); !ok {
+		t.Fatal("vp 1's free failed")
+	}
+	m.UnregisterVP(1) // VP 0's jobs need no one else parked
+	mem := m.Device(1).GPU.Mem
+	used := mem.Used()
+	fresh := mallocVP(t, m, 0, n).Ptr
+	if fresh == p {
+		t.Fatalf("vp 0's malloc returned %#x, the guest pointer it already holds", uint64(p))
+	}
+	if got := mem.Used(); got != used+n {
+		t.Fatalf("Used = %d after the malloc, want %d", got, used+n)
+	}
+	resp, ok := m.Handle(0, ipc.D2HReq{Src: p, N: n}).(ipc.D2HResp)
+	if !ok || !bytes.Equal(resp.Data, data) {
+		t.Fatal("vp 0's rebased buffer lost its bytes to the malloc")
+	}
+	for _, ptr := range []devmem.Ptr{p, fresh} {
+		if _, ok := m.Handle(0, ipc.FreeReq{Ptr: ptr}).(ipc.OKResp); !ok {
+			t.Fatalf("free of %#x failed", uint64(ptr))
+		}
+	}
+	if got := mem.Used(); got != 0 {
+		t.Fatalf("Used = %d after vp 0 freed everything, want 0", got)
 	}
 }
 

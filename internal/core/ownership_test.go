@@ -89,13 +89,17 @@ func TestGuestSliceIsNeverAdopted(t *testing.T) {
 	}
 }
 
-// TestFreeRefusesAnotherVPsPointer: a VP frees only what it allocated. A
+// TestFreeRefusesAnotherVPsPointer: a VP names only what it allocated. A
 // free of another VP's pointer is refused and leaves the allocation with its
-// owner, so the next malloc cannot hand it out again and the owner's writes
-// stay its own — served over TCP and through the in-process back end.
+// owner, so the next malloc cannot hand it out again; an H2D, D2H, memset or
+// launch binding that names it is refused the same way, so the owner's bytes
+// stay its own; and once the owner frees the pointer and another VP's malloc
+// gets the address, the owner's stale pointer is refused too — served over
+// TCP and through the in-process back end.
 func TestFreeRefusesAnotherVPsPointer(t *testing.T) {
 	const n = 256
 	owned := bytes.Repeat([]byte{0xab}, n)
+	theirs := bytes.Repeat([]byte{0x5a}, n)
 	newFarm := func(t *testing.T) *MultiService {
 		m, err := NewMultiService(DefaultOptions(), []arch.GPU{arch.Quadro4000()})
 		if err != nil {
@@ -103,6 +107,30 @@ func TestFreeRefusesAnotherVPsPointer(t *testing.T) {
 		}
 		t.Cleanup(m.Close)
 		return m
+	}
+	// intrude sends every request that reads or writes device memory through
+	// do, naming victim, which the sending VP does not own; own is one of its
+	// own buffers. Each must be refused and leave the arena as it was.
+	intrude := func(t *testing.T, m *MultiService, do func(req any) error, victim, own devmem.Ptr) {
+		t.Helper()
+		used := m.Device(0).GPU.Mem.Used()
+		for _, req := range []any{
+			ipc.H2DReq{Dst: victim, Data: bytes.Repeat([]byte{0xcd}, n)},
+			ipc.D2HReq{Src: victim, N: n},
+			ipc.MemsetReq{Dst: victim, N: n, Value: 0xcd},
+			ipc.LaunchReq{
+				Kernel: "vectorAdd", Grid: 1, Block: n / 4,
+				Params:   map[string]kpl.Value{"n": kpl.IntVal(n / 4)},
+				Bindings: map[string]devmem.Ptr{"a": own, "b": own, "out": victim},
+			},
+		} {
+			if err := do(req); err == nil || !strings.Contains(err.Error(), "does not own") {
+				t.Fatalf("%T naming %#x was not refused: err = %v", req, uint64(victim), err)
+			}
+		}
+		if got := m.Device(0).GPU.Mem.Used(); got != used {
+			t.Fatalf("refused requests changed Used from %d to %d", used, got)
+		}
 	}
 	t.Run("served", func(t *testing.T) {
 		m := newFarm(t)
@@ -126,26 +154,77 @@ func TestFreeRefusesAnotherVPsPointer(t *testing.T) {
 			}
 			return resp
 		}
+		// One VP is connected at a time, so a request that was not refused
+		// would run rather than wait for the other VP to stop.
+		do := func(c ipc.Client) func(req any) error {
+			return func(req any) error { _, err := c.Call(req); return err }
+		}
 		c0 := dial(0)
-		defer c0.Close()
 		p := call(c0, ipc.MallocReq{Size: n}).(ipc.MallocResp).Ptr
 		call(c0, ipc.H2DReq{Dst: p, Data: owned})
+		c0.Close()
 		c1 := dial(1)
 		if _, err := c1.Call(ipc.FreeReq{Ptr: p}); err == nil || !strings.Contains(err.Error(), "does not own") {
 			t.Fatalf("vp 1 freed vp 0's pointer: err = %v", err)
 		}
-		if q := call(c1, ipc.MallocReq{Size: n}).(ipc.MallocResp).Ptr; q == p {
+		q := call(c1, ipc.MallocReq{Size: n}).(ipc.MallocResp).Ptr
+		if q == p {
 			t.Fatal("vp 1 was handed vp 0's live allocation")
 		}
-		c1.Close() // VP 0's jobs need no one else parked
+		intrude(t, m, do(c1), p, q)
+		c1.Close()
+		c0 = dial(0)
 		if got := call(c0, ipc.D2HReq{Src: p, N: n}).(ipc.D2HResp).Data; !bytes.Equal(got, owned) {
 			t.Fatal("vp 0's allocation changed")
 		}
 		call(c0, ipc.FreeReq{Ptr: p})
+		c0.Close()
+		c1 = dial(1)
+		if r := call(c1, ipc.MallocReq{Size: n}).(ipc.MallocResp).Ptr; r != p {
+			t.Fatalf("vp 1's malloc got %#x, not the freed %#x", uint64(r), uint64(p))
+		}
+		call(c1, ipc.H2DReq{Dst: p, Data: theirs})
+		c1.Close()
+		c0 = dial(0)
+		intrude(t, m, do(c0), p, call(c0, ipc.MallocReq{Size: n}).(ipc.MallocResp).Ptr)
+		c0.Close()
+		c1 = dial(1)
+		defer c1.Close()
+		if got := call(c1, ipc.D2HReq{Src: p, N: n}).(ipc.D2HResp).Data; !bytes.Equal(got, theirs) {
+			t.Fatal("vp 0's stale pointer reached vp 1's allocation")
+		}
 	})
 	t.Run("backend", func(t *testing.T) {
 		m := newFarm(t)
 		ctx0, ctx1 := cudart.NewContext(0, m.Backend(0)), cudart.NewContext(1, m.Backend(1))
+		do := func(ctx *cudart.Context) func(req any) error {
+			return func(req any) error {
+				switch r := req.(type) {
+				case ipc.H2DReq:
+					return ctx.MemcpyH2D(r.Dst, r.Data)
+				case ipc.D2HReq:
+					_, err := ctx.MemcpyD2H(r.Src, r.N)
+					return err
+				case ipc.MemsetReq:
+					return ctx.Memset(r.Dst, r.N, r.Value)
+				case ipc.LaunchReq:
+					l, err := launchOf(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ctx.LaunchKernel(l)
+				}
+				t.Fatalf("no back-end call for %T", req)
+				return nil
+			}
+		}
+		read := func(ctx *cudart.Context, p devmem.Ptr) []byte {
+			got, err := ctx.MemcpyD2H(p, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
 		p, err := ctx0.Malloc(n)
 		if err != nil {
 			t.Fatal(err)
@@ -160,15 +239,33 @@ func TestFreeRefusesAnotherVPsPointer(t *testing.T) {
 		if err := ctx0.MemcpyH2D(p, owned); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ctx1.MemcpyD2H(q, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(got, owned) {
+		if bytes.Equal(read(ctx1, q), owned) {
 			t.Fatal("vp 0's H2D landed in vp 1's buffer")
+		}
+		intrude(t, m, do(ctx1), p, q)
+		if !bytes.Equal(read(ctx0, p), owned) {
+			t.Fatal("vp 0's allocation changed")
 		}
 		if err := ctx0.Free(p); err != nil {
 			t.Fatal(err)
+		}
+		r, err := ctx1.Malloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != p {
+			t.Fatalf("vp 1's malloc got %#x, not the freed %#x", uint64(r), uint64(p))
+		}
+		if err := ctx1.MemcpyH2D(r, theirs); err != nil {
+			t.Fatal(err)
+		}
+		own, err := ctx0.Malloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		intrude(t, m, do(ctx0), p, own)
+		if !bytes.Equal(read(ctx1, r), theirs) {
+			t.Fatal("vp 0's stale pointer reached vp 1's allocation")
 		}
 	})
 }

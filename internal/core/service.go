@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -110,22 +111,20 @@ type Service struct {
 	exec *executor
 	adm  *admission
 
-	// memMu guards vpAllocs, the per-VP allocation tables behind VP
-	// checkpoint/restore and live migration: vpAllocs[vp] maps each guest
-	// pointer the VP holds onto its current device pointer. The two are
-	// identical at allocation time; they diverge only when a migration
-	// restore cannot reclaim the original address and rebases the
-	// allocation (see RestoreVP).
-	memMu    sync.Mutex
-	vpAllocs map[int]map[devmem.Ptr]devmem.Ptr
-
 	moved devmem.Moves // as of the last countMoves
 }
 
-// vpState is one VP's shard of the VP-control state.
+// vpState is one VP's shard: its VP-control state and its pointer table.
 type vpState struct {
 	mu      sync.Mutex
 	blocked int // handlers parked in WaitJob; > 0 means stopped (Fig. 4b)
+	// allocs maps each guest pointer the VP holds onto its device pointer on
+	// this device. The two are equal at allocation time; they differ only
+	// when a restore could not reclaim the original address and rebased the
+	// allocation (see RestoreVP). Every pointer a request names is
+	// translated through it (translate), so a VP reaches no device memory
+	// but its own.
+	allocs map[devmem.Ptr]devmem.Ptr
 }
 
 // shard returns the VP's state shard, creating it on first contact. A VP
@@ -171,12 +170,11 @@ func NewService(opts Options) *Service {
 		q.SetFairShare(opts.FairShare)
 	}
 	s := &Service{
-		GPU:      g,
-		opts:     opts,
-		metrics:  reg,
-		queue:    q,
-		vps:      map[int]*vpState{},
-		vpAllocs: map[int]map[devmem.Ptr]devmem.Ptr{},
+		GPU:     g,
+		opts:    opts,
+		metrics: reg,
+		queue:   q,
+		vps:     map[int]*vpState{},
 	}
 	// Farm caps are enforced by MultiService from sampled per-device loads,
 	// so they too need the per-service gate running (with every device knob
@@ -644,7 +642,8 @@ func (s *Service) serveJob(j *sched.Job, err error) any {
 
 // The job builders, one per request kind, are what Handle (then serveJob) and
 // the in-process back end (then enqueue) share: the guest stream mapped into
-// the VP's window, guest pointers a migration rebased translated. Offsets and
+// the VP's window, every guest pointer translated through the VP's table and
+// one the VP does not own refused before any job exists. Offsets and
 // lengths are checked when the job runs (devmem.InRange): until then the
 // allocation may still be freed or replaced.
 
@@ -655,7 +654,10 @@ func (s *Service) h2dJob(vp, stream int, dst devmem.Ptr, off int, data []byte, o
 	if err != nil {
 		return nil, err
 	}
-	if dst = s.ResolvePtr(vp, dst); owned != nil {
+	if dst, err = s.ResolvePtr(vp, dst); err != nil {
+		return nil, err
+	}
+	if owned != nil {
 		return sched.NewH2DFrom(vp, dev, dst, off, owned), nil
 	}
 	return sched.NewH2D(vp, dev, dst, off, data), nil
@@ -671,7 +673,9 @@ func (s *Service) d2hJob(vp, stream int, src devmem.Ptr, off, n int, frame *ipc.
 	if err != nil {
 		return nil, err
 	}
-	src = s.ResolvePtr(vp, src)
+	if src, err = s.ResolvePtr(vp, src); err != nil {
+		return nil, err
+	}
 	if frame != nil && s.opts.Mode != hostgpu.ExecTimingOnly {
 		if size, err := s.GPU.Mem.Size(src); err == nil && devmem.InRange(off, n, size) {
 			if *frame = ipc.NewD2HResp(n); frame.Data != nil {
@@ -687,12 +691,16 @@ func (s *Service) memsetJob(vp, stream int, dst devmem.Ptr, off, n int, value by
 	if err != nil {
 		return nil, err
 	}
-	return sched.NewMemset(vp, dev, s.ResolvePtr(vp, dst), off, n, value), nil
+	if dst, err = s.ResolvePtr(vp, dst); err != nil {
+		return nil, err
+	}
+	return sched.NewMemset(vp, dev, dst, off, n, value), nil
 }
 
-// kernelJob builds a launch's job. Rebased pointers are bound through a copy
-// of the launch, never by mutating the caller's, and the Kernel Match stage's
-// coalescability comes from the registry entry of the kernel's name.
+// kernelJob builds a launch's job. Every binding is translated, rebased ones
+// through a copy of the launch, never by mutating the caller's, and the
+// Kernel Match stage's coalescability comes from the registry entry of the
+// kernel's name.
 func (s *Service) kernelJob(vp, stream int, l *hostgpu.Launch) (*sched.Job, error) {
 	dev, err := streamOf(vp, stream)
 	if err != nil {
@@ -701,9 +709,22 @@ func (s *Service) kernelJob(vp, stream int, l *hostgpu.Launch) (*sched.Job, erro
 	if l == nil || l.Kernel == nil || l.Prog == nil {
 		return nil, fmt.Errorf("core: vp %d: launch without kernel or program", vp)
 	}
-	if resolved, changed := s.resolveBindings(vp, l.Bindings); changed {
+	var rebased map[string]devmem.Ptr
+	for name, guest := range l.Bindings {
+		dev, err := s.ResolvePtr(vp, guest)
+		if err != nil {
+			return nil, err
+		}
+		if dev != guest {
+			if rebased == nil {
+				rebased = maps.Clone(l.Bindings)
+			}
+			rebased[name] = dev
+		}
+	}
+	if rebased != nil {
 		moved := *l
-		moved.Bindings = resolved
+		moved.Bindings = rebased
 		l = &moved
 	}
 	j := sched.NewKernel(vp, dev, l)

@@ -93,24 +93,32 @@ func provisionOn(g *hostgpu.GPU, bench *kernels.Benchmark, w *kernels.Workload) 
 }
 
 // resolved returns the workload with every pointer translated by at — a farm
-// VP's guest pointers to where its current device holds them.
-func (p *provisioned) resolved(at func(devmem.Ptr) devmem.Ptr) *provisioned {
+// VP's guest pointers to where its current device holds them — or at's first
+// refusal.
+func (p *provisioned) resolved(at func(devmem.Ptr) (devmem.Ptr, error)) (*provisioned, error) {
+	var err error
+	tr := func(ptr devmem.Ptr) devmem.Ptr {
+		if err == nil {
+			ptr, err = at(ptr)
+		}
+		return ptr
+	}
 	r := *p
 	l := *p.launch
 	l.Bindings = make(map[string]devmem.Ptr, len(p.launch.Bindings))
 	for name, ptr := range p.launch.Bindings {
-		l.Bindings[name] = at(ptr)
+		l.Bindings[name] = tr(ptr)
 	}
 	r.launch = &l
 	r.inPtrs = make([]devmem.Ptr, len(p.inPtrs))
 	for i, ptr := range p.inPtrs {
-		r.inPtrs[i] = at(ptr)
+		r.inPtrs[i] = tr(ptr)
 	}
 	r.outPtrs = make([]devmem.Ptr, len(p.outPtrs))
 	for i, ptr := range p.outPtrs {
-		r.outPtrs[i] = at(ptr)
+		r.outPtrs[i] = tr(ptr)
 	}
-	return &r
+	return &r, err
 }
 
 // iterationJobs builds the job burst of application iteration it: copy-once

@@ -162,7 +162,9 @@ func (f *farmFleet) provision(benches []*kernels.Benchmark, scale int) error {
 // pointers, since the last iteration) and submitted into the VP's stream
 // window. DispatchBatch only enqueues with pipelining on, so the devices'
 // simulations run concurrently in wall clock; Sync or Flush is the barrier.
-func (f *farmFleet) step(it int) {
+// A pointer the VP's device refuses to translate fails the step before any
+// batch is dispatched.
+func (f *farmFleet) step(it int) error {
 	batches := make([][]*sched.Job, f.ms.Devices())
 	for id, p := range f.vps {
 		if it >= p.bench.Iterations {
@@ -170,8 +172,11 @@ func (f *farmFleet) step(it int) {
 		}
 		dev, _ := f.ms.Assignment(id)
 		svc := f.ms.Device(dev)
-		jobs := p.resolved(func(guest devmem.Ptr) devmem.Ptr { return svc.ResolvePtr(id, guest) }).
-			iterationJobs(id, core.VPStream(id, 0), it)
+		r, err := p.resolved(func(guest devmem.Ptr) (devmem.Ptr, error) { return svc.ResolvePtr(id, guest) })
+		if err != nil {
+			return err
+		}
+		jobs := r.iterationJobs(id, core.VPStream(id, 0), it)
 		if it == p.bench.Iterations-1 {
 			f.finalD2H[id] = jobs[len(jobs)-len(p.outPtrs):]
 		}
@@ -182,6 +187,7 @@ func (f *farmFleet) step(it int) {
 			f.ms.DispatchBatch(dev, batch)
 		}
 	}
+	return nil
 }
 
 // close unregisters the fleet and stops the farm's executors.

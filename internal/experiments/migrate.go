@@ -306,7 +306,9 @@ func runMigrationFleet(benches []*kernels.Benchmark, scale, nVPs, nDev int, plan
 				return nil, err
 			}
 		}
-		f.step(it)
+		if err := f.step(it); err != nil {
+			return nil, err
+		}
 	}
 
 	// Drain the farm and capture the comparable outputs: every VP's final

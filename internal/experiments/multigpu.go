@@ -110,7 +110,9 @@ func multiGPURun(benches []*kernels.Benchmark, scale, nVPs, nDev int, pipeline b
 	// exactly the simulation work.
 	start := time.Now()
 	for it := 0; it < f.iters; it++ {
-		f.step(it)
+		if err := f.step(it); err != nil {
+			return nil, err
+		}
 	}
 	pt := &MultiGPUPoint{Devices: nDev, MakespanSec: f.ms.Sync(), Utilization: make([]float64, nDev)}
 	pt.WallClockSec = time.Since(start).Seconds()

@@ -24,8 +24,9 @@ import (
 //
 // Launches whose pricing depends on live device-memory *contents* are never
 // cached: data-dependent kernels without pre-measured Dyn stats sample λ from
-// the current buffers at launch time, and override launches (coalesced
-// merges) carry externally-summed σ.
+// the current buffers at launch time. A coalesced merge is never looked up:
+// the coalescer prices it from its members' entries and runs it through
+// RunPriced.
 //
 // A hit has to cost a lookup, so the key is rebuilt per call from what is
 // already at hand — the identity kir.Analyze recorded, raw bits in
@@ -36,10 +37,9 @@ import (
 // timingEntry is one memoized pricing. accesses and sigma are shared across
 // hits and must be treated as read-only by callers.
 type timingEntry struct {
-	sigma     arch.ClassVec
-	accesses  []cachemodel.Access
-	timing    Timing
-	hasTiming bool
+	sigma    arch.ClassVec
+	accesses []cachemodel.Access
+	timing   Timing
 }
 
 // keyBuf is the stack buffer a key is built in; the registry's longest key
@@ -56,7 +56,7 @@ type keyBuf [256]byte
 // Buffers go in by name: the identity does not depend on the order of the
 // buffer declarations, the order of the sizes does.
 func (g *GPU) appendTimingKey(b []byte, l *Launch) ([]byte, bool) {
-	if g.NoTimingCache || l.SigmaOverride != nil || l.AccessesOverride != nil || l.ExecOverride != nil {
+	if g.NoTimingCache {
 		return nil, false
 	}
 	if l.Dyn == nil && l.Prog.NeedsDynamicProfile() {
@@ -177,8 +177,9 @@ func (g *GPU) cacheStore(key []byte, e *timingEntry) {
 }
 
 // LaunchTiming returns the launch's σ, cache-model access streams and
-// analytic timing breakdown, memoized by launch signature. The device's
-// Launch path and the coalescer's win predictor share the cache, so repeated
+// analytic timing breakdown, memoized by launch signature whenever the
+// pricing cannot depend on live buffer contents. The device's Launch path,
+// ResolveSigma and the coalescer's win predictor share the cache, so repeated
 // identical launches — the steady state of every Iterations-heavy
 // application — price in O(1).
 func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timing, error) {
@@ -195,27 +196,18 @@ func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timin
 	}
 	var buf keyBuf
 	key, cacheable := g.appendTimingKey(buf[:0], l)
-	var sigma arch.ClassVec
-	var accesses []cachemodel.Access
-	var have bool
 	if cacheable {
 		if e := g.cacheLookup(key); e != nil {
-			if e.hasTiming {
-				return e.sigma, e.accesses, e.timing, nil
-			}
-			sigma, accesses, have = e.sigma, e.accesses, true
+			return e.sigma, e.accesses, e.timing, nil
 		}
 	}
-	if !have {
-		var err error
-		sigma, accesses, err = g.deriveSigma(l)
-		if err != nil {
-			return arch.ClassVec{}, nil, Timing{}, err
-		}
+	sigma, accesses, err := g.deriveSigma(l)
+	if err != nil {
+		return arch.ClassVec{}, nil, Timing{}, err
 	}
 	timing := KernelTiming(&g.Arch, l.Shape(), sigma.Scale(1/float64(l.Threads())), accesses)
 	if cacheable {
-		g.cacheStore(key, &timingEntry{sigma: sigma, accesses: accesses, timing: timing, hasTiming: true})
+		g.cacheStore(key, &timingEntry{sigma: sigma, accesses: accesses, timing: timing})
 	}
 	return sigma, accesses, timing, nil
 }

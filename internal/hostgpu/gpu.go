@@ -94,21 +94,6 @@ type Launch struct {
 	// distinct environments: the pieces of a coalesced launch run it side by
 	// side.
 	Native func(env *kpl.Env) error
-
-	// SigmaOverride, when non-nil, bypasses σ derivation — used by Kernel
-	// Coalescing, where the merged launch's instruction count is the sum of
-	// its constituents rather than a function of the merged parameters.
-	SigmaOverride *arch.ClassVec
-
-	// AccessesOverride, when non-nil, bypasses access-stream derivation for
-	// the cache model (same coalescing use).
-	AccessesOverride []cachemodel.Access
-
-	// ExecOverride, when non-nil, replaces kernel execution entirely in
-	// ExecFull mode (the coalescer runs each constituent piece in place, on
-	// its member's own allocations). It receives the owning device's memory,
-	// and its error is returned as it is.
-	ExecOverride func(mem *devmem.Mem) error
 }
 
 // Threads returns the total thread count.
@@ -302,9 +287,8 @@ func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int, dst []byte) ([]byt
 	return data, iv, nil
 }
 
-// Launch dispatches a kernel on the compute engine: it resolves σ and the
-// access streams, evaluates the timing model, optionally executes the kernel
-// functionally, and returns the profiler's view of the run.
+// Launch dispatches a kernel on the compute engine: it prices the launch
+// (LaunchTiming), then runs it (RunPriced) with the kernel's own semantics.
 func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) {
 	if l.Kernel == nil || l.Prog == nil {
 		return nil, Interval{}, fmt.Errorf("hostgpu: launch without kernel or program")
@@ -312,37 +296,39 @@ func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) 
 	if l.Grid <= 0 || l.Block <= 0 {
 		return nil, Interval{}, fmt.Errorf("hostgpu: %s: invalid launch %d×%d", l.Kernel.Name, l.Grid, l.Block)
 	}
-
 	sigma, _, timing, err := g.LaunchTiming(l)
 	if err != nil {
 		return nil, Interval{}, err
 	}
+	return g.RunPriced(stream, l.Kernel.Name, l.Shape(), sigma, timing, func() error {
+		env, err := l.Bind("hostgpu", g.Mem)
+		if err != nil {
+			return err
+		}
+		return l.Exec("hostgpu", g.Mem, env, nil, g.Workers)
+	})
+}
 
+// RunPriced runs a kernel launch already priced at σ and timing on the
+// compute engine: exec (the launch's functional half) in ExecFull mode, then
+// the engine time, the energy and the profiler's view of the run. exec's
+// error is returned as it is, before anything is scheduled. The coalescer
+// runs a merged launch through it, priced from its members.
+func (g *GPU) RunPriced(stream int, name string, shape profile.LaunchShape, sigma arch.ClassVec, timing Timing, exec func() error) (*profile.Profile, Interval, error) {
 	if g.Mode == ExecFull {
-		if l.ExecOverride != nil {
-			if err := l.ExecOverride(g.Mem); err != nil {
-				return nil, Interval{}, err
-			}
-		} else {
-			env, err := l.Bind("hostgpu", g.Mem)
-			if err != nil {
-				return nil, Interval{}, err
-			}
-			if err := l.Exec("hostgpu", g.Mem, env, nil, g.Workers); err != nil {
-				return nil, Interval{}, err
-			}
+		if err := exec(); err != nil {
+			return nil, Interval{}, err
 		}
 	}
-
-	iv := g.schedule(engCompute, stream, timing.Seconds, l.Kernel.Name)
+	iv := g.schedule(engCompute, stream, timing.Seconds, name)
 	energy := KernelEnergy(&g.Arch, sigma, timing)
 	g.mu.Lock()
 	g.kernelEnergy += energy
 	g.mu.Unlock()
 	p := &profile.Profile{
-		Kernel:          l.Kernel.Name,
+		Kernel:          name,
 		Arch:            g.Arch.Name,
-		Shape:           l.Shape(),
+		Shape:           shape,
 		Sigma:           sigma,
 		Cycles:          timing.TotalCycles,
 		ComputeCycles:   timing.ComputeCycles,
@@ -367,35 +353,20 @@ func (g *GPU) SessionEnergy() float64 {
 	return kernels + g.Arch.StaticPowerW*g.Sync()
 }
 
-// ResolveSigma derives the launch's σ on this device's architecture and its
-// cache-model access streams, honouring overrides and sampling λ for
-// data-dependent kernels (paper footnote 2). The coalescer uses it to price
-// the pieces of a merged launch. Results are memoized by launch signature
-// whenever the derivation cannot depend on live buffer contents.
+// ResolveSigma is LaunchTiming without the timing: the launch's σ on this
+// device's architecture and its cache-model access streams, with λ sampled
+// for data-dependent kernels (paper footnote 2).
 func (g *GPU) ResolveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
-	var buf keyBuf
-	key, cacheable := g.appendTimingKey(buf[:0], l)
-	if cacheable {
-		if e := g.cacheLookup(key); e != nil {
-			return e.sigma, e.accesses, nil
-		}
-	}
-	sigma, accesses, err := g.deriveSigma(l)
-	if err == nil && cacheable {
-		g.cacheStore(key, &timingEntry{sigma: sigma, accesses: accesses})
-	}
+	sigma, accesses, _, err := g.LaunchTiming(l)
 	return sigma, accesses, err
 }
 
-// deriveSigma is the uncached σ/access-stream derivation behind ResolveSigma.
+// deriveSigma is the uncached σ/access-stream derivation behind LaunchTiming.
 // It touches device bytes only to sample: when the launch brings no Dyn and
 // the kernel has a data-dependent loop, every parameter is bound as a view
 // (the sampler clones the writable ones itself) and λ measured on it;
 // otherwise the bindings are only checked, with the errors a bind would give.
 func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
-	if l.SigmaOverride != nil {
-		return *l.SigmaOverride, l.AccessesOverride, nil
-	}
 	dyn := l.Dyn
 	sample := dyn == nil && l.Prog.NeedsDynamicProfile()
 	env, err := l.bind("hostgpu", func(_ int, ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
