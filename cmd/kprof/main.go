@@ -124,10 +124,10 @@ func measure(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*profi
 			}
 		}
 	}
-	_, accesses, err := dev.ResolveSigma(l)
+	priced, err := dev.Price(l)
 	if err != nil {
 		return nil, nil, err
 	}
-	prof, _, err := dev.Launch(0, l)
-	return prof, accesses, err
+	prof, _, err := dev.LaunchPriced(0, l, &priced)
+	return prof, priced.Accesses, err
 }

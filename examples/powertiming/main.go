@@ -94,13 +94,13 @@ func measure(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*profi
 			}
 		}
 	}
-	_, accesses, err := dev.ResolveSigma(l)
+	priced, err := dev.Price(l)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, _, err := dev.Launch(0, l)
+	prof, _, err := dev.LaunchPriced(0, l, &priced)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return prof, accesses
+	return prof, priced.Accesses
 }

@@ -93,13 +93,15 @@ func Apply(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
 		// Kernel Match found a mergeable group; the win predictor decides
 		// whether merging actually pays.
 		g.Metrics.Counter("coalesce.matches").Inc()
-		if !beneficial(g, members) {
+		priced, win := beneficial(g, members)
+		if !win {
 			g.Metrics.Counter("coalesce.rejected").Inc()
 			continue
 		}
 		g.Metrics.Counter("coalesce.wins").Inc()
 		g.Metrics.Counter("coalesce.jobs_merged").Add(int64(len(members)))
 		mj := Merge(g, slices.Clone(members))
+		mj.Priced = priced
 		for p := h; p >= 0; p = next[p] {
 			into[p] = mj
 		}
@@ -144,21 +146,34 @@ func Apply(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
 	return out
 }
 
-// mergedPricing prices the merged launch of a group on the device's timing
-// model: its shape is the first member's over grid = Σ grids, its σ and access
-// streams the sums of the members'.
-func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (profile.LaunchShape, arch.ClassVec, hostgpu.Timing, error) {
-	var sigma arch.ClassVec
-	var accSums []cachemodel.Access
+// mergedShape is the merged launch's shape: the first member's over
+// grid = Σ grids.
+func mergedShape(members []*sched.Job) profile.LaunchShape {
 	shape := members[0].Launch.Shape()
 	shape.Grid = 0
 	for _, m := range members {
-		s, accs, err := g.ResolveSigma(m.Launch)
+		shape.Grid += m.Launch.Grid
+	}
+	return shape
+}
+
+// mergedPricing prices the merged launch of a group on the device's timing
+// model from its members' pricings (price): σ and access streams are the sums
+// of the members', the timing that of mergedShape.
+func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (*hostgpu.Priced, error) {
+	shape := mergedShape(members)
+	if shape.Grid <= 0 || shape.Block <= 0 {
+		return nil, fmt.Errorf("coalesce: invalid merged launch %d×%d", shape.Grid, shape.Block)
+	}
+	var sigma arch.ClassVec
+	var accSums []cachemodel.Access
+	for _, m := range members {
+		p, err := price(g, m)
 		if err != nil {
-			return profile.LaunchShape{}, arch.ClassVec{}, hostgpu.Timing{}, err
+			return nil, err
 		}
-		sigma = sigma.Add(s)
-		for i, a := range accs {
+		sigma = sigma.Add(p.Sigma)
+		for i, a := range p.Accesses {
 			if i < len(accSums) {
 				accSums[i].Accesses += a.Accesses
 				accSums[i].Elems += a.Elems
@@ -166,13 +181,27 @@ func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (profile.LaunchShape, a
 				accSums = append(accSums, a)
 			}
 		}
-		shape.Grid += m.Launch.Grid
-	}
-	if shape.Grid <= 0 || shape.Block <= 0 {
-		return profile.LaunchShape{}, arch.ClassVec{}, hostgpu.Timing{}, fmt.Errorf("coalesce: invalid merged launch %d×%d", shape.Grid, shape.Block)
 	}
 	threads := float64(shape.Grid * shape.Block)
-	return shape, sigma, hostgpu.KernelTiming(&g.Arch, shape, sigma.Scale(1/threads), accSums), nil
+	return &hostgpu.Priced{
+		Sigma:    sigma,
+		Accesses: accSums,
+		Timing:   hostgpu.KernelTiming(&g.Arch, shape, sigma.Scale(1/threads), accSums),
+	}, nil
+}
+
+// price returns a member's pricing: the one the job carries, or Price's,
+// which the job keeps unless the launch is sampled — a sampled launch is
+// priced afresh each time, from the bytes it sees then.
+func price(g *hostgpu.GPU, m *sched.Job) (*hostgpu.Priced, error) {
+	if m.Priced != nil {
+		return m.Priced, nil
+	}
+	p, err := g.Price(m.Launch)
+	if err == nil && !m.Launch.Sampled() {
+		m.Priced = p
+	}
+	return p, err
 }
 
 // beneficial predicts whether merging the group actually saves time, using
@@ -186,17 +215,20 @@ func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (profile.LaunchShape, a
 // members would fail with the region's out-of-memory error, where each alone
 // runs. (Headroom can still shrink between this plan and the run; runMerged
 // keeps its error path for that.)
-func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
+//
+// Each member is priced here and keeps its pricing (price). When merging
+// wins and no member is sampled, the merged pricing is returned for the
+// merged job to run at; otherwise it is nil and the merged job prices when it
+// runs.
+func beneficial(g *hostgpu.GPU, members []*sched.Job) (*hostgpu.Priced, bool) {
 	var sumSeconds, d2dBytes float64
 	var regionBytes int64
 	for _, m := range members {
-		// The trial timing rides the device's launch-signature cache, so the
-		// win predictor prices repeated identical launches in O(1).
-		_, _, tm, err := g.LaunchTiming(m.Launch)
+		p, err := price(g, m)
 		if err != nil {
-			return false
+			return nil, false
 		}
-		sumSeconds += tm.Seconds
+		sumSeconds += p.Timing.Seconds
 		for _, decl := range m.Launch.Kernel.Bufs {
 			if ptr, ok := m.Launch.Bindings[decl.Name]; ok {
 				if size, err := g.Mem.Size(ptr); err == nil {
@@ -210,14 +242,18 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) bool {
 		}
 	}
 	if regionBytes > g.Mem.Headroom() {
-		return false
+		return nil, false
 	}
-	_, _, mergedTiming, err := mergedPricing(g, members)
-	if err != nil {
-		return false
+	merged, err := mergedPricing(g, members)
+	if err != nil || merged.Timing.Seconds+d2dBytes/(g.Arch.MemBWGBps*1e9) >= sumSeconds {
+		return nil, false
 	}
-	mergedSeconds := mergedTiming.Seconds + d2dBytes/(g.Arch.MemBWGBps*1e9)
-	return mergedSeconds < sumSeconds
+	for _, m := range members {
+		if m.Priced == nil { // sampled
+			return nil, true
+		}
+	}
+	return merged, true
 }
 
 // Merge builds the coalesced job for a group of matching kernel jobs. On the
@@ -291,12 +327,17 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 		}
 	}
 
-	// The merged launch, priced from its members and run as their pieces.
-	shape, sigma, timing, err := mergedPricing(gpu, members)
-	if err != nil {
-		return err
+	// The merged launch, priced from its members — by the win predictor, or
+	// here when a member's λ is sampled — and run as their pieces.
+	priced := mj.Priced
+	if priced == nil {
+		var err error
+		if priced, err = mergedPricing(gpu, members); err != nil {
+			return err
+		}
 	}
-	prof, iv, err := gpu.RunPriced(stream, kernel.Name, shape, sigma, timing, func() error {
+	shape := mergedShape(members)
+	prof, iv, err := gpu.RunPriced(stream, kernel.Name, shape, priced, func() error {
 		return runPieces(gpu.Mem, gpu.Workers, members)
 	})
 	if err != nil {

@@ -45,7 +45,7 @@ func oracleApply(g *hostgpu.GPU, batch []*sched.Job) []*sched.Job {
 		// Kernel Match found a mergeable group; the win predictor decides
 		// whether merging actually pays.
 		g.Metrics.Counter("coalesce.matches").Inc()
-		if !beneficial(g, members) {
+		if _, win := beneficial(g, members); !win {
 			g.Metrics.Counter("coalesce.rejected").Inc()
 			continue
 		}

@@ -205,13 +205,12 @@ func (a *admission) admit(vp, payload int) *OverloadError {
 		st.bytes += int64(payload)
 		a.devJobs++
 		a.devBytes += int64(payload)
+		a.publish()
 	}
 	a.mu.Unlock()
 
 	if oe == nil {
 		a.reg.Counter("core.admission.admitted").Inc()
-		a.reg.Gauge("core.admission.queue_jobs").Add(1)
-		a.reg.Gauge("core.admission.queue_bytes").Add(int64(payload))
 		return nil
 	}
 	if throttled {
@@ -237,9 +236,16 @@ func (a *admission) release(vp, payload int) {
 	}
 	a.devJobs--
 	a.devBytes -= int64(payload)
+	a.publish()
 	a.mu.Unlock()
-	a.reg.Gauge("core.admission.queue_jobs").Sub(1)
-	a.reg.Gauge("core.admission.queue_bytes").Sub(int64(payload))
+}
+
+// publish sets the queue gauges to the device totals. Caller holds a.mu: a
+// gauge published outside the lock could land after a newer reservation's,
+// and read above a cap the reservations never exceeded.
+func (a *admission) publish() {
+	a.reg.Gauge("core.admission.queue_jobs").Set(int64(a.devJobs))
+	a.reg.Gauge("core.admission.queue_bytes").Set(a.devBytes)
 }
 
 // load returns the device-wide reservation totals (jobs, bytes).

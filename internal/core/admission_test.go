@@ -136,6 +136,53 @@ func TestAdmissionRateLimit(t *testing.T) {
 	}
 }
 
+// TestAdmissionGaugesNeverExceedCaps: VPs admit and release at the device
+// caps while a sampler reads the queue gauges, as the overload drill does.
+// The reservations never exceed the caps, so neither may a gauge: one
+// published outside the admission lock could land a release after a newer
+// admit and read one job above the cap.
+func TestAdmissionGaugesNeverExceedCaps(t *testing.T) {
+	const capJobs, payload = 4, 256
+	a, reg := testGate(AdmissionOptions{DeviceMaxQueuedJobs: capJobs, DeviceMaxQueuedBytes: capJobs * payload})
+	jobsG, bytesG := reg.Gauge("core.admission.queue_jobs"), reg.Gauge("core.admission.queue_bytes")
+	stop := make(chan struct{})
+	seen := make(chan [2]int64)
+	go func() {
+		var hw [2]int64
+		for {
+			select {
+			case <-stop:
+				seen <- hw
+				return
+			default:
+			}
+			hw[0] = max(hw[0], jobsG.Value())
+			hw[1] = max(hw[1], bytesG.Value())
+		}
+	}()
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for vp := 0; vp < 8; vp++ {
+		wg.Add(1)
+		go func(vp int) {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				if a.admit(vp, payload) == nil {
+					a.release(vp, payload)
+				}
+			}
+		}(vp)
+	}
+	wg.Wait()
+	close(stop)
+	if hw := <-seen; hw[0] > capJobs || hw[1] > capJobs*payload {
+		t.Fatalf("admission gauges read above the caps: jobs %d/%d, bytes %d/%d", hw[0], capJobs, hw[1], capJobs*payload)
+	}
+	if jobsG.Value() != 0 || bytesG.Value() != 0 {
+		t.Fatalf("gauges after every release: jobs %d, bytes %d", jobsG.Value(), bytesG.Value())
+	}
+}
+
 func TestAdmissionGaugesBalance(t *testing.T) {
 	a, reg := testGate(AdmissionOptions{MaxQueuedJobs: 8, MaxQueuedBytes: 1 << 20})
 	for i := 0; i < 4; i++ {

@@ -12,9 +12,10 @@
 // Control mechanism of paper Fig. 4b — then the accumulated batch is
 // re-scheduled and dispatched. Every batch, served or raw, takes one route:
 // runBatch → executor.submit → dispatch. The executor runs the batch on its
-// own goroutine (Options.Pipeline, overlapping guest submission with device
-// simulation) or inline on the submitter (Pipeline off, or after Close) —
-// two states of one path with byte-identical simulated results. Admission
+// own goroutine, or on a goroutine draining the device (Options.Pipeline,
+// overlapping guest submission with device simulation), or inline on the
+// submitter (Pipeline off, or after Close) — states of one path with
+// byte-identical simulated results. Admission
 // gates (admission.go) bound the queue per VP, per device, and per farm,
 // shedding excess with typed, retryable overload responses instead of
 // queueing without limit.

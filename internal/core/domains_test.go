@@ -90,21 +90,22 @@ func domainSession(t *testing.T) *MultiService {
 // domainSession when the executor, admission, migration and transport
 // counters still lived in side registries merged at snapshot time, plus the
 // executor's byte-movement counter the session's partial H2Ds touch
-// (core.exec.h2d_copied_bytes): the union of the two domains must carry
-// exactly these.
+// (core.exec.h2d_copied_bytes) and the count of batches a drainer ran
+// (core.exec.batches_by_drainer, registered with core.exec.batches): the
+// union of the two domains must carry exactly these.
 var domainInstruments = []string{
 	"core.admission.admitted", "core.admission.queue_bytes",
 	"core.admission.queue_jobs", "core.admission.shed",
 	"core.admission.shed.farm-bytes", "core.dispatch_latency_s",
-	"core.exec.batches", "core.exec.h2d_copied_bytes", "core.exec.queue_depth",
-	"core.exec.queue_depth_hw",
+	"core.exec.batches", "core.exec.batches_by_drainer", "core.exec.h2d_copied_bytes",
+	"core.exec.queue_depth", "core.exec.queue_depth_hw",
 	"core.jobs_completed", "core.jobs_in_flight", "core.jobs_submitted",
 	"core.migrate.allocs_replayed", "core.migrate.bytes_moved",
 	"core.migrate.migrations", "core.migrate.ptrs_rebased", "core.vps_active",
 	"gpu0.core.admission.admitted", "gpu0.core.admission.queue_bytes",
 	"gpu0.core.admission.queue_jobs", "gpu0.core.dispatch_latency_s",
-	"gpu0.core.exec.batches", "gpu0.core.exec.h2d_copied_bytes", "gpu0.core.exec.queue_depth",
-	"gpu0.core.exec.queue_depth_hw", "gpu0.core.jobs_completed",
+	"gpu0.core.exec.batches", "gpu0.core.exec.batches_by_drainer", "gpu0.core.exec.h2d_copied_bytes",
+	"gpu0.core.exec.queue_depth", "gpu0.core.exec.queue_depth_hw", "gpu0.core.jobs_completed",
 	"gpu0.core.jobs_in_flight", "gpu0.core.jobs_submitted",
 	"gpu0.core.vps_active", "gpu0.hostgpu.engine_busy_ns.h2d",
 	"gpu0.hostgpu.ops.h2d", "gpu0.sched.batch_size",
@@ -112,7 +113,8 @@ var domainInstruments = []string{
 	"gpu0.sched.jobs_pushed", "gpu0.sched.queue_depth",
 	"gpu0.sched.reorder_distance", "gpu1.core.admission.admitted",
 	"gpu1.core.admission.queue_bytes", "gpu1.core.admission.queue_jobs",
-	"gpu1.core.dispatch_latency_s", "gpu1.core.exec.batches", "gpu1.core.exec.h2d_copied_bytes",
+	"gpu1.core.dispatch_latency_s", "gpu1.core.exec.batches", "gpu1.core.exec.batches_by_drainer",
+	"gpu1.core.exec.h2d_copied_bytes",
 	"gpu1.core.exec.queue_depth", "gpu1.core.exec.queue_depth_hw",
 	"gpu1.core.jobs_completed", "gpu1.core.jobs_in_flight",
 	"gpu1.core.jobs_submitted", "gpu1.core.vps_active",
@@ -242,8 +244,10 @@ func TestMetricsDomainSplit(t *testing.T) {
 // launchExecInstruments pins the core.exec. family after one served vectorAdd
 // on a one-device farm, bare and per device.
 var launchExecInstruments = []string{
-	"core.exec.batches", "core.exec.bind_uncopied_bytes", "core.exec.h2d_adopted_bytes",
-	"core.exec.queue_depth", "core.exec.queue_depth_hw", "core.exec.writebacks_swapped",
-	"gpu0.core.exec.batches", "gpu0.core.exec.bind_uncopied_bytes", "gpu0.core.exec.h2d_adopted_bytes",
-	"gpu0.core.exec.queue_depth", "gpu0.core.exec.queue_depth_hw", "gpu0.core.exec.writebacks_swapped",
+	"core.exec.batches", "core.exec.batches_by_drainer", "core.exec.bind_uncopied_bytes",
+	"core.exec.h2d_adopted_bytes", "core.exec.queue_depth", "core.exec.queue_depth_hw",
+	"core.exec.writebacks_swapped",
+	"gpu0.core.exec.batches", "gpu0.core.exec.batches_by_drainer", "gpu0.core.exec.bind_uncopied_bytes",
+	"gpu0.core.exec.h2d_adopted_bytes", "gpu0.core.exec.queue_depth", "gpu0.core.exec.queue_depth_hw",
+	"gpu0.core.exec.writebacks_swapped",
 }

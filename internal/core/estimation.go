@@ -42,24 +42,21 @@ func NewEstimation(target arch.GPU) *Estimation {
 // observe derives the estimate for one completed submitted kernel job. A
 // member of a coalesced launch is observed like any other kernel: through its
 // own launch and the thread-proportional share of the merged profile the
-// coalescer gave it. Jobs without a launch or profile (copies, failed
-// launches) are ignored; kernels whose λ is data-dependent and unsampled are
-// skipped rather than guessed.
+// coalescer gave it. The access streams are the ones the job was priced at
+// (j.Priced), so observing looks nothing up. Jobs without a launch, pricing or
+// profile (copies, failed launches) are ignored; kernels whose λ is
+// data-dependent and unsampled are skipped rather than guessed.
 func (e *Estimation) observe(s *Service, j *sched.Job) {
-	if j.Launch == nil || j.Profile == nil || j.Err != nil {
+	if j.Launch == nil || j.Priced == nil || j.Profile == nil || j.Err != nil {
 		return
 	}
 	l := j.Launch
-	if l.Prog == nil || (l.Prog.NeedsDynamicProfile() && l.Dyn == nil) {
+	if l.Prog == nil || l.Sampled() {
 		return
 	}
 	host := s.GPU.Arch
 	kl := kir.Launch{NThreads: l.Threads(), Params: l.Params}
 	sigmaT, err := l.Prog.Sigma(&e.Target, kl, l.Dyn)
-	if err != nil {
-		return
-	}
-	_, accesses, err := s.GPU.ResolveSigma(l)
 	if err != nil {
 		return
 	}
@@ -73,7 +70,7 @@ func (e *Estimation) observe(s *Service, j *sched.Job) {
 			SharedMemPerBlock: l.SharedMemPerBlock,
 			RegsPerThread:     l.RegsPerThread,
 		},
-		Accesses: accesses,
+		Accesses: j.Priced.Accesses,
 	})
 	if err != nil {
 		return

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,8 +219,9 @@ func TestOneDispatchPath(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutine: whatever the shutdown order — Close before any
-// traffic, Close after traffic, Close twice — a Service and a 4-device farm
-// end with the goroutines they started with.
+// traffic, Close after traffic, Close twice, Close while a drainer is running
+// a batch — a Service and a 4-device farm end with the goroutines they started
+// with.
 func TestCloseLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -262,4 +266,136 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 		t.Fatalf("closed farm: %v", err)
 	}
 	settledGoroutines(t, before)
+
+	closeWhileDrainerRuns(t)
+	settledGoroutines(t, before)
+}
+
+// heldBatches builds one-job raw batches for the executor tests. Batch i
+// records i when it runs; a batch whose index has a channel in hold signals
+// entered[i] once it is inside dispatch and stays there until hold[i] is
+// closed. Every job checks, from inside dispatch, that no other batch is in
+// there with it.
+type heldBatches struct {
+	t          *testing.T
+	inDispatch atomic.Bool
+	mu         sync.Mutex
+	order      []int
+	entered    map[int]chan struct{}
+	hold       map[int]chan struct{}
+}
+
+func newHeldBatches(t *testing.T, held ...int) *heldBatches {
+	h := &heldBatches{t: t, entered: map[int]chan struct{}{}, hold: map[int]chan struct{}{}}
+	for _, i := range held {
+		h.entered[i], h.hold[i] = make(chan struct{}), make(chan struct{})
+	}
+	return h
+}
+
+func (h *heldBatches) batch(i int) []*sched.Job {
+	return []*sched.Job{sched.NewCustom(0, 0, hostgpu.EngineCompute, "held", func(*sched.Job, *hostgpu.GPU) error {
+		if !h.inDispatch.CompareAndSwap(false, true) {
+			h.t.Errorf("batch %d entered dispatch while another batch was inside", i)
+		}
+		if hold, ok := h.hold[i]; ok {
+			close(h.entered[i])
+			<-hold
+		}
+		h.mu.Lock()
+		h.order = append(h.order, i)
+		h.mu.Unlock()
+		h.inDispatch.Store(false)
+		return nil
+	})}
+}
+
+// waitHelpers waits until n goroutines are inside the executor's drain loop.
+func waitHelpers(t *testing.T, e *executor, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		e.mu.Lock()
+		got := e.helpers
+		e.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines in drain, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDrainerRunsQueuedBatches: while the executor goroutine is held inside a
+// batch, a full queue waits behind it. A goroutine that drains takes those
+// batches over once the token is free and runs them itself, in FIFO order;
+// no two batches are ever inside dispatch at once, and the host counter says
+// who ran them.
+func TestDrainerRunsQueuedBatches(t *testing.T) {
+	s := NewService(DefaultOptions())
+	defer s.Close()
+	h := newHeldBatches(t, 0)
+	s.DispatchRaw(h.batch(0))
+	<-h.entered[0] // the executor goroutine holds the token
+	for i := 1; i <= ExecQueueDepth; i++ {
+		s.DispatchRaw(h.batch(i))
+	}
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	waitHelpers(t, s.exec, 1)
+	close(h.hold[0])
+	<-drained
+
+	want := []int{0, 1, 2, 3, 4}
+	if !slices.Equal(h.order, want) {
+		t.Fatalf("batches ran in order %v, want %v", h.order, want)
+	}
+	reg := s.Metrics()
+	if got := reg.Counter("core.exec.batches_by_drainer").Value(); got != ExecQueueDepth {
+		t.Fatalf("core.exec.batches_by_drainer = %d, want %d", got, ExecQueueDepth)
+	}
+	if got := reg.Counter("core.exec.batches").Value(); got != ExecQueueDepth+1 {
+		t.Fatalf("core.exec.batches = %d, want %d", got, ExecQueueDepth+1)
+	}
+	if got := reg.Gauge("core.exec.queue_depth").Value(); got != 0 {
+		t.Fatalf("core.exec.queue_depth = %d after the drain", got)
+	}
+}
+
+// closeWhileDrainerRuns calls Close while a drainer is inside a batch: Close
+// waits for it, and every batch runs once, in order.
+func closeWhileDrainerRuns(t *testing.T) {
+	s := NewService(DefaultOptions())
+	h := newHeldBatches(t, 0, 1)
+	s.DispatchRaw(h.batch(0))
+	<-h.entered[0]
+	s.DispatchRaw(h.batch(1))
+	s.DispatchRaw(h.batch(2))
+	drained, closed := make(chan struct{}), make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	waitHelpers(t, s.exec, 1)
+	close(h.hold[0])
+	<-h.entered[1] // the drainer holds the token
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitHelpers(t, s.exec, 2)
+	close(h.hold[1])
+	<-drained
+	<-closed
+	if want := []int{0, 1, 2}; !slices.Equal(h.order, want) {
+		t.Fatalf("batches ran in order %v, want %v", h.order, want)
+	}
+	if !s.exec.inline {
+		t.Fatal("Close returned with the executor still pipelined")
+	}
 }

@@ -358,7 +358,8 @@ func (s *Service) Flush() {
 }
 
 // Drain blocks until every batch handed to the execution pipeline has fully
-// retired. It is the barrier behind every read of device state; an inline
+// retired, running queued batches on the caller while the executor's token is
+// free. It is the barrier behind every read of device state; an inline
 // executor never has a batch in flight, so it returns at once.
 func (s *Service) Drain() { s.exec.drain() }
 

@@ -146,7 +146,7 @@ func estimatorInputs(host, target *arch.GPU, bench *kernels.Benchmark, w *kernel
 	if err != nil {
 		return nil, err
 	}
-	_, accesses, err := dev.ResolveSigma(p.launch)
+	priced, err := dev.Price(p.launch)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func estimatorInputs(host, target *arch.GPU, bench *kernels.Benchmark, w *kernel
 			SharedMemPerBlock: w.SharedMemPerBlock,
 			RegsPerThread:     w.RegsPerThread,
 		},
-		Accesses: accesses,
+		Accesses: priced.Accesses,
 	}, nil
 }
 

@@ -18,15 +18,16 @@ import (
 // sizes, pre-measured dynamic stats) on a fixed architecture — yet the
 // experiment harnesses evaluate them for the *same* launch thousands of
 // times: every iteration of an Iterations-heavy Fig. 11 application re-prices
-// an identical launch per VP, and the coalesce win predictor re-times every
-// group member per merge window. The cache memoizes the full
-// (σ, accesses, Timing) triple under a collision-free binary key.
+// an identical launch per VP. The cache memoizes the full pricing (Priced:
+// σ, accesses, Timing) under a collision-free binary key, and a kernel job
+// carries the entry it was priced at (sched.Job.Priced), so a launch the
+// coalescer's win predictor priced is not looked up again when it runs.
 //
 // Launches whose pricing depends on live device-memory *contents* are never
 // cached: data-dependent kernels without pre-measured Dyn stats sample λ from
-// the current buffers at launch time. A coalesced merge is never looked up:
-// the coalescer prices it from its members' entries and runs it through
-// RunPriced.
+// the current buffers at launch time (Launch.Sampled). A coalesced merge is
+// never looked up: the coalescer prices it from its members' entries and runs
+// it through RunPriced.
 //
 // A hit has to cost a lookup, so the key is rebuilt per call from what is
 // already at hand — the identity kir.Analyze recorded, raw bits in
@@ -34,12 +35,14 @@ import (
 // m[string(key)] — and nothing is memoized on the Launch: its fields are
 // exported and callers change them between launches.
 
-// timingEntry is one memoized pricing. accesses and sigma are shared across
-// hits and must be treated as read-only by callers.
-type timingEntry struct {
-	sigma    arch.ClassVec
-	accesses []cachemodel.Access
-	timing   Timing
+// Priced is one launch's pricing on a device: its σ on the device's
+// architecture, its cache-model access streams and its analytic timing. The
+// timing cache hands one Priced to every launch with the same key, so it is
+// read-only.
+type Priced struct {
+	Sigma    arch.ClassVec
+	Accesses []cachemodel.Access
+	Timing   Timing
 }
 
 // keyBuf is the stack buffer a key is built in; the registry's longest key
@@ -59,7 +62,7 @@ func (g *GPU) appendTimingKey(b []byte, l *Launch) ([]byte, bool) {
 	if g.NoTimingCache {
 		return nil, false
 	}
-	if l.Dyn == nil && l.Prog.NeedsDynamicProfile() {
+	if l.Sampled() {
 		// λ must be sampled from live device memory at launch time; the
 		// result depends on buffer contents the key cannot see.
 		return nil, false
@@ -153,7 +156,7 @@ func dynFingerprint(st *kpl.Stats) uint64 {
 
 // cacheLookup returns the memoized entry for key, maintaining the hit/miss
 // counters.
-func (g *GPU) cacheLookup(key []byte) *timingEntry {
+func (g *GPU) cacheLookup(key []byte) *Priced {
 	g.cacheMu.RLock()
 	e := g.timingCache[string(key)] // no copy: the compiler looks a converted []byte up in place
 	g.cacheMu.RUnlock()
@@ -167,22 +170,32 @@ func (g *GPU) cacheLookup(key []byte) *timingEntry {
 	return e
 }
 
-func (g *GPU) cacheStore(key []byte, e *timingEntry) {
+func (g *GPU) cacheStore(key []byte, e *Priced) {
 	g.cacheMu.Lock()
 	if g.timingCache == nil {
-		g.timingCache = map[string]*timingEntry{}
+		g.timingCache = map[string]*Priced{}
 	}
 	g.timingCache[string(key)] = e
 	g.cacheMu.Unlock()
 }
 
 // LaunchTiming returns the launch's σ, cache-model access streams and
-// analytic timing breakdown, memoized by launch signature whenever the
-// pricing cannot depend on live buffer contents. The device's Launch path,
-// ResolveSigma and the coalescer's win predictor share the cache, so repeated
-// identical launches — the steady state of every Iterations-heavy
-// application — price in O(1).
+// analytic timing breakdown: Price's fields.
 func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timing, error) {
+	p, err := g.Price(l)
+	if err != nil {
+		return arch.ClassVec{}, nil, Timing{}, err
+	}
+	return p.Sigma, p.Accesses, p.Timing, nil
+}
+
+// Price returns the launch's pricing, memoized by launch signature whenever
+// it cannot depend on live buffer contents: a hit returns the shared entry
+// and allocates nothing. Every pricing of a launch goes through it — a kernel
+// job's run, the coalescer's win predictor, the estimator through the job —
+// so repeated identical launches, the steady state of every
+// Iterations-heavy application, price in O(1).
+func (g *GPU) Price(l *Launch) (*Priced, error) {
 	if l.Threads() <= 0 {
 		// Guard the per-thread normalization below: Scale(1/0) would price
 		// the launch with NaN/Inf timings and — worse — memoize them, so
@@ -192,22 +205,26 @@ func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timin
 		if l.Kernel != nil {
 			name = l.Kernel.Name
 		}
-		return arch.ClassVec{}, nil, Timing{}, fmt.Errorf("hostgpu: %s: zero-thread launch %d×%d cannot be priced", name, l.Grid, l.Block)
+		return nil, fmt.Errorf("hostgpu: %s: zero-thread launch %d×%d cannot be priced", name, l.Grid, l.Block)
 	}
 	var buf keyBuf
 	key, cacheable := g.appendTimingKey(buf[:0], l)
 	if cacheable {
 		if e := g.cacheLookup(key); e != nil {
-			return e.sigma, e.accesses, e.timing, nil
+			return e, nil
 		}
 	}
 	sigma, accesses, err := g.deriveSigma(l)
 	if err != nil {
-		return arch.ClassVec{}, nil, Timing{}, err
+		return nil, err
 	}
-	timing := KernelTiming(&g.Arch, l.Shape(), sigma.Scale(1/float64(l.Threads())), accesses)
+	p := &Priced{
+		Sigma:    sigma,
+		Accesses: accesses,
+		Timing:   KernelTiming(&g.Arch, l.Shape(), sigma.Scale(1/float64(l.Threads())), accesses),
+	}
 	if cacheable {
-		g.cacheStore(key, &timingEntry{sigma: sigma, accesses: accesses, timing: timing})
+		g.cacheStore(key, p)
 	}
-	return sigma, accesses, timing, nil
+	return p, nil
 }

@@ -96,6 +96,12 @@ type Launch struct {
 	Native func(env *kpl.Env) error
 }
 
+// Sampled reports whether pricing the launch samples λ from live device
+// memory (paper footnote 2): it brings no Dyn and the kernel has a
+// data-dependent loop. Such a pricing holds only for the bytes it was sampled
+// from, so it is never cached and never made before the launch runs.
+func (l *Launch) Sampled() bool { return l.Dyn == nil && l.Prog.NeedsDynamicProfile() }
+
 // Threads returns the total thread count.
 func (l *Launch) Threads() int { return l.Grid * l.Block }
 
@@ -157,7 +163,7 @@ type GPU struct {
 	ctr          [len(counterNames)]*metrics.Counter
 
 	cacheMu     sync.RWMutex
-	timingCache map[string]*timingEntry
+	timingCache map[string]*Priced
 }
 
 // New returns a GPU with the given descriptor and device memory capacity.
@@ -166,7 +172,7 @@ func New(a arch.GPU, memBytes int64) *GPU {
 		Arch:        a,
 		Mem:         devmem.New(memBytes),
 		streamReady: map[int]float64{},
-		timingCache: map[string]*timingEntry{},
+		timingCache: map[string]*Priced{},
 	}
 }
 
@@ -288,19 +294,31 @@ func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int, dst []byte) ([]byt
 }
 
 // Launch dispatches a kernel on the compute engine: it prices the launch
-// (LaunchTiming), then runs it (RunPriced) with the kernel's own semantics.
+// (Price), then runs it with the kernel's own semantics (LaunchPriced).
 func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) {
+	var p *Priced
+	return g.LaunchPriced(stream, l, &p)
+}
+
+// LaunchPriced is Launch at a pricing the caller keeps: *p when it is set
+// (Price's result for this launch), otherwise the launch is priced here and
+// *p records it. A kernel job runs through it with the pricing it carries, so
+// a launch the coalescer's win predictor priced is not priced again.
+func (g *GPU) LaunchPriced(stream int, l *Launch, p **Priced) (*profile.Profile, Interval, error) {
 	if l.Kernel == nil || l.Prog == nil {
 		return nil, Interval{}, fmt.Errorf("hostgpu: launch without kernel or program")
 	}
 	if l.Grid <= 0 || l.Block <= 0 {
 		return nil, Interval{}, fmt.Errorf("hostgpu: %s: invalid launch %d×%d", l.Kernel.Name, l.Grid, l.Block)
 	}
-	sigma, _, timing, err := g.LaunchTiming(l)
-	if err != nil {
-		return nil, Interval{}, err
+	if *p == nil {
+		priced, err := g.Price(l)
+		if err != nil {
+			return nil, Interval{}, err
+		}
+		*p = priced
 	}
-	return g.RunPriced(stream, l.Kernel.Name, l.Shape(), sigma, timing, func() error {
+	return g.RunPriced(stream, l.Kernel.Name, l.Shape(), *p, func() error {
 		env, err := l.Bind("hostgpu", g.Mem)
 		if err != nil {
 			return err
@@ -309,23 +327,24 @@ func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) 
 	})
 }
 
-// RunPriced runs a kernel launch already priced at σ and timing on the
-// compute engine: exec (the launch's functional half) in ExecFull mode, then
-// the engine time, the energy and the profiler's view of the run. exec's
-// error is returned as it is, before anything is scheduled. The coalescer
-// runs a merged launch through it, priced from its members.
-func (g *GPU) RunPriced(stream int, name string, shape profile.LaunchShape, sigma arch.ClassVec, timing Timing, exec func() error) (*profile.Profile, Interval, error) {
+// RunPriced runs a kernel launch already priced at p on the compute engine:
+// exec (the launch's functional half) in ExecFull mode, then the engine time,
+// the energy and the profiler's view of the run. exec's error is returned as
+// it is, before anything is scheduled. The coalescer runs a merged launch
+// through it, priced from its members.
+func (g *GPU) RunPriced(stream int, name string, shape profile.LaunchShape, p *Priced, exec func() error) (*profile.Profile, Interval, error) {
 	if g.Mode == ExecFull {
 		if err := exec(); err != nil {
 			return nil, Interval{}, err
 		}
 	}
+	sigma, timing := p.Sigma, p.Timing
 	iv := g.schedule(engCompute, stream, timing.Seconds, name)
 	energy := KernelEnergy(&g.Arch, sigma, timing)
 	g.mu.Lock()
 	g.kernelEnergy += energy
 	g.mu.Unlock()
-	p := &profile.Profile{
+	prof := &profile.Profile{
 		Kernel:          name,
 		Arch:            g.Arch.Name,
 		Shape:           shape,
@@ -339,7 +358,7 @@ func (g *GPU) RunPriced(stream int, name string, shape profile.LaunchShape, sigm
 		TimeSec:         timing.Seconds,
 		EnergyJ:         energy,
 	}
-	return p, iv, nil
+	return prof, iv, nil
 }
 
 // SessionEnergy returns the total energy of the measurement window: the
@@ -353,22 +372,14 @@ func (g *GPU) SessionEnergy() float64 {
 	return kernels + g.Arch.StaticPowerW*g.Sync()
 }
 
-// ResolveSigma is LaunchTiming without the timing: the launch's σ on this
-// device's architecture and its cache-model access streams, with λ sampled
-// for data-dependent kernels (paper footnote 2).
-func (g *GPU) ResolveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
-	sigma, accesses, _, err := g.LaunchTiming(l)
-	return sigma, accesses, err
-}
-
-// deriveSigma is the uncached σ/access-stream derivation behind LaunchTiming.
+// deriveSigma is the uncached σ/access-stream derivation behind Price.
 // It touches device bytes only to sample: when the launch brings no Dyn and
 // the kernel has a data-dependent loop, every parameter is bound as a view
 // (the sampler clones the writable ones itself) and λ measured on it;
 // otherwise the bindings are only checked, with the errors a bind would give.
 func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
 	dyn := l.Dyn
-	sample := dyn == nil && l.Prog.NeedsDynamicProfile()
+	sample := l.Sampled()
 	env, err := l.bind("hostgpu", func(_ int, ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
 		if !sample {
 			return nil, g.Mem.CheckBind(ptr)
@@ -501,7 +512,7 @@ func (l *Launch) Run(who string, env *kpl.Env, st *kpl.Stats, workers int) error
 // its error: natives index unchecked, so a launch whose parameters describe
 // more work than its bindings hold faults there, and that must answer the
 // guest, as the interpreter's out-of-range access does, not unwind the
-// device's executor goroutine. Any other panic is a bug and is re-raised.
+// goroutine running the device's batch. Any other panic is a bug and is re-raised.
 func (l *Launch) runNative(env *kpl.Env) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -91,11 +91,11 @@ func TestPricingAllocs(t *testing.T) {
 		t.Errorf("a LaunchTiming hit allocates %v times, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if _, _, err := g.ResolveSigma(l); err != nil {
+		if _, err := g.Price(l); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {
-		t.Errorf("a ResolveSigma hit allocates %v times, want 0", a)
+		t.Errorf("a Price hit allocates %v times, want 0", a)
 	}
 	if hits, _ := cacheStats(t, g); hits < 200 {
 		t.Errorf("the measured lookups were not hits (%d)", hits)

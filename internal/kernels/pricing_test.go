@@ -129,16 +129,18 @@ func TestSampledPricingMatchesBindAndSample(t *testing.T) {
 	ref.Mode = hostgpu.ExecTimingOnly
 	ref.NoTimingCache = true
 	withDyn.Bindings = provisionLaunch(t, ref, b, w).Bindings
-	_, wantAccesses, err := ref.ResolveSigma(&withDyn)
+	want, err := ref.Price(&withDyn)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantAccesses := want.Accesses
 
 	for i := 0; i < 2; i++ {
-		sigma, accesses, err := g.ResolveSigma(l)
+		p, err := g.Price(l)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sigma, accesses := p.Sigma, p.Accesses
 		if sigma != wantSigma {
 			t.Errorf("σ = %v, want %v", sigma, wantSigma)
 		}

@@ -51,6 +51,13 @@ type Job struct {
 	Launch      *hostgpu.Launch
 	Coalescable bool
 
+	// Priced is a kernel job's pricing (hostgpu.GPU.Price): set by the
+	// coalescer's win predictor when it is a function of the launch's key,
+	// otherwise by the job's run, which uses it when set. A merged job
+	// carries the pricing its members' entries sum to. Read-only: it is the
+	// device's shared cache entry.
+	Priced *hostgpu.Priced
+
 	// Run executes the operation against the device and fills the result
 	// fields.
 	Run func(g *hostgpu.GPU) error
@@ -91,7 +98,8 @@ type Job struct {
 
 // BindBatch attaches the retire signal of the executor batch that will run
 // this job. It must be called before the batch is handed to the executor
-// goroutine (the channel handoff is what publishes the write).
+// (the executor's mutex, which whoever runs the batch takes it under, is what
+// publishes the write).
 func (j *Job) BindBatch(done <-chan struct{}) { j.retired = done }
 
 // AwaitRetired blocks until the job's batch has fully retired. Call it only
@@ -180,7 +188,7 @@ func NewKernel(vp, stream int, l *hostgpu.Launch) *Job {
 	j := newJob(vp, stream, hostgpu.EngineCompute, fmt.Sprintf("vp%d %s", vp, l.Kernel.Name))
 	j.Launch = l
 	j.Run = func(g *hostgpu.GPU) error {
-		p, iv, err := g.Launch(stream, l)
+		p, iv, err := g.LaunchPriced(stream, l, &j.Priced)
 		j.Profile = p
 		j.Interval = iv
 		return err
