@@ -53,7 +53,6 @@ func main() {
 	scale := flag.Int("scale", 8, "workload scale for fig11/fig12/fig13/sweep/scaling")
 	app := flag.String("app", "BlackScholes", "application for the scaling study")
 	vps := flag.Int("vps", 16, "VP fleet size for the multigpu study")
-	pipeline := flag.Bool("pipeline", true, "per-device execution pipelines for the multigpu study (off = synchronous dispatch; simulated results are identical, only the wall-clock columns move)")
 	workers := flag.Int("workers", 0, "experiment-harness worker pool size (0 = NumCPU, 1 = serial)")
 	faults := flag.String("faults", "seed=1,drop=0.05,delay=0.2,maxdelay=5ms,corrupt=0.02,disconnect=0.02",
 		"fault-injection spec for the faults drill (key=value pairs; see internal/ipc.ParseFaults)")
@@ -85,7 +84,7 @@ func main() {
 		"sweep":   func() (fmt.Stringer, error) { return experiments.EstimationSweep(*scale) },
 		"scaling": func() (fmt.Stringer, error) { return experiments.Scaling(*app, *scale) },
 		"multigpu": func() (fmt.Stringer, error) {
-			return experiments.MultiGPUScalingOpt(*vps, *scale, []int{1, 2, 4}, *pipeline)
+			return experiments.MultiGPUScaling(*vps, *scale, []int{1, 2, 4})
 		},
 		"faults": func() (fmt.Stringer, error) {
 			return experiments.FaultDrill(*faults, 4, 4)

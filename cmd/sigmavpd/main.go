@@ -23,7 +23,7 @@
 //
 // Usage:
 //
-//	sigmavpd [-listen 127.0.0.1:7075] [-http ADDR] [-arch quadro|k520|tegra] [-gpus N|LIST] [-placement POLICY] [-baseline] [-pipeline=false]
+//	sigmavpd [-listen 127.0.0.1:7075] [-http ADDR] [-arch quadro|k520|tegra] [-gpus N|LIST] [-placement POLICY] [-baseline]
 //	         [-max-queued N] [-max-queued-bytes N] [-farm-max-queued N] [-farm-max-queued-bytes N] [-rate R] [-burst N] [-fair N]
 //	         [-restore FILE] [-checkpoint-out FILE]
 //
@@ -74,7 +74,6 @@ func main() {
 	gpusFlag := flag.String("gpus", "1", "host GPUs to serve: a device count (of -arch) or a comma-separated preset list (empty = 1)")
 	placementName := flag.String("placement", "round-robin", "multi-GPU placement policy: round-robin, least-loaded, or mem-aware")
 	baseline := flag.Bool("baseline", false, "disable the optimizations (serialized dispatch)")
-	pipeline := flag.Bool("pipeline", true, "per-device execution pipelines: devices simulate concurrently in wall clock (off = synchronous dispatch, for bisection)")
 	grace := flag.Duration("grace", 5*time.Second, "shutdown grace period for in-flight requests")
 	metricsOut := flag.String("metrics-out", "", "write a final metrics snapshot (JSON) to this file on shutdown")
 	maxQueued := flag.Int("max-queued", 0, "per-VP admission cap on queued jobs (0 = unlimited)")
@@ -99,7 +98,6 @@ func main() {
 		opts.Policy = sched.PolicyFIFO
 		opts.Coalesce = false
 	}
-	opts.Pipeline = *pipeline
 	if *httpAddr != "" {
 		// /trace is only useful with the timeline recorder on.
 		opts.Trace = true

@@ -21,8 +21,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultRetryAfter is the base backoff hint attached to quota sheds when
-// AdmissionOptions.RetryAfter is zero.
+// DefaultRetryAfter is the base backoff hint attached to quota sheds (not
+// rate sheds, whose hint is computed from the bucket).
 const DefaultRetryAfter = 2 * time.Millisecond
 
 // AdmissionOptions bound what guests may keep in flight. Every knob defaults
@@ -54,10 +54,6 @@ type AdmissionOptions struct {
 	// with a backoff hint sized to the token deficit.
 	Rate  float64
 	Burst int
-
-	// RetryAfter is the base backoff hint for quota sheds (not rate sheds,
-	// whose hint is computed from the bucket). Zero means DefaultRetryAfter.
-	RetryAfter time.Duration
 }
 
 // deviceEnabled reports whether any per-VP or per-device knob is active —
@@ -70,14 +66,6 @@ func (a AdmissionOptions) deviceEnabled() bool {
 // farmEnabled reports whether the farm-wide caps are active.
 func (a AdmissionOptions) farmEnabled() bool {
 	return a.FarmMaxQueuedJobs > 0 || a.FarmMaxQueuedBytes > 0
-}
-
-// retryAfter returns the configured base backoff hint.
-func (a AdmissionOptions) retryAfter() time.Duration {
-	if a.RetryAfter > 0 {
-		return a.RetryAfter
-	}
-	return DefaultRetryAfter
 }
 
 // burst returns the effective token-bucket depth.
@@ -173,13 +161,13 @@ func (a *admission) admit(vp, payload int) *OverloadError {
 		// Larger than the whole quota: no amount of retrying admits it.
 		oe = &OverloadError{VP: vp, Reason: "payload", Retryable: false}
 	case o.MaxQueuedJobs > 0 && st.jobs >= o.MaxQueuedJobs:
-		oe = &OverloadError{VP: vp, Reason: "vp-jobs", Backoff: o.retryAfter(), Retryable: true}
+		oe = &OverloadError{VP: vp, Reason: "vp-jobs", Backoff: DefaultRetryAfter, Retryable: true}
 	case o.MaxQueuedBytes > 0 && st.bytes+int64(payload) > o.MaxQueuedBytes:
-		oe = &OverloadError{VP: vp, Reason: "vp-bytes", Backoff: o.retryAfter(), Retryable: true}
+		oe = &OverloadError{VP: vp, Reason: "vp-bytes", Backoff: DefaultRetryAfter, Retryable: true}
 	case o.DeviceMaxQueuedJobs > 0 && a.devJobs >= o.DeviceMaxQueuedJobs:
-		oe = &OverloadError{VP: vp, Reason: "device-jobs", Backoff: o.retryAfter(), Retryable: true}
+		oe = &OverloadError{VP: vp, Reason: "device-jobs", Backoff: DefaultRetryAfter, Retryable: true}
 	case o.DeviceMaxQueuedBytes > 0 && a.devBytes+int64(payload) > o.DeviceMaxQueuedBytes:
-		oe = &OverloadError{VP: vp, Reason: "device-bytes", Backoff: o.retryAfter(), Retryable: true}
+		oe = &OverloadError{VP: vp, Reason: "device-bytes", Backoff: DefaultRetryAfter, Retryable: true}
 	}
 	throttled := false
 	if oe == nil && o.Rate > 0 {

@@ -11,12 +11,11 @@
 // queue until every registered VP is parked at a synchronous point — the VP
 // Control mechanism of paper Fig. 4b — then the accumulated batch is
 // re-scheduled and dispatched. Every batch, served or raw, takes one route:
-// runBatch → executor.submit → dispatch. The executor runs the batch on its
-// own goroutine, or on a goroutine draining the device (Options.Pipeline,
-// overlapping guest submission with device simulation), or inline on the
-// submitter (Pipeline off, or after Close) — states of one path with
-// byte-identical simulated results. Admission
-// gates (admission.go) bound the queue per VP, per device, and per farm,
+// runBatch → executor.submit → runHead → dispatch. The batch runs on the
+// executor's own goroutine, overlapping guest submission with device
+// simulation, or on a goroutine draining the device; after Close the
+// submitter drains its own batch. Whoever runs it, the simulated results are
+// byte-identical. Admission gates (admission.go) bound the queue per VP, per device, and per farm,
 // shedding excess with typed, retryable overload responses instead of
 // queueing without limit.
 //

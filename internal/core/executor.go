@@ -28,19 +28,18 @@ type execBatch struct {
 	done chan struct{}
 }
 
-// executor is a Service's execution pipeline. Pipelined, it is a bounded FIFO
-// of drained batches, a running token, and one goroutine: whoever holds the
-// token runs the batch at the head of the queue through Service.dispatch.
-// The goroutine, woken by submit, runs batches while it can take the token
-// and no goroutine is waiting in drain; a goroutine in drain that finds the
-// token free takes the head batch and runs it itself instead of sleeping — a
-// lock-step caller that submits and then drains pays no hand-off, while
-// batches submitted without a drain still run behind the submitter's back.
-// Either way batches run one at a time, in queue order. Inline
-// (Options.Pipeline off, or after close) the executor has no goroutine and
-// submit runs the batch on the caller — the synchronous mode is a state of
-// the one path, not a second path. The goroutine is what lets guest
-// submission overlap device simulation, and what lets an N-device
+// executor is a Service's execution pipeline: a bounded FIFO of drained
+// batches, a running token, and one goroutine. Whoever holds the token runs
+// the batch at the head of the queue through Service.dispatch. The goroutine,
+// woken by submit, runs batches while it can take the token and no goroutine
+// is waiting in drain; a goroutine in drain that finds the token free takes
+// the head batch and runs it itself instead of sleeping — a lock-step caller
+// that submits and then drains pays no hand-off, while batches submitted
+// without a drain still run behind the submitter's back. Either way batches
+// run one at a time, in queue order, through runHead. Once closed the
+// executor has no goroutine, and submit drains its own batch: the same queue
+// and token, with the submitter as the only holder. The goroutine is what
+// lets guest submission overlap device simulation, and what lets an N-device
 // MultiService simulate N devices concurrently in wall clock — each device's
 // simulated clock, metrics registry, and trace log are touched only by its
 // token holder, so no cross-device synchronization is needed until a merge
@@ -50,11 +49,11 @@ type execBatch struct {
 // Health counters (queue depth, batches, enqueue stalls, batches run by a
 // drainer) are the core.exec.* host family of the service registry: executor
 // load is a wall-clock property of the host, and leaving the family out of
-// Service.Snapshot is what keeps pipeline-on and pipeline-off snapshots
-// byte-identical.
+// Service.Snapshot is what keeps a snapshot independent of who ran each
+// batch.
 type executor struct {
 	s       *Service
-	stopped chan struct{} // closed when the goroutine has exited; nil if never pipelined
+	stopped chan struct{} // closed when the goroutine has exited
 
 	mu sync.Mutex
 	// work wakes the goroutine: a batch was queued, or the executor closed.
@@ -66,8 +65,8 @@ type executor struct {
 	helpers    int  // goroutines in drain; the goroutine leaves the queue to them
 	inflight   int  // batches accepted (or pending enqueue) but not yet retired
 	highWater  int  // max inflight ever seen
-	inline     bool // no goroutine: submit runs batches on the caller
-	// Per-batch instruments, resolved under mu by the first pipelined submit.
+	closed     bool // no goroutine: submit drains its own batch
+	// Per-batch instruments, resolved under mu by the first submit.
 	depth, depthHW     *metrics.Gauge
 	batches, byDrainer *metrics.Counter
 }
@@ -89,15 +88,11 @@ func (e *executor) setDepth() {
 	}
 }
 
-// newExecutor builds a service's execution pipeline, starting its goroutine
-// only when pipelined.
-func newExecutor(s *Service, pipelined bool) *executor {
-	e := &executor{s: s, inline: !pipelined}
+// newExecutor builds a service's execution pipeline and starts its goroutine.
+func newExecutor(s *Service) *executor {
+	e := &executor{s: s, stopped: make(chan struct{})}
 	e.work, e.cond = sync.NewCond(&e.mu), sync.NewCond(&e.mu)
-	if pipelined {
-		e.stopped = make(chan struct{})
-		go e.run()
-	}
+	go e.run()
 	return e
 }
 
@@ -112,7 +107,7 @@ func (e *executor) run() {
 		switch {
 		case !e.running && e.n > 0 && e.helpers == 0:
 			e.runHead(false)
-		case e.inline && e.n == 0:
+		case e.closed && e.n == 0:
 			return
 		default:
 			e.work.Wait()
@@ -144,19 +139,12 @@ func (e *executor) runHead(byDrainer bool) {
 	e.mu.Lock()
 }
 
-// submit runs a batch: inline on the caller's goroutine, or queued for the
-// token holder, blocking for backpressure while the bounded queue is full.
-// Inline batches touch no health counter — there is no queue to be healthy.
-// Callers serialize through Service.dispatchMu, which preserves the
-// drain-order = execution-order invariant in both states.
+// submit queues a batch for the token holder, blocking for backpressure
+// while the bounded queue is full; once the executor is closed it then drains
+// the batch itself. Callers serialize through Service.dispatchMu, which
+// preserves the drain-order = execution-order invariant.
 func (e *executor) submit(b execBatch) {
 	e.mu.Lock()
-	if e.inline {
-		e.mu.Unlock()
-		e.s.dispatch(b.jobs, b.rec)
-		close(b.done)
-		return
-	}
 	// Count the batch before waiting for a slot: a drain must not slip past a
 	// batch that is accepted but still waiting for one. The depth gauge counts
 	// in-pipeline batches (accepted but not retired) and is only ever written
@@ -174,6 +162,9 @@ func (e *executor) submit(b execBatch) {
 	}
 	e.queue[(e.head+e.n)%ExecQueueDepth] = b
 	e.n++
+	if e.closed {
+		e.help()
+	}
 	e.mu.Unlock()
 	e.work.Signal()
 }
@@ -201,16 +192,15 @@ func (e *executor) help() {
 }
 
 // close drains the pipeline, stops the goroutine and waits for it to exit;
-// the executor is inline from then on. Idempotent, and a no-op on an
-// executor that was never pipelined.
+// from then on submitters drain their own batches. Idempotent.
 func (e *executor) close() {
 	e.mu.Lock()
 	e.help()
-	if e.inline {
+	if e.closed {
 		e.mu.Unlock()
 		return
 	}
-	e.inline = true
+	e.closed = true
 	e.work.Signal()
 	e.mu.Unlock()
 	<-e.stopped

@@ -16,9 +16,8 @@ import (
 // any difference between runs can only come from the worker pool.
 func serviceSnapshot(t *testing.T, workers int) []byte {
 	t.Helper()
-	opts := DefaultOptions()
-	opts.Workers = workers
-	m, s := farmOfOne(t, opts)
+	m, s := farmOfOne(t, DefaultOptions())
+	s.GPU.Workers = workers
 	for id := 1; id <= 3; id++ {
 		s.RegisterVP(id)
 		v := vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, m.Backend(id)))

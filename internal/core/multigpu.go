@@ -343,9 +343,9 @@ func (m *MultiService) admitFarm(vp int, req any) any {
 	var oe *OverloadError
 	switch {
 	case m.adm.FarmMaxQueuedJobs > 0 && jobs >= m.adm.FarmMaxQueuedJobs:
-		oe = &OverloadError{VP: vp, Reason: "farm-jobs", Backoff: m.adm.retryAfter(), Retryable: true}
+		oe = &OverloadError{VP: vp, Reason: "farm-jobs", Backoff: DefaultRetryAfter, Retryable: true}
 	case m.adm.FarmMaxQueuedBytes > 0 && bytes+int64(payload) > m.adm.FarmMaxQueuedBytes:
-		oe = &OverloadError{VP: vp, Reason: "farm-bytes", Backoff: m.adm.retryAfter(), Retryable: true}
+		oe = &OverloadError{VP: vp, Reason: "farm-bytes", Backoff: DefaultRetryAfter, Retryable: true}
 	default:
 		return nil
 	}
@@ -355,7 +355,7 @@ func (m *MultiService) admitFarm(vp int, req any) any {
 }
 
 // Flush drains every device. All devices are fed first and only then
-// awaited, so with pipelining a farm flush simulates the devices
+// awaited, so a farm flush simulates the devices
 // concurrently in wall clock instead of one after another.
 func (m *MultiService) Flush() {
 	for _, s := range m.services {
@@ -463,8 +463,8 @@ func (m *MultiService) MergedTrace() *trace.Log {
 
 // DispatchBatch runs one externally-assembled batch against a specific
 // device — the deterministic path the experiments use. Jobs must belong to
-// VPs assigned to that device. With pipelining the batch is enqueued to the
-// device's executor and DispatchBatch returns immediately; Sync (or Drain)
+// VPs assigned to that device. The batch is enqueued to the device's
+// executor and DispatchBatch returns immediately; Sync (or Drain)
 // is the completion barrier, so feeding all devices before syncing simulates
 // them concurrently.
 func (m *MultiService) DispatchBatch(device int, batch []*sched.Job) {

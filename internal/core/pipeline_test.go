@@ -16,17 +16,19 @@ import (
 	"repro/internal/vp"
 )
 
-// pipelineSnapshot drives three sequential VP sessions with the pipeline
-// toggled and returns the makespan plus the simulated-work snapshot bytes.
-// Sessions are sequential because live goroutine-driven fleets race batch
-// boundaries against wall clock in either mode; deterministic multi-VP
-// equivalence is pinned by the experiments-level lock-step tests.
-func pipelineSnapshot(t *testing.T, pipeline bool) (float64, []byte) {
+// pipelineSnapshot drives three sequential VP sessions through a service,
+// closed first when closed is set, and returns the makespan plus the
+// simulated-work snapshot bytes. Sessions are sequential because live
+// goroutine-driven fleets race batch boundaries against wall clock; the
+// deterministic multi-VP guarantee is pinned by the experiments-level
+// lock-step tests.
+func pipelineSnapshot(t *testing.T, closed bool) (float64, []byte) {
 	t.Helper()
-	opts := DefaultOptions()
-	opts.Pipeline = pipeline
-	m, s := farmOfOne(t, opts)
+	m, s := farmOfOne(t, DefaultOptions())
 	defer s.Close()
+	if closed {
+		s.Close()
+	}
 	for id := 1; id <= 3; id++ {
 		s.RegisterVP(id)
 		v := vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, m.Backend(id)))
@@ -42,18 +44,18 @@ func pipelineSnapshot(t *testing.T, pipeline bool) (float64, []byte) {
 	return s.Sync(), data
 }
 
-// TestPipelineEquivalence is the tentpole's core guarantee: the execution
-// pipeline changes wall-clock behavior only. Simulated makespan and the full
-// metrics snapshot (counters, histograms, job events) are byte-identical
-// with the executor on or off.
+// TestPipelineEquivalence: the execution pipeline changes wall-clock
+// behavior only. Simulated makespan and the full metrics snapshot (counters,
+// histograms, job events) are byte-identical whether the executor goroutine
+// runs the batches or, with the service closed, each submitter runs its own.
 func TestPipelineEquivalence(t *testing.T) {
-	syncT, syncSnap := pipelineSnapshot(t, false)
-	pipeT, pipeSnap := pipelineSnapshot(t, true)
-	if syncT != pipeT {
-		t.Fatalf("makespan diverged: sync %.9f, pipelined %.9f", syncT, pipeT)
+	closedT, closedSnap := pipelineSnapshot(t, true)
+	pipeT, pipeSnap := pipelineSnapshot(t, false)
+	if closedT != pipeT {
+		t.Fatalf("makespan diverged: closed %.9f, pipelined %.9f", closedT, pipeT)
 	}
-	if !bytes.Equal(syncSnap, pipeSnap) {
-		t.Fatalf("snapshot diverged:\n--- sync\n%s\n--- pipelined\n%s", syncSnap, pipeSnap)
+	if !bytes.Equal(closedSnap, pipeSnap) {
+		t.Fatalf("snapshot diverged:\n--- closed\n%s\n--- pipelined\n%s", closedSnap, pipeSnap)
 	}
 }
 
@@ -89,7 +91,7 @@ func TestPipelineExecMetrics(t *testing.T) {
 }
 
 // TestPipelineCloseFallsBackSynchronous: after Close the service keeps
-// working — batches dispatch on the submitter's goroutine again.
+// working — each batch goes through the queue and its submitter runs it.
 func TestPipelineCloseFallsBackSynchronous(t *testing.T) {
 	s := NewService(DefaultOptions())
 	s.Close()
@@ -102,26 +104,8 @@ func TestPipelineCloseFallsBackSynchronous(t *testing.T) {
 	if err := j.Wait(); err != nil {
 		t.Fatalf("post-close job failed: %v", err)
 	}
-	if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); got != 0 {
-		t.Fatalf("closed executor still counted %d batches", got)
-	}
-}
-
-// TestPipelineOffExecMetricsEmpty: with the pipeline off the executor records
-// no core.exec.* instrument at all.
-func TestPipelineOffExecMetricsEmpty(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Pipeline = false
-	s := NewService(opts)
-	j := sched.NewCustom(0, 0, hostgpu.EngineH2D, "sync-mode",
-		func(j *sched.Job, g *hostgpu.GPU) error { return nil })
-	s.Submit(j)
-	s.Flush()
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if snap := s.Metrics().Select("core.exec."); len(snap.Counters) != 0 {
-		t.Fatalf("synchronous service recorded executor counters: %+v", snap.Counters)
+	if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); got != 1 {
+		t.Fatalf("closed executor counted %d batches, want 1", got)
 	}
 }
 
@@ -139,39 +123,44 @@ func settledGoroutines(t *testing.T, want int) {
 	}
 }
 
-// startedExecutor reports whether NewService launched the executor goroutine.
-// The tests read the executor's own state rather than a goroutine-count
-// delta, which a goroutine of an earlier test still winding down would skew.
-func startedExecutor(s *Service) bool { return s.exec.stopped != nil }
+// executorRunning reports whether the service's executor goroutine is still
+// running. The tests read the executor's own state rather than a
+// goroutine-count delta, which a goroutine of an earlier test still winding
+// down would skew.
+func executorRunning(s *Service) bool {
+	select {
+	case <-s.exec.stopped:
+		return false
+	default:
+		return true
+	}
+}
 
-// TestOneDispatchPath drives the executor's three states — pipelined, inline
-// because Options.Pipeline is off, inline because the service was closed —
-// through one submit → flush → wait → snapshot script. There is one dispatch
-// body, so the simulated snapshots are byte-identical; only the pipelined
-// state has a goroutine, so only it counts batches, and after Close no state
-// leaves a goroutine behind.
+// TestOneDispatchPath drives the executor's two states — running its
+// goroutine, and closed — through one submit → flush → wait → snapshot
+// script. Both run every batch through the queue and runHead, so the
+// simulated snapshots are byte-identical and both count their batches, and
+// after Close neither leaves a goroutine behind.
 func TestOneDispatchPath(t *testing.T) {
 	states := []struct {
-		name        string
-		pipeline    bool
-		closeFirst  bool
-		wantBatches bool
+		name       string
+		closeFirst bool
 	}{
-		{"pipelined", true, false, true},
-		{"pipeline-off", false, false, false},
-		{"closed", true, true, false},
+		{"pipelined", false},
+		{"closed", true},
 	}
 	var ref []byte
 	for _, st := range states {
 		before := runtime.NumGoroutine()
-		opts := DefaultOptions()
-		opts.Pipeline = st.pipeline
-		m, s := farmOfOne(t, opts)
-		if startedExecutor(s) != st.pipeline {
-			t.Fatalf("%s: NewService started an executor goroutine: %v", st.name, !st.pipeline)
+		m, s := farmOfOne(t, DefaultOptions())
+		if !executorRunning(s) {
+			t.Fatalf("%s: NewService started no executor goroutine", st.name)
 		}
 		if st.closeFirst {
 			s.Close()
+			if executorRunning(s) {
+				t.Fatalf("%s: Close left the executor goroutine running", st.name)
+			}
 		}
 
 		s.RegisterVP(0)
@@ -209,7 +198,7 @@ func TestOneDispatchPath(t *testing.T) {
 		} else if !bytes.Equal(ref, snap) {
 			t.Fatalf("%s: simulated snapshot differs from %s:\n%s\n---\n%s", st.name, states[0].name, snap, ref)
 		}
-		if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); (got > 0) != st.wantBatches {
+		if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); got == 0 {
 			t.Fatalf("%s: core.exec.batches = %d", st.name, got)
 		}
 		s.Close()
@@ -236,8 +225,8 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < idleFarm.Devices(); i++ {
-		if !startedExecutor(idleFarm.Device(i)) {
-			t.Fatalf("device %d of a pipelined farm has no executor goroutine", i)
+		if !executorRunning(idleFarm.Device(i)) {
+			t.Fatalf("device %d of a farm has no executor goroutine", i)
 		}
 	}
 	idleFarm.Close()
@@ -259,7 +248,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 	farm.Close()
 	farm.Close()
 	settledGoroutines(t, before)
-	// A closed farm still serves, inline.
+	// A closed farm still serves, each submitter running its own batch.
 	farm.RegisterVP(9)
 	v := vp.New(9, arch.ARMVersatile(), cudart.NewContext(9, farm.Backend(9)))
 	if err := v.Run(vecAddApp(64, 1)); err != nil {
@@ -395,7 +384,7 @@ func closeWhileDrainerRuns(t *testing.T) {
 	if want := []int{0, 1, 2}; !slices.Equal(h.order, want) {
 		t.Fatalf("batches ran in order %v, want %v", h.order, want)
 	}
-	if !s.exec.inline {
-		t.Fatal("Close returned with the executor still pipelined")
+	if !s.exec.closed {
+		t.Fatal("Close returned with the executor still open")
 	}
 }

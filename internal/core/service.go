@@ -36,20 +36,6 @@ type Options struct {
 	// execution time and power (paper Fig. 2, Section 4).
 	EstimateTarget *arch.GPU
 
-	// Workers sizes the worker pool for block-parallel kernel interpretation
-	// on the host GPU model (0 = runtime.NumCPU(), 1 = serial). Simulated
-	// time and profiles are identical for every value.
-	Workers int
-
-	// Pipeline starts the service's executor goroutine: drained batches are
-	// enqueued to it instead of running on the submitter's goroutine, so
-	// guest submission overlaps device simulation and an N-device farm
-	// simulates N devices concurrently in wall clock. Off, the same executor
-	// runs each batch inline on the submitter — the synchronous reference for
-	// bisection. Simulated results (makespans, metrics, traces, D2H bytes)
-	// are identical either way.
-	Pipeline bool
-
 	// Admission bounds what guests may keep in flight (per-VP/device/farm
 	// quotas and a token-bucket rate limit); excess requests are shed at the
 	// service door with a typed, retryable overload error instead of
@@ -73,7 +59,6 @@ func DefaultOptions() Options {
 		Mode:     hostgpu.ExecFull,
 		Policy:   sched.PolicyInterleave,
 		Coalesce: true,
-		Pipeline: true,
 	}
 }
 
@@ -105,9 +90,9 @@ type Service struct {
 	// per-(VP,stream) ordering on the device.
 	dispatchMu sync.Mutex
 
-	// exec is the device's execution pipeline (inline with Options.Pipeline
-	// off); adm is the admission gate (nil with Options.Admission zero). Both
-	// record host families (see hostFamilies) into the service registry.
+	// exec is the device's execution pipeline; adm is the admission gate (nil
+	// with Options.Admission zero). Both record host families (see
+	// hostFamilies) into the service registry.
 	exec *executor
 	adm  *admission
 
@@ -158,7 +143,6 @@ func NewService(opts Options) *Service {
 	// engines never overlapping (the 3N·T baseline). Kernel Interleaving
 	// pipelines the engines.
 	g.Serialize = opts.Policy == sched.PolicyFIFO
-	g.Workers = opts.Workers
 	if opts.Trace {
 		g.Trace = trace.New()
 	}
@@ -185,7 +169,7 @@ func NewService(opts Options) *Service {
 	if opts.EstimateTarget != nil {
 		s.Estimator = NewEstimation(*opts.EstimateTarget)
 	}
-	s.exec = newExecutor(s, opts.Pipeline)
+	s.exec = newExecutor(s)
 	return s
 }
 
@@ -253,8 +237,7 @@ var ErrCancelled = errors.New("job cancelled: vp disconnected")
 func (s *Service) DisconnectVP(id int) {
 	s.deregister(id)
 	// Drain the pipeline before stamping cancellation events: the simulated
-	// clock must reflect every batch dispatched before the disconnect, as it
-	// does on the synchronous path.
+	// clock must reflect every batch dispatched before the disconnect.
 	s.Drain()
 	for _, j := range s.queue.RemoveVP(id) {
 		s.releaseJob(j)
@@ -299,9 +282,9 @@ func (s *Service) WaitJob(vp int, j *sched.Job) error {
 	s.maybeDispatch()
 	err := j.Wait()
 	// Wake only once the whole batch has retired, not just this job: the VP
-	// then resumes against the same post-batch device state in pipelined and
-	// synchronous mode alike (its next SubmitTime reads the same clock), and
-	// no submit ever overlaps a dispatch while every VP is registered.
+	// then resumes against the same post-batch device state whoever ran the
+	// batch (its next SubmitTime reads the same clock), and no submit ever
+	// overlaps a dispatch while every VP is registered.
 	j.AwaitRetired()
 	st.mu.Lock()
 	st.blocked--
@@ -359,13 +342,12 @@ func (s *Service) Flush() {
 
 // Drain blocks until every batch handed to the execution pipeline has fully
 // retired, running queued batches on the caller while the executor's token is
-// free. It is the barrier behind every read of device state; an inline
-// executor never has a batch in flight, so it returns at once.
+// free. It is the barrier behind every read of device state.
 func (s *Service) Drain() { s.exec.drain() }
 
 // Close drains the execution pipeline and stops its goroutine. The service
-// stays usable: later batches run inline on the submitter, exactly as with
-// Options.Pipeline off. Idempotent.
+// stays usable: each later batch is queued and run by its submitter.
+// Idempotent.
 func (s *Service) Close() { s.exec.close() }
 
 // ExecMetrics is Metrics, kept for the benchmark module, which reads the
@@ -425,10 +407,9 @@ func (s *Service) Snapshot() metrics.Snapshot {
 	return s.metrics.Without(hostFamilies...)
 }
 
-// runBatch hands one drained batch to the executor, which runs it on its
-// goroutine or inline. Caller holds dispatchMu. Every job is bound to its
-// batch's retirement signal first, so WaitJob wakes VPs at the same points in
-// either executor state.
+// runBatch hands one drained batch to the executor. Caller holds dispatchMu.
+// Every job is bound to its batch's retirement signal first, so WaitJob wakes
+// VPs at the same points whoever runs the batch.
 func (s *Service) runBatch(batch []*sched.Job, rec *metrics.Registry) {
 	if len(batch) == 0 {
 		return
@@ -442,8 +423,9 @@ func (s *Service) runBatch(batch []*sched.Job, rec *metrics.Registry) {
 
 // DispatchRaw runs one externally-assembled batch through the Re-scheduler
 // and the device without service accounting — the deterministic path the
-// experiments use. With the pipeline on the batch is enqueued and DispatchRaw
-// returns without waiting; Sync/Drain is the completion barrier.
+// experiments use. The batch is enqueued and DispatchRaw returns without
+// waiting (unless the service is closed); Sync/Drain is the completion
+// barrier.
 func (s *Service) DispatchRaw(batch []*sched.Job) {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
@@ -519,8 +501,8 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 }
 
 // countMoves adds the batch's devmem.Moves to the core.exec counters, each
-// appearing once non-zero. Inline batches count too. Only the executor running
-// the batch calls it, so moved has one owner.
+// appearing once non-zero. Only the token holder running the batch calls it,
+// so moved has one owner.
 func (s *Service) countMoves() {
 	mv := s.GPU.Mem.Moves()
 	add := func(name string, n int64) {

@@ -9,6 +9,7 @@ package cudart
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -196,14 +197,21 @@ func (c *Context) StreamSynchronize(stream int) error {
 	return first
 }
 
-// DeviceSynchronize waits for every outstanding operation on every stream.
+// DeviceSynchronize waits for every outstanding operation on every stream,
+// streams in ascending id order, so the error it returns is the lowest
+// failing stream's first.
 func (c *Context) DeviceSynchronize() error {
 	c.mu.Lock()
-	var all []Token
-	for s, toks := range c.outstanding {
-		all = append(all, toks...)
-		delete(c.outstanding, s)
+	streams := make([]int, 0, len(c.outstanding))
+	for s := range c.outstanding {
+		streams = append(streams, s)
 	}
+	slices.Sort(streams)
+	var all []Token
+	for _, s := range streams {
+		all = append(all, c.outstanding[s]...)
+	}
+	clear(c.outstanding)
 	c.mu.Unlock()
 	var first error
 	for _, t := range all {
@@ -271,11 +279,7 @@ type remoteBackend struct {
 	// retries is the extra-attempt budget for idempotent requests that fail
 	// with a retryable transport error (timeout, disconnect).
 	retries int
-	// overloadRetries is the separate budget for requests the service shed
-	// with a retryable overload; maxBackoff caps each honoured backoff hint.
-	overloadRetries int
-	maxBackoff      time.Duration
-	m               *metrics.Registry // nil-safe: counters degrade to no-ops
+	m       *metrics.Registry // nil-safe: counters degrade to no-ops
 
 	// sleep is the backoff clock, swappable in tests; nil means time.Sleep.
 	sleep func(time.Duration)
@@ -309,14 +313,9 @@ func NewRemoteBackend(c ipc.Client) Backend {
 // RemoteOptions tunes the remote back end's retry contracts.
 type RemoteOptions struct {
 	// Retries is the idempotent-replay budget after transport faults
-	// (0 disables).
+	// (0 disables). Overload sheds have their own budget,
+	// DefaultOverloadRetries, each wait capped at DefaultMaxBackoff.
 	Retries int
-	// OverloadRetries bounds backoff-and-resubmit rounds after retryable
-	// overload sheds; zero means DefaultOverloadRetries, negative disables.
-	OverloadRetries int
-	// MaxBackoff caps each honoured server backoff hint; zero means
-	// DefaultMaxBackoff.
-	MaxBackoff time.Duration
 	// Metrics counts replays (cudart.retries, cudart.retries_exhausted) and
 	// overload rounds (cudart.overload_retries, cudart.overload_exhausted).
 	Metrics *metrics.Registry
@@ -324,19 +323,7 @@ type RemoteOptions struct {
 
 // NewRemoteBackendOpts builds a remote back end with explicit retry tuning.
 func NewRemoteBackendOpts(c ipc.Client, o RemoteOptions) Backend {
-	r := &remoteBackend{
-		c: c, retries: o.Retries, m: o.Metrics,
-		overloadRetries: DefaultOverloadRetries,
-		maxBackoff:      DefaultMaxBackoff,
-	}
-	r.tc = ipc.Typed(c)
-	if o.OverloadRetries != 0 {
-		r.overloadRetries = max(o.OverloadRetries, 0)
-	}
-	if o.MaxBackoff > 0 {
-		r.maxBackoff = o.MaxBackoff
-	}
-	return r
+	return &remoteBackend{c: c, tc: ipc.Typed(c), retries: o.Retries, m: o.Metrics}
 }
 
 // withOverloadRetry re-issues call while the service sheds it with a
@@ -348,7 +335,7 @@ func NewRemoteBackendOpts(c ipc.Client, o RemoteOptions) Backend {
 // configured quotas) surface to the application immediately.
 func withOverloadRetry[T any](r *remoteBackend, call func() (T, error)) (T, error) {
 	resp, err := call()
-	for attempt := 0; attempt < r.overloadRetries; attempt++ {
+	for attempt := 0; attempt < DefaultOverloadRetries; attempt++ {
 		oe, ok := ipc.AsOverload(err)
 		if !ok || !oe.Retryable {
 			return resp, err
@@ -364,19 +351,17 @@ func withOverloadRetry[T any](r *remoteBackend, call func() (T, error)) (T, erro
 }
 
 // backoff sleeps for the server's hint, doubled per prior attempt, capped at
-// maxBackoff, with ±50% jitter so a fleet of shed clients does not resubmit
-// in lockstep and re-create the very overload that shed them.
+// DefaultMaxBackoff, with ±50% jitter so a fleet of shed clients does not
+// resubmit in lockstep and re-create the very overload that shed them.
 func (r *remoteBackend) backoff(hint time.Duration, attempt int) {
 	d := hint
 	if d <= 0 {
 		d = time.Millisecond
 	}
-	for i := 0; i < attempt && d < r.maxBackoff; i++ {
+	for i := 0; i < attempt && d < DefaultMaxBackoff; i++ {
 		d *= 2
 	}
-	if r.maxBackoff > 0 && d > r.maxBackoff {
-		d = r.maxBackoff
-	}
+	d = min(d, DefaultMaxBackoff)
 	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1)) // [d/2, d]
 	if r.sleep != nil {
 		r.sleep(d)

@@ -97,6 +97,25 @@ func TestAsyncAPIAndStreamSync(t *testing.T) {
 	}
 }
 
+// TestDeviceSynchronizeLowestStreamError: with failures outstanding on two
+// streams, DeviceSynchronize returns the lower stream's error every time —
+// not whichever stream a map walk happened to reach first — and leaves no
+// token behind.
+func TestDeviceSynchronizeLowestStreamError(t *testing.T) {
+	errLow, errHigh := errors.New("stream 1 failed"), errors.New("stream 2 failed")
+	ctx := NewContext(0, nil)
+	for i := 0; i < 200; i++ {
+		ctx.record(2, doneToken{err: errHigh})
+		ctx.record(1, doneToken{err: errLow})
+		if err := ctx.DeviceSynchronize(); err != errLow {
+			t.Fatalf("call %d: DeviceSynchronize = %v, want %v", i, err, errLow)
+		}
+		if err := ctx.DeviceSynchronize(); err != nil {
+			t.Fatalf("call %d: second DeviceSynchronize = %v, want nil", i, err)
+		}
+	}
+}
+
 func TestMallocFree(t *testing.T) {
 	ctx := newEmulCtx(t)
 	p, err := ctx.Malloc(64)

@@ -158,35 +158,15 @@ func TestOverloadRetryExhausted(t *testing.T) {
 	}
 }
 
-// TestOverloadRetriesDisabled: a negative budget turns resubmission off; the
-// first shed surfaces directly.
-func TestOverloadRetriesDisabled(t *testing.T) {
-	c := &shedClient{shed: -1, retryable: true, backoff: time.Millisecond}
-	b := NewRemoteBackendOpts(c, RemoteOptions{OverloadRetries: -1}).(*remoteBackend)
-	tok, err := b.H2D(0, 1, 0, []byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ipc.AsOverload(tok.Wait()); !ok {
-		t.Fatalf("err = %v, want overload", tok.Wait())
-	}
-	if len(c.calls) != 1 {
-		t.Fatalf("calls = %d, want 1", len(c.calls))
-	}
-}
-
 // TestBackoffCap: a pathological server hint cannot park the guest past
-// MaxBackoff.
+// DefaultMaxBackoff.
 func TestBackoffCap(t *testing.T) {
 	c := &shedClient{shed: 1, retryable: true, backoff: time.Hour}
-	reg := metrics.New()
-	b := NewRemoteBackendOpts(c, RemoteOptions{MaxBackoff: 5 * time.Millisecond, Metrics: reg}).(*remoteBackend)
-	var slept []time.Duration
-	b.sleep = func(d time.Duration) { slept = append(slept, d) }
+	b, slept := shedBackend(c, metrics.New())
 	if _, err := b.Memset(0, 1, 0, 4, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(slept) != 1 || slept[0] > 5*time.Millisecond {
-		t.Fatalf("slept = %v, want one wait ≤ 5ms", slept)
+	if len(*slept) != 1 || (*slept)[0] < DefaultMaxBackoff/2 || (*slept)[0] > DefaultMaxBackoff {
+		t.Fatalf("slept = %v, want one wait in [%v, %v]", *slept, DefaultMaxBackoff/2, DefaultMaxBackoff)
 	}
 }

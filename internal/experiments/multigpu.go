@@ -48,14 +48,6 @@ type MultiGPUResult struct {
 // utilization. Deterministic: VPs register in index order, placement is
 // round-robin, and batches are assembled and dispatched in VP order.
 func MultiGPUScaling(nVPs, scale int, devCounts []int) (*MultiGPUResult, error) {
-	return MultiGPUScalingOpt(nVPs, scale, devCounts, true)
-}
-
-// MultiGPUScalingOpt is MultiGPUScaling with the execution pipeline
-// switchable: pipeline=false restores the synchronous dispatch path. The
-// simulated results are identical either way — only the wall-clock columns
-// move.
-func MultiGPUScalingOpt(nVPs, scale int, devCounts []int, pipeline bool) (*MultiGPUResult, error) {
 	if nVPs < 1 {
 		nVPs = 1
 	}
@@ -74,7 +66,7 @@ func MultiGPUScalingOpt(nVPs, scale int, devCounts []int, pipeline bool) (*Multi
 	}
 	res.Points = make([]MultiGPUPoint, len(devCounts))
 	err = forEach(len(devCounts), func(i int) error {
-		p, err := multiGPURun(benches, scale, nVPs, devCounts[i], pipeline)
+		p, err := multiGPURun(benches, scale, nVPs, devCounts[i])
 		if err != nil {
 			return err
 		}
@@ -95,11 +87,10 @@ func MultiGPUScalingOpt(nVPs, scale int, devCounts []int, pipeline bool) (*Multi
 
 // multiGPURun serves the fleet once on nDev devices and measures the makespan
 // plus the host time the simulation took.
-func multiGPURun(benches []*kernels.Benchmark, scale, nVPs, nDev int, pipeline bool) (*MultiGPUPoint, error) {
+func multiGPURun(benches []*kernels.Benchmark, scale, nVPs, nDev int) (*MultiGPUPoint, error) {
 	opts := core.DefaultOptions()
 	opts.Mode = hostgpu.ExecTimingOnly
 	opts.MemBytes = fleetMemBytes
-	opts.Pipeline = pipeline
 	f, err := newFarmFleet(opts, nDev, benches, scale, nVPs)
 	if err != nil {
 		return nil, err

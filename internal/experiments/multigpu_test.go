@@ -78,40 +78,9 @@ func TestMultiGPUScalingDeterministic(t *testing.T) {
 	}
 }
 
-// TestMultiGPUScalingPipelineEquivalence pins the tentpole's simulated-result
-// guarantee at the study level: pipelined and synchronous execution produce a
-// byte-identical JSON artifact — only the wall-clock columns (excluded from
-// the JSON) may move.
-func TestMultiGPUScalingPipelineEquivalence(t *testing.T) {
-	on, err := MultiGPUScalingOpt(8, 4, []int{1, 2}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := MultiGPUScalingOpt(8, 4, []int{1, 2}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onJSON, err := on.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	offJSON, err := off.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onJSON, offJSON) {
-		t.Fatalf("pipelined study diverged from synchronous:\n--- pipeline on\n%s\n--- pipeline off\n%s", onJSON, offJSON)
-	}
-	for _, p := range on.Points {
-		if p.WallClockSec <= 0 {
-			t.Errorf("%d devices: wall clock not measured", p.Devices)
-		}
-	}
-}
-
 // TestMultiGPUScalingMatchesBENCH7 pins the study this package ships to the
-// recorded BENCH_7 makespans, bit for bit, with the executors pipelined and
-// inline (bench/ compares its own copy of the fleet, not this one): the
+// recorded BENCH_7 makespans, bit for bit (bench/ compares its own copy of
+// the fleet, not this one): the
 // fleet's VPStream numbering and AllocVP addresses must not move a
 // simulated nanosecond.
 func TestMultiGPUScalingMatchesBENCH7(t *testing.T) {
@@ -138,15 +107,13 @@ func TestMultiGPUScalingMatchesBENCH7(t *testing.T) {
 	if len(devCounts) != 3 {
 		t.Fatalf("BENCH_7.json lists %d points, want 3", len(devCounts))
 	}
-	for _, pipeline := range []bool{true, false} {
-		r, err := MultiGPUScalingOpt(golden.Study.VPs, golden.Study.Scale, devCounts, pipeline)
-		if err != nil {
-			t.Fatalf("pipeline=%v: %v", pipeline, err)
-		}
-		for i, p := range r.Points {
-			if want := golden.Study.Points[i].Makespan; p.MakespanSec != want {
-				t.Errorf("pipeline=%v, %d devices: makespan %v, BENCH_7 records %v", pipeline, p.Devices, p.MakespanSec, want)
-			}
+	r, err := MultiGPUScaling(golden.Study.VPs, golden.Study.Scale, devCounts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range r.Points {
+		if want := golden.Study.Points[i].Makespan; p.MakespanSec != want {
+			t.Errorf("%d devices: makespan %v, BENCH_7 records %v", p.Devices, p.MakespanSec, want)
 		}
 	}
 }
@@ -184,18 +151,19 @@ func TestFarmFleetClosesOnProvisionError(t *testing.T) {
 // VPs run one after another (each fully closed before the next dials) because
 // the property under test is the serving stack, not client scheduling: with a
 // fixed registration order the placement, and hence every downstream byte,
-// must not depend on worker-pool size or execution mode.
-func multiRemoteRun(t *testing.T, workers int, pipeline bool) (assign string, d2h, metricsJSON, traceJSON []byte) {
+// must not depend on worker-pool size or GOMAXPROCS.
+func multiRemoteRun(t *testing.T, workers int) (assign string, d2h, metricsJSON, traceJSON []byte) {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.Workers = workers
 	opts.Trace = true
-	opts.Pipeline = pipeline
 	ms, err := core.NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ms.Close()
+	for i := 0; i < ms.Devices(); i++ {
+		ms.Device(i).GPU.Workers = workers
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -284,29 +252,25 @@ func multiRemoteRun(t *testing.T, workers int, pipeline bool) (assign string, d2
 // TestMultiDeviceRemoteDeterminism is the multi-GPU half of the determinism
 // contract: with a fixed VP registration order, the placement decisions, D2H
 // payloads, aggregated metrics snapshot, and merged trace are byte-identical
-// across worker-pool sizes, pipelined vs synchronous execution, and
-// GOMAXPROCS 1 vs 4 (a pipelined farm on a single-core host must still
-// simulate the same bytes, just without the wall-clock overlap).
+// across worker-pool sizes and GOMAXPROCS 1 vs 4 (a pipelined farm on a
+// single-core host must still simulate the same bytes, just without the
+// wall-clock overlap).
 func TestMultiDeviceRemoteDeterminism(t *testing.T) {
 	type run struct {
 		workers  int
-		pipeline bool
 		maxprocs int // 0 = leave the test binary's setting alone
 	}
-	runs := []run{
-		{1, true, 0},
-		{4, true, 0},
-		{1, false, 0},
-		{4, false, 0},
-		{4, true, 1},
-		{4, false, 1},
-		{4, true, 4},
+	var runs []run
+	for _, maxprocs := range []int{0, 1, 4} {
+		for _, workers := range []int{1, 4} {
+			runs = append(runs, run{workers, maxprocs})
+		}
 	}
 	do := func(r run) (string, []byte, []byte, []byte) {
 		if r.maxprocs > 0 {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(r.maxprocs))
 		}
-		return multiRemoteRun(t, r.workers, r.pipeline)
+		return multiRemoteRun(t, r.workers)
 	}
 	refAssign, refD2H, refMetrics, refTrace := do(runs[0])
 	if refAssign != "[0 1 0 1]" {
@@ -319,7 +283,7 @@ func TestMultiDeviceRemoteDeterminism(t *testing.T) {
 		t.Fatal("reference run produced no trace records")
 	}
 	for _, r := range runs[1:] {
-		name := fmt.Sprintf("workers=%d/pipeline=%v/maxprocs=%d", r.workers, r.pipeline, r.maxprocs)
+		name := fmt.Sprintf("workers=%d/maxprocs=%d", r.workers, r.maxprocs)
 		assign, d2h, metricsJSON, traceJSON := do(r)
 		if assign != refAssign {
 			t.Errorf("%s: placement %s differs from reference %s", name, assign, refAssign)

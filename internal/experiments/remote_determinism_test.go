@@ -23,9 +23,9 @@ import (
 func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, traceJSON []byte) {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.Workers = workers
 	opts.Trace = true
 	svc := core.NewService(opts)
+	svc.GPU.Workers = workers
 
 	var client ipc.Client
 	switch transport {

@@ -91,8 +91,8 @@ type Job struct {
 	// retired, when non-nil, is closed once the executor batch containing
 	// the job has fully retired — the batch's every job has run AND all of
 	// its dispatch accounting (events, latency histograms) is recorded. Set
-	// by the pipelined executor before handoff; nil for jobs dispatched
-	// synchronously or cancelled while still queued.
+	// before the batch is handed to the executor; nil for jobs run outside
+	// one or cancelled while still queued.
 	retired <-chan struct{}
 }
 
@@ -105,7 +105,7 @@ func (j *Job) BindBatch(done <-chan struct{}) { j.retired = done }
 // AwaitRetired blocks until the job's batch has fully retired. Call it only
 // after Wait has returned: a finished job either went through an executor
 // (retired set before its Finish) or never will (cancelled in the queue), so
-// the read is race-free. No-op on the synchronous dispatch path.
+// the read is race-free. No-op for a job no executor ran.
 func (j *Job) AwaitRetired() {
 	if j.retired != nil {
 		<-j.retired

@@ -39,8 +39,7 @@ quiet "$bin/sigmavp" -workers 1 -metrics "$out/m.json" all
 for drill in faults overload migrate checkpoint; do
   quiet "$bin/sigmavp" "$drill"
 done
-quiet "$bin/sigmavp" -pipeline=true multigpu
-quiet "$bin/sigmavp" -pipeline=false multigpu
+quiet "$bin/sigmavp" multigpu
 
 # Guest applications on both back ends, the estimation path, the examples.
 for backend in sigma emul; do
