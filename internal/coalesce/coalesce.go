@@ -338,7 +338,7 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	}
 	shape := mergedShape(members)
 	prof, iv, err := gpu.RunPriced(stream, kernel.Name, shape, priced, func() error {
-		return runPieces(gpu.Mem, gpu.Workers, members)
+		return runPieces(gpu, members)
 	})
 	if err != nil {
 		return err
@@ -375,25 +375,44 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 // runPieces is the functional half of a merged launch: every member's kernel
 // on the member's own allocations, bound by the unmerged launch's rule
 // (hostgpu.Launch.Bind: read-only parameters are views, writable ones private
-// copies), so each member computes exactly what it would have alone. The
-// pieces are independent — their writes go to private copies and no device
-// byte changes while a view is live — so they fan out over the device's
-// worker budget; a piece without native code interprets its blocks on the
-// share of the budget its goroutine stands for. The merge stays
-// all-or-nothing: nothing is written back until every piece has run without
-// error, then the write-backs go in member order (the scatter's order, which
-// decides who wins when two members share a writable allocation: each commit
-// swaps the member's copy in and the last one stays), and the error returned
-// is the lowest-index piece's, as from a serial loop, with every copy released.
-func runPieces(mem *devmem.Mem, workers int, members []*sched.Job) error {
+// copies), so each member computes exactly what it would have alone. A member
+// whose run would leave device memory as it is (hostgpu.GPU.Elide) is skipped,
+// each one judged before any piece runs, and the pieces that run are recorded
+// for the next judgement once every write-back is done; when members share a
+// writable allocation, whose final bytes then depend on the write-back order,
+// every piece runs and none is recorded. The pieces are independent — their
+// writes go to private copies and no device byte changes while a view is
+// live — so they fan out over the device's worker budget; a piece without
+// native code interprets its blocks on the share of the budget its goroutine
+// stands for. The merge stays all-or-nothing: nothing is written back until
+// every piece has run without error, then the write-backs go in member order
+// (the scatter's order, which decides who wins when two members share a
+// writable allocation: each commit swaps the member's copy in and the last one
+// stays), and the error returned is the lowest-index piece's, as from a serial
+// loop, with every copy released.
+func runPieces(gpu *hostgpu.GPU, members []*sched.Job) error {
+	elide := !sharesWritable(members)
+	run := members
+	if elide {
+		run = make([]*sched.Job, 0, len(members))
+		for _, m := range members {
+			if !gpu.Elide(m.Launch) {
+				run = append(run, m)
+			}
+		}
+	}
+	if len(run) == 0 {
+		return nil
+	}
+	workers := gpu.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	fan := min(workers, len(members))
-	envs := make([]*kpl.Env, len(members))
-	err := par.ForEach(len(members), fan, func(i int) error {
-		l := members[i].Launch
-		env, err := l.Bind("hostgpu", mem)
+	fan := min(workers, len(run))
+	envs := make([]*kpl.Env, len(run))
+	err := par.ForEach(len(run), fan, func(i int) error {
+		l := run[i].Launch
+		env, err := l.Bind("hostgpu", gpu.Mem)
 		if err != nil {
 			return err
 		}
@@ -403,15 +422,48 @@ func runPieces(mem *devmem.Mem, workers int, members []*sched.Job) error {
 	if err != nil {
 		for i, env := range envs {
 			if env != nil {
-				members[i].Launch.Release(env)
+				run[i].Launch.Release(env)
 			}
 		}
 		return err
 	}
-	for i, m := range members {
-		if err := m.Launch.WriteBack(mem, envs[i]); err != nil {
+	for i, m := range run {
+		if err := m.Launch.WriteBack(gpu.Mem, envs[i]); err != nil {
 			return err
 		}
 	}
+	if elide {
+		for _, m := range run {
+			gpu.RecordRun(m.Launch)
+		}
+	}
 	return nil
+}
+
+// sharesWritable reports whether a member binds, writable, an allocation
+// another member binds too.
+func sharesWritable(members []*sched.Job) bool {
+	type binding struct {
+		ptr      devmem.Ptr
+		member   int
+		writable bool
+	}
+	var arr [64]binding
+	all := arr[:0]
+	for i, m := range members {
+		for _, decl := range m.Launch.Kernel.Bufs {
+			all = append(all, binding{m.Launch.Bindings[decl.Name], i, !decl.ReadOnly})
+		}
+	}
+	for _, a := range all {
+		if !a.writable {
+			continue
+		}
+		for _, b := range all {
+			if b.ptr == a.ptr && b.member != a.member {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -15,7 +15,11 @@
 // executor's own goroutine, overlapping guest submission with device
 // simulation, or on a goroutine draining the device; after Close the
 // submitter drains its own batch. Whoever runs it, the simulated results are
-// byte-identical. Admission gates (admission.go) bound the queue per VP, per device, and per farm,
+// byte-identical. The batch's host-side byte moves (devmem.Moves) and the
+// launches whose functional half the device skipped because it would leave
+// device memory as it is (hostgpu.GPU.Elide) are counted into the host
+// family core.exec. — core.exec.launches_elided among them — by the token
+// holder after each batch. Admission gates (admission.go) bound the queue per VP, per device, and per farm,
 // shedding excess with typed, retryable overload responses instead of
 // queueing without limit.
 //

@@ -96,7 +96,8 @@ type Service struct {
 	exec *executor
 	adm  *admission
 
-	moved devmem.Moves // as of the last countMoves
+	moved  devmem.Moves // as of the last countMoves
+	elided int64        // GPU.Elided as of the last countMoves
 }
 
 // vpState is one VP's shard: its VP-control state and its pointer table.
@@ -500,9 +501,10 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 	}
 }
 
-// countMoves adds the batch's devmem.Moves to the core.exec counters, each
+// countMoves adds the batch's devmem.Moves, and the launches whose functional
+// half it skipped (hostgpu.GPU.Elide), to the core.exec counters, each
 // appearing once non-zero. Only the token holder running the batch calls it,
-// so moved has one owner.
+// so moved and elided have one owner.
 func (s *Service) countMoves() {
 	mv := s.GPU.Mem.Moves()
 	add := func(name string, n int64) {
@@ -515,7 +517,9 @@ func (s *Service) countMoves() {
 	add("core.exec.writebacks_swapped", mv.Swapped-s.moved.Swapped)
 	add("core.exec.writebacks_copied", mv.Copied-s.moved.Copied)
 	add("core.exec.bind_uncopied_bytes", mv.UncopiedBytes-s.moved.UncopiedBytes)
-	s.moved = mv
+	elided := s.GPU.Elided()
+	add("core.exec.launches_elided", elided-s.elided)
+	s.moved, s.elided = mv, elided
 }
 
 // Sync returns the simulated completion time of all dispatched work,

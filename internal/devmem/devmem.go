@@ -45,12 +45,37 @@ type Mem struct {
 	mu       sync.Mutex
 	next     Ptr
 	allocs   map[Ptr][]byte
-	unbacked map[Ptr]int // reservations (Reserve): ptr → size; they have no bytes
-	reserved map[Ptr]Ptr // ptr → aligned span length in the address space
-	free     []span      // address-sorted, coalesced free regions
+	unbacked map[Ptr]int    // reservations (Reserve): ptr → size; they have no bytes
+	reserved map[Ptr]extent // every allocation and reservation, by ptr
+	free     []span         // address-sorted, coalesced free regions
 	used     int64
 	capacity int64
 	moves    Moves
+	gen      uint64 // the last generation handed out (Gen)
+}
+
+// extent is a live allocation's or reservation's place in the address space
+// and its generation.
+type extent struct {
+	size Ptr    // aligned span length
+	gen  uint64 // a value of Mem.gen, taken afresh by every change
+}
+
+// Gen returns the generation of the allocation or reservation at p, or 0 when
+// there is none. It changes whenever the allocation's bytes may have changed
+// — every write, fill, adoption, write-back or commit — and a freed address
+// allocated again starts a generation no earlier allocation ever had, so
+// equal generations mean the same allocation with the same bytes.
+func (m *Mem) Gen(p Ptr) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.reserved[p].gen
+}
+
+// bump gives the allocation at p a fresh generation. The caller holds mu.
+func (m *Mem) bump(p Ptr) {
+	m.gen++
+	m.reserved[p] = extent{size: m.reserved[p].size, gen: m.gen}
 }
 
 // Moves counts how bytes entered allocations, for the host's accounting: H2D
@@ -77,7 +102,7 @@ func New(capacity int64) *Mem {
 		next:     base,
 		allocs:   map[Ptr][]byte{},
 		unbacked: map[Ptr]int{},
-		reserved: map[Ptr]Ptr{},
+		reserved: map[Ptr]extent{},
 		capacity: capacity,
 	}
 }
@@ -142,7 +167,8 @@ func (m *Mem) alloc(n int, backed bool) (Ptr, error) {
 	} else {
 		m.unbacked[p] = n
 	}
-	m.reserved[p] = need
+	m.gen++
+	m.reserved[p] = extent{size: need, gen: m.gen}
 	m.used += int64(n)
 	return p, nil
 }
@@ -197,7 +223,8 @@ func (m *Mem) AllocAt(p Ptr, n int) error {
 		}
 	}
 	m.allocs[p] = make([]byte, n)
-	m.reserved[p] = need
+	m.gen++
+	m.reserved[p] = extent{size: need, gen: m.gen}
 	m.used += int64(n)
 	return nil
 }
@@ -244,7 +271,7 @@ func (m *Mem) Free(p Ptr) error {
 	m.used -= int64(n)
 	delete(m.allocs, p)
 	delete(m.unbacked, p)
-	size := m.reserved[p]
+	size := m.reserved[p].size
 	delete(m.reserved, p)
 	m.insertFree(span{addr: p, size: size})
 	// Retract the bump pointer over a trailing free region.
@@ -378,6 +405,7 @@ func (m *Mem) writeLocked(p Ptr, off int, data []byte) error {
 	}
 	copy(b[off:], data)
 	m.moves.CopiedBytes += int64(len(data))
+	m.bump(p)
 	return nil
 }
 
@@ -390,6 +418,7 @@ func (m *Mem) Adopt(p Ptr, off int, pl *Payload) error {
 	if b, ok := m.allocs[p]; ok && off == 0 && len(pl.B) == len(b) {
 		m.allocs[p], pl.B = pl.B, b
 		m.moves.AdoptedBytes += int64(len(b))
+		m.bump(p)
 		return nil
 	}
 	return m.writeLocked(p, off, pl.B)
@@ -409,6 +438,7 @@ func (m *Mem) Fill(p Ptr, off, n int, value byte) error {
 	if !InRange(off, n, len(b)) {
 		return fmt.Errorf("devmem: fill of %d bytes at %d outside allocation of %d bytes", n, off, len(b))
 	}
+	m.bump(p)
 	b = b[off : off+n]
 	if value == 0 {
 		clear(b)
@@ -558,6 +588,7 @@ func (m *Mem) writeBufferLocked(p Ptr, buf *kpl.Buffer) error {
 	}
 	BufferToBytes(buf, raw)
 	m.moves.Copied++
+	m.bump(p)
 	return nil
 }
 
@@ -578,6 +609,7 @@ func (m *Mem) Commit(p Ptr, buf *kpl.Buffer) error {
 	m.allocs[p] = s
 	putBytes(b)
 	m.moves.Swapped++
+	m.bump(p)
 	return nil
 }
 

@@ -27,6 +27,17 @@
 // expose the load signals the multi-GPU placement policies (paper §V's
 // multi-device serving extension) score devices by.
 //
+// Every allocation and reservation carries a generation (Gen), drawn from one
+// counter per Mem that only goes up: Alloc, Reserve, AllocAt, Write, Adopt,
+// Fill, WriteBuffer and Commit each give the allocation they change a fresh
+// value, reads take none, and Free drops it, so an address allocated again
+// never has a generation an earlier allocation had. Two equal generations of
+// one address mean the same allocation with the same bytes; the host GPU
+// model skips a launch that would rewrite bytes that have not changed since
+// that launch last wrote them by this alone. A new method that changes bytes
+// must take a generation (TestGenerationContract classifies every exported
+// method).
+//
 // For VP checkpoint/restore and live migration, core reads each allocation a
 // VP owns (Read) and re-creates it elsewhere: AllocAt pins an allocation at
 // its original address when the span is free, core falls back to a fresh

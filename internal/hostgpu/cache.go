@@ -170,10 +170,23 @@ func (g *GPU) cacheLookup(key []byte) *Priced {
 	return e
 }
 
+// timingCacheCap bounds a device's timing cache. The key holds whatever
+// parameters a guest sends, so a served guest varying a scalar, or naming a
+// parameter the kernel does not declare, would otherwise add an entry per
+// launch for the daemon's life; the registry's studies (sigmavp all) miss
+// fewer than 300 times.
+const timingCacheCap = 4096
+
+// cacheStore memoizes e under key. A store into a full cache starts it over:
+// an entry only spares a recomputation of the same pricing, so dropping
+// entries changes no result.
 func (g *GPU) cacheStore(key []byte, e *Priced) {
 	g.cacheMu.Lock()
 	if g.timingCache == nil {
 		g.timingCache = map[string]*Priced{}
+	}
+	if len(g.timingCache) >= timingCacheCap {
+		clear(g.timingCache)
 	}
 	g.timingCache[string(key)] = e
 	g.cacheMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -164,6 +165,11 @@ type GPU struct {
 
 	cacheMu     sync.RWMutex
 	timingCache map[string]*Priced
+
+	recMu       sync.Mutex
+	records     map[devmem.Ptr]*runRecord // Elide's records, by first writable allocation
+	recordSweep int                       // len(records) at which RecordRun drops stale ones
+	elided      atomic.Int64
 }
 
 // New returns a GPU with the given descriptor and device memory capacity.
@@ -303,7 +309,9 @@ func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) 
 // LaunchPriced is Launch at a pricing the caller keeps: *p when it is set
 // (Price's result for this launch), otherwise the launch is priced here and
 // *p records it. A kernel job runs through it with the pricing it carries, so
-// a launch the coalescer's win predictor priced is not priced again.
+// a launch the coalescer's win predictor priced is not priced again. A launch
+// whose run would leave device memory as it is (Elide) is priced, scheduled
+// and profiled like any other, but its functional half is skipped.
 func (g *GPU) LaunchPriced(stream int, l *Launch, p **Priced) (*profile.Profile, Interval, error) {
 	if l.Kernel == nil || l.Prog == nil {
 		return nil, Interval{}, fmt.Errorf("hostgpu: launch without kernel or program")
@@ -319,11 +327,18 @@ func (g *GPU) LaunchPriced(stream int, l *Launch, p **Priced) (*profile.Profile,
 		*p = priced
 	}
 	return g.RunPriced(stream, l.Kernel.Name, l.Shape(), *p, func() error {
+		if g.Elide(l) {
+			return nil
+		}
 		env, err := l.Bind("hostgpu", g.Mem)
 		if err != nil {
 			return err
 		}
-		return l.Exec("hostgpu", g.Mem, env, nil, g.Workers)
+		if err := l.Exec("hostgpu", g.Mem, env, nil, g.Workers); err != nil {
+			return err
+		}
+		g.RecordRun(l)
+		return nil
 	})
 }
 

@@ -58,7 +58,7 @@ func coverage(k *kpl.Kernel, blocks []*Block) []cover {
 	var covers []cover
 	for i := range k.Bufs {
 		d := &k.Bufs[i]
-		if d.ReadOnly || slices.ContainsFunc(blocks, func(b *Block) bool { return b.BufLd[d.Name] > 0 }) {
+		if d.ReadOnly || loaded(blocks, d.Name) {
 			continue
 		}
 		for _, s := range k.Body {
@@ -72,6 +72,12 @@ func coverage(k *kpl.Kernel, blocks []*Block) []cover {
 		}
 	}
 	return covers
+}
+
+// loaded reports whether any of blocks loads buf or updates it atomically
+// (an atomic counts as a load in BufLd).
+func loaded(blocks []*Block, buf string) bool {
+	return slices.ContainsFunc(blocks, func(b *Block) bool { return b.BufLd[buf] > 0 })
 }
 
 // coverOf matches one top-level statement against the two shapes for buffer

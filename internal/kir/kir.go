@@ -20,6 +20,7 @@ package kir
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/kpl"
@@ -74,9 +75,10 @@ type Program struct {
 	Kernel *kpl.Kernel
 	Root   *Block
 
-	identity uint64
-	dynamic  bool
-	covers   []cover // per buffer, indexed like Kernel.Bufs; nil when none is covered
+	identity  uint64
+	dynamic   bool
+	writeOnly bool
+	covers    []cover // per buffer, indexed like Kernel.Bufs; nil when none is covered
 }
 
 // Identity is what a launch of the kernel is matched and priced by: the
@@ -89,6 +91,12 @@ func (p *Program) Identity() uint64 { return p.identity }
 // NeedsDynamicProfile reports whether any loop's λ is data-dependent, i.e.
 // Sigma requires dynamic statistics for this kernel.
 func (p *Program) NeedsDynamicProfile() bool { return p.dynamic }
+
+// WriteOnly reports whether the kernel never loads, nor atomically updates,
+// any of its writable buffers: what it stores then depends on its read-only
+// buffers, its parameters and the launch geometry alone, never on what its
+// writable buffers held before.
+func (p *Program) WriteOnly() bool { return p.writeOnly }
 
 // Analyze lowers the kernel. The kernel must already Validate.
 func Analyze(k *kpl.Kernel) (*Program, error) {
@@ -109,6 +117,7 @@ func Analyze(k *kpl.Kernel) (*Program, error) {
 			break
 		}
 	}
+	p.writeOnly = !slices.ContainsFunc(k.Bufs, func(d kpl.BufDecl) bool { return !d.ReadOnly && loaded(blocks, d.Name) })
 	p.covers = coverage(k, blocks)
 	return p, nil
 }
