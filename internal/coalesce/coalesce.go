@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -266,7 +267,7 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) (*hostgpu.Priced, bool) {
 // The member jobs are finished with their share of the result.
 func Merge(g *hostgpu.GPU, members []*sched.Job) *sched.Job {
 	first := members[0].Launch
-	label := fmt.Sprintf("coalesced %s ×%d", first.Kernel.Name, len(members))
+	label := "coalesced " + first.Kernel.Name + " ×" + strconv.Itoa(len(members))
 	run := func(mj *sched.Job, gpu *hostgpu.GPU) error {
 		err := runMerged(mj, gpu, members) // fills member profiles on success
 		for _, m := range members {

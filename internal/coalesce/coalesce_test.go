@@ -111,6 +111,20 @@ func TestMergeExecutesAllPieces(t *testing.T) {
 	}
 }
 
+// TestMergeLabel pins the merged job's label, which traces and job events
+// carry.
+func TestMergeLabel(t *testing.T) {
+	g := hostgpu.New(arch.Quadro4000(), 1<<28)
+	var members []*sched.Job
+	for vp := 1; vp <= 3; vp++ {
+		j, _ := vecAddJob(t, g, vp, 64)
+		members = append(members, j)
+	}
+	if got, want := Merge(g, members).Label, "coalesced vectorAdd ×3"; got != want {
+		t.Errorf("label %q, want %q", got, want)
+	}
+}
+
 // TestCoalescingIsFaster: one merged launch of N 1-block grids beats N
 // serialized launches (Fig. 10a's parallelism + launch-overhead gain).
 func TestCoalescingIsFaster(t *testing.T) {

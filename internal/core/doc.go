@@ -18,8 +18,9 @@
 // byte-identical. The batch's host-side byte moves (devmem.Moves) and the
 // launches whose functional half the device skipped because it would leave
 // device memory as it is (hostgpu.GPU.Elide) are counted into the host
-// family core.exec. — core.exec.launches_elided among them — by the token
-// holder after each batch. Admission gates (admission.go) bound the queue per VP, per device, and per farm,
+// family core.exec. — core.exec.h2d_unchanged_bytes, for H2D bytes compared
+// equal to those they would overwrite, and core.exec.launches_elided among them — by
+// the token holder after each batch. Admission gates (admission.go) bound the queue per VP, per device, and per farm,
 // shedding excess with typed, retryable overload responses instead of
 // queueing without limit.
 //

@@ -222,8 +222,10 @@ func TestMetricsDomainSplit(t *testing.T) {
 
 	// domainSession launches nothing, and a byte-movement counter appears
 	// once non-zero, so the launch-side ones are pinned on a served vectorAdd:
-	// its whole-allocation H2Ds are adopted, and its copy of "out" takes none
-	// of out's bytes, all of which the kernel overwrites, and is swapped in.
+	// its whole-allocation H2Ds of the inputs are adopted, its H2D of zeros
+	// into the fresh "out" changes no byte and is counted unchanged, and its
+	// copy of "out" takes none of out's bytes, all of which the kernel
+	// overwrites, and is swapped in.
 	lm, call, _ := servedSession(t)
 	s := newVectorAddSession(t, call, 0, 1<<10, 1, make([]byte, 4<<10))
 	if err := s.launch(1 << 10); err != nil {
@@ -245,9 +247,9 @@ func TestMetricsDomainSplit(t *testing.T) {
 // on a one-device farm, bare and per device.
 var launchExecInstruments = []string{
 	"core.exec.batches", "core.exec.batches_by_drainer", "core.exec.bind_uncopied_bytes",
-	"core.exec.h2d_adopted_bytes", "core.exec.queue_depth", "core.exec.queue_depth_hw",
-	"core.exec.writebacks_swapped",
+	"core.exec.h2d_adopted_bytes", "core.exec.h2d_unchanged_bytes", "core.exec.queue_depth",
+	"core.exec.queue_depth_hw", "core.exec.writebacks_swapped",
 	"gpu0.core.exec.batches", "gpu0.core.exec.batches_by_drainer", "gpu0.core.exec.bind_uncopied_bytes",
-	"gpu0.core.exec.h2d_adopted_bytes", "gpu0.core.exec.queue_depth", "gpu0.core.exec.queue_depth_hw",
-	"gpu0.core.exec.writebacks_swapped",
+	"gpu0.core.exec.h2d_adopted_bytes", "gpu0.core.exec.h2d_unchanged_bytes", "gpu0.core.exec.queue_depth",
+	"gpu0.core.exec.queue_depth_hw", "gpu0.core.exec.writebacks_swapped",
 }

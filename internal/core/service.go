@@ -514,6 +514,7 @@ func (s *Service) countMoves() {
 	}
 	add("core.exec.h2d_adopted_bytes", mv.AdoptedBytes-s.moved.AdoptedBytes)
 	add("core.exec.h2d_copied_bytes", mv.CopiedBytes-s.moved.CopiedBytes)
+	add("core.exec.h2d_unchanged_bytes", mv.UnchangedBytes-s.moved.UnchangedBytes)
 	add("core.exec.writebacks_swapped", mv.Swapped-s.moved.Swapped)
 	add("core.exec.writebacks_copied", mv.Copied-s.moved.Copied)
 	add("core.exec.bind_uncopied_bytes", mv.UncopiedBytes-s.moved.UncopiedBytes)

@@ -1,6 +1,7 @@
 package devmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,16 +55,20 @@ type Mem struct {
 	gen      uint64 // the last generation handed out (Gen)
 }
 
-// extent is a live allocation's or reservation's place in the address space
-// and its generation.
+// extent is a live allocation's or reservation's place in the address space,
+// its generation, and how its copy-ins have compared (unchanged).
 type extent struct {
 	size Ptr    // aligned span length
 	gen  uint64 // a value of Mem.gen, taken afresh by every change
+	// misses counts the copy-in compares in a row that found new bytes, and
+	// skip the copy-ins still to take as new without a compare.
+	misses, skip uint8
 }
 
 // Gen returns the generation of the allocation or reservation at p, or 0 when
 // there is none. It changes whenever the allocation's bytes may have changed
-// — every write, fill, adoption, write-back or commit — and a freed address
+// — every fill, write-back or commit, and every write or adoption that
+// changes a byte or is not compared (unchanged) — and a freed address
 // allocated again starts a generation no earlier allocation ever had, so
 // equal generations mean the same allocation with the same bytes.
 func (m *Mem) Gen(p Ptr) uint64 {
@@ -75,18 +80,21 @@ func (m *Mem) Gen(p Ptr) uint64 {
 // bump gives the allocation at p a fresh generation. The caller holds mu.
 func (m *Mem) bump(p Ptr) {
 	m.gen++
-	m.reserved[p] = extent{size: m.reserved[p].size, gen: m.gen}
+	e := m.reserved[p]
+	e.gen = m.gen
+	m.reserved[p] = e
 }
 
 // Moves counts how bytes entered allocations, for the host's accounting: H2D
 // bytes adopted (Adopt of a whole allocation) or copied (Write, any other
-// Adopt), write-backs swapped in (Commit) or copied (WriteBuffer), and the
-// bytes of writable copies BindParam left unfilled because the launch
-// overwrites them.
+// Adopt), H2D bytes compared equal to the range they were to overwrite and so
+// moved nowhere and kept the generation (Write or Adopt), write-backs swapped
+// in (Commit) or copied (WriteBuffer), and the bytes of writable copies
+// BindParam left unfilled because the launch overwrites them.
 type Moves struct {
-	AdoptedBytes, CopiedBytes int64
-	Swapped, Copied           int64
-	UncopiedBytes             int64
+	AdoptedBytes, CopiedBytes, UnchangedBytes int64
+	Swapped, Copied                           int64
+	UncopiedBytes                             int64
 }
 
 // Moves returns the counts so far.
@@ -387,14 +395,17 @@ func InRange(off, n, size int) bool {
 }
 
 // Write copies data into the allocation at p starting at off (an H2D copy).
+// Data compared equal to the bytes it would overwrite (unchanged) is not
+// copied, and the allocation keeps its generation.
 func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.writeLocked(p, off, data)
 }
 
-// writeLocked checks [off, off+len(data)) against the allocation at p, copies
-// data there and counts it as copied. The caller holds mu.
+// writeLocked checks [off, off+len(data)) against the allocation at p, and
+// copies data there and counts it as copied unless the range already holds
+// it. The caller holds mu.
 func (m *Mem) writeLocked(p Ptr, off int, data []byte) error {
 	b, err := m.backing(p, "write to")
 	if err != nil {
@@ -403,19 +414,62 @@ func (m *Mem) writeLocked(p Ptr, off int, data []byte) error {
 	if !InRange(off, len(data), len(b)) {
 		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), len(b))
 	}
+	if m.unchanged(p, b[off:off+len(data)], data) {
+		return nil
+	}
 	copy(b[off:], data)
 	m.moves.CopiedBytes += int64(len(data))
 	m.bump(p)
 	return nil
 }
 
+// The copy-in compare backs off on an allocation whose copy-ins keep bringing
+// new bytes, since each such compare is a read pass for nothing: once
+// backoffAfter compares in a row have found a difference, each further one
+// makes the next 2^k − 1 copy-ins skip the compare, k = 1, 2, … up to
+// maxBackoff. A guest that streams fresh input then pays the pass on one
+// copy-in in 64, and one that goes back to re-sending equal bytes keeps its
+// generation again within 63 copy-ins.
+const backoffAfter, maxBackoff = 3, 6
+
+// unchanged reports whether data equals dst, the range of the allocation at p
+// it is to overwrite, and counts its bytes as unchanged if so. A copy-in the
+// backoff skips is reported changed, which is what it was before any compare:
+// it costs an elision, never a byte. The caller holds mu.
+func (m *Mem) unchanged(p Ptr, dst, data []byte) bool {
+	e := m.reserved[p]
+	switch {
+	case e.skip > 0:
+		e.skip--
+	case bytes.Equal(dst, data):
+		if e.misses > 0 {
+			e.misses = 0
+			m.reserved[p] = e
+		}
+		m.moves.UnchangedBytes += int64(len(data))
+		return true
+	default:
+		e.misses = min(e.misses+1, backoffAfter+maxBackoff)
+		if e.misses > backoffAfter {
+			e.skip = 1<<(e.misses-backoffAfter) - 1
+		}
+	}
+	m.reserved[p] = e
+	return false
+}
+
 // Adopt is Write of a payload the allocation may keep: one covering the whole
 // allocation becomes its backing and pl is left holding the displaced one;
-// any other is copied. The caller releases pl either way.
+// any other is copied. A payload compared equal to the bytes it would
+// overwrite (unchanged) is neither, and the allocation keeps its generation.
+// The caller releases pl either way.
 func (m *Mem) Adopt(p Ptr, off int, pl *Payload) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if b, ok := m.allocs[p]; ok && off == 0 && len(pl.B) == len(b) {
+		if m.unchanged(p, b, pl.B) {
+			return nil
+		}
 		m.allocs[p], pl.B = pl.B, b
 		m.moves.AdoptedBytes += int64(len(b))
 		m.bump(p)

@@ -28,11 +28,21 @@
 // multi-device serving extension) score devices by.
 //
 // Every allocation and reservation carries a generation (Gen), drawn from one
-// counter per Mem that only goes up: Alloc, Reserve, AllocAt, Write, Adopt,
-// Fill, WriteBuffer and Commit each give the allocation they change a fresh
-// value, reads take none, and Free drops it, so an address allocated again
-// never has a generation an earlier allocation had. Two equal generations of
-// one address mean the same allocation with the same bytes; the host GPU
+// counter per Mem that only goes up: Alloc, Reserve, AllocAt, Fill,
+// WriteBuffer and Commit each give the allocation they change a fresh value,
+// reads take none, and Free drops it, so an address allocated again never has
+// a generation an earlier allocation had. Write and Adopt first compare the
+// incoming bytes with the range they would overwrite: bytes that differ are
+// copied or adopted under a fresh value, equal ones move nowhere and the
+// allocation keeps its generation (Moves.UnchangedBytes counts them), so a
+// guest that re-sends the bytes an allocation holds leaves them as they
+// were. A compare that finds new bytes is a read pass for nothing, so on an
+// allocation whose copy-ins keep differing the compare backs off, down to one
+// copy-in in 64; a skipped copy-in takes a fresh value as before. Fill,
+// WriteBuffer and Commit compare nothing: a memset before a
+// write-only kernel lands on that kernel's last output, and a write-back
+// compare would cost the pass an elided launch saves. Two equal generations
+// of one address mean the same allocation with the same bytes; the host GPU
 // model skips a launch that would rewrite bytes that have not changed since
 // that launch last wrote them by this alone. A new method that changes bytes
 // must take a generation (TestGenerationContract classifies every exported

@@ -9,14 +9,22 @@ import (
 )
 
 // TestGenerationContract classifies every exported method of *Mem: a mutator
-// must give the allocation it touches a fresh generation, a reader must leave
-// every generation as it was, and Free must drop the allocation's. The
-// inventory is reflective, so a method added without a classification fails
-// here.
+// that changes bytes must give the allocation it touches a fresh generation,
+// a Write or Adopt that changes none must keep it, a reader must leave every
+// generation as it was, and Free must drop the allocation's. The inventory is
+// reflective, so a method added without a classification fails here.
 func TestGenerationContract(t *testing.T) {
 	decl := &kpl.BufDecl{Name: "x", Elem: kpl.F32}
 	ro := &kpl.BufDecl{Name: "x", Elem: kpl.F32, ReadOnly: true}
 	const size = 1024
+	// Every mutator writes bytes that differ from the fixture's zeros.
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i%251 + 1)
+		}
+		return b
+	}
 	mutators := map[string]func(m *Mem, p Ptr) (Ptr, error){
 		"Alloc":   func(m *Mem, _ Ptr) (Ptr, error) { return m.Alloc(size) },
 		"Reserve": func(m *Mem, _ Ptr) (Ptr, error) { return m.Reserve(size) },
@@ -30,16 +38,33 @@ func TestGenerationContract(t *testing.T) {
 		"Adopt": func(m *Mem, p Ptr) (Ptr, error) {
 			pl := NewPayload(size)
 			defer pl.Release()
+			copy(pl.B, pattern(size))
 			return p, m.Adopt(p, 0, pl)
 		},
-		"Fill":        func(m *Mem, p Ptr) (Ptr, error) { return p, m.Fill(p, 0, 16, 7) },
-		"WriteBuffer": func(m *Mem, p Ptr) (Ptr, error) { return p, m.WriteBuffer(p, kpl.NewBuffer(kpl.F32, 4)) },
+		"Fill": func(m *Mem, p Ptr) (Ptr, error) { return p, m.Fill(p, 0, 16, 7) },
+		"WriteBuffer": func(m *Mem, p Ptr) (Ptr, error) {
+			buf := kpl.NewBuffer(kpl.F32, 4)
+			buf.F32s[0] = 1
+			return p, m.WriteBuffer(p, buf)
+		},
 		"Commit": func(m *Mem, p Ptr) (Ptr, error) {
 			buf, err := m.BindParam(p, decl, 0)
 			if err != nil {
 				return 0, err
 			}
+			buf.F32s[0] = 1
 			return p, m.Commit(p, buf)
+		},
+	}
+	// keepers are the calls of Write and Adopt whose bytes equal what is
+	// there: they must keep every generation and count their bytes unchanged.
+	keepers := map[string]func(m *Mem, p Ptr) error{
+		"Write": func(m *Mem, p Ptr) error { return m.Write(p, 8, make([]byte, 3)) },
+		"Adopt": func(m *Mem, p Ptr) error {
+			pl := NewPayload(size)
+			defer pl.Release()
+			clear(pl.B)
+			return m.Adopt(p, 0, pl)
 		},
 	}
 	readers := map[string]func(m *Mem, p Ptr) error{
@@ -124,6 +149,19 @@ func TestGenerationContract(t *testing.T) {
 		}
 		if m.Gen(other) != otherBefore {
 			t.Errorf("%s changed a bystander's generation", name)
+		}
+	}
+	for name, call := range keepers {
+		m, p, other := fixture(t)
+		before, otherBefore := m.Gen(p), m.Gen(other)
+		if err := call(m, p); err != nil {
+			t.Fatalf("%s of equal bytes: %v", name, err)
+		}
+		if m.Gen(p) != before || m.Gen(other) != otherBefore {
+			t.Errorf("%s of equal bytes changed a generation", name)
+		}
+		if mv := m.Moves(); mv.UnchangedBytes == 0 || mv.CopiedBytes != 0 || mv.AdoptedBytes != 0 {
+			t.Errorf("%s of equal bytes counted %+v, want only unchanged bytes", name, mv)
 		}
 	}
 	for name, call := range readers {

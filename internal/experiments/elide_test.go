@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -212,5 +213,189 @@ func TestServedElisionMatchesFreshDevice(t *testing.T) {
 	for _, s := range steps {
 		s.change()
 		g.round(s.name)
+	}
+}
+
+// reuploadApp is one application of the re-uploading guest: its workload,
+// its launch over the guest's allocations, and the input bytes it copies in
+// every round.
+type reuploadApp struct {
+	bench  *kernels.Benchmark
+	w      *kernels.Workload
+	launch *hostgpu.Launch
+	inputs map[string][]byte
+}
+
+// freshOutputs runs the application once on a fresh device holding inputs
+// and returns its output buffers.
+func (a *reuploadApp) freshOutputs(t *testing.T) map[string][]byte {
+	t.Helper()
+	ref := hostgpu.New(arch.Quadro4000(), 1<<28)
+	l := a.bench.NewLaunch(a.w)
+	l.Bindings = map[string]devmem.Ptr{}
+	for _, decl := range a.bench.Kernel.Bufs {
+		p, err := ref.Mem.Alloc(a.w.BufBytes[decl.Name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in, ok := a.inputs[decl.Name]; ok {
+			if err := ref.Mem.Write(p, 0, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Bindings[decl.Name] = p
+	}
+	if _, _, err := ref.Launch(0, l); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, name := range a.w.OutBufs {
+		b, err := ref.Mem.Read(l.Bindings[name], 0, a.w.BufBytes[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// TestServedReuploadElision serves a guest that runs BlackScholes and
+// vectorAdd the way the benchmark's wire guests do — every round copies the
+// same input bytes in again, launches, and copies the outputs out — on a
+// two-device farm, with
+// one live migration partway. Re-uploaded inputs equal to what the device
+// holds change no generation, so every launch after the first on each device
+// is elided; every round's outputs are what a fresh device computes; and a
+// round whose re-upload changes one trailing byte runs its launch.
+func TestServedReuploadElision(t *testing.T) {
+	farm, err := serveFarm(core.DefaultOptions(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer farm.close()
+	c, err := farm.dial(elisionVP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := cudart.NewContext(elisionVP, cudart.NewRemoteBackend(c))
+
+	var apps []*reuploadApp
+	for _, name := range []string{"BlackScholes", "vectorAdd"} {
+		bench, err := kernels.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &reuploadApp{bench: bench, w: bench.MakeWorkload(1), inputs: map[string][]byte{}}
+		a.launch = bench.NewLaunch(a.w)
+		a.launch.Bindings = map[string]devmem.Ptr{}
+		for _, decl := range bench.Kernel.Bufs {
+			p, err := ctx.Malloc(a.w.BufBytes[decl.Name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.launch.Bindings[decl.Name] = p
+			if in, ok := a.w.Inputs[decl.Name]; ok {
+				a.inputs[decl.Name] = in
+			}
+		}
+		if len(a.inputs) == 0 {
+			t.Fatalf("%s has no inputs to copy in", name)
+		}
+		apps = append(apps, a)
+	}
+	elided := func() []int64 {
+		n := make([]int64, farm.ms.Devices())
+		for i := range n {
+			n[i] = farm.ms.Device(i).GPU.Elided()
+		}
+		return n
+	}
+
+	// round re-uploads every input, launches each application once and
+	// checks its outputs against a fresh device's, then returns how many of
+	// the round's launches each device elided.
+	round := func(step string) []int64 {
+		before := elided()
+		for _, a := range apps {
+			for _, decl := range a.bench.Kernel.Bufs {
+				if in, ok := a.inputs[decl.Name]; ok {
+					if err := ctx.MemcpyH2D(a.launch.Bindings[decl.Name], in); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+				}
+			}
+			if err := ctx.LaunchKernel(a.launch); err != nil {
+				t.Fatalf("%s: %s: %v", step, a.bench.Name, err)
+			}
+			want := a.freshOutputs(t)
+			for _, name := range a.w.OutBufs {
+				got, err := ctx.MemcpyD2H(a.launch.Bindings[name], a.w.BufBytes[name])
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if !bytes.Equal(got, want[name]) {
+					t.Errorf("%s: %s's %s differs from a fresh device's", step, a.bench.Name, name)
+				}
+			}
+		}
+		after := elided()
+		for i := range after {
+			after[i] -= before[i]
+		}
+		return after
+	}
+	device := func() int {
+		d, ok := farm.ms.Assignment(elisionVP)
+		if !ok {
+			t.Fatal("the guest is placed nowhere")
+		}
+		return d
+	}
+	// expect runs a round and requires the guest's device to elide want of
+	// its launches and the other device none.
+	expect := func(step string, want int64) {
+		t.Helper()
+		d := device()
+		for i, n := range round(step) {
+			w := int64(0)
+			if i == d {
+				w = want
+			}
+			if n != w {
+				t.Errorf("%s: device %d elided %d launches, want %d", step, i, n, w)
+			}
+		}
+	}
+
+	const rounds = 4
+	all := int64(len(apps))
+	expect("first round", 0)
+	for r := 1; r < rounds; r++ {
+		expect(fmt.Sprintf("round %d", r), all)
+	}
+	if _, err := c.Call(ipc.MigrateReq{VP: elisionVP, Target: 1 - device()}); err != nil {
+		t.Fatal(err)
+	}
+	expect("first round after the migration", 0)
+	for r := 1; r < rounds; r++ {
+		expect(fmt.Sprintf("round %d after the migration", r), all)
+	}
+
+	// One trailing byte of BlackScholes' first input changes, and then
+	// changes back: each of those rounds runs BlackScholes again.
+	bs := apps[0]
+	first := bs.bench.Kernel.Bufs[0].Name
+	orig := bs.inputs[first]
+	changed := bytes.Clone(orig)
+	changed[len(changed)-1] ^= 0x01
+	bs.inputs[first] = changed
+	expect("a trailing byte changed", all-1)
+	bs.inputs[first] = orig
+	expect("the trailing byte restored", all-1)
+	expect("unchanged again", all)
+
+	if got := farm.ms.HostSnapshot().CounterValue("core.exec.h2d_unchanged_bytes"); got == 0 {
+		t.Error("no re-uploaded byte was counted unchanged")
 	}
 }

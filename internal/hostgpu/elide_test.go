@@ -37,10 +37,14 @@ func TestElideRelaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < runs; i++ {
-		// The reference rewrites an input's bytes as they are before each
-		// launch: a fresh generation, nothing scheduled, so it runs every time.
-		if err := ref.Mem.Write(lr.Bindings["a"], 0, a); err != nil {
-			t.Fatal(err)
+		// The reference flips an input's first byte and restores it before
+		// each launch: two real changes, so a fresh generation, nothing
+		// scheduled, and it runs every time over the same bytes.
+		flipped := append([]byte{^a[0]}, a[1:]...)
+		for _, in := range [][]byte{flipped, a} {
+			if err := ref.Mem.Write(lr.Bindings["a"], 0, in); err != nil {
+				t.Fatal(err)
+			}
 		}
 		p, iv, err := g.Launch(i%2, l)
 		if err != nil {
@@ -245,9 +249,12 @@ func TestElideAllocs(t *testing.T) {
 	if _, _, err := g.Launch(0, l); err != nil {
 		t.Fatal(err)
 	}
-	in := make([]byte, 16)
+	// The copy-in alternates between two contents, so each one changes bytes.
+	ins := [2][]byte{make([]byte, 16), {1}}
+	copies := 0
 	if a := testing.AllocsPerRun(100, func() {
-		if err := g.Mem.Write(l.Bindings["a"], 0, in); err != nil {
+		copies++
+		if err := g.Mem.Write(l.Bindings["a"], 0, ins[copies%2]); err != nil {
 			t.Fatal(err)
 		}
 		if g.Elide(l) {

@@ -135,3 +135,26 @@ func TestPlanFIFOMovesDependentsOnly(t *testing.T) {
 		t.Fatalf("cycle plan lost jobs: %d", len(cyc))
 	}
 }
+
+// TestJobLabels pins the label of one job of each kind, which traces and job
+// events carry.
+func TestJobLabels(t *testing.T) {
+	k, _ := storeKernel(t)
+	pl := devmem.NewPayload(300)
+	defer pl.Release()
+	for _, c := range []struct {
+		j    *Job
+		want string
+	}{
+		{NewH2D(3, 0, 0x1000, 0, make([]byte, 256)), "vp3 H2D 256B"},
+		{NewH2DFrom(12, 0, 0x1000, 0, pl), "vp12 H2D 300B"},
+		{NewD2H(0, 0, 0x1000, 0, 4096), "vp0 D2H 4096B"},
+		{NewD2HInto(7, 0, 0x1000, 0, make([]byte, 64)), "vp7 D2H 64B"},
+		{NewMemset(-1, 0, 0x1000, 0, 1<<20, 0), "vp-1 memset 1048576B"},
+		{NewKernel(5, 0, &hostgpu.Launch{Kernel: k}), "vp5 storeOne"},
+	} {
+		if c.j.Label != c.want {
+			t.Errorf("label %q, want %q", c.j.Label, c.want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/devmem"
@@ -128,7 +129,7 @@ func NewH2DFrom(vp, stream int, dst devmem.Ptr, off int, pl *devmem.Payload) *Jo
 }
 
 func newH2D(vp, stream int, dst devmem.Ptr, off int, data []byte, pl *devmem.Payload) *Job {
-	j := newJob(vp, stream, hostgpu.EngineH2D, fmt.Sprintf("vp%d H2D %dB", vp, len(data)))
+	j := newJob(vp, stream, hostgpu.EngineH2D, "vp"+strconv.Itoa(vp)+" H2D "+strconv.Itoa(len(data))+"B")
 	j.Bytes = len(data)
 	j.Run = func(g *hostgpu.GPU) error {
 		var iv hostgpu.Interval
@@ -160,7 +161,7 @@ func NewD2HInto(vp, stream int, src devmem.Ptr, off int, dst []byte) *Job {
 }
 
 func newD2H(vp, stream int, src devmem.Ptr, off, n int, dst []byte) *Job {
-	j := newJob(vp, stream, hostgpu.EngineD2H, fmt.Sprintf("vp%d D2H %dB", vp, n))
+	j := newJob(vp, stream, hostgpu.EngineD2H, "vp"+strconv.Itoa(vp)+" D2H "+strconv.Itoa(n)+"B")
 	j.Bytes = n
 	j.Run = func(g *hostgpu.GPU) error {
 		data, iv, err := g.CopyD2H(stream, src, off, n, dst)
@@ -174,7 +175,7 @@ func newD2H(vp, stream int, src devmem.Ptr, off, n int, dst []byte) *Job {
 // NewMemset builds a device-memory fill job (cudaMemset); fills run on the
 // compute engine's fill path.
 func NewMemset(vp, stream int, dst devmem.Ptr, off, n int, value byte) *Job {
-	j := newJob(vp, stream, hostgpu.EngineCompute, fmt.Sprintf("vp%d memset %dB", vp, n))
+	j := newJob(vp, stream, hostgpu.EngineCompute, "vp"+strconv.Itoa(vp)+" memset "+strconv.Itoa(n)+"B")
 	j.Run = func(g *hostgpu.GPU) error {
 		iv, err := g.Memset(stream, dst, off, n, value)
 		j.Interval = iv
@@ -185,7 +186,7 @@ func NewMemset(vp, stream int, dst devmem.Ptr, off, n int, value byte) *Job {
 
 // NewKernel builds a kernel-launch job.
 func NewKernel(vp, stream int, l *hostgpu.Launch) *Job {
-	j := newJob(vp, stream, hostgpu.EngineCompute, fmt.Sprintf("vp%d %s", vp, l.Kernel.Name))
+	j := newJob(vp, stream, hostgpu.EngineCompute, "vp"+strconv.Itoa(vp)+" "+l.Kernel.Name)
 	j.Launch = l
 	j.Run = func(g *hostgpu.GPU) error {
 		p, iv, err := g.LaunchPriced(stream, l, &j.Priced)
