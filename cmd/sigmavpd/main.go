@@ -12,14 +12,18 @@
 //
 // With -http, the daemon also serves an observability endpoint:
 //
-//	GET /metrics  — the farm snapshot (counters, gauges, histograms, per-job
-//	                events) as JSON: per-device families namespaced "gpu<i>."
-//	                with unprefixed aggregates alongside (a one-device farm
-//	                carries both, with equal values); the wall-clock host
-//	                families (core.exec/admission/migrate.*, ipc.server.*)
-//	                sit beside the deterministic simulated ones
-//	GET /trace    — the merged engine timeline (records, span, per-engine
-//	                utilization) as JSON, engines labeled "gpu<i>/<engine>"
+//	GET /metrics  — the farm's counters, gauges and histograms as JSON:
+//	                per-device families namespaced "gpu<i>." with unprefixed
+//	                aggregates alongside (a one-device farm carries both, with
+//	                equal values); the wall-clock host families
+//	                (core.exec/admission/migrate.*, ipc.server.*) sit beside
+//	                the deterministic simulated ones. A scrape reads the
+//	                instruments as they stand: it neither waits behind nor
+//	                runs the devices' batches
+//	GET /trace    — the merged timeline (span, per-engine utilization, the
+//	                records with each job's VP, kind, submit and plan times,
+//	                and how many records the bounded per-device logs dropped)
+//	                as JSON, engines labeled "gpu<i>/<engine>"
 //
 // Usage:
 //
@@ -63,8 +67,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/ipc"
-	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -181,14 +185,6 @@ func main() {
 	fmt.Printf("sigmavpd: shut down; simulated device time %.3f ms\n", ms.Sync()*1e3)
 }
 
-// fullSnapshot is the snapshot /metrics serves and -metrics-out writes: the
-// simulated view plus the host families beside it — executor health, admission,
-// migration and transport — so farm saturation and shedding are observable
-// remotely.
-func fullSnapshot(ms *core.MultiService) metrics.Snapshot {
-	return metrics.MergeSnapshots(ms.Snapshot(), ms.HostSnapshot())
-}
-
 // parseGPUs decodes the -gpus flag: an integer replicates the -arch device,
 // a comma-separated list names presets per device. An empty spec reads as
 // "1": `-gpus ""` was the single-device spelling while the flag's default was
@@ -250,34 +246,27 @@ func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, grace ti
 	if metricsOut == "" {
 		return nil
 	}
-	data, err := fullSnapshot(ms).JSON()
+	data, err := ms.Scrape().JSON()
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(metricsOut, append(data, '\n'), 0o644)
 }
 
-// traceView is the /trace response shape.
+// traceView is the /trace response shape: span and utilization, then the
+// timeline's records and dropped count.
 type traceView struct {
 	SpanStart   float64            `json:"span_start"`
 	SpanEnd     float64            `json:"span_end"`
 	Utilization map[string]float64 `json:"utilization"`
-	Records     []traceRecord      `json:"records"`
-}
-
-type traceRecord struct {
-	Engine string  `json:"engine"`
-	Stream int     `json:"stream"`
-	Label  string  `json:"label"`
-	Start  float64 `json:"start"`
-	End    float64 `json:"end"`
+	trace.Timeline
 }
 
 // buildMux wires the observability endpoints over the farm.
 func buildMux(ms *core.MultiService) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		data, err := fullSnapshot(ms).JSON()
+		data, err := ms.Scrape().JSON()
 		writeJSON(w, data, err)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -286,14 +275,8 @@ func buildMux(ms *core.MultiService) *http.ServeMux {
 			http.Error(w, "trace disabled", http.StatusNotFound)
 			return
 		}
-		view := traceView{Utilization: tl.Utilization(), Records: []traceRecord{}}
+		view := traceView{Utilization: tl.Utilization(), Timeline: *tl}
 		view.SpanStart, view.SpanEnd = tl.Span()
-		for _, rec := range tl.Records() {
-			view.Records = append(view.Records, traceRecord{
-				Engine: rec.Engine, Stream: rec.Stream, Label: rec.Label,
-				Start: rec.Start, End: rec.End,
-			})
-		}
 		data, err := json.MarshalIndent(view, "", "  ")
 		writeJSON(w, data, err)
 	})

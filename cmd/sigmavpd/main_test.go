@@ -2,18 +2,26 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/devmem"
+	"repro/internal/hostgpu"
 	"repro/internal/ipc"
 	"repro/internal/metrics"
+	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // testDaemon builds what main builds for `-gpus spec`: the farm, and — when
@@ -127,8 +135,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if snap.CounterValue("core.jobs_submitted") == 0 {
 		t.Fatal("/metrics shows no submitted jobs after traffic")
 	}
-	if len(snap.Events) == 0 {
-		t.Fatal("/metrics shows no job events after traffic")
+	if strings.Contains(rec.Body.String(), `"events"`) {
+		t.Fatal("/metrics carries job events: the job history is /trace's")
 	}
 
 	rec = httptest.NewRecorder()
@@ -143,10 +151,18 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if len(view.Records) == 0 {
 		t.Fatal("/trace shows no records after an H2D copy")
 	}
+	// The timeline is the job history: each op carries the job's VP, kind,
+	// and submit and plan times.
 	for _, r := range view.Records {
 		if !strings.HasPrefix(r.Engine, "gpu0/") {
 			t.Fatalf("trace record engine %q not labeled gpu0/", r.Engine)
 		}
+		if r.Kind != trace.KindOp || r.VP != 1 || r.Submit > r.Plan || r.Plan > r.Start {
+			t.Fatalf("trace record %+v: want an op of VP 1 submitted, then planned, then started", r)
+		}
+	}
+	if view.Dropped != 0 {
+		t.Fatalf("/trace dropped %d records of a short session", view.Dropped)
 	}
 	for eng, u := range view.Utilization {
 		if u < 0 || u > 1+1e-12 {
@@ -333,5 +349,98 @@ func TestTraceDisabled(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
 	if rec.Code != 404 {
 		t.Fatalf("/trace with tracing off: status %d, want 404", rec.Code)
+	}
+}
+
+// batchesOf runs one scripted round on a traced one-device daemon and returns
+// its batches, each the sorted "vp<id> <label>" of the ops it planned: the
+// device is held busy by a job that waits on a gate, VP 1 and VP 2 each send
+// an H2D, and with scrape set /metrics is scraped between the two sends. The
+// scrape must neither wait on the held pipeline nor change the batches.
+func batchesOf(t *testing.T, scrape bool) [][]string {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Trace = true
+	ms, _ := testDaemon(t, opts, "1", false)
+	mux := buildMux(ms)
+	dev := ms.Device(0)
+
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	// No VP is registered yet, so the hold dispatches at once and its batch
+	// occupies the device until the gate opens.
+	dev.Submit(sched.NewCustom(0, 0, hostgpu.EngineCompute, "hold", func(*sched.Job, *hostgpu.GPU) error {
+		<-gate
+		return nil
+	}))
+
+	// Both VPs are registered before either sends, so VP 1 parked alone does
+	// not stop the farm: its H2D waits for VP 2's.
+	ptrs := map[int]devmem.Ptr{}
+	for vp := 1; vp <= 2; vp++ {
+		ms.RegisterVP(vp)
+		ptrs[vp] = ms.Handle(vp, ipc.MallocReq{Size: 64}).(ipc.MallocResp).Ptr
+	}
+	done := make(chan any, 2)
+	send := func(vp int) {
+		go func() { done <- ms.Handle(vp, ipc.H2DReq{Dst: ptrs[vp], Data: []byte{byte(vp)}}) }()
+	}
+	send(1)
+	for dev.QueuedJobs() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if scrape {
+		scraped := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			scraped <- rec.Code
+		}()
+		select {
+		case code := <-scraped:
+			if code != 200 {
+				t.Fatalf("/metrics status %d", code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a /metrics scrape waited on the device pipeline")
+		}
+	}
+	send(2)
+	release()
+	for i := 0; i < 2; i++ {
+		resp := <-done
+		if _, ok := resp.(ipc.OKResp); !ok {
+			t.Fatalf("H2D: %+v", resp)
+		}
+	}
+
+	byPlan := map[float64][]string{}
+	var plans []float64
+	for _, r := range ms.MergedTrace().Records {
+		if _, ok := byPlan[r.Plan]; !ok {
+			plans = append(plans, r.Plan)
+		}
+		byPlan[r.Plan] = append(byPlan[r.Plan], fmt.Sprintf("vp%d %s", r.VP, r.Label))
+	}
+	sort.Float64s(plans)
+	var out [][]string
+	for _, p := range plans {
+		sort.Strings(byPlan[p])
+		out = append(out, byPlan[p])
+	}
+	return out
+}
+
+// TestScrapeKeepsBatchComposition: a /metrics scrape between two submits
+// returns while the device is busy, and the jobs share the batch they share
+// without it.
+func TestScrapeKeepsBatchComposition(t *testing.T) {
+	want := batchesOf(t, false)
+	if len(want) != 1 || len(want[0]) != 2 {
+		t.Fatalf("unscraped round: batches %q, want one batch of both H2Ds", want)
+	}
+	if got := batchesOf(t, true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batches with a scrape %q, without %q", got, want)
 	}
 }

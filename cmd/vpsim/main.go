@@ -167,7 +167,7 @@ func runSigma(bench *kernels.Benchmark, nVPs, scale, iters int, showTrace, showE
 	fmt.Printf("ΣVP back end: %d VPs completed, simulated GPU makespan %.3f ms, device energy %.4f J\n",
 		nVPs, s.Sync()*1e3, s.SessionEnergy())
 	if showTrace {
-		fmt.Print(s.Trace().Gantt(100))
+		fmt.Print(s.Trace().Timeline().Gantt(100))
 	}
 	if showEst {
 		fmt.Print(s.Estimator.String())

@@ -113,5 +113,5 @@ func main() {
 	}
 
 	fmt.Println("\nDevice timeline (gather D2D → merged kernel → scatter D2D):")
-	fmt.Print(g.Trace.Gantt(90))
+	fmt.Print(g.Trace.Timeline().Gantt(90))
 }

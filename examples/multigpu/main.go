@@ -88,8 +88,9 @@ func main() {
 	// The merged trace labels every engine row "gpu<i>/<engine>".
 	if tl := m.MergedTrace(); tl != nil {
 		fmt.Println("farm utilization:")
+		u := tl.Utilization()
 		for _, eng := range []string{"gpu0/compute", "gpu1/compute"} {
-			fmt.Printf("  %-12s %.1f%%\n", eng, tl.Utilization()[eng]*100)
+			fmt.Printf("  %-12s %.1f%%\n", eng, u[eng]*100)
 		}
 	}
 }

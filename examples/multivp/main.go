@@ -85,7 +85,7 @@ func run(policy sched.Policy, coalesce bool) float64 {
 	svc.Flush()
 	if policy == sched.PolicyInterleave {
 		fmt.Println("\nEngine timeline (digits are VP streams):")
-		fmt.Print(svc.Device(0).Trace().Gantt(100))
+		fmt.Print(svc.Device(0).Trace().Timeline().Gantt(100))
 	}
 	return svc.Sync()
 }

@@ -278,6 +278,9 @@ func Merge(g *hostgpu.GPU, members []*sched.Job) *sched.Job {
 	}
 	j := sched.NewCustom(-1, -1, hostgpu.EngineCompute, label, run)
 	j.Launch = nil // the merged launch is built at execution time
+	for _, m := range members {
+		j.SubmitTime = max(j.SubmitTime, m.SubmitTime) // the group exists once its last member does
+	}
 	return j
 }
 

@@ -111,7 +111,7 @@ func TestMergeExecutesAllPieces(t *testing.T) {
 	}
 }
 
-// TestMergeLabel pins the merged job's label, which traces and job events
+// TestMergeLabel pins the merged job's label, which timeline records
 // carry.
 func TestMergeLabel(t *testing.T) {
 	g := hostgpu.New(arch.Quadro4000(), 1<<28)

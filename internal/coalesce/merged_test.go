@@ -113,7 +113,7 @@ func mergedRun(t *testing.T, workers int, native bool) mergedOutcome {
 		Mem:       g.Mem.Export(),
 		Merged:    *merged.Profile,
 		Intervals: []hostgpu.Interval{merged.Interval},
-		Timeline:  g.Trace.Records(),
+		Timeline:  g.Trace.Timeline().Records,
 		Snapshot:  g.Metrics.Snapshot(),
 	}
 	for _, m := range members {

@@ -61,7 +61,7 @@ func allocFilled(t *testing.T, s *Service, vp int, data []byte) devmem.Ptr {
 // TestServedD2HAllocs pins what a TCP-served D2H of payload size allocates,
 // client and service in this process: the client's caller-owned result and
 // nothing else of that size — the service reads the device bytes into a
-// pooled response frame, so job, events and bookkeeping are all that it adds.
+// pooled response frame, so the job and its bookkeeping are all that it adds.
 func TestServedD2HAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc pins are timing-sensitive; skipped in -short")
@@ -114,8 +114,8 @@ func TestServedD2HAllocs(t *testing.T) {
 // backing and the launch runs every round; "b" is sent unchanged, so its
 // payload moves nowhere. The launch's writable copy is a pool buffer
 // committed by swap, and the D2H is read into a pooled response frame, so
-// past the client's own D2H result the round allocates only jobs, events and
-// bookkeeping.
+// past the client's own D2H result the round allocates only jobs and their
+// bookkeeping; an untraced device records no per-job history.
 func TestServedRoundAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc pins are timing-sensitive; skipped in -short")
@@ -233,5 +233,60 @@ func TestDisconnectKeepsD2HFrames(t *testing.T) {
 		victim.Close()
 		wg.Wait()
 		readMine("after the disconnect", round)
+	}
+}
+
+// TestServedHeapBounded: what a served session retains does not grow with
+// the requests it has served. The heap left after a collection is measured
+// after N rounds and again after 4N; per-job history is kept only by a traced
+// device, in a ring of fixed capacity, so an untraced device keeps nothing
+// per job once its batch has retired.
+func TestServedHeapBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves hundreds of rounds")
+	}
+	s := NewService(DefaultOptions())
+	defer s.Close()
+	srv := serveTCP(t, s)
+	c, tc := dialTyped(t, srv, 1)
+	defer c.Close()
+
+	const elems = 1 << 10
+	const payload = 4 * elems
+	a, b := fillPattern(payload, 1), fillPattern(payload, 2)
+	pa, pb, pout := allocFilled(t, s, 1, a), allocFilled(t, s, 1, b), allocFilled(t, s, 1, fillPattern(payload, 3))
+	launch := ipc.LaunchReq{
+		Kernel: "vectorAdd", Grid: elems / 256, Block: 256,
+		Params:   map[string]kpl.Value{"n": kpl.IntVal(elems)},
+		Bindings: map[string]devmem.Ptr{"a": pa, "b": pb, "out": pout},
+	}
+	rounds := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			for _, h2d := range []ipc.H2DReq{{Dst: pa, Data: a}, {Dst: pb, Data: b}} {
+				if _, err := tc.CallH2D(h2d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tc.CallLaunch(launch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.CallD2H(ipc.D2HReq{Src: pout, N: payload}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties the pools' victim caches
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const n = 128
+	rounds(16) // warm the connection, the pools and the timing cache
+	first := rounds(n)
+	after := rounds(3 * n)
+	grew := int64(after) - int64(first)
+	t.Logf("retained heap after %d rounds %d B, after %d rounds %d B (%+d B)", n, first, 4*n, after, grew)
+	if grew > 64<<10 {
+		t.Errorf("retained heap grew %d B over %d more served rounds (%.0f B a job)", grew, 3*n, float64(grew)/(3*n*4))
 	}
 }

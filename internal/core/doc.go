@@ -24,6 +24,19 @@
 // shedding excess with typed, retryable overload responses instead of
 // queueing without limit.
 //
+// # Observability
+//
+// A device's registry holds counters, gauges and histograms only. Per-job
+// history is its timeline, kept only with Options.Trace: the token holder
+// names each job to the device (hostgpu.GPU.SetTraceJob) before running it,
+// so every engine op record carries the job's VP and its submit and plan
+// times, and a refused job, a cancelled one and a VP's arrival are records of
+// their own kinds. The timeline is a bounded ring (trace.Capacity), so with
+// tracing on or off a served job leaves nothing behind that grows with the
+// requests served. Snapshot drains first; MultiService.Scrape, what the
+// daemon's /metrics serves, does not, so a scrape neither waits behind nor
+// runs a device's batches.
+//
 // # The farm: the one served shape
 //
 // MultiService serves a fleet of VPs across one or more devices behind one

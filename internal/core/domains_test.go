@@ -27,6 +27,7 @@ func domainSession(t *testing.T) *MultiService {
 	const farmCap = 1 << 10
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{FarmMaxQueuedBytes: farmCap}
+	opts.Trace = true
 	m, err := NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +168,8 @@ func familyOf(name string) string {
 // domain of an instrument decided by its family name alone. The simulated
 // view holds no host family; the host view holds nothing else; together they
 // are the daemon's full /metrics view with the same instruments as before
-// the side registries were merged; and the per-family accessors read only
-// their family, never the event stream.
+// the side registries were merged; the per-family accessors read only their
+// family; and no snapshot copies the job history, which is the timeline.
 func TestMetricsDomainSplit(t *testing.T) {
 	m := domainSession(t)
 	sim, host := m.Snapshot(), m.HostSnapshot()
@@ -183,8 +184,10 @@ func TestMetricsDomainSplit(t *testing.T) {
 			t.Errorf("host snapshot holds simulated instrument %q", n)
 		}
 	}
-	if len(sim.Events) == 0 || host.Events != nil {
-		t.Fatalf("events: %d simulated, %d host; want some, none", len(sim.Events), len(host.Events))
+	// The job history is the simulated timeline, and no snapshot copies it.
+	if tl := m.MergedTrace(); len(tl.Records) == 0 || sim.Events != nil || host.Events != nil {
+		t.Fatalf("%d timeline records, %d simulated and %d host events; want some, none, none",
+			len(tl.Records), len(sim.Events), len(host.Events))
 	}
 
 	full := instrumentNames(metrics.MergeSnapshots(sim, host))

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cudart"
-	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/vp"
 )
 
@@ -33,9 +33,9 @@ func serviceSnapshot(t *testing.T, workers int) []byte {
 	return data
 }
 
-// TestSnapshotWorkerInvariance is the ISSUE's acceptance property: for a given
-// workload, the observability snapshot — counters, histograms, and the full
-// job event trace — is byte-identical regardless of the -workers value.
+// TestSnapshotWorkerInvariance: for a given workload, the observability
+// snapshot — counters, gauges and histograms — is byte-identical regardless
+// of the -workers value.
 func TestSnapshotWorkerInvariance(t *testing.T) {
 	serial := serviceSnapshot(t, 1)
 	pooled := serviceSnapshot(t, 4)
@@ -44,10 +44,12 @@ func TestSnapshotWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestServiceJobEvents checks the structured trace records the full job
-// lifecycle with simulated timestamps.
+// TestServiceJobEvents checks the timeline records each job's lifecycle with
+// simulated timestamps: one op record per job, stamped with its VP, and
+// submitted ≤ planned ≤ started ≤ ended.
 func TestServiceJobEvents(t *testing.T) {
 	opts := DefaultOptions()
+	opts.Trace = true
 	m, s := farmOfOne(t, opts)
 	s.RegisterVP(1)
 	v := vp.New(1, arch.ARMVersatile(), cudart.NewContext(1, m.Backend(1)))
@@ -56,30 +58,22 @@ func TestServiceJobEvents(t *testing.T) {
 	}
 	s.Flush()
 
-	events := s.Metrics().Events()
-	if len(events) == 0 {
-		t.Fatal("no job events recorded")
-	}
-	byKind := map[string]int{}
-	for _, e := range events {
-		byKind[e.Kind]++
-		if e.VP != 1 {
-			t.Fatalf("event %+v has VP %d, want 1", e, e.VP)
+	recs := s.Trace().Timeline().Records
+	// One iteration: 2 H2D + 1 kernel + 1 D2H = 4 jobs, one op each.
+	byEngine := map[string]int{}
+	for _, r := range recs {
+		byEngine[r.Engine]++
+		if r.Kind != trace.KindOp || r.VP != 1 {
+			t.Fatalf("record %+v: want an op of VP 1", r)
+		}
+		if !(r.Submit <= r.Plan && r.Plan <= r.Start && r.Start < r.End) {
+			t.Fatalf("record %+v: want submit ≤ plan ≤ start < end", r)
 		}
 	}
-	// One iteration: 2 H2D + 1 kernel + 1 D2H = 4 jobs, each passing through
-	// submitted → scheduled → dispatched → completed.
-	for _, k := range []string{
-		metrics.EventSubmitted, metrics.EventScheduled,
-		metrics.EventDispatched, metrics.EventCompleted,
-	} {
-		if byKind[k] != 4 {
-			t.Fatalf("%s events = %d, want 4 (events: %+v)", k, byKind[k], events)
-		}
+	if len(recs) != 4 || byEngine["h2d"] != 2 || byEngine["compute"] != 1 || byEngine["d2h"] != 1 {
+		t.Fatalf("records by engine %v, want 2 h2d, 1 compute, 1 d2h: %+v", byEngine, recs)
 	}
-	for _, e := range events {
-		if e.Kind == metrics.EventCompleted && e.End <= 0 {
-			t.Fatalf("completed event missing end time: %+v", e)
-		}
+	if got := s.Metrics().Counter("core.jobs_completed").Value(); got != 4 {
+		t.Fatalf("core.jobs_completed = %d, want 4", got)
 	}
 }

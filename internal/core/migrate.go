@@ -98,18 +98,14 @@ func (m *MultiService) Migrate(vp, target int) error {
 	m.metrics.Counter("core.migrate.allocs_replayed").Add(st.allocs)
 	m.metrics.Counter("core.migrate.ptrs_rebased").Add(st.rebased)
 
-	// The arrival event and trace record carry the source's post-drain
-	// simulated time — the moment the context left the source — stamped
-	// into the *target* device's registry and timeline.
-	when := s.GPU.Sync()
-	label := fmt.Sprintf("vp%d gpu%d->gpu%d", vp, src, target)
-	t.Metrics().Event(metrics.Event{
-		Kind: metrics.EventMigrated, VP: vp, Engine: "migrate",
-		Label: label, Time: when,
-	})
+	// The arrival record carries the source's post-drain simulated time —
+	// the moment the context left the source — stamped into the *target*
+	// device's timeline.
 	if t.GPU.Trace != nil {
+		when := s.GPU.Sync()
 		t.GPU.Trace.Add(trace.Record{
-			Engine: "migrate", Stream: vp, Label: label, Start: when, End: when,
+			Kind: trace.KindMigrated, Engine: "migrate", Stream: vp, VP: vp,
+			Label: fmt.Sprintf("vp%d gpu%d->gpu%d", vp, src, target), Start: when, End: when,
 		})
 	}
 	return nil

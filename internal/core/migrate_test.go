@@ -11,7 +11,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/devmem"
 	"repro/internal/ipc"
-	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // migTestFarm builds a small multi-device farm with tracing on.
@@ -96,24 +96,15 @@ func TestMigrateMovesState(t *testing.T) {
 		t.Fatalf("ptrs_rebased = %d, want 1 (device 1's base was occupied)", snap.CounterValue("core.migrate.ptrs_rebased"))
 	}
 
-	// Arrival event in the target registry, migration record in its timeline.
-	var sawEvent bool
-	for _, e := range m.Device(1).Snapshot().Events {
-		if e.Kind == metrics.EventMigrated && e.VP == 0 {
-			sawEvent = true
-		}
-	}
-	if !sawEvent {
-		t.Fatal("no migrated event in the target device's snapshot")
-	}
+	// The arrival is a migrated record of VP 0 in the target's timeline.
 	var sawRecord bool
-	for _, r := range m.Device(1).Trace().Records() {
-		if r.Engine == "migrate" && r.Stream == 0 {
+	for _, r := range m.Device(1).Trace().Timeline().Records {
+		if r.Kind == trace.KindMigrated && r.VP == 0 && r.Engine == "migrate" && r.Stream == 0 {
 			sawRecord = true
 		}
 	}
 	if !sawRecord {
-		t.Fatal("no migration record in the target device's timeline")
+		t.Fatal("no migrated record in the target device's timeline")
 	}
 
 	// Migrating onto the current device is a no-op, not an error.

@@ -407,17 +407,25 @@ func (m *MultiService) view(sel func(*metrics.Registry, ...string) metrics.Snaps
 
 // Snapshot returns the aggregated simulated view: every device's instruments
 // namespaced "gpu<i>."-prefixed, plus unprefixed aggregate instruments
-// summing the per-device values, plus the merged job-event stream in
-// canonical order (each event exactly once), without the host families.
-// Deterministic for a deterministic workload.
+// summing the per-device values, without the host families. It drains
+// first, so it counts every job submitted before it. Deterministic for a
+// deterministic workload.
 func (m *MultiService) Snapshot() metrics.Snapshot {
 	m.Drain()
 	return m.view((*metrics.Registry).Without, hostFamilies...)
 }
 
+// Scrape reads every instrument, simulated and host families alike, in
+// Snapshot's namespacing, as it stands: it does not drain, so a scrape
+// neither waits behind nor runs a device's batches. The daemon's /metrics
+// serves it.
+func (m *MultiService) Scrape() metrics.Snapshot {
+	return m.view((*metrics.Registry).Without)
+}
+
 // HostSnapshot returns the host families — executor health, admission,
-// migration, transport — in the same namespacing as Snapshot, with no
-// events. It is wall-clock state, so it does not drain the pipelines.
+// migration, transport — in the same namespacing as Snapshot. It is
+// wall-clock state, so it does not drain the pipelines.
 func (m *MultiService) HostSnapshot() metrics.Snapshot {
 	return m.view((*metrics.Registry).Select, hostFamilies...)
 }
@@ -443,22 +451,10 @@ func (m *MultiService) Traces() []*trace.Log {
 }
 
 // MergedTrace returns the multi-device timeline: every device's records
-// re-labeled "gpu<i>/<engine>" in one log, so Gantt and Utilization render
-// the whole farm. Returns nil when no device records a trace.
-func (m *MultiService) MergedTrace() *trace.Log {
-	logs := m.Traces()
-	any := false
-	names := make([]string, len(logs))
-	for i, l := range logs {
-		names[i] = fmt.Sprintf("gpu%d", i)
-		if l != nil {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return trace.Merge(names, logs...)
+// re-labeled "gpu<i>/<engine>" in one sorted read, so Gantt and Utilization
+// render the whole farm. Returns nil when no device records a trace.
+func (m *MultiService) MergedTrace() *trace.Timeline {
+	return trace.Merge(m.Traces()...)
 }
 
 // DispatchBatch runs one externally-assembled batch against a specific

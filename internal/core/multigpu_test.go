@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,7 +93,9 @@ func TestMultiServiceTraces(t *testing.T) {
 // separate (gpu0./gpu1. namespaces) and the unprefixed aggregate must equal
 // their sum.
 func TestMultiServiceMetricsNamespaced(t *testing.T) {
-	m, err := NewMultiService(DefaultOptions(), []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
+	opts := DefaultOptions()
+	opts.Trace = true
+	m, err := NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +127,16 @@ func TestMultiServiceMetricsNamespaced(t *testing.T) {
 	if agg != g0+g1 {
 		t.Fatalf("aggregate %d != gpu0 %d + gpu1 %d", agg, g0, g1)
 	}
-	if len(snap.Events) == 0 {
-		t.Fatal("aggregate snapshot lost the job events")
+	// The merged timeline holds each device's job records once, under its
+	// own "gpu<i>/" rows.
+	per := map[string]int{}
+	for _, r := range m.MergedTrace().Records {
+		per[r.Engine[:strings.IndexByte(r.Engine, '/')]]++
+	}
+	for i, want := range []int{len(m.Device(0).Trace().Timeline().Records), len(m.Device(1).Trace().Timeline().Records)} {
+		if got := per[fmt.Sprintf("gpu%d", i)]; want == 0 || got != want {
+			t.Fatalf("merged timeline has %d gpu%d records, the device %d", got, i, want)
+		}
 	}
 }
 
@@ -245,7 +256,7 @@ func TestMergedTrace(t *testing.T) {
 		t.Fatal("merged trace nil with tracing on")
 	}
 	seen := map[string]bool{}
-	for _, r := range merged.Records() {
+	for _, r := range merged.Records {
 		seen[r.Engine] = true
 		if !strings.HasPrefix(r.Engine, "gpu0/") && !strings.HasPrefix(r.Engine, "gpu1/") {
 			t.Fatalf("record engine %q not namespaced", r.Engine)

@@ -59,7 +59,7 @@ func driveGuestScript(t *testing.T, ep ipc.Endpoint) []byte {
 // unprefixed keeps the instruments of a farm snapshot that carry no "gpu<i>."
 // namespace — the families a bare Service snapshot has.
 func unprefixed(s metrics.Snapshot) metrics.Snapshot {
-	out := metrics.Snapshot{Events: s.Events}
+	var out metrics.Snapshot
 	for _, c := range s.Counters {
 		if !strings.HasPrefix(c.Name, "gpu") {
 			out.Counters = append(out.Counters, c)
@@ -111,11 +111,11 @@ func TestOneDeviceFarmMatchesBareService(t *testing.T) {
 	}
 
 	var want2 []trace.Record
-	for _, r := range svc.Trace().Records() {
+	for _, r := range svc.Trace().Timeline().Records {
 		r.Engine = "gpu0/" + r.Engine
 		want2 = append(want2, r)
 	}
-	got2 := farm.MergedTrace().Records()
+	got2 := farm.MergedTrace().Records
 	if len(want2) == 0 || len(got2) != len(want2) {
 		t.Fatalf("trace: farm has %d records, service %d", len(got2), len(want2))
 	}

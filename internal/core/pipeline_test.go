@@ -46,7 +46,7 @@ func pipelineSnapshot(t *testing.T, closed bool) (float64, []byte) {
 
 // TestPipelineEquivalence: the execution pipeline changes wall-clock
 // behavior only. Simulated makespan and the full metrics snapshot (counters,
-// histograms, job events) are byte-identical whether the executor goroutine
+// gauges, histograms) are byte-identical whether the executor goroutine
 // runs the batches or, with the service closed, each submitter runs its own.
 func TestPipelineEquivalence(t *testing.T) {
 	closedT, closedSnap := pipelineSnapshot(t, true)

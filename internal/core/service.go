@@ -183,8 +183,8 @@ func (s *Service) Options() Options { return s.opts }
 // instrument's domain is decided.
 var hostFamilies = []string{"core.exec.", "core.admission.", "core.migrate.", "ipc.server."}
 
-// Metrics returns the service's registry (never nil): service counters, the
-// structured job trace, and the counters of every subsystem the service owns
+// Metrics returns the service's registry (never nil): service counters and
+// the counters of every subsystem the service owns
 // (device model, queue, coalescer, executor, admission gate).
 func (s *Service) Metrics() *metrics.Registry { return s.metrics }
 
@@ -237,7 +237,7 @@ var ErrCancelled = errors.New("job cancelled: vp disconnected")
 // the ipc server's disconnect hook.
 func (s *Service) DisconnectVP(id int) {
 	s.deregister(id)
-	// Drain the pipeline before stamping cancellation events: the simulated
+	// Drain the pipeline before stamping cancellation records: the simulated
 	// clock must reflect every batch dispatched before the disconnect.
 	s.Drain()
 	for _, j := range s.queue.RemoveVP(id) {
@@ -246,11 +246,7 @@ func (s *Service) DisconnectVP(id int) {
 			j.Finish(fmt.Errorf("core: vp %d: %w", id, ErrCancelled))
 			s.metrics.Counter("core.jobs_cancelled").Inc()
 			s.metrics.Gauge("core.jobs_in_flight").Sub(1)
-			s.metrics.Event(metrics.Event{
-				Kind: metrics.EventCancelled, VP: j.VP, Stream: j.Stream,
-				Engine: j.Engine, Label: j.Label, Time: s.GPU.Sync(),
-				Err: ErrCancelled.Error(),
-			})
+			s.markJob(trace.KindCancelled, j, s.GPU.Sync(), 0, ErrCancelled)
 		}
 	}
 	s.maybeDispatch()
@@ -261,10 +257,6 @@ func (s *Service) Submit(j *sched.Job) {
 	j.SubmitTime = s.GPU.Sync()
 	s.metrics.Counter("core.jobs_submitted").Inc()
 	s.metrics.Gauge("core.jobs_in_flight").Add(1)
-	s.metrics.Event(metrics.Event{
-		Kind: metrics.EventSubmitted, VP: j.VP, Stream: j.Stream,
-		Engine: j.Engine, Label: j.Label, Time: j.SubmitTime,
-	})
 	s.queue.Push(j)
 	s.maybeDispatch()
 }
@@ -402,7 +394,7 @@ func (s *Service) releaseJob(j *sched.Job) {
 }
 
 // Snapshot drains the pipeline and snapshots the simulated domain of the
-// registry: everything but the host families, events included.
+// registry: everything but the host families.
 func (s *Service) Snapshot() metrics.Snapshot {
 	s.Drain()
 	return s.metrics.Without(hostFamilies...)
@@ -434,34 +426,33 @@ func (s *Service) DispatchRaw(batch []*sched.Job) {
 }
 
 // dispatch runs one batch through the Re-scheduler and the device. Served
-// batches pass the service registry as rec and get each job's lifecycle
-// recorded into it; raw batches (DispatchRaw) pass nil — plan and run only,
-// the accounting loops are skipped rather than fed a no-op sink.
+// batches pass the service registry as rec and get each job's completion
+// counted into it; raw batches (DispatchRaw) pass nil — plan and run only,
+// the accounting loop is skipped rather than fed a no-op sink. On a traced
+// device each job's ops are stamped with its VP and its submit and plan
+// times, and a job the device refuses leaves a KindFailed record.
 func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 	orig := batch // the submitted jobs, before coalescing swallows members
 	if s.opts.Coalesce {
 		batch = coalesce.Apply(s.GPU, batch)
 	}
 	order := sched.PlanRecorded(batch, s.opts.Policy, rec)
-	if rec != nil {
-		planTime := s.GPU.Sync()
-		for _, j := range order {
-			rec.Event(metrics.Event{
-				Kind: metrics.EventScheduled, VP: j.VP, Stream: j.Stream,
-				Engine: j.Engine, Label: j.Label, Time: planTime,
-			})
-		}
+	traced := s.GPU.Trace != nil
+	var plan float64
+	if traced {
+		// Not Sync: a VP migrating in lifts its streams while a batch runs.
+		plan = s.GPU.Frontier()
 	}
 	for _, j := range order {
+		if traced {
+			s.GPU.SetTraceJob(j.VP, j.SubmitTime, plan)
+		}
 		err := j.Run(s.GPU)
 		if !j.Done() {
 			j.Finish(err)
 		}
-		if rec != nil {
-			rec.Event(metrics.Event{
-				Kind: metrics.EventDispatched, VP: j.VP, Stream: j.Stream,
-				Engine: j.Engine, Label: j.Label, Time: j.Interval.Start,
-			})
+		if err != nil {
+			s.markJob(trace.KindFailed, j, plan, plan, err)
 		}
 	}
 	if s.Estimator != nil {
@@ -479,18 +470,11 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 	lat := rec.Histogram("core.dispatch_latency_s", metrics.LatencyBuckets)
 	for _, j := range orig {
 		s.releaseJob(j)
-		errMsg := ""
 		if j.Err != nil {
-			errMsg = j.Err.Error()
 			rec.Counter("core.jobs_failed").Inc()
 		}
 		rec.Counter("core.jobs_completed").Inc()
 		rec.Gauge("core.jobs_in_flight").Sub(1)
-		rec.Event(metrics.Event{
-			Kind: metrics.EventCompleted, VP: j.VP, Stream: j.Stream,
-			Engine: j.Engine, Label: j.Label, Time: j.Interval.End,
-			Start: j.Interval.Start, End: j.Interval.End, Err: errMsg,
-		})
 		if d := j.Interval.Start - j.SubmitTime; d >= 0 {
 			lat.Observe(d)
 		} else {
@@ -498,6 +482,18 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 			// frontier it was submitted at: zero queueing delay.
 			lat.Observe(0)
 		}
+	}
+}
+
+// markJob records, on a traced device, a job event that took no engine time:
+// the job refused or cancelled at t, after a batch planned at plan (0 if it
+// never reached one).
+func (s *Service) markJob(kind string, j *sched.Job, t, plan float64, err error) {
+	if s.GPU.Trace != nil {
+		s.GPU.Trace.Add(trace.Record{
+			Kind: kind, Engine: j.Engine, Stream: j.Stream, Label: j.Label, Start: t, End: t,
+			VP: j.VP, Submit: j.SubmitTime, Plan: plan, Err: err.Error(),
+		})
 	}
 }
 

@@ -35,7 +35,7 @@ type FaultDrillResult struct {
 	// round trip after the drill.
 	HealthyAfter bool
 	// Metrics is the drill's observability snapshot: transport counters,
-	// injected faults, retries, and per-job events from the service.
+	// injected faults, retries, and the service's job counters.
 	Metrics metrics.Snapshot
 }
 

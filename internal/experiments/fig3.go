@@ -62,7 +62,8 @@ func Fig3() (*Fig3Result, error) {
 		if err := dispatch(g, batch, policy, false); err != nil {
 			return "", 0, nil, err
 		}
-		return g.Trace.Gantt(100), g.Sync(), g.Trace.Utilization(), nil
+		tl := g.Trace.Timeline()
+		return tl.Gantt(100), g.Sync(), tl.Utilization(), nil
 	}
 
 	res := &Fig3Result{}

@@ -330,7 +330,7 @@ func runMigrationFleet(benches []*kernels.Benchmark, scale, nVPs, nDev int, plan
 		return nil, err
 	}
 	if tl := f.ms.MergedTrace(); tl != nil {
-		if a.traceJSON, err = json.Marshal(tl.Records()); err != nil {
+		if a.traceJSON, err = json.Marshal(tl.Records); err != nil {
 			return nil, err
 		}
 	}

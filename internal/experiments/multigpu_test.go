@@ -242,7 +242,7 @@ func multiRemoteRun(t *testing.T, workers int) (assign string, d2h, metricsJSON,
 	if merged == nil {
 		t.Fatal("no merged trace with tracing on")
 	}
-	traceJSON, err = json.Marshal(merged.Records())
+	traceJSON, err = json.Marshal(merged.Records)
 	if err != nil {
 		t.Fatal(err)
 	}

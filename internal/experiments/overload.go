@@ -227,7 +227,7 @@ func overloadDrillPass(contended bool, oversub, iters int) (*overloadPass, error
 	// not race it. The aggressors never touch device 0.
 	pass.metricsJSON, err = ms.Device(0).Snapshot().JSON()
 	if err == nil {
-		pass.traceJSON, err = json.Marshal(ms.Device(0).Trace().Records())
+		pass.traceJSON, err = json.Marshal(ms.Device(0).Trace().Timeline().Records)
 	}
 	if aggErr := run.finish(); err == nil {
 		err = aggErr

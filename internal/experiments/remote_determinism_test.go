@@ -93,7 +93,7 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	if err != nil {
 		t.Fatal(err)
 	}
-	traceJSON, err = json.Marshal(svc.Trace().Records())
+	traceJSON, err = json.Marshal(svc.Trace().Timeline().Records)
 	if err != nil {
 		t.Fatal(err)
 	}

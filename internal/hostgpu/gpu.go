@@ -138,7 +138,8 @@ type GPU struct {
 	// this off and pipelines the engines.
 	Serialize bool
 
-	// Trace optionally records the engine timeline.
+	// Trace optionally records the engine timeline: one record per op,
+	// stamped with the job SetTraceJob last named.
 	Trace *trace.Log
 
 	// Metrics optionally receives device counters: per-engine op counts and
@@ -161,6 +162,7 @@ type GPU struct {
 	busy         [nEngines]float64 // accumulated busy seconds per engine
 	kernelEnergy float64           // accumulated kernel energies (dynamic + per-launch static)
 	ctrReg       *metrics.Registry // the registry ctr was resolved from
+	traceJob     trace.Record      // VP, Submit and Plan of the ops schedule records next
 	ctr          [len(counterNames)]*metrics.Counter
 
 	cacheMu     sync.RWMutex
@@ -197,6 +199,7 @@ func (g *GPU) schedule(e, stream int, dur float64, label string) Interval {
 		start = math.Max(start, g.lastIssue)
 	}
 	g.lastIssue = start
+	rec := g.traceJob
 	end := start + dur
 	g.engineFree[e] = end
 	g.streamReady[stream] = end
@@ -207,9 +210,20 @@ func (g *GPU) schedule(e, stream int, dur float64, label string) Interval {
 	}
 	g.mu.Unlock()
 	if g.Trace != nil {
-		g.Trace.Add(trace.Record{Engine: engineNames[e], Stream: stream, Label: label, Start: start, End: end})
+		rec.Kind, rec.Engine, rec.Stream, rec.Label, rec.Start, rec.End = trace.KindOp, engineNames[e], stream, label, start, end
+		g.Trace.Add(rec)
 	}
 	return Interval{Start: start, End: end}
+}
+
+// SetTraceJob names the job whose ops the trace records from now on: its VP,
+// and when it was submitted and planned. Whoever runs a batch on the device
+// calls it before each job's run; ops issued outside a job carry the last
+// job named, or zeros.
+func (g *GPU) SetTraceJob(vp int, submit, plan float64) {
+	g.mu.Lock()
+	g.traceJob = trace.Record{VP: vp, Submit: submit, Plan: plan}
+	g.mu.Unlock()
 }
 
 // counter returns device counter i of Metrics, resolved once per registry
@@ -680,6 +694,15 @@ func (g *GPU) LiftStream(stream int, t float64) {
 	if t > g.streamReady[stream] {
 		g.streamReady[stream] = t
 	}
+}
+
+// Frontier returns when the device's engines next fall idle: the simulated
+// "now" of the work issued on it, which a stream lifted from outside
+// (LiftStream, a VP arriving) does not move.
+func (g *GPU) Frontier() float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Max(g.engineFree[:])
 }
 
 // Sync returns the simulated time at which all submitted work completes.

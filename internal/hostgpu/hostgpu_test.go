@@ -417,7 +417,7 @@ func TestBusyAndTrace(t *testing.T) {
 	if g.BusySeconds(EngineCompute) <= 0 {
 		t.Error("compute engine should have busy time")
 	}
-	if len(g.Trace.Records()) == 0 {
+	if len(g.Trace.Timeline().Records) == 0 {
 		t.Error("trace should have records")
 	}
 }
@@ -537,7 +537,7 @@ func TestOpLabelsOnlyUnderTrace(t *testing.T) {
 		t.Errorf("D2D charge of 16 bytes lasts %g s, want %g", iv.Duration(), want)
 	}
 	var labels []string
-	for _, r := range g.Trace.Records() {
+	for _, r := range g.Trace.Timeline().Records {
 		labels = append(labels, r.Engine+":"+r.Label)
 	}
 	want := []string{"h2d:H2D 16B", "d2h:D2H 16B", "compute:memset 16B", "h2d:D2D 16B"}

@@ -78,7 +78,7 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 		streamEnd := map[int]float64{}
 		// Records are globally sorted by start; engines and streams must
 		// each be non-overlapping / ordered within themselves.
-		for _, r := range g.Trace.Records() {
+		for _, r := range g.Trace.Timeline().Records {
 			if r.Start < engineEnd[r.Engine]-1e-12 {
 				return false
 			}

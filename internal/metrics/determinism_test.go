@@ -23,11 +23,6 @@ func TestSnapshotInterleavingInvariance(t *testing.T) {
 		r.Gauge("inflight").Sub(1)
 		r.Histogram("latency", LatencyBuckets).Observe(float64(i%7) * 1e-4)
 		r.Histogram("sizes", CountBuckets).Observe(float64(worker))
-		r.Event(Event{
-			Kind: EventCompleted, VP: worker, Stream: i % 3,
-			Engine: "compute", Label: "k", Time: float64(i),
-			Start: float64(i), End: float64(i) + 0.5,
-		})
 	}
 
 	serial := New()

@@ -1,6 +1,7 @@
 // Package metrics is the ΣVP observability layer: a dependency-free registry
-// of named counters, gauges, and fixed-bucket histograms, plus a structured
-// per-job event trace (see events.go). Every subsystem of the stack — the
+// of named counters, gauges, and fixed-bucket histograms. Per-job history is
+// not kept here: it is the bounded simulated timeline of package trace, which
+// a device records only when tracing is on. Every subsystem of the stack — the
 // host service, the Re-scheduler, the host-GPU device model, the IPC
 // transport, and the emulation baseline — records into a registry, and the
 // CLIs expose snapshots (`sigmavp -metrics`, `sigmavpd /metrics`).
@@ -17,9 +18,8 @@
 //     running sum is accumulated in integer nanounits — float64 addition is
 //     not associative, so summing seconds directly would make the last bits
 //     of the total depend on goroutine interleaving.
-//   - Snapshot sorts every family by name and sorts trace events by their
-//     full field tuple, so insertion order (which IS interleaving-dependent)
-//     never reaches the output.
+//   - Snapshot sorts every family by name, so insertion order (which IS
+//     interleaving-dependent) never reaches the output.
 //
 // Instrumented code must only feed the registry values that are themselves
 // deterministic — simulated time, not wall-clock time.
@@ -109,15 +109,12 @@ var (
 	DepthBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 )
 
-// Registry is a named family of instruments plus a job event trace.
+// Registry is a named family of instruments.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	evMu   sync.Mutex
-	events []Event
 }
 
 // New returns an empty registry.
@@ -233,12 +230,14 @@ type HistogramSnap struct {
 }
 
 // Snapshot is a point-in-time, deterministic view of a registry: every family
-// sorted by name, events sorted by their full field tuple.
+// sorted by name.
 type Snapshot struct {
 	Counters   []CounterSnap   `json:"counters"`
 	Gauges     []GaugeSnap     `json:"gauges"`
 	Histograms []HistogramSnap `json:"histograms"`
-	Events     []Event         `json:"events,omitempty"`
+	// Events is always empty and never rendered: the benchmark module still
+	// reads its length, and goes with it at the next benchmark change.
+	Events []struct{} `json:"-"`
 }
 
 // Snapshot captures the registry. The result is JSON-marshalable and, per the
@@ -247,15 +246,15 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot { return r.snapshot(nil, false) }
 
 // Select captures the instruments whose names start with one of the
-// prefixes, and no events: a host-domain read never copies the job trace.
+// prefixes.
 func (r *Registry) Select(prefixes ...string) Snapshot { return r.snapshot(prefixes, true) }
 
 // Without captures every instrument whose name starts with none of the
-// prefixes, events included: the simulated domain beside host families.
+// prefixes: the simulated domain beside host families.
 func (r *Registry) Without(prefixes ...string) Snapshot { return r.snapshot(prefixes, false) }
 
-// snapshot captures the instruments whose "has one of prefixes" equals in,
-// plus the events unless in is set. A family with nothing kept stays nil.
+// snapshot captures the instruments whose "has one of prefixes" equals in. A
+// family with nothing kept stays nil.
 func (r *Registry) snapshot(prefixes []string, in bool) Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -290,9 +289,6 @@ func (r *Registry) snapshot(prefixes []string, in bool) Snapshot {
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
-	if !in {
-		s.Events = r.Events()
-	}
 	return s
 }
 
@@ -304,9 +300,7 @@ func (s Snapshot) JSON() ([]byte, error) {
 // Prefixed returns a copy of the snapshot with every instrument renamed
 // prefix+name — the namespacing the multi-GPU service uses to keep one
 // device's counters from colliding with another's ("gpu0.hostgpu.ops.compute"
-// vs "gpu1.…"). Events carry no instrument name and are dropped: a merged
-// view takes its event stream from the unprefixed aggregate so each event
-// appears exactly once.
+// vs "gpu1.…").
 func (s Snapshot) Prefixed(prefix string) Snapshot {
 	out := Snapshot{
 		Counters:   make([]CounterSnap, len(s.Counters)),
@@ -333,8 +327,7 @@ func (s Snapshot) Prefixed(prefix string) Snapshot {
 // counters and gauges sum, same-named histograms merge bucket-wise (bucket
 // layouts are required to match, which they do for instruments created by the
 // same code path; on a mismatch the first layout wins and only Count/Sum/
-// Overflow accumulate), and the event streams concatenate and re-sort into
-// the canonical order. Input order therefore never reaches the output.
+// Overflow accumulate). Input order therefore never reaches the output.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	counters := map[string]int64{}
 	gauges := map[string]int64{}
@@ -373,7 +366,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 				}
 			}
 		}
-		out.Events = append(out.Events, s.Events...)
 	}
 	for name, v := range counters {
 		out.Counters = append(out.Counters, CounterSnap{Name: name, Value: v})
@@ -389,10 +381,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
 	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })
 	sort.Slice(out.Histograms, func(i, j int) bool { return out.Histograms[i].Name < out.Histograms[j].Name })
-	sort.SliceStable(out.Events, func(i, j int) bool { return out.Events[i].less(out.Events[j]) })
-	if len(out.Events) == 0 {
-		out.Events = nil
-	}
 	return out
 }
 

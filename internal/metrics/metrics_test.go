@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -63,12 +64,8 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("y").Add(2)
 	r.Histogram("z", CountBuckets).Observe(3)
-	r.Event(Event{Kind: EventSubmitted})
-	if ev := r.Events(); ev != nil {
-		t.Errorf("nil registry events = %v", ev)
-	}
 	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Events) != 0 {
+	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
 	if s := r.Select("x"); s.Counters != nil {
@@ -82,15 +79,10 @@ func TestSnapshotSortedAndMarshalable(t *testing.T) {
 	r.Counter("a.first").Add(2)
 	r.Gauge("m.mid").Set(-4)
 	r.Histogram("h.one", []float64{1, 2}).Observe(1.5)
-	r.Event(Event{Kind: EventCompleted, VP: 1, Stream: 9, Engine: "compute", Label: "k", Time: 2})
-	r.Event(Event{Kind: EventSubmitted, VP: 1, Stream: 9, Engine: "compute", Label: "k", Time: 1})
 
 	s := r.Snapshot()
 	if s.Counters[0].Name != "a.first" || s.Counters[1].Name != "z.last" {
 		t.Errorf("counters not sorted: %+v", s.Counters)
-	}
-	if s.Events[0].Kind != EventSubmitted {
-		t.Errorf("events not time-sorted: %+v", s.Events)
 	}
 	raw, err := s.JSON()
 	if err != nil {
@@ -100,43 +92,16 @@ func TestSnapshotSortedAndMarshalable(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if len(back.Counters) != 2 || len(back.Events) != 2 {
+	if len(back.Counters) != 2 || len(back.Histograms) != 1 {
 		t.Errorf("round trip lost data: %+v", back)
 	}
-}
-
-func TestEventCanonicalOrder(t *testing.T) {
-	// Same multiset inserted in two different orders must sort identically.
-	evs := []Event{
-		{Kind: EventDispatched, VP: 0, Stream: 0, Label: "b", Time: 1},
-		{Kind: EventSubmitted, VP: 0, Stream: 0, Label: "b", Time: 1},
-		{Kind: EventSubmitted, VP: 0, Stream: 0, Label: "a", Time: 1},
-		{Kind: EventSubmitted, VP: 1, Stream: 0, Label: "a", Time: 0},
-	}
-	a, b := New(), New()
-	for _, e := range evs {
-		a.Event(e)
-	}
-	for i := len(evs) - 1; i >= 0; i-- {
-		b.Event(evs[i])
-	}
-	ja, _ := a.Snapshot().JSON()
-	jb, _ := b.Snapshot().JSON()
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("event order not canonical:\n%s\nvs\n%s", ja, jb)
-	}
-	got := a.Events()
-	if got[0].VP != 1 { // Time 0 first
-		t.Errorf("sort by time broken: %+v", got[0])
-	}
-	if got[1].Label != "a" || got[2].Label != "b" || got[3].Kind != EventDispatched {
-		t.Errorf("full-tuple sort broken: %+v", got)
+	if strings.Contains(string(raw), "events") {
+		t.Errorf("snapshot renders an events key:\n%s", raw)
 	}
 }
 
 // TestSelectWithout pins the two-domain reads: Select and Without partition
-// the instruments by prefix, only Without carries the events, a family with
-// nothing kept stays nil (JSON null, as Snapshot prints it), and Without with
+// the instruments by prefix, a family with nothing kept stays nil (JSON null, as Snapshot prints it), and Without with
 // a prefix nothing matches is Snapshot byte for byte.
 func TestSelectWithout(t *testing.T) {
 	r := New()
@@ -144,15 +109,14 @@ func TestSelectWithout(t *testing.T) {
 	r.Counter("host.batches").Inc()
 	r.Gauge("host.depth").Set(2)
 	r.Histogram("sim.lat", CountBuckets).Observe(1)
-	r.Event(Event{Kind: EventSubmitted, VP: 1})
 	host, sim := r.Select("host."), r.Without("host.")
 	if len(host.Counters) != 1 || host.Counters[0].Name != "host.batches" || len(host.Gauges) != 1 {
 		t.Fatalf("Select(host.) = %+v", host)
 	}
-	if host.Histograms != nil || host.Events != nil {
-		t.Fatalf("Select(host.) kept a histogram or events: %+v", host)
+	if host.Histograms != nil {
+		t.Fatalf("Select(host.) kept a histogram: %+v", host)
 	}
-	if len(sim.Counters) != 1 || sim.Counters[0].Name != "sim.jobs" || len(sim.Histograms) != 1 || len(sim.Events) != 1 {
+	if len(sim.Counters) != 1 || sim.Counters[0].Name != "sim.jobs" || len(sim.Histograms) != 1 {
 		t.Fatalf("Without(host.) = %+v", sim)
 	}
 	if sim.Gauges != nil {

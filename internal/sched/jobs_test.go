@@ -136,8 +136,8 @@ func TestPlanFIFOMovesDependentsOnly(t *testing.T) {
 	}
 }
 
-// TestJobLabels pins the label of one job of each kind, which traces and job
-// events carry.
+// TestJobLabels pins the label of one job of each kind, which timeline
+// records carry.
 func TestJobLabels(t *testing.T) {
 	k, _ := storeKernel(t)
 	pl := devmem.NewPayload(300)

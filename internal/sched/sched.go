@@ -91,7 +91,7 @@ type Job struct {
 
 	// retired, when non-nil, is closed once the executor batch containing
 	// the job has fully retired — the batch's every job has run AND all of
-	// its dispatch accounting (events, latency histograms) is recorded. Set
+	// its dispatch accounting (counters, latency histograms) is recorded. Set
 	// before the batch is handed to the executor; nil for jobs run outside
 	// one or cancelled while still queued.
 	retired <-chan struct{}

@@ -2,129 +2,196 @@
 // renders them as text Gantt charts — the visual evidence for Kernel
 // Interleaving (paper Fig. 3): with a good submission order, the Copy Engine
 // and the Compute Engine rows overlap instead of alternating.
+//
+// The timeline is also the job trace: each op record names the job's VP and
+// its submit and plan times, and what happened to a job outside any engine
+// (refused by the device, cancelled by a disconnect, its VP migrated) is a
+// record of its own kind. A Log keeps the newest Capacity records and counts
+// the ones it dropped, so a daemon that serves forever holds a bounded
+// timeline.
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
 
-// Record is one operation on one engine.
+// Record kinds.
+const (
+	KindOp        = "op"        // one op on one engine
+	KindFailed    = "failed"    // a job the device refused: Err says why, no engine time
+	KindCancelled = "cancelled" // a job orphaned by its VP's disconnect, never run
+	KindMigrated  = "migrated"  // a VP context arrived on this device
+)
+
+// Record is one entry of the timeline: an op on one engine, or (Kind) a job
+// event that took no engine time. All times are simulated seconds.
 type Record struct {
-	Engine string  // "copy" or "compute"
-	Stream int     // stream / VP the op belongs to
-	Label  string  // e.g. "H2D 2.4MB", "matrixMul"
-	Start  float64 // seconds
-	End    float64 // seconds
+	Engine string  `json:"engine"` // "h2d", "d2h", "compute", "migrate"
+	Stream int     `json:"stream"` // device stream the op ran on
+	Label  string  `json:"label"`  // e.g. "H2D 4096B", "matrixMul"
+	Start  float64 `json:"start"`
+	End    float64 `json:"end"`
+	Kind   string  `json:"kind"`
+	VP     int     `json:"vp"`     // the job's VP; -1 for a merged launch
+	Submit float64 `json:"submit"` // when the job entered the service queue
+	Plan   float64 `json:"plan"`   // when its batch was planned
+	Err    string  `json:"err,omitempty"`
 }
 
 // Duration returns the op length in seconds.
 func (r Record) Duration() float64 { return r.End - r.Start }
 
-// Log collects records. It is safe for concurrent use.
+// busy reports whether the record spans engine time, which is what Span,
+// Utilization and Gantt draw: a refused or cancelled job never ran.
+func (r Record) busy() bool { return r.Kind != KindFailed && r.Kind != KindCancelled }
+
+// compare is the canonical order: (Start, Engine, Stream, Label, End), then
+// the job fields. The key is the whole record, so any insertion interleaving
+// of the same records sorts to the same sequence.
+func (r Record) compare(o Record) int {
+	return cmp.Or(
+		cmp.Compare(r.Start, o.Start), strings.Compare(r.Engine, o.Engine),
+		cmp.Compare(r.Stream, o.Stream), strings.Compare(r.Label, o.Label),
+		cmp.Compare(r.End, o.End), cmp.Compare(r.VP, o.VP),
+		strings.Compare(r.Kind, o.Kind), cmp.Compare(r.Submit, o.Submit),
+		cmp.Compare(r.Plan, o.Plan), strings.Compare(r.Err, o.Err),
+	)
+}
+
+// Capacity is how many records a Log keeps. A finite study records far fewer
+// and keeps all of them; a long-running daemon keeps the newest Capacity.
+const Capacity = 1 << 16
+
+// Log collects records in a ring of Capacity entries. It is safe for
+// concurrent use.
 type Log struct {
-	mu   sync.Mutex
-	recs []Record
+	mu      sync.Mutex
+	recs    []Record // grows to Capacity, then is overwritten oldest first
+	next    int      // the oldest record once the ring is full
+	dropped int64
 }
 
 // New returns an empty log.
 func New() *Log { return &Log{} }
 
-// Add appends a record.
+// Add appends a record, overwriting the oldest one when the log is full.
 func (l *Log) Add(r Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.recs = append(l.recs, r)
+	if len(l.recs) < Capacity {
+		l.recs = append(l.recs, r)
+		return
+	}
+	l.recs[l.next] = r
+	l.next = (l.next + 1) % Capacity
+	l.dropped++
 }
 
-// Records returns a copy of the records sorted by (Start, Engine, Stream,
-// Label, End). The sort is stable over the full key: records that tie on
-// start time and engine — common for coalesced and zero-duration ops — land
-// in a deterministic order regardless of insertion interleaving, so Gantt and
-// CSV renderings are reproducible.
-func (l *Log) Records() []Record {
+// Timeline is a sorted read of one or more logs: the records they keep, in
+// canonical order, and how many older ones they dropped. Span, Utilization
+// and Gantt all work from it, so a view sorts once.
+type Timeline struct {
+	Records []Record `json:"records"`
+	Dropped int64    `json:"dropped"`
+}
+
+// Timeline returns a sorted copy of the log.
+func (l *Log) Timeline() Timeline {
+	var t Timeline
+	l.appendTo(&t, "")
+	t.sort()
+	return t
+}
+
+// appendTo copies the log's records into t, each engine prefixed.
+func (l *Log) appendTo(t *Timeline, prefix string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := append([]Record(nil), l.recs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
-		if a.Stream != b.Stream {
-			return a.Stream < b.Stream
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return a.End < b.End
-	})
-	return out
+	for _, r := range l.recs {
+		r.Engine = prefix + r.Engine
+		t.Records = append(t.Records, r)
+	}
+	t.Dropped += l.dropped
 }
 
-// Merge combines several per-device logs into one multi-device view. Each
-// log's records are re-labeled with its name ("gpu0/compute", "gpu1/h2d"…)
-// so per-device rows stay distinct in Gantt charts and Utilization. Nil logs
-// (devices with tracing off) are skipped; names beyond the logs slice (or an
-// empty name) fall back to a positional "gpuN" label. The merged log is a
-// deep copy — mutating it never touches the sources.
-func Merge(names []string, logs ...*Log) *Log {
-	out := New()
+func (t *Timeline) sort() { slices.SortFunc(t.Records, Record.compare) }
+
+// Merge combines per-device logs into one multi-device view. Log i's engines
+// are re-labeled "gpu<i>/<engine>" ("gpu0/compute", "gpu1/h2d"…) so
+// per-device rows stay distinct in Gantt charts and Utilization. Nil logs
+// (devices with tracing off) are skipped. Returns nil when every log is nil;
+// an empty merge has non-nil Records, so it renders as [].
+func Merge(logs ...*Log) *Timeline {
+	var t *Timeline
 	for i, l := range logs {
 		if l == nil {
 			continue
 		}
-		name := ""
-		if i < len(names) {
-			name = names[i]
+		if t == nil {
+			t = &Timeline{Records: []Record{}}
 		}
-		if name == "" {
-			name = fmt.Sprintf("gpu%d", i)
-		}
-		for _, r := range l.Records() {
-			r.Engine = name + "/" + r.Engine
-			out.Add(r)
-		}
+		l.appendTo(t, "gpu"+strconv.Itoa(i)+"/")
 	}
-	return out
+	if t != nil {
+		t.sort()
+	}
+	return t
 }
 
-// Span returns the [min start, max end] of all records.
-func (l *Log) Span() (float64, float64) {
-	recs := l.Records()
-	if len(recs) == 0 {
+// Span returns the [min start, max end] of the records that span engine
+// time.
+func (t Timeline) Span() (float64, float64) {
+	start, end := math.Inf(1), math.Inf(-1)
+	for _, r := range t.Records {
+		if r.busy() {
+			start = math.Min(start, r.Start)
+			end = math.Max(end, r.End)
+		}
+	}
+	if start > end {
 		return 0, 0
 	}
-	start, end := math.Inf(1), math.Inf(-1)
-	for _, r := range recs {
-		start = math.Min(start, r.Start)
-		end = math.Max(end, r.End)
-	}
 	return start, end
+}
+
+// engines groups the busy records by engine, each group in timeline order,
+// and returns the engine names sorted.
+func (t Timeline) engines() (map[string][]Record, []string) {
+	per := map[string][]Record{}
+	var names []string
+	for _, r := range t.Records {
+		if !r.busy() {
+			continue
+		}
+		if _, ok := per[r.Engine]; !ok {
+			names = append(names, r.Engine)
+		}
+		per[r.Engine] = append(per[r.Engine], r)
+	}
+	sort.Strings(names)
+	return per, names
 }
 
 // Utilization returns, per engine, the fraction of the overall span the
 // engine was busy. Overlapping records on one engine are merged into disjoint
 // busy intervals before dividing by the span, so utilization never exceeds
 // 1.0 (summing raw durations double-counted overlap).
-func (l *Log) Utilization() map[string]float64 {
-	start, end := l.Span()
+func (t Timeline) Utilization() map[string]float64 {
+	start, end := t.Span()
 	span := end - start
 	out := map[string]float64{}
 	if span <= 0 {
 		return out
 	}
-	perEngine := map[string][]Record{}
-	for _, r := range l.Records() { // sorted by Start
-		perEngine[r.Engine] = append(perEngine[r.Engine], r)
-	}
-	for eng, recs := range perEngine {
+	per, _ := t.engines()
+	for eng, recs := range per {
 		busy := 0.0
 		curStart, curEnd := recs[0].Start, recs[0].End
 		for _, r := range recs[1:] {
@@ -141,30 +208,21 @@ func (l *Log) Utilization() map[string]float64 {
 	return out
 }
 
-// Gantt renders the log as a fixed-width text chart, one row per engine,
+// Gantt renders the timeline as a fixed-width text chart, one row per engine,
 // with stream numbers as the bar fill.
-func (l *Log) Gantt(width int) string {
+func (t Timeline) Gantt(width int) string {
 	if width < 20 {
 		width = 20
 	}
-	recs := l.Records()
-	if len(recs) == 0 {
+	per, names := t.engines()
+	if len(names) == 0 {
 		return "(empty trace)\n"
 	}
-	start, end := l.Span()
+	start, end := t.Span()
 	span := end - start
 	if span <= 0 {
 		span = 1
 	}
-	engines := map[string][]Record{}
-	var names []string
-	for _, r := range recs {
-		if _, ok := engines[r.Engine]; !ok {
-			names = append(names, r.Engine)
-		}
-		engines[r.Engine] = append(engines[r.Engine], r)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "span %.3f ms\n", span*1e3)
 	for _, name := range names {
@@ -172,7 +230,7 @@ func (l *Log) Gantt(width int) string {
 		for i := range row {
 			row[i] = '.'
 		}
-		for _, r := range engines[name] {
+		for _, r := range per[name] {
 			lo := int(float64(width) * (r.Start - start) / span)
 			if lo >= width {
 				// A zero-duration record at the exact span end still gets one
