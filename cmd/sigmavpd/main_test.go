@@ -152,7 +152,9 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Fatal("/trace shows no records after an H2D copy")
 	}
 	// The timeline is the job history: each op carries the job's VP, kind,
-	// and submit and plan times.
+	// and submit and plan times. One VP's synchronous ops each wait for the
+	// op before, which set the engine frontier, so here an op also starts no
+	// earlier than its plan time (in general it may: TestPlanIsEngineFrontier).
 	for _, r := range view.Records {
 		if !strings.HasPrefix(r.Engine, "gpu0/") {
 			t.Fatalf("trace record engine %q not labeled gpu0/", r.Engine)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cudart"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/vp"
 )
@@ -46,7 +47,9 @@ func TestSnapshotWorkerInvariance(t *testing.T) {
 
 // TestServiceJobEvents checks the timeline records each job's lifecycle with
 // simulated timestamps: one op record per job, stamped with its VP, and
-// submitted ≤ planned ≤ started ≤ ended.
+// submitted ≤ planned ≤ started < ended. Planned ≤ started holds because one
+// VP's synchronous jobs each wait for the job before, which set the engine
+// frontier; TestPlanIsEngineFrontier shows it need not hold across VPs.
 func TestServiceJobEvents(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Trace = true
@@ -75,5 +78,43 @@ func TestServiceJobEvents(t *testing.T) {
 	}
 	if got := s.Metrics().Counter("core.jobs_completed").Value(); got != 4 {
 		t.Fatalf("core.jobs_completed = %d, want 4", got)
+	}
+}
+
+// TestPlanIsEngineFrontier pins what a record's plan time is: the device's
+// engine frontier when its batch was planned. A D2H planned while a long H2D
+// keeps the copy-in engine busy runs on its idle engine at once, before its
+// plan time; its submit time is the same frontier, so submit ≤ plan holds.
+func TestPlanIsEngineFrontier(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Trace = true
+	s := NewService(opts)
+	defer s.Close()
+	src, err := s.GPU.Mem.Alloc(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := s.GPU.Mem.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(sched.NewH2D(1, VPStream(1, 0), src, 0, make([]byte, 1<<20)))
+	s.Flush()
+	s.Submit(sched.NewD2H(2, VPStream(2, 0), dst, 0, 64))
+	s.Flush()
+
+	recs := s.Trace().Timeline().Records
+	if len(recs) != 2 {
+		t.Fatalf("%d records, want the H2D and the D2H: %+v", len(recs), recs)
+	}
+	d2h, h2d := recs[0], recs[1] // both start at 0; sorted by engine
+	if h2d.Engine != "h2d" || d2h.Engine != "d2h" {
+		t.Fatalf("records %+v, want a D2H and an H2D", recs)
+	}
+	if d2h.Plan != h2d.End || d2h.Submit != d2h.Plan {
+		t.Errorf("D2H submit %v, plan %v: want both the H2D's end %v, the frontier", d2h.Submit, d2h.Plan, h2d.End)
+	}
+	if !(d2h.Start < d2h.Plan) {
+		t.Errorf("D2H starts at %v, want before its plan time %v: its engine was idle", d2h.Start, d2h.Plan)
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/devmem"
 	"repro/internal/ipc"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -121,6 +123,66 @@ func TestMigrateMovesState(t *testing.T) {
 	}
 	if err := m.Migrate(0, 9); err == nil {
 		t.Fatal("migrating to a nonexistent device succeeded")
+	}
+}
+
+// TestMigrationTargetJobTimes: a VP arriving lifts its stream clocks on the
+// target, but a job the target runs keeps the same submit and plan times
+// whether the arrival came before its submit or after it, and on the target
+// every record is submitted no later than planned.
+func TestMigrationTargetJobTimes(t *testing.T) {
+	run := func(migrateFirst bool) []trace.Record {
+		m := migTestFarm(t, 2)
+		m.RegisterVP(0) // → device 0
+		payload := make([]byte, 1<<20)
+		p := mallocVP(t, m, 0, len(payload)).Ptr
+		if _, ok := m.Handle(0, ipc.H2DReq{Dst: p, Data: payload}).(ipc.OKResp); !ok {
+			t.Fatal("H2D failed")
+		}
+		// VP 1 submits straight to device 1 and is never registered, so
+		// VP 0, registered there once it arrives, does not hold its batch.
+		dev := m.Device(1)
+		q, err := dev.GPU.Mem.Alloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrate := func() {
+			if err := m.Migrate(0, 1); err != nil {
+				t.Fatalf("migrate: %v", err)
+			}
+		}
+		if migrateFirst {
+			migrate()
+		}
+		dev.Submit(sched.NewH2D(1, VPStream(1, 0), q, 0, make([]byte, 4096)))
+		dev.Flush()
+		if !migrateFirst {
+			migrate()
+		}
+		// VP 0 on the target: its stream was lifted past the target's frontier.
+		if _, ok := m.Handle(0, ipc.D2HReq{Src: p, N: len(payload)}).(ipc.D2HResp); !ok {
+			t.Fatal("D2H after migration failed")
+		}
+		recs := dev.Trace().Timeline().Records
+		for _, r := range recs {
+			if r.Submit > r.Plan {
+				t.Fatalf("migrate first %v: record %+v submitted after it was planned", migrateFirst, r)
+			}
+		}
+		return recs
+	}
+	vp1 := func(recs []trace.Record) []trace.Record {
+		var out []trace.Record
+		for _, r := range recs {
+			if r.VP == 1 {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	after, before := vp1(run(false)), vp1(run(true))
+	if len(after) != 1 || !slices.Equal(after, before) {
+		t.Fatalf("VP 1's records moved with a migration onto its device:\n  arrival after submit:  %+v\n  arrival before submit: %+v", after, before)
 	}
 }
 

@@ -246,15 +246,17 @@ func (s *Service) DisconnectVP(id int) {
 			j.Finish(fmt.Errorf("core: vp %d: %w", id, ErrCancelled))
 			s.metrics.Counter("core.jobs_cancelled").Inc()
 			s.metrics.Gauge("core.jobs_in_flight").Sub(1)
-			s.markJob(trace.KindCancelled, j, s.GPU.Sync(), 0, ErrCancelled)
+			s.markJob(trace.KindCancelled, j, s.GPU.Frontier(), 0, ErrCancelled)
 		}
 	}
 	s.maybeDispatch()
 }
 
-// Submit enqueues a job without waiting.
+// Submit enqueues a job without waiting. The job's submit time is the
+// device's engine frontier, not Sync: a VP migrating in lifts its stream
+// clocks while others submit, and Sync would see that.
 func (s *Service) Submit(j *sched.Job) {
-	j.SubmitTime = s.GPU.Sync()
+	j.SubmitTime = s.GPU.Frontier()
 	s.metrics.Counter("core.jobs_submitted").Inc()
 	s.metrics.Gauge("core.jobs_in_flight").Add(1)
 	s.queue.Push(j)
@@ -440,8 +442,7 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 	traced := s.GPU.Trace != nil
 	var plan float64
 	if traced {
-		// Not Sync: a VP migrating in lifts its streams while a batch runs.
-		plan = s.GPU.Frontier()
+		plan = s.GPU.Frontier() // the clock Submit reads, so submit ≤ plan
 	}
 	for _, j := range order {
 		if traced {

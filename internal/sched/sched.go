@@ -70,8 +70,9 @@ type Job struct {
 	Err      error
 
 	// SubmitTime is the simulated time at which the job entered the service
-	// queue; the dispatcher's latency accounting subtracts it from the job's
-	// execution start.
+	// queue — the device's engine frontier then (hostgpu.GPU.Frontier); the
+	// dispatcher's latency accounting subtracts it from the job's execution
+	// start.
 	SubmitTime float64
 
 	// Bytes is the host-side payload the job pins while queued or in flight

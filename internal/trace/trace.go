@@ -39,9 +39,12 @@ type Record struct {
 	Start  float64 `json:"start"`
 	End    float64 `json:"end"`
 	Kind   string  `json:"kind"`
-	VP     int     `json:"vp"`     // the job's VP; -1 for a merged launch
-	Submit float64 `json:"submit"` // when the job entered the service queue
-	Plan   float64 `json:"plan"`   // when its batch was planned
+	VP     int     `json:"vp"` // the job's VP; -1 for a merged launch
+	// Submit and Plan are the device's engine frontier when the job entered
+	// the service queue and when its batch was planned, so Submit ≤ Plan.
+	// Neither bounds Start: an op on an idle engine can start before either.
+	Submit float64 `json:"submit"`
+	Plan   float64 `json:"plan"`
 	Err    string  `json:"err,omitempty"`
 }
 
