@@ -23,7 +23,8 @@
 //	GET /trace    — the merged timeline (span, per-engine utilization, the
 //	                records with each job's VP, kind, submit and plan times,
 //	                and how many records the bounded per-device logs dropped)
-//	                as JSON, engines labeled "gpu<i>/<engine>"
+//	                as JSON, engines labeled "gpu<i>/<engine>"; like a
+//	                scrape it reads the timeline as it stands
 //
 // Usage:
 //

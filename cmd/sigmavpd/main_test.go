@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/cudart"
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
 	"repro/internal/ipc"
@@ -99,8 +100,8 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestObservabilityEndpoints drives the default one-device farm through the
-// pipe transport and checks /metrics and /trace return well-formed JSON
+// TestObservabilityEndpoints drives the default one-device farm through its
+// in-process back end and checks /metrics and /trace return well-formed JSON
 // reflecting the traffic, in the farm's namespacing.
 func TestObservabilityEndpoints(t *testing.T) {
 	opts := core.DefaultOptions()
@@ -109,16 +110,15 @@ func TestObservabilityEndpoints(t *testing.T) {
 	mux := buildMux(ms)
 
 	ms.RegisterVP(1)
-	c := ipc.Pipe(1, ms.Handle)
-	resp, err := c.Call(ipc.MallocReq{Size: 1 << 12})
+	ctx := cudart.NewContext(1, ms.Backend(1))
+	ptr, err := ctx.Malloc(1 << 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptr := resp.(ipc.MallocResp).Ptr
-	if _, err := c.Call(ipc.H2DReq{Dst: ptr, Data: make([]byte, 1<<12)}); err != nil {
+	if err := ctx.MemcpyH2D(ptr, make([]byte, 1<<12)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call(ipc.SyncReq{}); err != nil {
+	if err := ctx.DeviceSynchronize(); err != nil {
 		t.Fatal(err)
 	}
 	ms.UnregisterVP(1)
@@ -357,8 +357,9 @@ func TestTraceDisabled(t *testing.T) {
 // batchesOf runs one scripted round on a traced one-device daemon and returns
 // its batches, each the sorted "vp<id> <label>" of the ops it planned: the
 // device is held busy by a job that waits on a gate, VP 1 and VP 2 each send
-// an H2D, and with scrape set /metrics is scraped between the two sends. The
-// scrape must neither wait on the held pipeline nor change the batches.
+// an H2D, and with scrape set /metrics and then /trace are read between the
+// two sends. Neither read may wait on the held pipeline or change the
+// batches.
 func batchesOf(t *testing.T, scrape bool) [][]string {
 	t.Helper()
 	opts := core.DefaultOptions()
@@ -392,20 +393,24 @@ func batchesOf(t *testing.T, scrape bool) [][]string {
 	for dev.QueuedJobs() == 0 {
 		time.Sleep(time.Millisecond)
 	}
+	var reads []string
 	if scrape {
+		reads = []string{"/metrics", "/trace"}
+	}
+	for _, path := range reads {
 		scraped := make(chan int, 1)
 		go func() {
 			rec := httptest.NewRecorder()
-			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 			scraped <- rec.Code
 		}()
 		select {
 		case code := <-scraped:
 			if code != 200 {
-				t.Fatalf("/metrics status %d", code)
+				t.Fatalf("%s status %d", path, code)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("a /metrics scrape waited on the device pipeline")
+			t.Fatalf("a %s scrape waited on the device pipeline", path)
 		}
 	}
 	send(2)
@@ -434,8 +439,8 @@ func batchesOf(t *testing.T, scrape bool) [][]string {
 	return out
 }
 
-// TestScrapeKeepsBatchComposition: a /metrics scrape between two submits
-// returns while the device is busy, and the jobs share the batch they share
+// TestScrapeKeepsBatchComposition: a /metrics scrape and a /trace read
+// between two submits return while the device is busy, and the jobs share the batch they share
 // without it.
 func TestScrapeKeepsBatchComposition(t *testing.T) {
 	want := batchesOf(t, false)

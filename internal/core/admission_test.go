@@ -218,15 +218,15 @@ func TestAdmissionGaugesBalance(t *testing.T) {
 func TestHandleShedsOverload(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
-	s := NewService(opts)
-	defer s.Close()
+	m, s := farmOfOne(t, opts)
+	defer m.Close()
 	dst, err := s.AllocVP(0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.Snapshot()
 
-	resp := s.Handle(0, ipc.H2DReq{Dst: dst, Data: make([]byte, 64)})
+	resp := m.Handle(0, ipc.H2DReq{Dst: dst, Data: make([]byte, 64)})
 	or, ok := resp.(ipc.OverloadResp)
 	if !ok {
 		t.Fatalf("resp = %#v, want OverloadResp", resp)
@@ -253,13 +253,13 @@ func TestHandleShedsOverload(t *testing.T) {
 	// retryably.
 	opts = DefaultOptions()
 	opts.Admission = AdmissionOptions{Rate: 1e-9, Burst: 1}
-	s2 := NewService(opts)
-	defer s2.Close()
+	m2, s2 := farmOfOne(t, opts)
+	defer m2.Close()
 	p, _ := s2.AllocVP(0, 64)
-	if _, ok := s2.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 8)}).(ipc.OKResp); !ok {
+	if _, ok := m2.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 8)}).(ipc.OKResp); !ok {
 		t.Fatal("first submit should be admitted")
 	}
-	or, ok = s2.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 8)}).(ipc.OverloadResp)
+	or, ok = m2.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 8)}).(ipc.OverloadResp)
 	if !ok {
 		t.Fatal("second submit should shed on rate")
 	}
@@ -274,11 +274,11 @@ func TestHandleShedsOverload(t *testing.T) {
 func TestAdmissionReleasedOnDispatch(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedJobs: 4}
-	s := NewService(opts)
-	defer s.Close()
+	m, s := farmOfOne(t, opts)
+	defer m.Close()
 	p, _ := s.AllocVP(0, 1<<10)
 	for i := 0; i < 3; i++ {
-		if _, ok := s.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 16)}).(ipc.OKResp); !ok {
+		if _, ok := m.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 16)}).(ipc.OKResp); !ok {
 			t.Fatalf("submit %d failed", i)
 		}
 	}
@@ -311,8 +311,8 @@ func TestAdmissionReleasedOnDisconnect(t *testing.T) {
 	jobs := make([]*sched.Job, 3)
 	for i := range jobs {
 		j := sched.NewH2D(0, 0, p, 0, make([]byte, 32))
-		if resp := s.admitJob(0, j); resp != nil {
-			t.Fatalf("admit %d: %v", i, resp)
+		if oe := s.admitJob(j); oe != nil {
+			t.Fatalf("admit %d: %v", i, oe)
 		}
 		s.Submit(j)
 		jobs[i] = j
@@ -368,19 +368,20 @@ func TestExecDepthGaugeSingleOwner(t *testing.T) {
 }
 
 // TestOverloadSurfacesOnEveryTransport: the typed overload rejection decodes
-// back into *ipc.OverloadError on the in-process pipe and over the binary
-// TCP protocol, so the cudart retry contract works regardless of transport.
+// back into *ipc.OverloadError through a test pipe into Handle and over the
+// binary TCP protocol, so the cudart retry contract works regardless of
+// transport.
 func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
-	// Each service's oversized H2D targets a buffer its VP owns.
-	newSvc := func() (*Service, ipc.H2DReq) {
+	// Each farm's oversized H2D targets a buffer its VP owns.
+	newSvc := func() (*MultiService, ipc.H2DReq) {
 		opts := DefaultOptions()
 		opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
-		s := NewService(opts)
+		m, s := farmOfOne(t, opts)
 		dst, err := s.AllocVP(0, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, ipc.H2DReq{Dst: dst, Data: make([]byte, 64)}
+		return m, ipc.H2DReq{Dst: dst, Data: make([]byte, 64)}
 	}
 	check := t.Helper
 	assertOverload := func(t *testing.T, err error) {
@@ -396,8 +397,7 @@ func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
 	t.Run("pipe", func(t *testing.T) {
 		s, oversized := newSvc()
 		defer s.Close()
-		c := ipc.Pipe(0, s.Handle)
-		_, err := c.Call(oversized)
+		_, err := testPipe{vp: 0, ep: s}.Call(oversized)
 		assertOverload(t, err)
 	})
 	t.Run("binary", func(t *testing.T) {
@@ -407,7 +407,7 @@ func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := ipc.Serve(l, s.Handle)
+		srv := ipc.ServeEndpoint(l, s)
 		defer srv.Close()
 		c, err := ipc.Dial(l.Addr().String(), 0)
 		if err != nil {
@@ -417,4 +417,56 @@ func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
 		_, err = c.Call(oversized)
 		assertOverload(t, err)
 	})
+}
+
+// TestSameShedOnBothRoutes: the farm has one door. A 64-byte H2D into a
+// one-device farm whose per-VP byte quota is 16 is shed on the in-process
+// route and over TCP alike: not retryable, for the same reason, counted once
+// on each route, and with no reservation left behind.
+func TestSameShedOnBothRoutes(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
+	m, s := farmOfOne(t, opts)
+	defer m.Close()
+	const vp = 0
+	dst := mallocVP(t, m, vp, 64).Ptr
+	data := make([]byte, 64)
+	shed := s.Metrics().Counter("core.admission.shed")
+	noLeak := func(route string) {
+		t.Helper()
+		if jobs, bytes := m.Device(0).AdmissionLoad(); jobs != 0 || bytes != 0 {
+			t.Fatalf("%s: shed left a reservation: %d jobs, %d bytes", route, jobs, bytes)
+		}
+	}
+
+	_, err := m.Backend(vp).H2D(0, dst, 0, data)
+	var local *OverloadError
+	if !errors.As(err, &local) || local.Retryable || local.Reason != "payload" {
+		t.Fatalf("in process: err = %v, want a non-retryable payload shed", err)
+	}
+	if got := shed.Value(); got != 1 {
+		t.Fatalf("in process: core.admission.shed = %d, want 1", got)
+	}
+	noLeak("in process")
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ipc.ServeEndpoint(l, m)
+	defer srv.Close()
+	c, err := ipc.Dial(srv.Addr().String(), vp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.CallH2D(ipc.H2DReq{Dst: dst, Data: data})
+	remote, ok := ipc.AsOverload(err)
+	if !ok || remote.Retryable || remote.Msg != local.Error() {
+		t.Fatalf("tcp: err = %v, want the in-process shed %q, not retryable", err, local.Error())
+	}
+	if got := shed.Value(); got != 2 {
+		t.Fatalf("tcp: core.admission.shed = %d, want 2", got)
+	}
+	noLeak("tcp")
 }

@@ -32,11 +32,11 @@ func (m *MultiService) Backend(vp int) *multiBackend {
 }
 
 // multiBackend is the one in-process back end: a VP's, on a farm of one device
-// or many. Every call resolves the VP's device afresh, holding the VP's
-// migration gate shared as Handle does, so after a migration the VP's work
-// follows it to the target device and a migration never overlaps a submit.
-// Tokens stay valid across a move: Migrate drains the source before it evicts
-// the VP.
+// or many. Its jobs take the farm's one submission route (MultiService.submit),
+// admission included, holding the VP's migration gate shared through the
+// enqueue, so after a migration the VP's work follows it to the target device
+// and a migration never overlaps a submit. Tokens stay valid across a move:
+// Migrate drains the source before it evicts the VP.
 type multiBackend struct {
 	m    *MultiService
 	vp   int
@@ -56,13 +56,14 @@ func (t jobToken) Wait() error                { return t.s.WaitJob(t.j.VP, t.j) 
 func (t jobToken) Interval() hostgpu.Interval { return t.j.Interval }
 func (t jobToken) Bytes() []byte              { return t.j.Data }
 
-// enqueue is the in-process tail of a job builder: submit without waiting and
-// hand back the job's token.
-func (s *Service) enqueue(j *sched.Job, err error) (cudart.Token, error) {
+// enqueue submits one job without waiting and hands back its token.
+func (b *multiBackend) enqueue(build func(*Service) (*sched.Job, error)) (cudart.Token, error) {
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	s, j, err := b.m.submit(b.vp, build)
 	if err != nil {
 		return nil, err
 	}
-	s.Submit(j)
 	return jobToken{s: s, j: j}, nil
 }
 
@@ -79,31 +80,25 @@ func (b *multiBackend) Free(p devmem.Ptr) error {
 }
 
 func (b *multiBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	s := b.Service()
-	return s.enqueue(s.h2dJob(b.vp, stream, dst, off, data, nil))
+	return b.enqueue(func(s *Service) (*sched.Job, error) {
+		return s.h2dJob(b.vp, stream, dst, off, data, nil)
+	})
 }
 
 func (b *multiBackend) D2H(stream int, src devmem.Ptr, off, n int) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	s := b.Service()
-	return s.enqueue(s.d2hJob(b.vp, stream, src, off, n, nil))
+	return b.enqueue(func(s *Service) (*sched.Job, error) {
+		return s.d2hJob(b.vp, stream, src, off, n, nil)
+	})
 }
 
 func (b *multiBackend) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	s := b.Service()
-	return s.enqueue(s.memsetJob(b.vp, stream, dst, off, n, value))
+	return b.enqueue(func(s *Service) (*sched.Job, error) {
+		return s.memsetJob(b.vp, stream, dst, off, n, value)
+	})
 }
 
 func (b *multiBackend) Launch(stream int, l *hostgpu.Launch) (cudart.Token, error) {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	s := b.Service()
-	return s.enqueue(s.kernelJob(b.vp, stream, l))
+	return b.enqueue(func(s *Service) (*sched.Job, error) { return s.kernelJob(b.vp, stream, l) })
 }
 
 func (b *multiBackend) Close() error { return nil }

@@ -23,26 +23,31 @@ func fillPattern(n, seed int) []byte {
 	return b
 }
 
-// serveTCP serves s on a loopback listener.
-func serveTCP(t *testing.T, s *Service) *ipc.Server {
+// serveTCP serves a one-device farm on a loopback listener and returns the
+// server and the farm's device.
+func serveTCP(t *testing.T) (*ipc.Server, *Service) {
 	t.Helper()
+	m, s := farmOfOne(t, DefaultOptions())
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ipc.ServeEndpoint(l, s)
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	srv := ipc.ServeEndpoint(l, m)
+	t.Cleanup(func() {
+		srv.Close()
+		m.Close()
+	})
+	return srv, s
 }
 
-// dialTyped connects vp to srv.
-func dialTyped(t *testing.T, srv *ipc.Server, vp int) (ipc.Client, ipc.TypedCaller) {
+// dialTCP connects vp to srv.
+func dialTCP(t *testing.T, srv *ipc.Server, vp int) ipc.Client {
 	t.Helper()
 	c, err := ipc.Dial(srv.Addr().String(), vp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, c.(ipc.TypedCaller)
+	return c
 }
 
 // allocFilled gives vp an allocation holding data.
@@ -69,17 +74,15 @@ func TestServedD2HAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops frames at random under the race detector")
 	}
-	s := NewService(DefaultOptions())
-	defer s.Close()
-	srv := serveTCP(t, s)
-	c, tc := dialTyped(t, srv, 1)
+	srv, s := serveTCP(t)
+	c := dialTCP(t, srv, 1)
 	defer c.Close()
 
 	const payload = 256 << 10
 	want := fillPattern(payload, 1)
 	p := allocFilled(t, s, 1, want)
 	d2h := func() {
-		d, err := tc.CallD2H(ipc.D2HReq{Src: p, N: payload})
+		d, err := c.CallD2H(ipc.D2HReq{Src: p, N: payload})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,10 +126,8 @@ func TestServedRoundAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	s := NewService(DefaultOptions())
-	defer s.Close()
-	srv := serveTCP(t, s)
-	c, tc := dialTyped(t, srv, 1)
+	srv, s := serveTCP(t)
+	c := dialTCP(t, srv, 1)
 	defer c.Close()
 
 	const elems = 64 << 10
@@ -143,14 +144,14 @@ func TestServedRoundAllocs(t *testing.T) {
 		a := as[sent%2]
 		sent++
 		for _, h2d := range []ipc.H2DReq{{Dst: pa, Data: a}, {Dst: pb, Data: b}} {
-			if _, err := tc.CallH2D(h2d); err != nil {
+			if _, err := c.CallH2D(h2d); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := tc.CallLaunch(launch); err != nil {
+		if _, err := c.CallLaunch(launch); err != nil {
 			t.Fatal(err)
 		}
-		if d, err := tc.CallD2H(ipc.D2HReq{Src: pout, N: payload}); err != nil || len(d.Data) != payload {
+		if d, err := c.CallD2H(ipc.D2HReq{Src: pout, N: payload}); err != nil || len(d.Data) != payload {
 			t.Fatalf("D2H: %d bytes, %v", len(d.Data), err)
 		}
 	}
@@ -187,20 +188,18 @@ func TestServedRoundAllocs(t *testing.T) {
 // the survivor's next response would be built in a buffer another job still
 // writes, and its bytes (checked here) or the race detector would show it.
 func TestDisconnectKeepsD2HFrames(t *testing.T) {
-	s := NewService(DefaultOptions())
-	defer s.Close()
-	srv := serveTCP(t, s)
+	srv, s := serveTCP(t)
 
 	const n = 64 << 10
 	mine, theirs := fillPattern(n, 1), fillPattern(n, 2)
 	pMine := allocFilled(t, s, 1, mine)
 	pTheirs := allocFilled(t, s, 2, theirs)
-	survivor, stc := dialTyped(t, srv, 1)
+	survivor := dialTCP(t, srv, 1)
 	defer survivor.Close()
 	readMine := func(when string, round int) {
 		t.Helper()
 		for i := 0; i < 3; i++ {
-			d, err := stc.CallD2H(ipc.D2HReq{Src: pMine, N: n})
+			d, err := survivor.CallD2H(ipc.D2HReq{Src: pMine, N: n})
 			if err != nil {
 				t.Fatalf("round %d, %s: survivor D2H: %v", round, when, err)
 			}
@@ -211,14 +210,14 @@ func TestDisconnectKeepsD2HFrames(t *testing.T) {
 	}
 
 	for round := 0; round < 12; round++ {
-		victim, vtc := dialTyped(t, srv, 2)
+		victim := dialTCP(t, srv, 2)
 		var wg sync.WaitGroup
 		for stream := 0; stream < 4; stream++ {
 			wg.Add(1)
 			go func(stream int) {
 				defer wg.Done()
 				for {
-					d, err := vtc.CallD2H(ipc.D2HReq{Stream: stream, Src: pTheirs, N: n})
+					d, err := victim.CallD2H(ipc.D2HReq{Stream: stream, Src: pTheirs, N: n})
 					if err != nil {
 						return // the connection was cut
 					}
@@ -245,10 +244,8 @@ func TestServedHeapBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serves hundreds of rounds")
 	}
-	s := NewService(DefaultOptions())
-	defer s.Close()
-	srv := serveTCP(t, s)
-	c, tc := dialTyped(t, srv, 1)
+	srv, s := serveTCP(t)
+	c := dialTCP(t, srv, 1)
 	defer c.Close()
 
 	const elems = 1 << 10
@@ -263,14 +260,14 @@ func TestServedHeapBounded(t *testing.T) {
 	rounds := func(n int) uint64 {
 		for i := 0; i < n; i++ {
 			for _, h2d := range []ipc.H2DReq{{Dst: pa, Data: a}, {Dst: pb, Data: b}} {
-				if _, err := tc.CallH2D(h2d); err != nil {
+				if _, err := c.CallH2D(h2d); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := tc.CallLaunch(launch); err != nil {
+			if _, err := c.CallLaunch(launch); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tc.CallD2H(ipc.D2HReq{Src: pout, N: payload}); err != nil {
+			if _, err := c.CallD2H(ipc.D2HReq{Src: pout, N: payload}); err != nil {
 				t.Fatal(err)
 			}
 		}

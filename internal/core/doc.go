@@ -6,12 +6,13 @@
 //
 // # The device layer
 //
-// Service multiplexes one simulated host GPU among its registered VPs.
-// Requests arrive through Handle (the ipc.Handler contract); submissions
-// queue until every registered VP is parked at a synchronous point — the VP
-// Control mechanism of paper Fig. 4b — then the accumulated batch is
-// re-scheduled and dispatched. Every batch, served or raw, takes one route:
-// runBatch → executor.submit → runHead → dispatch. The batch runs on the
+// Service multiplexes one simulated host GPU among its registered VPs. It
+// has no request surface of its own: jobs reach it through the farm
+// (MultiService.submit, below); submissions queue until every registered VP
+// is parked at a synchronous point — the VP Control mechanism of paper
+// Fig. 4b — then the accumulated batch is re-scheduled and dispatched. Every
+// batch, served or raw, takes one route: runBatch → executor.submit →
+// runHead → dispatch. The batch runs on the
 // executor's own goroutine, overlapping guest submission with device
 // simulation, or on a goroutine draining the device; after Close the
 // submitter drains its own batch. Whoever runs it, the simulated results are
@@ -33,21 +34,25 @@
 // times, and a refused job, a cancelled one and a VP's arrival are records of
 // their own kinds. The timeline is a bounded ring (trace.Capacity), so with
 // tracing on or off a served job leaves nothing behind that grows with the
-// requests served. Snapshot drains first; MultiService.Scrape, what the
-// daemon's /metrics serves, does not, so a scrape neither waits behind nor
-// runs a device's batches.
+// requests served. Snapshot drains first; MultiService.Scrape and the
+// timeline reads (Trace, MergedTrace), what the daemon's /metrics and /trace
+// serve, do not, so neither waits behind nor runs a device's batches.
 //
 // # The farm: the one served shape
 //
 // MultiService serves a fleet of VPs across one or more devices behind one
 // Handle surface, and is what every daemon serves: a single device is a
 // farm of one (sigmavpd without -gpus). Placement policies (round-robin,
-// least-loaded, mem-aware) assign a VP to a device at registration. The
-// farm-admin requests (CheckpointReq, MigrateReq) are answered here, before
-// routing; Service.Handle knows only device work. In-process hosts take their
-// cudart back ends from MultiService.Backend, the one in-process back end,
-// which builds its jobs with the per-device builders Handle uses. Service is
-// the per-device layer; no other package's non-test code constructs one.
+// least-loaded, mem-aware) assign a VP to a device at registration. Handle
+// is the only type switch over wire requests; the farm-admin requests
+// (CheckpointReq, MigrateReq) are answered there, outside the VP's gate.
+// In-process hosts take their cudart back ends from MultiService.Backend,
+// the one in-process back end. Both doors take one submission route,
+// MultiService.submit: resolve the VP's device, build the job with the
+// per-device builders, admit it (the farm cap, then the device gate) and
+// queue it, so whether a VP can be shed does not depend on its transport.
+// Service is the per-device layer; no other package's non-test code
+// constructs one.
 //
 // # Checkpoint, restore, and live migration
 //

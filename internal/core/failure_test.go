@@ -142,12 +142,13 @@ func TestMergedFailureFinishesMembers(t *testing.T) {
 // TestIPCClientDisconnect: a VP's TCP connection dying must not take down
 // the server or other VPs.
 func TestIPCClientDisconnect(t *testing.T) {
-	s := NewService(DefaultOptions())
+	m, _ := farmOfOne(t, DefaultOptions())
+	defer m.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ipc.Serve(l, s.Handle)
+	srv := ipc.Serve(l, m.Handle)
 	defer srv.Close()
 
 	c1, err := ipc.Dial(srv.Addr().String(), 1)
@@ -174,8 +175,9 @@ func TestIPCClientDisconnect(t *testing.T) {
 // TestServiceBadLaunchShape: malformed launch requests error cleanly over
 // the wire.
 func TestServiceBadLaunchShape(t *testing.T) {
-	s := NewService(DefaultOptions())
-	resp := s.Handle(0, ipc.LaunchReq{Kernel: "vectorAdd", Grid: 0, Block: 0})
+	m, _ := farmOfOne(t, DefaultOptions())
+	defer m.Close()
+	resp := m.Handle(0, ipc.LaunchReq{Kernel: "vectorAdd", Grid: 0, Block: 0})
 	if _, ok := resp.(ipc.ErrResp); !ok {
 		t.Fatalf("zero-shape launch returned %T", resp)
 	}

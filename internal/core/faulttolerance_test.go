@@ -97,12 +97,13 @@ func TestDisconnectCancelsOrphanedJobs(t *testing.T) {
 // VP-control batching must unwedge the service and let the other VP's jobs
 // complete with correct results.
 func TestTCPDisconnectMidBatch(t *testing.T) {
-	s := NewService(DefaultOptions())
+	m, s := farmOfOne(t, DefaultOptions())
+	defer m.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ipc.ServeWithHooks(l, s.Handle, s.RegisterVP, s.DisconnectVP)
+	srv := ipc.ServeEndpoint(l, m)
 	defer srv.Close()
 
 	c1, err := ipc.Dial(srv.Addr().String(), 1)
@@ -172,10 +173,10 @@ func TestTCPDisconnectMidBatch(t *testing.T) {
 	}
 }
 
-// TestPipeProtocolByteIdentical: the in-process Pipe transport must produce
-// byte-identical results and identical simulated times to the direct
-// in-process backend — the wire-protocol change is invisible to
-// co-simulated VPs.
+// TestPipeProtocolByteIdentical: the remote back end over a test pipe into
+// Handle must produce byte-identical results and identical simulated times to
+// the farm's in-process back end — the served route and the in-process one
+// take one submission path.
 func TestPipeProtocolByteIdentical(t *testing.T) {
 	run := func(mk func(m *MultiService) cudart.Backend) ([]byte, float64, float64) {
 		m, s := farmOfOne(t, DefaultOptions())
@@ -214,7 +215,7 @@ func TestPipeProtocolByteIdentical(t *testing.T) {
 		return m.Backend(0)
 	})
 	piped, pipedSync, pipedEnergy := run(func(m *MultiService) cudart.Backend {
-		return cudart.NewRemoteBackend(ipc.Pipe(0, m.Handle))
+		return cudart.NewRemoteBackend(testPipe{vp: 0, ep: m})
 	})
 
 	if !bytes.Equal(direct, piped) {

@@ -88,15 +88,14 @@ func TestHostileH2DOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := ipc.Typed(c)
-	if _, err := tc.CallH2D(ipc.H2DReq{Dst: m.Ptr, Off: math.MaxInt, Data: []byte{1}}); err == nil || ipc.IsRetryable(err) {
+	if _, err := c.CallH2D(ipc.H2DReq{Dst: m.Ptr, Off: math.MaxInt, Data: []byte{1}}); err == nil || ipc.IsRetryable(err) {
 		t.Fatalf("hostile H2D: err %v, want the server's error reply", err)
 	}
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if _, err := tc.CallH2D(ipc.H2DReq{Dst: m.Ptr, Data: payload}); err != nil {
+	if _, err := c.CallH2D(ipc.H2DReq{Dst: m.Ptr, Data: payload}); err != nil {
 		t.Fatalf("H2D after the hostile one: %v", err)
 	}
-	if d2h, err := tc.CallD2H(ipc.D2HReq{Src: m.Ptr, N: len(payload)}); err != nil || !bytes.Equal(d2h.Data, payload) {
+	if d2h, err := c.CallD2H(ipc.D2HReq{Src: m.Ptr, N: len(payload)}); err != nil || !bytes.Equal(d2h.Data, payload) {
 		t.Fatalf("D2H after the hostile one: %x, err %v", d2h.Data, err)
 	}
 }

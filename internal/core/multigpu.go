@@ -277,61 +277,140 @@ func (m *MultiService) ActiveVPs() int {
 	return n
 }
 
-// Handle implements ipc.Handler: each request runs on the VP's device. With
-// the lifecycle hooks (RegisterVP on hello, DisconnectVP on hangup) this
-// makes the whole farm remotely servable — ipc.ServeEndpoint(l, m).
-// Farm-wide admission caps (Options.Admission.Farm*) are enforced here,
-// before routing: a farm drowning in queued work sheds new submissions no
-// matter which device they would land on.
+// Handle implements ipc.Handler: the served door into the farm, and the only
+// type switch over wire requests. Each request maps onto the farm's one
+// submission route (submit), and every error becomes its wire response here:
+// an admission shed an ipc.OverloadResp, anything else an ipc.ErrResp. With
+// the lifecycle hooks (RegisterVP on hello, DisconnectVP on hangup) this makes
+// the whole farm remotely servable — ipc.ServeEndpoint(l, m). Kernel launches
+// arrive by registry name: the service owns the kernel binaries, giving guest
+// applications binary compatibility across back ends.
 func (m *MultiService) Handle(vp int, req any) any {
+	var resp any
+	var err error
 	// Farm-admin requests run outside the caller's migration gate:
 	// Migrate/Checkpoint acquire gates themselves, and holding the sender's
 	// gate here would deadlock a VP asking to migrate itself.
 	switch r := req.(type) {
 	case ipc.MigrateReq:
-		if err := m.Migrate(r.VP, r.Target); err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.OKResp{}
+		resp, err = ipc.OKResp{}, m.Migrate(r.VP, r.Target)
 	case ipc.CheckpointReq:
-		ck, err := m.Checkpoint()
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
+		var ck *Checkpoint
+		if ck, err = m.Checkpoint(); err == nil {
+			resp = ipc.CheckpointResp{Data: ck.Marshal()}
 		}
-		return ipc.CheckpointResp{Data: ck.Marshal()}
+	default:
+		resp, err = m.serve(vp, req)
 	}
+	if oe, ok := err.(*OverloadError); ok {
+		return ipc.OverloadResp{Msg: oe.Error(), Backoff: oe.Backoff, Retryable: oe.Retryable}
+	}
+	if err != nil {
+		return ipc.ErrResp{Msg: err.Error()}
+	}
+	return resp
+}
+
+// serve answers one device request, holding the VP's migration gate shared
+// until its job has run or been cancelled: the transport releases an H2D's
+// lent payload only once Handle has returned, and Migrate must find every job
+// of the VP's retired.
+func (m *MultiService) serve(vp int, req any) (any, error) {
 	g := m.gate(vp)
 	g.RLock()
 	defer g.RUnlock()
-	if resp := m.admitFarm(vp, req); resp != nil {
-		return resp
-	}
-	return m.serviceFor(vp).Handle(vp, req)
-}
-
-// queuedPayload classifies a request for the farm-wide caps: whether it
-// enqueues work (mallocs, frees and syncs pass freely) and the host-side
-// payload it would pin while queued.
-func queuedPayload(req any) (bytes int, submits bool) {
 	switch r := req.(type) {
+	case ipc.MallocReq:
+		p, err := m.serviceFor(vp).AllocVP(vp, r.Size)
+		return ipc.MallocResp{Ptr: p}, err
+	case ipc.FreeReq:
+		return ipc.OKResp{}, m.serviceFor(vp).FreeVP(vp, r.Ptr)
 	case ipc.H2DReq:
-		return len(r.Data), true
+		return done(m.run(vp, func(s *Service) (*sched.Job, error) {
+			return s.h2dJob(vp, r.Stream, r.Dst, r.Off, r.Data, r.Payload())
+		}))
 	case ipc.D2HReq:
-		return r.N, true
-	case ipc.MemsetReq, ipc.LaunchReq:
-		return 0, true
+		var d2h ipc.D2HResp
+		j, err := m.run(vp, func(s *Service) (*sched.Job, error) {
+			return s.d2hJob(vp, r.Stream, r.Src, r.Off, r.N, &d2h)
+		})
+		if err != nil {
+			return nil, err
+		}
+		d2h.Data, d2h.End = j.Data, j.Interval.End
+		return d2h, nil
+	case ipc.MemsetReq:
+		return done(m.run(vp, func(s *Service) (*sched.Job, error) {
+			return s.memsetJob(vp, r.Stream, r.Dst, r.Off, r.N, r.Value)
+		}))
+	case ipc.LaunchReq:
+		l, err := launchOf(r)
+		if err != nil {
+			return nil, err
+		}
+		return done(m.run(vp, func(s *Service) (*sched.Job, error) {
+			return s.kernelJob(vp, r.Stream, l)
+		}))
+	case ipc.SyncReq:
+		stream, err := streamOf(vp, r.Stream)
+		if err != nil {
+			return nil, err
+		}
+		s := m.serviceFor(vp)
+		s.Drain()
+		return ipc.OKResp{End: s.GPU.SyncStream(stream)}, nil
 	}
-	return 0, false
+	return nil, fmt.Errorf("core: unknown request %T", req)
 }
 
-// admitFarm sheds a submission when the farm-wide totals are at their caps.
-// It returns nil (admit; the device-level gate still applies) or the
-// ipc.OverloadResp to send. Farm totals are sampled across the devices'
+// submit is the one route a job takes onto the farm, whichever transport
+// brought it: resolve the VP's device, build the job there, admit it — the
+// farm cap first, then the device gate — and queue it. The caller holds the
+// VP's migration gate shared: a served request until its job has run or been
+// cancelled (serve), an in-process call through the enqueue only
+// (multiBackend). A shed returns an *OverloadError and reserves nothing.
+func (m *MultiService) submit(vp int, build func(*Service) (*sched.Job, error)) (*Service, *sched.Job, error) {
+	s := m.serviceFor(vp)
+	j, err := build(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	if oe := m.admitFarm(vp, j.Bytes); oe != nil {
+		return nil, nil, oe
+	}
+	if oe := s.admitJob(j); oe != nil {
+		return nil, nil, oe
+	}
+	s.Submit(j)
+	return s, j, nil
+}
+
+// run submits a served request's job and parks the VP until its batch
+// retires.
+func (m *MultiService) run(vp int, build func(*Service) (*sched.Job, error)) (*sched.Job, error) {
+	s, j, err := m.submit(vp, build)
+	if err != nil {
+		return nil, err
+	}
+	return j, s.WaitJob(vp, j)
+}
+
+// done is the reply of a served job that brings no bytes back: its
+// completion time.
+func done(j *sched.Job, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ipc.OKResp{End: j.Interval.End}, nil
+}
+
+// admitFarm sheds a job of `payload` queued bytes when the farm-wide totals
+// are at their caps. It returns nil (admit; the device-level gate still
+// applies) or the shed. Farm totals are sampled across the devices'
 // admission gates — a snapshot, not a reservation: the per-device gates are
 // the precise bound, the farm cap is the coarse circuit breaker above them.
-func (m *MultiService) admitFarm(vp int, req any) any {
-	payload, submits := queuedPayload(req)
-	if !m.adm.farmEnabled() || !submits {
+func (m *MultiService) admitFarm(vp, payload int) *OverloadError {
+	if !m.adm.farmEnabled() {
 		return nil
 	}
 	jobs, bytes := 0, int64(0)
@@ -351,7 +430,7 @@ func (m *MultiService) admitFarm(vp int, req any) any {
 	}
 	m.metrics.Counter("core.admission.shed").Inc()
 	m.metrics.Counter("core.admission.shed." + oe.Reason).Inc()
-	return ipc.OverloadResp{Msg: oe.Error(), Backoff: oe.Backoff, Retryable: oe.Retryable}
+	return oe
 }
 
 // Flush drains every device. All devices are fed first and only then

@@ -78,12 +78,12 @@ func TestMultiServiceConcurrentServing(t *testing.T) {
 			resp := m.Handle(vp, ipc.MallocReq{Size: 4096})
 			mr, ok := resp.(ipc.MallocResp)
 			if !ok {
-				_, errs[vp] = ipc.Err(resp)
+				_, errs[vp] = replyErr(resp)
 				return
 			}
 			for i := 0; i < 5; i++ {
 				resp = m.Handle(vp, ipc.H2DReq{Stream: 0, Dst: mr.Ptr, Data: make([]byte, 4096)})
-				if _, err := ipc.Err(resp); err != nil {
+				if _, err := replyErr(resp); err != nil {
 					errs[vp] = err
 					return
 				}

@@ -251,6 +251,7 @@ func TestMergedTrace(t *testing.T) {
 		}
 		m.DispatchBatch(dev, []*sched.Job{sched.NewH2D(dev, dev, p, 0, make([]byte, 1<<16))})
 	}
+	m.Drain() // the trace is read as it stands
 	merged := m.MergedTrace()
 	if merged == nil {
 		t.Fatal("merged trace nil with tracing on")
@@ -327,12 +328,15 @@ func TestFarmCapSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	// Every request names memory its VP owns: a pointer it does not own is
+	// refused before admission.
+	p1, p2 := mallocVP(t, m, 1, 256).Ptr, mallocVP(t, m, 2, 256).Ptr
 
 	// Load both devices' gates directly (reservation without dispatch).
 	if oe := m.Device(0).adm.admit(0, 100); oe != nil {
 		t.Fatal(oe)
 	}
-	resp := m.Handle(1, ipc.D2HReq{Src: 0x1000, N: 8})
+	resp := m.Handle(1, ipc.D2HReq{Src: p1, N: 8})
 	if _, ok := resp.(ipc.OverloadResp); ok {
 		t.Fatalf("one job in a farm of cap 2 must admit, got %v", resp)
 	}
@@ -341,7 +345,7 @@ func TestFarmCapSheds(t *testing.T) {
 	}
 
 	// Farm job cap reached: any submission sheds, non-submits pass.
-	or, ok := m.Handle(2, ipc.H2DReq{Dst: 0x1000, Data: make([]byte, 8)}).(ipc.OverloadResp)
+	or, ok := m.Handle(2, ipc.H2DReq{Dst: p2, Data: make([]byte, 8)}).(ipc.OverloadResp)
 	if !ok {
 		t.Fatal("submission over farm job cap must shed")
 	}
@@ -355,7 +359,7 @@ func TestFarmCapSheds(t *testing.T) {
 	// Release one job: under the job cap, but a big payload trips the byte
 	// cap (2 jobs × 100B reserved… now 100B + 200B request > 256B).
 	m.Device(0).adm.release(0, 100)
-	if _, ok := m.Handle(2, ipc.H2DReq{Dst: 0x1000, Data: make([]byte, 200)}).(ipc.OverloadResp); !ok {
+	if _, ok := m.Handle(2, ipc.H2DReq{Dst: p2, Data: make([]byte, 200)}).(ipc.OverloadResp); !ok {
 		t.Fatal("submission over farm byte cap must shed")
 	}
 	if got := m.Metrics().Counter("core.admission.shed.farm-jobs").Value(); got != 1 {

@@ -4,125 +4,139 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
-	"strings"
+	"fmt"
 	"testing"
 
+	"repro/internal/cudart"
 	"repro/internal/devmem"
+	"repro/internal/hostgpu"
 	"repro/internal/ipc"
 	"repro/internal/kpl"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
-// driveGuestScript plays one VP's session against an endpoint over ipc.Pipe —
-// every request kind a device serves: malloc, H2D on two streams, a launch by
-// registry name, memset, D2H, free, sync — and returns the bytes read back.
-func driveGuestScript(t *testing.T, ep ipc.Endpoint) []byte {
-	t.Helper()
-	const vp, n = 1, 1024
-	ep.RegisterVP(vp)
-	defer ep.DisconnectVP(vp)
-	c := ipc.Pipe(vp, ep.Handle)
-	call := func(req any) any {
-		resp, err := c.Call(req)
-		if err != nil {
-			t.Fatalf("%T: %v", req, err)
-		}
-		return resp
+// replyErr turns an ErrResp or OverloadResp reply into the error the TCP
+// client returns for it, and passes every other reply through.
+func replyErr(resp any) (any, error) {
+	switch e := resp.(type) {
+	case ipc.ErrResp:
+		return nil, fmt.Errorf("ipc: %s", e.Msg)
+	case ipc.OverloadResp:
+		return nil, &ipc.OverloadError{Msg: e.Msg, Backoff: e.Backoff, Retryable: e.Retryable}
 	}
-	a, b := make([]float32, n), make([]float32, n)
+	return resp, nil
+}
+
+// testPipe is a test-only ipc.Client that hands each call straight to an
+// endpoint's Handle, as the TCP server does once it has decoded a frame.
+type testPipe struct {
+	vp int
+	ep ipc.Endpoint
+}
+
+func (p testPipe) Call(req any) (any, error) { return replyErr(p.ep.Handle(p.vp, req)) }
+func (p testPipe) CallH2D(r ipc.H2DReq) (ipc.OKResp, error) {
+	return ipc.ReplyAs[ipc.OKResp](p.Call(r))
+}
+func (p testPipe) CallD2H(r ipc.D2HReq) (ipc.D2HResp, error) {
+	return ipc.ReplyAs[ipc.D2HResp](p.Call(r))
+}
+func (p testPipe) CallMemset(r ipc.MemsetReq) (ipc.OKResp, error) {
+	return ipc.ReplyAs[ipc.OKResp](p.Call(r))
+}
+func (p testPipe) CallLaunch(r ipc.LaunchReq) (ipc.OKResp, error) {
+	return ipc.ReplyAs[ipc.OKResp](p.Call(r))
+}
+func (p testPipe) Close() error { return nil }
+
+// driveGuestScript plays one VP's session through a cudart back end — every
+// job kind a device serves: malloc, H2D on two streams, a vectorAdd launch,
+// memset, D2H on two streams, free — waiting on each operation, and returns
+// the bytes read back.
+func driveGuestScript(t *testing.T, b cudart.Backend) []byte {
+	t.Helper()
+	const n = 1024
+	wait := func(tok cudart.Token, err error) cudart.Token {
+		t.Helper()
+		if err == nil {
+			err = tok.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	a, bb := make([]float32, n), make([]float32, n)
 	for i := range a {
-		a[i], b[i] = float32(i), float32(3*i)
+		a[i], bb[i] = float32(i), float32(3*i)
 	}
 	ptr := map[string]devmem.Ptr{}
 	for _, name := range []string{"a", "b", "out", "scratch"} {
-		ptr[name] = call(ipc.MallocReq{Size: 4 * n}).(ipc.MallocResp).Ptr
+		p, err := b.Malloc(4 * n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr[name] = p
+	}
+	vecAdd := mustBench(t, "vectorAdd")
+	l := &hostgpu.Launch{
+		Kernel: vecAdd.Kernel, Prog: vecAdd.Prog, Native: vecAdd.Native,
+		Grid: (n + 511) / 512, Block: 512,
+		Params:   map[string]kpl.Value{"n": kpl.IntVal(n)},
+		Bindings: map[string]devmem.Ptr{"a": ptr["a"], "b": ptr["b"], "out": ptr["out"]},
 	}
 	var out []byte
 	for it := 0; it < 2; it++ {
-		call(ipc.H2DReq{Dst: ptr["a"], Data: devmem.EncodeF32(a)})
-		call(ipc.H2DReq{Dst: ptr["b"], Stream: 1, Data: devmem.EncodeF32(b)})
-		call(ipc.LaunchReq{
-			Kernel: "vectorAdd", Grid: (n + 511) / 512, Block: 512,
-			Params:   map[string]kpl.Value{"n": kpl.IntVal(n)},
-			Bindings: map[string]devmem.Ptr{"a": ptr["a"], "b": ptr["b"], "out": ptr["out"]},
-		})
-		call(ipc.MemsetReq{Dst: ptr["scratch"], N: 4 * n, Value: byte(it + 1)})
-		out = append(out, call(ipc.D2HReq{Src: ptr["out"], N: 4 * n}).(ipc.D2HResp).Data...)
-		out = append(out, call(ipc.D2HReq{Src: ptr["scratch"], Stream: 1, N: 16}).(ipc.D2HResp).Data...)
+		wait(b.H2D(0, ptr["a"], 0, devmem.EncodeF32(a)))
+		wait(b.H2D(1, ptr["b"], 0, devmem.EncodeF32(bb)))
+		wait(b.Launch(0, l))
+		wait(b.Memset(0, ptr["scratch"], 0, 4*n, byte(it+1)))
+		out = append(out, wait(b.D2H(0, ptr["out"], 0, 4*n)).Bytes()...)
+		out = append(out, wait(b.D2H(1, ptr["scratch"], 0, 16)).Bytes()...)
 	}
-	call(ipc.FreeReq{Ptr: ptr["scratch"]})
-	call(ipc.SyncReq{})
-	return out
-}
-
-// unprefixed keeps the instruments of a farm snapshot that carry no "gpu<i>."
-// namespace — the families a bare Service snapshot has.
-func unprefixed(s metrics.Snapshot) metrics.Snapshot {
-	var out metrics.Snapshot
-	for _, c := range s.Counters {
-		if !strings.HasPrefix(c.Name, "gpu") {
-			out.Counters = append(out.Counters, c)
-		}
-	}
-	for _, g := range s.Gauges {
-		if !strings.HasPrefix(g.Name, "gpu") {
-			out.Gauges = append(out.Gauges, g)
-		}
-	}
-	for _, h := range s.Histograms {
-		if !strings.HasPrefix(h.Name, "gpu") {
-			out.Histograms = append(out.Histograms, h)
-		}
+	if err := b.Free(ptr["scratch"]); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
-// TestOneDeviceFarmMatchesBareService pins the single-device behaviour
-// through the route the daemon now always takes: a one-device MultiService
-// and a bare Service, driven by the same request script, agree on the D2H
-// bytes, the makespan, every unprefixed snapshot family (the farm adds only
-// "gpu0." copies of them) and the engine trace modulo the "gpu0/" label.
-func TestOneDeviceFarmMatchesBareService(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Trace = true // as migTestFarm builds its devices
-	svc := NewService(opts)
-	defer svc.Close()
-	farm := migTestFarm(t, 1) // what sigmavpd serves by default
-
-	svcD2H, farmD2H := driveGuestScript(t, svc), driveGuestScript(t, farm)
-	if len(svcD2H) == 0 || !bytes.Equal(svcD2H, farmD2H) {
-		t.Fatalf("D2H bytes differ (%d vs %d bytes)", len(svcD2H), len(farmD2H))
-	}
-	if s, f := svc.Sync(), farm.Sync(); s != f || s <= 0 {
-		t.Fatalf("makespan: service %.12g, farm %.12g", s, f)
-	}
-
-	svcSnap, farmSnap := svc.Snapshot(), farm.Snapshot()
-	want, _ := json.Marshal(svcSnap)
-	if got, _ := json.Marshal(unprefixed(farmSnap)); !bytes.Equal(got, want) {
-		t.Fatalf("unprefixed farm families differ from the bare service:\n--- farm\n%s\n--- service\n%s", got, want)
-	}
-	// …and the namespaced half of the farm snapshot is the same numbers again.
-	for _, c := range svcSnap.Counters {
-		if got := farmSnap.CounterValue("gpu0." + c.Name); got != c.Value {
-			t.Fatalf("gpu0.%s = %d, service has %d", c.Name, got, c.Value)
+// TestServedRouteMatchesInProcess: the farm's two doors take one route. A
+// one-device farm driven through Handle (the served route, here without the
+// wire) and one driven through its in-process back end, playing the same
+// guest script, agree on the D2H bytes, the makespan, the simulated snapshot
+// and the engine trace.
+func TestServedRouteMatchesInProcess(t *testing.T) {
+	const vp = 1
+	run := func(back func(m *MultiService) cudart.Backend) ([]byte, float64, []byte, []byte) {
+		m := migTestFarm(t, 1) // what sigmavpd serves by default
+		m.RegisterVP(vp)
+		defer m.DisconnectVP(vp)
+		d2h := driveGuestScript(t, back(m))
+		makespan := m.Sync()
+		snap, err := m.Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	var want2 []trace.Record
-	for _, r := range svc.Trace().Timeline().Records {
-		r.Engine = "gpu0/" + r.Engine
-		want2 = append(want2, r)
-	}
-	got2 := farm.MergedTrace().Records
-	if len(want2) == 0 || len(got2) != len(want2) {
-		t.Fatalf("trace: farm has %d records, service %d", len(got2), len(want2))
-	}
-	for i := range want2 {
-		if got2[i] != want2[i] {
-			t.Fatalf("trace record %d: farm %+v, service (relabeled) %+v", i, got2[i], want2[i])
+		tl, err := json.Marshal(m.MergedTrace().Records)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return d2h, makespan, snap, tl
+	}
+	served, servedEnd, servedSnap, servedTrace := run(func(m *MultiService) cudart.Backend {
+		return cudart.NewRemoteBackend(testPipe{vp: vp, ep: m})
+	})
+	local, localEnd, localSnap, localTrace := run(func(m *MultiService) cudart.Backend { return m.Backend(vp) })
+	if len(served) == 0 || !bytes.Equal(served, local) {
+		t.Fatalf("D2H bytes differ (%d served vs %d in process)", len(served), len(local))
+	}
+	if servedEnd != localEnd || servedEnd <= 0 {
+		t.Fatalf("makespan: served %.12g, in process %.12g", servedEnd, localEnd)
+	}
+	if !bytes.Equal(servedSnap, localSnap) {
+		t.Fatalf("simulated snapshots differ:\n--- served\n%s\n--- in process\n%s", servedSnap, localSnap)
+	}
+	if len(servedTrace) <= len("[]") || !bytes.Equal(servedTrace, localTrace) {
+		t.Fatalf("traces differ:\n--- served\n%s\n--- in process\n%s", servedTrace, localTrace)
 	}
 }
 

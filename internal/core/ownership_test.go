@@ -52,7 +52,7 @@ func TestGuestSliceIsNeverAdopted(t *testing.T) {
 	}
 	t.Run("Handle", func(t *testing.T) {
 		call := func(req any) any {
-			resp, err := ipc.Err(m.Handle(1, req))
+			resp, err := replyErr(m.Handle(1, req))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +349,7 @@ func TestServedAdoptionMatchesCopies(t *testing.T) {
 
 	m := newFarm(nil)
 	local := ownershipScript(t, func(req any) any {
-		resp, err := ipc.Err(m.Handle(1, req))
+		resp, err := replyErr(m.Handle(1, req))
 		if err != nil {
 			t.Fatalf("in process: %T: %v", req, err)
 		}

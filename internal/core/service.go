@@ -39,9 +39,9 @@ type Options struct {
 	// Admission bounds what guests may keep in flight (per-VP/device/farm
 	// quotas and a token-bucket rate limit); excess requests are shed at the
 	// service door with a typed, retryable overload error instead of
-	// blocking an IPC worker. The zero value admits everything. Admission
-	// applies to the IPC serving path (Handle); in-process backends bypass
-	// it by design — they are the deterministic experiment harness.
+	// blocking an IPC worker. The zero value admits everything. Served and
+	// in-process jobs are admitted alike (MultiService.submit); the raw
+	// batches of DispatchRaw/DispatchBatch are not.
 	Admission AdmissionOptions
 
 	// FairShare > 0 caps how many jobs one VP contributes per dispatched
@@ -372,19 +372,17 @@ func (s *Service) OverQuota() bool {
 		(o.DeviceMaxQueuedBytes > 0 && bytes >= o.DeviceMaxQueuedBytes)
 }
 
-// admitJob passes one job through the admission gate. A nil return means the
-// job was admitted and now holds a quota reservation (released by the
-// dispatcher on completion or the disconnect path on cancellation). A
-// non-nil return is the ipc.OverloadResp to send instead of queueing.
-func (s *Service) admitJob(vp int, j *sched.Job) any {
+// admitJob passes one job through the device's admission gate. A nil return
+// means the job was admitted and now holds a quota reservation (released by
+// the dispatcher on completion or the disconnect path on cancellation). A
+// non-nil return is the shed: nothing is reserved.
+func (s *Service) admitJob(j *sched.Job) *OverloadError {
 	if s.adm == nil {
 		return nil
 	}
-	if oe := s.adm.admit(vp, j.Bytes); oe != nil {
-		return ipc.OverloadResp{Msg: oe.Error(), Backoff: oe.Backoff, Retryable: oe.Retryable}
-	}
-	j.Admitted = true
-	return nil
+	oe := s.adm.admit(j.VP, j.Bytes)
+	j.Admitted = oe == nil
+	return oe
 }
 
 // releaseJob returns an admitted job's quota reservation, exactly once.
@@ -550,85 +548,16 @@ func (s *Service) SessionEnergy() float64 {
 	return s.GPU.SessionEnergy()
 }
 
-// Trace returns the engine timeline, if enabled, draining the execution
-// pipeline first so the log covers everything dispatched.
-func (s *Service) Trace() *trace.Log {
-	s.Drain()
-	return s.GPU.Trace
-}
+// Trace returns the engine timeline, if enabled, as it stands: it does not
+// drain, so a reader that needs every dispatched batch in it syncs first
+// (Sync, Flush or Snapshot), and the daemon's /trace neither waits behind nor
+// runs a batch. The log takes its own lock.
+func (s *Service) Trace() *trace.Log { return s.GPU.Trace }
 
-// --- IPC endpoint ---
-
-// Handle implements ipc.Handler for one device: it translates wire requests
-// into jobs. Kernel launches arrive by registry name — the service owns the
-// kernel binaries, giving guest applications binary compatibility across back
-// ends. The farm-admin requests (CheckpointReq, MigrateReq) are not device
-// work: MultiService.Handle answers them before routing here.
-func (s *Service) Handle(vp int, req any) any {
-	switch r := req.(type) {
-	case ipc.MallocReq:
-		p, err := s.AllocVP(vp, r.Size)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.MallocResp{Ptr: p}
-	case ipc.FreeReq:
-		if err := s.FreeVP(vp, r.Ptr); err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return ipc.OKResp{}
-	case ipc.H2DReq:
-		return s.serveJob(s.h2dJob(vp, r.Stream, r.Dst, r.Off, r.Data, r.Payload()))
-	case ipc.D2HReq:
-		var d2h ipc.D2HResp
-		j, err := s.d2hJob(vp, r.Stream, r.Src, r.Off, r.N, &d2h)
-		resp := s.serveJob(j, err)
-		if ok, done := resp.(ipc.OKResp); done {
-			d2h.Data, d2h.End = j.Data, ok.End
-			return d2h
-		}
-		return resp
-	case ipc.MemsetReq:
-		return s.serveJob(s.memsetJob(vp, r.Stream, r.Dst, r.Off, r.N, r.Value))
-	case ipc.LaunchReq:
-		l, err := launchOf(r)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		return s.serveJob(s.kernelJob(vp, r.Stream, l))
-	case ipc.SyncReq:
-		stream, err := streamOf(vp, r.Stream)
-		if err != nil {
-			return ipc.ErrResp{Msg: err.Error()}
-		}
-		s.Drain()
-		return ipc.OKResp{End: s.GPU.SyncStream(stream)}
-	default:
-		return ipc.ErrResp{Msg: fmt.Sprintf("core: unknown request %T", req)}
-	}
-}
-
-// serveJob is the served tail of a job builder: answer a request the builder
-// refused, pass admission (or return its overload response), submit, park the
-// VP until the job's batch retires, and reply with the completion time.
-func (s *Service) serveJob(j *sched.Job, err error) any {
-	if err != nil {
-		return ipc.ErrResp{Msg: err.Error()}
-	}
-	if resp := s.admitJob(j.VP, j); resp != nil {
-		return resp
-	}
-	s.Submit(j)
-	if err := s.WaitJob(j.VP, j); err != nil {
-		return ipc.ErrResp{Msg: err.Error()}
-	}
-	return ipc.OKResp{End: j.Interval.End}
-}
-
-// The job builders, one per request kind, are what Handle (then serveJob) and
-// the in-process back end (then enqueue) share: the guest stream mapped into
-// the VP's window, every guest pointer translated through the VP's table and
-// one the VP does not own refused before any job exists. Offsets and
+// The job builders, one per request kind, are what MultiService.submit calls
+// for the served route and the in-process one alike: the guest stream mapped
+// into the VP's window, every guest pointer translated through the VP's table
+// and one the VP does not own refused before any job exists. Offsets and
 // lengths are checked when the job runs (devmem.InRange): until then the
 // allocation may still be freed or replaced.
 
@@ -652,7 +581,8 @@ func (s *Service) h2dJob(vp, stream int, dst devmem.Ptr, off int, data []byte, o
 // from the device straight into a response frame of the transport's, left in
 // *frame and sized only once [off, off+n) is known to lie inside the
 // allocation; a request that fails that check gets a plain job and its error.
-// Handle never recycles the frame itself: a cancelled job may still hold it.
+// The service never recycles the frame itself: a cancelled job may still hold
+// it.
 func (s *Service) d2hJob(vp, stream int, src devmem.Ptr, off, n int, frame *ipc.D2HResp) (*sched.Job, error) {
 	dev, err := streamOf(vp, stream)
 	if err != nil {

@@ -151,7 +151,8 @@ func TestOptimizationsReduceMakespan(t *testing.T) {
 
 // TestRemoteIPCBackend drives the service over the TCP transport.
 func TestRemoteIPCBackend(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s, _ := farmOfOne(t, DefaultOptions())
+	defer s.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,8 @@ func TestRemoteIPCBackend(t *testing.T) {
 }
 
 func TestServiceHandleErrors(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s, _ := farmOfOne(t, DefaultOptions())
+	defer s.Close()
 	if _, ok := s.Handle(0, ipc.MallocReq{Size: -1}).(ipc.ErrResp); !ok {
 		t.Error("bad malloc should error")
 	}
@@ -207,7 +209,8 @@ func TestServiceHandleErrors(t *testing.T) {
 }
 
 func TestServiceMallocFreeViaHandle(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s, _ := farmOfOne(t, DefaultOptions())
+	defer s.Close()
 	resp := s.Handle(1, ipc.MallocReq{Size: 256})
 	m, ok := resp.(ipc.MallocResp)
 	if !ok {
@@ -351,11 +354,11 @@ func TestMemsetThroughService(t *testing.T) {
 		}
 	}
 	// Over the wire too.
-	resp := s.Handle(0, ipc.MemsetReq{Dst: p, Off: 0, N: 128, Value: 1})
+	resp := m.Handle(0, ipc.MemsetReq{Dst: p, Off: 0, N: 128, Value: 1})
 	if _, ok := resp.(ipc.OKResp); !ok {
 		t.Fatalf("wire memset: %v", resp)
 	}
-	resp = s.Handle(0, ipc.MemsetReq{Dst: p, Off: 120, N: 64, Value: 1})
+	resp = m.Handle(0, ipc.MemsetReq{Dst: p, Off: 120, N: 64, Value: 1})
 	if _, ok := resp.(ipc.ErrResp); !ok {
 		t.Fatal("out-of-range wire memset accepted")
 	}
@@ -366,7 +369,7 @@ func TestMemsetThroughService(t *testing.T) {
 // allocated that many zeros before the bounds check. Both must come back as
 // an ErrResp, and the service must still serve afterwards.
 func TestMemsetHostileCountIsAnError(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s, _ := farmOfOne(t, DefaultOptions())
 	defer s.Close()
 	s.RegisterVP(0)
 	defer s.UnregisterVP(0)
@@ -393,7 +396,8 @@ func TestMemsetHostileCountIsAnError(t *testing.T) {
 // connections register with the batching logic on connect and unregister on
 // disconnect, so an early-finishing VP cannot stall the others.
 func TestRemoteVPsWithRegistrationHooks(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s, _ := farmOfOne(t, DefaultOptions())
+	defer s.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,8 @@ func TestStreamOfWindows(t *testing.T) {
 // TestHandleRejectsOutOfRangeStream: every wire request type with a stream
 // returns ErrResp for an out-of-range guest stream.
 func TestHandleRejectsOutOfRangeStream(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s, _ := farmOfOne(t, DefaultOptions())
+	defer s.Close()
 	reqs := []any{
 		ipc.H2DReq{Stream: streamsPerVP, Data: []byte{1}},
 		ipc.D2HReq{Stream: -1, N: 1},

@@ -273,9 +273,6 @@ func (e *emulBackend) Close() error { return nil }
 
 type remoteBackend struct {
 	c ipc.Client
-	// tc carries the four job-submitting operations: the TCP client's typed
-	// calls, or ipc.Typed's adapter over Call for any other transport.
-	tc ipc.TypedCaller
 	// retries is the extra-attempt budget for idempotent requests that fail
 	// with a retryable transport error (timeout, disconnect).
 	retries int
@@ -299,8 +296,8 @@ const DefaultOverloadRetries = 4
 // caller, so a pathological server hint cannot wedge the guest.
 const DefaultMaxBackoff = 250 * time.Millisecond
 
-// NewRemoteBackend talks to a ΣVP service over an ipc.Client (socket or
-// in-process pipe) with the default retry contracts. Operations are
+// NewRemoteBackend talks to a ΣVP service over an ipc.Client with the
+// default retry contracts. Operations are
 // synchronous RPCs; the service's VP Control batches concurrently-stopped VPs
 // for re-scheduling. Idempotent requests (H2D, D2H, memset) are retried up to
 // DefaultRetries times when the transport reports a timeout or disconnect;
@@ -323,7 +320,7 @@ type RemoteOptions struct {
 
 // NewRemoteBackendOpts builds a remote back end with explicit retry tuning.
 func NewRemoteBackendOpts(c ipc.Client, o RemoteOptions) Backend {
-	return &remoteBackend{c: c, tc: ipc.Typed(c), retries: o.Retries, m: o.Metrics}
+	return &remoteBackend{c: c, retries: o.Retries, m: o.Metrics}
 }
 
 // withOverloadRetry re-issues call while the service sheds it with a
@@ -404,14 +401,14 @@ func okToken(ok ipc.OKResp, err error) (Token, error) {
 func (r *remoteBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (Token, error) {
 	req := ipc.H2DReq{Stream: stream, Dst: dst, Off: off, Data: data}
 	return okToken(withOverloadRetry(r, func() (ipc.OKResp, error) {
-		return retryIdempotent(r, req, r.tc.CallH2D)
+		return retryIdempotent(r, req, r.c.CallH2D)
 	}))
 }
 
 func (r *remoteBackend) D2H(stream int, src devmem.Ptr, off, n int) (Token, error) {
 	req := ipc.D2HReq{Stream: stream, Src: src, Off: off, N: n}
 	d, err := withOverloadRetry(r, func() (ipc.D2HResp, error) {
-		return retryIdempotent(r, req, r.tc.CallD2H)
+		return retryIdempotent(r, req, r.c.CallD2H)
 	})
 	return doneToken{iv: hostgpu.Interval{End: d.End}, data: d.Data, err: err}, nil
 }
@@ -419,7 +416,7 @@ func (r *remoteBackend) D2H(stream int, src devmem.Ptr, off, n int) (Token, erro
 func (r *remoteBackend) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Token, error) {
 	req := ipc.MemsetReq{Stream: stream, Dst: dst, Off: off, N: n, Value: value}
 	return okToken(withOverloadRetry(r, func() (ipc.OKResp, error) {
-		return retryIdempotent(r, req, r.tc.CallMemset)
+		return retryIdempotent(r, req, r.c.CallMemset)
 	}))
 }
 
@@ -441,7 +438,7 @@ func (r *remoteBackend) Launch(stream int, l *hostgpu.Launch) (Token, error) {
 	// kernel repeats its side effects), so each attempt is a single shot.
 	// Overload sheds are different: a shed launch was never admitted, so the
 	// backoff-and-resubmit wrapper is safe even here.
-	return okToken(withOverloadRetry(r, func() (ipc.OKResp, error) { return r.tc.CallLaunch(req) }))
+	return okToken(withOverloadRetry(r, func() (ipc.OKResp, error) { return r.c.CallLaunch(req) }))
 }
 
 func (r *remoteBackend) Close() error { return r.c.Close() }

@@ -2,6 +2,7 @@ package cudart
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -131,38 +132,26 @@ func TestMallocFree(t *testing.T) {
 }
 
 func TestRemoteBackendOverPipe(t *testing.T) {
-	// The pipe client routes straight to a handler that emulates a trivial
-	// service over an emul device.
+	// A test pipe routes each call straight to a function that emulates a
+	// trivial service over an emul device.
 	d := emul.New(arch.HostXeon(), 1<<24)
-	handler := func(vp int, req any) any {
+	pipe := callFunc(func(req any) (any, error) {
 		switch r := req.(type) {
 		case ipc.MallocReq:
 			p, err := d.Mem.Alloc(r.Size)
-			if err != nil {
-				return ipc.ErrResp{Msg: err.Error()}
-			}
-			return ipc.MallocResp{Ptr: p}
+			return ipc.MallocResp{Ptr: p}, err
 		case ipc.FreeReq:
-			if err := d.Mem.Free(r.Ptr); err != nil {
-				return ipc.ErrResp{Msg: err.Error()}
-			}
-			return ipc.OKResp{}
+			return ipc.OKResp{}, d.Mem.Free(r.Ptr)
 		case ipc.H2DReq:
 			iv, err := d.CopyH2D(r.Dst, r.Off, r.Data)
-			if err != nil {
-				return ipc.ErrResp{Msg: err.Error()}
-			}
-			return ipc.OKResp{End: iv.End}
+			return ipc.OKResp{End: iv.End}, err
 		case ipc.D2HReq:
 			data, iv, err := d.CopyD2H(r.Src, r.Off, r.N)
-			if err != nil {
-				return ipc.ErrResp{Msg: err.Error()}
-			}
-			return ipc.D2HResp{Data: data, End: iv.End}
+			return ipc.D2HResp{Data: data, End: iv.End}, err
 		case ipc.LaunchReq:
 			b, err := kernels.Get(r.Kernel)
 			if err != nil {
-				return ipc.ErrResp{Msg: err.Error()}
+				return nil, err
 			}
 			_, iv, err := d.Launch(&hostgpu.Launch{
 				Kernel: b.Kernel, Prog: b.Prog,
@@ -170,14 +159,11 @@ func TestRemoteBackendOverPipe(t *testing.T) {
 				Params: r.Params, Bindings: r.Bindings,
 				Native: b.Native,
 			})
-			if err != nil {
-				return ipc.ErrResp{Msg: err.Error()}
-			}
-			return ipc.OKResp{End: iv.End}
+			return ipc.OKResp{End: iv.End}, err
 		}
-		return ipc.ErrResp{Msg: "unknown"}
-	}
-	ctx := NewContext(1, NewRemoteBackend(ipc.Pipe(1, handler)))
+		return nil, fmt.Errorf("unknown %T", req)
+	})
+	ctx := NewContext(1, NewRemoteBackend(pipe))
 	defer ctx.Close()
 
 	const n = 128
@@ -201,7 +187,7 @@ func TestRemoteBackendOverPipe(t *testing.T) {
 // answering every request with OKResp is a wire error where another reply kind
 // was due — malloc, D2H — never a failed type assertion in the guest.
 func TestRemoteWrongKindReply(t *testing.T) {
-	ctx := NewContext(1, NewRemoteBackend(ipc.Pipe(1, func(int, any) any { return ipc.OKResp{End: 1} })))
+	ctx := NewContext(1, NewRemoteBackend(callFunc(func(any) (any, error) { return ipc.OKResp{End: 1}, nil })))
 	if _, err := ctx.Malloc(64); !errors.Is(err, ipc.ErrMalformedFrame) {
 		t.Fatalf("Malloc answered with OKResp: err %v, want a malformed-frame error", err)
 	}

@@ -1,6 +1,7 @@
 package cudart_test
 
 import (
+	"net"
 	"testing"
 
 	"repro/internal/arch"
@@ -24,9 +25,18 @@ func TestRemoteLaunchWithoutKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := cudart.NewRemoteBackend(ipc.Pipe(1, func(int, any) any {
-		return ipc.ErrResp{Msg: "unreachable"}
-	}))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ipc.ServeEndpoint(l, farm)
+	defer srv.Close()
+	c, err := ipc.Dial(srv.Addr().String(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := cudart.NewRemoteBackend(c)
+	defer remote.Close()
 	for name, b := range map[string]cudart.Backend{"remote": remote, "in-process": farm.Backend(1)} {
 		if err := cudart.NewContext(1, b).LaunchKernel(&hostgpu.Launch{}); err == nil {
 			t.Errorf("%s: kernel-less launch accepted", name)

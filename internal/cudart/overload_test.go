@@ -51,12 +51,10 @@ func (f *shedClient) Call(req any) (any, error) {
 	return ipc.ErrResp{Msg: fmt.Sprintf("unexpected %T", req)}, nil
 }
 
-func (f *shedClient) Close() error { return nil }
-
 // shedBackend builds a remote backend over a shedClient with an instrumented
 // sleep so tests observe (not wait for) each honoured backoff.
 func shedBackend(c *shedClient, reg *metrics.Registry) (Backend, *[]time.Duration) {
-	b := NewRemoteBackendOpts(c, RemoteOptions{Metrics: reg}).(*remoteBackend)
+	b := NewRemoteBackendOpts(callFunc(c.Call), RemoteOptions{Metrics: reg}).(*remoteBackend)
 	slept := &[]time.Duration{}
 	b.sleep = func(d time.Duration) { *slept = append(*slept, d) }
 	return b, slept

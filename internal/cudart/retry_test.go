@@ -15,6 +15,21 @@ import (
 	"repro/internal/metrics"
 )
 
+// callFunc is a test-only ipc.Client: every call, boxed or typed, goes to the
+// one function, and the typed calls narrow its reply with ipc.ReplyAs.
+type callFunc func(req any) (any, error)
+
+func (f callFunc) Call(req any) (any, error)                 { return f(req) }
+func (f callFunc) CallH2D(r ipc.H2DReq) (ipc.OKResp, error)  { return ipc.ReplyAs[ipc.OKResp](f(r)) }
+func (f callFunc) CallD2H(r ipc.D2HReq) (ipc.D2HResp, error) { return ipc.ReplyAs[ipc.D2HResp](f(r)) }
+func (f callFunc) CallMemset(r ipc.MemsetReq) (ipc.OKResp, error) {
+	return ipc.ReplyAs[ipc.OKResp](f(r))
+}
+func (f callFunc) CallLaunch(r ipc.LaunchReq) (ipc.OKResp, error) {
+	return ipc.ReplyAs[ipc.OKResp](f(r))
+}
+func (f callFunc) Close() error { return nil }
+
 // flakyClient fails its first `fail` calls with a retryable transport error
 // and records every request it sees.
 type flakyClient struct {
@@ -44,8 +59,6 @@ func (f *flakyClient) Call(req any) (any, error) {
 	return ipc.ErrResp{Msg: fmt.Sprintf("unexpected %T", req)}, nil
 }
 
-func (f *flakyClient) Close() error { return nil }
-
 func retryableErr() error {
 	return &ipc.TimeoutError{Op: "read", After: time.Millisecond}
 }
@@ -64,7 +77,7 @@ func TestRemoteRetriesIdempotentCalls(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fc := &flakyClient{fail: 2, err: retryableErr()}
-			b := NewRemoteBackend(fc)
+			b := NewRemoteBackend(callFunc(fc.Call))
 			tok, err := tc.do(b)
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +96,7 @@ func TestRemoteRetriesIdempotentCalls(t *testing.T) {
 // transport error surfaces through the token.
 func TestRemoteRetryBudgetExhausted(t *testing.T) {
 	fc := &flakyClient{fail: DefaultRetries + 1, err: retryableErr()}
-	b := NewRemoteBackend(fc)
+	b := NewRemoteBackend(callFunc(fc.Call))
 	tok, err := b.H2D(0, 1, 0, []byte{1})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +122,7 @@ func TestRemoteNeverRetriesNonIdempotent(t *testing.T) {
 
 	t.Run("Launch", func(t *testing.T) {
 		fc := &flakyClient{fail: 1, err: retryableErr()}
-		b := NewRemoteBackend(fc)
+		b := NewRemoteBackend(callFunc(fc.Call))
 		tok, err := b.Launch(0, l)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +136,7 @@ func TestRemoteNeverRetriesNonIdempotent(t *testing.T) {
 	})
 	t.Run("Malloc", func(t *testing.T) {
 		fc := &flakyClient{fail: 1, err: retryableErr()}
-		b := NewRemoteBackend(fc)
+		b := NewRemoteBackend(callFunc(fc.Call))
 		if _, err := b.Malloc(64); !ipc.IsRetryable(err) {
 			t.Fatalf("malloc failure not surfaced: %v", err)
 		}
@@ -133,7 +146,7 @@ func TestRemoteNeverRetriesNonIdempotent(t *testing.T) {
 	})
 	t.Run("Free", func(t *testing.T) {
 		fc := &flakyClient{fail: 1, err: retryableErr()}
-		b := NewRemoteBackend(fc)
+		b := NewRemoteBackend(callFunc(fc.Call))
 		if err := b.Free(devmem.Ptr(8)); !ipc.IsRetryable(err) {
 			t.Fatalf("free failure not surfaced: %v", err)
 		}
@@ -146,7 +159,7 @@ func TestRemoteNeverRetriesNonIdempotent(t *testing.T) {
 // TestRemoteRetriesDisabled: a zero budget turns retries off.
 func TestRemoteRetriesDisabled(t *testing.T) {
 	fc := &flakyClient{fail: 1, err: retryableErr()}
-	b := NewRemoteBackendOpts(fc, RemoteOptions{})
+	b := NewRemoteBackendOpts(callFunc(fc.Call), RemoteOptions{})
 	tok, err := b.H2D(0, 1, 0, []byte{1})
 	if err != nil {
 		t.Fatal(err)

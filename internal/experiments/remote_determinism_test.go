@@ -7,6 +7,7 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/cudart"
 	"repro/internal/devmem"
@@ -14,46 +15,51 @@ import (
 	"repro/internal/kernels"
 )
 
-// remoteRun drives a fixed guest workload against a fresh ΣVP service over
-// the named transport and returns the artifacts determinism is judged on:
-// the final D2H bytes, the service metrics snapshot, and the engine trace.
-// The service gets its own registry and the server/client transport counters
-// are kept out of it, so snapshots are comparable across transports
-// (transport traffic differs; simulated work must not).
+// remoteRun drives a fixed guest workload against a fresh one-device ΣVP farm
+// over the named route — the farm's in-process back end or TCP — and returns
+// the artifacts determinism is judged on: the final D2H bytes, the metrics
+// snapshot, and the engine trace. The farm gets its own registry and the
+// server/client transport counters are kept out of it, so snapshots are
+// comparable across routes (transport traffic differs; simulated work must
+// not).
 func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, traceJSON []byte) {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Trace = true
-	svc := core.NewService(opts)
-	svc.GPU.Workers = workers
+	farm, err := core.NewMultiService(opts, []arch.GPU{opts.Arch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer farm.Close()
+	farm.Device(0).GPU.Workers = workers
 
-	var client ipc.Client
+	var back cudart.Backend
 	switch transport {
-	case "pipe":
-		svc.RegisterVP(1)
-		defer svc.UnregisterVP(1)
-		client = ipc.Pipe(1, svc.Handle)
+	case "in-process":
+		farm.RegisterVP(1)
+		defer farm.UnregisterVP(1)
+		back = farm.Backend(1)
 	case "tcp":
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
+		srv := ipc.ServeEndpoint(l, farm)
 		defer srv.Close()
-		client, err = ipc.Dial(srv.Addr().String(), 1)
+		client, err := ipc.Dial(srv.Addr().String(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		back = cudart.NewRemoteBackend(client)
 	default:
 		t.Fatalf("unknown transport %q", transport)
 	}
-	defer client.Close()
 
 	bench, err := kernels.Get("vectorAdd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := cudart.NewContext(1, cudart.NewRemoteBackend(client))
+	ctx := cudart.NewContext(1, back)
 
 	w := bench.MakeWorkload(1)
 	launch := bench.NewLaunch(w)
@@ -89,11 +95,11 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	// the client closes, the TCP server's disconnect hook deregisters the VP
 	// on a goroutine of its own, and core.vps_active would read 1 or 0
 	// depending on who wins.
-	metricsJSON, err = svc.Snapshot().JSON()
+	metricsJSON, err = farm.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	traceJSON, err = json.Marshal(svc.Trace().Timeline().Records)
+	traceJSON, err = json.Marshal(farm.MergedTrace().Records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +111,18 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 
 // TestRemoteDeterminism is the ISSUE's acceptance property extended to
 // remote mode: simulated results, metrics, and trace must be byte-identical
-// across transports (in-process pipe vs TCP) and across worker-pool sizes.
+// across routes (the farm's in-process back end vs TCP) and across
+// worker-pool sizes.
 func TestRemoteDeterminism(t *testing.T) {
 	type run struct {
 		transport string
 		workers   int
 	}
 	runs := []run{
-		{"pipe", 1},
+		{"in-process", 1},
 		{"tcp", 1},
 		{"tcp", 4},
-		{"pipe", 4},
+		{"in-process", 4},
 	}
 	refD2H, refMetrics, refTrace := remoteRun(t, runs[0].transport, runs[0].workers)
 	if len(refD2H) == 0 {

@@ -1,10 +1,12 @@
 // Package ipc implements the IPC Manager of the ΣVP architecture (paper
 // Fig. 2): the channel through which virtual embedded GPUs inside VPs talk
-// to the host-GPU service. Two transports are provided — an in-process
-// transport for co-simulated VPs and a TCP socket transport for VPs running
-// as separate processes ("an IPC method such as socket or shared memory").
-// VP Control (paper Fig. 4b) is not a transport matter: a VP is stopped while
-// its handler waits in the service (core.Service.WaitJob).
+// to the host-GPU service. Its transport is a TCP socket, for VPs running as
+// separate processes ("an IPC method such as socket or shared memory");
+// co-simulated VPs in the service's own process need none, and take the
+// farm's in-process back end (core.MultiService.Backend) instead. Both routes
+// end in the same submission path on the farm. VP Control (paper Fig. 4b)
+// is not a transport matter: a VP is stopped while its handler waits in the
+// service (core.Service.WaitJob).
 //
 // # Request vocabulary
 //

@@ -1,6 +1,6 @@
-// Core transports and request vocabulary of the IPC Manager (paper
-// Fig. 2): the in-process pipe transport, the TCP server, and the typed
-// request/response pairs they carry. See doc.go for the package overview,
+// Core transport and request vocabulary of the IPC Manager (paper Fig. 2):
+// the TCP server, the client interface, and the typed request/response pairs
+// they carry. See doc.go for the package overview,
 // wire.go for the frame format and binclient.go for the TCP client.
 
 package ipc
@@ -8,7 +8,6 @@ package ipc
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -98,8 +97,8 @@ type ErrResp struct{ Msg string }
 // request instead of queueing it. Retryable sheds are transient quota/rate
 // pressure — the caller should back off at least Backoff and resubmit.
 // Non-retryable sheds (e.g. a payload larger than the byte quota) can never
-// be admitted and must surface to the application. Err converts this frame
-// into an *OverloadError.
+// be admitted and must surface to the application. The client returns this
+// frame as an *OverloadError.
 type OverloadResp struct {
 	Msg       string
 	Backoff   time.Duration
@@ -124,38 +123,23 @@ type CheckpointResp struct{ Data []byte }
 // Handler processes one request from one VP and returns the response body.
 type Handler func(vp int, req any) any
 
-// Client is a VP-side connection to the service.
+// Client is a VP-side connection to the service: the typed calls of the four
+// job-submitting requests, and Call for the rest (malloc, free, sync and the
+// farm-admin requests), whose boxed reply ReplyAs narrows.
 type Client interface {
+	TypedCaller
 	Call(req any) (any, error)
 	Close() error
 }
 
 // TypedCaller is the per-message-type call surface the cudart remote back end
-// programs against. The TCP client implements it without the `any` boxing of
-// Client.Call on request or response; Typed gives it to every other transport.
+// programs against: no `any` boxing of request or response.
 type TypedCaller interface {
 	CallH2D(H2DReq) (OKResp, error)
 	CallD2H(D2HReq) (D2HResp, error)
 	CallMemset(MemsetReq) (OKResp, error)
 	CallLaunch(LaunchReq) (OKResp, error)
 }
-
-// Typed returns c's typed calls: its own when it has them, otherwise an
-// adapter that issues each one through c.Call (the pipe transport, test
-// fakes), so callers have one body per operation whatever the transport.
-func Typed(c Client) TypedCaller {
-	if tc, ok := c.(TypedCaller); ok {
-		return tc
-	}
-	return callAdapter{c}
-}
-
-type callAdapter struct{ c Client }
-
-func (a callAdapter) CallH2D(r H2DReq) (OKResp, error)       { return ReplyAs[OKResp](a.c.Call(r)) }
-func (a callAdapter) CallD2H(r D2HReq) (D2HResp, error)      { return ReplyAs[D2HResp](a.c.Call(r)) }
-func (a callAdapter) CallMemset(r MemsetReq) (OKResp, error) { return ReplyAs[OKResp](a.c.Call(r)) }
-func (a callAdapter) CallLaunch(r LaunchReq) (OKResp, error) { return ReplyAs[OKResp](a.c.Call(r)) }
 
 // ReplyAs narrows Client.Call's boxed reply to the kind the request expects.
 // A reply of any other kind is a wire error, as on the typed TCP calls — never
@@ -167,40 +151,6 @@ func ReplyAs[Resp any](resp any, err error) (Resp, error) {
 	}
 	return r, err
 }
-
-// Err converts an ErrResp or OverloadResp into an error, passing other
-// responses through.
-func Err(resp any) (any, error) {
-	switch e := resp.(type) {
-	case ErrResp:
-		return nil, fmt.Errorf("ipc: %s", e.Msg)
-	case OverloadResp:
-		return nil, &OverloadError{Msg: e.Msg, Backoff: e.Backoff, Retryable: e.Retryable}
-	}
-	return resp, nil
-}
-
-// --- In-process transport ---
-
-type pipeClient struct {
-	vp int
-	h  Handler
-	mu sync.Mutex
-}
-
-// Pipe returns an in-process client that invokes the handler directly (the
-// shared-memory flavour of the IPC manager).
-func Pipe(vp int, h Handler) Client {
-	return &pipeClient{vp: vp, h: h}
-}
-
-func (p *pipeClient) Call(req any) (any, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Err(p.h(p.vp, req))
-}
-
-func (p *pipeClient) Close() error { return nil }
 
 // --- TCP socket transport ---
 
@@ -233,9 +183,8 @@ func Serve(l net.Listener, h Handler) *Server {
 }
 
 // Endpoint is the host-service surface the transport needs: request handling
-// plus the VP lifecycle hooks. What daemons serve is the farm,
-// core.MultiService — a single device is a farm of one; the per-device
-// core.Service has the same surface for in-process tests and harnesses.
+// plus the VP lifecycle hooks. What implements it is the farm,
+// core.MultiService — a single device is a farm of one.
 type Endpoint interface {
 	Handle(vp int, req any) any
 	RegisterVP(id int)

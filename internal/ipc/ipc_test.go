@@ -63,10 +63,27 @@ func exerciseClient(t *testing.T, c Client, vp int) {
 	}
 }
 
-func TestPipeTransport(t *testing.T) {
-	c := Pipe(3, echoHandler)
-	defer c.Close()
-	exerciseClient(t, c, 3)
+// serveEcho serves echoHandler on a loopback listener and dials vp to it.
+func serveEcho(t *testing.T, vp int) Client {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(l, echoHandler)
+	t.Cleanup(func() { srv.Close() })
+	c, err := Dial(srv.Addr().String(), vp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestTCPClientEveryKind: every reply kind of the boxed Call comes back over
+// TCP as the handler gave it, and an ErrResp as an error.
+func TestTCPClientEveryKind(t *testing.T) {
+	exerciseClient(t, serveEcho(t, 3), 3)
 }
 
 func TestTCPTransport(t *testing.T) {
@@ -128,13 +145,45 @@ func TestTCPServerClose(t *testing.T) {
 	}
 }
 
-func TestErrHelper(t *testing.T) {
-	if _, err := Err(ErrResp{Msg: "boom"}); err == nil {
-		t.Fatal("Err should convert ErrResp")
+// TestTCPClientErrorReplies: the client turns an ErrResp into an error and an
+// OverloadResp into an *OverloadError carrying the shed's hint, on the boxed
+// and the typed calls alike, and passes every other reply through.
+func TestTCPClientErrorReplies(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, err := Err(OKResp{End: 5})
+	shed := OverloadResp{Msg: "full", Backoff: 3 * time.Millisecond, Retryable: true}
+	srv := Serve(l, func(vp int, req any) any {
+		switch req.(type) {
+		case FreeReq:
+			return ErrResp{Msg: "boom"}
+		case H2DReq:
+			return shed
+		}
+		return OKResp{End: 5}
+	})
+	defer srv.Close()
+	c, err := Dial(srv.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call(FreeReq{}); err == nil || err.Error() != "ipc: boom" {
+		t.Fatalf("ErrResp came back as %v, want the error \"ipc: boom\"", err)
+	}
+	for name, err := range map[string]error{
+		"Call":    func() error { _, err := c.Call(H2DReq{Data: []byte{1}}); return err }(),
+		"CallH2D": func() error { _, err := c.CallH2D(H2DReq{Data: []byte{1}}); return err }(),
+	} {
+		oe, ok := AsOverload(err)
+		if !ok || oe.Msg != shed.Msg || oe.Backoff != shed.Backoff || oe.Retryable != shed.Retryable {
+			t.Fatalf("%s: OverloadResp came back as %v, want %+v", name, err, shed)
+		}
+	}
+	resp, err := c.Call(SyncReq{})
 	if err != nil || resp.(OKResp).End != 5 {
-		t.Fatal("Err should pass through other responses")
+		t.Fatalf("OKResp came back as %v, %v", resp, err)
 	}
 }
 

@@ -262,10 +262,10 @@ const d2hHeadMax = 4 + 1 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
 // bytes are not copied again. n must already have been checked against the
 // allocation it reads from. The frame goes back to the pool only from the
 // transport, after its Write has returned: a handler that fails simply drops
-// the response (a cancelled job may still hold the buffer), and the pipe
-// transport hands Data to the caller for good. A length no frame can carry
-// gets a response without a frame, which the encoder then refuses with
-// ErrFrameTooLarge.
+// the response (a cancelled job may still hold the buffer), and a handler
+// called without the transport hands Data to its caller for good. A length
+// no frame can carry gets a response without a frame, which the encoder then
+// refuses with ErrFrameTooLarge.
 func NewD2HResp(n int) D2HResp {
 	if n < 0 || n > maxFrame-d2hHeadMax {
 		return D2HResp{}

@@ -92,12 +92,17 @@ func BenchmarkRemoteFig11(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc := core.NewService(core.DefaultOptions())
+	opts := core.DefaultOptions()
+	farm, err := core.NewMultiService(opts, []arch.GPU{opts.Arch})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer farm.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := ipc.ServeWithHooks(l, svc.Handle, svc.RegisterVP, svc.DisconnectVP)
+	srv := ipc.ServeEndpoint(l, farm)
 	defer srv.Close()
 
 	app := func(v *vp.VP) error {
