@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/hostgpu"
 	"repro/internal/ipc"
 	"repro/internal/kernels"
+	"repro/internal/trace"
 	"repro/internal/vp"
 )
 
@@ -143,7 +145,7 @@ func runEmul(bench *kernels.Benchmark, nVPs, scale, iters int) {
 func runSigma(bench *kernels.Benchmark, nVPs, scale, iters int, showTrace, showEst bool) {
 	opts := core.DefaultOptions()
 	opts.Mode = hostgpu.ExecFull
-	opts.Trace = showTrace
+	opts.Trace = showTrace || showEst // estimates are timeline records
 	if showEst {
 		tegra := arch.TegraK1()
 		opts.EstimateTarget = &tegra
@@ -170,6 +172,21 @@ func runSigma(bench *kernels.Benchmark, nVPs, scale, iters int, showTrace, showE
 		fmt.Print(s.Trace().Timeline().Gantt(100))
 	}
 	if showEst {
-		fmt.Print(s.Estimator.String())
+		printEstimates(opts.EstimateTarget.Name, s.Trace().Timeline())
+	}
+}
+
+// printEstimates renders the timeline's estimate records, one per kernel job
+// in timeline order.
+func printEstimates(target string, tl trace.Timeline) {
+	fmt.Printf("Target estimates (%s) from host execution:\n", target)
+	fmt.Printf("%-4s %-22s %14s %16s %10s\n", "vp", "kernel", "host (ms)", "target C'' (ms)", "power (W)")
+	for _, r := range tl.Records {
+		if r.Kind != trace.KindEstimate {
+			continue
+		}
+		_, kernel, _ := strings.Cut(r.Label, " ") // a kernel job's label is "vp<N> <kernel>"
+		fmt.Printf("%-4d %-22s %14.4f %16.4f %10.3f\n",
+			r.VP, kernel, r.HostSec*1e3, r.TargetSec*1e3, r.TargetW)
 	}
 }

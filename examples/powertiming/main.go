@@ -11,12 +11,8 @@ import (
 	"log"
 
 	"repro/internal/arch"
-	"repro/internal/cachemodel"
-	"repro/internal/devmem"
-	"repro/internal/estimate"
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
-	"repro/internal/kir"
 	"repro/internal/profile"
 )
 
@@ -29,43 +25,26 @@ func main() {
 	target := arch.TegraK1()
 	w := bench.MakeWorkload(8)
 
-	// Step 1 — compile for both architectures: derive σ{K,H} and σ{K,T}
-	// from the kernel's block-level IR (Eq. 1).
-	kl := kir.Launch{NThreads: w.Threads(), Params: w.Params}
-	sigmaH, err := bench.Prog.Sigma(&host, kl, nil)
+	// Execute on the host GPU to gather the profile, and derive the target's
+	// σ and estimates from it (hostgpu.Launch.Estimate).
+	l, priced, hostProf := measure(host, bench, w)
+	res, err := l.Estimate(&host, &target, priced, hostProf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sigmaT, err := bench.Prog.Sigma(&target, kl, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("step 1 — recompilation (Eq. 1):\n")
-	fmt.Printf("  σ{K,H} = %.0f instructions on %s\n", sigmaH.Sum(), host.Name)
-	fmt.Printf("  σ{K,T} = %.0f instructions on %s\n\n", sigmaT.Sum(), target.Name)
 
-	// Step 2 — execute on the host GPU and gather the profile.
-	hostProf, accesses := measure(&host, bench, w)
+	// Step 1 — compile for both architectures: σ{K,H} and σ{K,T} come from
+	// the kernel's block-level IR (Eq. 1).
+	fmt.Printf("step 1 — recompilation (Eq. 1):\n")
+	fmt.Printf("  σ{K,H} = %.0f instructions on %s\n", hostProf.Sigma.Sum(), host.Name)
+	fmt.Printf("  σ{K,T} = %.0f instructions on %s\n\n", res.SigmaTarget.Sum(), target.Name)
+
+	// Step 2 — the host execution profile.
 	fmt.Printf("step 2 — host execution profile:\n%s\n", hostProf)
 
-	// Steps 3–5 — estimate target time and power.
-	res, err := estimate.Estimate(&estimate.Inputs{
-		Host:        &host,
-		Target:      &target,
-		HostProfile: hostProf,
-		SigmaTarget: sigmaT,
-		Shape: profile.LaunchShape{
-			Grid: w.Grid, Block: w.Block,
-			SharedMemPerBlock: w.SharedMemPerBlock, RegsPerThread: w.RegsPerThread,
-		},
-		Accesses: accesses,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Ground truth: the same launch on the target device model.
-	targetProf, _ := measure(&target, bench, w)
+	// Steps 3–5 — the estimates, against the same launch on the target
+	// device model.
+	_, _, targetProf := measure(target, bench, w)
 
 	fmt.Printf("steps 3–5 — estimates for %s vs its measured values:\n", target.Name)
 	fmt.Printf("  measured time     %12.6f s\n", targetProf.TimeSec)
@@ -77,30 +56,13 @@ func main() {
 		100*(res.PowerW-targetProf.PowerW())/targetProf.PowerW())
 }
 
-func measure(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*profile.Profile, []cachemodel.Access) {
-	dev := hostgpu.New(*g, 1<<32)
+// measure runs the workload once on a timing-only device model of g.
+func measure(g arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*hostgpu.Launch, *hostgpu.Priced, *profile.Profile) {
+	dev := hostgpu.New(g, 1<<32)
 	dev.Mode = hostgpu.ExecTimingOnly
-	l := bench.NewLaunch(w)
-	l.Bindings = map[string]devmem.Ptr{}
-	for _, decl := range bench.Kernel.Bufs {
-		ptr, err := dev.Mem.Alloc(w.BufBytes[decl.Name])
-		if err != nil {
-			log.Fatal(err)
-		}
-		l.Bindings[decl.Name] = ptr
-		if in, ok := w.Inputs[decl.Name]; ok {
-			if err := dev.Mem.Write(ptr, 0, in); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	priced, err := dev.Price(l)
+	l, priced, prof, err := bench.Measure(dev, w)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, _, err := dev.LaunchPriced(0, l, &priced)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return prof, priced.Accesses
+	return l, priced, prof
 }

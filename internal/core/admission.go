@@ -129,6 +129,10 @@ type admission struct {
 	vps      map[int]*vpAdmission
 	devJobs  int
 	devBytes int64
+	// peakJobs/peakBytes are the highest device totals ever reserved: exact,
+	// where a sampler of the queue gauges can miss a peak.
+	peakJobs  int
+	peakBytes int64
 
 	// now is the clock, swappable in tests; nil means time.Now.
 	now func() time.Time
@@ -193,6 +197,7 @@ func (a *admission) admit(vp, payload int) *OverloadError {
 		st.bytes += int64(payload)
 		a.devJobs++
 		a.devBytes += int64(payload)
+		a.peakJobs, a.peakBytes = max(a.peakJobs, a.devJobs), max(a.peakBytes, a.devBytes)
 		a.publish()
 	}
 	a.mu.Unlock()
@@ -234,6 +239,14 @@ func (a *admission) release(vp, payload int) {
 func (a *admission) publish() {
 	a.reg.Gauge("core.admission.queue_jobs").Set(int64(a.devJobs))
 	a.reg.Gauge("core.admission.queue_bytes").Set(a.devBytes)
+}
+
+// highWater returns the highest device-wide reservation totals (jobs, bytes)
+// the gate has held.
+func (a *admission) highWater() (int, int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.peakJobs, a.peakBytes
 }
 
 // load returns the device-wide reservation totals (jobs, bytes).

@@ -175,11 +175,19 @@ func TestAdmissionGaugesNeverExceedCaps(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	if hw := <-seen; hw[0] > capJobs || hw[1] > capJobs*payload {
+	hw := <-seen
+	if hw[0] > capJobs || hw[1] > capJobs*payload {
 		t.Fatalf("admission gauges read above the caps: jobs %d/%d, bytes %d/%d", hw[0], capJobs, hw[1], capJobs*payload)
 	}
 	if jobsG.Value() != 0 || bytesG.Value() != 0 {
 		t.Fatalf("gauges after every release: jobs %d, bytes %d", jobsG.Value(), bytesG.Value())
+	}
+	// The gate's high-water is exact: within the caps, and never below what
+	// the sampler happened to see.
+	jobsHW, bytesHW := a.highWater()
+	if jobsHW > capJobs || bytesHW > capJobs*payload || int64(jobsHW) < hw[0] || bytesHW < hw[1] {
+		t.Fatalf("high-water jobs %d, bytes %d; caps %d, %d; sampled %d, %d",
+			jobsHW, bytesHW, capJobs, capJobs*payload, hw[0], hw[1])
 	}
 }
 
@@ -204,6 +212,9 @@ func TestAdmissionGaugesBalance(t *testing.T) {
 	}
 	if got := reg.Gauge("core.admission.queue_bytes").Value(); got != 0 {
 		t.Fatalf("queue_bytes after release = %d", got)
+	}
+	if j, b := a.highWater(); j != 4 || b != 400 {
+		t.Fatalf("high-water after release: jobs %d, bytes %d; want 4, 400", j, b)
 	}
 	jobs, bytes := a.load()
 	if jobs != 0 || bytes != 0 {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/devmem"
 	"repro/internal/ipc"
 	"repro/internal/kpl"
@@ -27,7 +28,13 @@ func fillPattern(n, seed int) []byte {
 // server and the farm's device.
 func serveTCP(t *testing.T) (*ipc.Server, *Service) {
 	t.Helper()
-	m, s := farmOfOne(t, DefaultOptions())
+	return serveTCPWith(t, DefaultOptions())
+}
+
+// serveTCPWith is serveTCP for a farm built with opts.
+func serveTCPWith(t *testing.T, opts Options) (*ipc.Server, *Service) {
+	t.Helper()
+	m, s := farmOfOne(t, opts)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +114,51 @@ func TestServedD2HAllocs(t *testing.T) {
 	t.Logf("served D2H of %d bytes: %.0f B/op, of which %d are the client's result", payload, perOp, payload)
 	if perOp > 1.1*payload {
 		t.Errorf("served D2H of %d bytes allocates %.0f B/op: the service made a payload-sized allocation", payload, perOp)
+	}
+}
+
+// TestShedD2HAllocs: a D2H shed at the admission door allocates no more than
+// an H2D of the same size shed there. The D2H's pooled response frame is
+// drawn before admission decides; a shed hands it back to the pool instead of
+// leaving a payload-sized buffer to the collector.
+func TestShedD2HAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc pins are timing-sensitive; skipped in -short")
+	}
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops frames at random under the race detector")
+	}
+	opts := DefaultOptions()
+	opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
+	m, s := farmOfOne(t, opts)
+	defer m.Close()
+	m.RegisterVP(1)
+	const payload = 256 << 10
+	p := allocFilled(t, s, 1, make([]byte, payload))
+	data := make([]byte, payload)
+	// No collection while measuring: one would empty the frame pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	shed := func(req any) (allocs, bytes float64) {
+		const calls = 64
+		for i := 0; i < 4; i++ { // warm the pool and the shed counters
+			m.Handle(1, req)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(calls, func() {
+			if _, ok := m.Handle(1, req).(ipc.OverloadResp); !ok {
+				t.Fatalf("%T was not shed", req)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (calls + 1) // AllocsPerRun runs once more to warm up
+	}
+	h2dAllocs, h2dBytes := shed(ipc.H2DReq{Dst: p, Data: data})
+	d2hAllocs, d2hBytes := shed(ipc.D2HReq{Src: p, N: payload})
+	t.Logf("shed H2D: %.1f allocs, %.0f B; shed D2H: %.1f allocs, %.0f B", h2dAllocs, h2dBytes, d2hAllocs, d2hBytes)
+	if d2hAllocs > h2dAllocs || d2hBytes > h2dBytes {
+		t.Errorf("a shed %d-byte D2H allocates %.1f times, %.0f B; a shed H2D %.1f times, %.0f B",
+			payload, d2hAllocs, d2hBytes, h2dAllocs, h2dBytes)
 	}
 }
 
@@ -239,12 +291,21 @@ func TestDisconnectKeepsD2HFrames(t *testing.T) {
 // the requests it has served. The heap left after a collection is measured
 // after N rounds and again after 4N; per-job history is kept only by a traced
 // device, in a ring of fixed capacity, so an untraced device keeps nothing
-// per job once its batch has retired.
+// per job once its batch has retired — not even an estimate target's
+// predictions, which are timeline records.
 func TestServedHeapBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serves hundreds of rounds")
 	}
-	srv, s := serveTCP(t)
+	tegra := arch.TegraK1()
+	estimating := DefaultOptions()
+	estimating.EstimateTarget = &tegra
+	t.Run("default", func(t *testing.T) { servedHeapBounded(t, DefaultOptions()) })
+	t.Run("untraced-estimate-target", func(t *testing.T) { servedHeapBounded(t, estimating) })
+}
+
+func servedHeapBounded(t *testing.T, opts Options) {
+	srv, s := serveTCPWith(t, opts)
 	c := dialTCP(t, srv, 1)
 	defer c.Close()
 

@@ -31,10 +31,12 @@
 // history is its timeline, kept only with Options.Trace: the token holder
 // names each job to the device (hostgpu.GPU.SetTraceJob) before running it,
 // so every engine op record carries the job's VP and its submit and plan
-// times, and a refused job, a cancelled one and a VP's arrival are records of
-// their own kinds. The timeline is a bounded ring (trace.Capacity), so with
-// tracing on or off a served job leaves nothing behind that grows with the
-// requests served. Snapshot drains first; MultiService.Scrape and the
+// times, and a refused job (trace.KindFailed), a cancelled one
+// (KindCancelled), a VP's arrival (KindMigrated) and, with
+// Options.EstimateTarget, each kernel job's target estimate (KindEstimate)
+// are records of their own kinds. The timeline is a bounded ring
+// (trace.Capacity), so with tracing on or off a served job leaves nothing
+// behind that grows with the requests served. Snapshot drains first; MultiService.Scrape and the
 // timeline reads (Trace, MergedTrace), what the daemon's /metrics and /trace
 // serve, do not, so neither waits behind nor runs a device's batches.
 //

@@ -331,10 +331,14 @@ func (m *MultiService) serve(vp int, req any) (any, error) {
 		}))
 	case ipc.D2HReq:
 		var d2h ipc.D2HResp
-		j, err := m.run(vp, func(s *Service) (*sched.Job, error) {
+		s, j, err := m.submit(vp, func(s *Service) (*sched.Job, error) {
 			return s.d2hJob(vp, r.Stream, r.Src, r.Off, r.N, &d2h)
 		})
 		if err != nil {
+			d2h.Release() // shed or refused before it was queued: nothing holds the frame
+			return nil, err
+		}
+		if err := s.WaitJob(vp, j); err != nil {
 			return nil, err
 		}
 		d2h.Data, d2h.End = j.Data, j.Interval.End

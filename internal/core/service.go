@@ -31,9 +31,11 @@ type Options struct {
 	Coalesce bool
 	// Trace records the engine timeline.
 	Trace bool
-	// EstimateTarget, when non-nil, attaches the Time/Power Estimation
-	// module: every kernel launch also yields the target GPU's predicted
-	// execution time and power (paper Fig. 2, Section 4).
+	// EstimateTarget, when non-nil on a traced device, is the Time/Power
+	// Estimation module's target (paper Fig. 2, Section 4): each kernel job
+	// whose λ is known adds one trace.KindEstimate record with the target's
+	// predicted time and power (hostgpu.Launch.Estimate). An untraced device
+	// computes no estimate and keeps nothing.
 	EstimateTarget *arch.GPU
 
 	// Admission bounds what guests may keep in flight (per-VP/device/farm
@@ -66,10 +68,6 @@ func DefaultOptions() Options {
 type Service struct {
 	GPU  *hostgpu.GPU
 	opts Options
-
-	// Estimator is the Time/Power Estimation module; nil unless
-	// Options.EstimateTarget is set.
-	Estimator *Estimation
 
 	metrics *metrics.Registry
 	queue   *sched.Queue
@@ -166,9 +164,6 @@ func NewService(opts Options) *Service {
 	// zero it admits everything but still tracks reservations).
 	if opts.Admission.deviceEnabled() || opts.Admission.farmEnabled() {
 		s.adm = &admission{opts: opts.Admission, reg: reg, vps: map[int]*vpAdmission{}}
-	}
-	if opts.EstimateTarget != nil {
-		s.Estimator = NewEstimation(*opts.EstimateTarget)
 	}
 	s.exec = newExecutor(s)
 	return s
@@ -360,6 +355,17 @@ func (s *Service) AdmissionLoad() (jobs int, bytes int64) {
 	return s.adm.load()
 }
 
+// AdmissionHighWater returns the highest device-wide reservation totals
+// (jobs, bytes) the admission gate has held; zero with admission off. It is
+// kept under the gate's lock with every reservation, so no peak is missed.
+// Not a registry gauge: an idle farm's admission gauges all read zero.
+func (s *Service) AdmissionHighWater() (jobs int, bytes int64) {
+	if s.adm == nil {
+		return 0, 0
+	}
+	return s.adm.highWater()
+}
+
 // OverQuota reports whether the device is at or over its device-wide job or
 // byte cap — the signal placement uses to route new VPs elsewhere.
 func (s *Service) OverQuota() bool {
@@ -430,7 +436,8 @@ func (s *Service) DispatchRaw(batch []*sched.Job) {
 // counted into it; raw batches (DispatchRaw) pass nil — plan and run only,
 // the accounting loop is skipped rather than fed a no-op sink. On a traced
 // device each job's ops are stamped with its VP and its submit and plan
-// times, and a job the device refuses leaves a KindFailed record.
+// times, a job the device refuses leaves a KindFailed record, and with an
+// estimate target each submitted kernel job leaves a KindEstimate one.
 func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 	orig := batch // the submitted jobs, before coalescing swallows members
 	if s.opts.Coalesce {
@@ -454,9 +461,9 @@ func (s *Service) dispatch(batch []*sched.Job, rec *metrics.Registry) {
 			s.markJob(trace.KindFailed, j, plan, plan, err)
 		}
 	}
-	if s.Estimator != nil {
+	if traced && s.opts.EstimateTarget != nil {
 		for _, j := range orig {
-			s.Estimator.observe(s, j)
+			s.markEstimate(j, plan)
 		}
 	}
 	s.countMoves()
@@ -494,6 +501,28 @@ func (s *Service) markJob(kind string, j *sched.Job, t, plan float64, err error)
 			VP: j.VP, Submit: j.SubmitTime, Plan: plan, Err: err.Error(),
 		})
 	}
+}
+
+// markEstimate records a run kernel job's estimate for the target at the end
+// of its run (hostgpu.Launch.Estimate). A member of a coalesced launch is
+// estimated like any other kernel: from its own launch and pricing and the
+// thread-proportional share of the merged profile the coalescer gave it. Jobs
+// without a launch or a profile (copies, failed launches) and kernels whose λ
+// is unknown get no record.
+func (s *Service) markEstimate(j *sched.Job, plan float64) {
+	if j.Launch == nil || j.Priced == nil || j.Profile == nil || j.Err != nil {
+		return
+	}
+	res, err := j.Launch.Estimate(&s.GPU.Arch, s.opts.EstimateTarget, j.Priced, j.Profile)
+	if err != nil {
+		return
+	}
+	end := j.Interval.End
+	s.GPU.Trace.Add(trace.Record{
+		Kind: trace.KindEstimate, Engine: j.Engine, Stream: j.Stream, Label: j.Label, Start: end, End: end,
+		VP: j.VP, Submit: j.SubmitTime, Plan: plan,
+		HostSec: j.Profile.TimeSec, TargetSec: res.TimeC2, TargetW: res.PowerW,
+	})
 }
 
 // countMoves adds the batch's devmem.Moves, and the launches whose functional
@@ -581,7 +610,8 @@ func (s *Service) h2dJob(vp, stream int, dst devmem.Ptr, off int, data []byte, o
 // from the device straight into a response frame of the transport's, left in
 // *frame and sized only once [off, off+n) is known to lie inside the
 // allocation; a request that fails that check gets a plain job and its error.
-// The service never recycles the frame itself: a cancelled job may still hold
+// The frame goes back to the pool from the service only when the job was shed
+// before it was queued (MultiService.serve): a cancelled job may still hold
 // it.
 func (s *Service) d2hJob(vp, stream int, src devmem.Ptr, off, n int, frame *ipc.D2HResp) (*sched.Job, error) {
 	dev, err := streamOf(vp, stream)

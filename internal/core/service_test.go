@@ -16,6 +16,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/kpl"
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/vp"
 )
 
@@ -240,12 +241,25 @@ func TestDefaultOptions(t *testing.T) {
 	}
 }
 
-// TestEstimationModuleInService: with a target attached, every kernel run
-// through the service also yields a target time/power prediction.
+// estimates returns the timeline's estimate records, in timeline order.
+func estimates(s *Service) []trace.Record {
+	var out []trace.Record
+	for _, r := range s.Trace().Timeline().Records {
+		if r.Kind == trace.KindEstimate {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestEstimationModuleInService: with a target attached to a traced device,
+// every kernel run through the service also yields a target time/power
+// prediction, as a timeline record outside engine time.
 func TestEstimationModuleInService(t *testing.T) {
 	opts := DefaultOptions()
 	tegra := arch.TegraK1()
 	opts.EstimateTarget = &tegra
+	opts.Trace = true
 	m, s := farmOfOne(t, opts)
 	fleet := vp.NewFleet(2, arch.ARMVersatile(), func(id int) *cudart.Context {
 		s.RegisterVP(id)
@@ -255,33 +269,34 @@ func TestEstimationModuleInService(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Flush()
-	res := s.Estimator.Results()
+	res := estimates(s)
 	if len(res) == 0 {
 		t.Fatal("no estimates collected")
 	}
 	for _, r := range res {
-		if r.Kernel != "vectorAdd" {
-			t.Errorf("unexpected kernel %q", r.Kernel)
+		if !strings.HasSuffix(r.Label, " vectorAdd") {
+			t.Errorf("unexpected kernel %q", r.Label)
 		}
-		if r.TargetTimeSec <= 0 || r.TargetPowerW <= 0 {
+		if r.TargetSec <= 0 || r.TargetW <= 0 {
 			t.Errorf("degenerate estimate %+v", r)
 		}
-		if r.TargetTimeSec <= r.HostTimeSec {
+		if r.TargetSec <= r.HostSec {
 			t.Errorf("embedded target should be slower than the host: %+v", r)
 		}
-	}
-	if !strings.Contains(s.Estimator.String(), "Tegra K1") {
-		t.Error("estimator report missing target name")
+		if r.Start != r.End || r.Engine != hostgpu.EngineCompute || r.Submit > r.Plan {
+			t.Errorf("estimate is not a zero-length compute record after its plan: %+v", r)
+		}
 	}
 }
 
 // TestEstimationObservesCoalescedMembers: two VPs' launches submitted in one
-// batch are merged by the coalescer, and the estimator still yields one
-// prediction per VP, from each member's own launch and profile share.
+// batch are merged by the coalescer, and the timeline still gets one estimate
+// per VP, from each member's own launch and profile share.
 func TestEstimationObservesCoalescedMembers(t *testing.T) {
 	opts := DefaultOptions()
 	tegra := arch.TegraK1()
 	opts.EstimateTarget = &tegra
+	opts.Trace = true
 	s := NewService(opts)
 	defer s.Close()
 	bench, err := kernels.Get("vectorAdd")
@@ -312,17 +327,78 @@ func TestEstimationObservesCoalescedMembers(t *testing.T) {
 	if got := s.Metrics().Snapshot().CounterValue("coalesce.jobs_merged"); got != 2 {
 		t.Fatalf("coalesce.jobs_merged = %d, want 2: the launches were not merged", got)
 	}
-	res := s.Estimator.Results()
+	res := estimates(s)
 	if len(res) != 2 {
 		t.Fatalf("%d estimates, want one per VP: %+v", len(res), res)
 	}
 	for i, r := range res {
-		if r.VP != i || r.Kernel != "vectorAdd" {
-			t.Errorf("estimate %d is for vp %d kernel %q", i, r.VP, r.Kernel)
+		if r.VP != i || r.Label != fmt.Sprintf("vp%d vectorAdd", i) {
+			t.Errorf("estimate %d is for vp %d job %q", i, r.VP, r.Label)
 		}
-		if r.HostTimeSec <= 0 || r.TargetTimeSec <= r.HostTimeSec || r.TargetPowerW <= 0 {
+		if r.HostSec <= 0 || r.TargetSec <= r.HostSec || r.TargetW <= 0 {
 			t.Errorf("degenerate estimate %+v", r)
 		}
+	}
+}
+
+// TestServedEstimateMatchesStudy: a launch served through the farm and the
+// same launch measured the way the studies and kprof measure it
+// (kernels.Benchmark.Measure) give bit-equal target estimates on the same
+// host: both assemble the estimator's inputs in hostgpu.Launch.Estimate,
+// from the launch's own host run.
+func TestServedEstimateMatchesStudy(t *testing.T) {
+	bench, err := kernels.Get("BlackScholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bench.MakeWorkload(1)
+	tegra := arch.TegraK1()
+
+	opts := DefaultOptions()
+	opts.EstimateTarget = &tegra
+	opts.Trace = true
+	m, s := farmOfOne(t, opts)
+	defer m.Close()
+	m.RegisterVP(0)
+	ctx := cudart.NewContext(0, m.Backend(0))
+	l := bench.NewLaunch(w)
+	l.Bindings = map[string]devmem.Ptr{}
+	for _, decl := range bench.Kernel.Bufs {
+		ptr, err := ctx.Malloc(w.BufBytes[decl.Name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Bindings[decl.Name] = ptr
+		if in, ok := w.Inputs[decl.Name]; ok {
+			if err := ctx.MemcpyH2D(ptr, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ctx.LaunchKernel(l); err != nil {
+		t.Fatal(err)
+	}
+	m.UnregisterVP(0)
+	s.Flush()
+	served := estimates(s)
+	if len(served) != 1 {
+		t.Fatalf("%d served estimates, want 1", len(served))
+	}
+
+	dev := hostgpu.New(opts.Arch, 1<<32)
+	dev.Mode = hostgpu.ExecTimingOnly
+	sl, priced, prof, err := bench.Measure(dev, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := sl.Estimate(&opts.Arch, &tegra, priced, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := served[0]
+	if got.HostSec != prof.TimeSec || got.TargetSec != study.TimeC2 || got.TargetW != study.PowerW {
+		t.Fatalf("served estimate (host %v, C'' %v, %v W) differs from the study's (host %v, C'' %v, %v W)",
+			got.HostSec, got.TargetSec, got.TargetW, prof.TimeSec, study.TimeC2, study.PowerW)
 	}
 }
 

@@ -120,6 +120,8 @@ type Result struct {
 	TimeC2 float64
 
 	PowerW float64 // P{K,T} from Eq. 6, using C″
+
+	SigmaTarget arch.ClassVec // σ{K,T}, the Eq. 1 input the ladder used
 }
 
 // Estimate runs the full ladder.
@@ -131,6 +133,8 @@ func Estimate(in *Inputs) (*Result, error) {
 		Kernel: in.HostProfile.Kernel,
 		Host:   in.Host.Name,
 		Target: in.Target.Name,
+
+		SigmaTarget: in.SigmaTarget,
 	}
 	r.CyclesC = C(in.Target, in.SigmaTarget)
 	r.CyclesC1 = CPrime(in)

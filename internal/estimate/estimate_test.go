@@ -1,4 +1,4 @@
-package estimate
+package estimate_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
+	"repro/internal/estimate"
 	"repro/internal/hostgpu"
 	"repro/internal/kpl"
 	"repro/internal/profile"
@@ -54,11 +55,11 @@ func measure(g *arch.GPU, perThread arch.ClassVec, accesses []cachemodel.Access,
 	}
 }
 
-func inputsFor(host, target *arch.GPU) (*Inputs, *profile.Profile) {
+func inputsFor(host, target *arch.GPU) (*estimate.Inputs, *profile.Profile) {
 	per, accesses, shape := matmulLike()
 	hostProf := measure(host, per.Mul(host.Expand), accesses, shape)
 	targetProf := measure(target, per.Mul(target.Expand), accesses, shape)
-	in := &Inputs{
+	in := &estimate.Inputs{
 		Host:        host,
 		Target:      target,
 		HostProfile: hostProf,
@@ -104,7 +105,7 @@ func TestEstimationLadder(t *testing.T) {
 	for _, host := range arch.HostGPUs() {
 		host := host
 		in, targetProf := inputsFor(&host, &tegra)
-		res, err := Estimate(in)
+		res, err := estimate.Estimate(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestCIsCrude(t *testing.T) {
 	in, _ := inputsFor(&q, &tegra)
 	// C uses only peak IPC.
 	want := in.SigmaTarget.Sum() / tegra.IPC
-	if got := C(&tegra, in.SigmaTarget); got != want {
+	if got := estimate.C(&tegra, in.SigmaTarget); got != want {
 		t.Errorf("C = %v, want %v", got, want)
 	}
 }
@@ -138,17 +139,17 @@ func TestCPScalesWithLatency(t *testing.T) {
 	shape := profile.LaunchShape{Grid: 100, Block: 256}
 	var sigma arch.ClassVec
 	sigma[arch.FP64] = 1e6
-	base := CP(&q, sigma, shape)
+	base := estimate.CP(&q, sigma, shape)
 	slower := q
 	slower.Latency[arch.FP64] *= 2
-	if got := CP(&slower, sigma, shape); math.Abs(got-2*base) > 1e-9 {
+	if got := estimate.CP(&slower, sigma, shape); math.Abs(got-2*base) > 1e-9 {
 		t.Errorf("CP should scale with τ: %v vs %v", got, 2*base)
 	}
-	if CP(&q, sigma, profile.LaunchShape{}) != 0 {
+	if estimate.CP(&q, sigma, profile.LaunchShape{}) != 0 {
 		t.Error("empty shape CP should be 0")
 	}
 	// Small launches are not normalized beyond their own thread count.
-	tiny := CP(&q, sigma, profile.LaunchShape{Grid: 1, Block: 32})
+	tiny := estimate.CP(&q, sigma, profile.LaunchShape{Grid: 1, Block: 32})
 	if tiny != sigma.Dot(q.Latency)/32 {
 		t.Errorf("tiny CP = %v", tiny)
 	}
@@ -158,16 +159,16 @@ func TestUpsilonTargetExceedsHost(t *testing.T) {
 	_, accesses, _ := matmulLike()
 	q, tk := arch.Quadro4000(), arch.TegraK1()
 	// Tegra's small cache must predict at least as many stall cycles per SM.
-	if Upsilon(&tk, accesses) <= 0 {
+	if estimate.Upsilon(&tk, accesses) <= 0 {
 		t.Error("target Υ should be positive")
 	}
-	if Upsilon(&q, accesses) <= 0 {
+	if estimate.Upsilon(&q, accesses) <= 0 {
 		t.Error("host Υ should be positive")
 	}
 }
 
 func TestEstimateGuards(t *testing.T) {
-	if _, err := Estimate(&Inputs{}); err == nil {
+	if _, err := estimate.Estimate(&estimate.Inputs{}); err == nil {
 		t.Error("Estimate accepted empty inputs")
 	}
 }
@@ -177,14 +178,14 @@ func TestPowerComponents(t *testing.T) {
 	var sigma arch.ClassVec
 	sigma[arch.FP32] = 1e9
 	cycles := 1e9 // ≈1.17s on Tegra
-	p := Power(&tk, sigma, cycles)
+	p := estimate.Power(&tk, sigma, cycles)
 	et := cycles / tk.ClockHz()
 	want := tk.StaticPowerW + 1e9*tk.EnergyPerInstr[arch.FP32]/et
 	if math.Abs(p-want) > 1e-9 {
 		t.Errorf("Power = %v, want %v", p, want)
 	}
 	// Degenerate cycles → static power only.
-	if Power(&tk, sigma, 0) != tk.StaticPowerW {
+	if estimate.Power(&tk, sigma, 0) != tk.StaticPowerW {
 		t.Error("zero-cycle power should be static")
 	}
 }
@@ -196,7 +197,7 @@ func TestPowerCloseToMeasured(t *testing.T) {
 	for _, host := range arch.HostGPUs() {
 		host := host
 		in, targetProf := inputsFor(&host, &tegra)
-		res, err := Estimate(in)
+		res, err := estimate.Estimate(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +213,7 @@ func TestPowerCloseToMeasured(t *testing.T) {
 func TestResultString(t *testing.T) {
 	q, tk := arch.Quadro4000(), arch.TegraK1()
 	in, _ := inputsFor(&q, &tk)
-	res, err := Estimate(in)
+	res, err := estimate.Estimate(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/estimate"
 	"repro/internal/hostgpu"
 	"repro/internal/kernels"
-	"repro/internal/kir"
 	"repro/internal/profile"
 )
 
@@ -76,7 +74,7 @@ func fig12Cell(name string, scale int) ([]Fig12Row, error) {
 	w := bench.MakeWorkload(scale)
 
 	// "Measured" execution on the actual target device.
-	targetProf, err := measureOn(&tegra, bench, w)
+	_, _, targetProf, err := measureOn(tegra, bench, w)
 	if err != nil {
 		return nil, err
 	}
@@ -84,15 +82,11 @@ func fig12Cell(name string, scale int) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	for _, host := range arch.HostGPUs() {
 		host := host
-		hostProf, err := measureOn(&host, bench, w)
+		l, priced, hostProf, err := measureOn(host, bench, w)
 		if err != nil {
 			return nil, err
 		}
-		in, err := estimatorInputs(&host, &tegra, bench, w, hostProf)
-		if err != nil {
-			return nil, err
-		}
-		r, err := estimate.Estimate(in)
+		r, err := l.Estimate(&host, &tegra, priced, hostProf)
 		if err != nil {
 			return nil, err
 		}
@@ -113,56 +107,18 @@ func fig12Cell(name string, scale int) ([]Fig12Row, error) {
 	return rows, nil
 }
 
-// measureOn provisions and launches the benchmark once on the given
-// architecture, returning the profiler's view.
-func measureOn(g *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*profile.Profile, error) {
-	dev := newGPU(*g, 1<<32)
+// measureOn runs the benchmark once on a fresh timing-only device of the
+// given architecture (kernels.Benchmark.Measure).
+func measureOn(a arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*hostgpu.Launch, *hostgpu.Priced, *profile.Profile, error) {
+	dev := newGPU(a, 1<<32)
 	dev.Mode = hostgpu.ExecTimingOnly
-	p, err := provisionOn(dev, bench, w)
-	if err != nil {
-		return nil, err
-	}
-	prof, _, err := dev.Launch(0, p.launch)
-	return prof, err
+	return bench.Measure(dev, w)
 }
 
-// estimatorInputs assembles the Profile-Based Execution Analysis inputs:
-// the host profile, σ{K,T} from recompilation (Eq. 1), and the kernel's
-// access streams for the cache model.
-func estimatorInputs(host, target *arch.GPU, bench *kernels.Benchmark, w *kernels.Workload, hostProf *profile.Profile) (*estimate.Inputs, error) {
-	kl := kir.Launch{NThreads: w.Threads(), Params: w.Params}
-	dyn, err := bench.SampleDyn(w)
-	if err != nil {
-		return nil, err
-	}
-	sigmaT, err := bench.Prog.Sigma(target, kl, dyn)
-	if err != nil {
-		return nil, err
-	}
-	// Access streams come from a device-side resolution (geometry-neutral).
-	dev := newGPU(*target, 1<<32)
-	dev.Mode = hostgpu.ExecTimingOnly
-	p, err := provisionOn(dev, bench, w)
-	if err != nil {
-		return nil, err
-	}
-	priced, err := dev.Price(p.launch)
-	if err != nil {
-		return nil, err
-	}
-	return &estimate.Inputs{
-		Host:        host,
-		Target:      target,
-		HostProfile: hostProf,
-		SigmaTarget: sigmaT,
-		Shape: profile.LaunchShape{
-			Grid:              w.Grid,
-			Block:             w.Block,
-			SharedMemPerBlock: w.SharedMemPerBlock,
-			RegsPerThread:     w.RegsPerThread,
-		},
-		Accesses: priced.Accesses,
-	}, nil
+// powerErr is the relative error of the Eq. 6 estimate against the measured
+// target power.
+func (row *Fig12Row) powerErr() float64 {
+	return (row.EstPowerW - row.MeasuredPowerW) / row.MeasuredPowerW
 }
 
 func (r *Fig12Result) String() string {
@@ -200,13 +156,12 @@ func Fig13(scale int) (*Fig13Result, error) {
 	}
 	res := &Fig13Result{}
 	for _, row := range f12.Rows {
-		rel := (row.EstPowerW - row.MeasuredPowerW) / row.MeasuredPowerW
 		res.Rows = append(res.Rows, Fig13Row{
 			Kernel:      row.Kernel,
 			Host:        row.Host,
 			MeasuredW:   row.MeasuredPowerW,
 			EstimatedW:  row.EstPowerW,
-			RelativeErr: rel,
+			RelativeErr: row.powerErr(),
 		})
 	}
 	return res, nil

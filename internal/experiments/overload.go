@@ -55,9 +55,11 @@ type OverloadDrillResult struct {
 	BadSheds    int64
 	ShedReasons map[string]int
 
-	// Sampled high-water of the admission gauges across both devices during
-	// the contended pass. The reservation accounting bounds them by the caps;
-	// a sample above the cap is an accounting bug.
+	// High-water of the admission reservations across both devices during
+	// the contended pass, as the gates keep it with every reservation
+	// (core.Service.AdmissionHighWater). The reservation accounting
+	// bounds them by the caps; a high-water above the cap is an accounting
+	// bug.
 	MaxQueuedJobsSeen  int64
 	MaxQueuedBytesSeen int64
 
@@ -147,8 +149,11 @@ type overloadPass struct {
 	agg       *aggressorFleet
 	leakJobs  int
 	leakBytes int64
-	healthErr error // nil: both devices answered the post-drill probe
-	admSnap   metrics.Snapshot
+	// maxJobs/maxBytes are the highest admission reservations any device
+	// held while the fleet ran.
+	maxJobs, maxBytes int64
+	healthErr         error // nil: both devices answered the post-drill probe
+	admSnap           metrics.Snapshot
 }
 
 // OverloadDrill runs the overload experiment: an uncontended reference pass
@@ -182,8 +187,8 @@ func OverloadDrill(oversub, iters int) (*OverloadDrillResult, error) {
 	res.Sheds = hot.agg.sheds.Load()
 	res.BadSheds = hot.agg.badSheds.Load()
 	res.ShedReasons = hot.agg.shedReasons
-	res.MaxQueuedJobsSeen = hot.agg.maxJobs
-	res.MaxQueuedBytesSeen = hot.agg.maxBytes
+	res.MaxQueuedJobsSeen = hot.maxJobs
+	res.MaxQueuedBytesSeen = hot.maxBytes
 	res.LeakJobs = hot.leakJobs
 	res.LeakBytes = hot.leakBytes
 	res.HealthyAfter = hot.healthErr == nil
@@ -234,6 +239,12 @@ func overloadDrillPass(contended bool, oversub, iters int) (*overloadPass, error
 	}
 	if err != nil {
 		return nil, err
+	}
+	// The fleet has stopped, and the probes below come after this read: the
+	// high-water is the drill's own.
+	for d := 0; d < ms.Devices(); d++ {
+		j, b := ms.Device(d).AdmissionHighWater()
+		pass.maxJobs, pass.maxBytes = max(pass.maxJobs, int64(j)), max(pass.maxBytes, b)
 	}
 
 	// Reservation balance: once everything drained, the farm must hold zero

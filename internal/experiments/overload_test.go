@@ -30,7 +30,7 @@ func TestOverloadDrillAcceptance(t *testing.T) {
 		t.Fatalf("queue_bytes high-water %d exceeds cap %d", res.MaxQueuedBytesSeen, res.CapBytes)
 	}
 	if res.MaxQueuedJobsSeen == 0 {
-		t.Fatal("sampler never observed an admission reservation — drill exerted no load")
+		t.Fatal("no admission reservation was ever held — drill exerted no load")
 	}
 	if res.LeakJobs != 0 || res.LeakBytes != 0 {
 		t.Fatalf("admission reservations leaked: %d jobs, %d bytes", res.LeakJobs, res.LeakBytes)

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/arch"
-	"repro/internal/estimate"
 	"repro/internal/kernels"
 )
 
@@ -40,11 +38,16 @@ func EstimationSweep(scale int) (*SweepResult, error) {
 	benches := kernels.All()
 	cells := make([][]SweepRow, len(benches))
 	err := forEach(len(benches), func(i int) error {
-		rows, err := sweepCell(benches[i], scale)
+		rows, err := fig12Cell(benches[i].Name, scale)
 		if err != nil {
 			return fmt.Errorf("%s: %w", benches[i].Name, err)
 		}
-		cells[i] = rows
+		for _, row := range rows {
+			cells[i] = append(cells[i], SweepRow{
+				Kernel: row.Kernel, Host: row.Host,
+				C: row.C, C1: row.C1, C2: row.C2, PowerErr: row.powerErr(),
+			})
+		}
 		return nil
 	})
 	if err != nil {
@@ -70,43 +73,6 @@ func EstimationSweep(scale int) (*SweepResult, error) {
 	res.MeanAbsC2 /= n
 	res.MeanAbsPowerErr /= n
 	return res, nil
-}
-
-// sweepCell runs one benchmark's target measurement plus the estimation
-// ladder through every host GPU.
-func sweepCell(bench *kernels.Benchmark, scale int) ([]SweepRow, error) {
-	tegra := arch.TegraK1()
-	w := bench.MakeWorkload(scale)
-	targetProf, err := measureOn(&tegra, bench, w)
-	if err != nil {
-		return nil, err
-	}
-	var rows []SweepRow
-	for _, host := range arch.HostGPUs() {
-		host := host
-		hostProf, err := measureOn(&host, bench, w)
-		if err != nil {
-			return nil, err
-		}
-		in, err := estimatorInputs(&host, &tegra, bench, w, hostProf)
-		if err != nil {
-			return nil, err
-		}
-		r, err := estimate.Estimate(in)
-		if err != nil {
-			return nil, err
-		}
-		norm := targetProf.TimeSec
-		rows = append(rows, SweepRow{
-			Kernel:   bench.Name,
-			Host:     host.Name,
-			C:        r.TimeC / norm,
-			C1:       r.TimeC1 / norm,
-			C2:       r.TimeC2 / norm,
-			PowerErr: (r.PowerW - targetProf.PowerW()) / targetProf.PowerW(),
-		})
-	}
-	return rows, nil
 }
 
 func (r *SweepResult) String() string {

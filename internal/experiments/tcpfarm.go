@@ -127,10 +127,6 @@ type aggressorFleet struct {
 	shedReasons map[string]int
 	err         error // first submitter error that was not an overload shed
 
-	// maxJobs/maxBytes are the sampled high-water of the per-device admission
-	// gauges while the fleet ran.
-	maxJobs, maxBytes int64
-
 	halt chan struct{}
 	wg   sync.WaitGroup
 }
@@ -168,12 +164,10 @@ func (a *aggressorFleet) close() {
 }
 
 // start launches the submitters — submitter i copies payloads[i%len] in a
-// closed loop on its own stream — plus the gauge sampler, and returns once
+// closed loop on its own stream — and returns once
 // the first submission has been shed, so whatever the caller runs next runs
 // under established overload. On error the fleet is already stopped.
 func (a *aggressorFleet) start(payloads ...[]byte) error {
-	a.wg.Add(1)
-	go a.sample()
 	for i := 0; i < a.submitters; i++ {
 		a.wg.Add(1)
 		go a.submit(i, payloads[i%len(payloads)])
@@ -221,26 +215,6 @@ func (a *aggressorFleet) submit(i int, payload []byte) {
 			}
 			a.mu.Unlock()
 			return
-		}
-	}
-}
-
-// sample tracks the high-water of the admission reservations on every device
-// while the fleet hammers the farm.
-func (a *aggressorFleet) sample() {
-	defer a.wg.Done()
-	tick := time.NewTicker(100 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-a.halt:
-			return
-		case <-tick.C:
-			for d := 0; d < a.farm.ms.Devices(); d++ {
-				reg := a.farm.ms.Device(d).Metrics()
-				a.maxJobs = max(a.maxJobs, reg.Gauge("core.admission.queue_jobs").Value())
-				a.maxBytes = max(a.maxBytes, reg.Gauge("core.admission.queue_bytes").Value())
-			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
 	"repro/internal/devmem"
+	"repro/internal/estimate"
 	"repro/internal/kir"
 	"repro/internal/kpl"
 	"repro/internal/metrics"
@@ -114,6 +115,30 @@ func (l *Launch) Shape() profile.LaunchShape {
 		SharedMemPerBlock: l.SharedMemPerBlock,
 		RegsPerThread:     l.RegsPerThread,
 	}
+}
+
+// Estimate is the paper's Profile-Based Execution Analysis of this launch
+// (Section 4): the target's C/C′/C″ times and Eq. 6 power from prof, the
+// launch's profile on host, and p, its pricing there. σ{K,T} is the launch
+// recompiled for target (Eq. 1) at its own λ, so a launch whose λ is unknown
+// (Sampled) is refused. The access streams are p's: they read counts and
+// allocation sizes, not the architecture. Every estimate, served or studied,
+// is built here.
+func (l *Launch) Estimate(host, target *arch.GPU, p *Priced, prof *profile.Profile) (*estimate.Result, error) {
+	if l.Kernel == nil || l.Prog == nil {
+		return nil, fmt.Errorf("hostgpu: launch without kernel or program")
+	}
+	if l.Sampled() {
+		return nil, fmt.Errorf("hostgpu: %s: no estimate without the launch's λ", l.Kernel.Name)
+	}
+	sigmaT, err := l.Prog.Sigma(target, kir.Launch{NThreads: l.Threads(), Params: l.Params}, l.Dyn)
+	if err != nil {
+		return nil, fmt.Errorf("hostgpu: %s: %w", l.Kernel.Name, err)
+	}
+	return estimate.Estimate(&estimate.Inputs{
+		Host: host, Target: target, HostProfile: prof, SigmaTarget: sigmaT,
+		Shape: l.Shape(), Accesses: p.Accesses,
+	})
 }
 
 // GPU is one simulated physical GPU.

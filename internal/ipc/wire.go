@@ -260,10 +260,11 @@ const d2hHeadMax = 4 + 1 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
 // returns the response; the TCP server then writes head and payload as the
 // one frame they already are and recycles it — no buffer is made and the
 // bytes are not copied again. n must already have been checked against the
-// allocation it reads from. The frame goes back to the pool only from the
-// transport, after its Write has returned: a handler that fails simply drops
-// the response (a cancelled job may still hold the buffer), and a handler
-// called without the transport hands Data to its caller for good. A length
+// allocation it reads from. The frame goes back to the pool from the
+// transport, after its Write has returned, or from a handler whose job never
+// got queued (Release): a handler that fails after that simply drops the
+// response (a cancelled job may still hold the buffer), and a handler called
+// without the transport hands Data to its caller for good. A length
 // no frame can carry gets a response without a frame, which the encoder then
 // refuses with ErrFrameTooLarge.
 func NewD2HResp(n int) D2HResp {
@@ -276,6 +277,16 @@ func NewD2HResp(n int) D2HResp {
 	}
 	fb.b = fb.b[:d2hHeadMax+n]
 	return D2HResp{Data: fb.b[d2hHeadMax:], frame: fb}
+}
+
+// Release hands the response's pooled frame back, if it has one, and leaves
+// the response empty. Only for a frame nothing else can still reach: a job
+// that was refused before it was queued never wrote into it.
+func (m *D2HResp) Release() {
+	if m.frame != nil {
+		framePool.Put(m.frame)
+	}
+	*m = D2HResp{}
 }
 
 // wireFrame right-aligns the frame head against the payload inside the

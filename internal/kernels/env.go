@@ -6,6 +6,7 @@ import (
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
 	"repro/internal/kpl"
+	"repro/internal/profile"
 )
 
 // BuildEnv materializes a workload's buffers into an execution environment
@@ -41,4 +42,34 @@ func (b *Benchmark) SampleDyn(w *Workload) (*kpl.Stats, error) {
 		return nil, err
 	}
 	return hostgpu.SampleDyn(b.Kernel, b.Prog, env, nil)
+}
+
+// Measure provisions the workload on dev, prices its launch there and runs it
+// once on stream 0, returning the launch, its pricing and its profile: the
+// host run a target estimate is built from (hostgpu.Launch.Estimate). The
+// launch carries the workload's λ (SampleDyn), so a data-dependent kernel is
+// priced, like any other, from what the workload is rather than from a
+// sample of device memory.
+func (b *Benchmark) Measure(dev *hostgpu.GPU, w *Workload) (*hostgpu.Launch, *hostgpu.Priced, *profile.Profile, error) {
+	l := b.NewLaunch(w)
+	var err error
+	if l.Dyn, err = b.SampleDyn(w); err != nil {
+		return nil, nil, nil, err
+	}
+	l.Bindings = make(map[string]devmem.Ptr, len(b.Kernel.Bufs))
+	for _, decl := range b.Kernel.Bufs {
+		ptr, err := dev.Mem.Alloc(w.BufBytes[decl.Name])
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		l.Bindings[decl.Name] = ptr
+		if in, ok := w.Inputs[decl.Name]; ok {
+			if err := dev.Mem.Write(ptr, 0, in); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	}
+	var p *hostgpu.Priced
+	prof, _, err := dev.LaunchPriced(0, l, &p)
+	return l, p, prof, err
 }

@@ -6,7 +6,8 @@
 // The timeline is also the job trace: each op record names the job's VP and
 // its submit and plan times, and what happened to a job outside any engine
 // (refused by the device, cancelled by a disconnect, its VP migrated) is a
-// record of its own kind. A Log keeps the newest Capacity records and counts
+// record of its own kind, as is a kernel job's estimate for an embedded
+// target (paper Fig. 2). A Log keeps the newest Capacity records and counts
 // the ones it dropped, so a daemon that serves forever holds a bounded
 // timeline.
 package trace
@@ -28,10 +29,12 @@ const (
 	KindFailed    = "failed"    // a job the device refused: Err says why, no engine time
 	KindCancelled = "cancelled" // a job orphaned by its VP's disconnect, never run
 	KindMigrated  = "migrated"  // a VP context arrived on this device
+	KindEstimate  = "estimate"  // a kernel job's target estimate, no engine time
 )
 
 // Record is one entry of the timeline: an op on one engine, or (Kind) a job
-// event that took no engine time. All times are simulated seconds.
+// event that took no engine time. All times are simulated seconds; an
+// estimate's target numbers are the other device's, not this timeline's.
 type Record struct {
 	Engine string  `json:"engine"` // "h2d", "d2h", "compute", "migrate"
 	Stream int     `json:"stream"` // device stream the op ran on
@@ -46,14 +49,23 @@ type Record struct {
 	Submit float64 `json:"submit"`
 	Plan   float64 `json:"plan"`
 	Err    string  `json:"err,omitempty"`
+	// HostSec, TargetSec and TargetW are a KindEstimate record's numbers
+	// (paper Fig. 2, Section 4): the kernel's profiled time on this device,
+	// and the target's C″ time (Eq. 5) and power (Eq. 6).
+	HostSec   float64 `json:"host_sec,omitempty"`
+	TargetSec float64 `json:"target_sec,omitempty"`
+	TargetW   float64 `json:"target_w,omitempty"`
 }
 
 // Duration returns the op length in seconds.
 func (r Record) Duration() float64 { return r.End - r.Start }
 
 // busy reports whether the record spans engine time, which is what Span,
-// Utilization and Gantt draw: a refused or cancelled job never ran.
-func (r Record) busy() bool { return r.Kind != KindFailed && r.Kind != KindCancelled }
+// Utilization and Gantt draw: a refused or cancelled job never ran, and an
+// estimate is about another device.
+func (r Record) busy() bool {
+	return r.Kind != KindFailed && r.Kind != KindCancelled && r.Kind != KindEstimate
+}
 
 // compare is the canonical order: (Start, Engine, Stream, Label, End), then
 // the job fields. The key is the whole record, so any insertion interleaving
@@ -65,6 +77,8 @@ func (r Record) compare(o Record) int {
 		cmp.Compare(r.End, o.End), cmp.Compare(r.VP, o.VP),
 		strings.Compare(r.Kind, o.Kind), cmp.Compare(r.Submit, o.Submit),
 		cmp.Compare(r.Plan, o.Plan), strings.Compare(r.Err, o.Err),
+		cmp.Compare(r.HostSec, o.HostSec), cmp.Compare(r.TargetSec, o.TargetSec),
+		cmp.Compare(r.TargetW, o.TargetW),
 	)
 }
 

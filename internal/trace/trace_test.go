@@ -212,6 +212,8 @@ func TestEventCanonicalOrder(t *testing.T) {
 		{Kind: KindFailed, VP: 0, Engine: "compute", Label: "k", Start: 1, End: 2, Err: "refused"},
 		{Kind: KindOp, VP: 0, Engine: "compute", Label: "k", Start: 1, End: 2, Submit: 0.25, Plan: 1},
 		{Kind: KindCancelled, VP: 2, Engine: "h2d", Label: "c", Start: 0, End: 0},
+		{Kind: KindEstimate, VP: 3, Engine: "compute", Label: "k", Start: 3, End: 3, TargetSec: 2, TargetW: 1},
+		{Kind: KindEstimate, VP: 3, Engine: "compute", Label: "k", Start: 3, End: 3, TargetSec: 1, TargetW: 2},
 	}
 	fwd, rev := New(), New()
 	for i := range recs {
@@ -227,6 +229,9 @@ func TestEventCanonicalOrder(t *testing.T) {
 	}
 	if a[1].VP != 0 || a[1].Kind != KindFailed || a[2].Submit != 0.25 || a[3].Submit != 0.5 || a[4].VP != 1 {
 		t.Errorf("full-record sort broken: %+v", a)
+	}
+	if a[5].TargetSec != 1 || a[6].TargetSec != 2 {
+		t.Errorf("estimates tying on every other field not ordered by their numbers: %+v", a[5:])
 	}
 }
 
@@ -256,17 +261,19 @@ func TestLogRingWraps(t *testing.T) {
 	}
 }
 
-// TestMarksOutsideEngineTime: a refused or cancelled job is a record of the
-// timeline but took no engine time, so Span, Utilization and Gantt leave it
-// out; a migration arrival, like an op, is drawn.
+// TestMarksOutsideEngineTime: a refused or cancelled job, or a kernel's
+// target estimate, is a record of the timeline but took no engine time, so
+// Span, Utilization and Gantt leave it out; a migration arrival, like an op,
+// is drawn.
 func TestMarksOutsideEngineTime(t *testing.T) {
 	l := sampleLog()
 	want := l.Timeline()
 	l.Add(Record{Kind: KindFailed, Engine: "compute", Stream: 4, Start: 5, End: 5, Err: "refused"})
 	l.Add(Record{Kind: KindCancelled, Engine: "h2d", Stream: 4, Start: 6, End: 6, Err: "cancelled"})
+	l.Add(Record{Kind: KindEstimate, Engine: "compute", Stream: 4, Start: 7, End: 7, HostSec: 1, TargetSec: 8, TargetW: 2})
 	got := l.Timeline()
-	if len(got.Records) != len(want.Records)+2 {
-		t.Fatalf("%d records, want %d", len(got.Records), len(want.Records)+2)
+	if len(got.Records) != len(want.Records)+3 {
+		t.Fatalf("%d records, want %d", len(got.Records), len(want.Records)+3)
 	}
 	if gs, ge := got.Span(); gs != 0 || ge != 3 {
 		t.Errorf("span [%v, %v] counts the marks", gs, ge)
