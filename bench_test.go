@@ -268,8 +268,7 @@ func runAblation(b *testing.B, serialize bool, policy sched.Policy, coalesceOn b
 	b.Helper()
 	var makespan float64
 	for i := 0; i < b.N; i++ {
-		g := hostgpu.New(arch.Quadro4000(), 1<<30)
-		g.Mode = hostgpu.ExecTimingOnly
+		g := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<30)
 		g.Serialize = serialize
 		batch := ablationBatch(b, g)
 		if coalesceOn {
@@ -487,8 +486,7 @@ func BenchmarkCoalesceMerge(b *testing.B) {
 	}
 	const n = 4096
 	for i := 0; i < b.N; i++ {
-		g := hostgpu.New(arch.Quadro4000(), 1<<28)
-		g.Mode = hostgpu.ExecTimingOnly
+		g := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<28)
 		var members []*sched.Job
 		for vpID := 0; vpID < 8; vpID++ {
 			bind := map[string]devmem.Ptr{}

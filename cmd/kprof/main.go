@@ -55,8 +55,7 @@ func run(host arch.GPU, name string, scale int) error {
 	target := arch.TegraK1()
 	w := bench.MakeWorkload(scale)
 
-	dev := hostgpu.New(host, 1<<32)
-	dev.Mode = hostgpu.ExecTimingOnly
+	dev := hostgpu.NewTimingOnly(host, 1<<32)
 	l, priced, hostProf, err := bench.Measure(dev, w)
 	if err != nil {
 		return err

@@ -58,8 +58,7 @@ func main() {
 
 // measure runs the workload once on a timing-only device model of g.
 func measure(g arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*hostgpu.Launch, *hostgpu.Priced, *profile.Profile) {
-	dev := hostgpu.New(g, 1<<32)
-	dev.Mode = hostgpu.ExecTimingOnly
+	dev := hostgpu.NewTimingOnly(g, 1<<32)
 	l, priced, prof, err := bench.Measure(dev, w)
 	if err != nil {
 		log.Fatal(err)

@@ -332,10 +332,20 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	}
 
 	// The merged launch, priced from its members — by the win predictor, or
-	// here when a member's λ is sampled — and run as their pieces.
+	// here when a member's λ is sampled — and run as their pieces. A sampled
+	// member is priced from the bytes it runs on and keeps that pricing, as
+	// an unmerged launch's job does: its target estimate needs the λ it was
+	// priced at.
 	priced := mj.Priced
 	if priced == nil {
 		var err error
+		for _, m := range members {
+			if m.Priced == nil {
+				if m.Priced, err = gpu.Price(m.Launch); err != nil {
+					return err
+				}
+			}
+		}
 		if priced, err = mergedPricing(gpu, members); err != nil {
 			return err
 		}

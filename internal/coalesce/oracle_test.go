@@ -114,8 +114,7 @@ func decodeApply(t *testing.T, data []byte) (*hostgpu.GPU, []*sched.Job, *sched.
 		data = data[1:]
 		return int(b)
 	}
-	g := hostgpu.New(arch.Quadro4000(), int64(16+next()%64)<<10)
-	g.Mode = hostgpu.ExecTimingOnly
+	g := hostgpu.NewTimingOnly(arch.Quadro4000(), int64(16+next()%64)<<10)
 	g.Metrics = metrics.New()
 	bufs := make([]devmem.Ptr, 6)
 	for i := range bufs {

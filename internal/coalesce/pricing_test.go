@@ -25,8 +25,7 @@ import (
 // predictor, by the merged pricing, and again when it ran (24 lookups here).
 func TestEachKernelJobPricedOnce(t *testing.T) {
 	const n = 3
-	g := hostgpu.New(arch.Quadro4000(), 1<<30)
-	g.Mode = hostgpu.ExecTimingOnly
+	g := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<30)
 	g.Metrics = metrics.New()
 
 	var launches []*hostgpu.Launch
@@ -122,11 +121,11 @@ func TestEachKernelJobPricedOnce(t *testing.T) {
 		if got, want := lookups()-l0, int64(3*n+1); got != want {
 			t.Errorf("round %d: %d timing-cache lookups for the batch, want %d", round, got, want)
 		}
-		// Every job carries its pricing but the sampled member, whose
-		// pricing holds only for the bytes it was sampled from.
+		// Every job carries its pricing; the sampled member's, made when the
+		// merged job ran, from the bytes it ran on, carries the λ it sampled.
 		for _, j := range batch {
-			if j.Err != nil || (j.Priced == nil) != (j.Launch == sampled) {
-				t.Fatalf("round %d: vp%d: err %v, carries a pricing %v", round, j.VP, j.Err, j.Priced != nil)
+			if j.Err != nil || j.Priced == nil || (j.Priced.Dyn != nil) != (j.Launch == sampled) {
+				t.Fatalf("round %d: vp%d: err %v, pricing %+v", round, j.VP, j.Err, j.Priced)
 			}
 		}
 	}

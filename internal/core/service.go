@@ -23,7 +23,9 @@ import (
 type Options struct {
 	Arch     arch.GPU
 	MemBytes int64
-	Mode     hostgpu.ExecMode
+	// Mode is every device's execution mode. A timing-only device is built
+	// by hostgpu.NewTimingOnly and keeps no host bytes.
+	Mode hostgpu.ExecMode
 
 	// Policy selects FIFO (baseline) or interleaved dispatch.
 	Policy sched.Policy
@@ -135,8 +137,11 @@ func NewService(opts Options) *Service {
 	if opts.MemBytes <= 0 {
 		opts.MemBytes = 1 << 30
 	}
-	g := hostgpu.New(opts.Arch, opts.MemBytes)
-	g.Mode = opts.Mode
+	newGPU := hostgpu.New
+	if opts.Mode == hostgpu.ExecTimingOnly {
+		newGPU = hostgpu.NewTimingOnly
+	}
+	g := newGPU(opts.Arch, opts.MemBytes)
 	g.InOrderIssue = true // the single hardware work queue of Fig. 3
 	// The unoptimized service dispatches conservatively: one job at a time,
 	// engines never overlapping (the 3N·T baseline). Kernel Interleaving

@@ -291,20 +291,13 @@ func TestEstimationModuleInService(t *testing.T) {
 
 // TestEstimationObservesCoalescedMembers: two VPs' launches submitted in one
 // batch are merged by the coalescer, and the timeline still gets one estimate
-// per VP, from each member's own launch and profile share.
+// per VP, from each member's own launch and profile share — also when the
+// members' λ is data-dependent (mergeSort, whose launches bring no Dyn): each
+// member is then estimated at the λ its pricing sampled when the merged job
+// ran.
 func TestEstimationObservesCoalescedMembers(t *testing.T) {
-	opts := DefaultOptions()
-	tegra := arch.TegraK1()
-	opts.EstimateTarget = &tegra
-	opts.Trace = true
-	s := NewService(opts)
-	defer s.Close()
-	bench, err := kernels.Get("vectorAdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch []*sched.Job
-	for vpID := 0; vpID < 2; vpID++ {
+	vectorAdd := func(t *testing.T, s *Service) *hostgpu.Launch {
+		bench := kernels.VectorAdd
 		bind := map[string]devmem.Ptr{}
 		for _, name := range []string{"a", "b", "out"} {
 			ptr, err := s.GPU.Mem.Alloc(4 * 64)
@@ -313,31 +306,67 @@ func TestEstimationObservesCoalescedMembers(t *testing.T) {
 			}
 			bind[name] = ptr
 		}
-		j := sched.NewKernel(vpID, vpID, &hostgpu.Launch{
+		return &hostgpu.Launch{
 			Kernel: bench.Kernel, Prog: bench.Prog, Grid: 1, Block: 64,
 			Params:   map[string]kpl.Value{"n": kpl.IntVal(64)},
 			Bindings: bind,
 			Native:   bench.Native,
+		}
+	}
+	mergeSort := func(t *testing.T, s *Service) *hostgpu.Launch {
+		bench := kernels.MergeSort
+		w := bench.MakeWorkload(1)
+		l := bench.NewLaunch(w)
+		l.Bindings = map[string]devmem.Ptr{}
+		for _, decl := range bench.Kernel.Bufs {
+			ptr, err := s.GPU.Mem.Alloc(w.BufBytes[decl.Name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in, ok := w.Inputs[decl.Name]; ok {
+				if err := s.GPU.Mem.Write(ptr, 0, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Bindings[decl.Name] = ptr
+		}
+		if !l.Sampled() {
+			t.Fatal("a mergeSort launch without Dyn is not sampled")
+		}
+		return l
+	}
+	for app, launch := range map[string]func(*testing.T, *Service) *hostgpu.Launch{"vectorAdd": vectorAdd, "mergeSort": mergeSort} {
+		t.Run(app, func(t *testing.T) {
+			opts := DefaultOptions()
+			tegra := arch.TegraK1()
+			opts.EstimateTarget = &tegra
+			opts.Trace = true
+			s := NewService(opts)
+			defer s.Close()
+			var batch []*sched.Job
+			for vpID := 0; vpID < 2; vpID++ {
+				j := sched.NewKernel(vpID, vpID, launch(t, s))
+				j.Coalescable = true
+				batch = append(batch, j)
+			}
+			s.DispatchRaw(batch)
+			s.Drain()
+			if got := s.Metrics().Snapshot().CounterValue("coalesce.jobs_merged"); got != 2 {
+				t.Fatalf("coalesce.jobs_merged = %d, want 2: the launches were not merged", got)
+			}
+			res := estimates(s)
+			if len(res) != 2 {
+				t.Fatalf("%d estimates, want one per VP: %+v", len(res), res)
+			}
+			for i, r := range res {
+				if r.VP != i || r.Label != fmt.Sprintf("vp%d %s", i, app) {
+					t.Errorf("estimate %d is for vp %d job %q", i, r.VP, r.Label)
+				}
+				if r.HostSec <= 0 || r.TargetSec <= r.HostSec || r.TargetW <= 0 {
+					t.Errorf("degenerate estimate %+v", r)
+				}
+			}
 		})
-		j.Coalescable = true
-		batch = append(batch, j)
-	}
-	s.DispatchRaw(batch)
-	s.Drain()
-	if got := s.Metrics().Snapshot().CounterValue("coalesce.jobs_merged"); got != 2 {
-		t.Fatalf("coalesce.jobs_merged = %d, want 2: the launches were not merged", got)
-	}
-	res := estimates(s)
-	if len(res) != 2 {
-		t.Fatalf("%d estimates, want one per VP: %+v", len(res), res)
-	}
-	for i, r := range res {
-		if r.VP != i || r.Label != fmt.Sprintf("vp%d vectorAdd", i) {
-			t.Errorf("estimate %d is for vp %d job %q", i, r.VP, r.Label)
-		}
-		if r.HostSec <= 0 || r.TargetSec <= r.HostSec || r.TargetW <= 0 {
-			t.Errorf("degenerate estimate %+v", r)
-		}
 	}
 }
 
@@ -345,9 +374,17 @@ func TestEstimationObservesCoalescedMembers(t *testing.T) {
 // same launch measured the way the studies and kprof measure it
 // (kernels.Benchmark.Measure) give bit-equal target estimates on the same
 // host: both assemble the estimator's inputs in hostgpu.Launch.Estimate,
-// from the launch's own host run.
+// from the launch's own host run. That holds for the applications whose λ is
+// data-dependent too: the served launch brings none, and is estimated at the
+// λ its pricing sampled from the guest's inputs (hostgpu.Priced.Dyn).
 func TestServedEstimateMatchesStudy(t *testing.T) {
-	bench, err := kernels.Get("BlackScholes")
+	for _, app := range []string{"BlackScholes", "Mandelbrot", "binomialOptions", "mergeSort"} {
+		t.Run(app, func(t *testing.T) { servedEstimateMatchesStudy(t, app) })
+	}
+}
+
+func servedEstimateMatchesStudy(t *testing.T, app string) {
+	bench, err := kernels.Get(app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +422,7 @@ func TestServedEstimateMatchesStudy(t *testing.T) {
 		t.Fatalf("%d served estimates, want 1", len(served))
 	}
 
-	dev := hostgpu.New(opts.Arch, 1<<32)
-	dev.Mode = hostgpu.ExecTimingOnly
-	sl, priced, prof, err := bench.Measure(dev, w)
+	sl, priced, prof, err := bench.Measure(hostgpu.NewTimingOnly(opts.Arch, 1<<32), w)
 	if err != nil {
 		t.Fatal(err)
 	}

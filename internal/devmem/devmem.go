@@ -46,13 +46,14 @@ type Mem struct {
 	mu       sync.Mutex
 	next     Ptr
 	allocs   map[Ptr][]byte
-	unbacked map[Ptr]int    // reservations (Reserve): ptr → size; they have no bytes
+	unbacked map[Ptr]int    // unbacked allocations and reservations: ptr → size; they have no bytes
 	reserved map[Ptr]extent // every allocation and reservation, by ptr
 	free     []span         // address-sorted, coalesced free regions
 	used     int64
 	capacity int64
 	moves    Moves
 	gen      uint64 // the last generation handed out (Gen)
+	zeros    bool   // Alloc and AllocAt make unbacked allocations (NewUnbacked)
 }
 
 // extent is a live allocation's or reservation's place in the address space,
@@ -63,6 +64,7 @@ type extent struct {
 	// misses counts the copy-in compares in a row that found new bytes, and
 	// skip the copy-ins still to take as new without a compare.
 	misses, skip uint8
+	reservation  bool // made by Reserve: every byte access is an error
 }
 
 // Gen returns the generation of the allocation or reservation at p, or 0 when
@@ -115,6 +117,21 @@ func New(capacity int64) *Mem {
 	}
 }
 
+// NewUnbacked returns a device memory of the given capacity whose allocations
+// keep no bytes: a timing-only device's (hostgpu.NewTimingOnly). Alloc and
+// AllocAt place, size and account an allocation exactly as on a memory from
+// New — the same address, generation, Used, Headroom and HighWater — but give
+// it no backing store, so it costs the host nothing however large it is. Every
+// byte access is checked as on a backed allocation and then moves nothing:
+// Write, Adopt, Fill, WriteBuffer and Commit store nothing (and take a fresh
+// generation, as a write that is not compared does), and Read, ReadInto, the
+// binds and Export see zeros. Reserve still makes reservations.
+func NewUnbacked(capacity int64) *Mem {
+	m := New(capacity)
+	m.zeros = true
+	return m
+}
+
 // alignSpan rounds an allocation up to the address-space granule, keeping
 // allocations aligned and non-overlapping. Callers must pre-validate
 // n ∈ [1, maxAlloc]: near MaxInt the (n + 255) sum wraps negative and the
@@ -124,8 +141,9 @@ func alignSpan(n int) Ptr { return Ptr((n + 255) &^ 255) }
 // Alloc reserves n bytes and returns the device pointer. Address space is
 // reused first-fit from freed regions; the bump pointer only grows when no
 // freed region fits, so a long-running alloc/free churn stays bounded.
-// Requests outside [1, maxAlloc] fail with ErrBadAllocSize.
-func (m *Mem) Alloc(n int) (Ptr, error) { return m.alloc(n, true) }
+// Requests outside [1, maxAlloc] fail with ErrBadAllocSize. On a memory from
+// NewUnbacked the allocation has no bytes and reads as zeros.
+func (m *Mem) Alloc(n int) (Ptr, error) { return m.alloc(n, false) }
 
 // Reserve is Alloc without the bytes: the same checks, errors, first-fit
 // address and accounting (Used, Headroom, HighWater, Size, Free), but no
@@ -135,10 +153,10 @@ func (m *Mem) Alloc(n int) (Ptr, error) { return m.alloc(n, true) }
 // (they occupy device capacity and address space for the length of the job,
 // and nothing ever reads them); a reservation must be freed before the job
 // ends, so Export never meets one.
-func (m *Mem) Reserve(n int) (Ptr, error) { return m.alloc(n, false) }
+func (m *Mem) Reserve(n int) (Ptr, error) { return m.alloc(n, true) }
 
-// alloc is the one body of Alloc (backed) and Reserve (not).
-func (m *Mem) alloc(n int, backed bool) (Ptr, error) {
+// alloc is the one body of Alloc and Reserve.
+func (m *Mem) alloc(n int, reservation bool) (Ptr, error) {
 	if n <= 0 || n > maxAlloc {
 		return 0, fmt.Errorf("devmem: alloc of %d bytes: %w", n, ErrBadAllocSize)
 	}
@@ -170,15 +188,22 @@ func (m *Mem) alloc(n int, backed bool) (Ptr, error) {
 		p = m.next
 		m.next += need
 	}
-	if backed {
-		m.allocs[p] = make([]byte, n)
-	} else {
+	m.place(p, n, reservation)
+	return p, nil
+}
+
+// place enters the allocation or reservation of n bytes at p, whose span the
+// caller has taken from the address space, under a fresh generation. The
+// caller holds mu.
+func (m *Mem) place(p Ptr, n int, reservation bool) {
+	if reservation || m.zeros {
 		m.unbacked[p] = n
+	} else {
+		m.allocs[p] = make([]byte, n)
 	}
 	m.gen++
-	m.reserved[p] = extent{size: need, gen: m.gen}
+	m.reserved[p] = extent{size: alignSpan(n), gen: m.gen, reservation: reservation}
 	m.used += int64(n)
-	return p, nil
 }
 
 // AllocAt reserves n bytes at exactly the device address p, used by
@@ -230,10 +255,7 @@ func (m *Mem) AllocAt(p Ptr, n int) error {
 			m.insertFree(span{addr: end, size: f.addr + f.size - end})
 		}
 	}
-	m.allocs[p] = make([]byte, n)
-	m.gen++
-	m.reserved[p] = extent{size: need, gen: m.gen}
-	m.used += int64(n)
+	m.place(p, n, false)
 	return nil
 }
 
@@ -246,19 +268,24 @@ type Entry struct {
 }
 
 // Export snapshots every live allocation, sorted by address, with private
-// byte copies. Re-creating the result in a fresh arena of the same capacity
-// (AllocAt, then Write) reproduces Used, Headroom and HighWater exactly: reserved spans land at
+// byte copies (zeros for an unbacked one). Re-creating the result in a fresh
+// arena of the same capacity (AllocAt, then Write) reproduces Used, Headroom and HighWater exactly: reserved spans land at
 // their original addresses, interior gaps rebuild the free list, and the
 // bump pointer converges to the end of the last reserved span (which is
 // where retraction pins it on the source arena).
 func (m *Mem) Export() []Entry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Entry, 0, len(m.allocs))
+	out := make([]Entry, 0, len(m.allocs)+len(m.unbacked))
 	for p, b := range m.allocs {
 		data := make([]byte, len(b))
 		copy(data, b)
 		out = append(out, Entry{Ptr: p, Data: data})
+	}
+	for p, n := range m.unbacked {
+		if !m.reserved[p].reservation {
+			out = append(out, Entry{Ptr: p, Data: make([]byte, n)})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ptr < out[j].Ptr })
 	return out
@@ -342,17 +369,23 @@ func (m *Mem) sizeOf(p Ptr) (int, bool) {
 	return n, ok
 }
 
-// backing returns the bytes of the allocation at p for the named access
-// ("write to", "read from", …). A reservation has none, so touching it is an
-// error like touching a pointer never handed out. The caller holds mu.
-func (m *Mem) backing(p Ptr, access string) ([]byte, error) {
+// backing returns the bytes and the size of the allocation at p for the named
+// access ("write to", "read from", …): no bytes for an unbacked allocation,
+// which the access checks against n and then leaves alone. A reservation has
+// neither, so touching it is an error like touching a pointer never handed
+// out. The caller holds mu.
+func (m *Mem) backing(p Ptr, access string) (b []byte, n int, err error) {
 	if b, ok := m.allocs[p]; ok {
-		return b, nil
+		return b, len(b), nil
 	}
-	if _, ok := m.unbacked[p]; ok {
-		return nil, fmt.Errorf("devmem: %s reservation %#x, which has no bytes", access, uint64(p))
+	n, ok := m.unbacked[p]
+	switch {
+	case !ok:
+		return nil, 0, fmt.Errorf("devmem: %s invalid pointer %#x", access, uint64(p))
+	case m.reserved[p].reservation:
+		return nil, 0, fmt.Errorf("devmem: %s reservation %#x, which has no bytes", access, uint64(p))
 	}
-	return nil, fmt.Errorf("devmem: %s invalid pointer %#x", access, uint64(p))
+	return nil, n, nil
 }
 
 // Used returns the total allocated bytes.
@@ -405,14 +438,19 @@ func (m *Mem) Write(p Ptr, off int, data []byte) error {
 
 // writeLocked checks [off, off+len(data)) against the allocation at p, and
 // copies data there and counts it as copied unless the range already holds
-// it. The caller holds mu.
+// it. An unbacked allocation stores nothing and takes a fresh generation. The
+// caller holds mu.
 func (m *Mem) writeLocked(p Ptr, off int, data []byte) error {
-	b, err := m.backing(p, "write to")
+	b, n, err := m.backing(p, "write to")
 	if err != nil {
 		return err
 	}
-	if !InRange(off, len(data), len(b)) {
-		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), len(b))
+	if !InRange(off, len(data), n) {
+		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), n)
+	}
+	if b == nil {
+		m.bump(p)
+		return nil
 	}
 	if m.unchanged(p, b[off:off+len(data)], data) {
 		return nil
@@ -485,14 +523,17 @@ func (m *Mem) Adopt(p Ptr, off int, pl *Payload) error {
 func (m *Mem) Fill(p Ptr, off, n int, value byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, err := m.backing(p, "fill of")
+	b, size, err := m.backing(p, "fill of")
 	if err != nil {
 		return err
 	}
-	if !InRange(off, n, len(b)) {
-		return fmt.Errorf("devmem: fill of %d bytes at %d outside allocation of %d bytes", n, off, len(b))
+	if !InRange(off, n, size) {
+		return fmt.Errorf("devmem: fill of %d bytes at %d outside allocation of %d bytes", n, off, size)
 	}
 	m.bump(p)
+	if b == nil {
+		return nil
+	}
 	b = b[off : off+n]
 	if value == 0 {
 		clear(b)
@@ -520,30 +561,39 @@ func (m *Mem) ReadInto(p Ptr, off int, dst []byte) error {
 
 // read checks [off, off+n) against the allocation and copies it into dst, or
 // into a fresh slice when dst is nil — made only after the check, so a
-// hostile n allocates nothing.
+// hostile n allocates nothing. An unbacked allocation reads as zeros.
 func (m *Mem) read(p Ptr, off, n int, dst []byte) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, err := m.backing(p, "read from")
+	b, size, err := m.backing(p, "read from")
 	if err != nil {
 		return nil, err
 	}
-	if !InRange(off, n, len(b)) {
-		return nil, fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", off, off+n, len(b))
+	if !InRange(off, n, size) {
+		return nil, fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", off, off+n, size)
 	}
 	if dst == nil {
 		dst = make([]byte, n)
+	} else if b == nil {
+		clear(dst)
 	}
-	copy(dst, b[off:off+n])
+	if b != nil {
+		copy(dst, b[off:off+n])
+	}
 	return dst, nil
 }
 
-// bind returns the raw backing slice (no copy) for kernel binding. Internal:
-// kernel execution happens under the host service's serialization.
+// bind returns the raw backing slice (no copy) for kernel binding, or a fresh
+// zeroed one for an unbacked allocation. Internal: kernel execution happens
+// under the host service's serialization.
 func (m *Mem) bind(p Ptr) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.backing(p, "bind of")
+	b, n, err := m.backing(p, "bind of")
+	if err == nil && b == nil {
+		b = make([]byte, n)
+	}
+	return b, err
 }
 
 // BindBuffer decodes the allocation at p as a typed kernel buffer. The buffer
@@ -612,7 +662,9 @@ func (m *Mem) BindView(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 // reservation — without touching the allocation's bytes: pricing a launch
 // that samples nothing validates its bindings with it.
 func (m *Mem) CheckBind(p Ptr) error {
-	_, err := m.bind(p)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, _, err := m.backing(p, "bind of")
 	return err
 }
 
@@ -633,12 +685,16 @@ func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
 }
 
 func (m *Mem) writeBufferLocked(p Ptr, buf *kpl.Buffer) error {
-	raw, err := m.backing(p, "bind of")
+	raw, n, err := m.backing(p, "bind of")
 	if err != nil {
 		return err
 	}
-	if need := buf.Bytes(); need > len(raw) {
-		return fmt.Errorf("devmem: write of %d bytes outside allocation of %d bytes", need, len(raw))
+	if need := buf.Bytes(); need > n {
+		return fmt.Errorf("devmem: write of %d bytes outside allocation of %d bytes", need, n)
+	}
+	if raw == nil {
+		m.bump(p)
+		return nil
 	}
 	BufferToBytes(buf, raw)
 	m.moves.Copied++

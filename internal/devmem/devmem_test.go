@@ -513,23 +513,23 @@ func TestRangeChecksNeverWrap(t *testing.T) {
 	}
 }
 
-// TestReserveIsAllocWithoutBytes replays random alloc/free sequences on two
-// arenas, the second with Reserve in Alloc's place at random positions: every
-// pointer, error text, Used, Headroom, HighWater, Size and the free list agree
-// step by step, for requests that fit, that exceed the headroom and that are
-// malformed.
+// TestReserveIsAllocWithoutBytes replays random alloc/free sequences on three
+// arenas, the second with Reserve in Alloc's place at random positions and the
+// third from NewUnbacked: every pointer, error text, generation, Used,
+// Headroom, HighWater, Size and the free list agree step by step, for
+// requests that fit, that exceed the headroom and that are malformed.
 func TestReserveIsAllocWithoutBytes(t *testing.T) {
 	sizes := []int{1, 100, 256, 257, 4096, 1 << 16, 0, -3, math.MaxInt, 1 << 21}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a, b := New(1<<20), New(1<<20)
+		a, b, c := New(1<<20), New(1<<20), NewUnbacked(1<<20)
 		var live []Ptr
 		for step := 0; step < 400; step++ {
 			if len(live) > 0 && rng.Intn(5) < 2 {
 				i := rng.Intn(len(live))
-				errA, errB := a.Free(live[i]), b.Free(live[i])
-				if errA != nil || errB != nil {
-					t.Fatalf("seed %d step %d: Free: %v / %v", seed, step, errA, errB)
+				errA, errB, errC := a.Free(live[i]), b.Free(live[i]), c.Free(live[i])
+				if errA != nil || errB != nil || errC != nil {
+					t.Fatalf("seed %d step %d: Free: %v / %v / %v", seed, step, errA, errB, errC)
 				}
 				live = append(live[:i], live[i+1:]...)
 			} else {
@@ -540,24 +540,37 @@ func TestReserveIsAllocWithoutBytes(t *testing.T) {
 					request = b.Reserve
 				}
 				pb, errB := request(n)
-				if pa != pb || (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) ||
-					errors.Is(errA, ErrBadAllocSize) != errors.Is(errB, ErrBadAllocSize) {
-					t.Fatalf("seed %d step %d: request of %d: %#x, %v / %#x, %v", seed, step, n, uint64(pa), errA, uint64(pb), errB)
+				pc, errC := c.Alloc(n)
+				for _, r := range []struct {
+					p   Ptr
+					err error
+				}{{pb, errB}, {pc, errC}} {
+					if pa != r.p || (errA == nil) != (r.err == nil) || (errA != nil && errA.Error() != r.err.Error()) ||
+						errors.Is(errA, ErrBadAllocSize) != errors.Is(r.err, ErrBadAllocSize) {
+						t.Fatalf("seed %d step %d: request of %d: %#x, %v / %#x, %v", seed, step, n, uint64(pa), errA, uint64(r.p), r.err)
+					}
 				}
 				if errA == nil {
 					live = append(live, pa)
 					if sa, _ := a.Size(pa); sa != n {
 						t.Fatalf("seed %d step %d: Size %d, want %d", seed, step, sa, n)
 					}
-					if sb, err := b.Size(pb); sb != n || err != nil {
-						t.Fatalf("seed %d step %d: Size %d, %v, want %d", seed, step, sb, err, n)
+					for _, m := range []*Mem{b, c} {
+						if sm, err := m.Size(pa); sm != n || err != nil {
+							t.Fatalf("seed %d step %d: Size %d, %v, want %d", seed, step, sm, err, n)
+						}
+					}
+					if a.Gen(pa) != b.Gen(pa) || a.Gen(pa) != c.Gen(pa) {
+						t.Fatalf("seed %d step %d: generations %d / %d / %d", seed, step, a.Gen(pa), b.Gen(pa), c.Gen(pa))
 					}
 				}
 			}
-			if a.Used() != b.Used() || a.Headroom() != b.Headroom() || a.HighWater() != b.HighWater() ||
-				!slices.Equal(a.free, b.free) {
-				t.Fatalf("seed %d step %d: arenas diverged: used %d/%d, high water %#x/%#x, free %v/%v",
-					seed, step, a.Used(), b.Used(), uint64(a.HighWater()), uint64(b.HighWater()), a.free, b.free)
+			for _, m := range []*Mem{b, c} {
+				if a.Used() != m.Used() || a.Headroom() != m.Headroom() || a.HighWater() != m.HighWater() ||
+					!slices.Equal(a.free, m.free) {
+					t.Fatalf("seed %d step %d: arenas diverged: used %d/%d, high water %#x/%#x, free %v/%v",
+						seed, step, a.Used(), m.Used(), uint64(a.HighWater()), uint64(m.HighWater()), a.free, m.free)
+				}
 			}
 		}
 	}

@@ -21,6 +21,12 @@
 // displaces goes to the package's one buffer pool (pool.go), which the next
 // payload or writable copy draws from and the garbage collector trims.
 //
+// A memory from NewUnbacked — a timing-only device's — gives its allocations
+// no bytes at all: they are placed, sized and accounted exactly as backed ones,
+// every access is range-checked as on a backed one, writes store nothing and
+// reads see zeros. Reserve makes the third kind on either memory: a
+// reservation, likewise without bytes, which refuses every byte access.
+//
 // The allocator is a first-fit free list with adjacent-region merge and
 // bump-pointer retraction, so long-lived alloc/free churn keeps the address
 // space bounded by the peak working set. Capacity, Headroom and HighWater
@@ -46,7 +52,10 @@
 // model skips a launch that would rewrite bytes that have not changed since
 // that launch last wrote them by this alone. A new method that changes bytes
 // must take a generation (TestGenerationContract classifies every exported
-// method).
+// method). An unbacked allocation stores nothing and so compares nothing:
+// every Write, Adopt, Fill, WriteBuffer or Commit of it takes a fresh value,
+// and since it always reads as zeros, an elision judged by its generation
+// would only ever be too cautious.
 //
 // For VP checkpoint/restore and live migration, core reads each allocation a
 // VP owns (Read) and re-creates it elsewhere: AllocAt pins an allocation at

@@ -12,7 +12,10 @@ import (
 // that changes bytes must give the allocation it touches a fresh generation,
 // a Write or Adopt that changes none must keep it, a reader must leave every
 // generation as it was, and Free must drop the allocation's. The inventory is
-// reflective, so a method added without a classification fails here.
+// reflective, so a method added without a classification fails here. The
+// mutators and readers keep the contract on a memory from NewUnbacked too,
+// where a mutator stores nothing and is compared with nothing, so even a
+// Write of the zeros an unbacked allocation reads takes a fresh generation.
 func TestGenerationContract(t *testing.T) {
 	decl := &kpl.BufDecl{Name: "x", Elem: kpl.F32}
 	ro := &kpl.BufDecl{Name: "x", Elem: kpl.F32, ReadOnly: true}
@@ -119,10 +122,10 @@ func TestGenerationContract(t *testing.T) {
 		}
 	}
 
-	// fixture returns a memory with two allocations: the one every call
-	// names and a bystander.
-	fixture := func(t *testing.T) (*Mem, Ptr, Ptr) {
-		m := New(1 << 20)
+	// fixture returns a memory from newMem with two allocations: the one
+	// every call names and a bystander.
+	fixture := func(t *testing.T, newMem func(int64) *Mem) (*Mem, Ptr, Ptr) {
+		m := newMem(1 << 20)
 		p, err := m.Alloc(size)
 		if err != nil {
 			t.Fatal(err)
@@ -133,26 +136,39 @@ func TestGenerationContract(t *testing.T) {
 		}
 		return m, p, other
 	}
-	for name, call := range mutators {
-		m, p, other := fixture(t)
-		before, otherBefore := m.Gen(p), m.Gen(other)
-		touched, err := call(m, p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	memories := map[string]func(int64) *Mem{"backed": New, "unbacked": NewUnbacked}
+	for kind, newMem := range memories {
+		for name, call := range mutators {
+			m, p, other := fixture(t, newMem)
+			before, otherBefore := m.Gen(p), m.Gen(other)
+			touched, err := call(m, p)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, name, err)
+			}
+			g := m.Gen(touched)
+			if g == 0 || (touched == p && g == before) {
+				t.Errorf("%s %s left the generation of the allocation it changed at %d", kind, name, g)
+			}
+			if g <= otherBefore {
+				t.Errorf("%s %s took generation %d, not past the bystander's %d", kind, name, g, otherBefore)
+			}
+			if m.Gen(other) != otherBefore {
+				t.Errorf("%s %s changed a bystander's generation", kind, name)
+			}
 		}
-		g := m.Gen(touched)
-		if g == 0 || (touched == p && g == before) {
-			t.Errorf("%s left the generation of the allocation it changed at %d", name, g)
-		}
-		if g <= otherBefore {
-			t.Errorf("%s took generation %d, not past the bystander's %d", name, g, otherBefore)
-		}
-		if m.Gen(other) != otherBefore {
-			t.Errorf("%s changed a bystander's generation", name)
+		for name, call := range readers {
+			m, p, other := fixture(t, newMem)
+			before, otherBefore := m.Gen(p), m.Gen(other)
+			if err := call(m, p); err != nil {
+				t.Fatalf("%s %s: %v", kind, name, err)
+			}
+			if m.Gen(p) != before || m.Gen(other) != otherBefore {
+				t.Errorf("%s reader %s changed a generation", kind, name)
+			}
 		}
 	}
 	for name, call := range keepers {
-		m, p, other := fixture(t)
+		m, p, other := fixture(t, New)
 		before, otherBefore := m.Gen(p), m.Gen(other)
 		if err := call(m, p); err != nil {
 			t.Fatalf("%s of equal bytes: %v", name, err)
@@ -164,20 +180,10 @@ func TestGenerationContract(t *testing.T) {
 			t.Errorf("%s of equal bytes counted %+v, want only unchanged bytes", name, mv)
 		}
 	}
-	for name, call := range readers {
-		m, p, other := fixture(t)
-		before, otherBefore := m.Gen(p), m.Gen(other)
-		if err := call(m, p); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Gen(p) != before || m.Gen(other) != otherBefore {
-			t.Errorf("reader %s changed a generation", name)
-		}
-	}
 
 	// Free drops the generation, and the address allocated again never
 	// takes one it had.
-	m, p, _ := fixture(t)
+	m, p, _ := fixture(t, New)
 	old := m.Gen(p)
 	if err := m.Free(p); err != nil {
 		t.Fatal(err)

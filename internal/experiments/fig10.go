@@ -80,8 +80,7 @@ func Fig10a() (*Fig10aResult, error) {
 	)
 
 	timeFor := func(n int) (float64, error) {
-		g := newGPU(arch.Quadro4000(), 1<<30)
-		g.Mode = hostgpu.ExecTimingOnly
+		g := timingGPU(arch.Quadro4000(), 1<<30)
 		perProgram := totalElems / n
 		payload := make([]byte, 4*perProgram)
 

@@ -110,9 +110,7 @@ func fig12Cell(name string, scale int) ([]Fig12Row, error) {
 // measureOn runs the benchmark once on a fresh timing-only device of the
 // given architecture (kernels.Benchmark.Measure).
 func measureOn(a arch.GPU, bench *kernels.Benchmark, w *kernels.Workload) (*hostgpu.Launch, *hostgpu.Priced, *profile.Profile, error) {
-	dev := newGPU(a, 1<<32)
-	dev.Mode = hostgpu.ExecTimingOnly
-	return bench.Measure(dev, w)
+	return bench.Measure(timingGPU(a, 1<<32), w)
 }
 
 // powerErr is the relative error of the Eq. 6 estimate against the measured

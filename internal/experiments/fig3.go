@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/hostgpu"
 	"repro/internal/kir"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -43,8 +42,7 @@ func Fig3() (*Fig3Result, error) {
 	payload := make([]byte, copyBytes)
 
 	run := func(interleaved bool) (string, float64, map[string]float64, error) {
-		g := newGPU(q, 1<<32)
-		g.Mode = hostgpu.ExecTimingOnly
+		g := timingGPU(q, 1<<32)
 		g.Serialize = !interleaved
 		g.Trace = trace.New()
 		policy := sched.PolicyFIFO

@@ -103,8 +103,7 @@ func runInterleaving(n, copyBytes, iters int) (serial, interleaved float64, err 
 	}
 	payload := make([]byte, copyBytes)
 	run := func(serialize bool, policy sched.Policy) (float64, error) {
-		g := newGPU(arch.Quadro4000(), 1<<32)
-		g.Mode = hostgpu.ExecTimingOnly
+		g := timingGPU(arch.Quadro4000(), 1<<32)
 		g.Serialize = serialize
 		var batch []*sched.Job
 		for vpID := 0; vpID < n; vpID++ {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/devmem"
-	"repro/internal/hostgpu"
 	"repro/internal/kernels"
 	"repro/internal/kpl"
 	"repro/internal/sched"
@@ -46,8 +45,7 @@ func mixedBenches() (benches []*kernels.Benchmark, maxIters int, err error) {
 // loop, on one bare timing-only Quadro 4000, and returns the GPU-side
 // makespan plus one VP's provisioning for the caller's IPC-cost tail.
 func runBareFleet(bench *kernels.Benchmark, w *kernels.Workload, nVPs int, optimized bool, ipc IPCCost) (float64, *provisioned, error) {
-	g := newGPU(arch.Quadro4000(), fleetMemBytes)
-	g.Mode = hostgpu.ExecTimingOnly
+	g := timingGPU(arch.Quadro4000(), fleetMemBytes)
 	g.Serialize = !optimized
 	policy := sched.PolicyFIFO
 	if optimized {

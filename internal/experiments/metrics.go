@@ -36,11 +36,11 @@ func Metrics() *metrics.Registry {
 	return metricsReg
 }
 
-// newGPU builds a host GPU wired to the harness registry. Experiments create
-// devices through this instead of hostgpu.New so every cell's activity lands
-// in the shared snapshot.
-func newGPU(a arch.GPU, memBytes int64) *hostgpu.GPU {
-	g := hostgpu.New(a, memBytes)
+// timingGPU builds a timing-only host GPU (hostgpu.NewTimingOnly) wired to the
+// harness registry. Experiments create their bare devices through this so
+// every cell's activity lands in the shared snapshot.
+func timingGPU(a arch.GPU, memBytes int64) *hostgpu.GPU {
+	g := hostgpu.NewTimingOnly(a, memBytes)
 	g.Metrics = Metrics()
 	return g
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cpumodel"
-	"repro/internal/hostgpu"
 	"repro/internal/kernels"
 	"repro/internal/kir"
 	"repro/internal/sched"
@@ -39,8 +38,7 @@ func Table1() (*Table1Result, error) {
 	w := kernels.MatMulWorkload(320, 320, 320)
 
 	// --- Row 1: CUDA executed natively by the (host) GPU. ---
-	g := newGPU(arch.Quadro4000(), 1<<30)
-	g.Mode = hostgpu.ExecTimingOnly
+	g := timingGPU(arch.Quadro4000(), 1<<30)
 	p, err := provisionOn(g, bench, w)
 	if err != nil {
 		return nil, err

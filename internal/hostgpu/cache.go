@@ -36,13 +36,15 @@ import (
 // exported and callers change them between launches.
 
 // Priced is one launch's pricing on a device: its σ on the device's
-// architecture, its cache-model access streams and its analytic timing. The
-// timing cache hands one Priced to every launch with the same key, so it is
-// read-only.
+// architecture, its cache-model access streams and its analytic timing, and
+// for a sampled launch (Launch.Sampled) the λ it was priced at, which a target
+// estimate needs. The timing cache hands one Priced to every launch with the
+// same key, so it is read-only; a sampled pricing is never cached.
 type Priced struct {
 	Sigma    arch.ClassVec
 	Accesses []cachemodel.Access
 	Timing   Timing
+	Dyn      *kpl.Stats // the sampled λ; nil unless the launch was sampled
 }
 
 // keyBuf is the stack buffer a key is built in; the registry's longest key
@@ -227,7 +229,7 @@ func (g *GPU) Price(l *Launch) (*Priced, error) {
 			return e, nil
 		}
 	}
-	sigma, accesses, err := g.deriveSigma(l)
+	sigma, accesses, dyn, err := g.deriveSigma(l)
 	if err != nil {
 		return nil, err
 	}
@@ -235,6 +237,7 @@ func (g *GPU) Price(l *Launch) (*Priced, error) {
 		Sigma:    sigma,
 		Accesses: accesses,
 		Timing:   KernelTiming(&g.Arch, l.Shape(), sigma.Scale(1/float64(l.Threads())), accesses),
+		Dyn:      dyn,
 	}
 	if cacheable {
 		g.cacheStore(key, p)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/devmem"
 	"repro/internal/kpl"
 	"repro/internal/raceflag"
@@ -224,9 +225,8 @@ func TestElideNotAfterFailure(t *testing.T) {
 // TestElideTimingOnly: a timing-only device never runs a functional half, so
 // it elides nothing.
 func TestElideTimingOnly(t *testing.T) {
-	g := newQuadro(t)
+	g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 	l := prepVecAdd(t, g, 256, 1, 256)
-	g.Mode = ExecTimingOnly
 	for i := 0; i < 3; i++ {
 		if _, _, err := g.Launch(0, l); err != nil {
 			t.Fatal(err)

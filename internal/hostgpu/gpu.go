@@ -61,7 +61,12 @@ const (
 	// simulated clock.
 	ExecFull ExecMode = iota
 	// ExecTimingOnly advances the simulated clock without touching buffer
-	// contents — used by large parameter sweeps where only time matters.
+	// contents — used by large parameter sweeps where only time matters. A
+	// device built timing-only (NewTimingOnly) keeps no host bytes at all: its
+	// allocations are placed, sized and accounted but unbacked
+	// (devmem.NewUnbacked), so they read as zeros and store nothing written
+	// to them. Pricing a launch that samples λ (Launch.Sampled) there samples
+	// zeros: a caller with real inputs sets the launch's Dyn instead.
 	ExecTimingOnly
 )
 
@@ -120,18 +125,21 @@ func (l *Launch) Shape() profile.LaunchShape {
 // Estimate is the paper's Profile-Based Execution Analysis of this launch
 // (Section 4): the target's C/C′/C″ times and Eq. 6 power from prof, the
 // launch's profile on host, and p, its pricing there. σ{K,T} is the launch
-// recompiled for target (Eq. 1) at its own λ, so a launch whose λ is unknown
-// (Sampled) is refused. The access streams are p's: they read counts and
-// allocation sizes, not the architecture. Every estimate, served or studied,
-// is built here.
+// recompiled for target (Eq. 1) at its own λ — the launch's Dyn, or for a
+// sampled launch the λ p was priced at — so a launch whose λ is unknown is
+// refused. The access streams are p's: they read counts and allocation sizes,
+// not the architecture. Every estimate, served or studied, is built here.
 func (l *Launch) Estimate(host, target *arch.GPU, p *Priced, prof *profile.Profile) (*estimate.Result, error) {
 	if l.Kernel == nil || l.Prog == nil {
 		return nil, fmt.Errorf("hostgpu: launch without kernel or program")
 	}
+	dyn := l.Dyn
 	if l.Sampled() {
-		return nil, fmt.Errorf("hostgpu: %s: no estimate without the launch's λ", l.Kernel.Name)
+		if dyn = p.Dyn; dyn == nil {
+			return nil, fmt.Errorf("hostgpu: %s: no estimate without the launch's λ", l.Kernel.Name)
+		}
 	}
-	sigmaT, err := l.Prog.Sigma(target, kir.Launch{NThreads: l.Threads(), Params: l.Params}, l.Dyn)
+	sigmaT, err := l.Prog.Sigma(target, kir.Launch{NThreads: l.Threads(), Params: l.Params}, dyn)
 	if err != nil {
 		return nil, fmt.Errorf("hostgpu: %s: %w", l.Kernel.Name, err)
 	}
@@ -200,10 +208,22 @@ type GPU struct {
 }
 
 // New returns a GPU with the given descriptor and device memory capacity.
-func New(a arch.GPU, memBytes int64) *GPU {
+func New(a arch.GPU, memBytes int64) *GPU { return newGPU(a, devmem.New(memBytes), ExecFull) }
+
+// NewTimingOnly returns an ExecTimingOnly GPU whose device memory keeps no
+// bytes (devmem.NewUnbacked): every allocation has its address, size,
+// generation and share of the capacity, as on a GPU from New, and costs the
+// host nothing. Every timing-only device is built here; one from New switched
+// to ExecTimingOnly later keeps its backed memory.
+func NewTimingOnly(a arch.GPU, memBytes int64) *GPU {
+	return newGPU(a, devmem.NewUnbacked(memBytes), ExecTimingOnly)
+}
+
+func newGPU(a arch.GPU, mem *devmem.Mem, mode ExecMode) *GPU {
 	return &GPU{
 		Arch:        a,
-		Mem:         devmem.New(memBytes),
+		Mem:         mem,
+		Mode:        mode,
 		streamReady: map[int]float64{},
 		timingCache: map[string]*Priced{},
 	}
@@ -426,12 +446,13 @@ func (g *GPU) SessionEnergy() float64 {
 	return kernels + g.Arch.StaticPowerW*g.Sync()
 }
 
-// deriveSigma is the uncached σ/access-stream derivation behind Price.
-// It touches device bytes only to sample: when the launch brings no Dyn and
-// the kernel has a data-dependent loop, every parameter is bound as a view
-// (the sampler clones the writable ones itself) and λ measured on it;
-// otherwise the bindings are only checked, with the errors a bind would give.
-func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error) {
+// deriveSigma is the uncached derivation behind Price: σ, the access streams
+// and, for a sampled launch, the λ it sampled (nil otherwise). It touches
+// device bytes only to sample: when the launch brings no Dyn and the kernel
+// has a data-dependent loop, every parameter is bound as a view (the sampler
+// clones the writable ones itself) and λ measured on it; otherwise the
+// bindings are only checked, with the errors a bind would give.
+func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, *kpl.Stats, error) {
 	dyn := l.Dyn
 	sample := l.Sampled()
 	env, err := l.bind("hostgpu", func(_ int, ptr devmem.Ptr, decl *kpl.BufDecl) (*kpl.Buffer, error) {
@@ -441,23 +462,26 @@ func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, error)
 		return g.Mem.BindView(ptr, decl.Elem)
 	})
 	if err != nil {
-		return arch.ClassVec{}, nil, err
+		return arch.ClassVec{}, nil, nil, err
 	}
 	if sample {
 		if dyn, err = SampleDyn(l.Kernel, l.Prog, env, nil); err != nil {
-			return arch.ClassVec{}, nil, fmt.Errorf("hostgpu: %s: pre-launch sampling: %w", l.Kernel.Name, err)
+			return arch.ClassVec{}, nil, nil, fmt.Errorf("hostgpu: %s: pre-launch sampling: %w", l.Kernel.Name, err)
 		}
 	}
 	kl := kir.Launch{NThreads: l.Threads(), Params: l.Params}
 	sigma, err := l.Prog.Sigma(&g.Arch, kl, dyn)
 	if err != nil {
-		return arch.ClassVec{}, nil, fmt.Errorf("hostgpu: %s: %w", l.Kernel.Name, err)
+		return arch.ClassVec{}, nil, nil, fmt.Errorf("hostgpu: %s: %w", l.Kernel.Name, err)
 	}
 	accesses, err := g.accessStreams(l, kl, dyn)
 	if err != nil {
-		return arch.ClassVec{}, nil, err
+		return arch.ClassVec{}, nil, nil, err
 	}
-	return sigma, accesses, nil
+	if !sample {
+		dyn = nil
+	}
+	return sigma, accesses, dyn, nil
 }
 
 // lambdaSample is how many threads, spread evenly over the launch, a λ

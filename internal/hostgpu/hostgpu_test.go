@@ -141,8 +141,7 @@ func TestLaunchNativeSemantics(t *testing.T) {
 }
 
 func TestTimingOnlySkipsExecution(t *testing.T) {
-	g := newQuadro(t)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 	l := prepVecAdd(t, g, 256, 1, 256)
 	if _, _, err := g.Launch(0, l); err != nil {
 		t.Fatal(err)
@@ -207,8 +206,7 @@ func busyLaunch(t *testing.T, g *GPU, m, grid, block int) *Launch {
 // and the compute engine work concurrently, so the span is shorter than the
 // total busy time.
 func TestEngineOverlap(t *testing.T) {
-	g := newQuadro(t)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 	g.InOrderIssue = true
 	nBytes := 1 << 24 // ≈3 ms copy
 	src, err := g.Mem.Alloc(nBytes)
@@ -240,8 +238,7 @@ func TestInOrderIssueHeadOfLineBlocking(t *testing.T) {
 	// fresh is a device at simulated time zero holding the copy buffer and the
 	// two programs' kernels.
 	fresh := func() (*GPU, devmem.Ptr, *Launch, *Launch) {
-		g := newQuadro(t)
-		g.Mode = ExecTimingOnly
+		g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 		g.InOrderIssue = true
 		src, err := g.Mem.Alloc(nBytes)
 		if err != nil {
@@ -384,8 +381,7 @@ func TestKernelEnergyComponents(t *testing.T) {
 }
 
 func TestStreamOrderingWithinStream(t *testing.T) {
-	g := newQuadro(t)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 	l := prepVecAdd(t, g, 1024, 2, 512)
 	_, iv1, err := g.Launch(7, l)
 	if err != nil {
@@ -407,8 +403,7 @@ func TestStreamOrderingWithinStream(t *testing.T) {
 }
 
 func TestBusyAndTrace(t *testing.T) {
-	g := newQuadro(t)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 	g.Trace = trace.New()
 	l := prepVecAdd(t, g, 1024, 2, 512)
 	if _, _, err := g.Launch(0, l); err != nil {
@@ -470,8 +465,7 @@ func TestIntervalDuration(t *testing.T) {
 }
 
 func TestSessionEnergy(t *testing.T) {
-	g := newQuadro(t)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 	if g.SessionEnergy() != 0 {
 		t.Fatal("fresh session energy not zero")
 	}
@@ -497,9 +491,9 @@ func TestSessionEnergy(t *testing.T) {
 // far beyond the allocation is an error in both execution modes — not a
 // makeslice panic, not a multi-GiB allocation of zeros.
 func TestMemsetRejectsHostileCounts(t *testing.T) {
-	for _, mode := range []ExecMode{ExecFull, ExecTimingOnly} {
-		g := newQuadro(t)
-		g.Mode = mode
+	for _, newGPU := range []func(arch.GPU, int64) *GPU{New, NewTimingOnly} {
+		g := newGPU(arch.Quadro4000(), 1<<28)
+		mode := g.Mode
 		p, err := g.Mem.Alloc(64)
 		if err != nil {
 			t.Fatal(err)

@@ -27,8 +27,7 @@ func TestPricingAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	const n = 4 << 20 // three 16 MiB buffers
-	g := New(arch.Quadro4000(), 1<<28)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<28)
 	g.Metrics = metrics.New()
 	k, prog := vecAdd(t)
 	l := &Launch{
@@ -213,8 +212,7 @@ var keyBase = keyCase{body: 1, stride: 2, l2: 0.5, geom: [4]int{8, 64, 0, 16}, p
 // TestTimingKeyDiscrimination: a launch that differs from another in exactly
 // one of the things pricing reads never shares its key, nor its cache entry.
 func TestTimingKeyDiscrimination(t *testing.T) {
-	g := New(arch.Quadro4000(), 1<<24)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<24)
 	progs := map[[3]uint64]*kir.Program{}
 	for i, m := range keyMutations {
 		a, b := mutatedPair(keyBase, i)
@@ -225,8 +223,7 @@ func TestTimingKeyDiscrimination(t *testing.T) {
 			t.Errorf("%s: an equal launch built a different key", m.name)
 		}
 		// Through the cache: a, then b misses, then a and b again both hit.
-		dev := New(arch.Quadro4000(), 1<<24)
-		dev.Mode = ExecTimingOnly
+		dev := NewTimingOnly(arch.Quadro4000(), 1<<24)
 		dev.Metrics = metrics.New()
 		want := [][2]int64{{0, 1}, {0, 2}, {1, 2}, {2, 2}}
 		for step, c := range []keyCase{a, b, a, b} {
@@ -243,8 +240,7 @@ func TestTimingKeyDiscrimination(t *testing.T) {
 // TestTimingKeyProperty draws a random launch and a random single mutation of
 // it: the keys differ, and a second build of either is equal to the first.
 func TestTimingKeyProperty(t *testing.T) {
-	g := New(arch.Quadro4000(), 1<<24)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<24)
 	progs := map[[3]uint64]*kir.Program{}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -124,8 +124,7 @@ func TestLaunchParallelMatchesSerial(t *testing.T) {
 func TestTimingCacheHitsAndEquality(t *testing.T) {
 	const grid, block = 8, 64
 	const n = grid * block
-	g := New(arch.Quadro4000(), 1<<24)
-	g.Mode = ExecTimingOnly
+	g := NewTimingOnly(arch.Quadro4000(), 1<<24)
 	g.Metrics = metrics.New()
 	k, prog := parPropKernel(t)
 
@@ -172,8 +171,7 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 	}
 
 	// A cache-disabled device never records hits and prices identically.
-	g2 := New(arch.Quadro4000(), 1<<24)
-	g2.Mode = ExecTimingOnly
+	g2 := NewTimingOnly(arch.Quadro4000(), 1<<24)
 	g2.NoTimingCache = true
 	g2.Metrics = metrics.New()
 	inPtr, _ := g2.Mem.Alloc(4 * n)

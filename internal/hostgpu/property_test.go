@@ -40,8 +40,7 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
-		g := New(arch.Quadro4000(), 1<<26)
-		g.Mode = ExecTimingOnly
+		g := NewTimingOnly(arch.Quadro4000(), 1<<26)
 		g.InOrderIssue = inOrder
 		g.Serialize = serialize
 		g.Trace = trace.New()

@@ -65,14 +65,12 @@ func TestTimingCacheSeparatesCacheHints(t *testing.T) {
 		}
 		return tm.Seconds
 	}
-	shared := hostgpu.New(arch.Quadro4000(), 1<<26)
-	shared.Mode = hostgpu.ExecTimingOnly
+	shared := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<26)
 	l := provisionLaunch(t, shared, MatrixMul, w)
 	plain := price(shared, l, MatrixMul.Kernel, MatrixMul.Prog)
 	got := price(shared, l, &hinted, prog)
 
-	fresh := hostgpu.New(arch.Quadro4000(), 1<<26)
-	fresh.Mode = hostgpu.ExecTimingOnly
+	fresh := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<26)
 	want := price(fresh, provisionLaunch(t, fresh, MatrixMul, w), &hinted, prog)
 	if got != want {
 		t.Errorf("hinted copy priced %.9g s after matrixMul on one device, %.9g s on a fresh one", got, want)
@@ -93,8 +91,7 @@ func TestSampledPricingMatchesBindAndSample(t *testing.T) {
 		t.Fatal("mergeSort no longer needs a dynamic profile")
 	}
 	w := b.MakeWorkload(1)
-	g := hostgpu.New(arch.Quadro4000(), 1<<26)
-	g.Mode = hostgpu.ExecTimingOnly
+	g := hostgpu.New(arch.Quadro4000(), 1<<26) // backed: pricing samples its bytes
 	g.Metrics = metrics.New()
 	l := provisionLaunch(t, g, b, w)
 	image := func() map[string][]byte {
@@ -125,8 +122,7 @@ func TestSampledPricingMatchesBindAndSample(t *testing.T) {
 	}
 	withDyn := *l
 	withDyn.Dyn = dyn
-	ref := hostgpu.New(arch.Quadro4000(), 1<<26)
-	ref.Mode = hostgpu.ExecTimingOnly
+	ref := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<26)
 	ref.NoTimingCache = true
 	withDyn.Bindings = provisionLaunch(t, ref, b, w).Bindings
 	want, err := ref.Price(&withDyn)

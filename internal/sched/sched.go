@@ -54,9 +54,10 @@ type Job struct {
 
 	// Priced is a kernel job's pricing (hostgpu.GPU.Price): set by the
 	// coalescer's win predictor when it is a function of the launch's key,
-	// otherwise by the job's run, which uses it when set. A merged job
-	// carries the pricing its members' entries sum to. Read-only: it is the
-	// device's shared cache entry.
+	// otherwise when the job runs (a merged member's, when the merged job
+	// does), which uses it when set. A merged job carries the pricing its
+	// members' entries sum to. Read-only: it is the device's shared cache
+	// entry.
 	Priced *hostgpu.Priced
 
 	// Run executes the operation against the device and fills the result
