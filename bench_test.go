@@ -332,10 +332,11 @@ func BenchmarkInterpreterVectorAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelExec compares the tree-walking interpreter against the
-// compiled typed engine on the four emul-kpl kernels, with and without
-// statistics collection. The compiled/interp ratio is the headline number of
-// the compiled-engine optimisation (BENCH_3.json); the blocks-w1/blocks-w2
+// BenchmarkKernelExec compares the tree-walking interpreter, the tests'
+// reference, against the compiled typed engine the product runs on the four
+// emul-kpl kernels, with and without statistics collection. The
+// compiled/interp ratio is the headline number of the compiled-engine
+// optimisation (BENCH_3.json; DESIGN §9 has today's); the blocks-w1/blocks-w2
 // pair is ExecBlocks as the emulated device calls it, so the worker scaling
 // (and any return of false sharing between workers' frames) is a number in
 // the bench-smoke artifact rather than a wall-clock assertion; native is the
@@ -390,8 +391,9 @@ func BenchmarkKernelExec(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreterParallelVectorAdd measures the block-parallel
-// interpreter on the same workload (0 = one worker per CPU core).
+// BenchmarkInterpreterParallelVectorAdd measures block-parallel ExecBlocks —
+// kpl's compiled engine, not the interpreter the name still carries — on the
+// same workload (0 = one worker per CPU core).
 func BenchmarkInterpreterParallelVectorAdd(b *testing.B) {
 	bench, env := vecAddEnv(b, 1<<16)
 	b.ResetTimer()

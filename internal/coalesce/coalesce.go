@@ -397,13 +397,13 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 // every piece runs and none is recorded. The pieces are independent — their
 // writes go to private copies and no device byte changes while a view is
 // live — so they fan out over the device's worker budget; a piece without
-// native code interprets its blocks on the share of the budget its goroutine
-// stands for. The merge stays all-or-nothing: nothing is written back until
-// every piece has run without error, then the write-backs go in member order
-// (the scatter's order, which decides who wins when two members share a
-// writable allocation: each commit swaps the member's copy in and the last one
-// stays), and the error returned is the lowest-index piece's, as from a serial
-// loop, with every copy released.
+// native code runs its blocks on kpl's engine on the share of the budget its
+// goroutine stands for. The merge stays all-or-nothing: nothing is written
+// back until every piece has run without error, then the write-backs go in
+// member order (the scatter's order, which decides who wins when two members
+// share a writable allocation: each commit swaps the member's copy in and the
+// last one stays), and the error returned is the lowest-index piece's, as
+// from a serial loop, with every copy released.
 func runPieces(gpu *hostgpu.GPU, members []*sched.Job) error {
 	elide := !sharesWritable(members)
 	run := members

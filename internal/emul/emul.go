@@ -2,12 +2,12 @@
 // measured against (paper Fig. 1a): GPU kernels execute on the simulated CPU
 // of the virtual platform, thread by thread, with no physical GPU involved.
 //
-// Functionally the emulator interprets the kernel's kpl program (or runs its
-// native semantics, matching nvcc -deviceemu, which compiled kernels for the
-// CPU); its *timing* comes from internal/cpumodel: every canonical GPU
-// instruction costs EmulCPI CPU cycles plus per-thread scheduling overhead,
-// all multiplied by the QEMU binary-translation slowdown when the emulator
-// runs inside a VP. This is what makes GPU-optimized code catastrophically
+// Functionally the emulator executes the kernel's kpl program thread by
+// thread on kpl's compiled engine (or runs its native semantics, matching
+// nvcc -deviceemu, which compiled kernels for the CPU); its *timing* comes
+// from internal/cpumodel: every canonical GPU instruction costs EmulCPI CPU
+// cycles plus per-thread scheduling overhead, all multiplied by the QEMU
+// binary-translation slowdown when the emulator runs inside a VP. This is what makes GPU-optimized code catastrophically
 // slow on VPs — the phenomenon the paper opens with.
 package emul
 
@@ -37,7 +37,7 @@ type Device struct {
 	TimingOnly bool
 
 	// Workers sizes the worker pool for block-parallel kernel
-	// interpretation (0 = runtime.NumCPU(), 1 = serial). The simulated
+	// execution (0 = runtime.NumCPU(), 1 = serial). The simulated
 	// timeline and all profiles are identical for every value — only the
 	// host wall-clock changes.
 	Workers int
@@ -115,8 +115,8 @@ func (d *Device) Launch(l *hostgpu.Launch) (*profile.Profile, hostgpu.Interval, 
 	}
 	dyn := l.Dyn
 	if !d.TimingOnly {
-		// Functional emulation: an interpreted kernel collects the exact
-		// dynamic statistics while it runs; native semantics cannot.
+		// Functional emulation: the kpl engine collects the exact dynamic
+		// statistics while it runs; native semantics cannot.
 		var st *kpl.Stats
 		if l.Native == nil {
 			st = kpl.NewStats()

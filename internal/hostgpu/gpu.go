@@ -57,8 +57,8 @@ type ExecMode uint8
 // Execution modes.
 const (
 	// ExecFull runs the kernel's semantics against device memory (native
-	// implementation when provided, interpreter otherwise) and advances the
-	// simulated clock.
+	// implementation when provided, kpl's compiled engine otherwise) and
+	// advances the simulated clock.
 	ExecFull ExecMode = iota
 	// ExecTimingOnly advances the simulated clock without touching buffer
 	// contents — used by large parameter sweeps where only time matters. A
@@ -96,10 +96,10 @@ type Launch struct {
 	// samples a few threads before launch (paper footnote 2).
 	Dyn *kpl.Stats
 
-	// Native optionally supplies compiled semantics for ExecFull mode; the
-	// interpreter is the fallback. It must be safe for concurrent calls on
-	// distinct environments: the pieces of a coalesced launch run it side by
-	// side.
+	// Native optionally supplies compiled semantics for ExecFull mode;
+	// without it the kernel runs on kpl's compiled engine. It must be safe
+	// for concurrent calls on distinct environments: the pieces of a
+	// coalesced launch run it side by side.
 	Native func(env *kpl.Env) error
 }
 
@@ -180,7 +180,7 @@ type GPU struct {
 	Metrics *metrics.Registry
 
 	// Workers sizes the worker pool for block-parallel functional kernel
-	// interpretation in ExecFull mode (0 = runtime.NumCPU(), 1 = serial).
+	// execution in ExecFull mode (0 = runtime.NumCPU(), 1 = serial).
 	// Simulated-time results are identical for every value.
 	Workers int
 
@@ -573,9 +573,9 @@ func (l *Launch) Exec(who string, mem *devmem.Mem, env *kpl.Env, st *kpl.Stats, 
 
 // Run runs the kernel's semantics over env (from Bind) — the native
 // implementation when the launch has one, otherwise its thread blocks fanned
-// out over workers, bit-identical to serial interpretation and counted into st
-// when that is non-nil. It touches env only: device memory is as it was until
-// WriteBack.
+// out over workers on kpl's compiled engine, bit-identical to a serial run and
+// counted into st when that is non-nil. It touches env only: device memory is
+// as it was until WriteBack.
 func (l *Launch) Run(who string, env *kpl.Env, st *kpl.Stats, workers int) error {
 	if l.Native == nil {
 		return l.Kernel.ExecBlocks(env, st, l.Block, workers)
@@ -589,7 +589,7 @@ func (l *Launch) Run(who string, env *kpl.Env, st *kpl.Stats, workers int) error
 // runNative calls the native and returns a runtime error raised inside it as
 // its error: natives index unchecked, so a launch whose parameters describe
 // more work than its bindings hold faults there, and that must answer the
-// guest, as the interpreter's out-of-range access does, not unwind the
+// guest, as kpl's out-of-range access does, not unwind the
 // goroutine running the device's batch. Any other panic is a bug and is re-raised.
 func (l *Launch) runNative(env *kpl.Env) (err error) {
 	defer func() {

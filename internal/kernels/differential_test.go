@@ -11,9 +11,9 @@ import (
 )
 
 // TestSuiteKernelsCompile asserts that every benchmark kernel is covered by
-// the compiler — none silently falls back to the interpreter. Without this,
-// the differential tests below could pass vacuously by comparing the
-// interpreter against itself.
+// the compiler (registration, through kir.Analyze, would refuse one that is
+// not). Without this, the differential tests below could pass vacuously
+// comparing two refusals.
 func TestSuiteKernelsCompile(t *testing.T) {
 	for _, b := range All() {
 		if _, err := kpl.Compile(b.Kernel); err != nil {
@@ -50,11 +50,12 @@ func TestCompiledMatchesInterpreterSuite(t *testing.T) {
 // TestRandomKernelsDifferential decodes pseudo-random byte strings into
 // valid kernels (the same generator the fuzzer uses) and checks
 // interpreter/compiled bit-identity on each. Random kernels freely hit the
-// engines' error paths — out-of-range accesses, unbound names, undefined
-// variables — so this doubles as an error-identity test.
+// engine's error paths — out-of-range accesses at run time, unbound names
+// and undefined variables as refusals before it — so this doubles as an
+// error-identity test.
 func TestRandomKernelsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5167a))
-	decoded, compiled := 0, 0
+	decoded, compiled, unbound := 0, 0, 0
 	for i := 0; i < 600; i++ {
 		data := make([]byte, 24+rng.Intn(160))
 		rng.Read(data)
@@ -63,8 +64,11 @@ func TestRandomKernelsDifferential(t *testing.T) {
 			continue
 		}
 		decoded++
-		if _, err := kpl.Compile(k); err == nil {
+		if p, err := kpl.Compile(k); err == nil {
 			compiled++
+			if p.ExecRange(0, 0, env, nil) != nil { // binds, runs no thread
+				unbound++
+			}
 		}
 		// Serial comparison only: random kernels may read across block
 		// boundaries, where parallel shadow-buffer semantics legitimately
@@ -80,7 +84,8 @@ func TestRandomKernelsDifferential(t *testing.T) {
 	if compiled*4 < decoded {
 		t.Fatalf("only %d/%d random kernels compiled — generator or compiler regressed", compiled, decoded)
 	}
-	t.Logf("%d random kernels, %d compiled, %d interpreted", decoded, compiled, decoded-compiled)
+	t.Logf("%d random kernels: %d compiled, of which %d ran and %d did not bind; %d refused by Compile",
+		decoded, compiled, compiled-unbound, unbound, decoded-compiled)
 }
 
 // hazardSeeds encodes one kernel per place where the compiled engine's
@@ -145,7 +150,7 @@ func hazardSeeds(t testing.TB) [][]byte {
 // they were written for, so a change to kplgen's format cannot quietly turn
 // them into ordinary kernels — and pass, like any input.
 func TestHazardSeedsReachTheirHazard(t *testing.T) {
-	var sawSNaN, sawTenth, sawRefusal, sawFault bool
+	var sawSNaN, sawTenth, sawRefusal, sawBindError, sawFault bool
 	for _, data := range hazardSeeds(t) {
 		k, env, ok := kplgen.Decode(data)
 		if !ok {
@@ -159,20 +164,27 @@ func TestHazardSeedsReachTheirHazard(t *testing.T) {
 		if _, err := kpl.Compile(k); err != nil {
 			sawRefusal = sawRefusal || strings.Contains(err.Error(), "not float32-representable")
 		}
-		sawFault = sawFault || k.InterpretAll(kplgen.CloneEnv(env), nil) != nil
+		switch err := k.ExecAll(kplgen.CloneEnv(env), nil).(type) {
+		case *kpl.BindError:
+			sawBindError = sawBindError || strings.Contains(err.Error(), "not float32-representable")
+		case *kpl.Error:
+			sawFault = true
+		}
 		if err := kplgen.CheckDiff(k, env, 8, 1); err != nil {
 			t.Errorf("%v\nkernel:\n%s", err, k.String())
 		}
 	}
-	if !sawSNaN || !sawTenth || !sawRefusal || !sawFault {
-		t.Errorf("signalling NaN %v, f32 parameter 0.1 %v, refused constant %v, fault %v: want all", sawSNaN, sawTenth, sawRefusal, sawFault)
+	if !sawSNaN || !sawTenth || !sawRefusal || !sawBindError || !sawFault {
+		t.Errorf("signalling NaN %v, f32 parameter 0.1 %v, refused constant %v, refused parameter %v, fault %v: want all",
+			sawSNaN, sawTenth, sawRefusal, sawBindError, sawFault)
 	}
 }
 
 // FuzzCompiledVsInterp is the open-ended version of the differential test:
 // any byte string decodes to a valid kernel plus environment, and the fuzzer
 // fails on any divergence between the interpreter and the compiled engine in
-// buffers, statistics, or error text. The corpus is seeded with the encoded
+// buffers, statistics, or error text — or, for a launch the engine refuses,
+// on any entry point that does not return that refusal. The corpus is seeded with the encoded
 // benchmark suite so fuzzing starts from realistic kernel shapes.
 //
 // Run with: go test -fuzz FuzzCompiledVsInterp ./internal/kernels

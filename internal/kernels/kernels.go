@@ -2,10 +2,11 @@
 // Go counterparts of the CUDA SDK applications of Fig. 11 plus the
 // micro-workloads of Table 1 and Figs. 9–10. Every benchmark carries:
 //
-//   - a kpl program (the "guest binary": interpreted by the emulation back
-//     end, analyzed for σ/µ/λ, dispatched by ΣVP);
+//   - a kpl program (the "guest binary": executed by the emulation back end
+//     on kpl's compiled engine, analyzed for σ/µ/λ, dispatched by ΣVP);
 //   - a native Go implementation (the compiled semantics the host GPU model
-//     executes functionally — tests assert interpreter/native agreement);
+//     executes functionally — tests assert it agrees with the kpl
+//     interpreter, the reference semantics);
 //   - a workload generator producing deterministic inputs at any scale;
 //   - application-level metadata for the Fig. 11 study: main-loop iteration
 //     count, non-CUDA time on the VP (OpenGL and file I/O portions that ΣVP
@@ -70,7 +71,7 @@ type Benchmark struct {
 	Kernel *kpl.Kernel
 	Prog   *kir.Program
 
-	// Native is the compiled semantics (nil → interpreter only).
+	// Native is the compiled semantics (nil → kpl's engine only).
 	Native func(env *kpl.Env) error
 
 	// MakeWorkload builds a deterministic problem instance; scale ≥ 1 grows

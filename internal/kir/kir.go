@@ -98,9 +98,14 @@ func (p *Program) NeedsDynamicProfile() bool { return p.dynamic }
 // writable buffers held before.
 func (p *Program) WriteOnly() bool { return p.writeOnly }
 
-// Analyze lowers the kernel. The kernel must already Validate.
+// Analyze lowers the kernel. The kernel must already Validate, and compile:
+// a kernel kpl.Compile refuses could never run, so Analyze returns Compile's
+// error, from the memo every launch resolves through (kpl.Kernel.Compiled).
 func Analyze(k *kpl.Kernel) (*Program, error) {
 	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := k.Compiled(); err != nil {
 		return nil, err
 	}
 	a := &analyzer{k: k, vars: map[string]kpl.Type{}}

@@ -295,6 +295,24 @@ func TestAnalyzeRejectsInvalidKernel(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRefusesUncompilable: a kernel that validates, and that the
+// analysis alone would accept, but that kpl.Compile refuses is refused at
+// admission with Compile's error.
+func TestAnalyzeRefusesUncompilable(t *testing.T) {
+	k := &kpl.Kernel{
+		Name: "tenth",
+		Bufs: []kpl.BufDecl{{Name: "out", Elem: kpl.F32, Access: kpl.AccessSeq}},
+		Body: []kpl.Stmt{kpl.Store("out", kpl.TID(), kpl.Mul(&kpl.Const{T: kpl.F32, F: 0.1}, kpl.TID()))},
+	}
+	_, want := kpl.Compile(k)
+	if want == nil {
+		t.Fatal("Compile accepted an f32 constant float32 does not hold")
+	}
+	if p, err := Analyze(k); p != nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("Analyze = %v, %v; want Compile's error %q", p, err, want)
+	}
+}
+
 func TestBranchWeights(t *testing.T) {
 	k := &kpl.Kernel{
 		Name: "branchy",

@@ -5,25 +5,24 @@
 // A kpl.Kernel plays three roles in the ΣVP reproduction:
 //
 //  1. It is the *guest binary* of a GPU application: the same kernel runs
-//     unmodified on the GPU-emulation back end (interpreted, slow — the
-//     paper's baseline) and on the ΣVP back end (dispatched to the host-GPU
-//     model — the paper's contribution).
-//  2. Interpreting it yields exact dynamic per-class instruction counts,
-//     which is how the paper's Profiler obtains execution profiles and how
+//     unmodified on the GPU-emulation back end (executed thread by thread,
+//     slow — the paper's baseline) and on the ΣVP back end (dispatched to the
+//     host-GPU model — the paper's contribution).
+//  2. Executing it yields exact dynamic per-class instruction counts, which
+//     is how the paper's Profiler obtains execution profiles and how
 //     iteration counts λ are measured (paper footnote 2: dynamically
 //     instrumented PTX).
 //  3. Static analysis over its block structure yields the per-block
 //     instruction counts µ of Eq. 1 (see internal/kir).
 //
-// Two engines execute a kernel. The tree-walking interpreter (interp.go) is
-// the reference semantics and the paper's emulation baseline. The compiled
-// engine (compile.go, program.go) decides every type at compile time, binds
-// parameters and buffers once per launch, and leaves the per-thread loop
-// typed arithmetic on 8-byte registers; ExecAll, ExecRange, ExecBlocks and
-// SampleStats use it whenever the compiler can prove the kernel's types and
-// the launch's bindings agree with the declarations, and the interpreter
-// otherwise. Nothing selects between them and no caller can tell which ran:
-// buffers, statistics and error text are bit-identical.
+// One engine executes a kernel: the compiled engine (compile.go, program.go)
+// decides every type at compile time, binds parameters and buffers once per
+// launch, and leaves the per-thread loop typed arithmetic on 8-byte
+// registers. ExecAll, ExecRange, ExecBlocks and SampleStats run on it. A
+// kernel the compiler refuses, or a launch whose bindings contradict the
+// declarations, is an error before any thread runs. The tree-walking
+// interpreter (interp.go, InterpretAll) is the reference semantics the tests
+// hold the engine to: buffers, statistics and error text bit-identical.
 package kpl
 
 import "fmt"
@@ -237,8 +236,8 @@ type StoreStmt struct {
 	Idx, Val Expr
 }
 
-// AtomicAddStmt performs Buf[Idx] += Val atomically (well-defined under
-// concurrent emulation; the sequential interpreter applies it directly).
+// AtomicAddStmt performs Buf[Idx] += Val atomically (ExecBlocks runs a
+// kernel with one serially, so the accumulation order is the threads').
 type AtomicAddStmt struct {
 	Buf      string
 	Idx, Val Expr

@@ -50,12 +50,13 @@ package kpl
 //     (one add per branch taken, none per instruction) and fold multiplies
 //     each segment's tally by the traffic on the edges into it.
 //
-// The hard invariant is bit-identity with the tree-walking interpreter:
-// buffers, statistics and error text must match interp.go exactly for every
-// kernel, geometry and worker count. Whenever the compiler cannot prove that
-// a lowering preserves interpreter semantics, Compile refuses with an
-// *unsupportedError and the kernel runs on the interpreter (resolveProgram).
-// The refusal list:
+// The hard invariant is bit-identity with the tree-walking interpreter, the
+// tests' reference: buffers, statistics and error text must match interp.go
+// exactly for every kernel, geometry and worker count. Whenever the compiler
+// cannot prove that a lowering preserves interpreter semantics, Compile
+// refuses with an *unsupportedError, and the kernel does not run: every launch
+// of it, and kir.Analyze when it admits it, returns that error
+// (Kernel.Compiled). The refusal list:
 //
 //   - a variable that may be read before it is assigned on some dynamic path
 //     (a runtime error in the interpreter);
@@ -67,7 +68,7 @@ package kpl
 //     the language;
 //   - an f32 constant that float32 does not hold exactly (the interpreter
 //     carries its float64 as it is; a register cannot). An f32 parameter
-//     bound to such a value makes bind refuse that launch instead;
+//     bound to such a value makes that launch a *BindError instead;
 //   - a kernel needing more than 256 registers — prologue results included —
 //     or 256 control-flow edges, or an instruction tally past 65535.
 //
@@ -388,8 +389,8 @@ type loopSlot struct {
 // after Compile and safe for concurrent execution: all mutable state lives in
 // per-call frames.
 type Program struct {
-	// src is the kernel as compiled: launches whose bindings contradict the
-	// compiled types run on the interpreter (see bind).
+	// src is the kernel as compiled: its name for errors, its buffer
+	// declarations for ExecBlocks.
 	src  *Kernel
 	code []word
 	// tallies parallels code; segs partitions it.
@@ -409,8 +410,8 @@ type Program struct {
 	atomics bool
 }
 
-// unsupportedError reports a construct Compile does not cover; the execution
-// engine falls back to the interpreter for such kernels.
+// unsupportedError reports a construct Compile does not cover. A kernel
+// refused with one does not run: its launches return the same error.
 type unsupportedError struct{ reason string }
 
 func (e *unsupportedError) Error() string { return "kpl: compile: " + e.reason }
@@ -541,6 +542,26 @@ func Compile(k *Kernel) (*Program, error) {
 		nEdges:  c.nEdges,
 		atomics: stmtsHaveAtomics(k.Body),
 	}, nil
+}
+
+// stmtsHaveAtomics reports whether the body contains an atomic
+// read-modify-write; Program.execBlocks runs such a kernel serially.
+func stmtsHaveAtomics(ss []Stmt) bool {
+	for _, s := range ss {
+		switch x := s.(type) {
+		case *AtomicAddStmt:
+			return true
+		case *ForStmt:
+			if stmtsHaveAtomics(x.Body) {
+				return true
+			}
+		case *IfStmt:
+			if stmtsHaveAtomics(x.Then) || stmtsHaveAtomics(x.Else) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func pack(code []instr) []word {

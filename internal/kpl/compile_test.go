@@ -34,7 +34,8 @@ func diffEnv(n int, bufs map[string]Type) *Env {
 func cloneEnvT(env *Env) *Env {
 	out := &Env{NThreads: env.NThreads, Params: env.Params, Bufs: map[string]*Buffer{}}
 	for name, b := range env.Bufs {
-		if b != nil { // a nil binding is an unbound name
+		out.Bufs[name] = b // a nil binding stays nil: an unbound name
+		if b != nil {
 			out.Bufs[name] = cloneBuffer(b)
 		}
 	}
@@ -122,7 +123,9 @@ func diffRuns(t *testing.T, env *Env, interp, compiled func(*Env, *Stats) error)
 		t.Fatalf("error mismatch:\n  interp:   %q\n  compiled: %q", iMsg, cMsg)
 	}
 	for name, a := range envI.Bufs {
-		buffersIdentical(t, name, a, envC.Bufs[name])
+		if a != nil {
+			buffersIdentical(t, name, a, envC.Bufs[name])
+		}
 	}
 	statsIdentical(t, stI, stC)
 }
@@ -239,11 +242,11 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 }
 
 // TestCompiledErrorIdentity checks that runtime failures — out-of-range
-// accesses, unbound parameters and buffers — fail at the same thread with
-// the same message, and that the partial buffers and statistics accumulated
-// up to the failure are bit-identical: serially, and through the
-// block-parallel dispatcher on one, two and three workers, each engine
-// against the serial interpreter.
+// loads, stores and atomics — fail at the same thread with the same message,
+// and that the partial buffers and statistics accumulated up to the failure
+// are bit-identical: serially, and through the block-parallel dispatcher on
+// one, two and three workers, against the serial interpreter. (An unbound
+// name is a bind error before any thread runs: TestLaunchBindingFallback.)
 func TestCompiledErrorIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -280,29 +283,6 @@ func TestCompiledErrorIdentity(t *testing.T) {
 				}},
 			env:  diffEnv(8, map[string]Type{"h": I32}),
 			want: `thread 5: atomic h[500] out of range (len 8)`,
-		},
-		{
-			name: "unbound_param",
-			k: &Kernel{Name: "unbound_param",
-				Params: []ParamDecl{{Name: "scale", T: I32}},
-				Bufs:   []BufDecl{{Name: "out", Elem: I32}},
-				Body: []Stmt{
-					Store("out", TID(), CI(2)),
-					If(EQ(TID(), CI(3)), Store("out", TID(), P("scale"))),
-				}},
-			env:  diffEnv(8, map[string]Type{"out": I32}),
-			want: `thread 3: unbound parameter "scale"`,
-		},
-		{
-			name: "unbound_buffer",
-			k: &Kernel{Name: "unbound_buffer",
-				Bufs: []BufDecl{{Name: "ghost", Elem: I32, ReadOnly: true}, {Name: "out", Elem: I32}},
-				Body: []Stmt{
-					Store("out", TID(), CI(1)),
-					If(EQ(TID(), CI(2)), Let("g", Load("ghost", CI(0))), Store("out", TID(), V("g"))),
-				}},
-			env:  diffEnv(8, map[string]Type{"out": I32}),
-			want: `thread 2: unbound buffer "ghost"`,
 		},
 		{
 			// The fault is several trips into a loop: the segment tallies of
@@ -401,18 +381,15 @@ func TestCompiledErrorIdentity(t *testing.T) {
 			for _, workers := range []int{1, 2, 3} {
 				diffRuns(t, tc.env,
 					func(e *Env, st *Stats) error { return tc.k.InterpretAll(e, st) },
-					func(e *Env, st *Stats) error { return tc.k.execBlocks(nil, e, st, 4, workers) })
-				diffRuns(t, tc.env,
-					func(e *Env, st *Stats) error { return tc.k.InterpretAll(e, st) },
-					func(e *Env, st *Stats) error { return tc.k.execBlocks(p, e, st, 4, workers) })
+					func(e *Env, st *Stats) error { return p.execBlocks(e, st, 4, workers) })
 			}
 		})
 	}
 }
 
-// TestCompileFallback checks that kernels with possibly-unassigned variable
-// reads refuse to compile and transparently run on the interpreter with
-// identical results.
+// TestCompileFallback checks that a kernel with a possibly-unassigned
+// variable read refuses to compile, and that a launch of it is that refusal,
+// not a run on another engine.
 func TestCompileFallback(t *testing.T) {
 	k := &Kernel{
 		Name: "fallback",
@@ -430,21 +407,15 @@ func TestCompileFallback(t *testing.T) {
 	} else if _, ok := err.(*unsupportedError); !ok {
 		t.Fatalf("Compile error = %T, want *unsupportedError", err)
 	}
-	if k.resolveProgram() != nil {
-		t.Fatal("resolveProgram returned a program for an uncompilable kernel")
+	p, err := k.Compiled()
+	if p != nil || err == nil {
+		t.Fatal("Compiled returned a program for an uncompilable kernel")
 	}
-
-	env := diffEnv(16, map[string]Type{"out": I32})
-	envI, envD := cloneEnvT(env), cloneEnvT(env)
-	stI, stD := NewStats(), NewStats()
-	if err := k.InterpretAll(envI, stI); err != nil {
+	// The interpreter runs it: every thread that reads x assigned it first.
+	if err := k.InterpretAll(diffEnv(16, map[string]Type{"out": I32}), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.ExecAll(envD, stD); err != nil { // dispatch → interpreter fallback
-		t.Fatal(err)
-	}
-	buffersIdentical(t, "out", envI.Bufs["out"], envD.Bufs["out"])
-	statsIdentical(t, stI, stD)
+	refusedEverywhere(t, k, diffEnv(16, map[string]Type{"out": I32}), err)
 }
 
 // TestVarBranchDefiniteness: a variable assigned in both branches of an
@@ -478,7 +449,7 @@ func TestZeroThreadStats(t *testing.T) {
 		"ExecBlocks":   func(env *Env, st *Stats) error { return k.ExecBlocks(env, st, 64, 4) },
 	} {
 		st := &Stats{} // deliberately nil maps
-		env := &Env{NThreads: 0}
+		env := diffEnv(0, map[string]Type{"a": I32, "out": I32})
 		if err := run(env, st); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -545,22 +516,24 @@ func TestMergeIntoZeroValueStats(t *testing.T) {
 }
 
 // TestProgramCacheReuse: repeated resolution returns the same program, and
-// kernels differing only in loop labels do not share an entry.
+// kernels differing only in loop labels do not share an entry. (A refusal is
+// memoized too: refusedEverywhere checks the error is the same value.)
 func TestProgramCacheReuse(t *testing.T) {
 	k := ctlFlow()
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := k.resolveProgram(), k.resolveProgram()
-	if p1 == nil || p1 != p2 {
-		t.Fatalf("cache did not memoize: %p vs %p", p1, p2)
+	p1, err1 := k.Compiled()
+	p2, err2 := k.Compiled()
+	if p1 == nil || p1 != p2 || err1 != nil || err2 != nil {
+		t.Fatalf("cache did not memoize: %p vs %p (%v, %v)", p1, p2, err1, err2)
 	}
 	relabeled := ctlFlow()
 	relabeled.Body[1].(*ForStmt).Label = "renamed_outer"
 	if err := relabeled.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p3 := relabeled.resolveProgram()
+	p3, _ := relabeled.Compiled()
 	if p3 == nil || p3 == p1 {
 		t.Fatal("kernels differing only in loop labels shared a cached program")
 	}

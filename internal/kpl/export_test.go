@@ -15,9 +15,9 @@ func Dispatches(k *Kernel, env *Env) (n int64, listing string, err error) {
 	if err != nil {
 		return 0, "", err
 	}
-	fr := p.bind(env)
-	if fr == nil {
-		return 0, "", fmt.Errorf("kpl: %s: the launch does not bind", k.Name)
+	fr, err := p.bind(env)
+	if err != nil {
+		return 0, "", err
 	}
 	defer putFrame(fr)
 	fr.tid, fr.hi, fr.step, fr.done = 0, env.NThreads, 1, 0

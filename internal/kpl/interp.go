@@ -32,7 +32,7 @@ func (e *Env) SetF64(name string, v float64) *Env { e.Params[name] = F64Val(v); 
 // Bind attaches a buffer argument.
 func (e *Env) Bind(name string, b *Buffer) *Env { e.Bufs[name] = b; return e }
 
-// Stats accumulates dynamic execution statistics across interpreted threads:
+// Stats accumulates dynamic execution statistics across executed threads:
 // exact per-class instruction counts (the Profiler's view) and per-loop trip
 // counts (the λ measurements of Eq. 1).
 type Stats struct {
@@ -83,7 +83,8 @@ func (s *Stats) MeanTrips(label string) float64 {
 	return float64(s.Trips[label]) / float64(e)
 }
 
-// Error is the interpreter's failure type.
+// Error is a thread's runtime failure, in the same words from either engine:
+// an out-of-range index, or (the interpreter only) an unbound name reached.
 type Error struct {
 	Kernel string
 	TID    int
@@ -288,9 +289,9 @@ func (in *interp) exec(stmts []Stmt) ctl {
 }
 
 // interpPool recycles interpreter states — including their variable maps —
-// across threads, launches and worker goroutines. Without it every thread of
-// every launch allocates a fresh interp plus a vars map, and that churn
-// dominates block-parallel interpretation.
+// across threads and launches. Without it every thread of every launch
+// allocates a fresh interp plus a vars map, and that churn dominates
+// interpretation.
 var interpPool = sync.Pool{
 	New: func() any { return &interp{vars: make(map[string]Value, 8)} },
 }
@@ -314,13 +315,16 @@ func (in *interp) runThread(tid int) (err error) {
 	return nil
 }
 
-// ExecRange executes threads [lo, hi) in thread-index order. Kernels the
-// compiler covers run on the cached typed Program (see compile.go), unless
-// the launch's bindings contradict the declared types; anything else runs on
-// the interpreter. Both engines produce bit-identical buffers, statistics,
-// and errors, so callers cannot tell which one ran.
+// ExecRange executes threads [lo, hi) in thread-index order on the kernel's
+// compiled program (see compile.go). A kernel Compile refuses returns
+// Compile's error, and a launch whose bindings contradict the declarations a
+// *BindError; in either case no thread runs.
 func (k *Kernel) ExecRange(lo, hi int, env *Env, st *Stats) error {
-	return k.execStride(k.resolveProgram(), lo, hi, 1, env, st)
+	p, err := k.Compiled()
+	if err != nil {
+		return err
+	}
+	return p.ExecRange(lo, hi, env, st)
 }
 
 // ExecAll executes every thread of the launch sequentially, in thread-index
@@ -329,16 +333,12 @@ func (k *Kernel) ExecAll(env *Env, st *Stats) error {
 	return k.ExecRange(0, env.NThreads, env, st)
 }
 
-// InterpretRange interprets threads [lo, hi) in thread-index order on the
-// tree-walking interpreter. Statistics are accumulated into st when non-nil.
-// This is the reference engine: the compiled path must match it bit for bit.
-func (k *Kernel) InterpretRange(lo, hi int, env *Env, st *Stats) error {
-	return k.interpretStride(lo, hi, 1, env, st)
-}
-
-// interpretStride interprets threads lo, lo+step, … below hi, reusing one
-// pooled interpreter state for the whole call.
-func (k *Kernel) interpretStride(lo, hi, step int, env *Env, st *Stats) error {
+// InterpretAll interprets every thread of the launch in thread-index order
+// on the tree-walking interpreter, reusing one pooled interpreter state for
+// the whole call. Statistics are accumulated into st when non-nil. This is
+// the reference engine the tests hold the compiled one to, bit for bit; it
+// raises an unbound name at the thread that reaches it.
+func (k *Kernel) InterpretAll(env *Env, st *Stats) error {
 	if st != nil {
 		st.ensureMaps()
 	}
@@ -348,7 +348,7 @@ func (k *Kernel) interpretStride(lo, hi, step int, env *Env, st *Stats) error {
 		in.k, in.env, in.st = nil, nil, nil
 		interpPool.Put(in)
 	}()
-	for tid := lo; tid < hi; tid += step {
+	for tid := 0; tid < env.NThreads; tid++ {
 		if err := in.runThread(tid); err != nil {
 			return err
 		}
@@ -357,12 +357,6 @@ func (k *Kernel) interpretStride(lo, hi, step int, env *Env, st *Stats) error {
 		}
 	}
 	return nil
-}
-
-// InterpretAll interprets every thread of the launch sequentially on the
-// tree-walking interpreter, bypassing the compiled engine.
-func (k *Kernel) InterpretAll(env *Env, st *Stats) error {
-	return k.InterpretRange(0, env.NThreads, env, st)
 }
 
 // SampleStats executes up to sample threads spread evenly across the launch
@@ -378,20 +372,17 @@ func (k *Kernel) SampleStats(env *Env, sample int) (*Stats, error) {
 	if sample > env.NThreads {
 		sample = env.NThreads
 	}
+	p, err := k.Compiled()
+	if err != nil {
+		return nil, err
+	}
 	st := NewStats()
 	if sample <= 0 {
 		return st, nil
 	}
-	scratch := &Env{NThreads: env.NThreads, Params: env.Params, Bufs: make(map[string]*Buffer, len(env.Bufs))}
-	for name, b := range env.Bufs {
-		if decl := k.Buf(name); decl != nil && decl.ReadOnly {
-			scratch.Bufs[name] = b // never written (enforced by Validate)
-		} else {
-			scratch.Bufs[name] = cloneBuffer(b)
-		}
-	}
+	scratch := k.privateEnv(env, cloneBuffer)
 	step := env.NThreads / sample // ≥ 1, so the sample threads are 0, step, … (sample-1)·step
-	if err := k.execStride(k.resolveProgram(), 0, sample*step, step, scratch, st); err != nil {
+	if err := p.execStride(0, sample*step, step, scratch, st); err != nil {
 		return nil, err
 	}
 	// Scale dynamic counts from the sample to the full launch.
@@ -411,6 +402,20 @@ func (k *Kernel) SampleStats(env *Env, sample int) (*Stats, error) {
 	}
 	st.Threads = env.NThreads
 	return st, nil
+}
+
+// privateEnv returns env with every writable buffer replaced by copyOf's
+// copy of it. Read-only buffers, never written (Validate enforces it), and nil
+// bindings, which do not bind, are shared.
+func (k *Kernel) privateEnv(env *Env, copyOf func(*Buffer) *Buffer) *Env {
+	out := &Env{NThreads: env.NThreads, Params: env.Params, Bufs: make(map[string]*Buffer, len(env.Bufs))}
+	for name, b := range env.Bufs {
+		if decl := k.Buf(name); b != nil && (decl == nil || !decl.ReadOnly) {
+			b = copyOf(b)
+		}
+		out.Bufs[name] = b
+	}
+	return out
 }
 
 func cloneBuffer(b *Buffer) *Buffer {

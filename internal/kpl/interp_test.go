@@ -248,39 +248,45 @@ func TestDivModByZeroAreQuiet(t *testing.T) {
 	}
 }
 
+// TestInterpreterErrors: a thread's runtime failure is a *kpl.Error from the
+// interpreter and, for a kernel that compiles, from the engine; a kernel the
+// compiler refuses is its refusal on the engine.
 func TestInterpreterErrors(t *testing.T) {
 	cases := []struct {
-		name string
-		k    *Kernel
+		name    string
+		k       *Kernel
+		refused bool
 	}{
 		{"oob store", &Kernel{
 			Name: "oob",
 			Bufs: []BufDecl{{Name: "out", Elem: F32}},
 			Body: []Stmt{Store("out", CI(99), CF(1))},
-		}},
+		}, false},
 		{"oob load", &Kernel{
 			Name: "oobld",
 			Bufs: []BufDecl{{Name: "in", Elem: F32}, {Name: "out", Elem: F32}},
 			Body: []Stmt{Store("out", TID(), Load("in", CI(-1)))},
-		}},
+		}, false},
 		{"undefined var", &Kernel{
 			Name: "novar",
 			Bufs: []BufDecl{{Name: "out", Elem: F32}},
 			Body: []Stmt{Store("out", TID(), V("ghost"))},
-		}},
+		}, true},
 	}
 	for _, tc := range cases {
 		env := NewEnv(1)
 		for _, b := range tc.k.Bufs {
 			env.Bind(b.Name, NewBuffer(b.Elem, 4))
 		}
-		err := tc.k.ExecAll(env, nil)
-		if err == nil {
-			t.Errorf("%s: expected error", tc.name)
-			continue
+		if _, ok := tc.k.InterpretAll(env, nil).(*Error); !ok {
+			t.Errorf("%s: the interpreter's error is not a *kpl.Error", tc.name)
 		}
-		if _, ok := err.(*Error); !ok {
-			t.Errorf("%s: error type %T, want *kpl.Error", tc.name, err)
+		err := tc.k.ExecAll(env, nil)
+		if _, ok := err.(*Error); ok == tc.refused {
+			t.Errorf("%s: engine error %T %v, refused = %v", tc.name, err, err, tc.refused)
+		}
+		if _, ok := err.(*unsupportedError); ok != tc.refused {
+			t.Errorf("%s: engine error %T %v, refused = %v", tc.name, err, err, tc.refused)
 		}
 	}
 }

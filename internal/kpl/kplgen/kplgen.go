@@ -5,13 +5,14 @@
 // Decode is total over non-empty inputs: every byte string yields a kernel
 // that passes kpl.Validate, with structurally bounded loops (trip counts are
 // clamped through a Mod by a small constant) so no input can hang the fuzzer.
-// Runtime errors — out-of-range accesses, unbound parameters or buffers,
-// reads of unassigned variables — are deliberately reachable: they must be
-// bit-identical between the two engines too. So are the constructs the typed
-// compiler refuses (variables with two types where paths meet, selects with
-// unequal arms), but the generator leans toward kernels that compile — reads
-// of assigned variables, select arms cast to one type — so that a healthy
-// share of random kernels exercises the compiled engine.
+// Runtime errors are deliberately reachable: an out-of-range access must be
+// bit-identical between the two engines too. So are the launches the engine
+// refuses before any thread runs — unbound parameters or buffers, an f32
+// parameter float32 does not hold (bind errors), reads of possibly unassigned
+// variables, variables with two types where paths meet, selects with unequal
+// arms (compile errors) — but the generator leans toward kernels that compile
+// — reads of assigned variables, select arms cast to one type — so that a
+// healthy share of random kernels exercises the compiled engine.
 //
 // Encode is the lossy inverse used to seed the fuzz corpus from the real
 // benchmark suite: it renames identifiers into the generator's namespace and
@@ -112,7 +113,8 @@ type decoder struct {
 	// assignments inside loop bodies and conditional branches are scoped out
 	// on exit, mirroring compile.go. Variable reads are biased toward it so
 	// most generated kernels take the compiled path; reads outside it
-	// exercise the undefined-variable error and the interpreter fallback.
+	// exercise the compiler's refusal (and the interpreter's
+	// undefined-variable error).
 	defined    []string
 	definedIdx map[string]int
 }
@@ -263,7 +265,7 @@ func (d *decoder) expr(depth int) kpl.Expr {
 	default:
 		// The typed compiler refuses a select whose arms differ in type, so
 		// three times in four both arms are cast to one type; the rest keep
-		// the refusal (and the interpreter fallback) covered.
+		// the refusal covered.
 		b := d.c.byte()
 		cond, x, y := d.expr(depth-1), d.expr(depth-1), d.expr(depth-1)
 		if b%4 != selRaw {
@@ -417,9 +419,16 @@ func StatsEqual(a, b *kpl.Stats) error {
 }
 
 // CheckDiff runs the kernel on identical inputs through the reference
-// interpreter, the compiled engine (when the kernel compiles), and the
-// block-parallel dispatcher at the given geometry, and returns an error
+// interpreter and the compiled engine — serially, and through the
+// block-parallel dispatcher at the given geometry — and returns an error
 // describing the first divergence in buffers, statistics, or error text.
+//
+// A kernel kpl.Compile refuses, or a launch whose bindings contradict the
+// declarations, does not run on the engine, so there is nothing to compare
+// with the interpreter. For those the check is that ExecAll and ExecBlocks on
+// one, four and the given number of workers return exactly the refusal —
+// Compile's error, or a *kpl.BindError naming a binding that does contradict
+// its declaration — and leave the buffers as they were.
 //
 // The block-parallel comparison at workers > 1 is only meaningful for
 // block-independent kernels (threads of one block never read another
@@ -427,24 +436,65 @@ func StatsEqual(a, b *kpl.Stats) error {
 // semantics by design. Pass workers = 1 for arbitrary (e.g. fuzz-generated)
 // kernels.
 func CheckDiff(k *kpl.Kernel, env *kpl.Env, blockSize, workers int) error {
-	envI := CloneEnv(env)
-	stI := kpl.NewStats()
-	errI := k.InterpretAll(envI, stI)
-
-	if p, err := kpl.Compile(k); err == nil {
-		envC := CloneEnv(env)
-		stC := kpl.NewStats()
-		errC := p.ExecAll(envC, stC)
-		if err := compareRuns("compiled-serial", envI, stI, errI, envC, stC, errC); err != nil {
+	want, err := refusal(k, env)
+	if err != nil {
+		return err
+	}
+	envR, stR, errR := CloneEnv(env), kpl.NewStats(), want
+	counts := []int{0, workers} // 0: ExecAll
+	if want == nil {
+		errR = k.InterpretAll(envR, stR)
+	} else {
+		counts = append(counts, 1, 4)
+	}
+	for _, w := range counts {
+		envC, stC := CloneEnv(env), kpl.NewStats()
+		tag, errC := "compiled-serial", error(nil)
+		if w == 0 {
+			errC = k.ExecAll(envC, stC)
+		} else {
+			tag, errC = fmt.Sprintf("blocks[bs=%d,w=%d]", blockSize, w), k.ExecBlocks(envC, stC, blockSize, w)
+		}
+		if err := compareRuns(tag, envR, stR, errR, envC, stC, errC); err != nil {
 			return err
 		}
 	}
+	return nil
+}
 
-	envB := CloneEnv(env)
-	stB := kpl.NewStats()
-	errB := k.ExecBlocks(envB, stB, blockSize, workers)
-	tag := fmt.Sprintf("blocks[bs=%d,w=%d]", blockSize, workers)
-	return compareRuns(tag, envI, stI, errI, envB, stB, errB)
+// refusal is the error the engine must return for the launch without running
+// a thread, or nil when it runs: Compile's error, or — for a kernel that
+// compiles — bind's, which must name a binding that contradicts its
+// declaration.
+func refusal(k *kpl.Kernel, env *kpl.Env) (want, err error) {
+	p, err := kpl.Compile(k)
+	if err != nil {
+		return err, nil
+	}
+	err = p.ExecRange(0, 0, env, nil) // binds, runs no thread
+	if err == nil {
+		return nil, nil
+	}
+	if be, ok := err.(*kpl.BindError); !ok || !contradicts(k, env, be.Name) {
+		return nil, fmt.Errorf("bind: %v names no binding that contradicts the declarations", err)
+	}
+	return err, nil
+}
+
+// contradicts reports whether env binds the named parameter or buffer other
+// than k declares it: not at all, nil, with another type, or as an f32 that
+// float32 does not hold exactly.
+func contradicts(k *kpl.Kernel, env *kpl.Env, name string) bool {
+	if d := k.Param(name); d != nil {
+		v, ok := env.Params[name]
+		exact := math.Float64bits(float64(float32(v.F))) == math.Float64bits(v.F)
+		return !ok || v.T != d.T || d.T == kpl.F32 && !exact
+	}
+	if d := k.Buf(name); d != nil {
+		b := env.Bufs[name]
+		return b == nil || b.Elem != d.Elem
+	}
+	return false
 }
 
 func compareRuns(tag string, envA *kpl.Env, stA *kpl.Stats, errA error,
@@ -457,7 +507,7 @@ func compareRuns(tag string, envA *kpl.Env, stA *kpl.Stats, errA error,
 		bMsg = errB.Error()
 	}
 	if aMsg != bMsg {
-		return fmt.Errorf("%s: error mismatch:\n  interp: %q\n  other:  %q", tag, aMsg, bMsg)
+		return fmt.Errorf("%s: error mismatch:\n  reference: %q\n  engine:    %q", tag, aMsg, bMsg)
 	}
 	for name, a := range envA.Bufs {
 		if err := BuffersEqual(a, envB.Bufs[name]); err != nil {

@@ -5,39 +5,6 @@ import (
 	"sync"
 )
 
-// HasAtomics reports whether the kernel body contains an atomic
-// read-modify-write. Atomic kernels are executed serially by ExecBlocks:
-// a parallel fold of floating-point atomics would change the accumulation
-// order and therefore the bit pattern of the result.
-func (k *Kernel) HasAtomics() bool { return k.hasAtomics(k.resolveProgram()) }
-
-// hasAtomics answers from the compiled program, which recorded it once; only
-// uncompilable kernels walk the AST per call.
-func (k *Kernel) hasAtomics(p *Program) bool {
-	if p != nil {
-		return p.atomics
-	}
-	return stmtsHaveAtomics(k.Body)
-}
-
-func stmtsHaveAtomics(ss []Stmt) bool {
-	for _, s := range ss {
-		switch x := s.(type) {
-		case *AtomicAddStmt:
-			return true
-		case *ForStmt:
-			if stmtsHaveAtomics(x.Body) {
-				return true
-			}
-		case *IfStmt:
-			if stmtsHaveAtomics(x.Then) || stmtsHaveAtomics(x.Else) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Merge folds other into s. Every counter is an integer count (held exactly
 // in float64 far below 2^53), so the fold is exact regardless of grouping —
 // but callers still merge in ascending block order so the reduction order is
@@ -118,10 +85,10 @@ func blockSpans(n, blockSize, nBlocks, workers int) []threadSpan {
 	return spans
 }
 
-// ExecBlocks interprets every thread of the launch with thread blocks of
-// blockSize threads fanned out over a pool of workers goroutines
-// (workers <= 0 selects runtime.NumCPU()). Results are bit-identical to
-// ExecAll for any worker count:
+// ExecBlocks executes every thread of the launch on the kernel's compiled
+// program with thread blocks of blockSize threads fanned out over a pool of
+// workers goroutines (workers <= 0 selects runtime.NumCPU()). Results are
+// bit-identical to ExecAll for any worker count:
 //
 //   - blocks are independent by CUDA semantics, so each worker executes a
 //     contiguous ascending run of whole blocks against a private shadow copy
@@ -136,23 +103,23 @@ func blockSpans(n, blockSize, nBlocks, workers int) []threadSpan {
 //     that worker stopped where the serial run stops, and what the workers
 //     above it did the serial run never reached.
 //
-// Kernels containing atomics fall back to serial interpretation (a parallel
-// atomic fold would reorder floating-point accumulation), as do single-block
-// and single-worker launches.
+// Kernels containing atomics run serially (a parallel atomic fold would
+// reorder floating-point accumulation), as do single-block and single-worker
+// launches. A kernel Compile refuses, or a launch that does not bind, is an
+// error as from ExecAll.
 func (k *Kernel) ExecBlocks(env *Env, st *Stats, blockSize, workers int) error {
 	// Resolve the compiled program once per launch; every worker shares it.
-	return k.execBlocks(k.resolveProgram(), env, st, blockSize, workers)
+	p, err := k.Compiled()
+	if err != nil {
+		return err
+	}
+	return p.execBlocks(env, st, blockSize, workers)
 }
 
-// execBlocks is ExecBlocks on the given program, or on the interpreter when
-// p is nil.
-func (k *Kernel) execBlocks(p *Program, env *Env, st *Stats, blockSize, workers int) error {
-	if st != nil {
-		st.ensureMaps()
-	}
+func (p *Program) execBlocks(env *Env, st *Stats, blockSize, workers int) error {
 	n := env.NThreads
 	if n <= 0 {
-		return nil
+		return p.execStride(0, 0, 1, env, st)
 	}
 	if blockSize <= 0 || blockSize > n {
 		blockSize = n
@@ -164,8 +131,8 @@ func (k *Kernel) execBlocks(p *Program, env *Env, st *Stats, blockSize, workers 
 	if workers > nBlocks {
 		workers = nBlocks
 	}
-	if workers <= 1 || k.hasAtomics(p) {
-		return k.execStride(p, 0, n, 1, env, st)
+	if workers <= 1 || p.atomics {
+		return p.execStride(0, n, 1, env, st)
 	}
 
 	spans := blockSpans(n, blockSize, nBlocks, workers)
@@ -174,23 +141,14 @@ func (k *Kernel) execBlocks(p *Program, env *Env, st *Stats, blockSize, workers 
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := range spans {
-		we := &Env{NThreads: n, Params: env.Params, Bufs: make(map[string]*Buffer, len(env.Bufs))}
-		for name, b := range env.Bufs {
-			decl := k.Buf(name)
-			if decl != nil && decl.ReadOnly {
-				we.Bufs[name] = b // never written (enforced by Validate)
-				continue
-			}
-			we.Bufs[name] = shadowOf(b)
-		}
-		envs[w] = we
+		envs[w] = p.src.privateEnv(env, shadowOf)
 		if st != nil {
 			stats[w] = NewStats()
 		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = k.execStride(p, spans[w].lo, spans[w].hi, 1, envs[w], stats[w])
+			errs[w] = p.execStride(spans[w].lo, spans[w].hi, 1, envs[w], stats[w])
 		}(w)
 	}
 	wg.Wait()

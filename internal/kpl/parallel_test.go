@@ -125,8 +125,8 @@ func TestExecBlocksAtomicsFallback(t *testing.T) {
 			AtomicAdd("h", Mod(TID(), CI(8)), Add(CF(1), Div(ToF32(TID()), CF(1024)))),
 		},
 	}
-	if !k.HasAtomics() {
-		t.Fatal("HasAtomics() = false for a kernel with AtomicAdd")
+	if p, err := k.Compiled(); err != nil || !p.atomics {
+		t.Fatalf("Compiled = %v: want a program marked atomic", err)
 	}
 	const n = 1000
 	serialEnv := NewEnv(n).Bind("h", NewBuffer(F32, 8))
@@ -145,7 +145,7 @@ func TestExecBlocksAtomicsFallback(t *testing.T) {
 }
 
 // TestExecBlocksErrorMatchesSerial: a launch that faults is, on any worker
-// count and either engine, the serial run up to the fault — the same error,
+// count, the serial interpreter's run up to the fault — the same error,
 // the buffers as the threads below the failing one left them, and their
 // statistics.
 func TestExecBlocksErrorMatchesSerial(t *testing.T) {
@@ -171,18 +171,16 @@ func TestExecBlocksErrorMatchesSerial(t *testing.T) {
 	if serialErr == nil || serialSt.Threads != 500 || serialEnv.Bufs["out"].F32s[499] != 1 {
 		t.Fatalf("serial run: error %v, %d threads", serialErr, serialSt.Threads)
 	}
-	for name, prog := range map[string]*Program{"interpreter": nil, "compiled": p} {
-		for _, workers := range []int{1, 2, 4, 7} {
-			parEnv := NewEnv(n).Bind("out", NewBuffer(F32, 500))
-			parSt := NewStats()
-			parErr := k.execBlocks(prog, parEnv, parSt, 100, workers)
-			if parErr == nil || parErr.Error() != serialErr.Error() {
-				t.Fatalf("%s, %d workers: error %v, serial %v", name, workers, parErr, serialErr)
-			}
-			sameBuffers(t, name, serialEnv.Bufs, parEnv.Bufs)
-			if !reflect.DeepEqual(serialSt, parSt) {
-				t.Fatalf("%s, %d workers: stats differ\nserial:   %+v\nparallel: %+v", name, workers, serialSt, parSt)
-			}
+	for _, workers := range []int{1, 2, 4, 7} {
+		parEnv := NewEnv(n).Bind("out", NewBuffer(F32, 500))
+		parSt := NewStats()
+		parErr := p.execBlocks(parEnv, parSt, 100, workers)
+		if parErr == nil || parErr.Error() != serialErr.Error() {
+			t.Fatalf("%d workers: error %v, serial %v", workers, parErr, serialErr)
+		}
+		sameBuffers(t, "compiled", serialEnv.Bufs, parEnv.Bufs)
+		if !reflect.DeepEqual(serialSt, parSt) {
+			t.Fatalf("%d workers: stats differ\nserial:   %+v\nparallel: %+v", workers, serialSt, parSt)
 		}
 	}
 }

@@ -63,12 +63,10 @@ var framePool = sync.Pool{New: func() any { return new(frame) }}
 // bind acquires a pooled frame and resolves the launch's bindings into it:
 // constants and parameters become register contents, the prologue computes
 // the launch-invariant expressions from them, buffers become typed slice
-// headers. It returns nil when the bindings contradict what the program was
-// compiled against — an unbound name, a Value or a Buffer of another type, an
-// f32 Value that float32 does not hold exactly — and the launch must run on
-// the interpreter, which raises the error (if the name is ever reached) at
-// the exact dynamic point.
-func (p *Program) bind(env *Env) *frame {
+// headers. Bindings that contradict what the program was compiled against — an
+// unbound or nil name, a Value or a Buffer of another type, an f32 Value that
+// float32 does not hold exactly — are a *BindError, and no thread runs.
+func (p *Program) bind(env *Env) (*frame, error) {
 	fr := framePool.Get().(*frame)
 	fr.loops = p.loops
 
@@ -78,17 +76,18 @@ func (p *Program) bind(env *Env) *frame {
 	}
 	for _, ps := range p.params {
 		v, ok := env.Params[ps.name]
-		if !ok || v.T != ps.t {
-			putFrame(fr)
-			return nil
+		switch {
+		case !ok:
+			return nil, p.bindError(fr, ps.name, "unbound parameter")
+		case v.T != ps.t:
+			return nil, p.bindError(fr, ps.name, fmt.Sprintf("parameter is %s, declared %s", v.T, ps.t))
 		}
 		switch ps.t {
 		case I32:
 			fr.regs[ps.reg] = uint64(v.I)
 		case F32:
 			if fr.regs[ps.reg], ok = f32Word(v.F); !ok {
-				putFrame(fr)
-				return nil
+				return nil, p.bindError(fr, ps.name, fmt.Sprintf("f32 parameter %v is not float32-representable", v.F))
 			}
 		default:
 			fr.regs[ps.reg] = wf(v.F)
@@ -109,13 +108,33 @@ func (p *Program) bind(env *Env) *frame {
 	fr.bufs, fr.tot = fr.bufs[:nb], fr.tot[:2*nb]
 	for i, bs := range p.bufs {
 		b := env.Bufs[bs.name]
-		if b == nil || b.Elem != bs.elem {
-			putFrame(fr)
-			return nil
+		switch {
+		case b == nil:
+			return nil, p.bindError(fr, bs.name, "unbound buffer")
+		case b.Elem != bs.elem:
+			return nil, p.bindError(fr, bs.name, fmt.Sprintf("buffer is %s, declared %s", b.Elem, bs.elem))
 		}
 		fr.bufs[i] = boundBuf{f32: b.F32s, f64: b.F64s, i32: b.I32s, written: b.written, n: b.Len()}
 	}
-	return fr
+	return fr, nil
+}
+
+// BindError reports a launch whose bindings contradict what its kernel was
+// compiled against. No thread of the launch ran.
+type BindError struct {
+	Kernel string
+	Name   string // the parameter or buffer
+	Msg    string
+}
+
+func (e *BindError) Error() string {
+	return fmt.Sprintf("kpl: kernel %q: bind %q: %s", e.Kernel, e.Name, e.Msg)
+}
+
+// bindError releases the frame bind was filling and returns the error.
+func (p *Program) bindError(fr *frame, name, msg string) error {
+	putFrame(fr)
+	return &BindError{Kernel: p.src.Name, Name: name, Msg: msg}
 }
 
 func putFrame(fr *frame) {
@@ -221,20 +240,19 @@ func (p *Program) ExecAll(env *Env, st *Stats) error {
 // ExecRange executes threads [lo, hi) in thread-index order. Statistics are
 // folded into st (when non-nil) once at the end — including the partial
 // counts of a failing thread, matching the interpreter's incremental
-// accounting at the point it stops.
+// accounting at the point it stops. A launch that does not bind returns the
+// *BindError and leaves env and st as they were.
 func (p *Program) ExecRange(lo, hi int, env *Env, st *Stats) error {
 	return p.execStride(lo, hi, 1, env, st)
 }
 
-// execStride executes threads lo, lo+step, … below hi on one bound frame, or
-// on the interpreter when the launch's bindings do not fit the program.
+// execStride executes threads lo, lo+step, … below hi on one bound frame.
 func (p *Program) execStride(lo, hi, step int, env *Env, st *Stats) error {
-	fr := p.bind(env)
-	if fr == nil {
-		return p.src.interpretStride(lo, hi, step, env, st)
+	fr, err := p.bind(env)
+	if err != nil {
+		return err
 	}
 	fr.tid, fr.hi, fr.step, fr.done = lo, hi, step, 0
-	var err error
 	faultPC := -1
 	if lo < hi {
 		var idx int
@@ -802,11 +820,13 @@ func exec(code []word, fr *frame) (faultPC, faultIdx int) {
 // backend — hostgpu, emul, the coalescer — shares one compilation per
 // distinct kernel structure, and a kernel whose body is rebuilt after
 // registration (kernels.reanalyze) re-compiles automatically because its key
-// changes. Uncompilable kernels are memoized too (nil entry) so the
-// interpreter fallback stays O(1).
+// changes. A refusal is memoized too, with its error.
 var progCache sync.Map // uint64 → *progEntry
 
-type progEntry struct{ p *Program }
+type progEntry struct {
+	p   *Program
+	err error
+}
 
 // fnvOffset is the FNV-1a 64-bit offset basis.
 const fnvOffset = 14695981039346656037
@@ -890,7 +910,7 @@ func (w *structHash) expr(e Expr) {
 		w.expr(x.A)
 		w.expr(x.B)
 	default:
-		w.Byte(255) // unknown node: compiles to a fallback entry
+		w.Byte(255) // unknown node: Compile refuses it
 	}
 }
 
@@ -938,8 +958,8 @@ func (w *structHash) stmts(ss []Stmt) {
 }
 
 // structKey hashes the kernel's name, declarations and body. Buffer
-// declarations are hashed one by one and summed, so their order does not
-// matter; Stride and L2Fraction are left out — two kernels that differ only
+// declarations are hashed one by one, mixed and summed, so their order does
+// not matter; Stride and L2Fraction are left out — two kernels that differ only
 // in those compute the same thing — and folded in by the pricing identity
 // kir.Analyze records, because the cache model reads them.
 func (k *Kernel) structKey(labels bool) uint64 {
@@ -957,7 +977,7 @@ func (k *Kernel) structKey(labels bool) uint64 {
 		} else {
 			d.Byte(0)
 		}
-		bufs += d.h
+		bufs += mix(d.h)
 	}
 	w.U64(bufs)
 	for i := range k.Params {
@@ -967,6 +987,16 @@ func (k *Kernel) structKey(labels bool) uint64 {
 	w.Byte(0)
 	w.stmts(k.Body)
 	return w.h
+}
+
+// mix is splitmix64's finalizer. FNV-1a's last multiply is linear, so unmixed
+// hashes of two buffers that change type together can sum as before (DESIGN §16).
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // Signature returns a stable structural fingerprint of the kernel: what it
@@ -987,26 +1017,17 @@ func (k *Kernel) Signature() uint64 { return k.structKey(false) }
 // two kernels differing only in labels must not share a cache entry.
 func (k *Kernel) progKey() uint64 { return k.structKey(true) }
 
-// resolveProgram returns the memoized compiled program for the kernel, or
-// nil when the kernel is not compilable and must be interpreted.
-func (k *Kernel) resolveProgram() *Program {
+// Compiled returns the kernel's memoized compiled program, or the error
+// Compile refused it with. Every launch resolves its kernel here, and
+// kir.Analyze does when it admits one, so a refused kernel is an error where
+// it enters the system and compiles once.
+func (k *Kernel) Compiled() (*Program, error) {
 	sig := k.progKey()
 	if v, ok := progCache.Load(sig); ok {
-		return v.(*progEntry).p
+		e := v.(*progEntry)
+		return e.p, e.err
 	}
 	p, err := Compile(k)
-	if err != nil {
-		p = nil
-	}
-	progCache.Store(sig, &progEntry{p: p})
-	return p
-}
-
-// execStride runs threads lo, lo+step, … below hi on the compiled program
-// when available and on the interpreter otherwise.
-func (k *Kernel) execStride(p *Program, lo, hi, step int, env *Env, st *Stats) error {
-	if p != nil {
-		return p.execStride(lo, hi, step, env, st)
-	}
-	return k.interpretStride(lo, hi, step, env, st)
+	progCache.Store(sig, &progEntry{p: p, err: err})
+	return p, err
 }

@@ -2,6 +2,7 @@ package kpl
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -9,7 +10,7 @@ import (
 
 // TestCompileRefusals: one kernel per reason the typed compiler refuses.
 // Each must fail Compile with an *unsupportedError naming the reason, and
-// still run — on the interpreter — through the ordinary entry points.
+// every entry point of the engine must return that same error, memoized.
 func TestCompileRefusals(t *testing.T) {
 	out := []BufDecl{{Name: "out", Elem: F64}, {Name: "d", Elem: F64, ReadOnly: true}}
 	cases := []struct {
@@ -65,19 +66,11 @@ func TestCompileRefusals(t *testing.T) {
 			if _, ok := err.(*unsupportedError); !ok || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Compile = %v, want an unsupportedError containing %q", err, tc.want)
 			}
-			if tc.k.resolveProgram() != nil {
-				t.Fatal("resolveProgram returned a program for a refused kernel")
+			p, memo := tc.k.Compiled()
+			if p != nil || memo == nil || memo.Error() != err.Error() {
+				t.Fatalf("Compiled = %v, %v for a refused kernel, want Compile's error", p, memo)
 			}
-			env := diffEnv(8, map[string]Type{"out": F64, "d": F64})
-			envI, envD := cloneEnvT(env), cloneEnvT(env)
-			stI, stD := NewStats(), NewStats()
-			errI := tc.k.InterpretAll(envI, stI)
-			errD := tc.k.ExecBlocks(envD, stD, 4, 1)
-			if (errI == nil) != (errD == nil) || errI != nil && errI.Error() != errD.Error() {
-				t.Fatalf("error: interpreter %v, dispatch %v", errI, errD)
-			}
-			buffersIdentical(t, "out", envI.Bufs["out"], envD.Bufs["out"])
-			statsIdentical(t, stI, stD)
+			refusedEverywhere(t, tc.k, diffEnv(8, map[string]Type{"out": F64, "d": F64}), memo)
 		})
 	}
 
@@ -95,10 +88,53 @@ func TestCompileRefusals(t *testing.T) {
 	}
 }
 
+// refusedEverywhere asserts that every entry point of the engine — ExecAll,
+// ExecRange, ExecBlocks on one and four workers, SampleStats — returns want
+// itself when want is the memoized refusal, or else an error of want's type
+// and text, and leaves the launch's buffers and statistics as they were.
+func refusedEverywhere(t *testing.T, k *Kernel, env *Env, want error) {
+	t.Helper()
+	for _, run := range []struct {
+		name string
+		f    func(*Env, *Stats) error
+	}{
+		{"ExecAll", k.ExecAll},
+		{"ExecRange", func(e *Env, st *Stats) error { return k.ExecRange(0, e.NThreads, e, st) }},
+		{"ExecBlocks/1", func(e *Env, st *Stats) error { return k.ExecBlocks(e, st, 4, 1) }},
+		{"ExecBlocks/4", func(e *Env, st *Stats) error { return k.ExecBlocks(e, st, 2, 4) }},
+		{"SampleStats", func(e *Env, st *Stats) error {
+			got, err := k.SampleStats(e, 4)
+			if got != nil {
+				t.Errorf("SampleStats returned statistics with error %v", err)
+			}
+			return err
+		}},
+	} {
+		e, st := cloneEnvT(env), NewStats()
+		err := run.f(e, st)
+		if _, memo := k.Compiled(); memo != nil && err != memo {
+			t.Errorf("%s: error %v, want the memoized refusal %v", run.name, err, memo)
+		}
+		if err == nil || reflect.TypeOf(err) != reflect.TypeOf(want) || err.Error() != want.Error() {
+			t.Fatalf("%s: error %T %v, want %T %v", run.name, err, err, want, want)
+		}
+		for name, b := range env.Bufs {
+			if b != nil {
+				buffersIdentical(t, name, b, e.Bufs[name])
+			}
+		}
+		if !reflect.DeepEqual(st, NewStats()) {
+			t.Errorf("%s: a refused launch counted %+v", run.name, st)
+		}
+	}
+}
+
 // TestLaunchBindingFallback: a kernel that compiles, launched with bindings
 // that contradict its declarations — a parameter Value or a Buffer of another
-// type, an unbound name — runs on the interpreter for that launch only, so
-// results and error text are the interpreter's.
+// type, an unbound name, even one only some threads reach — is a *BindError
+// naming the binding at every entry point, and no thread runs. The
+// interpreter, which meets the binding only where a thread reads it, stays
+// the reference for the launch that binds.
 func TestLaunchBindingFallback(t *testing.T) {
 	k := &Kernel{
 		Name:   "bindings",
@@ -110,51 +146,80 @@ func TestLaunchBindingFallback(t *testing.T) {
 			If(LT(TID(), CI(6)), Store("out", TID(), Div(V("acc"), P("s")))),
 		},
 	}
-	if err := k.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Two kernels whose threads reach an unbound name only at tid 3 and 2.
+	lateParam := &Kernel{Name: "unbound_param",
+		Params: []ParamDecl{{Name: "scale", T: I32}},
+		Bufs:   []BufDecl{{Name: "out", Elem: I32}},
+		Body: []Stmt{
+			Store("out", TID(), CI(2)),
+			If(EQ(TID(), CI(3)), Store("out", TID(), P("scale"))),
+		}}
+	lateBuffer := &Kernel{Name: "unbound_buffer",
+		Bufs: []BufDecl{{Name: "ghost", Elem: I32, ReadOnly: true}, {Name: "out", Elem: I32}},
+		Body: []Stmt{
+			Store("out", TID(), CI(1)),
+			If(EQ(TID(), CI(2)), Let("g", Load("ghost", CI(0))), Store("out", TID(), V("g"))),
+		}}
 	good := func() *Env { return diffEnv(8, map[string]Type{"in": F32, "out": F32}).SetInt("s", 3) }
 	cases := []struct {
-		name    string
-		env     *Env
-		binds   bool
-		wantErr string
+		name     string
+		k        *Kernel
+		env      *Env
+		bindErr  string // the *BindError, or "" when the launch binds
+		interErr string // the interpreter's error, where it has one
 	}{
-		{"as_declared", good(), true, ""},
-		{"param_f64", good().SetF64("s", 2.5), false, ""},
-		{"param_f32", good().SetF32("s", 0), false, ""},
-		{"buffer_f64", good().Bind("in", diffEnv(8, map[string]Type{"in": F64}).Bufs["in"]), false, ""},
-		{"buffer_i32_short", good().Bind("out", NewBuffer(I32, 4)), false, `thread 4: store out[4] out of range (len 4)`},
-		{"param_unbound", &Env{NThreads: 8, Params: map[string]Value{}, Bufs: good().Bufs}, false, `thread 0: unbound parameter "s"`},
-		{"buffer_unbound", good().Bind("in", nil), false, `thread 0: unbound buffer "in"`},
+		{"as_declared", k, good(), "", ""},
+		{"param_f64", k, good().SetF64("s", 2.5), `kpl: kernel "bindings": bind "s": parameter is f64, declared i32`, ""},
+		{"param_f32", k, good().SetF32("s", 0), `kpl: kernel "bindings": bind "s": parameter is f32, declared i32`, ""},
+		{"buffer_f64", k, good().Bind("in", diffEnv(8, map[string]Type{"in": F64}).Bufs["in"]),
+			`kpl: kernel "bindings": bind "in": buffer is f64, declared f32`, ""},
+		{"buffer_i32_short", k, good().Bind("out", NewBuffer(I32, 4)),
+			`kpl: kernel "bindings": bind "out": buffer is i32, declared f32`, `thread 4: store out[4] out of range (len 4)`},
+		{"param_unbound", k, &Env{NThreads: 8, Params: map[string]Value{}, Bufs: good().Bufs},
+			`kpl: kernel "bindings": bind "s": unbound parameter`, `thread 0: unbound parameter "s"`},
+		{"buffer_unbound", k, good().Bind("in", nil),
+			`kpl: kernel "bindings": bind "in": unbound buffer`, `thread 0: unbound buffer "in"`},
+		{"unbound_param", lateParam, diffEnv(8, map[string]Type{"out": I32}),
+			`kpl: kernel "unbound_param": bind "scale": unbound parameter`, `thread 3: unbound parameter "scale"`},
+		{"unbound_buffer", lateBuffer, diffEnv(8, map[string]Type{"out": I32}),
+			`kpl: kernel "unbound_buffer": bind "ghost": unbound buffer`, `thread 2: unbound buffer "ghost"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fr := p.bind(tc.env)
-			if (fr != nil) != tc.binds {
-				t.Fatalf("bind succeeded = %v, want %v", fr != nil, tc.binds)
+			if err := tc.k.Validate(); err != nil {
+				t.Fatal(err)
 			}
-			if fr != nil {
+			p, err := Compile(tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errI := tc.k.InterpretAll(cloneEnvT(tc.env), nil)
+			if errI == nil != (tc.interErr == "") || errI != nil && !strings.Contains(errI.Error(), tc.interErr) {
+				t.Fatalf("interpreter error = %v, want %q", errI, tc.interErr)
+			}
+			fr, err := p.bind(tc.env)
+			if tc.bindErr == "" {
+				if err != nil {
+					t.Fatalf("bind = %v, want a frame", err)
+				}
 				putFrame(fr)
+				diffKernel(t, tc.k, tc.env)
+				for _, workers := range []int{1, 4} {
+					diffRuns(t, tc.env,
+						func(e *Env, st *Stats) error { return tc.k.InterpretAll(e, st) },
+						func(e *Env, st *Stats) error { return tc.k.ExecBlocks(e, st, 2, workers) })
+				}
+				return
 			}
-			envI, envC := cloneEnvT(tc.env), cloneEnvT(tc.env)
-			stI, stC := NewStats(), NewStats()
-			errI := k.InterpretAll(envI, stI)
-			errC := k.ExecBlocks(envC, stC, 4, 1)
-			if errI == nil != (tc.wantErr == "") || errI != nil && !strings.Contains(errI.Error(), tc.wantErr) {
-				t.Fatalf("interpreter error = %v, want %q", errI, tc.wantErr)
+			if _, ok := err.(*BindError); !ok || fr != nil || err.Error() != tc.bindErr {
+				t.Fatalf("bind = %v, want the *BindError %q", err, tc.bindErr)
 			}
-			if (errI == nil) != (errC == nil) || errI != nil && errI.Error() != errC.Error() {
-				t.Fatalf("error: interpreter %v, engine %v", errI, errC)
-			}
-			buffersIdentical(t, "out", envI.Bufs["out"], envC.Bufs["out"])
-			statsIdentical(t, stI, stC)
+			refusedEverywhere(t, tc.k, tc.env, err)
 		})
 	}
+	// A nil writable buffer too, though ExecBlocks and SampleStats copy the
+	// writable buffers before they bind.
+	refusedEverywhere(t, k, good().Bind("out", nil), &BindError{Kernel: "bindings", Name: "out", Msg: "unbound buffer"})
 }
 
 // runHand runs one thread of a hand-assembled program with registers 2, 3
@@ -165,7 +230,10 @@ func runHand(t *testing.T, nEdges int, r2, r3, r4 uint64, code ...instr) *frame 
 	for _, ins := range code {
 		p.code = append(p.code, ins.word())
 	}
-	fr := p.bind(&Env{NThreads: 1})
+	fr, err := p.bind(&Env{NThreads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fr.regs[2], fr.regs[3], fr.regs[4] = r2, r3, r4
 	fr.tid, fr.hi, fr.step = 0, 1, 1
 	if pc, _ := exec(p.code, fr); pc >= 0 {
@@ -381,7 +449,10 @@ func TestTypedOpcodesMatchEval(t *testing.T) {
 					F64: {f64: []float64{7, 8, math.Float64frombits(0x7FF4000000000001)}, n: 3},
 				} {
 					p := &Program{nEdges: 1, code: pack([]instr{{op: ldMadOpcode[elem], dst: 5, a: 2, b: 3, c: 4}, {op: opHalt}})}
-					fr := p.bind(&Env{NThreads: 1})
+					fr, err := p.bind(&Env{NThreads: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
 					fr.bufs = append(fr.bufs[:0], buf)
 					fr.regs[2], fr.regs[3], fr.regs[4] = bitsOf(a), bitsOf(b), bitsOf(c)
 					fr.tid, fr.hi, fr.step = 0, 1, 1
@@ -404,7 +475,7 @@ func TestTypedOpcodesMatchEval(t *testing.T) {
 // TestTypedMemoryOpsMatchBuffer: typed loads, stores and atomics against
 // Buffer.At/Set/AddAt, for every element type and register type, the elements
 // preset to a signalling NaN (which a load must quiet as widening does). A
-// parameter no register can hold makes that launch fall back.
+// parameter no register can hold makes that launch a *BindError.
 func TestTypedMemoryOpsMatchBuffer(t *testing.T) {
 	for _, elem := range []Type{I32, F32, F64} {
 		for _, vt := range []Type{I32, F32, F64} {
@@ -431,18 +502,7 @@ func TestTypedMemoryOpsMatchBuffer(t *testing.T) {
 				k.Body = append(k.Body, Store("o", CI(2), Load("b", CI(2))), AtomicAdd("b", CI(2), P("v")))
 				env := NewEnv(1).Bind("b", b).Bind("o", NewBuffer(elem, 3))
 				env.Params["v"] = v
-				diffKernel(t, k, env)
-				p, err := Compile(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fr := p.bind(env)
-				if (fr != nil) != representable(v) {
-					t.Errorf("parameter %v: bind succeeded = %v, representable = %v", v, fr != nil, representable(v))
-				}
-				if fr != nil {
-					putFrame(fr)
-				}
+				diffOrBindError(t, k, env, representable(v))
 			}
 		}
 	}
@@ -451,8 +511,8 @@ func TestTypedMemoryOpsMatchBuffer(t *testing.T) {
 // TestF32RegisterHazards: the places where holding an f32 as float32 could
 // show — a signalling NaN in a buffer, an integer above 2^24 meeting an f32
 // (in arithmetic, in a comparison, under an intrinsic), a parameter float32
-// does not hold — in thread code and, the same expressions on launch
-// constants alone, in the prologue.
+// does not hold (which does not bind) — in thread code and, the same
+// expressions on launch constants alone, in the prologue.
 func TestF32RegisterHazards(t *testing.T) {
 	k := &Kernel{
 		Name:   "hazards",
@@ -482,8 +542,32 @@ func TestF32RegisterHazards(t *testing.T) {
 	for _, p := range []Value{F32Val(0.1), {T: F32, F: 0.1}, {T: F32, F: math.Float64frombits(0x7FF4000000000000)}} {
 		env := NewEnv(2).Bind("in", in).Bind("out", NewBuffer(F32, 8)).Bind("flag", NewBuffer(I32, 4)).SetInt("big", 16777217)
 		env.Params["p"] = p
-		diffKernel(t, k, env)
+		diffOrBindError(t, k, env, representable(p))
 	}
+}
+
+// diffOrBindError checks the launch against the interpreter when binds is
+// true, and otherwise that bind refuses it and every entry point returns that
+// *BindError.
+func diffOrBindError(t *testing.T, k *Kernel, env *Env, binds bool) {
+	t.Helper()
+	p, err := Compile(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := p.bind(env)
+	if (err == nil) != binds {
+		t.Fatalf("bind error %v, want one = %v", err, !binds)
+	}
+	if err != nil {
+		if _, ok := err.(*BindError); !ok {
+			t.Fatalf("bind error %T, want *BindError", err)
+		}
+		refusedEverywhere(t, k, env, err)
+		return
+	}
+	putFrame(fr)
+	diffKernel(t, k, env)
 }
 
 // TestWidenIsTheConversion: widen's integer path gives float64(float32) bit
@@ -547,7 +631,11 @@ func TestFrameLinePadding(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := diffEnv(4, map[string]Type{"out": I32})
-	a, b := p.bind(env), p.bind(env)
+	a, errA := p.bind(env)
+	b, errB := p.bind(env)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	defer putFrame(a)
 	defer putFrame(b)
 	lines := func(fr *frame) (lo, hi uintptr) {

@@ -119,6 +119,37 @@ func TestSignatureStability(t *testing.T) {
 	}
 }
 
+// TestSignatureSeparatesBufferTypes: kernels that differ only in the element
+// types of their buffers have different signatures and compiled programs,
+// whichever two names the buffers have. (A fuzzed launch found two, b0 and b1
+// both i32 against both f32, sharing a program.)
+func TestSignatureSeparatesBufferTypes(t *testing.T) {
+	names := []string{"a", "b", "out", "b0", "b1", "b2", "b3"}
+	for i, n0 := range names {
+		for _, n1 := range names[i+1:] {
+			seen := map[uint64][2]Type{}
+			progs := map[*Program][2]Type{}
+			for _, e0 := range []Type{I32, F32, F64} {
+				for _, e1 := range []Type{I32, F32, F64} {
+					k := &Kernel{Name: "fuzz", Bufs: []BufDecl{{Name: n0, Elem: e0}, {Name: n1, Elem: e1}},
+						Body: []Stmt{Let("v0", CI(0))}}
+					p, err := k.Compiled()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if prev, dup := seen[k.Signature()]; dup {
+						t.Fatalf("%s %v, %s %v: signature of %v, %v", n0, e0, n1, e1, prev[0], prev[1])
+					}
+					if prev, dup := progs[p]; dup {
+						t.Fatalf("%s %v, %s %v: program of %v, %v", n0, e0, n1, e1, prev[0], prev[1])
+					}
+					seen[k.Signature()], progs[p] = [2]Type{e0, e1}, [2]Type{e0, e1}
+				}
+			}
+		}
+	}
+}
+
 func TestTypeHelpers(t *testing.T) {
 	if Promote(I32, F32) != F32 || Promote(F32, F64) != F64 || Promote(I32, I32) != I32 {
 		t.Error("Promote wrong")

@@ -76,9 +76,9 @@ type Buffer struct {
 	F64s []float64
 	I32s []int32
 
-	// written, when armed (see shadowOf), records which elements Set/AddAt
-	// touched — the block-parallel engine uses it to merge per-worker shadow
-	// copies back in block order.
+	// written, when armed (see shadowOf), records which elements the
+	// compiled engine's stores and atomics touched — the block-parallel
+	// engine uses it to merge per-worker shadow copies back in block order.
 	written []bool
 }
 
@@ -155,9 +155,6 @@ func (b *Buffer) Set(i int, v Value) {
 	default:
 		b.I32s[i] = int32(v.Int())
 	}
-	if b.written != nil {
-		b.written[i] = true
-	}
 }
 
 // AddAt performs element i += v, used by AtomicAdd.
@@ -169,9 +166,6 @@ func (b *Buffer) AddAt(i int, v Value) {
 		b.F64s[i] = addF64(b.F64s[i], v.Float())
 	default:
 		b.I32s[i] += int32(v.Int())
-	}
-	if b.written != nil {
-		b.written[i] = true
 	}
 }
 
