@@ -163,9 +163,6 @@ func mergedShape(members []*sched.Job) profile.LaunchShape {
 // of the members', the timing that of mergedShape.
 func mergedPricing(g *hostgpu.GPU, members []*sched.Job) (*hostgpu.Priced, error) {
 	shape := mergedShape(members)
-	if shape.Grid <= 0 || shape.Block <= 0 {
-		return nil, fmt.Errorf("coalesce: invalid merged launch %d×%d", shape.Grid, shape.Block)
-	}
 	var sigma arch.ClassVec
 	var accSums []cachemodel.Access
 	for _, m := range members {
@@ -231,13 +228,11 @@ func beneficial(g *hostgpu.GPU, members []*sched.Job) (*hostgpu.Priced, bool) {
 		}
 		sumSeconds += p.Timing.Seconds
 		for _, decl := range m.Launch.Kernel.Bufs {
-			if ptr, ok := m.Launch.Bindings[decl.Name]; ok {
-				if size, err := g.Mem.Size(ptr); err == nil {
-					regionBytes += int64(size)
-					d2dBytes += float64(size) // gather
-					if !decl.ReadOnly {
-						d2dBytes += float64(size) // scatter
-					}
+			if size, err := g.Mem.Size(m.Launch.Bindings[decl.Name]); err == nil {
+				regionBytes += int64(size)
+				d2dBytes += float64(size) // gather
+				if !decl.ReadOnly {
+					d2dBytes += float64(size) // scatter
 				}
 			}
 		}
@@ -293,11 +288,7 @@ func runMerged(mj *sched.Job, gpu *hostgpu.GPU, members []*sched.Job) error {
 	regionSize := make([]int, nb)
 	for i, m := range members {
 		for b, decl := range kernel.Bufs {
-			ptr, ok := m.Launch.Bindings[decl.Name]
-			if !ok {
-				return fmt.Errorf("coalesce: %s: vp%d missing buffer %q", kernel.Name, m.VP, decl.Name)
-			}
-			size, err := gpu.Mem.Size(ptr)
+			size, err := gpu.Mem.Size(m.Launch.Bindings[decl.Name])
 			if err != nil {
 				return err
 			}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/hostgpu"
 	"repro/internal/ipc"
 	"repro/internal/kernels"
-	"repro/internal/kpl"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -647,17 +646,19 @@ func (s *Service) memsetJob(vp, stream int, dst devmem.Ptr, off, n int, value by
 	return sched.NewMemset(vp, dev, dst, off, n, value), nil
 }
 
-// kernelJob builds a launch's job. Every binding is translated, rebased ones
-// through a copy of the launch, never by mutating the caller's, and the
-// Kernel Match stage's coalescability comes from the registry entry of the
-// kernel's name.
+// kernelJob builds a launch's job. It is the service's door for launches: one
+// that breaks the launch contract (hostgpu.Launch.Check) is refused here,
+// before admission, whichever route brought it. Every binding is translated,
+// rebased ones through a copy of the launch, never by mutating the caller's,
+// and the Kernel Match stage's coalescability comes from the registry entry
+// of the kernel's name.
 func (s *Service) kernelJob(vp, stream int, l *hostgpu.Launch) (*sched.Job, error) {
 	dev, err := streamOf(vp, stream)
 	if err != nil {
 		return nil, err
 	}
-	if l == nil || l.Kernel == nil || l.Prog == nil {
-		return nil, fmt.Errorf("core: vp %d: launch without kernel or program", vp)
+	if err := l.Check(); err != nil {
+		return nil, err
 	}
 	var rebased map[string]devmem.Ptr
 	for name, guest := range l.Bindings {
@@ -701,12 +702,6 @@ func launchOf(r ipc.LaunchReq) (*hostgpu.Launch, error) {
 		Params:            r.Params,
 		Bindings:          r.Bindings,
 		Native:            b.Native,
-	}
-	if l.Params == nil {
-		l.Params = map[string]kpl.Value{}
-	}
-	if l.Bindings == nil {
-		l.Bindings = map[string]devmem.Ptr{}
 	}
 	return l, nil
 }

@@ -33,9 +33,6 @@ type Device struct {
 	CPU arch.CPU
 	Mem *devmem.Mem
 
-	// TimingOnly skips functional kernel execution (large sweeps).
-	TimingOnly bool
-
 	// Workers sizes the worker pool for block-parallel kernel
 	// execution (0 = runtime.NumCPU(), 1 = serial). The simulated
 	// timeline and all profiles are identical for every value — only the
@@ -100,31 +97,27 @@ func (d *Device) Memset(dst devmem.Ptr, off, n int, value byte) (hostgpu.Interva
 	return d.advance(cpumodel.MemcpyTime(&d.CPU, n)), nil
 }
 
-// Launch emulates a kernel: every thread executes sequentially on the CPU.
+// Launch emulates a kernel: every thread executes sequentially on the CPU. It
+// is a door: a launch that breaks the launch contract (hostgpu.Launch.Check)
+// is refused before anything is bound.
 func (d *Device) Launch(l *hostgpu.Launch) (*profile.Profile, hostgpu.Interval, error) {
-	if l.Kernel == nil || l.Prog == nil {
-		return nil, hostgpu.Interval{}, fmt.Errorf("emul: launch without kernel or program")
+	if err := l.Check(); err != nil {
+		return nil, hostgpu.Interval{}, err
 	}
-	if l.Grid <= 0 || l.Block <= 0 {
-		return nil, hostgpu.Interval{}, fmt.Errorf("emul: %s: invalid launch %d×%d", l.Kernel.Name, l.Grid, l.Block)
-	}
-
 	env, err := l.Bind("emul", d.Mem)
 	if err != nil {
 		return nil, hostgpu.Interval{}, err
 	}
+	// The kpl engine collects the exact dynamic statistics while it runs;
+	// native semantics cannot.
 	dyn := l.Dyn
-	if !d.TimingOnly {
-		// Functional emulation: the kpl engine collects the exact dynamic
-		// statistics while it runs; native semantics cannot.
-		var st *kpl.Stats
-		if l.Native == nil {
-			st = kpl.NewStats()
-			dyn = st
-		}
-		if err := l.Exec("emul", d.Mem, env, st, d.Workers); err != nil {
-			return nil, hostgpu.Interval{}, err
-		}
+	var st *kpl.Stats
+	if l.Native == nil {
+		st = kpl.NewStats()
+		dyn = st
+	}
+	if err := l.Exec("emul", d.Mem, env, st, d.Workers); err != nil {
+		return nil, hostgpu.Interval{}, err
 	}
 	if dyn, err = hostgpu.SampleDyn(l.Kernel, l.Prog, env, dyn); err != nil {
 		return nil, hostgpu.Interval{}, err

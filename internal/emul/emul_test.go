@@ -1,12 +1,15 @@
 package emul
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
+	"repro/internal/kernels"
 	"repro/internal/kir"
 	"repro/internal/kpl"
 )
@@ -98,21 +101,10 @@ func TestVPEmulationIsSlower(t *testing.T) {
 	}
 }
 
-func TestTimingOnlyMode(t *testing.T) {
-	d := New(arch.HostXeon(), 1<<24)
-	d.TimingOnly = true
-	l := vecAddLaunch(t, d, 128)
-	if _, _, err := d.Launch(l); err != nil {
-		t.Fatal(err)
-	}
-	raw, _, _ := d.CopyD2H(l.Bindings["out"], 0, 4*128)
-	for _, v := range devmem.DecodeF32(raw) {
-		if v != 0 {
-			t.Fatal("timing-only emulation mutated buffers")
-		}
-	}
-}
-
+// TestLaunchErrors: the emulated device is a door, so it refuses a launch
+// that breaks the launch contract (hostgpu.Launch.Check) before binding or
+// running anything, with the contract's own text — the table the service's
+// door is held to (core's TestLaunchContract), on the same five applications.
 func TestLaunchErrors(t *testing.T) {
 	d := New(arch.HostXeon(), 1<<24)
 	if _, _, err := d.Launch(&hostgpu.Launch{}); err == nil {
@@ -128,6 +120,84 @@ func TestLaunchErrors(t *testing.T) {
 	if _, _, err := d.Launch(l); err == nil {
 		t.Error("missing binding accepted")
 	}
+
+	for _, app := range []string{"vectorAdd", "BlackScholes", "Mandelbrot", "binomialOptions", "mergeSort"} {
+		b, err := kernels.Get(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, w := b.Kernel, b.MakeWorkload(1)
+		valid := b.NewLaunch(w)
+		valid.Bindings = map[string]devmem.Ptr{}
+		for name, size := range w.BufBytes {
+			p, err := d.Mem.Alloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Mem.Write(p, 0, w.Inputs[name]); err != nil {
+				t.Fatal(err)
+			}
+			valid.Bindings[name] = p
+		}
+		for _, c := range launchDefects {
+			l := *valid
+			l.Params, l.Bindings = maps.Clone(valid.Params), maps.Clone(valid.Bindings)
+			c.breaks(k, &l)
+			now, used := d.Now(), d.Mem.Used()
+			_, _, err := d.Launch(&l)
+			if want := c.want(k); err == nil || err.Error() != want {
+				t.Errorf("%s, %s: %v, want %q", app, c.name, err, want)
+			}
+			if d.Now() != now || d.Mem.Used() != used {
+				t.Errorf("%s, %s: the refused launch moved the clock or memory", app, c.name)
+			}
+		}
+		if _, _, err := d.Launch(valid); err != nil {
+			t.Errorf("%s: the valid launch: %v", app, err)
+		}
+	}
+}
+
+// launchDefects breaks one clause of the launch contract each, as core's
+// TestLaunchContract table does, and gives the refusal's text.
+var launchDefects = []struct {
+	name   string
+	breaks func(k *kpl.Kernel, l *hostgpu.Launch)
+	want   func(k *kpl.Kernel) string
+}{
+	{"an f64 first parameter",
+		func(k *kpl.Kernel, l *hostgpu.Launch) {
+			l.Params[k.Params[0].Name] = kpl.F64Val(l.Params[k.Params[0].Name].Float())
+		},
+		func(k *kpl.Kernel) string {
+			return bindRefusal(k, k.Params[0].Name, "parameter is f64, declared "+k.Params[0].T.String())
+		}},
+	{"a missing declared parameter",
+		func(k *kpl.Kernel, l *hostgpu.Launch) { delete(l.Params, k.Params[0].Name) },
+		func(k *kpl.Kernel) string { return bindRefusal(k, k.Params[0].Name, "unbound parameter") }},
+	{"an undeclared parameter",
+		func(_ *kpl.Kernel, l *hostgpu.Launch) { l.Params["zz"] = kpl.IntVal(1) },
+		func(k *kpl.Kernel) string { return bindRefusal(k, "zz", "undeclared parameter") }},
+	{"an unbound buffer",
+		func(k *kpl.Kernel, l *hostgpu.Launch) { delete(l.Bindings, k.Bufs[0].Name) },
+		func(k *kpl.Kernel) string { return bindRefusal(k, k.Bufs[0].Name, "buffer not bound") }},
+	{"an undeclared binding",
+		func(k *kpl.Kernel, l *hostgpu.Launch) { l.Bindings["zz"] = l.Bindings[k.Bufs[0].Name] },
+		func(k *kpl.Kernel) string { return bindRefusal(k, "zz", "undeclared buffer") }},
+	{"2³² threads",
+		func(_ *kpl.Kernel, l *hostgpu.Launch) { l.Grid, l.Block = 1<<16, 1<<16 },
+		func(k *kpl.Kernel) string { return shapeRefusal(k, 1<<16, 1<<16) }},
+	{"a grid×block that wraps to 0",
+		func(_ *kpl.Kernel, l *hostgpu.Launch) { l.Grid, l.Block = 1<<32, 1<<32 },
+		func(k *kpl.Kernel) string { return shapeRefusal(k, 1<<32, 1<<32) }},
+}
+
+func bindRefusal(k *kpl.Kernel, name, msg string) string {
+	return fmt.Sprintf("kpl: kernel %q: bind %q: %s", k.Name, name, msg)
+}
+
+func shapeRefusal(k *kpl.Kernel, grid, block int) string {
+	return fmt.Sprintf("hostgpu: %s: invalid launch %d×%d: want 0 < grid, 0 < block and grid×block ≤ 2147483647 threads", k.Name, grid, block)
 }
 
 func TestClockAdvances(t *testing.T) {

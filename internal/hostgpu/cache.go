@@ -2,9 +2,7 @@ package hostgpu
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cachemodel"
@@ -61,9 +59,6 @@ type keyBuf [256]byte
 // Buffers go in by name: the identity does not depend on the order of the
 // buffer declarations, the order of the sizes does.
 func (g *GPU) appendTimingKey(b []byte, l *Launch) ([]byte, bool) {
-	if g.NoTimingCache {
-		return nil, false
-	}
 	if l.Sampled() {
 		// λ must be sampled from live device memory at launch time; the
 		// result depends on buffer contents the key cannot see.
@@ -76,11 +71,7 @@ func (g *GPU) appendTimingKey(b []byte, l *Launch) ([]byte, bool) {
 	b = AppendParams(b, l.Kernel, l.Params)
 	for i := range l.Kernel.Bufs {
 		name := l.Kernel.Bufs[i].Name
-		ptr, ok := l.Bindings[name]
-		if !ok {
-			return nil, false
-		}
-		size, err := g.Mem.Size(ptr)
+		size, err := g.Mem.Size(l.Bindings[name])
 		if err != nil {
 			return nil, false
 		}
@@ -92,33 +83,18 @@ func (g *GPU) appendTimingKey(b []byte, l *Launch) ([]byte, bool) {
 	return b, true
 }
 
-// AppendParams appends the launch's scalar parameters to a cache or match key
-// as raw bits — type, Float64bits(F), I — in the order the kernel declares
-// them, so that neither map order nor a sort nor a float format is on the
-// path; a declared parameter the launch leaves out is a zero byte. Names the
-// kernel does not declare reach the key too, after the declared ones, sorted:
-// no registry workload has any.
+// AppendParams appends the launch's scalar parameters to a cache, match or
+// elision key as raw bits — type, Float64bits(F), I — in the order the kernel
+// declares them, so that neither map order nor a sort nor a float format is on
+// the path; a declared parameter the launch leaves out is a zero byte. Only
+// declared parameters are read: execution never reads another name, and a
+// launch naming one does not pass the launch contract (Launch.Check).
 func AppendParams(b []byte, k *kpl.Kernel, params map[string]kpl.Value) []byte {
-	declared := 0
 	for i := range k.Params {
 		if v, ok := params[k.Params[i].Name]; ok {
 			b = appendValue(b, v)
-			declared++
 		} else {
 			b = append(b, 0)
-		}
-	}
-	b = binary.AppendVarint(b, int64(len(params)-declared))
-	if declared < len(params) {
-		var extra []string
-		for name := range params {
-			if k.Param(name) == nil {
-				extra = append(extra, name)
-			}
-		}
-		slices.Sort(extra)
-		for _, name := range extra {
-			b = appendValue(appendName(b, name), params[name])
 		}
 	}
 	return b
@@ -135,7 +111,7 @@ func appendValue(b []byte, v kpl.Value) []byte {
 
 // dynFingerprint hashes the contents of pre-measured dynamic stats: the
 // instruction vector's bits in class order, each count map as the sum of its
-// entries' hashes, so that map order does not reach it.
+// entries' mixed hashes (kpl.Mix), so that map order does not reach it.
 func dynFingerprint(st *kpl.Stats) uint64 {
 	w := kpl.NewHash()
 	for _, v := range st.Instr {
@@ -148,7 +124,7 @@ func dynFingerprint(st *kpl.Stats) uint64 {
 			e.Byte(byte(tag))
 			e.Str(k)
 			e.U64(uint64(v))
-			sum += e.Sum()
+			sum += kpl.Mix(e.Sum())
 		}
 		w.U64(sum)
 	}
@@ -172,11 +148,10 @@ func (g *GPU) cacheLookup(key []byte) *Priced {
 	return e
 }
 
-// timingCacheCap bounds a device's timing cache. The key holds whatever
-// parameters a guest sends, so a served guest varying a scalar, or naming a
-// parameter the kernel does not declare, would otherwise add an entry per
-// launch for the daemon's life; the registry's studies (sigmavp all) miss
-// fewer than 300 times.
+// timingCacheCap bounds a device's timing cache. The key holds the declared
+// parameters' values, so a served guest varying a scalar would otherwise add
+// an entry per launch for the daemon's life; the registry's studies (sigmavp
+// all) miss fewer than 300 times.
 const timingCacheCap = 4096
 
 // cacheStore memoizes e under key. A store into a full cache starts it over:
@@ -209,18 +184,13 @@ func (g *GPU) LaunchTiming(l *Launch) (arch.ClassVec, []cachemodel.Access, Timin
 // and allocates nothing. Every pricing of a launch goes through it — a kernel
 // job's run, the coalescer's win predictor, the estimator through the job —
 // so repeated identical launches, the steady state of every
-// Iterations-heavy application, price in O(1).
+// Iterations-heavy application, price in O(1). Of the launch contract it
+// applies the shape half alone (the rest was checked where the launch came
+// in): the per-thread normalization below divides by the thread count, and a
+// NaN pricing would be memoized and served as a hit.
 func (g *GPU) Price(l *Launch) (*Priced, error) {
-	if l.Threads() <= 0 {
-		// Guard the per-thread normalization below: Scale(1/0) would price
-		// the launch with NaN/Inf timings and — worse — memoize them, so
-		// every later identical launch would serve the poisoned entry as a
-		// cache hit.
-		name := "?"
-		if l.Kernel != nil {
-			name = l.Kernel.Name
-		}
-		return nil, fmt.Errorf("hostgpu: %s: zero-thread launch %d×%d cannot be priced", name, l.Grid, l.Block)
+	if err := l.checkShape(); err != nil {
+		return nil, err
 	}
 	var buf keyBuf
 	key, cacheable := g.appendTimingKey(buf[:0], l)

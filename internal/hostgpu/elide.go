@@ -39,22 +39,21 @@ const maxElisionBufs = 8
 
 // elisionBindings gathers l's bindings in declaration order into dst and the
 // index of its first writable one, or reports that l can never be elided: the
-// device does not run kernels functionally, Prog was not analyzed from Kernel
-// or is not write-only, a buffer is unbound, no buffer is writable, or a
-// writable binding shares its allocation with another binding (whose bytes
-// the run would then read after, or write over, its own).
+// device does not run kernels functionally, the kernel is not write-only, no
+// buffer is writable, or a writable binding shares its allocation with
+// another binding (whose bytes the run would then read after, or write over,
+// its own).
 func (g *GPU) elisionBindings(dst []devmem.Ptr, l *Launch) ([]devmem.Ptr, int, bool) {
-	if g.Mode != ExecFull || l.Prog == nil || l.Prog.Kernel != l.Kernel || !l.Prog.WriteOnly() {
+	if g.Mode != ExecFull || !l.Prog.WriteOnly() {
 		return nil, 0, false
 	}
 	key := -1
 	for i := range l.Kernel.Bufs {
 		decl := &l.Kernel.Bufs[i]
-		ptr, ok := l.Bindings[decl.Name]
-		if !ok || (!decl.ReadOnly && l.aliased(decl.Name)) {
+		if !decl.ReadOnly && l.aliased(decl.Name) {
 			return nil, 0, false
 		}
-		dst = append(dst, ptr)
+		dst = append(dst, l.Bindings[decl.Name])
 		if key < 0 && !decl.ReadOnly {
 			key = i
 		}

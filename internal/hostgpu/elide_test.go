@@ -153,7 +153,6 @@ func TestElideFollowsEveryChange(t *testing.T) {
 		change func(l *Launch)
 	}{
 		{"a parameter", func(l *Launch) { l.Params = map[string]kpl.Value{"n": kpl.IntVal(n - 1)} }},
-		{"an undeclared parameter", func(l *Launch) { l.Params = map[string]kpl.Value{"n": kpl.IntVal(n), "x": kpl.IntVal(1)} }},
 		{"the grid", func(l *Launch) { l.Grid, l.Block = 2, n/2 }},
 		{"the native", func(l *Launch) { l.Native = func(env *kpl.Env) error { return l.Kernel.ExecAll(env, nil) } }},
 		{"the kernel", func(l *Launch) { l.Kernel, l.Prog = k2, prog2 }},

@@ -78,7 +78,9 @@ type Interval struct {
 // Duration returns End − Start.
 func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 
-// Launch describes one kernel invocation.
+// Launch describes one kernel invocation. A launch that reaches a device from
+// outside — a guest's, through the service or the emulated device — has kept
+// the launch contract (Check), and nothing below those doors checks it again.
 type Launch struct {
 	Kernel *kpl.Kernel
 	Prog   *kir.Program // analyzed form of Kernel
@@ -101,6 +103,63 @@ type Launch struct {
 	// for concurrent calls on distinct environments: the pieces of a
 	// coalesced launch run it side by side.
 	Native func(env *kpl.Env) error
+}
+
+// maxThreads is the most threads a launch may have: a thread's index is an
+// i32 (kpl's TID).
+const maxThreads = math.MaxInt32
+
+// Check holds the launch to the launch contract, which the doors a launch
+// comes in by apply before anything else sees it (core's kernel job builder,
+// before admission, and emul.Device.Launch):
+//   - Kernel and Prog are set, and Prog was analyzed from Kernel;
+//   - the shape is one a device can run (checkShape);
+//   - the scalar parameters are exactly the declared ones, each bound by the
+//     rule kpl's engine binds it by (kpl.Kernel.CheckParams);
+//   - every declared buffer is bound, and no other name is.
+//
+// A contradicted parameter or binding is a *kpl.BindError naming it.
+func (l *Launch) Check() error {
+	if l == nil || l.Kernel == nil || l.Prog == nil {
+		return fmt.Errorf("hostgpu: launch without kernel or program")
+	}
+	if l.Prog.Kernel != l.Kernel {
+		return fmt.Errorf("hostgpu: %s: program not analyzed from the kernel", l.Kernel.Name)
+	}
+	if err := l.checkShape(); err != nil {
+		return err
+	}
+	if err := l.Kernel.CheckParams(l.Params); err != nil {
+		return err
+	}
+	for i := range l.Kernel.Bufs {
+		if _, ok := l.Bindings[l.Kernel.Bufs[i].Name]; !ok {
+			return &kpl.BindError{Kernel: l.Kernel.Name, Name: l.Kernel.Bufs[i].Name, Msg: "buffer not bound"}
+		}
+	}
+	if len(l.Bindings) == len(l.Kernel.Bufs) {
+		return nil
+	}
+	undeclared := ""
+	for name := range l.Bindings {
+		if l.Kernel.Buf(name) == nil && (undeclared == "" || name < undeclared) {
+			undeclared = name
+		}
+	}
+	return &kpl.BindError{Kernel: l.Kernel.Name, Name: undeclared, Msg: "undeclared buffer"}
+}
+
+// checkShape is the contract's shape half: 0 < Grid, 0 < Block and
+// Grid×Block ≤ maxThreads, the product formed only from factors that cannot
+// make it wrap. It is a few integer compares, so Price applies it to every
+// launch it prices: a launch without threads would price to NaN and poison
+// the timing cache.
+func (l *Launch) checkShape() error {
+	if l.Grid <= 0 || l.Block <= 0 || l.Grid > maxThreads || l.Block > maxThreads || int64(l.Grid)*int64(l.Block) > maxThreads {
+		return fmt.Errorf("hostgpu: %s: invalid launch %d×%d: want 0 < grid, 0 < block and grid×block ≤ %d threads",
+			l.Kernel.Name, l.Grid, l.Block, maxThreads)
+	}
+	return nil
 }
 
 // Sampled reports whether pricing the launch samples λ from live device
@@ -130,9 +189,6 @@ func (l *Launch) Shape() profile.LaunchShape {
 // refused. The access streams are p's: they read counts and allocation sizes,
 // not the architecture. Every estimate, served or studied, is built here.
 func (l *Launch) Estimate(host, target *arch.GPU, p *Priced, prof *profile.Profile) (*estimate.Result, error) {
-	if l.Kernel == nil || l.Prog == nil {
-		return nil, fmt.Errorf("hostgpu: launch without kernel or program")
-	}
 	dyn := l.Dyn
 	if l.Sampled() {
 		if dyn = p.Dyn; dyn == nil {
@@ -183,10 +239,6 @@ type GPU struct {
 	// execution in ExecFull mode (0 = runtime.NumCPU(), 1 = serial).
 	// Simulated-time results are identical for every value.
 	Workers int
-
-	// NoTimingCache disables the launch-signature timing cache (for
-	// equivalence testing; the cache never changes results).
-	NoTimingCache bool
 
 	mu           sync.Mutex
 	engineFree   [nEngines]float64
@@ -372,12 +424,6 @@ func (g *GPU) Launch(stream int, l *Launch) (*profile.Profile, Interval, error) 
 // whose run would leave device memory as it is (Elide) is priced, scheduled
 // and profiled like any other, but its functional half is skipped.
 func (g *GPU) LaunchPriced(stream int, l *Launch, p **Priced) (*profile.Profile, Interval, error) {
-	if l.Kernel == nil || l.Prog == nil {
-		return nil, Interval{}, fmt.Errorf("hostgpu: launch without kernel or program")
-	}
-	if l.Grid <= 0 || l.Block <= 0 {
-		return nil, Interval{}, fmt.Errorf("hostgpu: %s: invalid launch %d×%d", l.Kernel.Name, l.Grid, l.Block)
-	}
 	if *p == nil {
 		priced, err := g.Price(l)
 		if err != nil {
@@ -516,18 +562,8 @@ func (l *Launch) Bind(who string, mem *devmem.Mem) (*kpl.Env, error) {
 		if !decl.ReadOnly && l.aliased(decl.Name) {
 			return mem.BindBuffer(ptr, decl.Elem)
 		}
-		return mem.BindParam(ptr, decl, l.covered(i))
+		return mem.BindParam(ptr, decl, l.Prog.Covered(i, kir.Launch{NThreads: l.Threads(), Params: l.Params}))
 	})
-}
-
-// covered is how many leading elements of the kernel's i-th buffer the launch
-// overwrites before reading any; none for a read-only buffer, or when Prog was
-// not analyzed from Kernel.
-func (l *Launch) covered(i int) int {
-	if l.Prog == nil || l.Prog.Kernel != l.Kernel {
-		return 0
-	}
-	return l.Prog.Covered(i, kir.Launch{NThreads: l.Threads(), Params: l.Params})
 }
 
 // aliased reports whether buffer name shares its allocation with another.
@@ -549,11 +585,7 @@ func (l *Launch) bind(who string, param func(int, devmem.Ptr, *kpl.BufDecl) (*kp
 	}
 	for i := range l.Kernel.Bufs {
 		decl := &l.Kernel.Bufs[i]
-		ptr, ok := l.Bindings[decl.Name]
-		if !ok {
-			return nil, fmt.Errorf("%s: %s: buffer %q not bound", who, l.Kernel.Name, decl.Name)
-		}
-		buf, err := param(i, ptr, decl)
+		buf, err := param(i, l.Bindings[decl.Name], decl)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %s: buffer %q: %w", who, l.Kernel.Name, decl.Name, err)
 		}
@@ -647,11 +679,7 @@ func (g *GPU) accessStreams(l *Launch, kl kir.Launch, dyn *kpl.Stats) ([]cachemo
 		if c.Total() == 0 {
 			continue
 		}
-		ptr, ok := l.Bindings[decl.Name]
-		if !ok {
-			return nil, fmt.Errorf("hostgpu: %s: buffer %q not bound", l.Kernel.Name, decl.Name)
-		}
-		size, err := g.Mem.Size(ptr)
+		size, err := g.Mem.Size(l.Bindings[decl.Name])
 		if err != nil {
 			return nil, err
 		}

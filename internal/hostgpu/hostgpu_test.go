@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -154,20 +155,31 @@ func TestTimingOnlySkipsExecution(t *testing.T) {
 	}
 }
 
+// TestLaunchErrors: the launch contract refuses an empty launch, a zero shape
+// and a missing binding; below the doors that check it, a device still
+// refuses the shape (Price applies that half) and a binding that names no
+// allocation.
 func TestLaunchErrors(t *testing.T) {
 	g := newQuadro(t)
 	k, prog := vecAdd(t)
-	if _, _, err := g.Launch(0, &Launch{}); err == nil {
+	if err := (&Launch{}).Check(); err == nil {
 		t.Error("empty launch accepted")
 	}
-	if _, _, err := g.Launch(0, &Launch{Kernel: k, Prog: prog, Grid: 0, Block: 0}); err == nil {
+	n := map[string]kpl.Value{"n": kpl.IntVal(32)}
+	zero := &Launch{Kernel: k, Prog: prog, Grid: 0, Block: 0, Params: n}
+	if err := zero.Check(); err == nil {
 		t.Error("zero-shape launch accepted")
 	}
+	if _, _, err := g.Launch(0, zero); err == nil {
+		t.Error("zero-shape launch run")
+	}
 	// Missing bindings.
-	l := &Launch{Kernel: k, Prog: prog, Grid: 1, Block: 32,
-		Params: map[string]kpl.Value{"n": kpl.IntVal(32)}}
+	l := &Launch{Kernel: k, Prog: prog, Grid: 1, Block: 32, Params: n}
+	if err := l.Check(); err == nil || !strings.Contains(err.Error(), `bind "a": buffer not bound`) {
+		t.Errorf("unbound launch: %v", err)
+	}
 	if _, _, err := g.Launch(0, l); err == nil {
-		t.Error("unbound launch accepted")
+		t.Error("unbound launch run")
 	}
 }
 

@@ -111,8 +111,6 @@ type keyCase struct {
 	pt         kpl.Type
 	pf         float64
 	pi         int64
-	extra      bool // an undeclared parameter "zz"
-	extraI     int64
 	size       int
 	dyn        bool
 	dynTrips   int64
@@ -150,9 +148,6 @@ func (c keyCase) launch(t testing.TB, g *GPU, progs map[[3]uint64]*kir.Program) 
 		Params:   map[string]kpl.Value{"p": {T: c.pt, F: c.pf, I: c.pi}},
 		Bindings: map[string]devmem.Ptr{"out": ptr},
 	}
-	if c.extra {
-		l.Params["zz"] = kpl.IntVal(c.extraI)
-	}
 	if c.dyn {
 		l.Dyn = kpl.NewStats()
 		l.Dyn.Trips["L"], l.Dyn.Entries["L"], l.Dyn.Threads = c.dynTrips, 1, c.dynThreads
@@ -189,8 +184,6 @@ var keyMutations = []struct {
 	{"parameter F", nil, func(c *keyCase) { c.pf = math.Nextafter(c.pf, math.Inf(1)) }},
 	{"parameter F sign of zero", func(c *keyCase) { c.pf = 0 }, func(c *keyCase) { c.pf = math.Copysign(0, -1) }},
 	{"parameter I", nil, func(c *keyCase) { c.pi++ }},
-	{"undeclared parameter", nil, func(c *keyCase) { c.extra = !c.extra }},
-	{"undeclared parameter's value", func(c *keyCase) { c.extra = true }, func(c *keyCase) { c.extraI++ }},
 	{"allocation size", nil, func(c *keyCase) { c.size += 4 }},
 	{"Dyn present", nil, func(c *keyCase) { c.dyn = !c.dyn }},
 	{"Dyn trips", func(c *keyCase) { c.dyn = true }, func(c *keyCase) { c.dynTrips++ }},
@@ -248,7 +241,6 @@ func TestTimingKeyProperty(t *testing.T) {
 			body: r.Intn(4), stride: r.Intn(4), l2: float64(r.Intn(5)) / 4,
 			geom: [4]int{1 + r.Intn(64), 1 + r.Intn(512), r.Intn(3) * 1024, r.Intn(64)},
 			pt:   kpl.Type(r.Intn(3)), pf: []float64{0, math.Copysign(0, -1), 1, r.NormFloat64()}[r.Intn(4)], pi: r.Int63n(1 << 40),
-			extra: r.Intn(2) == 0, extraI: r.Int63n(100),
 			size: 4 * (1 + r.Intn(4096)),
 			dyn:  r.Intn(2) == 0, dynTrips: r.Int63n(1000), dynThreads: r.Intn(1 << 16),
 		}
@@ -294,5 +286,23 @@ func TestTimingKeyBufferOrder(t *testing.T) {
 	kyx, _ := g.appendTimingKey(nil, yx)
 	if bytes.Equal(kxy, kyx) {
 		t.Error("launches with the two buffers' sizes swapped share a key")
+	}
+}
+
+// TestDynFingerprintMixesEntries: a count map's entries are hashed one by one
+// and summed, so unmixed, two maps whose counts trade one between two labels
+// — the low bit of each count flipping in opposite directions — sum as
+// before, and two launches whose λ differ that way would share a pricing.
+func TestDynFingerprintMixesEntries(t *testing.T) {
+	stats := func(l0, l2 int64) *kpl.Stats {
+		st := kpl.NewStats()
+		st.Trips["l0"], st.Trips["l2"], st.Threads = l0, l2, 64
+		return st
+	}
+	if dynFingerprint(stats(5, 6)) == dynFingerprint(stats(4, 7)) {
+		t.Error("Trips {l0: 5, l2: 6} and {l0: 4, l2: 7} share a fingerprint")
+	}
+	if dynFingerprint(stats(5, 6)) != dynFingerprint(stats(5, 6)) {
+		t.Error("equal stats fingerprint differently")
 	}
 }

@@ -23,7 +23,8 @@ func cacheStats(t testing.TB, g *GPU) (hits, misses int64) {
 // TestZeroThreadLaunchTimingGuard is the regression test for the timing-cache
 // poisoning bug: LaunchTiming divided σ by l.Threads() with no guard, so a
 // zero-thread launch produced NaN/Inf timings that were then memoized and
-// served as cache hits. Zero-thread launches must be rejected before Scale.
+// served as cache hits. Zero-thread launches must be rejected before Scale,
+// by the launch contract's shape rule, which Price applies.
 func TestZeroThreadLaunchTimingGuard(t *testing.T) {
 	g := newQuadro(t)
 	g.Metrics = metrics.New()
@@ -35,8 +36,8 @@ func TestZeroThreadLaunchTimingGuard(t *testing.T) {
 		if err == nil {
 			t.Fatalf("call %d: LaunchTiming accepted a zero-thread launch", i)
 		}
-		if !strings.Contains(err.Error(), "zero-thread") {
-			t.Fatalf("call %d: err = %v, want zero-thread rejection", i, err)
+		if !strings.Contains(err.Error(), "invalid launch 0×128: want 0 < grid") {
+			t.Fatalf("call %d: err = %v, want the shape rule's refusal", i, err)
 		}
 		if math.IsNaN(timing.Seconds) || math.IsInf(timing.Seconds, 0) {
 			t.Fatalf("call %d: timing leaked NaN/Inf: %v", i, timing.Seconds)

@@ -47,14 +47,13 @@ type launchOutcome struct {
 }
 
 // runPropLaunch provisions a fresh device, uploads the input, launches, and
-// reads back the result.
-func runPropLaunch(t *testing.T, workers int, noCache bool, grid, block int, input []float32) launchOutcome {
+// reads back the result. The launch is the device's first pricing, so a miss.
+func runPropLaunch(t *testing.T, workers int, grid, block int, input []float32) launchOutcome {
 	t.Helper()
 	n := grid * block
 	g := New(arch.Quadro4000(), 1<<24)
 	g.Mode = ExecFull
 	g.Workers = workers
-	g.NoTimingCache = noCache
 
 	inPtr, err := g.Mem.Alloc(4 * n)
 	if err != nil {
@@ -86,8 +85,8 @@ func runPropLaunch(t *testing.T, workers int, noCache bool, grid, block int, inp
 }
 
 // TestLaunchParallelMatchesSerial: for random geometries, a full launch with
-// any worker count (and with the timing cache on or off) produces the same
-// output bytes, profile, and simulated duration as the serial device.
+// any worker count produces the same output bytes, profile, and simulated
+// duration as the serial device.
 func TestLaunchParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	workerChoices := []int{2, 3, 4, 8, 0}
@@ -98,21 +97,19 @@ func TestLaunchParallelMatchesSerial(t *testing.T) {
 		for i := range input {
 			input[i] = rng.Float32()*8 - 4
 		}
-		ref := runPropLaunch(t, 1, true, grid, block, input)
+		ref := runPropLaunch(t, 1, grid, block, input)
 		for _, w := range []int{workerChoices[rng.Intn(len(workerChoices))], 1} {
-			for _, noCache := range []bool{true, false} {
-				got := runPropLaunch(t, w, noCache, grid, block, input)
-				if !reflect.DeepEqual(got.out, ref.out) {
-					t.Fatalf("grid=%d block=%d workers=%d noCache=%v: output bytes differ", grid, block, w, noCache)
-				}
-				if !reflect.DeepEqual(got.prof, ref.prof) {
-					t.Fatalf("grid=%d block=%d workers=%d noCache=%v: profiles differ\nref: %+v\ngot: %+v",
-						grid, block, w, noCache, ref.prof, got.prof)
-				}
-				if got.dur != ref.dur {
-					t.Fatalf("grid=%d block=%d workers=%d noCache=%v: duration %v != %v",
-						grid, block, w, noCache, got.dur, ref.dur)
-				}
+			got := runPropLaunch(t, w, grid, block, input)
+			if !reflect.DeepEqual(got.out, ref.out) {
+				t.Fatalf("grid=%d block=%d workers=%d: output bytes differ", grid, block, w)
+			}
+			if !reflect.DeepEqual(got.prof, ref.prof) {
+				t.Fatalf("grid=%d block=%d workers=%d: profiles differ\nref: %+v\ngot: %+v",
+					grid, block, w, ref.prof, got.prof)
+			}
+			if got.dur != ref.dur {
+				t.Fatalf("grid=%d block=%d workers=%d: duration %v != %v",
+					grid, block, w, got.dur, ref.dur)
 			}
 		}
 	}
@@ -170,9 +167,8 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 		t.Fatal("launch with different geometry should miss the cache")
 	}
 
-	// A cache-disabled device never records hits and prices identically.
+	// A fresh device's first pricing, a miss, prices identically.
 	g2 := NewTimingOnly(arch.Quadro4000(), 1<<24)
-	g2.NoTimingCache = true
 	g2.Metrics = metrics.New()
 	inPtr, _ := g2.Mem.Alloc(4 * n)
 	outPtr, _ := g2.Mem.Alloc(4 * n)
@@ -184,10 +180,10 @@ func TestTimingCacheHitsAndEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cacheStats(t, g2); hits != 0 || misses != 0 {
-		t.Fatalf("NoTimingCache device touched the cache: hits=%d misses=%d", hits, misses)
+	if hits, misses := cacheStats(t, g2); hits != 0 || misses != 1 {
+		t.Fatalf("a fresh device's first pricing: hits=%d misses=%d, want one miss", hits, misses)
 	}
-	if p3.TimeSec != p1.TimeSec {
-		t.Fatalf("cache on/off priced differently: %v vs %v", p3.TimeSec, p1.TimeSec)
+	if p3.TimeSec != p2.TimeSec || !reflect.DeepEqual(p3.Sigma, p2.Sigma) {
+		t.Fatalf("a miss and a hit priced differently: %+v vs %+v", p3, p2)
 	}
 }

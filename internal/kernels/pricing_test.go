@@ -122,8 +122,7 @@ func TestSampledPricingMatchesBindAndSample(t *testing.T) {
 	}
 	withDyn := *l
 	withDyn.Dyn = dyn
-	ref := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<26)
-	ref.NoTimingCache = true
+	ref := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<26) // a fresh device: its first pricing is a miss
 	withDyn.Bindings = provisionLaunch(t, ref, b, w).Bindings
 	want, err := ref.Price(&withDyn)
 	if err != nil {

@@ -128,7 +128,8 @@ func Analyze(k *kpl.Kernel) (*Program, error) {
 }
 
 // identity hashes the kernel's signature with its buffers' cache hints; the
-// per-buffer hashes are summed, so the declarations' order does not matter.
+// per-buffer hashes are mixed and summed, so the declarations' order does not
+// matter.
 func identity(k *kpl.Kernel) uint64 {
 	var hints uint64
 	for i := range k.Bufs {
@@ -136,7 +137,7 @@ func identity(k *kpl.Kernel) uint64 {
 		d.Str(k.Bufs[i].Name)
 		d.U64(uint64(k.Bufs[i].Stride))
 		d.U64(math.Float64bits(k.Bufs[i].L2Fraction))
-		hints += d.Sum()
+		hints += kpl.Mix(d.Sum())
 	}
 	id := kpl.NewHash()
 	id.U64(k.Signature())

@@ -416,3 +416,33 @@ func TestBlockReport(t *testing.T) {
 		t.Error("dynamic report without stats should fail")
 	}
 }
+
+// TestIdentityMixesHints: the identity sums one hash per buffer's cache hints,
+// so unmixed, two kernels whose buffers trade L2 hints that differ only in the
+// low bit of their last byte hashed — with these names and strides, the flip
+// goes the same way in both hashes — sum as before, and one kernel's pricing
+// would be served to the other.
+func TestIdentityMixesHints(t *testing.T) {
+	small := math.Float64frombits(0x3EE0000000000000) // 2⁻¹⁷: 0.5's bits but the exponent's low bit
+	identity := func(l2In, l2Out float64) uint64 {
+		k := &kpl.Kernel{
+			Name: "hinted",
+			Bufs: []kpl.BufDecl{
+				{Name: "in", Elem: kpl.F32, Access: kpl.AccessStrided, Stride: 1, L2Fraction: l2In, ReadOnly: true},
+				{Name: "out", Elem: kpl.F32, Access: kpl.AccessStrided, Stride: 2, L2Fraction: l2Out},
+			},
+			Body: []kpl.Stmt{kpl.Store("out", kpl.TID(), kpl.Load("in", kpl.TID()))},
+		}
+		p, err := Analyze(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Identity()
+	}
+	if identity(0.5, small) == identity(small, 0.5) {
+		t.Error("buffers trading their L2 hints leave the identity as it was")
+	}
+	if identity(0.5, small) != identity(0.5, small) {
+		t.Error("equal kernels have different identities")
+	}
+}

@@ -76,22 +76,11 @@ func (p *Program) bind(env *Env) (*frame, error) {
 	}
 	for _, ps := range p.params {
 		v, ok := env.Params[ps.name]
-		switch {
-		case !ok:
-			return nil, p.bindError(fr, ps.name, "unbound parameter")
-		case v.T != ps.t:
-			return nil, p.bindError(fr, ps.name, fmt.Sprintf("parameter is %s, declared %s", v.T, ps.t))
+		w, msg := paramWord(ps.t, v, ok)
+		if msg != "" {
+			return nil, p.bindError(fr, ps.name, msg)
 		}
-		switch ps.t {
-		case I32:
-			fr.regs[ps.reg] = uint64(v.I)
-		case F32:
-			if fr.regs[ps.reg], ok = f32Word(v.F); !ok {
-				return nil, p.bindError(fr, ps.name, fmt.Sprintf("f32 parameter %v is not float32-representable", v.F))
-			}
-		default:
-			fr.regs[ps.reg] = wf(v.F)
-		}
+		fr.regs[ps.reg] = w
 	}
 	if p.pro != nil {
 		// One pass of the same loop: no memory access, so no fault.
@@ -119,8 +108,56 @@ func (p *Program) bind(env *Env) (*frame, error) {
 	return fr, nil
 }
 
+// paramWord is the rule a scalar parameter declared t is bound by: the
+// launch's Value v (present when ok) must have type t, and an F32 one a value
+// float32 holds exactly. It returns the register word the engine runs on, or
+// why the binding is refused. bind and CheckParams both apply it.
+func paramWord(t Type, v Value, ok bool) (uint64, string) {
+	switch {
+	case !ok:
+		return 0, "unbound parameter"
+	case v.T != t:
+		return 0, fmt.Sprintf("parameter is %s, declared %s", v.T, t)
+	}
+	switch t {
+	case I32:
+		return uint64(v.I), ""
+	case F32:
+		if w, ok := f32Word(v.F); ok {
+			return w, ""
+		}
+		return 0, fmt.Sprintf("f32 parameter %v is not float32-representable", v.F)
+	}
+	return wf(v.F), ""
+}
+
+// CheckParams holds a launch's scalar parameters to the kernel's
+// declarations: every declared parameter is bound by the rule the engine binds
+// it by (paramWord), whether or not the body reads it, and no other name is
+// bound. The first contradiction is a *BindError: a declared one in
+// declaration order, then the undeclared name that sorts first.
+func (k *Kernel) CheckParams(params map[string]Value) error {
+	for i := range k.Params {
+		d := &k.Params[i]
+		v, ok := params[d.Name]
+		if _, msg := paramWord(d.T, v, ok); msg != "" {
+			return &BindError{Kernel: k.Name, Name: d.Name, Msg: msg}
+		}
+	}
+	if len(params) == len(k.Params) {
+		return nil
+	}
+	undeclared := ""
+	for name := range params {
+		if k.Param(name) == nil && (undeclared == "" || name < undeclared) {
+			undeclared = name
+		}
+	}
+	return &BindError{Kernel: k.Name, Name: undeclared, Msg: "undeclared parameter"}
+}
+
 // BindError reports a launch whose bindings contradict what its kernel was
-// compiled against. No thread of the launch ran.
+// compiled against, or declares. No thread of the launch ran.
 type BindError struct {
 	Kernel string
 	Name   string // the parameter or buffer
@@ -977,7 +1014,7 @@ func (k *Kernel) structKey(labels bool) uint64 {
 		} else {
 			d.Byte(0)
 		}
-		bufs += mix(d.h)
+		bufs += Mix(d.h)
 	}
 	w.U64(bufs)
 	for i := range k.Params {
@@ -989,9 +1026,12 @@ func (k *Kernel) structKey(labels bool) uint64 {
 	return w.h
 }
 
-// mix is splitmix64's finalizer. FNV-1a's last multiply is linear, so unmixed
-// hashes of two buffers that change type together can sum as before (DESIGN §16).
-func mix(h uint64) uint64 {
+// Mix is splitmix64's finalizer. A hash summed from per-entry hashes, so that
+// the entries' order does not reach it, puts each entry's hash through Mix
+// first: FNV-1a's last multiply is linear, so the unmixed hashes of two
+// entries that change together (two buffers turning from i32 to f32, two
+// counts trading one) can sum as before (DESIGN §16).
+func Mix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
