@@ -74,14 +74,17 @@ func main() {
 	}
 
 	// Kernel Match: all four launches carry the same kernel signature,
-	// shape, and parameters.
+	// shape, and parameters. The key is an in-process hash, so only whether
+	// the launches share it is printed.
 	key := coalesce.Key(jobs[0].Launch)
+	matched := true
 	for _, j := range jobs[1:] {
-		if coalesce.Key(j.Launch) != key {
-			log.Fatal("launches do not match")
-		}
+		matched = matched && coalesce.Key(j.Launch) == key
 	}
-	fmt.Printf("Kernel Match: 4 identical vectorAdd launches (key %#x)\n", key)
+	fmt.Printf("Kernel Match: 4 identical vectorAdd launches (matched: %v)\n", matched)
+	if !matched {
+		log.Fatal("launches do not match")
+	}
 
 	// Merge and execute: gather D2D copies → one kernel → scatter on the
 	// simulated clock; on the host, the four kernels in place.

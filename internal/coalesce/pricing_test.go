@@ -1,6 +1,7 @@
 package coalesce
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -20,12 +21,16 @@ import (
 // memory merge is pure overhead), N launches that match nothing, and a
 // mergeSort pair that merges: one member carries its pre-measured statistics,
 // the other samples them, so the merged job prices at run time from the one's
-// entry and the other's fresh sample. Before pricings were carried on the
+// entry and the other's fresh sample. The device is timing-only over a backed
+// memory: a byte-less one refuses the sample (devmem.ErrNoBytes), and the
+// sampled member measures its λ on the inputs written to it, not on zeros.
+// Before pricings were carried on the
 // jobs, each member of a judged group was looked up three times: by the
 // predictor, by the merged pricing, and again when it ran (24 lookups here).
 func TestEachKernelJobPricedOnce(t *testing.T) {
 	const n = 3
 	g := hostgpu.NewTimingOnly(arch.Quadro4000(), 1<<30)
+	g.Mem = devmem.New(1 << 30)
 	g.Metrics = metrics.New()
 
 	var launches []*hostgpu.Launch
@@ -122,10 +127,14 @@ func TestEachKernelJobPricedOnce(t *testing.T) {
 			t.Errorf("round %d: %d timing-cache lookups for the batch, want %d", round, got, want)
 		}
 		// Every job carries its pricing; the sampled member's, made when the
-		// merged job ran, from the bytes it ran on, carries the λ it sampled.
+		// merged job ran, from the bytes it ran on, carries the λ it sampled:
+		// its workload's.
 		for _, j := range batch {
 			if j.Err != nil || j.Priced == nil || (j.Priced.Dyn != nil) != (j.Launch == sampled) {
 				t.Fatalf("round %d: vp%d: err %v, pricing %+v", round, j.VP, j.Err, j.Priced)
+			}
+			if j.Launch == sampled && !reflect.DeepEqual(j.Priced.Dyn, dyn) {
+				t.Fatalf("round %d: the sampled member priced at λ %+v, its workload's is %+v", round, j.Priced.Dyn, dyn)
 			}
 		}
 	}

@@ -20,10 +20,15 @@ import (
 // device. Each request must be answered with an error — not by a panic on the
 // device's executor goroutine, which nothing recovers — leave the device bytes
 // and the admission reservations as they were, and leave the service serving.
+// The memory alone checks the range, so each request is refused in the same
+// words on both devices.
 func TestHostileRangeArguments(t *testing.T) {
 	const vp, size = 1, 64
 	hostile := []int{-1, math.MinInt, math.MaxInt, size, size + 1}
-	for _, mode := range []hostgpu.ExecMode{hostgpu.ExecFull, hostgpu.ExecTimingOnly} {
+	modes := []hostgpu.ExecMode{hostgpu.ExecFull, hostgpu.ExecTimingOnly}
+	var reqs []any
+	refusals := make([][]string, len(modes))
+	for mi, mode := range modes {
 		opts := DefaultOptions()
 		opts.Mode = mode
 		opts.Admission = AdmissionOptions{MaxQueuedJobs: 4}
@@ -39,7 +44,7 @@ func TestHostileRangeArguments(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var reqs []any
+		reqs = reqs[:0]
 		for _, off := range hostile {
 			reqs = append(reqs, ipc.H2DReq{Dst: p, Off: off, Data: []byte{1}})
 			for _, n := range hostile {
@@ -50,9 +55,11 @@ func TestHostileRangeArguments(t *testing.T) {
 		}
 		for _, req := range reqs {
 			name := fmt.Sprintf("mode %d: %+v", mode, req)
-			if resp, ok := farm.Handle(vp, req).(ipc.ErrResp); !ok {
+			resp, ok := farm.Handle(vp, req).(ipc.ErrResp)
+			if !ok {
 				t.Fatalf("%s: answered %T, want ErrResp", name, resp)
 			}
+			refusals[mi] = append(refusals[mi], resp.Msg)
 			if got, err := dev.GPU.Mem.Read(p, 0, size); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s: device bytes changed (err %v)", name, err)
 			}
@@ -63,6 +70,11 @@ func TestHostileRangeArguments(t *testing.T) {
 		resp := farm.Handle(vp, ipc.D2HReq{Src: p, N: size})
 		if d2h, ok := resp.(ipc.D2HResp); !ok || (mode == hostgpu.ExecFull && !bytes.Equal(d2h.Data, want)) {
 			t.Fatalf("mode %d: well-formed D2H after the hostile ones answered %#v", mode, resp)
+		}
+	}
+	for i, req := range reqs {
+		if full, timing := refusals[0][i], refusals[1][i]; full != timing {
+			t.Errorf("%+v: refused with %q on the full device, %q on the timing-only one", req, full, timing)
 		}
 	}
 }

@@ -23,7 +23,8 @@ type Options struct {
 	Arch     arch.GPU
 	MemBytes int64
 	// Mode is every device's execution mode. A timing-only device is built
-	// by hostgpu.NewTimingOnly and keeps no host bytes.
+	// by hostgpu.NewTimingOnly and keeps no host bytes, so a launch that
+	// needs λ and brings none (every served one of them) is refused there.
 	Mode hostgpu.ExecMode
 
 	// Policy selects FIFO (baseline) or interleaved dispatch.
@@ -591,7 +592,7 @@ func (s *Service) Trace() *trace.Log { return s.GPU.Trace }
 // for the served route and the in-process one alike: the guest stream mapped
 // into the VP's window, every guest pointer translated through the VP's table
 // and one the VP does not own refused before any job exists. Offsets and
-// lengths are checked when the job runs (devmem.InRange): until then the
+// lengths are checked when the job runs, by the memory: until then the
 // allocation may still be freed or replaced.
 
 // h2dJob builds an H2D job. A payload the transport owns (the served route)
@@ -626,7 +627,7 @@ func (s *Service) d2hJob(vp, stream int, src devmem.Ptr, off, n int, frame *ipc.
 		return nil, err
 	}
 	if frame != nil && s.opts.Mode != hostgpu.ExecTimingOnly {
-		if size, err := s.GPU.Mem.Size(src); err == nil && devmem.InRange(off, n, size) {
+		if s.GPU.Mem.CheckRead(src, off, n) == nil {
 			if *frame = ipc.NewD2HResp(n); frame.Data != nil {
 				return sched.NewD2HInto(vp, dev, src, off, frame.Data), nil
 			}

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cudart"
 	"repro/internal/devmem"
 	"repro/internal/hostgpu"
 	"repro/internal/ipc"
+	"repro/internal/kernels"
 	"repro/internal/kpl"
 	"repro/internal/trace"
 )
@@ -73,14 +74,15 @@ type timingOnlyMoves struct {
 // TestTimingOnlyCheckpointAndMigration checkpoints a VP on a two-device
 // timing-only farm and live-migrates it onto a device whose low addresses
 // another VP holds. Every allocation survives both with its guest pointer and
-// size; the checkpoint restores onto a fresh farm alike; and the image, both
-// devices' Used, Headroom and HighWater, and the simulated times of the VP's
-// later jobs are those of the same run on timing-only devices whose memory is
-// backed.
+// size; the checkpoint restores onto a fresh farm alike; and the image's
+// length, both devices' Used, Headroom and HighWater, and the simulated times
+// of the VP's later jobs are those of the same run on timing-only devices
+// whose memory is backed. (The images' bytes differ: a backed memory stores
+// what is copied into it, a byte-less one reads as zeros.)
 func TestTimingOnlyCheckpointAndMigration(t *testing.T) {
 	unbacked, backed := timingOnlyRun(t, false), timingOnlyRun(t, true)
-	if !bytes.Equal(unbacked.image, backed.image) {
-		t.Errorf("checkpoint image differs from the backed run's (%d vs %d bytes)", len(unbacked.image), len(backed.image))
+	if len(unbacked.image) != len(backed.image) {
+		t.Errorf("checkpoint image of %d bytes, backed run's %d", len(unbacked.image), len(backed.image))
 	}
 	if fmt.Sprint(unbacked.allocs) != fmt.Sprint(backed.allocs) {
 		t.Errorf("allocations after migration %v, backed run %v", unbacked.allocs, backed.allocs)
@@ -204,4 +206,69 @@ func timingOnlyRun(t *testing.T, backed bool) timingOnlyMoves {
 		t.Fatalf("the target's timeline holds %d records", len(run.records))
 	}
 	return run
+}
+
+// TestTimingOnlyRefusesSampledLaunch: on a timing-only farm a served launch of
+// an application whose λ is data-dependent, brought without λ, is refused in
+// words that name the missing λ: the device keeps no bytes to sample it from,
+// and a λ sampled from zeros would price a kernel that never saw its inputs.
+// The same launch carrying the workload's λ (Dyn) is priced exactly as the
+// workload is on a device that holds its bytes.
+func TestTimingOnlyRefusesSampledLaunch(t *testing.T) {
+	for _, app := range []string{"Mandelbrot", "binomialOptions", "mergeSort"} {
+		t.Run(app, func(t *testing.T) { timingOnlyRefusesSampledLaunch(t, app) })
+	}
+}
+
+func timingOnlyRefusesSampledLaunch(t *testing.T, app string) {
+	bench, err := kernels.Get(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bench.MakeWorkload(1)
+	opts := DefaultOptions()
+	opts.Mode = hostgpu.ExecTimingOnly
+	opts.Trace = true
+	m, s := farmOfOne(t, opts)
+	defer m.Close()
+	m.RegisterVP(0)
+	req := ipc.LaunchReq{Kernel: app, Grid: w.Grid, Block: w.Block, Params: w.Params, Bindings: map[string]devmem.Ptr{}}
+	for _, decl := range bench.Kernel.Bufs {
+		p := mallocVP(t, m, 0, w.BufBytes[decl.Name]).Ptr
+		req.Bindings[decl.Name] = p
+		if in, ok := w.Inputs[decl.Name]; ok {
+			if _, ok := m.Handle(0, ipc.H2DReq{Dst: p, Data: in}).(ipc.OKResp); !ok {
+				t.Fatalf("H2D of %s refused", decl.Name)
+			}
+		}
+	}
+	want := "hostgpu: " + app + ": the launch brings no λ and device memory keeps no bytes to sample it from: devmem: allocation keeps no bytes"
+	if resp := m.Handle(0, req); fmt.Sprint(resp) != fmt.Sprint(ipc.ErrResp{Msg: want}) {
+		t.Fatalf("launch without λ answered %#v, want ErrResp %q", resp, want)
+	}
+
+	dyn, err := bench.SampleDyn(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := bench.NewLaunch(w)
+	l.Bindings, l.Dyn = req.Bindings, dyn
+	if err := cudart.NewContext(0, m.Backend(0)).LaunchKernel(l); err != nil {
+		t.Fatalf("launch with λ: %v", err)
+	}
+	m.UnregisterVP(0)
+	s.Flush()
+	var run *trace.Record
+	for i, r := range s.Trace().Timeline().Records {
+		if r.Engine == hostgpu.EngineCompute && r.Label == app {
+			run = &s.Trace().Timeline().Records[i]
+		}
+	}
+	_, priced, _, err := bench.Measure(hostgpu.New(opts.Arch, 1<<32), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run == nil || run.End != run.Start+priced.Timing.Seconds {
+		t.Fatalf("launch with λ ran as %+v, want %v s", run, priced.Timing.Seconds)
+	}
 }

@@ -24,6 +24,13 @@ var ErrBadAllocSize = errors.New("devmem: bad allocation size")
 // address" and fall back to a fresh Alloc plus a pointer-rebase entry.
 var ErrSpanBusy = errors.New("devmem: span busy")
 
+// ErrNoBytes reports a kernel bind or write-back of a byte-less allocation
+// (NewUnbacked): there are no bytes to hand a kernel, or to sample λ from, and
+// none to store its output in. Only functional execution and pricing that
+// samples λ bind, and a timing-only device never runs its kernels, so a
+// launch priced there must bring its λ.
+var ErrNoBytes = errors.New("devmem: allocation keeps no bytes")
+
 // maxAlloc is the largest request alignSpan can round up without the
 // (n + 255) sum wrapping negative.
 const maxAlloc = math.MaxInt - 255
@@ -45,21 +52,22 @@ type span struct {
 type Mem struct {
 	mu       sync.Mutex
 	next     Ptr
-	allocs   map[Ptr][]byte
-	unbacked map[Ptr]int    // unbacked allocations and reservations: ptr → size; they have no bytes
-	reserved map[Ptr]extent // every allocation and reservation, by ptr
-	free     []span         // address-sorted, coalesced free regions
+	allocs   map[Ptr]*allocation // every allocation and reservation, by ptr
+	free     []span              // address-sorted, coalesced free regions
 	used     int64
 	capacity int64
 	moves    Moves
 	gen      uint64 // the last generation handed out (Gen)
-	zeros    bool   // Alloc and AllocAt make unbacked allocations (NewUnbacked)
+	byteless bool   // Alloc and AllocAt make byte-less allocations (NewUnbacked)
 }
 
-// extent is a live allocation's or reservation's place in the address space,
-// its generation, and how its copy-ins have compared (unchanged).
-type extent struct {
-	size Ptr    // aligned span length
+// allocation is one live allocation or reservation: its bytes, its place in
+// the address space, its generation, and how its copy-ins have compared
+// (unchanged).
+type allocation struct {
+	b    []byte // nil for a byte-less allocation and for a reservation
+	n    int    // size in bytes
+	span Ptr    // aligned span length
 	gen  uint64 // a value of Mem.gen, taken afresh by every change
 	// misses counts the copy-in compares in a row that found new bytes, and
 	// skip the copy-ins still to take as new without a compare.
@@ -76,15 +84,16 @@ type extent struct {
 func (m *Mem) Gen(p Ptr) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.reserved[p].gen
+	if a := m.allocs[p]; a != nil {
+		return a.gen
+	}
+	return 0
 }
 
-// bump gives the allocation at p a fresh generation. The caller holds mu.
-func (m *Mem) bump(p Ptr) {
+// bump gives a a fresh generation. The caller holds mu.
+func (m *Mem) bump(a *allocation) {
 	m.gen++
-	e := m.reserved[p]
-	e.gen = m.gen
-	m.reserved[p] = e
+	a.gen = m.gen
 }
 
 // Moves counts how bytes entered allocations, for the host's accounting: H2D
@@ -108,27 +117,17 @@ func (m *Mem) Moves() Moves {
 
 // New returns a device memory of the given capacity in bytes.
 func New(capacity int64) *Mem {
-	return &Mem{
-		next:     base,
-		allocs:   map[Ptr][]byte{},
-		unbacked: map[Ptr]int{},
-		reserved: map[Ptr]extent{},
-		capacity: capacity,
-	}
+	return &Mem{next: base, allocs: map[Ptr]*allocation{}, capacity: capacity}
 }
 
 // NewUnbacked returns a device memory of the given capacity whose allocations
 // keep no bytes: a timing-only device's (hostgpu.NewTimingOnly). Alloc and
-// AllocAt place, size and account an allocation exactly as on a memory from
-// New — the same address, generation, Used, Headroom and HighWater — but give
-// it no backing store, so it costs the host nothing however large it is. Every
-// byte access is checked as on a backed allocation and then moves nothing:
-// Write, Adopt, Fill, WriteBuffer and Commit store nothing (and take a fresh
-// generation, as a write that is not compared does), and Read, ReadInto, the
-// binds and Export see zeros. Reserve still makes reservations.
+// AllocAt place, size, account and version a byte-less allocation exactly as
+// on a memory from New, and it costs the host nothing however large it is;
+// the package documentation lists what each access does to it.
 func NewUnbacked(capacity int64) *Mem {
 	m := New(capacity)
-	m.zeros = true
+	m.byteless = true
 	return m
 }
 
@@ -142,17 +141,17 @@ func alignSpan(n int) Ptr { return Ptr((n + 255) &^ 255) }
 // reused first-fit from freed regions; the bump pointer only grows when no
 // freed region fits, so a long-running alloc/free churn stays bounded.
 // Requests outside [1, maxAlloc] fail with ErrBadAllocSize. On a memory from
-// NewUnbacked the allocation has no bytes and reads as zeros.
+// NewUnbacked the allocation is byte-less.
 func (m *Mem) Alloc(n int) (Ptr, error) { return m.alloc(n, false) }
 
 // Reserve is Alloc without the bytes: the same checks, errors, first-fit
 // address and accounting (Used, Headroom, HighWater, Size, Free), but no
 // backing store, so it costs the host nothing however large n is. Every byte
 // access to a reservation — Write, Fill, Read, Copy, a kernel binding — is an
-// error. The coalescer reserves a merged launch's contiguous regions with it
-// (they occupy device capacity and address space for the length of the job,
-// and nothing ever reads them); a reservation must be freed before the job
-// ends, so Export never meets one.
+// error. Its one caller is the coalescer, which reserves a merged launch's
+// contiguous regions with it (they occupy device capacity and address space
+// for the length of the job, and nothing ever reads them); a reservation must
+// be freed before the job ends, so Export never meets one.
 func (m *Mem) Reserve(n int) (Ptr, error) { return m.alloc(n, true) }
 
 // alloc is the one body of Alloc and Reserve.
@@ -196,13 +195,12 @@ func (m *Mem) alloc(n int, reservation bool) (Ptr, error) {
 // caller has taken from the address space, under a fresh generation. The
 // caller holds mu.
 func (m *Mem) place(p Ptr, n int, reservation bool) {
-	if reservation || m.zeros {
-		m.unbacked[p] = n
-	} else {
-		m.allocs[p] = make([]byte, n)
+	a := &allocation{n: n, span: alignSpan(n), reservation: reservation}
+	if !reservation && !m.byteless {
+		a.b = make([]byte, n)
 	}
-	m.gen++
-	m.reserved[p] = extent{size: alignSpan(n), gen: m.gen, reservation: reservation}
+	m.bump(a)
+	m.allocs[p] = a
 	m.used += int64(n)
 }
 
@@ -268,7 +266,7 @@ type Entry struct {
 }
 
 // Export snapshots every live allocation, sorted by address, with private
-// byte copies (zeros for an unbacked one). Re-creating the result in a fresh
+// byte copies (zeros for a byte-less one). Re-creating the result in a fresh
 // arena of the same capacity (AllocAt, then Write) reproduces Used, Headroom and HighWater exactly: reserved spans land at
 // their original addresses, interior gaps rebuild the free list, and the
 // bump pointer converges to the end of the last reserved span (which is
@@ -276,15 +274,12 @@ type Entry struct {
 func (m *Mem) Export() []Entry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Entry, 0, len(m.allocs)+len(m.unbacked))
-	for p, b := range m.allocs {
-		data := make([]byte, len(b))
-		copy(data, b)
-		out = append(out, Entry{Ptr: p, Data: data})
-	}
-	for p, n := range m.unbacked {
-		if !m.reserved[p].reservation {
-			out = append(out, Entry{Ptr: p, Data: make([]byte, n)})
+	out := make([]Entry, 0, len(m.allocs))
+	for p, a := range m.allocs {
+		if !a.reservation {
+			data := make([]byte, a.n)
+			copy(data, a.b)
+			out = append(out, Entry{Ptr: p, Data: data})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ptr < out[j].Ptr })
@@ -299,16 +294,13 @@ func (m *Mem) Export() []Entry {
 func (m *Mem) Free(p Ptr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, ok := m.sizeOf(p)
+	a, ok := m.allocs[p]
 	if !ok {
 		return fmt.Errorf("devmem: free of invalid pointer %#x", uint64(p))
 	}
-	m.used -= int64(n)
+	m.used -= int64(a.n)
 	delete(m.allocs, p)
-	delete(m.unbacked, p)
-	size := m.reserved[p].size
-	delete(m.reserved, p)
-	m.insertFree(span{addr: p, size: size})
+	m.insertFree(span{addr: p, size: a.span})
 	// Retract the bump pointer over a trailing free region.
 	for n := len(m.free); n > 0; n = len(m.free) {
 		tail := m.free[n-1]
@@ -353,39 +345,46 @@ func (m *Mem) insertFree(s span) {
 func (m *Mem) Size(p Ptr) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, ok := m.sizeOf(p)
+	a, ok := m.allocs[p]
 	if !ok {
 		return 0, fmt.Errorf("devmem: size of invalid pointer %#x", uint64(p))
 	}
-	return n, nil
+	return a.n, nil
 }
 
-// sizeOf looks p up among allocations and reservations. The caller holds mu.
-func (m *Mem) sizeOf(p Ptr) (int, bool) {
-	if b, ok := m.allocs[p]; ok {
-		return len(b), true
-	}
-	n, ok := m.unbacked[p]
-	return n, ok
-}
-
-// backing returns the bytes and the size of the allocation at p for the named
-// access ("write to", "read from", …): no bytes for an unbacked allocation,
-// which the access checks against n and then leaves alone. A reservation has
-// neither, so touching it is an error like touching a pointer never handed
-// out. The caller holds mu.
-func (m *Mem) backing(p Ptr, access string) (b []byte, n int, err error) {
-	if b, ok := m.allocs[p]; ok {
-		return b, len(b), nil
-	}
-	n, ok := m.unbacked[p]
+// lookup returns the allocation at p for the named access ("write to", "read
+// from", …). A reservation has no bytes, so touching it is an error like
+// touching a pointer never handed out. The caller holds mu.
+func (m *Mem) lookup(p Ptr, access string) (*allocation, error) {
+	a, ok := m.allocs[p]
 	switch {
 	case !ok:
-		return nil, 0, fmt.Errorf("devmem: %s invalid pointer %#x", access, uint64(p))
-	case m.reserved[p].reservation:
-		return nil, 0, fmt.Errorf("devmem: %s reservation %#x, which has no bytes", access, uint64(p))
+		return nil, fmt.Errorf("devmem: %s invalid pointer %#x", access, uint64(p))
+	case a.reservation:
+		return nil, fmt.Errorf("devmem: %s reservation %#x, which has no bytes", access, uint64(p))
 	}
-	return nil, n, nil
+	return a, nil
+}
+
+// within is lookup for an access of [off, off+n), which must lie inside the
+// allocation. The caller holds mu.
+func (m *Mem) within(p Ptr, access string, off, n int) (*allocation, error) {
+	a, err := m.lookup(p, access)
+	if err == nil && !inRange(off, n, a.n) {
+		err = fmt.Errorf("devmem: %s [%d,%d) outside allocation of %d bytes", access, off, off+n, a.n)
+	}
+	return a, err
+}
+
+// withBytes is lookup for a kernel's access, which needs the bytes
+// themselves: a byte-less allocation is refused with ErrNoBytes. The caller
+// holds mu.
+func (m *Mem) withBytes(p Ptr, access string) (*allocation, error) {
+	a, err := m.lookup(p, access)
+	if err == nil && a.b == nil {
+		err = fmt.Errorf("devmem: %s %#x: %w", access, uint64(p), ErrNoBytes)
+	}
+	return a, err
 }
 
 // Used returns the total allocated bytes.
@@ -419,11 +418,11 @@ func (m *Mem) HighWater() Ptr {
 	return m.next
 }
 
-// InRange reports whether [off, off+n) lies inside an allocation of size
-// bytes — the one range check on device memory, here and in hostgpu's
-// timing-only branches. off and n come from the guest, so it never computes
-// off+n: that sum can wrap negative and pass a naive comparison.
-func InRange(off, n, size int) bool {
+// inRange reports whether [off, off+n) lies inside an allocation of size
+// bytes — the one range check on device memory. off and n come from the
+// guest, so it never computes off+n: that sum can wrap negative and pass a
+// naive comparison.
+func inRange(off, n, size int) bool {
 	return off >= 0 && n >= 0 && n <= size-off
 }
 
@@ -433,32 +432,25 @@ func InRange(off, n, size int) bool {
 func (m *Mem) Write(p Ptr, off int, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.writeLocked(p, off, data)
+	a, err := m.within(p, "write to", off, len(data))
+	if err == nil {
+		m.copyIn(a, off, data)
+	}
+	return err
 }
 
-// writeLocked checks [off, off+len(data)) against the allocation at p, and
-// copies data there and counts it as copied unless the range already holds
-// it. An unbacked allocation stores nothing and takes a fresh generation. The
-// caller holds mu.
-func (m *Mem) writeLocked(p Ptr, off int, data []byte) error {
-	b, n, err := m.backing(p, "write to")
-	if err != nil {
-		return err
+// copyIn copies data into a at off, which the caller has checked, and counts
+// it as copied unless the range already holds it. A byte-less allocation
+// stores nothing and takes a fresh generation. The caller holds mu.
+func (m *Mem) copyIn(a *allocation, off int, data []byte) {
+	if a.b != nil {
+		if m.unchanged(a, a.b[off:off+len(data)], data) {
+			return
+		}
+		copy(a.b[off:], data)
+		m.moves.CopiedBytes += int64(len(data))
 	}
-	if !InRange(off, len(data), n) {
-		return fmt.Errorf("devmem: write [%d,%d) outside allocation of %d bytes", off, off+len(data), n)
-	}
-	if b == nil {
-		m.bump(p)
-		return nil
-	}
-	if m.unchanged(p, b[off:off+len(data)], data) {
-		return nil
-	}
-	copy(b[off:], data)
-	m.moves.CopiedBytes += int64(len(data))
-	m.bump(p)
-	return nil
+	m.bump(a)
 }
 
 // The copy-in compare backs off on an allocation whose copy-ins keep bringing
@@ -470,29 +462,24 @@ func (m *Mem) writeLocked(p Ptr, off int, data []byte) error {
 // generation again within 63 copy-ins.
 const backoffAfter, maxBackoff = 3, 6
 
-// unchanged reports whether data equals dst, the range of the allocation at p
-// it is to overwrite, and counts its bytes as unchanged if so. A copy-in the
-// backoff skips is reported changed, which is what it was before any compare:
-// it costs an elision, never a byte. The caller holds mu.
-func (m *Mem) unchanged(p Ptr, dst, data []byte) bool {
-	e := m.reserved[p]
+// unchanged reports whether data equals dst, the range of a it is to
+// overwrite, and counts its bytes as unchanged if so. A copy-in the backoff
+// skips is reported changed, which is what it was before any compare: it
+// costs an elision, never a byte. The caller holds mu.
+func (m *Mem) unchanged(a *allocation, dst, data []byte) bool {
 	switch {
-	case e.skip > 0:
-		e.skip--
+	case a.skip > 0:
+		a.skip--
 	case bytes.Equal(dst, data):
-		if e.misses > 0 {
-			e.misses = 0
-			m.reserved[p] = e
-		}
+		a.misses = 0
 		m.moves.UnchangedBytes += int64(len(data))
 		return true
 	default:
-		e.misses = min(e.misses+1, backoffAfter+maxBackoff)
-		if e.misses > backoffAfter {
-			e.skip = 1<<(e.misses-backoffAfter) - 1
+		a.misses = min(a.misses+1, backoffAfter+maxBackoff)
+		if a.misses > backoffAfter {
+			a.skip = 1<<(a.misses-backoffAfter) - 1
 		}
 	}
-	m.reserved[p] = e
 	return false
 }
 
@@ -500,20 +487,24 @@ func (m *Mem) unchanged(p Ptr, dst, data []byte) bool {
 // allocation becomes its backing and pl is left holding the displaced one;
 // any other is copied. A payload compared equal to the bytes it would
 // overwrite (unchanged) is neither, and the allocation keeps its generation.
-// The caller releases pl either way.
+// A byte-less allocation adopts nothing. The caller releases pl either way.
 func (m *Mem) Adopt(p Ptr, off int, pl *Payload) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if b, ok := m.allocs[p]; ok && off == 0 && len(pl.B) == len(b) {
-		if m.unchanged(p, b, pl.B) {
-			return nil
-		}
-		m.allocs[p], pl.B = pl.B, b
-		m.moves.AdoptedBytes += int64(len(b))
-		m.bump(p)
+	a, err := m.within(p, "write to", off, len(pl.B))
+	switch {
+	case err != nil:
+		return err
+	case a.b == nil || off != 0 || len(pl.B) != len(a.b):
+		m.copyIn(a, off, pl.B)
+		return nil
+	case m.unchanged(a, a.b, pl.B):
 		return nil
 	}
-	return m.writeLocked(p, off, pl.B)
+	a.b, pl.B = pl.B, a.b
+	m.moves.AdoptedBytes += int64(len(a.b))
+	m.bump(a)
+	return nil
 }
 
 // Fill sets n bytes of the allocation at p starting at off to value (a
@@ -523,18 +514,15 @@ func (m *Mem) Adopt(p Ptr, off int, pl *Payload) error {
 func (m *Mem) Fill(p Ptr, off, n int, value byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, size, err := m.backing(p, "fill of")
+	a, err := m.within(p, "fill of", off, n)
 	if err != nil {
 		return err
 	}
-	if !InRange(off, n, size) {
-		return fmt.Errorf("devmem: fill of %d bytes at %d outside allocation of %d bytes", n, off, size)
-	}
-	m.bump(p)
-	if b == nil {
+	m.bump(a)
+	if a.b == nil {
 		return nil
 	}
-	b = b[off : off+n]
+	b := a.b[off : off+n]
 	if value == 0 {
 		clear(b)
 		return nil
@@ -559,41 +547,50 @@ func (m *Mem) ReadInto(p Ptr, off int, dst []byte) error {
 	return err
 }
 
+// CheckRead returns the error a Read of [off, off+n) at p would — an invalid
+// pointer, a reservation, a range outside the allocation — and copies
+// nothing. It is the range check of a caller that moves no bytes (a
+// timing-only device's D2H) or sizes a destination before it reads (a served
+// D2H's response frame), so every D2H is refused in the same words.
+func (m *Mem) CheckRead(p Ptr, off, n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, err := m.within(p, "read from", off, n)
+	return err
+}
+
 // read checks [off, off+n) against the allocation and copies it into dst, or
 // into a fresh slice when dst is nil — made only after the check, so a
-// hostile n allocates nothing. An unbacked allocation reads as zeros.
+// hostile n allocates nothing. A byte-less allocation reads as zeros.
 func (m *Mem) read(p Ptr, off, n int, dst []byte) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, size, err := m.backing(p, "read from")
+	a, err := m.within(p, "read from", off, n)
 	if err != nil {
 		return nil, err
 	}
-	if !InRange(off, n, size) {
-		return nil, fmt.Errorf("devmem: read [%d,%d) outside allocation of %d bytes", off, off+n, size)
-	}
 	if dst == nil {
 		dst = make([]byte, n)
-	} else if b == nil {
+	} else if a.b == nil {
 		clear(dst)
 	}
-	if b != nil {
-		copy(dst, b[off:off+n])
+	if a.b != nil {
+		copy(dst, a.b[off:off+n])
 	}
 	return dst, nil
 }
 
-// bind returns the raw backing slice (no copy) for kernel binding, or a fresh
-// zeroed one for an unbacked allocation. Internal: kernel execution happens
+// bind returns the allocation's bytes (no copy) for kernel binding, refusing
+// a byte-less allocation (ErrNoBytes). Internal: kernel execution happens
 // under the host service's serialization.
 func (m *Mem) bind(p Ptr) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, n, err := m.backing(p, "bind of")
-	if err == nil && b == nil {
-		b = make([]byte, n)
+	a, err := m.withBytes(p, "bind of")
+	if err != nil {
+		return nil, err
 	}
-	return b, err
+	return a.b, nil
 }
 
 // BindBuffer decodes the allocation at p as a typed kernel buffer. The buffer
@@ -646,7 +643,8 @@ func (m *Mem) BindParam(p Ptr, decl *kpl.BufDecl, covered int) (*kpl.Buffer, err
 // view wherever BindParam would give a read-only parameter one, else a private
 // copy. Sampling λ binds every parameter this way — the sampler clones the
 // writable ones itself — under the same rule as any view: device memory must
-// not change while it is in use.
+// not change while it is in use. A byte-less allocation has nothing to
+// sample, so it is refused (ErrNoBytes), as by every bind.
 func (m *Mem) BindView(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 	raw, err := m.bind(p)
 	if err != nil {
@@ -658,13 +656,14 @@ func (m *Mem) BindView(p Ptr, t kpl.Type) (*kpl.Buffer, error) {
 	return BufferFromBytes(t, raw), nil
 }
 
-// CheckBind returns the error a bind of p would — an invalid pointer, a
-// reservation — without touching the allocation's bytes: pricing a launch
-// that samples nothing validates its bindings with it.
+// CheckBind returns the error a bind of p would for its pointer — an invalid
+// one, a reservation — without touching the allocation's bytes: pricing a
+// launch that samples nothing validates its bindings with it. A byte-less
+// allocation passes, since such a pricing reads none of its bytes.
 func (m *Mem) CheckBind(p Ptr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, _, err := m.backing(p, "bind of")
+	_, err := m.lookup(p, "bind of")
 	return err
 }
 
@@ -677,28 +676,25 @@ func bindParam(decl *kpl.BufDecl, raw []byte) *kpl.Buffer {
 	return BufferFromBytes(decl.Elem, raw)
 }
 
-// WriteBuffer encodes buf back into the allocation at p.
+// WriteBuffer encodes buf back into the allocation at p. A byte-less
+// allocation is refused (ErrNoBytes).
 func (m *Mem) WriteBuffer(p Ptr, buf *kpl.Buffer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.writeBufferLocked(p, buf)
-}
-
-func (m *Mem) writeBufferLocked(p Ptr, buf *kpl.Buffer) error {
-	raw, n, err := m.backing(p, "bind of")
+	a, err := m.withBytes(p, "write-back to")
 	if err != nil {
 		return err
 	}
-	if need := buf.Bytes(); need > n {
-		return fmt.Errorf("devmem: write of %d bytes outside allocation of %d bytes", need, n)
+	return m.writeBufferLocked(a, buf)
+}
+
+func (m *Mem) writeBufferLocked(a *allocation, buf *kpl.Buffer) error {
+	if need := buf.Bytes(); need > a.n {
+		return fmt.Errorf("devmem: write of %d bytes outside allocation of %d bytes", need, a.n)
 	}
-	if raw == nil {
-		m.bump(p)
-		return nil
-	}
-	BufferToBytes(buf, raw)
+	BufferToBytes(buf, a.b)
 	m.moves.Copied++
-	m.bump(p)
+	m.bump(a)
 	return nil
 }
 
@@ -709,17 +705,20 @@ func (m *Mem) writeBufferLocked(p Ptr, buf *kpl.Buffer) error {
 func (m *Mem) Commit(p Ptr, buf *kpl.Buffer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.allocs[p]
-	s := elemBytes(buf)
-	if !ok || !hostLittleEndian || len(s) > len(b) || cap(s) < len(b) || unsafe.SliceData(s) == unsafe.SliceData(b) {
-		return m.writeBufferLocked(p, buf)
+	a, err := m.withBytes(p, "write-back to")
+	if err != nil {
+		return err
+	}
+	b, s := a.b, elemBytes(buf)
+	if !hostLittleEndian || len(s) > len(b) || cap(s) < len(b) || unsafe.SliceData(s) == unsafe.SliceData(b) {
+		return m.writeBufferLocked(a, buf)
 	}
 	s = s[:len(b)]
 	copy(s[buf.Bytes():], b[buf.Bytes():])
-	m.allocs[p] = s
+	a.b = s
 	putBytes(b)
 	m.moves.Swapped++
-	m.bump(p)
+	m.bump(a)
 	return nil
 }
 

@@ -21,11 +21,20 @@
 // displaces goes to the package's one buffer pool (pool.go), which the next
 // payload or writable copy draws from and the garbage collector trims.
 //
-// A memory from NewUnbacked — a timing-only device's — gives its allocations
-// no bytes at all: they are placed, sized and accounted exactly as backed ones,
-// every access is range-checked as on a backed one, writes store nothing and
-// reads see zeros. Reserve makes the third kind on either memory: a
-// reservation, likewise without bytes, which refuses every byte access.
+// An allocation is of one of three kinds, all placed, sized, accounted and
+// given generations alike. The memory alone decides what an access to each
+// does, and checks a copy's range the same way on the first two (CheckRead is
+// that check for a caller that moves no bytes):
+//   - backed (Alloc or AllocAt on a memory from New): it holds its bytes, and
+//     every access reads or writes them.
+//   - byte-less (Alloc or AllocAt on a memory from NewUnbacked, a timing-only
+//     device's): Write, Adopt and Fill store nothing; Read, ReadInto and
+//     Export see zeros; CheckBind passes; a kernel bind or write-back
+//     (BindParam, BindBuffer, BindView, WriteBuffer, Commit) is refused with
+//     ErrNoBytes, since no kernel runs on, or samples λ from, bytes that do
+//     not exist.
+//   - reservation (Reserve, on either memory; the coalescer's): every byte
+//     access is an error.
 //
 // The allocator is a first-fit free list with adjacent-region merge and
 // bump-pointer retraction, so long-lived alloc/free churn keeps the address
@@ -52,10 +61,8 @@
 // model skips a launch that would rewrite bytes that have not changed since
 // that launch last wrote them by this alone. A new method that changes bytes
 // must take a generation (TestGenerationContract classifies every exported
-// method). An unbacked allocation stores nothing and so compares nothing:
-// every Write, Adopt, Fill, WriteBuffer or Commit of it takes a fresh value,
-// and since it always reads as zeros, an elision judged by its generation
-// would only ever be too cautious.
+// method). A byte-less allocation stores nothing and so compares nothing:
+// every Write, Adopt or Fill of it takes a fresh value.
 //
 // For VP checkpoint/restore and live migration, core reads each allocation a
 // VP owns (Read) and re-creates it elsewhere: AllocAt pins an allocation at

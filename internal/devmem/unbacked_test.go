@@ -2,6 +2,7 @@ package devmem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -13,8 +14,10 @@ import (
 // and on one from NewUnbacked: every pointer, size, generation and accounting
 // figure agrees, every range the backed memory refuses the unbacked one
 // refuses with the same error, and what the backed memory stores the unbacked
-// one drops — it reads zeros, binds zeros and counts no moved byte. A
-// reservation on the unbacked memory still refuses every byte access.
+// one drops — it reads zeros and counts no moved byte. A kernel bind or
+// write-back of a byte-less allocation is refused with ErrNoBytes and changes
+// nothing, while CheckBind passes it. A reservation on the unbacked memory
+// still refuses every byte access.
 func TestUnbackedAllocationKeepsNoBytes(t *testing.T) {
 	backed, unbacked := New(1<<20), NewUnbacked(1<<20)
 	pattern := bytes.Repeat([]byte{0xA5, 0x5A}, 32)
@@ -75,19 +78,6 @@ func TestUnbackedAllocationKeepsNoBytes(t *testing.T) {
 			return nil
 		},
 		"Fill": func(m *Mem) error { return m.Fill(p, 8, 16, 0xEE) },
-		"WriteBuffer": func(m *Mem) error {
-			buf := kpl.NewBuffer(kpl.I32, 4)
-			buf.I32s[2] = -1
-			return m.WriteBuffer(p, buf)
-		},
-		"Commit": func(m *Mem) error {
-			buf, err := m.BindParam(p, &kpl.BufDecl{Name: "x", Elem: kpl.F32}, 0)
-			if err != nil {
-				return err
-			}
-			buf.F32s[3] = 1
-			return m.Commit(p, buf)
-		},
 	}
 	for name, write := range writes {
 		for _, m := range []*Mem{backed, unbacked} {
@@ -119,18 +109,49 @@ func TestUnbackedAllocationKeepsNoBytes(t *testing.T) {
 	}
 	same("after the writes")
 
-	// The binds see zeros of the allocation's length; pricing's check passes.
+	// Pricing's check passes; every kernel bind and write-back is refused and
+	// leaves the generation and the counts as they were. The backed memory
+	// takes each.
 	ro := &kpl.BufDecl{Name: "x", Elem: kpl.F32, ReadOnly: true}
-	view, errV := unbacked.BindView(p, kpl.F32)
-	param, errP := unbacked.BindParam(p, ro, 0)
-	buf, errB := unbacked.BindBuffer(p, kpl.F32)
-	if errV != nil || errP != nil || errB != nil || unbacked.CheckBind(p) != nil {
-		t.Fatalf("binding the unbacked allocation: %v, %v, %v, %v", errV, errP, errB, unbacked.CheckBind(p))
+	rw := &kpl.BufDecl{Name: "x", Elem: kpl.F32}
+	if err := unbacked.CheckBind(p); err != nil {
+		t.Fatalf("CheckBind of the unbacked allocation: %v", err)
 	}
-	for _, b := range []*kpl.Buffer{view, param, buf} {
-		if len(b.F32s) != 16 || !bytes.Equal(EncodeF32(b.F32s), make([]byte, 64)) {
-			t.Fatalf("a bind of the unbacked allocation gave %v, want 16 zeros", b.F32s)
+	kernelAccesses := map[string]func(m *Mem) error{
+		"BindView":   func(m *Mem) error { _, err := m.BindView(p, kpl.F32); return err },
+		"BindParam":  func(m *Mem) error { _, err := m.BindParam(p, ro, 0); return err },
+		"BindBuffer": func(m *Mem) error { _, err := m.BindBuffer(p, kpl.F32); return err },
+		"WriteBuffer": func(m *Mem) error {
+			buf := kpl.NewBuffer(kpl.I32, 4)
+			buf.I32s[2] = -1
+			return m.WriteBuffer(p, buf)
+		},
+		"Commit": func(m *Mem) error {
+			buf := kpl.NewBuffer(kpl.F32, 16)
+			if m == backed {
+				var err error
+				if buf, err = m.BindParam(p, rw, 0); err != nil {
+					return err
+				}
+			}
+			buf.F32s[3] = 1
+			return m.Commit(p, buf)
+		},
+	}
+	for name, access := range kernelAccesses {
+		if err := access(backed); err != nil {
+			t.Fatalf("%s on the backed memory: %v", name, err)
 		}
+		gen := unbacked.Gen(p)
+		if err := access(unbacked); !errors.Is(err, ErrNoBytes) {
+			t.Fatalf("%s of the unbacked allocation: %v, want ErrNoBytes", name, err)
+		}
+		if unbacked.Gen(p) != gen {
+			t.Fatalf("a refused %s changed the generation", name)
+		}
+	}
+	if mv := unbacked.Moves(); mv != (Moves{}) {
+		t.Fatalf("the unbacked memory counted moves %+v", mv)
 	}
 
 	// Every range the backed memory refuses, the unbacked one refuses alike.

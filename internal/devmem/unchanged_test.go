@@ -154,7 +154,7 @@ func TestCopyInCompareBacksOff(t *testing.T) {
 	compared := func() bool {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.reserved[p].skip == 0
+		return m.allocs[p].skip == 0
 	}
 	for i, data := range [][]byte{a, b, a} { // three misses: zeros → a → b → a
 		if !compared() {
@@ -267,9 +267,8 @@ func BenchmarkAdopt(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if c.reset {
 					m.mu.Lock()
-					e := m.reserved[p]
-					e.misses, e.skip = 0, 0
-					m.reserved[p] = e
+					a := m.allocs[p]
+					a.misses, a.skip = 0, 0
 					m.mu.Unlock()
 				}
 				if err := m.Adopt(p, 0, pl); err != nil {

@@ -55,15 +55,16 @@ func calibrateBusyIters(g *arch.GPU, prog *kir.Program, grid, block int, targetS
 }
 
 // newBusyProgram provisions one busy program on the device. len(payload)
-// sets Tm; iters sets Tk. The devices these programs run on only keep time, so
-// the copy buffer is reserved, not allocated, and the programs of a run share
-// one host payload that nothing reads or writes.
+// sets Tm; iters sets Tk. The devices these programs run on only keep time:
+// their allocations are byte-less (hostgpu.NewTimingOnly), so the copy buffer
+// costs the host nothing, and the programs of a run share one host payload
+// that nothing reads or writes.
 func newBusyProgram(g *hostgpu.GPU, kernel *kpl.Kernel, prog *kir.Program, payload []byte, iters int) (*busyProgram, error) {
 	outPtr, err := g.Mem.Alloc(4 * 1024)
 	if err != nil {
 		return nil, err
 	}
-	inPtr, err := g.Mem.Reserve(len(payload))
+	inPtr, err := g.Mem.Alloc(len(payload))
 	if err != nil {
 		return nil, err
 	}

@@ -39,12 +39,12 @@ const maxElisionBufs = 8
 
 // elisionBindings gathers l's bindings in declaration order into dst and the
 // index of its first writable one, or reports that l can never be elided: the
-// device does not run kernels functionally, the kernel is not write-only, no
-// buffer is writable, or a writable binding shares its allocation with
-// another binding (whose bytes the run would then read after, or write over,
-// its own).
-func (g *GPU) elisionBindings(dst []devmem.Ptr, l *Launch) ([]devmem.Ptr, int, bool) {
-	if g.Mode != ExecFull || !l.Prog.WriteOnly() {
+// kernel is not write-only, no buffer is writable, or a writable binding
+// shares its allocation with another binding (whose bytes the run would then
+// read after, or write over, its own). Only the functional half of a launch
+// asks, so only a device that runs its kernels.
+func elisionBindings(dst []devmem.Ptr, l *Launch) ([]devmem.Ptr, int, bool) {
+	if !l.Prog.WriteOnly() {
 		return nil, 0, false
 	}
 	key := -1
@@ -74,7 +74,7 @@ func (g *GPU) elisionBindings(dst []devmem.Ptr, l *Launch) ([]devmem.Ptr, int, b
 // where the device's functional half runs, on the device's token holder.
 func (g *GPU) Elide(l *Launch) bool {
 	var arr [maxElisionBufs]devmem.Ptr
-	ptrs, key, ok := g.elisionBindings(arr[:0], l)
+	ptrs, key, ok := elisionBindings(arr[:0], l)
 	if !ok {
 		return false
 	}
@@ -105,7 +105,7 @@ func (g *GPU) Elide(l *Launch) bool {
 // last such sweep (or 64).
 func (g *GPU) RecordRun(l *Launch) {
 	var arr [maxElisionBufs]devmem.Ptr
-	ptrs, key, ok := g.elisionBindings(arr[:0], l)
+	ptrs, key, ok := elisionBindings(arr[:0], l)
 	if !ok {
 		return
 	}

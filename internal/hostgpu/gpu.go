@@ -1,6 +1,7 @@
 package hostgpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -60,13 +61,14 @@ const (
 	// implementation when provided, kpl's compiled engine otherwise) and
 	// advances the simulated clock.
 	ExecFull ExecMode = iota
-	// ExecTimingOnly advances the simulated clock without touching buffer
-	// contents — used by large parameter sweeps where only time matters. A
-	// device built timing-only (NewTimingOnly) keeps no host bytes at all: its
-	// allocations are placed, sized and accounted but unbacked
-	// (devmem.NewUnbacked), so they read as zeros and store nothing written
-	// to them. Pricing a launch that samples λ (Launch.Sampled) there samples
-	// zeros: a caller with real inputs sets the launch's Dyn instead.
+	// ExecTimingOnly advances the simulated clock without running kernels —
+	// used by large parameter sweeps where only time matters. A device built
+	// timing-only (NewTimingOnly) keeps no host bytes at all: its allocations
+	// are placed, sized and accounted but byte-less (devmem.NewUnbacked), so
+	// the memory stores nothing copied in and reads as zeros, and its D2H
+	// returns no bytes. A launch that would sample λ (Launch.Sampled) has
+	// nothing to sample there and is refused: a launch priced on a timing-only
+	// device that needs λ brings it in Dyn.
 	ExecTimingOnly
 )
 
@@ -266,7 +268,8 @@ func New(a arch.GPU, memBytes int64) *GPU { return newGPU(a, devmem.New(memBytes
 // bytes (devmem.NewUnbacked): every allocation has its address, size,
 // generation and share of the capacity, as on a GPU from New, and costs the
 // host nothing. Every timing-only device is built here; one from New switched
-// to ExecTimingOnly later keeps its backed memory.
+// to ExecTimingOnly later keeps its backed memory, which stores what is copied
+// into it.
 func NewTimingOnly(a arch.GPU, memBytes int64) *GPU {
 	return newGPU(a, devmem.NewUnbacked(memBytes), ExecTimingOnly)
 }
@@ -346,64 +349,46 @@ func (g *GPU) sizeLabel(op string, n int) string {
 }
 
 // CopyH2D transfers src into device memory at dst+off through the copy
-// engine and returns the transfer interval. In timing-only mode the bytes
-// are not materialized (bounds are still checked).
+// engine and returns the transfer interval. The memory decides what the copy
+// stores: a timing-only device's stores nothing (devmem.NewUnbacked).
 func (g *GPU) CopyH2D(stream int, dst devmem.Ptr, off int, src []byte) (Interval, error) {
-	return g.copyH2D(stream, dst, off, src, nil)
+	return g.copyH2D(stream, len(src), g.Mem.Write(dst, off, src))
 }
 
 // AdoptH2D is CopyH2D of a payload the allocation may keep (devmem.Mem.Adopt);
 // every simulated figure is CopyH2D's.
 func (g *GPU) AdoptH2D(stream int, dst devmem.Ptr, off int, pl *devmem.Payload) (Interval, error) {
-	return g.copyH2D(stream, dst, off, pl.B, pl)
+	n := len(pl.B)
+	return g.copyH2D(stream, n, g.Mem.Adopt(dst, off, pl))
 }
 
-func (g *GPU) copyH2D(stream int, dst devmem.Ptr, off int, src []byte, pl *devmem.Payload) (Interval, error) {
-	var err error
-	switch {
-	case g.Mode == ExecTimingOnly:
-		var size int
-		if size, err = g.Mem.Size(dst); err == nil && !devmem.InRange(off, len(src), size) {
-			err = fmt.Errorf("hostgpu: H2D [%d,%d) outside allocation of %d bytes", off, off+len(src), size)
-		}
-	case pl != nil:
-		err = g.Mem.Adopt(dst, off, pl)
-	default:
-		err = g.Mem.Write(dst, off, src)
-	}
+// copyH2D schedules an n-byte copy-in that the memory took with error err.
+func (g *GPU) copyH2D(stream, n int, err error) (Interval, error) {
 	if err != nil {
 		return Interval{}, err
 	}
-	dur := CopyTime(&g.Arch, len(src))
-	return g.schedule(engH2D, stream, dur, g.sizeLabel("H2D", len(src))), nil
+	return g.schedule(engH2D, stream, CopyTime(&g.Arch, n), g.sizeLabel("H2D", n)), nil
 }
 
 // CopyD2H transfers n bytes from device memory at src+off back to the host:
 // into dst[:n] when the caller brings the destination (a response frame of at
 // least n bytes; the bytes are then copied once and nothing is allocated),
 // into a fresh slice when dst is nil. In timing-only mode no bytes are
-// returned (bounds are still checked).
+// returned; the memory still checks the range (devmem.Mem.CheckRead).
 func (g *GPU) CopyD2H(stream int, src devmem.Ptr, off, n int, dst []byte) ([]byte, Interval, error) {
 	var data []byte
-	if g.Mode == ExecTimingOnly {
-		size, err := g.Mem.Size(src)
-		if err != nil {
-			return nil, Interval{}, err
-		}
-		if !devmem.InRange(off, n, size) {
-			return nil, Interval{}, fmt.Errorf("hostgpu: D2H [%d,%d) outside allocation of %d bytes", off, off+n, size)
-		}
-	} else {
-		var err error
-		if dst != nil {
-			data = dst[:n]
-			err = g.Mem.ReadInto(src, off, data)
-		} else {
-			data, err = g.Mem.Read(src, off, n)
-		}
-		if err != nil {
-			return nil, Interval{}, err
-		}
+	var err error
+	switch {
+	case g.Mode == ExecTimingOnly:
+		err = g.Mem.CheckRead(src, off, n)
+	case dst != nil:
+		data = dst[:n]
+		err = g.Mem.ReadInto(src, off, data)
+	default:
+		data, err = g.Mem.Read(src, off, n)
+	}
+	if err != nil {
+		return nil, Interval{}, err
 	}
 	dur := CopyTime(&g.Arch, n)
 	iv := g.schedule(engD2H, stream, dur, g.sizeLabel("D2H", n))
@@ -497,7 +482,9 @@ func (g *GPU) SessionEnergy() float64 {
 // device bytes only to sample: when the launch brings no Dyn and the kernel
 // has a data-dependent loop, every parameter is bound as a view (the sampler
 // clones the writable ones itself) and λ measured on it; otherwise the
-// bindings are only checked, with the errors a bind would give.
+// bindings are only checked, with the errors a bind would give. A byte-less
+// allocation (a timing-only device's) has nothing to sample, so there a
+// launch that needs λ and brings none is refused.
 func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, *kpl.Stats, error) {
 	dyn := l.Dyn
 	sample := l.Sampled()
@@ -507,6 +494,9 @@ func (g *GPU) deriveSigma(l *Launch) (arch.ClassVec, []cachemodel.Access, *kpl.S
 		}
 		return g.Mem.BindView(ptr, decl.Elem)
 	})
+	if errors.Is(err, devmem.ErrNoBytes) {
+		err = fmt.Errorf("hostgpu: %s: the launch brings no λ and device memory keeps no bytes to sample it from: %w", l.Kernel.Name, devmem.ErrNoBytes)
+	}
 	if err != nil {
 		return arch.ClassVec{}, nil, nil, err
 	}
@@ -705,15 +695,7 @@ func (g *GPU) accessStreams(l *Launch, kl kir.Launch, dyn *kpl.Stats) ([]cachemo
 // Memset fills n bytes of device memory with a value through the compute
 // engine's fill path at device-memory bandwidth (cudaMemset).
 func (g *GPU) Memset(stream int, dst devmem.Ptr, off, n int, value byte) (Interval, error) {
-	if g.Mode == ExecTimingOnly {
-		size, err := g.Mem.Size(dst)
-		if err != nil {
-			return Interval{}, err
-		}
-		if !devmem.InRange(off, n, size) {
-			return Interval{}, fmt.Errorf("hostgpu: memset of %d bytes at %d outside allocation of %d bytes", n, off, size)
-		}
-	} else if err := g.Mem.Fill(dst, off, n, value); err != nil {
+	if err := g.Mem.Fill(dst, off, n, value); err != nil {
 		return Interval{}, err
 	}
 	dur := float64(n) / (g.Arch.MemBWGBps * 1e9)
