@@ -228,9 +228,6 @@ func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, grace ti
 	if err := srv.Shutdown(grace); err != nil {
 		return err
 	}
-	// Checkpoint after the last request drains (the device-side state is
-	// final) but before the pipelines stop, since the checkpoint itself
-	// flushes through them.
 	if checkpointOut != "" {
 		ck, err := ms.Checkpoint()
 		if err != nil {
@@ -241,12 +238,11 @@ func shutdown(srv *ipc.Server, obs *http.Server, ms *core.MultiService, grace ti
 		}
 		fmt.Printf("sigmavpd: checkpointed %d VPs to %s\n", len(ck.VPs), checkpointOut)
 	}
-	// Stop the execution pipelines after the last request drains, before the
-	// final snapshot, so every batch's accounting is in it.
-	ms.Close()
 	if metricsOut == "" {
 		return nil
 	}
+	// Scrape does not drain: every batch's accounting lands first.
+	ms.Drain()
 	data, err := ms.Scrape().JSON()
 	if err != nil {
 		return err

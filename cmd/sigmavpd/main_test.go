@@ -37,7 +37,6 @@ func testDaemon(t *testing.T, opts core.Options, spec string, serve bool) (*core
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ms.Close)
 	if !serve {
 		return ms, nil
 	}

@@ -230,7 +230,6 @@ func TestHandleShedsOverload(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
 	m, s := farmOfOne(t, opts)
-	defer m.Close()
 	dst, err := s.AllocVP(0, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +264,6 @@ func TestHandleShedsOverload(t *testing.T) {
 	opts = DefaultOptions()
 	opts.Admission = AdmissionOptions{Rate: 1e-9, Burst: 1}
 	m2, s2 := farmOfOne(t, opts)
-	defer m2.Close()
 	p, _ := s2.AllocVP(0, 64)
 	if _, ok := m2.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 8)}).(ipc.OKResp); !ok {
 		t.Fatal("first submit should be admitted")
@@ -286,7 +284,6 @@ func TestAdmissionReleasedOnDispatch(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedJobs: 4}
 	m, s := farmOfOne(t, opts)
-	defer m.Close()
 	p, _ := s.AllocVP(0, 1<<10)
 	for i := 0; i < 3; i++ {
 		if _, ok := m.Handle(0, ipc.H2DReq{Dst: p, Data: make([]byte, 16)}).(ipc.OKResp); !ok {
@@ -313,7 +310,6 @@ func TestAdmissionReleasedOnDisconnect(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedJobs: 8}
 	s := NewService(opts)
-	defer s.Close()
 	// Two registered VPs, neither parked in WaitJob: submissions queue
 	// without dispatching (the all-stopped predicate holds dispatch back).
 	s.RegisterVP(0)
@@ -350,7 +346,6 @@ func TestAdmissionReleasedOnDisconnect(t *testing.T) {
 func TestExecDepthGaugeSingleOwner(t *testing.T) {
 	opts := DefaultOptions()
 	s := NewService(opts)
-	defer s.Close()
 	p, _ := s.GPU.Mem.Alloc(1 << 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -370,8 +365,8 @@ func TestExecDepthGaugeSingleOwner(t *testing.T) {
 		t.Fatalf("queue_depth = %d after drain, want 0", got)
 	}
 	hw := ereg.Gauge("core.exec.queue_depth_hw").Value()
-	if hw < 1 || hw > ExecQueueDepth+2 {
-		t.Fatalf("queue_depth_hw = %d, want in [1, %d]", hw, ExecQueueDepth+2)
+	if hw < 1 || hw > execQueueDepth+2 {
+		t.Fatalf("queue_depth_hw = %d, want in [1, %d]", hw, execQueueDepth+2)
 	}
 	if got := ereg.Counter("core.exec.batches").Value(); got != 32 {
 		t.Fatalf("batches = %d, want 32", got)
@@ -407,13 +402,11 @@ func TestOverloadSurfacesOnEveryTransport(t *testing.T) {
 	}
 	t.Run("pipe", func(t *testing.T) {
 		s, oversized := newSvc()
-		defer s.Close()
 		_, err := testPipe{vp: 0, ep: s}.Call(oversized)
 		assertOverload(t, err)
 	})
 	t.Run("binary", func(t *testing.T) {
 		s, oversized := newSvc()
-		defer s.Close()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -438,7 +431,6 @@ func TestSameShedOnBothRoutes(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
 	m, s := farmOfOne(t, opts)
-	defer m.Close()
 	const vp = 0
 	dst := mallocVP(t, m, vp, 64).Ptr
 	data := make([]byte, 64)

@@ -76,7 +76,7 @@ func (b *multiBackend) Malloc(n int) (devmem.Ptr, error) {
 func (b *multiBackend) Free(p devmem.Ptr) error {
 	b.gate.RLock()
 	defer b.gate.RUnlock()
-	return b.Service().FreeVP(b.vp, p)
+	return b.Service().freeVP(b.vp, p)
 }
 
 func (b *multiBackend) H2D(stream int, dst devmem.Ptr, off int, data []byte) (cudart.Token, error) {

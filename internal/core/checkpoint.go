@@ -27,7 +27,7 @@ import (
 // in the VP's pointer table, so that only the VP can name it and it travels
 // with the VP on checkpoint and migration. The returned pointer is the VP's
 // guest pointer: equal to the device pointer, and stable for the VP's
-// lifetime even if a restore later moves the allocation (RestoreVP). The
+// lifetime even if a restore later moves the allocation (restoreVP). The
 // device may return an address the VP already holds as the guest pointer of
 // such a moved allocation; that entry is never overwritten.
 func (s *Service) AllocVP(vp, n int) (devmem.Ptr, error) {
@@ -54,10 +54,10 @@ func (s *Service) AllocVP(vp, n int) (devmem.Ptr, error) {
 	return p, nil
 }
 
-// FreeVP releases the allocation behind one of the VP's guest pointers. A
+// freeVP releases the allocation behind one of the VP's guest pointers. A
 // pointer the VP does not own is refused: freeing it would hand another VP's
 // live allocation back to the arena.
-func (s *Service) FreeVP(vp int, guest devmem.Ptr) error {
+func (s *Service) freeVP(vp int, guest devmem.Ptr) error {
 	st := s.shard(vp)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -123,12 +123,12 @@ func (ck *VPCheckpoint) Bytes() int64 {
 	return n
 }
 
-// CheckpointVP captures a VP's device-side context. The caller must have
+// checkpointVP captures a VP's device-side context. The caller must have
 // quiesced the VP (no requests in flight — MultiService holds the VP's
 // migration gate) and drained the device (Flush), so the capture is a
 // consistent cut: every submitted job has retired into devmem and the
 // stream clocks.
-func (s *Service) CheckpointVP(vp, device int) (VPCheckpoint, error) {
+func (s *Service) checkpointVP(vp, device int) (VPCheckpoint, error) {
 	ck := VPCheckpoint{VP: vp, Device: device, Registered: s.registered(vp)}
 	st := s.shard(vp)
 	st.mu.Lock()
@@ -158,21 +158,21 @@ func (s *Service) CheckpointVP(vp, device int) (VPCheckpoint, error) {
 	return ck, nil
 }
 
-// restoreStats reports what RestoreVP did, for the migration counters.
+// restoreStats reports what restoreVP did, for the migration counters.
 type restoreStats struct {
 	allocs  int64
 	bytes   int64
 	rebased int64
 }
 
-// RestoreVP replays a VP checkpoint onto this device: each allocation is
+// restoreVP replays a VP checkpoint onto this device: each allocation is
 // re-created at its original address when the span is free (AllocAt), or at
 // a fresh address with a guest→device rebase entry when another VP already
 // holds that span; buffer bytes are restored; the VP's stream clocks are
 // lifted so no replayed stream can schedule before work it already observed
 // completing; and the VP is re-registered if it was registered at capture.
 // On error the device is rolled back to its pre-restore state.
-func (s *Service) RestoreVP(ck VPCheckpoint) (restoreStats, error) {
+func (s *Service) restoreVP(ck VPCheckpoint) (restoreStats, error) {
 	var st restoreStats
 	table := make(map[devmem.Ptr]devmem.Ptr, len(ck.Allocs))
 	undo := func() {

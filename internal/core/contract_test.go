@@ -85,7 +85,6 @@ func TestLaunchContract(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Admission = AdmissionOptions{MaxQueuedJobs: 4}
 			farm, dev := farmOfOne(t, opts)
-			defer farm.Close()
 			farm.RegisterVP(vp)
 			b, err := kernels.Get(app)
 			if err != nil {

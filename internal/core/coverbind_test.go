@@ -27,7 +27,6 @@ func servedSession(t *testing.T) (m *MultiService, call func(vp int, req any) (a
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

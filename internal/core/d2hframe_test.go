@@ -42,7 +42,6 @@ func serveTCPWith(t *testing.T, opts Options) (*ipc.Server, *Service) {
 	srv := ipc.ServeEndpoint(l, m)
 	t.Cleanup(func() {
 		srv.Close()
-		m.Close()
 	})
 	return srv, s
 }
@@ -131,7 +130,6 @@ func TestShedD2HAllocs(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedBytes: 16}
 	m, s := farmOfOne(t, opts)
-	defer m.Close()
 	m.RegisterVP(1)
 	const payload = 256 << 10
 	p := allocFilled(t, s, 1, make([]byte, payload))

@@ -25,7 +25,7 @@ func TestDisconnectRacesPipelinedBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Keep the executor goroutine busy so the disconnect overlaps an
+		// Keep the device's runner busy so the disconnect overlaps an
 		// in-flight batch, not an idle pipeline.
 		slow := sched.NewCustom(2, 2*streamsPerVP, hostgpu.EngineCompute, "slow",
 			func(j *sched.Job, g *hostgpu.GPU) error {
@@ -60,6 +60,5 @@ func TestDisconnectRacesPipelinedBatch(t *testing.T) {
 				t.Fatalf("iter %d: job %d not done", iter, i)
 			}
 		}
-		s.Close()
 	}
 }

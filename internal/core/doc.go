@@ -12,17 +12,18 @@
 // is parked at a synchronous point — the VP Control mechanism of paper
 // Fig. 4b — then the accumulated batch is re-scheduled and dispatched. Every
 // batch, served or raw, takes one route: runBatch → executor.submit →
-// runHead → dispatch. The batch runs on the
-// executor's own goroutine, overlapping guest submission with device
-// simulation, or on a goroutine draining the device; after Close the
-// submitter drains its own batch. Whoever runs it, the simulated results are
-// byte-identical. The batch's host-side byte moves (devmem.Moves) and the
-// launches whose functional half the device skipped because it would leave
-// device memory as it is (hostgpu.GPU.Elide) are counted into the host
-// family core.exec. — core.exec.h2d_unchanged_bytes, for H2D bytes compared
-// equal to those they would overwrite, and core.exec.launches_elided among them — by
-// the token holder after each batch. Admission gates (admission.go) bound the queue per VP, per device, and per farm,
-// shedding excess with typed, retryable overload responses instead of
+// runHead → dispatch. The batch runs on a runner goroutine, which submit
+// starts when the device has work and which exits once it has none,
+// overlapping guest submission with device simulation, or on a goroutine
+// draining the device. Whoever runs it, the simulated results are
+// byte-identical, and an idle device holds no goroutine. The batch's host-side
+// byte moves (devmem.Moves) and the launches whose functional half the device
+// skipped because it would leave device memory as it is (hostgpu.GPU.Elide)
+// are counted into the host family core.exec. — core.exec.h2d_unchanged_bytes,
+// for H2D bytes compared equal to those they would overwrite, and
+// core.exec.launches_elided among them — by the token holder after each batch.
+// Admission gates (admission.go) bound the queue per VP, per device, and per
+// farm, shedding excess with typed, retryable overload responses instead of
 // queueing without limit.
 //
 // # Observability

@@ -32,7 +32,6 @@ func domainSession(t *testing.T) *MultiService {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

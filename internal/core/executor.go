@@ -8,13 +8,13 @@ import (
 	"repro/internal/sched"
 )
 
-// ExecQueueDepth is the bound of each device executor's batch queue. One
+// execQueueDepth is the bound of each device executor's batch queue. One
 // entry would already overlap guest submission with device simulation; a few
 // entries absorb submitter jitter (a burst of small batches) without letting
 // a fast guest run unboundedly ahead of the simulated clock — memory stays
 // bounded and backpressure reaches the submitter within a handful of batches.
 // Enqueueing past the bound blocks and counts an enqueue stall.
-const ExecQueueDepth = 4
+const execQueueDepth = 4
 
 // execBatch is one unit of work handed to a Service's execution pipeline.
 type execBatch struct {
@@ -29,22 +29,29 @@ type execBatch struct {
 }
 
 // executor is a Service's execution pipeline: a bounded FIFO of drained
-// batches, a running token, and one goroutine. Whoever holds the token runs
-// the batch at the head of the queue through Service.dispatch. The goroutine,
-// woken by submit, runs batches while it can take the token and no goroutine
-// is waiting in drain; a goroutine in drain that finds the token free takes
-// the head batch and runs it itself instead of sleeping — a lock-step caller
-// that submits and then drains pays no hand-off, while batches submitted
-// without a drain still run behind the submitter's back. Either way batches
-// run one at a time, in queue order, through runHead. Once closed the
-// executor has no goroutine, and submit drains its own batch: the same queue
-// and token, with the submitter as the only holder. The goroutine is what
-// lets guest submission overlap device simulation, and what lets an N-device
-// MultiService simulate N devices concurrently in wall clock — each device's
-// simulated clock, metrics registry, and trace log are touched only by its
-// token holder, so no cross-device synchronization is needed until a merge
-// point (Sync/Snapshot/Traces) drains the pipelines, and a drain that helps
-// one device leaves the others to their goroutines.
+// batches and a running token. Whoever holds the token runs the batch at the
+// head of the queue through Service.dispatch (runHead), so batches run one at
+// a time, in queue order. Two kinds of goroutine take the token. A runner is
+// started by submit when it queues a batch and finds no runner and nobody in
+// drain; it runs head batches while the token is free and no goroutine is
+// waiting in drain, then exits. A goroutine in drain that finds the token
+// free takes the head batch and runs it itself instead of sleeping — a
+// lock-step caller that submits and then drains pays no hand-off, while
+// batches submitted without a drain run on the runner behind the submitter's
+// back. The executor has no other state: it starts nothing when built, holds
+// no goroutine while it has no work, and so has nothing to stop.
+//
+// Invariant: while a batch is queued, a runner exists, or a drainer is
+// waiting, or a drainer holds the token. A runner leaves only when the queue
+// is empty or a drainer is there, and a drainer leaves only once nothing is
+// in flight; submit starts a runner in every other case.
+//
+// The runner is what lets guest submission overlap device simulation, and
+// what lets an N-device MultiService simulate N devices concurrently in wall
+// clock — each device's simulated clock, metrics registry, and trace log are
+// touched only by its token holder, so no cross-device synchronization is
+// needed until a merge point (Sync/Snapshot/Traces) drains the pipelines,
+// and a drain that helps one device leaves the others to their runners.
 //
 // Health counters (queue depth, batches, enqueue stalls, batches run by a
 // drainer) are the core.exec.* host family of the service registry: executor
@@ -52,20 +59,19 @@ type execBatch struct {
 // Service.Snapshot is what keeps a snapshot independent of who ran each
 // batch.
 type executor struct {
-	s       *Service
-	stopped chan struct{} // closed when the goroutine has exited
+	s *Service
 
 	mu sync.Mutex
-	// work wakes the goroutine: a batch was queued, or the executor closed.
-	// cond wakes everyone else: a queue slot opened or a batch retired.
-	work, cond *sync.Cond
-	queue      [ExecQueueDepth]execBatch // FIFO ring of batches not yet taken
-	head, n    int
-	running    bool // the token: a goroutine is running a batch
-	helpers    int  // goroutines in drain; the goroutine leaves the queue to them
-	inflight   int  // batches accepted (or pending enqueue) but not yet retired
-	highWater  int  // max inflight ever seen
-	closed     bool // no goroutine: submit drains its own batch
+	// cond wakes submitters and drainers: a queue slot opened or a batch
+	// retired.
+	cond      *sync.Cond
+	queue     [execQueueDepth]execBatch // FIFO ring of batches not yet taken
+	head, n   int
+	running   bool // the token: a goroutine is running a batch
+	runner    bool // a runner goroutine exists
+	helpers   int  // goroutines in drain; a runner leaves the queue to them
+	inflight  int  // batches accepted (or pending enqueue) but not yet retired
+	highWater int  // max inflight ever seen
 	// Per-batch instruments, resolved under mu by the first submit.
 	depth, depthHW     *metrics.Gauge
 	batches, byDrainer *metrics.Counter
@@ -88,31 +94,22 @@ func (e *executor) setDepth() {
 	}
 }
 
-// newExecutor builds a service's execution pipeline and starts its goroutine.
+// newExecutor builds a service's execution pipeline. It starts nothing.
 func newExecutor(s *Service) *executor {
-	e := &executor{s: s, stopped: make(chan struct{})}
-	e.work, e.cond = sync.NewCond(&e.mu), sync.NewCond(&e.mu)
-	go e.run()
+	e := &executor{s: s}
+	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
-// run is the executor goroutine: it runs queued batches whenever it can take
-// the token and no drainer is there to, and exits once the executor is closed
-// and the queue is empty.
+// run is a runner: it runs queued batches while it can take the token and no
+// drainer is there to, then clears its flag and exits.
 func (e *executor) run() {
-	defer close(e.stopped)
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		switch {
-		case !e.running && e.n > 0 && e.helpers == 0:
-			e.runHead(false)
-		case e.closed && e.n == 0:
-			return
-		default:
-			e.work.Wait()
-		}
+	for !e.running && e.n > 0 && e.helpers == 0 {
+		e.runHead(false)
 	}
+	e.runner = false
+	e.mu.Unlock()
 }
 
 // runHead takes the token and the batch at the head of the queue, runs it
@@ -121,7 +118,7 @@ func (e *executor) run() {
 func (e *executor) runHead(byDrainer bool) {
 	b := e.queue[e.head]
 	e.queue[e.head] = execBatch{}
-	e.head, e.n = (e.head+1)%ExecQueueDepth, e.n-1
+	e.head, e.n = (e.head+1)%execQueueDepth, e.n-1
 	e.running = true
 	if byDrainer {
 		e.byDrainer.Inc()
@@ -140,9 +137,10 @@ func (e *executor) runHead(byDrainer bool) {
 }
 
 // submit queues a batch for the token holder, blocking for backpressure
-// while the bounded queue is full; once the executor is closed it then drains
-// the batch itself. Callers serialize through Service.dispatchMu, which
-// preserves the drain-order = execution-order invariant.
+// while the bounded queue is full, and starts a runner unless one exists or
+// a drainer is there to run the batch. Callers serialize through
+// Service.dispatchMu, which preserves the drain-order = execution-order
+// invariant.
 func (e *executor) submit(b execBatch) {
 	e.mu.Lock()
 	// Count the batch before waiting for a slot: a drain must not slip past a
@@ -152,21 +150,24 @@ func (e *executor) submit(b execBatch) {
 	e.inflight++
 	e.setDepth()
 	e.batches.Inc()
-	if e.n == ExecQueueDepth {
+	if e.n == execQueueDepth {
 		e.s.metrics.Counter("core.exec.enqueue_stalls").Inc()
 		start := time.Now()
-		for e.n == ExecQueueDepth {
+		for e.n == execQueueDepth {
 			e.cond.Wait()
 		}
 		e.s.metrics.Counter("core.exec.stall_wait_ns").Add(time.Since(start).Nanoseconds())
 	}
-	e.queue[(e.head+e.n)%ExecQueueDepth] = b
+	e.queue[(e.head+e.n)%execQueueDepth] = b
 	e.n++
-	if e.closed {
-		e.help()
+	start := !e.runner && !e.running && e.helpers == 0
+	if start {
+		e.runner = true
 	}
 	e.mu.Unlock()
-	e.work.Signal()
+	if start {
+		go e.run()
+	}
 }
 
 // drain blocks until every batch enqueued so far has fully retired — the
@@ -174,12 +175,6 @@ func (e *executor) submit(b execBatch) {
 // running queued batches itself whenever the token is free.
 func (e *executor) drain() {
 	e.mu.Lock()
-	e.help()
-	e.mu.Unlock()
-}
-
-// help is drain's loop. Caller holds e.mu.
-func (e *executor) help() {
 	e.helpers++
 	for e.inflight > 0 {
 		if !e.running && e.n > 0 {
@@ -189,19 +184,5 @@ func (e *executor) help() {
 		e.cond.Wait()
 	}
 	e.helpers--
-}
-
-// close drains the pipeline, stops the goroutine and waits for it to exit;
-// from then on submitters drain their own batches. Idempotent.
-func (e *executor) close() {
-	e.mu.Lock()
-	e.help()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.work.Signal()
 	e.mu.Unlock()
-	<-e.stopped
 }

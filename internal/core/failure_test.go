@@ -143,7 +143,6 @@ func TestMergedFailureFinishesMembers(t *testing.T) {
 // the server or other VPs.
 func TestIPCClientDisconnect(t *testing.T) {
 	m, _ := farmOfOne(t, DefaultOptions())
-	defer m.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +175,6 @@ func TestIPCClientDisconnect(t *testing.T) {
 // the wire.
 func TestServiceBadLaunchShape(t *testing.T) {
 	m, _ := farmOfOne(t, DefaultOptions())
-	defer m.Close()
 	resp := m.Handle(0, ipc.LaunchReq{Kernel: "vectorAdd", Grid: 0, Block: 0})
 	if _, ok := resp.(ipc.ErrResp); !ok {
 		t.Fatalf("zero-shape launch returned %T", resp)

@@ -98,7 +98,6 @@ func TestDisconnectCancelsOrphanedJobs(t *testing.T) {
 // complete with correct results.
 func TestTCPDisconnectMidBatch(t *testing.T) {
 	m, s := farmOfOne(t, DefaultOptions())
-	defer m.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // guest can put in an H2D, D2H or memset through the front door of a
 // pipelined one-device farm with admission on, on a full and on a timing-only
 // device. Each request must be answered with an error — not by a panic on the
-// device's executor goroutine, which nothing recovers — leave the device bytes
+// goroutine running the device's batch, which nothing recovers — leave the device bytes
 // and the admission reservations as they were, and leave the service serving.
 // The memory alone checks the range, so each request is refused in the same
 // words on both devices.
@@ -33,7 +33,6 @@ func TestHostileRangeArguments(t *testing.T) {
 		opts.Mode = mode
 		opts.Admission = AdmissionOptions{MaxQueuedJobs: 4}
 		farm, dev := farmOfOne(t, opts)
-		defer farm.Close()
 		farm.RegisterVP(vp)
 		p := mallocVP(t, farm, vp, size).Ptr
 		if _, ok := farm.Handle(vp, ipc.H2DReq{Dst: p, Data: bytes.Repeat([]byte{0xA5}, size)}).(ipc.OKResp); !ok {
@@ -84,7 +83,6 @@ func TestHostileRangeArguments(t *testing.T) {
 // keeps serving the connection that sent it.
 func TestHostileH2DOverTCP(t *testing.T) {
 	farm, _ := farmOfOne(t, DefaultOptions())
-	defer farm.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +213,8 @@ func wellFormedMatMul(t *testing.T, call func(req any) any) {
 }
 
 // TestHostileLaunchOverNative: a launch whose parameters describe more work
-// than its bindings hold faults inside the kernel's native, on the device's
-// executor goroutine. Through the front door of a pipelined one-device farm
+// than its bindings hold faults inside the kernel's native, on the goroutine
+// running the device's batch. Through the front door of a pipelined one-device farm
 // with admission on, each must be answered with an error, leave the device
 // bytes and the admission reservations as they were, and leave the service
 // computing correct results.
@@ -225,7 +223,6 @@ func TestHostileLaunchOverNative(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedJobs: 4}
 	farm, dev := farmOfOne(t, opts)
-	defer farm.Close()
 	farm.RegisterVP(vp)
 	call := func(req any) any { return farm.Handle(vp, req) }
 	ptrs := hostilePtrs(t, call)
@@ -260,7 +257,6 @@ func TestHostileLaunchOverNative(t *testing.T) {
 // sent it.
 func TestHostileLaunchOverTCP(t *testing.T) {
 	farm, _ := farmOfOne(t, DefaultOptions())
-	defer farm.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -89,7 +89,6 @@ func TestPlanIsEngineFrontier(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Trace = true
 	s := NewService(opts)
-	defer s.Close()
 	src, err := s.GPU.Mem.Alloc(1 << 20)
 	if err != nil {
 		t.Fatal(err)

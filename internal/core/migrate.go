@@ -8,9 +8,9 @@ package core
 //     in-flight request handlers and blocking new ones; the source device
 //     flushes and drains, so every submitted job retires and the VP's
 //     admission reservations fall to zero.
-//  2. transfer — CheckpointVP captures the VP's allocations (guest-pointer
+//  2. transfer — checkpointVP captures the VP's allocations (guest-pointer
 //     keyed buffer bytes) and the simulated clocks of its stream window.
-//  3. replay   — RestoreVP re-creates the allocations on the target arena
+//  3. replay   — restoreVP re-creates the allocations on the target arena
 //     (at their original addresses when free, rebased otherwise), restores
 //     the bytes and lifts the stream clocks.
 //  4. resume   — the sticky VP→device map is rewritten atomically and the
@@ -74,12 +74,12 @@ func (m *MultiService) Migrate(vp, target int) error {
 	// gate guarantees the VP itself adds nothing new meanwhile.
 	s.Flush()
 
-	ck, err := s.CheckpointVP(vp, src)
+	ck, err := s.checkpointVP(vp, src)
 	if err != nil {
 		m.metrics.Counter("core.migrate.failures").Inc()
 		return err
 	}
-	st, err := t.RestoreVP(ck)
+	st, err := t.restoreVP(ck)
 	if err != nil {
 		// The source is untouched; the VP keeps running where it was.
 		m.metrics.Counter("core.migrate.failures").Inc()
@@ -134,7 +134,7 @@ func (m *MultiService) Checkpoint() (*Checkpoint, error) {
 		// yield an image with no allocations.
 		d, _ := m.Assignment(vp)
 		m.services[d].Flush()
-		v, err := m.services[d].CheckpointVP(vp, d)
+		v, err := m.services[d].checkpointVP(vp, d)
 		g.Unlock()
 		if err != nil {
 			return nil, err
@@ -162,7 +162,7 @@ func (m *MultiService) Restore(ck *Checkpoint) error {
 	for _, v := range ck.VPs {
 		g := m.gate(v.VP)
 		g.Lock()
-		_, err := m.services[v.Device].RestoreVP(v)
+		_, err := m.services[v.Device].restoreVP(v)
 		if err == nil {
 			m.mu.Lock()
 			if _, seen := m.byVP[v.VP]; !seen {

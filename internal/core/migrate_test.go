@@ -29,7 +29,6 @@ func migTestFarm(t *testing.T, nDev int) *MultiService {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	return m
 }
 

@@ -324,7 +324,7 @@ func (m *MultiService) serve(vp int, req any) (any, error) {
 		p, err := m.serviceFor(vp).AllocVP(vp, r.Size)
 		return ipc.MallocResp{Ptr: p}, err
 	case ipc.FreeReq:
-		return ipc.OKResp{}, m.serviceFor(vp).FreeVP(vp, r.Ptr)
+		return ipc.OKResp{}, m.serviceFor(vp).freeVP(vp, r.Ptr)
 	case ipc.H2DReq:
 		return done(m.run(vp, func(s *Service) (*sched.Job, error) {
 			return s.h2dJob(vp, r.Stream, r.Dst, r.Off, r.Data, r.Payload())
@@ -442,11 +442,9 @@ func (m *MultiService) admitFarm(vp, payload int) *OverloadError {
 // concurrently in wall clock instead of one after another.
 func (m *MultiService) Flush() {
 	for _, s := range m.services {
-		s.FlushAsync()
+		s.flushAsync()
 	}
-	for _, s := range m.services {
-		s.Drain()
-	}
+	m.Drain()
 }
 
 // Drain waits for every device's execution pipeline to retire its batches.
@@ -456,12 +454,10 @@ func (m *MultiService) Drain() {
 	}
 }
 
-// Close drains and stops every device's execution pipeline.
-func (m *MultiService) Close() {
-	for _, s := range m.services {
-		s.Close()
-	}
-}
+// Close is Drain, kept under this name for the benchmark module, which calls
+// it. A device's pipeline holds no goroutine without work, so there is
+// nothing to stop.
+func (m *MultiService) Close() { m.Drain() }
 
 // Sync returns the latest completion time across all devices — the
 // session's makespan.

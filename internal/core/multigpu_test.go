@@ -171,7 +171,6 @@ func TestPlacementLeastLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idle.Close()
 	idle.RegisterVP(7)
 	idle.RegisterVP(8)
 	if d, _ := idle.Assignment(8); d != 1 {
@@ -290,7 +289,6 @@ func TestPlacementRefusesOverQuotaDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	// Fill device 0 to its cap.
 	if oe := m.Device(0).adm.admit(99, 0); oe != nil {
 		t.Fatalf("seed admit: %v", oe)
@@ -327,7 +325,6 @@ func TestFarmCapSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	// Every request names memory its VP owns: a pointer it does not own is
 	// refused before admission.
 	p1, p2 := mallocVP(t, m, 1, 256).Ptr, mallocVP(t, m, 2, 256).Ptr

@@ -37,7 +37,6 @@ func TestGuestSliceIsNeverAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	check := func(t *testing.T, h2d func(p devmem.Ptr, data []byte), d2h func(p devmem.Ptr) []byte, p devmem.Ptr) {
 		t.Helper()
 		want := fillPattern(n, 3)
@@ -105,7 +104,6 @@ func TestFreeRefusesAnotherVPsPointer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(m.Close)
 		return m
 	}
 	// intrude sends every request that reads or writes device memory through
@@ -334,7 +332,6 @@ func TestServedAdoptionMatchesCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(m.Close)
 		if image != nil {
 			ck, err := DecodeCheckpoint(image)
 			if err != nil {

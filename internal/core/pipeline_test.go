@@ -16,18 +16,20 @@ import (
 	"repro/internal/vp"
 )
 
-// pipelineSnapshot drives three sequential VP sessions through a service,
-// closed first when closed is set, and returns the makespan plus the
-// simulated-work snapshot bytes. Sessions are sequential because live
-// goroutine-driven fleets race batch boundaries against wall clock; the
-// deterministic multi-VP guarantee is pinned by the experiments-level
-// lock-step tests.
-func pipelineSnapshot(t *testing.T, closed bool) (float64, []byte) {
+// pipelineSnapshot drives three sequential VP sessions through a service and
+// returns the makespan, the simulated-work snapshot bytes, and how many
+// batches ran and how many of those a drainer ran. With drainers set, submit
+// starts no runner (the test holds the runner flag) and a test goroutine
+// drains whenever a batch is queued, so drainers run every batch; otherwise
+// the service runs free and its runners run them. Sessions are sequential
+// because live goroutine-driven fleets race batch boundaries against wall
+// clock; the deterministic multi-VP guarantee is pinned by the
+// experiments-level lock-step tests.
+func pipelineSnapshot(t *testing.T, drainers bool) (makespan float64, snap []byte, batches, byDrainer int64) {
 	t.Helper()
 	m, s := farmOfOne(t, DefaultOptions())
-	defer s.Close()
-	if closed {
-		s.Close()
+	if drainers {
+		defer drainEveryBatch(s)()
 	}
 	for id := 1; id <= 3; id++ {
 		s.RegisterVP(id)
@@ -37,25 +39,66 @@ func pipelineSnapshot(t *testing.T, closed bool) (float64, []byte) {
 		}
 	}
 	s.Flush()
-	data, err := s.Snapshot().JSON()
+	snap, err := s.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Sync(), data
+	exec := s.Metrics().Select("core.exec.")
+	return s.Sync(), snap, exec.CounterValue("core.exec.batches"), exec.CounterValue("core.exec.batches_by_drainer")
 }
 
-// TestPipelineEquivalence: the execution pipeline changes wall-clock
-// behavior only. Simulated makespan and the full metrics snapshot (counters,
-// gauges, histograms) are byte-identical whether the executor goroutine
-// runs the batches or, with the service closed, each submitter runs its own.
-func TestPipelineEquivalence(t *testing.T) {
-	closedT, closedSnap := pipelineSnapshot(t, true)
-	pipeT, pipeSnap := pipelineSnapshot(t, false)
-	if closedT != pipeT {
-		t.Fatalf("makespan diverged: closed %.9f, pipelined %.9f", closedT, pipeT)
+// drainEveryBatch makes drainers run every batch of s: it holds the
+// executor's runner flag, so submit starts no runner, and drains from a
+// goroutine of its own whenever a batch is queued. The returned stop ends the
+// goroutine; the flag stays held.
+func drainEveryBatch(s *Service) (stop func()) {
+	e := s.exec
+	e.mu.Lock()
+	e.runner = true
+	e.mu.Unlock()
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			e.mu.Lock()
+			queued := e.n > 0
+			e.mu.Unlock()
+			if queued {
+				s.Drain()
+			} else {
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
-	if !bytes.Equal(closedSnap, pipeSnap) {
-		t.Fatalf("snapshot diverged:\n--- closed\n%s\n--- pipelined\n%s", closedSnap, pipeSnap)
+}
+
+// TestPipelineEquivalence: who runs a batch changes wall-clock behavior only.
+// Simulated makespan and the full metrics snapshot (counters, gauges,
+// histograms) are byte-identical whether drainers run every batch or the
+// service runs free and its runners run them.
+func TestPipelineEquivalence(t *testing.T) {
+	drainedT, drainedSnap, drainedBatches, drainedByDrainer := pipelineSnapshot(t, true)
+	freeT, freeSnap, freeBatches, freeByDrainer := pipelineSnapshot(t, false)
+	if drainedBatches == 0 || drainedByDrainer != drainedBatches {
+		t.Fatalf("drained side: drainers ran %d of %d batches, want all", drainedByDrainer, drainedBatches)
+	}
+	if freeByDrainer >= freeBatches {
+		t.Fatalf("free side: drainers ran %d of %d batches, want runners to run some", freeByDrainer, freeBatches)
+	}
+	if drainedT != freeT {
+		t.Fatalf("makespan diverged: drained %.9f, free %.9f", drainedT, freeT)
+	}
+	if !bytes.Equal(drainedSnap, freeSnap) {
+		t.Fatalf("snapshot diverged:\n--- drained\n%s\n--- free\n%s", drainedSnap, freeSnap)
 	}
 }
 
@@ -65,7 +108,6 @@ func TestPipelineEquivalence(t *testing.T) {
 func TestPipelineExecMetrics(t *testing.T) {
 	opts := DefaultOptions()
 	m, s := farmOfOne(t, opts)
-	defer s.Close()
 	s.RegisterVP(0)
 	ctx := cudart.NewContext(0, m.Backend(0))
 	p, err := ctx.Malloc(64)
@@ -90,28 +132,9 @@ func TestPipelineExecMetrics(t *testing.T) {
 	}
 }
 
-// TestPipelineCloseFallsBackSynchronous: after Close the service keeps
-// working — each batch goes through the queue and its submitter runs it.
-func TestPipelineCloseFallsBackSynchronous(t *testing.T) {
-	s := NewService(DefaultOptions())
-	s.Close()
-	s.Close() // idempotent
-
-	j := sched.NewCustom(0, 0, hostgpu.EngineH2D, "post-close",
-		func(j *sched.Job, g *hostgpu.GPU) error { return nil })
-	s.Submit(j)
-	s.Flush()
-	if err := j.Wait(); err != nil {
-		t.Fatalf("post-close job failed: %v", err)
-	}
-	if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); got != 1 {
-		t.Fatalf("closed executor counted %d batches, want 1", got)
-	}
-}
-
 // settledGoroutines polls until the goroutine count is back at (or under)
-// want: an exiting goroutine stays counted for an instant after the channel
-// close that announces it.
+// want: a runner stays counted for an instant after the batch it ran
+// retires, and a goroutine of an earlier test may still be winding down.
 func settledGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -123,140 +146,88 @@ func settledGoroutines(t *testing.T, want int) {
 	}
 }
 
-// executorRunning reports whether the service's executor goroutine is still
-// running. The tests read the executor's own state rather than a
-// goroutine-count delta, which a goroutine of an earlier test still winding
-// down would skew.
-func executorRunning(s *Service) bool {
-	select {
-	case <-s.exec.stopped:
-		return false
-	default:
-		return true
-	}
-}
-
-// TestOneDispatchPath drives the executor's two states — running its
-// goroutine, and closed — through one submit → flush → wait → snapshot
-// script. Both run every batch through the queue and runHead, so the
-// simulated snapshots are byte-identical and both count their batches, and
-// after Close neither leaves a goroutine behind.
+// TestOneDispatchPath drives the executor's one state through a submit →
+// flush → wait → snapshot script: served and raw batches both go through the
+// queue and runHead, both are counted, and once the snapshot has drained the
+// pipeline no goroutine is left behind.
 func TestOneDispatchPath(t *testing.T) {
-	states := []struct {
-		name       string
-		closeFirst bool
-	}{
-		{"pipelined", false},
-		{"closed", true},
-	}
-	var ref []byte
-	for _, st := range states {
-		before := runtime.NumGoroutine()
-		m, s := farmOfOne(t, DefaultOptions())
-		if !executorRunning(s) {
-			t.Fatalf("%s: NewService started no executor goroutine", st.name)
-		}
-		if st.closeFirst {
-			s.Close()
-			if executorRunning(s) {
-				t.Fatalf("%s: Close left the executor goroutine running", st.name)
-			}
-		}
-
-		s.RegisterVP(0)
-		ctx := cudart.NewContext(0, m.Backend(0))
-		p, err := ctx.Malloc(256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctx.MemcpyH2DAsync(0, p, bytes.Repeat([]byte{7}, 256)); err != nil {
-			t.Fatal(err)
-		}
-		tok, err := ctx.MemcpyD2HAsync(1, p, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.UnregisterVP(0)
-		s.Flush()
-		if err := tok.Wait(); err != nil {
-			t.Fatalf("%s: %v", st.name, err)
-		}
-		// A raw batch takes the same body with the accounting skipped.
-		raw := sched.NewCustom(0, 0, hostgpu.EngineCompute, "raw",
-			func(j *sched.Job, g *hostgpu.GPU) error { return nil })
-		s.DispatchRaw([]*sched.Job{raw})
-		snap, err := s.Snapshot().JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := raw.Wait(); err != nil {
-			t.Fatalf("%s: raw job: %v", st.name, err)
-		}
-
-		if ref == nil {
-			ref = snap
-		} else if !bytes.Equal(ref, snap) {
-			t.Fatalf("%s: simulated snapshot differs from %s:\n%s\n---\n%s", st.name, states[0].name, snap, ref)
-		}
-		if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); got == 0 {
-			t.Fatalf("%s: core.exec.batches = %d", st.name, got)
-		}
-		s.Close()
-		s.Close()
-		settledGoroutines(t, before)
-	}
-}
-
-// TestCloseLeavesNoGoroutine: whatever the shutdown order — Close before any
-// traffic, Close after traffic, Close twice, Close while a drainer is running
-// a batch — a Service and a 4-device farm end with the goroutines they started
-// with.
-func TestCloseLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-
-	idle := NewService(DefaultOptions())
-	idle.Close()
-	idle.Close()
-	settledGoroutines(t, before)
-
-	gpus := []arch.GPU{arch.Quadro4000(), arch.Quadro4000(), arch.Quadro4000(), arch.Quadro4000()}
-	idleFarm, err := NewMultiService(DefaultOptions(), gpus)
+	m, s := farmOfOne(t, DefaultOptions())
+	s.RegisterVP(0)
+	ctx := cudart.NewContext(0, m.Backend(0))
+	p, err := ctx.Malloc(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < idleFarm.Devices(); i++ {
-		if !executorRunning(idleFarm.Device(i)) {
-			t.Fatalf("device %d of a farm has no executor goroutine", i)
-		}
+	if err := ctx.MemcpyH2DAsync(0, p, bytes.Repeat([]byte{7}, 256)); err != nil {
+		t.Fatal(err)
 	}
-	idleFarm.Close()
+	tok, err := ctx.MemcpyD2HAsync(1, p, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.UnregisterVP(0)
+	s.Flush()
+	if err := tok.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	served := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches")
+	if served == 0 {
+		t.Fatal("core.exec.batches = 0 after a served batch")
+	}
+	// A raw batch takes the same body with the accounting skipped.
+	raw := sched.NewCustom(0, 0, hostgpu.EngineCompute, "raw",
+		func(j *sched.Job, g *hostgpu.GPU) error { return nil })
+	s.DispatchRaw([]*sched.Job{raw})
+	if _, err := s.Snapshot().JSON(); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Wait(); err != nil {
+		t.Fatalf("raw job: %v", err)
+	}
+	if got := s.Metrics().Select("core.exec.").CounterValue("core.exec.batches"); got != served+1 {
+		t.Fatalf("core.exec.batches = %d after a raw batch, want %d", got, served+1)
+	}
 	settledGoroutines(t, before)
+}
 
+// TestIdleFarmHoldsNoGoroutine: a device holds a goroutine only while it has
+// work. Building a 4-device farm starts none; after in-process VPs and a
+// lock-step round on every device, a Drain leaves the goroutines the test
+// started with — there is nothing to close — and so does a drain racing a
+// drainer inside a batch.
+func TestIdleFarmHoldsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	gpus := []arch.GPU{arch.Quadro4000(), arch.Quadro4000(), arch.Quadro4000(), arch.Quadro4000()}
 	farm, err := NewMultiService(DefaultOptions(), gpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < 8; id++ {
-		farm.RegisterVP(id)
-		v := vp.New(id, arch.ARMVersatile(), cudart.NewContext(id, farm.Backend(id)))
-		if err := v.Run(vecAddApp(256, 1)); err != nil {
-			t.Fatal(err)
-		}
-		farm.UnregisterVP(id)
-	}
-	farm.Flush()
-	farm.Close()
-	farm.Close()
 	settledGoroutines(t, before)
-	// A closed farm still serves, each submitter running its own batch.
-	farm.RegisterVP(9)
-	v := vp.New(9, arch.ARMVersatile(), cudart.NewContext(9, farm.Backend(9)))
-	if err := v.Run(vecAddApp(64, 1)); err != nil {
-		t.Fatalf("closed farm: %v", err)
+
+	fleet := vp.NewFleet(8, arch.ARMVersatile(), func(id int) *cudart.Context {
+		farm.RegisterVP(id)
+		return cudart.NewContext(id, farm.Backend(id))
+	})
+	if err := fleet.Run(farm.WrapApp(vecAddApp(256, 1))); err != nil {
+		t.Fatal(err)
+	}
+	var round []*sched.Job
+	for d := 0; d < farm.Devices(); d++ {
+		j := sched.NewCustom(0, 0, hostgpu.EngineCompute, "round",
+			func(*sched.Job, *hostgpu.GPU) error { return nil })
+		farm.DispatchBatch(d, []*sched.Job{j})
+		round = append(round, j)
+	}
+	farm.Drain()
+	for d, j := range round {
+		if err := j.Wait(); err != nil {
+			t.Fatalf("device %d: %v", d, err)
+		}
 	}
 	settledGoroutines(t, before)
 
-	closeWhileDrainerRuns(t)
+	drainWhileDrainerRuns(t)
 	settledGoroutines(t, before)
 }
 
@@ -317,18 +288,17 @@ func waitHelpers(t *testing.T, e *executor, n int) {
 	}
 }
 
-// TestDrainerRunsQueuedBatches: while the executor goroutine is held inside a
+// TestDrainerRunsQueuedBatches: while the runner is held inside a
 // batch, a full queue waits behind it. A goroutine that drains takes those
 // batches over once the token is free and runs them itself, in FIFO order;
 // no two batches are ever inside dispatch at once, and the host counter says
 // who ran them.
 func TestDrainerRunsQueuedBatches(t *testing.T) {
 	s := NewService(DefaultOptions())
-	defer s.Close()
 	h := newHeldBatches(t, 0)
 	s.DispatchRaw(h.batch(0))
-	<-h.entered[0] // the executor goroutine holds the token
-	for i := 1; i <= ExecQueueDepth; i++ {
+	<-h.entered[0] // the runner holds the token
+	for i := 1; i <= execQueueDepth; i++ {
 		s.DispatchRaw(h.batch(i))
 	}
 	drained := make(chan struct{})
@@ -345,27 +315,28 @@ func TestDrainerRunsQueuedBatches(t *testing.T) {
 		t.Fatalf("batches ran in order %v, want %v", h.order, want)
 	}
 	reg := s.Metrics()
-	if got := reg.Counter("core.exec.batches_by_drainer").Value(); got != ExecQueueDepth {
-		t.Fatalf("core.exec.batches_by_drainer = %d, want %d", got, ExecQueueDepth)
+	if got := reg.Counter("core.exec.batches_by_drainer").Value(); got != execQueueDepth {
+		t.Fatalf("core.exec.batches_by_drainer = %d, want %d", got, execQueueDepth)
 	}
-	if got := reg.Counter("core.exec.batches").Value(); got != ExecQueueDepth+1 {
-		t.Fatalf("core.exec.batches = %d, want %d", got, ExecQueueDepth+1)
+	if got := reg.Counter("core.exec.batches").Value(); got != execQueueDepth+1 {
+		t.Fatalf("core.exec.batches = %d, want %d", got, execQueueDepth+1)
 	}
 	if got := reg.Gauge("core.exec.queue_depth").Value(); got != 0 {
 		t.Fatalf("core.exec.queue_depth = %d after the drain", got)
 	}
 }
 
-// closeWhileDrainerRuns calls Close while a drainer is inside a batch: Close
-// waits for it, and every batch runs once, in order.
-func closeWhileDrainerRuns(t *testing.T) {
+// drainWhileDrainerRuns drains while a drainer is inside a batch: the second
+// drain waits for the first, and every batch runs once, in order, one at a
+// time.
+func drainWhileDrainerRuns(t *testing.T) {
 	s := NewService(DefaultOptions())
 	h := newHeldBatches(t, 0, 1)
 	s.DispatchRaw(h.batch(0))
 	<-h.entered[0]
 	s.DispatchRaw(h.batch(1))
 	s.DispatchRaw(h.batch(2))
-	drained, closed := make(chan struct{}), make(chan struct{})
+	drained, second := make(chan struct{}), make(chan struct{})
 	go func() {
 		s.Drain()
 		close(drained)
@@ -374,17 +345,14 @@ func closeWhileDrainerRuns(t *testing.T) {
 	close(h.hold[0])
 	<-h.entered[1] // the drainer holds the token
 	go func() {
-		s.Close()
-		close(closed)
+		s.Drain()
+		close(second)
 	}()
 	waitHelpers(t, s.exec, 2)
 	close(h.hold[1])
 	<-drained
-	<-closed
+	<-second
 	if want := []int{0, 1, 2}; !slices.Equal(h.order, want) {
 		t.Fatalf("batches ran in order %v, want %v", h.order, want)
-	}
-	if !s.exec.closed {
-		t.Fatal("Close returned with the executor still open")
 	}
 }

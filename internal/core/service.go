@@ -107,7 +107,7 @@ type vpState struct {
 	// allocs maps each guest pointer the VP holds onto its device pointer on
 	// this device. The two are equal at allocation time; they differ only
 	// when a restore could not reclaim the original address and rebased the
-	// allocation (see RestoreVP). Every pointer a request names is
+	// allocation (see restoreVP). Every pointer a request names is
 	// translated through it (translate), so a VP reaches no device memory
 	// but its own.
 	allocs map[devmem.Ptr]devmem.Ptr
@@ -322,28 +322,24 @@ func (s *Service) feed(force bool) {
 // is parked at a synchronous point.
 func (s *Service) maybeDispatch() { s.feed(false) }
 
-// FlushAsync feeds everything pending into the execution pipeline regardless
+// flushAsync feeds everything pending into the execution pipeline regardless
 // of VP states, without waiting for it to retire. MultiService uses it to
 // start all devices before draining any, so a farm flush overlaps the
 // devices' simulations in wall clock.
-func (s *Service) FlushAsync() { s.feed(true) }
+func (s *Service) flushAsync() { s.feed(true) }
 
 // Flush dispatches everything pending regardless of VP states and waits for
 // it to retire.
 func (s *Service) Flush() {
-	s.FlushAsync()
+	s.flushAsync()
 	s.Drain()
 }
 
 // Drain blocks until every batch handed to the execution pipeline has fully
 // retired, running queued batches on the caller while the executor's token is
-// free. It is the barrier behind every read of device state.
+// free. It is the barrier behind every read of device state. There is
+// nothing to close: a pipeline with no work holds no goroutine.
 func (s *Service) Drain() { s.exec.drain() }
-
-// Close drains the execution pipeline and stops its goroutine. The service
-// stays usable: each later batch is queued and run by its submitter.
-// Idempotent.
-func (s *Service) Close() { s.exec.close() }
 
 // ExecMetrics is Metrics, kept for the benchmark module, which reads the
 // executor's core.exec.* gauges through it.
@@ -428,8 +424,7 @@ func (s *Service) runBatch(batch []*sched.Job, rec *metrics.Registry) {
 // DispatchRaw runs one externally-assembled batch through the Re-scheduler
 // and the device without service accounting — the deterministic path the
 // experiments use. The batch is enqueued and DispatchRaw returns without
-// waiting (unless the service is closed); Sync/Drain is the completion
-// barrier.
+// waiting; Sync/Drain is the completion barrier.
 func (s *Service) DispatchRaw(batch []*sched.Job) {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
@@ -725,7 +720,7 @@ func streamOf(vp, guestStream int) (int, error) {
 // VPStream maps a VP's guest stream onto the device-stream window the
 // service uses internally. Raw-batch harnesses (DispatchRaw/DispatchBatch)
 // build jobs with it so their stream clocks land in the owning VP's window —
-// the namespace CheckpointVP captures and a migration transfers. Guest
+// the namespace checkpointVP captures and a migration transfers. Guest
 // streams outside the window clamp to its base.
 func VPStream(vp, guestStream int) int {
 	s, err := streamOf(vp, guestStream)

@@ -153,7 +153,6 @@ func TestOptimizationsReduceMakespan(t *testing.T) {
 // TestRemoteIPCBackend drives the service over the TCP transport.
 func TestRemoteIPCBackend(t *testing.T) {
 	s, _ := farmOfOne(t, DefaultOptions())
-	defer s.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +190,6 @@ func TestRemoteIPCBackend(t *testing.T) {
 
 func TestServiceHandleErrors(t *testing.T) {
 	s, _ := farmOfOne(t, DefaultOptions())
-	defer s.Close()
 	if _, ok := s.Handle(0, ipc.MallocReq{Size: -1}).(ipc.ErrResp); !ok {
 		t.Error("bad malloc should error")
 	}
@@ -211,7 +209,6 @@ func TestServiceHandleErrors(t *testing.T) {
 
 func TestServiceMallocFreeViaHandle(t *testing.T) {
 	s, _ := farmOfOne(t, DefaultOptions())
-	defer s.Close()
 	resp := s.Handle(1, ipc.MallocReq{Size: 256})
 	m, ok := resp.(ipc.MallocResp)
 	if !ok {
@@ -342,7 +339,6 @@ func TestEstimationObservesCoalescedMembers(t *testing.T) {
 			opts.EstimateTarget = &tegra
 			opts.Trace = true
 			s := NewService(opts)
-			defer s.Close()
 			var batch []*sched.Job
 			for vpID := 0; vpID < 2; vpID++ {
 				j := sched.NewKernel(vpID, vpID, launch(t, s))
@@ -395,7 +391,6 @@ func servedEstimateMatchesStudy(t *testing.T, app string) {
 	opts.EstimateTarget = &tegra
 	opts.Trace = true
 	m, s := farmOfOne(t, opts)
-	defer m.Close()
 	m.RegisterVP(0)
 	ctx := cudart.NewContext(0, m.Backend(0))
 	l := bench.NewLaunch(w)
@@ -476,12 +471,11 @@ func TestMemsetThroughService(t *testing.T) {
 }
 
 // TestMemsetHostileCountIsAnError: one MemsetReq with a negative count used
-// to panic the executor goroutine (makeslice), and one with a count of 8 GiB
+// to panic the goroutine running the batch (makeslice), and one with a count of 8 GiB
 // allocated that many zeros before the bounds check. Both must come back as
 // an ErrResp, and the service must still serve afterwards.
 func TestMemsetHostileCountIsAnError(t *testing.T) {
 	s, _ := farmOfOne(t, DefaultOptions())
-	defer s.Close()
 	s.RegisterVP(0)
 	defer s.UnregisterVP(0)
 	mr, ok := s.Handle(0, ipc.MallocReq{Size: 128}).(ipc.MallocResp)
@@ -508,7 +502,6 @@ func TestMemsetHostileCountIsAnError(t *testing.T) {
 // disconnect, so an early-finishing VP cannot stall the others.
 func TestRemoteVPsWithRegistrationHooks(t *testing.T) {
 	s, _ := farmOfOne(t, DefaultOptions())
-	defer s.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,6 @@ func TestStreamOfWindows(t *testing.T) {
 // returns ErrResp for an out-of-range guest stream.
 func TestHandleRejectsOutOfRangeStream(t *testing.T) {
 	s, _ := farmOfOne(t, DefaultOptions())
-	defer s.Close()
 	reqs := []any{
 		ipc.H2DReq{Stream: streamsPerVP, Data: []byte{1}},
 		ipc.D2HReq{Stream: -1, N: 1},

@@ -32,7 +32,6 @@ func TestTimingOnlyKeepsNoHostBytes(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = hostgpu.ExecTimingOnly
 	farm, dev := farmOfOne(t, opts)
-	defer farm.Close()
 	farm.RegisterVP(1)
 	data := make([]byte, n)
 	warm := mallocVP(t, farm, 1, 64).Ptr
@@ -105,7 +104,6 @@ func timingOnlyRun(t *testing.T, backed bool) timingOnlyMoves {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	if backed {
 		for i := range gpus {
 			m.Device(i).GPU.Mem = devmem.New(opts.MemBytes)
@@ -148,7 +146,6 @@ func timingOnlyRun(t *testing.T, backed bool) timingOnlyMoves {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	if err := fresh.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +227,6 @@ func timingOnlyRefusesSampledLaunch(t *testing.T, app string) {
 	opts.Mode = hostgpu.ExecTimingOnly
 	opts.Trace = true
 	m, s := farmOfOne(t, opts)
-	defer m.Close()
 	m.RegisterVP(0)
 	req := ipc.LaunchReq{Kernel: app, Grid: w.Grid, Block: w.Block, Params: w.Params, Bindings: map[string]devmem.Ptr{}}
 	for _, decl := range bench.Kernel.Bufs {

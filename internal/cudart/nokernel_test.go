@@ -20,7 +20,6 @@ func TestRemoteLaunchWithoutKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer farm.Close()
 	vecAdd, err := kernels.Get("vectorAdd")
 	if err != nil {
 		t.Fatal(err)

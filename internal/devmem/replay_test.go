@@ -9,7 +9,7 @@ import (
 )
 
 // replay re-creates exported allocations at their original addresses, as a
-// checkpoint restore does (core's RestoreVP): AllocAt, then Write.
+// checkpoint restore does (core's restoreVP): AllocAt, then Write.
 func replay(m *Mem, entries []Entry) error {
 	for _, e := range entries {
 		if err := m.AllocAt(e.Ptr, len(e.Data)); err != nil {

@@ -188,10 +188,9 @@ func (f *farmFleet) step(it int) error {
 	return nil
 }
 
-// close unregisters the fleet and stops the farm's executors.
+// close unregisters the fleet.
 func (f *farmFleet) close() {
 	for id := range f.finalD2H {
 		f.ms.UnregisterVP(id)
 	}
-	f.ms.Close()
 }

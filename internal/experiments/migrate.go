@@ -367,10 +367,8 @@ func (f *farmFleet) checkpointHandover() (int, error) {
 		return 0, err
 	}
 	if err := fresh.Restore(ck2); err != nil {
-		fresh.Close()
 		return 0, err
 	}
-	f.ms.Close()
 	f.ms = fresh
 	return len(data), nil
 }

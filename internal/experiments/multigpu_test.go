@@ -119,9 +119,10 @@ func TestMultiGPUScalingMatchesBENCH7(t *testing.T) {
 }
 
 // TestFarmFleetClosesOnProvisionError forces an allocation failure while the
-// fleet provisions (an arena too small for one buffer) and checks no executor
-// goroutine outlives the error: multiGPURun used to return without closing
-// the farm, leaving one per device.
+// fleet provisions (an arena too small for one buffer) and checks no
+// goroutine outlives the error: multiGPURun once returned without closing
+// the farm, leaving an executor goroutine per device, and a farm now holds
+// none while it has no work.
 func TestFarmFleetClosesOnProvisionError(t *testing.T) {
 	benches, _, err := mixedBenches()
 	if err != nil {
@@ -133,7 +134,7 @@ func TestFarmFleetClosesOnProvisionError(t *testing.T) {
 	if _, err := newFarmFleet(opts, 4, benches, 1, 8); err == nil {
 		t.Fatal("fleet provisioned into a 1 KiB arena")
 	}
-	// An exiting goroutine stays counted for an instant after Close returns.
+	// An exiting goroutine stays counted for an instant after its last batch.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
@@ -160,7 +161,6 @@ func multiRemoteRun(t *testing.T, workers int) (assign string, d2h, metricsJSON,
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Close()
 	for i := 0; i < ms.Devices(); i++ {
 		ms.Device(i).GPU.Workers = workers
 	}

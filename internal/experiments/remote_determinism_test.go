@@ -30,7 +30,6 @@ func remoteRun(t *testing.T, transport string, workers int) (d2h, metricsJSON, t
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer farm.Close()
 	farm.Device(0).GPU.Workers = workers
 
 	var back cudart.Backend

@@ -47,7 +47,6 @@ func serveFarm(opts core.Options, devices int) (*tcpFarm, error) {
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		ms.Close()
 		return nil, err
 	}
 	return &tcpFarm{ms: ms, srv: ipc.ServeEndpoint(l, ms)}, nil
@@ -55,10 +54,7 @@ func serveFarm(opts core.Options, devices int) (*tcpFarm, error) {
 
 func (f *tcpFarm) addr() string { return f.srv.Addr().String() }
 
-func (f *tcpFarm) close() {
-	f.srv.Close()
-	f.ms.Close()
-}
+func (f *tcpFarm) close() { f.srv.Close() }
 
 // dial connects a VP and round-trips a no-op sync, which forces the server
 // past the hello: VP registration — and with it round-robin placement —

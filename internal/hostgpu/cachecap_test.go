@@ -24,7 +24,6 @@ func TestTimingCacheBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	const vp = 1
 	m.RegisterVP(vp)
 	b := kernels.BlackScholes

@@ -97,7 +97,6 @@ func BenchmarkRemoteFig11(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer farm.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
