@@ -4,29 +4,32 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/ipc"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
-// testGate builds a bare admission gate recording into a fresh registry.
+// testGate builds the admission gate of a one-device farm whose device and
+// farm both record into one fresh registry.
 func testGate(opts AdmissionOptions) (*admission, *metrics.Registry) {
 	reg := metrics.New()
-	return &admission{opts: opts, reg: reg, vps: map[int]*vpAdmission{}}, reg
+	return &admission{opts: opts, farm: reg, vps: map[int]*vpAdmission{}, devs: []deviceLoad{{reg: reg}}}, reg
 }
 
 func TestAdmissionJobQuota(t *testing.T) {
 	a, reg := testGate(AdmissionOptions{MaxQueuedJobs: 2})
-	if oe := a.admit(0, 10); oe != nil {
+	if oe := a.admit(0, 0, 10); oe != nil {
 		t.Fatalf("first admit shed: %v", oe)
 	}
-	if oe := a.admit(0, 10); oe != nil {
+	if oe := a.admit(0, 0, 10); oe != nil {
 		t.Fatalf("second admit shed: %v", oe)
 	}
-	oe := a.admit(0, 10)
+	oe := a.admit(0, 0, 10)
 	if oe == nil {
 		t.Fatal("third admit should shed")
 	}
@@ -37,12 +40,12 @@ func TestAdmissionJobQuota(t *testing.T) {
 		t.Fatal("shed must match ErrOverloaded")
 	}
 	// Another VP has its own quota.
-	if oe := a.admit(1, 10); oe != nil {
+	if oe := a.admit(0, 1, 10); oe != nil {
 		t.Fatalf("other VP shed: %v", oe)
 	}
 	// Releasing frees a slot.
-	a.release(0, 10)
-	if oe := a.admit(0, 10); oe != nil {
+	a.release(0, 0, 10)
+	if oe := a.admit(0, 0, 10); oe != nil {
 		t.Fatalf("admit after release shed: %v", oe)
 	}
 	if got := reg.Counter("core.admission.admitted").Value(); got != 4 {
@@ -58,49 +61,48 @@ func TestAdmissionJobQuota(t *testing.T) {
 
 func TestAdmissionByteQuota(t *testing.T) {
 	a, _ := testGate(AdmissionOptions{MaxQueuedBytes: 100})
-	if oe := a.admit(0, 60); oe != nil {
+	if oe := a.admit(0, 0, 60); oe != nil {
 		t.Fatalf("first admit shed: %v", oe)
 	}
-	oe := a.admit(0, 60)
+	oe := a.admit(0, 0, 60)
 	if oe == nil || oe.Reason != "vp-bytes" || !oe.Retryable {
 		t.Fatalf("shed = %+v, want retryable vp-bytes", oe)
 	}
 	// A payload larger than the whole quota can never be admitted.
-	oe = a.admit(0, 101)
+	oe = a.admit(0, 0, 101)
 	if oe == nil || oe.Reason != "payload" || oe.Retryable {
 		t.Fatalf("shed = %+v, want non-retryable payload", oe)
 	}
-	a.release(0, 60)
-	if oe := a.admit(0, 100); oe != nil {
+	a.release(0, 0, 60)
+	if oe := a.admit(0, 0, 100); oe != nil {
 		t.Fatalf("full-quota admit after release shed: %v", oe)
 	}
 }
 
 func TestAdmissionDeviceCaps(t *testing.T) {
 	a, _ := testGate(AdmissionOptions{DeviceMaxQueuedJobs: 2, DeviceMaxQueuedBytes: 100})
-	if oe := a.admit(0, 40); oe != nil {
+	if oe := a.admit(0, 0, 40); oe != nil {
 		t.Fatalf("admit: %v", oe)
 	}
-	if oe := a.admit(1, 40); oe != nil {
+	if oe := a.admit(0, 1, 40); oe != nil {
 		t.Fatalf("admit: %v", oe)
 	}
 	// Device job cap hits a third VP even though its own quota is clean.
-	oe := a.admit(2, 0)
+	oe := a.admit(0, 2, 0)
 	if oe == nil || oe.Reason != "device-jobs" || !oe.Retryable {
 		t.Fatalf("shed = %+v, want device-jobs", oe)
 	}
-	a.release(0, 40)
+	a.release(0, 0, 40)
 	// One slot free, but the payload would blow the device byte cap.
-	oe = a.admit(2, 70)
+	oe = a.admit(0, 2, 70)
 	if oe == nil || oe.Reason != "device-bytes" {
 		t.Fatalf("shed = %+v, want device-bytes", oe)
 	}
-	if oe := a.admit(2, 60); oe != nil {
+	if oe := a.admit(0, 2, 60); oe != nil {
 		t.Fatalf("fitting admit shed: %v", oe)
 	}
-	jobs, bytes := a.load()
-	if jobs != 2 || bytes != 100 {
-		t.Fatalf("load = %d jobs, %d bytes", jobs, bytes)
+	if d := a.device(0); d.jobs != 2 || d.bytes != 100 {
+		t.Fatalf("load = %d jobs, %d bytes", d.jobs, d.bytes)
 	}
 }
 
@@ -109,13 +111,13 @@ func TestAdmissionRateLimit(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	a.now = func() time.Time { return clock }
 
-	if oe := a.admit(0, 0); oe != nil {
+	if oe := a.admit(0, 0, 0); oe != nil {
 		t.Fatalf("burst admit 1 shed: %v", oe)
 	}
-	if oe := a.admit(0, 0); oe != nil {
+	if oe := a.admit(0, 0, 0); oe != nil {
 		t.Fatalf("burst admit 2 shed: %v", oe)
 	}
-	oe := a.admit(0, 0)
+	oe := a.admit(0, 0, 0)
 	if oe == nil || oe.Reason != "rate" || !oe.Retryable {
 		t.Fatalf("shed = %+v, want retryable rate", oe)
 	}
@@ -125,7 +127,7 @@ func TestAdmissionRateLimit(t *testing.T) {
 	}
 	// Advancing the clock refills the bucket.
 	clock = clock.Add(100 * time.Millisecond)
-	if oe := a.admit(0, 0); oe != nil {
+	if oe := a.admit(0, 0, 0); oe != nil {
 		t.Fatalf("admit after refill shed: %v", oe)
 	}
 	if got := reg.Counter("core.admission.throttled").Value(); got != 1 {
@@ -167,8 +169,8 @@ func TestAdmissionGaugesNeverExceedCaps(t *testing.T) {
 		go func(vp int) {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				if a.admit(vp, payload) == nil {
-					a.release(vp, payload)
+				if a.admit(0, vp, payload) == nil {
+					a.release(0, vp, payload)
 				}
 			}
 		}(vp)
@@ -184,7 +186,8 @@ func TestAdmissionGaugesNeverExceedCaps(t *testing.T) {
 	}
 	// The gate's high-water is exact: within the caps, and never below what
 	// the sampler happened to see.
-	jobsHW, bytesHW := a.highWater()
+	d := a.device(0)
+	jobsHW, bytesHW := d.peakJobs, d.peakBytes
 	if jobsHW > capJobs || bytesHW > capJobs*payload || int64(jobsHW) < hw[0] || bytesHW < hw[1] {
 		t.Fatalf("high-water jobs %d, bytes %d; caps %d, %d; sampled %d, %d",
 			jobsHW, bytesHW, capJobs, capJobs*payload, hw[0], hw[1])
@@ -194,7 +197,7 @@ func TestAdmissionGaugesNeverExceedCaps(t *testing.T) {
 func TestAdmissionGaugesBalance(t *testing.T) {
 	a, reg := testGate(AdmissionOptions{MaxQueuedJobs: 8, MaxQueuedBytes: 1 << 20})
 	for i := 0; i < 4; i++ {
-		if oe := a.admit(i%2, 100); oe != nil {
+		if oe := a.admit(0, i%2, 100); oe != nil {
 			t.Fatalf("admit: %v", oe)
 		}
 	}
@@ -205,7 +208,7 @@ func TestAdmissionGaugesBalance(t *testing.T) {
 		t.Fatalf("queue_bytes = %d", got)
 	}
 	for i := 0; i < 4; i++ {
-		a.release(i%2, 100)
+		a.release(0, i%2, 100)
 	}
 	if got := reg.Gauge("core.admission.queue_jobs").Value(); got != 0 {
 		t.Fatalf("queue_jobs after release = %d", got)
@@ -213,12 +216,12 @@ func TestAdmissionGaugesBalance(t *testing.T) {
 	if got := reg.Gauge("core.admission.queue_bytes").Value(); got != 0 {
 		t.Fatalf("queue_bytes after release = %d", got)
 	}
-	if j, b := a.highWater(); j != 4 || b != 400 {
-		t.Fatalf("high-water after release: jobs %d, bytes %d; want 4, 400", j, b)
+	d := a.device(0)
+	if d.peakJobs != 4 || d.peakBytes != 400 {
+		t.Fatalf("high-water after release: jobs %d, bytes %d; want 4, 400", d.peakJobs, d.peakBytes)
 	}
-	jobs, bytes := a.load()
-	if jobs != 0 || bytes != 0 {
-		t.Fatalf("load = %d, %d after full release", jobs, bytes)
+	if d.jobs != 0 || d.bytes != 0 {
+		t.Fatalf("load = %d, %d after full release", d.jobs, d.bytes)
 	}
 }
 
@@ -309,25 +312,26 @@ func TestAdmissionReleasedOnDispatch(t *testing.T) {
 func TestAdmissionReleasedOnDisconnect(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{MaxQueuedJobs: 8}
-	s := NewService(opts)
+	m, s := farmOfOne(t, opts)
 	// Two registered VPs, neither parked in WaitJob: submissions queue
 	// without dispatching (the all-stopped predicate holds dispatch back).
-	s.RegisterVP(0)
-	s.RegisterVP(1)
+	m.RegisterVP(0)
+	m.RegisterVP(1)
 	p, _ := s.GPU.Mem.Alloc(1 << 10)
 	jobs := make([]*sched.Job, 3)
 	for i := range jobs {
-		j := sched.NewH2D(0, 0, p, 0, make([]byte, 32))
-		if oe := s.admitJob(j); oe != nil {
-			t.Fatalf("admit %d: %v", i, oe)
+		_, j, err := m.submit(0, func(*Service) (*sched.Job, error) {
+			return sched.NewH2D(0, 0, p, 0, make([]byte, 32)), nil
+		})
+		if err != nil {
+			t.Fatalf("admit %d: %v", i, err)
 		}
-		s.Submit(j)
 		jobs[i] = j
 	}
 	if n, b := s.AdmissionLoad(); n != 3 || b != 96 {
 		t.Fatalf("load = %d jobs, %d bytes before disconnect", n, b)
 	}
-	s.DisconnectVP(0)
+	m.DisconnectVP(0)
 	if n, b := s.AdmissionLoad(); n != 0 || b != 0 {
 		t.Fatalf("disconnect leaked reservations: %d jobs, %d bytes", n, b)
 	}
@@ -345,7 +349,7 @@ func TestAdmissionReleasedOnDisconnect(t *testing.T) {
 // enqueuer).
 func TestExecDepthGaugeSingleOwner(t *testing.T) {
 	opts := DefaultOptions()
-	s := NewService(opts)
+	s := newService(opts)
 	p, _ := s.GPU.Mem.Alloc(1 << 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -472,4 +476,114 @@ func TestSameShedOnBothRoutes(t *testing.T) {
 		t.Fatalf("tcp: core.admission.shed = %d, want 2", got)
 	}
 	noLeak("tcp")
+}
+
+// TestFarmCapIsExact: a farm cap is a hard bound, not a sample. Eight VPs on
+// two devices submit at once from a barrier, round after round, through the
+// farm's one route; no round may hold more reservations than the farm job
+// cap, or more bytes than the farm byte cap. Jobs queue without dispatching
+// (every VP is registered and none is parked), so each round's reservations
+// are all held until the round's flush.
+func TestFarmCapIsExact(t *testing.T) {
+	const vps, rounds, payload = 8, 20000, 64
+	for _, tc := range []struct {
+		name string
+		adm  AdmissionOptions
+	}{
+		{"jobs", AdmissionOptions{FarmMaxQueuedJobs: 1}},
+		{"bytes", AdmissionOptions{FarmMaxQueuedBytes: payload + payload/2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Admission = tc.adm
+			m, err := NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, payload)
+			builds := make([]func(*Service) (*sched.Job, error), vps)
+			for vp := range builds {
+				m.RegisterVP(vp)
+				p := mallocVP(t, m, vp, payload).Ptr
+				builds[vp] = func(s *Service) (*sched.Job, error) { return s.h2dJob(vp, 0, p, 0, data, nil) }
+			}
+			var admitted atomic.Int32
+			var done sync.WaitGroup
+			starts := make([]chan struct{}, vps)
+			for vp := range starts {
+				starts[vp] = make(chan struct{}, 1)
+				go func(vp int) {
+					for range starts[vp] {
+						if _, _, err := m.submit(vp, builds[vp]); err == nil {
+							admitted.Add(1)
+						} else if !errors.Is(err, ErrOverloaded) {
+							t.Error(err)
+						}
+						done.Done()
+					}
+				}(vp)
+			}
+			over := 0
+			for r := 0; r < rounds; r++ {
+				admitted.Store(0)
+				done.Add(vps)
+				for _, start := range starts {
+					start <- struct{}{}
+				}
+				done.Wait()
+				if admitted.Load() > 1 {
+					over++
+				}
+				m.Flush()
+			}
+			for _, start := range starts {
+				close(start)
+			}
+			if over > 0 {
+				t.Fatalf("%d of %d rounds admitted more than the farm cap allows", over, rounds)
+			}
+			for d := 0; d < m.Devices(); d++ {
+				if jobs, bytes := m.Device(d).AdmissionLoad(); jobs != 0 || bytes != 0 {
+					t.Fatalf("device %d holds %d jobs, %d bytes after the last flush", d, jobs, bytes)
+				}
+			}
+		})
+	}
+}
+
+// TestAdmissionBucketFollowsMigration: a VP's token bucket is the VP's, not
+// its device's. A VP that has spent its burst and migrates is still shed for
+// rate on the target device; a fresh bucket there would let any guest escape
+// its rate limit by sending MigrateReq.
+func TestAdmissionBucketFollowsMigration(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Admission = AdmissionOptions{Rate: 0.001, Burst: 1}
+	m, err := NewMultiService(opts, []arch.GPU{arch.Quadro4000(), arch.Quadro4000()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vp = 0
+	dst := mallocVP(t, m, vp, 64).Ptr
+	h2d := func() error {
+		_, err := m.Backend(vp).H2D(0, dst, 0, make([]byte, 8))
+		return err
+	}
+	rateShed := func(when string, err error) {
+		t.Helper()
+		var oe *OverloadError
+		if !errors.As(err, &oe) || oe.Reason != "rate" {
+			t.Fatalf("%s: err = %v, want a rate shed", when, err)
+		}
+	}
+	if err := h2d(); err != nil {
+		t.Fatalf("first H2D: %v", err)
+	}
+	rateShed("second H2D", h2d())
+	if d, _ := m.Assignment(vp); d != 0 {
+		t.Fatalf("vp placed on device %d, want 0", d)
+	}
+	if err := m.Migrate(vp, 1); err != nil {
+		t.Fatal(err)
+	}
+	rateShed("H2D after migrating", h2d())
 }

@@ -17,7 +17,7 @@ import (
 func TestDisconnectRacesPipelinedBatch(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		opts := DefaultOptions()
-		s := NewService(opts)
+		s := newService(opts)
 		s.RegisterVP(0)
 		s.RegisterVP(1) // registered and never parked: holds dispatch back
 		p, err := s.GPU.Mem.Alloc(1 << 12)

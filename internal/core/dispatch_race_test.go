@@ -19,7 +19,7 @@ import (
 func TestConcurrentDispatchPreservesChainOrder(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Coalesce = false
-	s := NewService(opts)
+	s := newService(opts)
 	// No VPs registered: every Submit may dispatch immediately, which is
 	// exactly the window the old code raced in.
 

@@ -22,9 +22,10 @@
 // are counted into the host family core.exec. — core.exec.h2d_unchanged_bytes,
 // for H2D bytes compared equal to those they would overwrite, and
 // core.exec.launches_elided among them — by the token holder after each batch.
-// Admission gates (admission.go) bound the queue per VP, per device, and per
-// farm, shedding excess with typed, retryable overload responses instead of
-// queueing without limit.
+// A farm's one admission gate (admission.go), shared by its devices, bounds
+// the queue per VP, per device, and per farm under one lock, shedding excess
+// with typed, retryable overload responses instead of queueing without
+// limit.
 //
 // # Observability
 //
@@ -52,10 +53,9 @@
 // In-process hosts take their cudart back ends from MultiService.Backend,
 // the one in-process back end. Both doors take one submission route,
 // MultiService.submit: resolve the VP's device, build the job with the
-// per-device builders, admit it (the farm cap, then the device gate) and
-// queue it, so whether a VP can be shed does not depend on its transport.
-// Service is the per-device layer; no other package's non-test code
-// constructs one.
+// per-device builders, admit it through the farm's gate and queue it, so
+// whether a VP can be shed does not depend on its transport. Service is the
+// per-device layer, and only its farm constructs one (newService).
 //
 // # Checkpoint, restore, and live migration
 //

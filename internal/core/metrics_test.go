@@ -88,7 +88,7 @@ func TestServiceJobEvents(t *testing.T) {
 func TestPlanIsEngineFrontier(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Trace = true
-	s := NewService(opts)
+	s := newService(opts)
 	src, err := s.GPU.Mem.Alloc(1 << 20)
 	if err != nil {
 		t.Fatal(err)

@@ -91,8 +91,9 @@ type MultiService struct {
 	vpCount []int       // VPs ever assigned per device (placement tie-break)
 	nextRR  int         // round-robin cursor
 
-	// adm holds the farm-wide admission caps (Options.Admission.Farm*).
-	adm AdmissionOptions
+	// adm is the farm's one admission gate, shared by its devices (nil with
+	// Options.Admission zero). Lock order: mu, then the gate's.
+	adm *admission
 
 	// gates are the per-VP migration gates: request handling holds a VP's
 	// gate shared, Migrate holds it exclusive (see migrate.go).
@@ -120,14 +121,21 @@ func NewMultiServicePlaced(opts Options, gpus []arch.GPU, placement PlacementPol
 		placement: placement,
 		byVP:      map[int]int{},
 		vpCount:   make([]int, len(gpus)),
-		adm:       opts.Admission,
 		gates:     map[int]*sync.RWMutex{},
 		metrics:   metrics.New(),
 	}
 	for _, g := range gpus {
 		o := opts
 		o.Arch = g
-		m.services = append(m.services, NewService(o))
+		m.services = append(m.services, newService(o))
+	}
+	if opts.Admission.enabled() {
+		m.adm = &admission{opts: opts.Admission, farm: m.metrics,
+			vps: map[int]*vpAdmission{}, devs: make([]deviceLoad, len(gpus))}
+		for i, s := range m.services {
+			m.adm.devs[i].reg = s.metrics
+			s.adm, s.dev = m.adm, i
+		}
 	}
 	return m, nil
 }
@@ -155,14 +163,14 @@ func (m *MultiService) Assignment(vp int) (int, bool) {
 }
 
 // placeCandidates returns the device indices placement may choose from:
-// devices at or over their admission quota (Service.OverQuota) are refused so
+// devices at or over a device cap in the admission gate are refused so
 // a new VP never lands on a device already shedding load. When every device
 // is over quota the refusal is moot — all devices stay eligible, and
 // admission shedding (not placement) is the protection. Caller holds m.mu.
 func (m *MultiService) placeCandidates() []int {
 	cand := make([]int, 0, len(m.services))
-	for i, s := range m.services {
-		if !s.OverQuota() {
+	for i := range m.services {
+		if m.adm == nil || !m.adm.overQuota(i) {
 			cand = append(cand, i)
 		}
 	}
@@ -368,19 +376,16 @@ func (m *MultiService) serve(vp int, req any) (any, error) {
 }
 
 // submit is the one route a job takes onto the farm, whichever transport
-// brought it: resolve the VP's device, build the job there, admit it — the
-// farm cap first, then the device gate — and queue it. The caller holds the
-// VP's migration gate shared: a served request until its job has run or been
-// cancelled (serve), an in-process call through the enqueue only
-// (multiBackend). A shed returns an *OverloadError and reserves nothing.
+// brought it: resolve the VP's device, build the job there, admit it through
+// the farm's one gate — every cap decided under one lock — and queue it. The
+// caller holds the VP's migration gate shared: a served request until its job
+// has run or been cancelled (serve), an in-process call through the enqueue
+// only (multiBackend). A shed returns an *OverloadError and reserves nothing.
 func (m *MultiService) submit(vp int, build func(*Service) (*sched.Job, error)) (*Service, *sched.Job, error) {
 	s := m.serviceFor(vp)
 	j, err := build(s)
 	if err != nil {
 		return nil, nil, err
-	}
-	if oe := m.admitFarm(vp, j.Bytes); oe != nil {
-		return nil, nil, oe
 	}
 	if oe := s.admitJob(j); oe != nil {
 		return nil, nil, oe
@@ -406,35 +411,6 @@ func done(j *sched.Job, err error) (any, error) {
 		return nil, err
 	}
 	return ipc.OKResp{End: j.Interval.End}, nil
-}
-
-// admitFarm sheds a job of `payload` queued bytes when the farm-wide totals
-// are at their caps. It returns nil (admit; the device-level gate still
-// applies) or the shed. Farm totals are sampled across the devices'
-// admission gates — a snapshot, not a reservation: the per-device gates are
-// the precise bound, the farm cap is the coarse circuit breaker above them.
-func (m *MultiService) admitFarm(vp, payload int) *OverloadError {
-	if !m.adm.farmEnabled() {
-		return nil
-	}
-	jobs, bytes := 0, int64(0)
-	for _, s := range m.services {
-		j, b := s.AdmissionLoad()
-		jobs += j
-		bytes += b
-	}
-	var oe *OverloadError
-	switch {
-	case m.adm.FarmMaxQueuedJobs > 0 && jobs >= m.adm.FarmMaxQueuedJobs:
-		oe = &OverloadError{VP: vp, Reason: "farm-jobs", Backoff: DefaultRetryAfter, Retryable: true}
-	case m.adm.FarmMaxQueuedBytes > 0 && bytes+int64(payload) > m.adm.FarmMaxQueuedBytes:
-		oe = &OverloadError{VP: vp, Reason: "farm-bytes", Backoff: DefaultRetryAfter, Retryable: true}
-	default:
-		return nil
-	}
-	m.metrics.Counter("core.admission.shed").Inc()
-	m.metrics.Counter("core.admission.shed." + oe.Reason).Inc()
-	return oe
 }
 
 // Flush drains every device. All devices are fed first and only then

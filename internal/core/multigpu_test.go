@@ -290,10 +290,10 @@ func TestPlacementRefusesOverQuotaDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill device 0 to its cap.
-	if oe := m.Device(0).adm.admit(99, 0); oe != nil {
+	if oe := m.adm.admit(0, 99, 0); oe != nil {
 		t.Fatalf("seed admit: %v", oe)
 	}
-	if !m.Device(0).OverQuota() {
+	if !m.adm.overQuota(0) {
 		t.Fatal("device 0 should be over quota")
 	}
 	// Round-robin would offer device 0 first; the refusal routes both new
@@ -309,15 +309,15 @@ func TestPlacementRefusesOverQuotaDevice(t *testing.T) {
 		t.Fatal("placement refusals not counted")
 	}
 	// Draining the quota makes device 0 eligible again.
-	m.Device(0).adm.release(99, 0)
+	m.adm.release(0, 99, 0)
 	m.RegisterVP(12)
 	if d, _ := m.Assignment(12); d != 0 {
 		t.Fatalf("vp 12 placed on device %d, want 0 after drain", d)
 	}
 }
 
-// TestFarmCapSheds: the farm-wide circuit breaker sheds submissions once the
-// summed device loads hit the cap, no matter which device would serve them.
+// TestFarmCapSheds: the farm-wide caps shed submissions once the farm totals
+// hit them, no matter which device would serve them.
 func TestFarmCapSheds(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Admission = AdmissionOptions{FarmMaxQueuedJobs: 2, FarmMaxQueuedBytes: 256}
@@ -329,15 +329,15 @@ func TestFarmCapSheds(t *testing.T) {
 	// refused before admission.
 	p1, p2 := mallocVP(t, m, 1, 256).Ptr, mallocVP(t, m, 2, 256).Ptr
 
-	// Load both devices' gates directly (reservation without dispatch).
-	if oe := m.Device(0).adm.admit(0, 100); oe != nil {
+	// Reserve on both devices directly (reservation without dispatch).
+	if oe := m.adm.admit(0, 0, 100); oe != nil {
 		t.Fatal(oe)
 	}
 	resp := m.Handle(1, ipc.D2HReq{Src: p1, N: 8})
 	if _, ok := resp.(ipc.OverloadResp); ok {
 		t.Fatalf("one job in a farm of cap 2 must admit, got %v", resp)
 	}
-	if oe := m.Device(1).adm.admit(1, 100); oe != nil {
+	if oe := m.adm.admit(1, 1, 100); oe != nil {
 		t.Fatal(oe)
 	}
 
@@ -355,7 +355,7 @@ func TestFarmCapSheds(t *testing.T) {
 
 	// Release one job: under the job cap, but a big payload trips the byte
 	// cap (2 jobs × 100B reserved… now 100B + 200B request > 256B).
-	m.Device(0).adm.release(0, 100)
+	m.adm.release(0, 0, 100)
 	if _, ok := m.Handle(2, ipc.H2DReq{Dst: p2, Data: make([]byte, 200)}).(ipc.OverloadResp); !ok {
 		t.Fatal("submission over farm byte cap must shed")
 	}

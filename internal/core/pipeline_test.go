@@ -294,7 +294,7 @@ func waitHelpers(t *testing.T, e *executor, n int) {
 // no two batches are ever inside dispatch at once, and the host counter says
 // who ran them.
 func TestDrainerRunsQueuedBatches(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s := newService(DefaultOptions())
 	h := newHeldBatches(t, 0)
 	s.DispatchRaw(h.batch(0))
 	<-h.entered[0] // the runner holds the token
@@ -330,7 +330,7 @@ func TestDrainerRunsQueuedBatches(t *testing.T) {
 // drain waits for the first, and every batch runs once, in order, one at a
 // time.
 func drainWhileDrainerRuns(t *testing.T) {
-	s := NewService(DefaultOptions())
+	s := newService(DefaultOptions())
 	h := newHeldBatches(t, 0, 1)
 	s.DispatchRaw(h.batch(0))
 	<-h.entered[0]

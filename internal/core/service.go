@@ -90,11 +90,13 @@ type Service struct {
 	// per-(VP,stream) ordering on the device.
 	dispatchMu sync.Mutex
 
-	// exec is the device's execution pipeline; adm is the admission gate (nil
-	// with Options.Admission zero). Both record host families (see
-	// hostFamilies) into the service registry.
+	// exec is the device's execution pipeline; adm is the farm's admission
+	// gate (nil with Options.Admission zero), in which this device is number
+	// dev. Both record host families (see hostFamilies) into the service
+	// registry.
 	exec *executor
 	adm  *admission
+	dev  int
 
 	moved  devmem.Moves // as of the last countMoves
 	elided int64        // GPU.Elided as of the last countMoves
@@ -132,8 +134,10 @@ func (s *Service) shard(vp int) *vpState {
 	return st
 }
 
-// NewService builds a service over a fresh simulated host GPU.
-func NewService(opts Options) *Service {
+// newService builds a device service over a fresh simulated host GPU. Only
+// its farm builds one for the product, and hands it the farm's admission
+// gate (NewMultiServicePlaced).
+func newService(opts Options) *Service {
 	if opts.MemBytes <= 0 {
 		opts.MemBytes = 1 << 30
 	}
@@ -163,12 +167,6 @@ func NewService(opts Options) *Service {
 		metrics: reg,
 		queue:   q,
 		vps:     map[int]*vpState{},
-	}
-	// Farm caps are enforced by MultiService from sampled per-device loads,
-	// so they too need the per-service gate running (with every device knob
-	// zero it admits everything but still tracks reservations).
-	if opts.Admission.deviceEnabled() || opts.Admission.farmEnabled() {
-		s.adm = &admission{opts: opts.Admission, reg: reg, vps: map[int]*vpAdmission{}}
 	}
 	s.exec = newExecutor(s)
 	return s
@@ -345,41 +343,29 @@ func (s *Service) Drain() { s.exec.drain() }
 // executor's core.exec.* gauges through it.
 func (s *Service) ExecMetrics() *metrics.Registry { return s.metrics }
 
-// AdmissionLoad returns the admission gate's device-wide reservation totals
-// (jobs, bytes); zero with admission off. Placement uses it to refuse
-// devices over their admission limit, and MultiService sums it for the
-// farm-wide caps.
+// AdmissionLoad returns the device's reservation totals in the admission
+// gate (jobs, bytes); zero with admission off.
 func (s *Service) AdmissionLoad() (jobs int, bytes int64) {
 	if s.adm == nil {
 		return 0, 0
 	}
-	return s.adm.load()
+	d := s.adm.device(s.dev)
+	return d.jobs, d.bytes
 }
 
-// AdmissionHighWater returns the highest device-wide reservation totals
-// (jobs, bytes) the admission gate has held; zero with admission off. It is
+// AdmissionHighWater returns the highest reservation totals (jobs, bytes)
+// the admission gate has held for the device; zero with admission off. It is
 // kept under the gate's lock with every reservation, so no peak is missed.
 // Not a registry gauge: an idle farm's admission gauges all read zero.
 func (s *Service) AdmissionHighWater() (jobs int, bytes int64) {
 	if s.adm == nil {
 		return 0, 0
 	}
-	return s.adm.highWater()
+	d := s.adm.device(s.dev)
+	return d.peakJobs, d.peakBytes
 }
 
-// OverQuota reports whether the device is at or over its device-wide job or
-// byte cap — the signal placement uses to route new VPs elsewhere.
-func (s *Service) OverQuota() bool {
-	if s.adm == nil {
-		return false
-	}
-	o := s.opts.Admission
-	jobs, bytes := s.adm.load()
-	return (o.DeviceMaxQueuedJobs > 0 && jobs >= o.DeviceMaxQueuedJobs) ||
-		(o.DeviceMaxQueuedBytes > 0 && bytes >= o.DeviceMaxQueuedBytes)
-}
-
-// admitJob passes one job through the device's admission gate. A nil return
+// admitJob passes one job through the farm's admission gate. A nil return
 // means the job was admitted and now holds a quota reservation (released by
 // the dispatcher on completion or the disconnect path on cancellation). A
 // non-nil return is the shed: nothing is reserved.
@@ -387,7 +373,7 @@ func (s *Service) admitJob(j *sched.Job) *OverloadError {
 	if s.adm == nil {
 		return nil
 	}
-	oe := s.adm.admit(j.VP, j.Bytes)
+	oe := s.adm.admit(s.dev, j.VP, j.Bytes)
 	j.Admitted = oe == nil
 	return oe
 }
@@ -396,7 +382,7 @@ func (s *Service) admitJob(j *sched.Job) *OverloadError {
 func (s *Service) releaseJob(j *sched.Job) {
 	if j.Admitted {
 		j.Admitted = false
-		s.adm.release(j.VP, j.Bytes)
+		s.adm.release(s.dev, j.VP, j.Bytes)
 	}
 }
 

@@ -224,7 +224,7 @@ func TestDefaultOptions(t *testing.T) {
 	if o.Policy != sched.PolicyInterleave || !o.Coalesce {
 		t.Error("defaults should enable both optimizations")
 	}
-	s := NewService(o)
+	s := newService(o)
 	if s.Options().Arch.Name != "Quadro 4000" {
 		t.Error("default arch wrong")
 	}
@@ -233,7 +233,7 @@ func TestDefaultOptions(t *testing.T) {
 	}
 	base := o
 	base.Policy = sched.PolicyFIFO
-	if !NewService(base).GPU.Serialize {
+	if !newService(base).GPU.Serialize {
 		t.Error("baseline service must serialize")
 	}
 }
@@ -338,7 +338,7 @@ func TestEstimationObservesCoalescedMembers(t *testing.T) {
 			tegra := arch.TegraK1()
 			opts.EstimateTarget = &tegra
 			opts.Trace = true
-			s := NewService(opts)
+			s := newService(opts)
 			var batch []*sched.Job
 			for vpID := 0; vpID < 2; vpID++ {
 				j := sched.NewKernel(vpID, vpID, launch(t, s))

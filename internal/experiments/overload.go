@@ -56,8 +56,8 @@ type OverloadDrillResult struct {
 	ShedReasons map[string]int
 
 	// High-water of the admission reservations across both devices during
-	// the contended pass, as the gates keep it with every reservation
-	// (core.Service.AdmissionHighWater). The reservation accounting
+	// the contended pass, as the farm's one gate keeps it per device with
+	// every reservation (core.Service.AdmissionHighWater). The reservation accounting
 	// bounds them by the caps; a high-water above the cap is an accounting
 	// bug.
 	MaxQueuedJobsSeen  int64

@@ -15,13 +15,15 @@ import (
 // buffer without copying in the prefix a launch overwrites
 // (kir.Program.Covered): every registry kernel with such a buffer runs with it
 // pre-filled with a poison byte, and longer than its workload asks, so there is
-// a tail past the prefix. It runs on the interpreter, on the compiled engine
-// and on its native, each twice with two different poisons. The prefix must
-// come out the same bytes under both poisons, so nothing in it depends on what
-// the buffer held, and the same bytes on all three runners. Every byte past the
-// prefix must still be the poison. The compiled engine also runs at half and
-// twice the workload's grid, which moves the prefix of a one-store-per-thread
-// kernel; natives follow only the workload's own grid.
+// a tail past the prefix. It runs on the compiled engine serially (ExecAll)
+// and on two workers (ExecBlocks), and on its native, each twice with two
+// different poisons. The prefix must come out the same bytes under both
+// poisons, so nothing in it depends on what the buffer held, and the same
+// bytes on all three runners. Every byte past the prefix must still be the
+// poison. The compiled engine on two workers also runs at half and twice the
+// workload's grid, which moves the prefix of a one-store-per-thread kernel;
+// natives follow only the workload's own grid. The compiled engine's
+// agreement with the interpreter is TestCompiledMatchesInterpreterSuite's.
 func TestCoveredPrefixIsOverwritten(t *testing.T) {
 	const extra = 37 // elements past the workload's buffer
 	checked := 0
@@ -36,10 +38,10 @@ func TestCoveredPrefixIsOverwritten(t *testing.T) {
 					run  func(env *kpl.Env) error
 				}
 				runners := []runner{
-					{"interpreter", w.Grid, func(env *kpl.Env) error { return b.Kernel.ExecAll(env, nil) }},
-					{"compiled", w.Grid, func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
-					{"compiled", max(w.Grid/2, 1), func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
-					{"compiled", 2 * w.Grid, func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
+					{"compiled, serial", w.Grid, func(env *kpl.Env) error { return b.Kernel.ExecAll(env, nil) }},
+					{"compiled, 2 workers", w.Grid, func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
+					{"compiled, 2 workers", max(w.Grid/2, 1), func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
+					{"compiled, 2 workers", 2 * w.Grid, func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
 				}
 				if b.Native != nil {
 					runners = append(runners, runner{"native", w.Grid, b.Native})
@@ -77,7 +79,7 @@ func TestCoveredPrefixIsOverwritten(t *testing.T) {
 					if want, ok := ref[nt]; !ok {
 						ref[nt] = prefix
 					} else if !bytes.Equal(want, prefix) {
-						t.Errorf("%s: the prefix differs from the interpreter's", where)
+						t.Errorf("%s: the prefix differs from the serial compiled run's", where)
 					}
 				}
 			}

@@ -45,7 +45,7 @@ func compareBuffers(t *testing.T, bench, name string, a, b *kpl.Buffer) {
 }
 
 // TestInterpreterNativeAgreement runs every benchmark's kernel both through
-// the kpl interpreter (the GPU emulator) and through its native Go
+// the kpl interpreter (the tests' reference engine) and through its native Go
 // implementation (the host-GPU semantics) on identical inputs and asserts
 // the outputs match. This is the paper's binary-compatibility property: the
 // same guest kernel produces the same results on either back end.
@@ -59,7 +59,7 @@ func TestInterpreterNativeAgreement(t *testing.T) {
 			w := b.MakeWorkload(1)
 			envInterp := buildEnv(t, b, w)
 			envNative := buildEnv(t, b, w)
-			if err := b.Kernel.ExecAll(envInterp, nil); err != nil {
+			if err := b.Kernel.InterpretAll(envInterp, nil); err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
 			if err := b.Native(envNative); err != nil {
@@ -83,7 +83,7 @@ func TestSigmaConsistency(t *testing.T) {
 			w := b.MakeWorkload(1)
 			env := buildEnv(t, b, w)
 			st := kpl.NewStats()
-			if err := b.Kernel.ExecAll(env, st); err != nil {
+			if err := b.Kernel.InterpretAll(env, st); err != nil {
 				t.Fatal(err)
 			}
 			sigma, err := b.Prog.Sigma(&neutral, kir.Launch{NThreads: w.Threads(), Params: w.Params}, st)

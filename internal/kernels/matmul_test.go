@@ -124,7 +124,7 @@ func TestMatrixMulNativeShapes(t *testing.T) {
 			a, b := specialInputs(m, n, k)
 			envInterp := matMulEnv(t, m, n, k, a, b)
 			envNative := matMulEnv(t, m, n, k, a, b)
-			if err := MatrixMul.Kernel.ExecAll(envInterp, nil); err != nil {
+			if err := MatrixMul.Kernel.InterpretAll(envInterp, nil); err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
 			if err := MatrixMul.Native(envNative); err != nil {

@@ -21,9 +21,10 @@ var notWriteOnly = []string{
 // TestWriteOnlyPremise checks the premise of eliding a repeated launch
 // (hostgpu.GPU.Elide): a kernel kir calls write-only rewrites, when run again
 // over its own output, exactly the bytes it wrote the first time. Every such
-// registry kernel runs at scales 1 and 2 on the interpreter, the compiled
-// engine and its native, over two poisons of every writable buffer; a second
-// run must leave every writable byte as the first left it.
+// registry kernel runs at scales 1 and 2 on the compiled engine serially
+// (ExecAll) and on two workers (ExecBlocks), and on its native, over two
+// poisons of every writable buffer; a second run must leave every writable
+// byte as the first left it.
 func TestWriteOnlyPremise(t *testing.T) {
 	var got []string
 	for _, b := range All() {
@@ -46,8 +47,8 @@ func TestWriteOnlyPremise(t *testing.T) {
 		for scale := 1; scale <= 2; scale++ {
 			w := b.MakeWorkload(scale)
 			runners := []runner{
-				{"interpreter", func(env *kpl.Env) error { return b.Kernel.ExecAll(env, nil) }},
-				{"compiled", func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
+				{"compiled, serial", func(env *kpl.Env) error { return b.Kernel.ExecAll(env, nil) }},
+				{"compiled, 2 workers", func(env *kpl.Env) error { return b.Kernel.ExecBlocks(env, nil, w.Block, 2) }},
 			}
 			if b.Native != nil {
 				runners = append(runners, runner{"native", b.Native})

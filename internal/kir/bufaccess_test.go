@@ -28,7 +28,7 @@ func TestBufAccessesMatchInterpreter(t *testing.T) {
 	env := kpl.NewEnv(n).SetInt("n", int64(n)).SetF32("a", 2).
 		Bind("x", x).Bind("y", y).Bind("out", out)
 	st := kpl.NewStats()
-	if err := k.ExecAll(env, st); err != nil {
+	if err := k.InterpretAll(env, st); err != nil {
 		t.Fatal(err)
 	}
 

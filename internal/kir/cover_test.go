@@ -55,7 +55,7 @@ func runCovered(t *testing.T, k *kpl.Kernel, nt int, params map[string]kpl.Value
 			out.F32s[i] = poison
 		}
 		env := &kpl.Env{NThreads: nt, Params: params, Bufs: map[string]*kpl.Buffer{"x": x, "out": out}}
-		if err := k.ExecAll(env, nil); err != nil {
+		if err := k.InterpretAll(env, nil); err != nil {
 			return
 		}
 		prefix := min(covered, elems)

@@ -145,7 +145,7 @@ func TestAnalyzerExprCoverage(t *testing.T) {
 	}
 	env := kpl.NewEnv(n).SetF32("s", 0.5).Bind("in", in).Bind("out", kpl.NewBuffer(kpl.F32, 8))
 	st := kpl.NewStats()
-	if err := k.ExecAll(env, st); err != nil {
+	if err := k.InterpretAll(env, st); err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < int(arch.NumClasses); c++ {

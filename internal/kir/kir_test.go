@@ -94,7 +94,7 @@ func TestSigmaMatchesInterpreter(t *testing.T) {
 	env := kpl.NewEnv(n).SetInt("n", int64(n)).SetF32("a", 2).
 		Bind("x", x).Bind("y", y).Bind("out", out)
 	st := kpl.NewStats()
-	if err := k.ExecAll(env, st); err != nil {
+	if err := k.InterpretAll(env, st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +242,7 @@ func TestStaticLoopWithParamBounds(t *testing.T) {
 	// Verify against the interpreter exactly.
 	env := kpl.NewEnv(2).SetInt("m", 3).Bind("out", kpl.NewBuffer(kpl.F32, 2))
 	st := kpl.NewStats()
-	if err := k.ExecAll(env, st); err != nil {
+	if err := k.InterpretAll(env, st); err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < int(arch.NumClasses); c++ {
