@@ -116,10 +116,11 @@ func TestServedD2HAllocs(t *testing.T) {
 	}
 }
 
-// TestShedD2HAllocs: a D2H shed at the admission door allocates no more than
-// an H2D of the same size shed there. The D2H's pooled response frame is
-// drawn before admission decides; a shed hands it back to the pool instead of
-// leaving a payload-sized buffer to the collector.
+// TestShedD2HAllocs: a D2H shed at the admission door allocates no more often
+// than an H2D of the same size shed there, and no more bytes past a 1 KiB
+// slack. The D2H's pooled response frame is drawn before admission decides;
+// a shed hands it back to the pool instead of leaving a payload-sized buffer
+// to the collector.
 func TestShedD2HAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc pins are timing-sensitive; skipped in -short")
@@ -154,7 +155,10 @@ func TestShedD2HAllocs(t *testing.T) {
 	h2dAllocs, h2dBytes := shed(ipc.H2DReq{Dst: p, Data: data})
 	d2hAllocs, d2hBytes := shed(ipc.D2HReq{Src: p, N: payload})
 	t.Logf("shed H2D: %.1f allocs, %.0f B; shed D2H: %.1f allocs, %.0f B", h2dAllocs, h2dBytes, d2hAllocs, d2hBytes)
-	if d2hAllocs > h2dAllocs || d2hBytes > h2dBytes {
+	// Bytes per call read a few bytes of background noise now and then; a
+	// dropped frame costs the whole payload, far above this slack.
+	const slack = 1 << 10
+	if d2hAllocs > h2dAllocs || d2hBytes > h2dBytes+slack {
 		t.Errorf("a shed %d-byte D2H allocates %.1f times, %.0f B; a shed H2D %.1f times, %.0f B",
 			payload, d2hAllocs, d2hBytes, h2dAllocs, h2dBytes)
 	}

@@ -12,16 +12,19 @@
 // is parked at a synchronous point — the VP Control mechanism of paper
 // Fig. 4b — then the accumulated batch is re-scheduled and dispatched. Every
 // batch, served or raw, takes one route: runBatch → executor.submit →
-// runHead → dispatch. The batch runs on a runner goroutine, which submit
-// starts when the device has work and which exits once it has none,
-// overlapping guest submission with device simulation, or on a goroutine
-// draining the device. Whoever runs it, the simulated results are
-// byte-identical, and an idle device holds no goroutine. The batch's host-side
-// byte moves (devmem.Moves) and the launches whose functional half the device
-// skipped because it would leave device memory as it is (hostgpu.GPU.Elide)
-// are counted into the host family core.exec. — core.exec.h2d_unchanged_bytes,
-// for H2D bytes compared equal to those they would overwrite, and
-// core.exec.launches_elided among them — by the token holder after each batch.
+// runHead → dispatch. The batch runs on a goroutine draining the device or
+// on a runner goroutine, which exits once the device has no work. Submit
+// starts a runner for a served batch, overlapping guest submission with
+// device simulation, and for a raw batch only when it queues behind a batch
+// nobody has taken yet: a lone raw batch's submitter owes a drain, which
+// runs it, so a lock-step round starts no goroutine. Whoever runs a batch,
+// the simulated results are byte-identical, and an idle device holds no
+// goroutine. The batch's host-side byte moves (devmem.Moves) and the
+// launches whose functional half the device skipped because it would leave
+// device memory as it is (hostgpu.GPU.Elide) are counted into the host
+// family core.exec. — core.exec.h2d_unchanged_bytes, for H2D bytes compared
+// equal to those they would overwrite, and core.exec.launches_elided among
+// them — by the token holder after each batch.
 // A farm's one admission gate (admission.go), shared by its devices, bounds
 // the queue per VP, per device, and per farm under one lock, shedding excess
 // with typed, retryable overload responses instead of queueing without

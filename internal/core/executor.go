@@ -31,27 +31,38 @@ type execBatch struct {
 // executor is a Service's execution pipeline: a bounded FIFO of drained
 // batches and a running token. Whoever holds the token runs the batch at the
 // head of the queue through Service.dispatch (runHead), so batches run one at
-// a time, in queue order. Two kinds of goroutine take the token. A runner is
-// started by submit when it queues a batch and finds no runner and nobody in
-// drain; it runs head batches while the token is free and no goroutine is
-// waiting in drain, then exits. A goroutine in drain that finds the token
-// free takes the head batch and runs it itself instead of sleeping — a
-// lock-step caller that submits and then drains pays no hand-off, while
-// batches submitted without a drain run on the runner behind the submitter's
-// back. The executor has no other state: it starts nothing when built, holds
-// no goroutine while it has no work, and so has nothing to stop.
+// a time, in queue order. Two kinds of goroutine take the token. A goroutine
+// in drain that finds the token free takes the head batch and runs it itself
+// instead of sleeping. A runner is started by submit; it runs head batches
+// while the token is free and no goroutine is waiting in drain, then exits.
+// The executor has no other state: it starts nothing when built, holds no
+// goroutine while it has no work, and so has nothing to stop.
+//
+// The rule for starting a runner: submit starts one when it queues a batch
+// and finds no runner, no token holder and nobody in drain, and the batch is
+// served or is queued behind a batch nobody has taken yet. A served batch's
+// guests wait on their jobs, not on the pipeline, so it always needs a
+// runner. A raw batch's submitter (DispatchRaw/DispatchBatch) owes a Sync,
+// Drain or Flush barrier, so a lone raw batch waits for that barrier to run
+// it: a lock-step round of one batch per device then a drain runs on its
+// drainer and starts no goroutine, while a submitter that queues a device's
+// next batch before draining gets a runner for that device from its second
+// batch on.
 //
 // Invariant: while a batch is queued, a runner exists, or a drainer is
-// waiting, or a drainer holds the token. A runner leaves only when the queue
-// is empty or a drainer is there, and a drainer leaves only once nothing is
-// in flight; submit starts a runner in every other case.
+// waiting or holds the token, or the queue holds one raw batch whose
+// submitter owes a drain. A runner leaves only when the queue is empty or a
+// drainer is there, and a drainer leaves only once nothing is in flight;
+// submit starts a runner in every other case.
 //
 // The runner is what lets guest submission overlap device simulation, and
 // what lets an N-device MultiService simulate N devices concurrently in wall
-// clock — each device's simulated clock, metrics registry, and trace log are
-// touched only by its token holder, so no cross-device synchronization is
-// needed until a merge point (Sync/Snapshot/Traces) drains the pipelines,
-// and a drain that helps one device leaves the others to their runners.
+// clock when its devices' batches are pipelined — each device's simulated
+// clock, metrics registry, and trace log are touched only by its token
+// holder, so no cross-device synchronization is needed until a merge point
+// (Sync/Snapshot/Traces) drains the pipelines. A drain helps one device at
+// a time: the devices of a lock-step round run one after another on the
+// drainer, while the runners of pipelined devices keep running theirs.
 //
 // Health counters (queue depth, batches, enqueue stalls, batches run by a
 // drainer) are the core.exec.* host family of the service registry: executor
@@ -137,10 +148,9 @@ func (e *executor) runHead(byDrainer bool) {
 }
 
 // submit queues a batch for the token holder, blocking for backpressure
-// while the bounded queue is full, and starts a runner unless one exists or
-// a drainer is there to run the batch. Callers serialize through
-// Service.dispatchMu, which preserves the drain-order = execution-order
-// invariant.
+// while the bounded queue is full, and starts a runner by the rule on
+// executor. Callers serialize through Service.dispatchMu, which preserves
+// the drain-order = execution-order invariant.
 func (e *executor) submit(b execBatch) {
 	e.mu.Lock()
 	// Count the batch before waiting for a slot: a drain must not slip past a
@@ -160,7 +170,7 @@ func (e *executor) submit(b execBatch) {
 	}
 	e.queue[(e.head+e.n)%execQueueDepth] = b
 	e.n++
-	start := !e.runner && !e.running && e.helpers == 0
+	start := !e.runner && !e.running && e.helpers == 0 && (b.rec != nil || e.n > 1)
 	if start {
 		e.runner = true
 	}

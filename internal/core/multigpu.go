@@ -515,9 +515,11 @@ func (m *MultiService) MergedTrace() *trace.Timeline {
 // DispatchBatch runs one externally-assembled batch against a specific
 // device — the deterministic path the experiments use. Jobs must belong to
 // VPs assigned to that device. The batch is enqueued to the device's
-// executor and DispatchBatch returns immediately; Sync (or Drain)
-// is the completion barrier, so feeding all devices before syncing simulates
-// them concurrently.
+// executor and DispatchBatch returns immediately; the caller owes a Sync,
+// Drain or Flush, the completion barrier, as for DispatchRaw. A device's
+// lone queued batch waits for that barrier, which runs it; from a device's
+// second queued batch on a runner takes them, so a caller that feeds every
+// device several batches before syncing simulates the devices concurrently.
 func (m *MultiService) DispatchBatch(device int, batch []*sched.Job) {
 	m.services[device].DispatchRaw(batch)
 }

@@ -154,7 +154,7 @@ func TestPlacementLeastLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.DispatchBatch(0, []*sched.Job{sched.NewH2D(0, 0, p, 0, make([]byte, 1<<20))})
-	m.Device(0).Drain() // DispatchBatch is async with pipelining on
+	m.Device(0).Drain() // DispatchBatch only enqueues; the drain runs it
 	if m.Device(0).BusySeconds() <= 0 {
 		t.Fatal("device 0 accrued no busy time")
 	}

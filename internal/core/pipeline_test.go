@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -198,11 +199,7 @@ func TestOneDispatchPath(t *testing.T) {
 // drainer inside a batch.
 func TestIdleFarmHoldsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	gpus := []arch.GPU{arch.Quadro4000(), arch.Quadro4000(), arch.Quadro4000(), arch.Quadro4000()}
-	farm, err := NewMultiService(DefaultOptions(), gpus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	farm := newFarm(t, 4)
 	settledGoroutines(t, before)
 
 	fleet := vp.NewFleet(8, arch.ARMVersatile(), func(id int) *cudart.Context {
@@ -212,12 +209,9 @@ func TestIdleFarmHoldsNoGoroutine(t *testing.T) {
 	if err := fleet.Run(farm.WrapApp(vecAddApp(256, 1))); err != nil {
 		t.Fatal(err)
 	}
-	var round []*sched.Job
-	for d := 0; d < farm.Devices(); d++ {
-		j := sched.NewCustom(0, 0, hostgpu.EngineCompute, "round",
-			func(*sched.Job, *hostgpu.GPU) error { return nil })
+	round := noopRound(farm)
+	for d, j := range round {
 		farm.DispatchBatch(d, []*sched.Job{j})
-		round = append(round, j)
 	}
 	farm.Drain()
 	for d, j := range round {
@@ -229,6 +223,127 @@ func TestIdleFarmHoldsNoGoroutine(t *testing.T) {
 
 	drainWhileDrainerRuns(t)
 	settledGoroutines(t, before)
+}
+
+// newFarm builds a farm of Quadro 4000 devices.
+func newFarm(tb testing.TB, devices int) *MultiService {
+	tb.Helper()
+	gpus := make([]arch.GPU, devices)
+	for d := range gpus {
+		gpus[d] = arch.Quadro4000()
+	}
+	farm, err := NewMultiService(DefaultOptions(), gpus)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return farm
+}
+
+// noopRound builds one no-op raw job per device of farm.
+func noopRound(farm *MultiService) []*sched.Job {
+	round := make([]*sched.Job, farm.Devices())
+	for d := range round {
+		round[d] = sched.NewCustom(0, 0, hostgpu.EngineCompute, "round",
+			func(*sched.Job, *hostgpu.GPU) error { return nil })
+	}
+	return round
+}
+
+// execCounts sums core.exec.batches and core.exec.batches_by_drainer over
+// the farm's devices.
+func execCounts(farm *MultiService) (batches, byDrainer int64) {
+	for d := 0; d < farm.Devices(); d++ {
+		reg := farm.Device(d).Metrics()
+		batches += reg.Counter("core.exec.batches").Value()
+		byDrainer += reg.Counter("core.exec.batches_by_drainer").Value()
+	}
+	return batches, byDrainer
+}
+
+// TestLockstepRoundRunsOnItsDrainer: a lock-step round — one raw batch per
+// device, then a drain — starts no runner. Every batch runs on the drainer,
+// and no goroutine is alive after a round's dispatches that was not alive
+// before the farm was built.
+func TestLockstepRoundRunsOnItsDrainer(t *testing.T) {
+	const rounds = 16
+	farm := newFarm(t, 4)
+	before := runtime.NumGoroutine()
+	for r := 0; r < rounds; r++ {
+		jobs := noopRound(farm)
+		for d, j := range jobs {
+			farm.DispatchBatch(d, []*sched.Job{j})
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("round %d: %d goroutines after the dispatches, %d before the first", r, n, before)
+		}
+		farm.Drain()
+		for d, j := range jobs {
+			if err := j.Wait(); err != nil {
+				t.Fatalf("round %d, device %d: %v", r, d, err)
+			}
+		}
+	}
+	batches, byDrainer := execCounts(farm)
+	if batches != rounds*4 || byDrainer != batches {
+		t.Fatalf("drainers ran %d of %d batches, want all %d", byDrainer, batches, rounds*4)
+	}
+}
+
+// TestPipelinedRawBatchesGetARunner: a submitter that queues a device's
+// next raw batch before any barrier gets a runner for that device, so its
+// devices simulate concurrently behind its back. A job of the first batch
+// finishes before anyone drains, and the final drain finds at most a full
+// queue per device left to run itself.
+func TestPipelinedRawBatchesGetARunner(t *testing.T) {
+	const iters = 16
+	farm := newFarm(t, 4)
+	var first []*sched.Job
+	for it := 0; it < iters; it++ {
+		jobs := noopRound(farm)
+		if it == 0 {
+			first = jobs
+		}
+		for d, j := range jobs {
+			farm.DispatchBatch(d, []*sched.Job{j})
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- first[0].Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first batch did not run before a drain: no runner was started")
+	}
+	farm.Drain()
+	batches, byDrainer := execCounts(farm)
+	t.Logf("drainers ran %d of %d batches", byDrainer, batches)
+	if batches != iters*4 {
+		t.Fatalf("core.exec.batches = %d, want %d", batches, iters*4)
+	}
+	if limit := int64(4 * execQueueDepth); byDrainer > limit {
+		t.Fatalf("drainers ran %d of %d batches, want at most %d (a full queue per device)", byDrainer, batches, limit)
+	}
+}
+
+// BenchmarkLockstepRound: the host cost of one lock-step round, one no-op
+// raw batch per device and then a drain.
+func BenchmarkLockstepRound(b *testing.B) {
+	for _, devices := range []int{1, 4} {
+		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
+			farm := newFarm(b, devices)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for d, j := range noopRound(farm) {
+					farm.DispatchBatch(d, []*sched.Job{j})
+				}
+				farm.Drain()
+			}
+		})
+	}
 }
 
 // heldBatches builds one-job raw batches for the executor tests. Batch i
@@ -288,17 +403,18 @@ func waitHelpers(t *testing.T, e *executor, n int) {
 	}
 }
 
-// TestDrainerRunsQueuedBatches: while the runner is held inside a
-// batch, a full queue waits behind it. A goroutine that drains takes those
-// batches over once the token is free and runs them itself, in FIFO order;
-// no two batches are ever inside dispatch at once, and the host counter says
-// who ran them.
+// TestDrainerRunsQueuedBatches: while the runner — started by the second
+// raw batch queued behind the first — is held inside a batch, a full queue
+// waits behind it. A goroutine that drains takes those batches over once the
+// token is free and runs them itself, in FIFO order; no two batches are ever
+// inside dispatch at once, and the host counter says who ran them.
 func TestDrainerRunsQueuedBatches(t *testing.T) {
 	s := newService(DefaultOptions())
 	h := newHeldBatches(t, 0)
 	s.DispatchRaw(h.batch(0))
-	<-h.entered[0] // the runner holds the token
-	for i := 1; i <= execQueueDepth; i++ {
+	s.DispatchRaw(h.batch(1)) // queued behind batch 0: starts the runner
+	<-h.entered[0]            // the runner holds the token
+	for i := 2; i <= execQueueDepth; i++ {
 		s.DispatchRaw(h.batch(i))
 	}
 	drained := make(chan struct{})
@@ -333,8 +449,8 @@ func drainWhileDrainerRuns(t *testing.T) {
 	s := newService(DefaultOptions())
 	h := newHeldBatches(t, 0, 1)
 	s.DispatchRaw(h.batch(0))
+	s.DispatchRaw(h.batch(1)) // queued behind batch 0: starts the runner
 	<-h.entered[0]
-	s.DispatchRaw(h.batch(1))
 	s.DispatchRaw(h.batch(2))
 	drained, second := make(chan struct{}), make(chan struct{})
 	go func() {

@@ -410,7 +410,9 @@ func (s *Service) runBatch(batch []*sched.Job, rec *metrics.Registry) {
 // DispatchRaw runs one externally-assembled batch through the Re-scheduler
 // and the device without service accounting — the deterministic path the
 // experiments use. The batch is enqueued and DispatchRaw returns without
-// waiting; Sync/Drain is the completion barrier.
+// waiting. The caller owes a barrier — Sync, Drain or Flush — before it
+// reads the device or waits on a job: a batch alone in the queue starts no
+// runner, and the barrier runs it (see executor).
 func (s *Service) DispatchRaw(batch []*sched.Job) {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()

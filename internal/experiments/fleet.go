@@ -158,8 +158,9 @@ func (f *farmFleet) provision(benches []*kernels.Benchmark, scale int) error {
 // step dispatches iteration it: every still-running VP's burst, built against
 // the device the VP is on now (a migration may have moved it, and rebased its
 // pointers, since the last iteration) and submitted into the VP's stream
-// window. DispatchBatch only enqueues with pipelining on, so the devices'
-// simulations run concurrently in wall clock; Sync or Flush is the barrier.
+// window. DispatchBatch only enqueues, and a device's batches from its
+// second queued one on run on its runner, so the devices' simulations run
+// concurrently in wall clock; the caller's Sync or Flush is the barrier.
 // A pointer the VP's device refuses to translate fails the step before any
 // batch is dispatched.
 func (f *farmFleet) step(it int) error {
